@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--c-u", type=float, default=10.0, help="uplink fronthaul, bits/s/Hz")
     compute.add_argument("--c-d", type=float, default=10.0, help="downlink fronthaul, bits/s/Hz")
     compute.add_argument("--panels", type=int, default=DEFAULT_PANELS, help="quadrature panels")
-    compute.add_argument("--grid", type=int, default=DEFAULT_GRID, help="power grid resolution")
+    compute.add_argument("--grid", type=int, default=DEFAULT_GRID, help="SIC power-scan resolution")
     compute.add_argument(
         "--full-power",
         action="store_true",
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append oracle columns and fail on disagreement beyond tolerance",
     )
     sweep.add_argument("--panels", type=int, help="override quadrature panels")
-    sweep.add_argument("--grid", type=int, help="override power grid resolution")
+    sweep.add_argument("--grid", type=int, help="override SIC power-scan resolution")
     return parser
 
 

@@ -3,10 +3,11 @@
 The C-RAN uplink spectral integrals are the large-system limit of a per-cell
 log-determinant over a circulant channel matrix; building that matrix for a
 finite ring of cells and evaluating the log-det directly checks the limit
-without sharing any code with the quadrature path.  Likewise the refined
-full-duplex power search is validated against a single dense grid with no
-refinement.  Cells wrap around (a ring rather than a truncated line) so no
-border effects pollute the comparison with the infinite-array formulas.
+without sharing any code with the quadrature path.  Likewise the
+full-duplex power solver is validated against a single dense grid with no
+refinement, evaluated with formulas of its own.  Cells wrap around (a ring
+rather than a truncated line) so no border effects pollute the comparison
+with the infinite-array formulas.
 """
 
 import math
@@ -99,43 +100,47 @@ def circulant_uplink_rate_dense(
 
 
 def exhaustive_power_opt(
-    params, sic: SicMode, resolution: int = 512
+    params, sic: SicMode, resolution: int = 512, candidate=None
 ) -> tuple[float, float, float]:
     """Brute-force max-min power optimization for full-duplex single-cell
     processing on one dense grid, no refinement.
 
-    Ties within 1e-9 of the maximum resolve to the smallest (p_u, p_d), the
-    same rule the refined search uses, so argmax comparisons are meaningful.
-    Returns (r_eq, p_u_star, p_d_star).
+    candidate, a (p_u, p_d) such as a solver's reported argmax, is scored by
+    the same formulas and beats the grid by more than 1e-9: an optimum off the
+    grid then agrees, a misreported rate still does not.  Ties within 1e-9 of
+    the maximum resolve to the smallest (p_u, p_d), the same rule the solver
+    uses, so argmax comparisons are meaningful.  Returns (r_eq, p_u, p_d).
     """
     if resolution < 64:
         raise ValueError(f"resolution must be >= 64, got {resolution}")
-    pu_grid = np.linspace(0.0, params.p_u_max, resolution)
-    pd_grid = np.linspace(0.0, params.p_d_max, resolution)
-    pu = pu_grid[:, None]
-    pd = pd_grid[None, :]
-
     a2 = params.alpha**2
     bdu2 = params.beta_du**2
     bud2 = params.beta_ud**2
     g2 = params.gamma_ud**2
 
-    r_u = np.minimum(
-        np.log2(1.0 + pu / (1.0 + 2.0 * a2 * pu + 2.0 * bdu2 * pd)), params.c_u
-    )
-    den = 1.0 + 2.0 * a2 * pd + 2.0 * bud2 * pu
-    if sic is SicMode.TREAT_AS_NOISE:
-        r_d = np.log2(1.0 + pd / (den + g2 * pu))
-    else:
-        t1 = np.log2(1.0 + pd / den)
-        t2 = np.log2(1.0 + (pd + g2 * pu) / den)
-        t3 = np.log2(1.0 + pd / (den + g2 * pu))
-        r_d = np.minimum(t1, np.maximum(t2 - r_u, t3))
-    r_d = np.minimum(r_d, params.c_d)
-    value = np.minimum(r_u, r_d)
+    def value(pu, pd):
+        r_u = np.minimum(
+            np.log2(1.0 + pu / (1.0 + 2.0 * a2 * pu + 2.0 * bdu2 * pd)), params.c_u
+        )
+        den = 1.0 + 2.0 * a2 * pd + 2.0 * bud2 * pu
+        if sic is SicMode.TREAT_AS_NOISE:
+            r_d = np.log2(1.0 + pd / (den + g2 * pu))
+        else:
+            t1 = np.log2(1.0 + pd / den)
+            t2 = np.log2(1.0 + (pd + g2 * pu) / den)
+            t3 = np.log2(1.0 + pd / (den + g2 * pu))
+            r_d = np.minimum(t1, np.maximum(t2 - r_u, t3))
+        return np.minimum(r_u, np.minimum(r_d, params.c_d))
 
-    vmax = float(value.max())
-    tied = value >= vmax - _TIE_TOL
+    pu_grid = np.linspace(0.0, params.p_u_max, resolution)
+    pd_grid = np.linspace(0.0, params.p_d_max, resolution)
+    grid_value = value(pu_grid[:, None], pd_grid[None, :])
+    vmax = float(grid_value.max())
+    if candidate is not None:
+        off_grid = float(value(*candidate))
+        if off_grid > vmax + _TIE_TOL:
+            return off_grid, float(candidate[0]), float(candidate[1])
+    tied = grid_value >= vmax - _TIE_TOL
     i = int(np.argmax(tied.any(axis=1)))
     j = int(np.argmax(tied[i]))
-    return float(value[i, j]), float(pu_grid[i]), float(pd_grid[j])
+    return float(grid_value[i, j]), float(pu_grid[i]), float(pd_grid[j])

@@ -2,8 +2,10 @@
 
 Half-duplex schemes split the band between directions at full power; the
 equal rate follows from balancing f*R_u against (1-f)*R_d.  Full-duplex
-schemes transmit simultaneously and instead optimize the operating powers
-(p_u, p_d) by a coarse grid search with zoomed local refinement.
+schemes transmit simultaneously and instead choose the operating powers
+(p_u, p_d) that maximize min(R_u, R_d): exactly on the budget edges for
+treat-as-noise, plus a grid-seeded search of the decode-first branch for SIC
+(see _max_min_search).
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
@@ -27,6 +29,7 @@ from .spectral import (
     DEFAULT_PANELS,
     Precoder,
     h_tilde,
+    rate_closed_form,
     rate_integral,
     rg,
     zf_precoder,
@@ -51,14 +54,12 @@ __all__ = [
 
 DEFAULT_GRID = 64
 
-_REFINE_PASSES = 2  # zoomed refinements per candidate after the coarse pass
-_ZOOM = 8  # window shrink factor per refinement pass
-_CANDIDATES = 4  # coarse local leaders refined independently
-_DENSE_POINTS = 2049  # first-pass resolution when the objective is closed form
-_POLISH_POINTS = 2049  # full-range coordinate lines after refinement
-_POLISH_ROUNDS = 2
+_EDGE_PASSES = 14  # 16-fold cuts of a budget-edge bracket, to float resolution
+_SHRINK_STEPS = 20  # halvings of the tie-breaking power scale
+_ZOOM = 8  # window shrink factor per zoom pass
+_ZOOM_PASSES = 12  # zoom passes along each axis of the SIC search
+_WINDOW = np.linspace(0.0, 1.0, 17)  # samples across a search window
 _TIE_TOL = 1e-9  # objective values this close count as tied
-_SEARCH_PANELS = 512  # quadrature resolution inside the power search
 _K_MAX = 8  # truncation of sum_{k>0} h~_k^2 for custom precoders
 
 
@@ -102,9 +103,23 @@ def hd_scp(params) -> RateResult:
     return RateResult(r_u, r_d, r_eq, diag)
 
 
-def _hd_sigma_u_sq(params) -> float:
+def _per_unit_quantization(c: float) -> float:
+    """1 / (2**c - 1), the uplink quantization noise per unit of power at the
+    radio unit, for any capacity c >= 0: it falls to 0 as c grows without
+    bound and is inf at c = 0, where the quantizer passes nothing."""
+    if c <= 0.0:
+        return math.inf
+    return 2.0**-c / -math.expm1(-c * math.log(2.0))
+
+
+def _sigma_u_sq(params, p_u, p_d=0.0, rg2=0.0):
+    # half duplex has p_d = 0; the neighboring radio units' downlink signals
+    # are correlated at lag 2 through the shared precoder, hence (1 + R_g(2))
     a2 = params.alpha**2
-    return (1.0 + (1.0 + 2.0 * a2) * params.p_u_max) / (2.0**params.c_u - 1.0)
+    bdu2 = params.beta_du**2
+    return (
+        1.0 + (1.0 + 2.0 * a2) * p_u + 2.0 * bdu2 * (1.0 + rg2) * p_d
+    ) * _per_unit_quantization(params.c_u)
 
 
 def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
@@ -113,11 +128,9 @@ def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
     The received signal is quantized at sigma_u^2 = (1 + (1 + 2 alpha^2) P_u)
     / (2**c_u - 1); joint decoding across cells then achieves the spectral
     integral of C(P_u H(f)^2 / (1 + sigma_u^2)).  Returns (rate, sigma_u_sq);
-    c_u = 0 short-circuits to rate 0 (the quantizer passes nothing).
+    c_u = 0 gives sigma_u_sq = inf and rate 0 (the quantizer passes nothing).
     """
-    if params.c_u <= 0.0:
-        return 0.0, math.inf
-    sigma = _hd_sigma_u_sq(params)
+    sigma = _sigma_u_sq(params, params.p_u_max)
     rate = float(rate_integral(params.p_u_max / (1.0 + sigma), params.alpha, panels))
     return rate, sigma
 
@@ -226,28 +239,26 @@ def fd_scp_downlink_rate(
     return min(q_clamp(t1, t2 - r_u, t3), params.c_d)
 
 
-def _fd_scp_grid_objective(params, sic: SicMode):
+def _fd_scp_rates(params):
+    """Vectorized FD-SCP (r_u, r_d) at broadcastable power arrays, with the
+    formulas of fd_scp_uplink_rate and fd_scp_downlink_rate (see
+    _max_min_search for decode_first)."""
     a2 = params.alpha**2
     bdu2 = params.beta_du**2
     bud2 = params.beta_ud**2
     g2 = params.gamma_ud**2
     c_u, c_d = params.c_u, params.c_d
 
-    def objective(pu_vec, pd_vec):
-        pu = pu_vec[:, None]
-        pd = pd_vec[None, :]
+    def rates(pu, pd, decode_first=False):
         ru = np.minimum(np.log2(1.0 + pu / (1.0 + 2.0 * a2 * pu + 2.0 * bdu2 * pd)), c_u)
         base = 1.0 + 2.0 * a2 * pd + 2.0 * bud2 * pu
-        if sic is SicMode.TREAT_AS_NOISE:
-            rd = np.minimum(np.log2(1.0 + pd / (base + g2 * pu)), c_d)
-        else:
+        if decode_first:
             t1 = np.log2(1.0 + pd / base)
             t2 = np.log2(1.0 + (pd + g2 * pu) / base)
-            t3 = np.log2(1.0 + pd / (base + g2 * pu))
-            rd = np.minimum(np.minimum(t1, np.maximum(t2 - ru, t3)), c_d)
-        return np.minimum(ru, rd)
+            return ru, np.minimum(np.minimum(t1, t2 - ru), c_d)
+        return ru, np.minimum(np.log2(1.0 + pd / (base + g2 * pu)), c_d)
 
-    return objective
+    return rates
 
 
 def fd_scp(
@@ -256,21 +267,14 @@ def fd_scp(
     """Full-duplex single-cell processing: max-min over operating powers.
 
     Unlike half duplex, backing off from full power can help (the two
-    directions interfere), so the equal rate is the grid-searched
-    max over (p_u, p_d) of min{R_u, R_d}.
+    directions interfere), so the equal rate is the max over (p_u, p_d) of
+    min{R_u, R_d}, found by _max_min_search.
     """
-    _, p_u, p_d = _max_min_search(
-        _fd_scp_grid_objective(params, sic),
-        params.p_u_max,
-        params.p_d_max,
-        grid,
-        dense=True,
-    )
+    rates = _fd_scp_rates(params)
+    _, p_u, p_d = _max_min_search(rates, params.p_u_max, params.p_d_max, grid, sic)
     r_u = fd_scp_uplink_rate(params, p_u, p_d)
     r_d = fd_scp_downlink_rate(params, p_u, p_d, sic, r_u)
-    return RateResult(
-        r_u, r_d, min(r_u, r_d), {"p_u_star": p_u, "p_d_star": p_d}
-    )
+    return RateResult(r_u, r_d, min(r_u, r_d), {"p_u_star": p_u, "p_d_star": p_d})
 
 
 # ----------------------------------------------------------------------------
@@ -285,16 +289,6 @@ def _check_budget(params, powers: PowerAllocation) -> None:
         )
 
 
-def _fd_sigma_u_sq(params, p_u, p_d, rg2: float):
-    # the neighboring radio units' downlink signals are correlated at lag 2
-    # through the shared precoder, hence the (1 + R_g(2)) factor
-    a2 = params.alpha**2
-    bdu2 = params.beta_du**2
-    return (
-        1.0 + (1.0 + 2.0 * a2) * p_u + 2.0 * bdu2 * (1.0 + rg2) * p_d
-    ) / (2.0**params.c_u - 1.0)
-
-
 def fd_cran_uplink(
     params, powers: PowerAllocation, precoder: Precoder, panels: int = DEFAULT_PANELS
 ) -> tuple[float, float]:
@@ -306,9 +300,7 @@ def fd_cran_uplink(
     only sigma_u^2 reaches the decoder.  Returns (rate, sigma_u_sq).
     """
     _check_budget(params, powers)
-    if params.c_u <= 0.0:
-        return 0.0, math.inf
-    sigma = _fd_sigma_u_sq(params, powers.p_u, powers.p_d, rg(precoder, 2))
+    sigma = _sigma_u_sq(params, powers.p_u, powers.p_d, rg(precoder, 2))
     rate = float(rate_integral(powers.p_u / (1.0 + sigma), params.alpha, panels))
     return rate, sigma
 
@@ -351,35 +343,28 @@ def fd_cran_downlink(
     return q_clamp(t1, t2 - r_u, t3)
 
 
-def _fd_cran_grid_objective(params, precoder: Precoder, sic: SicMode, panels: int):
+def _fd_cran_rates(params, precoder: Precoder):
+    """Vectorized FD-C-RAN (r_u, r_d) at broadcastable power arrays, with the
+    formulas of fd_cran_uplink and fd_cran_downlink except that the uplink
+    integral is taken in closed form (see _max_min_search for decode_first)."""
     a2 = params.alpha**2
     bud2 = params.beta_ud**2
     g2 = params.gamma_ud**2
     rg2 = rg(precoder, 2)
     h0sq, hk_sum = _effective_taps(precoder, params.alpha)
 
-    def objective(pu_vec, pd_vec):
-        pu = pu_vec[:, None]
-        pd = pd_vec[None, :]
-        shape = (pu_vec.size, pd_vec.size)
-        if params.c_u > 0.0:
-            snr = pu / (1.0 + _fd_sigma_u_sq(params, pu, pd, rg2))
-            ru = rate_integral(np.broadcast_to(snr, shape), params.alpha, panels)
-        else:
-            ru = np.zeros(shape)
+    def rates(pu, pd, decode_first=False):
+        snr = pu / (1.0 + _sigma_u_sq(params, pu, pd, rg2))
+        ru = rate_closed_form(snr, params.alpha)
         signal, den = _downlink_base_terms(pd, params.c_d, h0sq, hk_sum, a2)
         den = den + 2.0 * bud2 * pu
-        g2pu = g2 * pu
-        if sic is SicMode.TREAT_AS_NOISE:
-            rd = np.log2(1.0 + signal / (den + g2pu))
-        else:
+        if decode_first:
             t1 = np.log2(1.0 + signal / den)
-            t2 = np.log2(1.0 + (signal + g2pu) / den)
-            t3 = np.log2(1.0 + signal / (den + g2pu))
-            rd = np.minimum(t1, np.maximum(t2 - ru, t3))
-        return np.minimum(ru, rd)
+            t2 = np.log2(1.0 + (signal + g2 * pu) / den)
+            return ru, np.minimum(t1, t2 - ru)
+        return ru, np.log2(1.0 + signal / (den + g2 * pu))
 
-    return objective
+    return rates
 
 
 def fd_cran(
@@ -392,22 +377,17 @@ def fd_cran(
 ) -> RateResult:
     """Full-duplex C-RAN equal rate: max-min over operating powers.
 
-    The SIC clamp couples the downlink to the uplink rate at the same power
-    point, so the uplink is evaluated first on every candidate grid.  The
-    power search integrates at a reduced panel count (the integrand is smooth
-    enough that this costs nothing at these tolerances); the returned rates
-    and diagnostics are re-evaluated at the requested resolution at the
-    argmax.  full_power=True skips the search and spends both budgets, for
+    The power search (_max_min_search) evaluates the uplink integral in
+    closed form (rate_closed_form); the returned rates and diagnostics are
+    re-evaluated at the argmax with the panels-point quadrature.
+    full_power=True skips the search and spends both budgets, for
     sensitivity checks against a fixed-power reading of the scheme.
     """
     if full_power:
         p_u, p_d = params.p_u_max, params.p_d_max
     else:
-        objective = _fd_cran_grid_objective(
-            params, precoder, sic, min(panels, _SEARCH_PANELS)
-        )
         _, p_u, p_d = _max_min_search(
-            objective, params.p_u_max, params.p_d_max, grid
+            _fd_cran_rates(params, precoder), params.p_u_max, params.p_d_max, grid, sic
         )
     powers = PowerAllocation(p_u, p_d)
     r_u, sigma_u = fd_cran_uplink(params, powers, precoder, panels)
@@ -426,129 +406,135 @@ def fd_cran(
 # power search
 
 
-def _select_max(values: np.ndarray, pu: np.ndarray, pd: np.ndarray):
-    """Best grid point; ties within _TIE_TOL go to the smallest (p_u, p_d)."""
-    vmax = float(values.max())
-    tied = values >= vmax - _TIE_TOL
-    i = int(np.argmax(tied.any(axis=1)))
-    j = int(np.argmax(tied[i]))
-    return float(values[i, j]), float(pu[i]), float(pd[j])
+def _edge_optimum(rates, p_u_max: float, p_d_max: float):
+    """Exact treat-as-noise max-min, searched on both budget edges at once.
+
+    Along p_u = p_u_max, r_u falls and r_d rises with p_d; along p_d = p_d_max
+    the roles swap (fronthaul caps only flatten them).  Each pass samples both
+    brackets at len(_WINDOW) points and keeps the step where the falling rate
+    drops below the rising one; the better bracket end wins, exact ties going
+    to smaller powers.  A common power scaling raises both rates, so the
+    winner keeps its value at a smaller scale only where a cap binds or the
+    value is 0; it is scaled down to the smallest such scale (to within
+    2**-_SHRINK_STEPS).  Returns (value, p_u, p_d).
+    """
+    first = np.array([[True], [False]])  # row 0: p_u = p_u_max; row 1: p_d = p_d_max
+
+    def edges(t):  # t places p_d on the first edge and p_u on the second
+        return np.where(first, p_u_max, t * p_u_max), np.where(first, t * p_d_max, p_d_max)
+
+    lo, hi = np.zeros((2, 1)), np.ones((2, 1))
+    last = _WINDOW.size - 1
+    for _ in range(_EDGE_PASSES):
+        t = lo + (hi - lo) * _WINDOW
+        r_u, r_d = rates(*edges(t))
+        behind = np.where(first, r_u - r_d, r_d - r_u) < 0.0  # monotone along each row
+        k = np.where(behind.any(axis=1), behind.argmax(axis=1), last + 1)[:, None]
+        lo = np.take_along_axis(t, np.maximum(k - 1, 0), axis=1)
+        hi = np.take_along_axis(t, np.minimum(k, last), axis=1)
+    pu, pd = edges(np.hstack([lo, hi]))
+    ends = zip(np.minimum(*rates(pu, pd)).ravel(), pu.ravel(), pd.ravel())
+    value, p_u, p_d = (float(x) for x in max(ends, key=lambda e: (e[0], -e[1], -e[2])))
+    if value <= 0.0:
+        return value, 0.0, 0.0
+
+    def holds(t):
+        return float(np.minimum(*rates(t * p_u, t * p_d))) >= value
+
+    lo, hi = 0.0, 1.0
+    if holds(1.0 - 2.0**-_SHRINK_STEPS):
+        for _ in range(_SHRINK_STEPS):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return value, hi * p_u, hi * p_d
 
 
-def _prefer(a, b):
-    """Pick the higher-valued candidate; near-ties favor smaller powers."""
-    if a[0] > b[0] + _TIE_TOL:
-        return a
-    if b[0] > a[0] + _TIE_TOL:
-        return b
-    return a if (a[1], a[2]) <= (b[1], b[2]) else b
+def _row_max(objective, pu: np.ndarray, seed: np.ndarray, p_d_max: float, grid: int):
+    """Per-row max over p_d for each p_u: a scan of grid values plus the row's
+    seed, then _ZOOM_PASSES windows of len(_WINDOW) values centred on the
+    row's incumbent, the first _ZOOM scan steps wide, each next _ZOOM times
+    narrower; the incumbent moves only to a strictly better value.  Returns
+    (values, p_d) per row."""
+    rows = np.arange(pu.size)
+    scan = np.column_stack([np.tile(np.linspace(0.0, p_d_max, grid), (pu.size, 1)), seed])
+    values = objective(pu[:, None], scan)
+    j = np.argmax(values, axis=1)
+    value, pd = values[rows, j], scan[rows, j]
+    span = _ZOOM * p_d_max / (grid - 1)
+    for _ in range(_ZOOM_PASSES):
+        window = np.clip(pd[:, None] + span * (_WINDOW - 0.5), 0.0, p_d_max)
+        values = objective(pu[:, None], window)
+        j = np.argmax(values, axis=1)
+        better = values[rows, j] > value
+        value = np.where(better, values[rows, j], value)
+        pd = np.where(better, window[rows, j], pd)
+        span /= _ZOOM
+    return value, pd
 
 
-def _top_candidates(values: np.ndarray, pu: np.ndarray, pd: np.ndarray, separation: int):
-    """Up to _CANDIDATES coarse-grid local leaders, kept apart by `separation`
-    grid cells so distinct basins each get refined."""
-    order = np.argsort(-values, axis=None, kind="stable")
-    chosen: list[tuple[int, int]] = []
-    out = []
-    for flat in order:
-        i, j = divmod(int(flat), values.shape[1])
-        if any(max(abs(i - ci), abs(j - cj)) < separation for ci, cj in chosen):
-            continue
-        chosen.append((i, j))
-        out.append((float(values[i, j]), float(pu[i]), float(pd[j])))
-        if len(out) == _CANDIDATES:
-            break
-    return out
+def _profile_max(objective, pu, seed, p_u_max: float, p_d_max: float, grid: int):
+    """Maximize objective over the box from rows pu seeded with p_d values.
 
-
-def _refine(
-    objective,
-    candidate,
-    p_u_max: float,
-    p_d_max: float,
-    grid: int,
-    span_u: float | None = None,
-    span_d: float | None = None,
-):
-    """Zoomed refinement passes around one candidate (window / _ZOOM per pass)."""
-    best = candidate
-    span_u = p_u_max / _ZOOM if span_u is None else span_u
-    span_d = p_d_max / _ZOOM if span_d is None else span_d
-    for _ in range(_REFINE_PASSES):
-        pu = np.linspace(
-            max(0.0, best[1] - span_u / 2.0), min(p_u_max, best[1] + span_u / 2.0), grid
-        )
-        pd = np.linspace(
-            max(0.0, best[2] - span_d / 2.0), min(p_d_max, best[2] + span_d / 2.0), grid
-        )
-        best = _prefer(_select_max(objective(pu, pd), pu, pd), best)
-        span_u /= _ZOOM
-        span_d /= _ZOOM
+    The max-min objective peaks on narrow curved ridges, where a 2-D grid
+    ranks points by their distance to the ridge more than by their height,
+    so rows are compared only after each is maximized over p_d (_row_max).
+    The best row (the smallest p_u within _TIE_TOL) is zoomed in on along p_u
+    with windows of len(_WINDOW) rows, each seeded where the rows seen so far
+    put the ridge.  Returns (value, p_u, p_d).
+    """
+    value, pd = _row_max(objective, pu, seed, p_d_max, grid)
+    i = int(np.argmax(value >= value.max() - _TIE_TOL))
+    best = (float(value[i]), float(pu[i]), float(pd[i]))
+    span = _ZOOM * p_u_max / (grid - 1)
+    for _ in range(_ZOOM_PASSES):
+        order = np.argsort(pu, kind="stable")
+        rows = np.clip(best[1] + span * (_WINDOW - 0.5), 0.0, p_u_max)
+        seed = np.interp(rows, pu[order], pd[order])
+        row_value, row_pd = _row_max(objective, rows, seed, p_d_max, grid)
+        pu, pd = np.append(pu, rows), np.append(pd, row_pd)
+        i = int(np.argmax(row_value))
+        if row_value[i] > best[0]:
+            best = (float(row_value[i]), float(rows[i]), float(row_pd[i]))
+        span /= _ZOOM
     return best
 
 
-def _dense_pass(objective, p_u_max: float, p_d_max: float):
-    """Single dense full-box pass, chunked along the uplink axis.
+def _max_min_search(rates, p_u_max: float, p_d_max: float, grid: int, sic: SicMode):
+    """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max].
 
-    Affordable only for closed-form objectives; catches ridge basins narrower
-    than the coarse grid which no local window can recover afterwards."""
-    pu = np.linspace(0.0, p_u_max, _DENSE_POINTS)
-    pd = np.linspace(0.0, p_d_max, _DENSE_POINTS)
-    best = None
-    for start in range(0, _DENSE_POINTS, 256):
-        rows = pu[start : start + 256]
-        candidate = _select_max(objective(rows, pd), rows, pd)
-        best = candidate if best is None else _prefer(candidate, best)
-    return best
+    rates(pu, pd, decode_first=False) -> (r_u, r_d) broadcasts over power
+    arrays; r_d is the treat-as-noise rate, or with decode_first=True that of
+    the branch decoding the co-located uplink first, min(t1, t2 - r_u).
 
+    Treat-as-noise: both SINRs are standard interference functions (Yates,
+    IEEE JSAC 1995), so scaling (p_u, p_d) up raises both rates and the
+    optimum lies on a budget edge, where _edge_optimum finds it exactly.
 
-def _polish(objective, best, p_u_max: float, p_d_max: float):
-    """Alternating full-range coordinate lines around the incumbent; cheap
-    insurance for optima pinned to one axis or a budget boundary."""
-    for _ in range(_POLISH_ROUNDS):
-        pu_line = np.linspace(0.0, p_u_max, _POLISH_POINTS)
-        pd_fixed = np.array([best[2]])
-        best = _prefer(_select_max(objective(pu_line, pd_fixed), pu_line, pd_fixed), best)
-        pd_line = np.linspace(0.0, p_d_max, _POLISH_POINTS)
-        pu_fixed = np.array([best[1]])
-        best = _prefer(_select_max(objective(pu_fixed, pd_line), pu_fixed, pd_line), best)
-    return best
-
-
-def _max_min_search(objective, p_u_max: float, p_d_max: float, grid: int, dense: bool = False):
-    """Maximize objective(pu_vec, pd_vec) over [0, p_u_max] x [0, p_d_max].
-
-    One coarse uniform grid pass; the few best well-separated coarse points
-    each get the zoomed refinement passes (the max-min objective forms narrow
-    diagonal ridges that a single incumbent chain can lose).  With dense=True
-    a full-box dense pass plus a tightly-windowed refinement is added, which
-    closed-form objectives can afford; alternating coordinate lines then
-    polish the winner.  Deterministic throughout: fixed grids, and tie
-    handling favors the lexicographically smallest power pair.
+    SIC: as t3 <= t1, min(r_u, q(t1, t2 - r_u, t3)) is the larger of the
+    treat-as-noise objective min(r_u, t3) and the decode-first one
+    min(r_u, t1, t2 - r_u), which can peak inside the box.  _profile_max
+    searches it from grid rows of p_u, each scanned at grid values of p_d, and
+    from the best points of both budget edges scanned at grid**2 points; it
+    replaces the treat-as-noise optimum only when better by over _TIE_TOL.
+    grid sets only these scans.  Returns (value, p_u, p_d).
     """
     if not isinstance(grid, int) or grid < 2:
         raise ValueError(f"grid resolution must be an integer >= 2, got {grid!r}")
-    pu = np.linspace(0.0, p_u_max, grid)
-    pd = np.linspace(0.0, p_d_max, grid)
-    values = objective(pu, pd)
-    best = None
-    for candidate in _top_candidates(values, pu, pd, max(2, grid // 8)):
-        refined = _refine(objective, candidate, p_u_max, p_d_max, grid)
-        best = refined if best is None else _prefer(refined, best)
-    if dense:
-        anchor = _dense_pass(objective, p_u_max, p_d_max)
-        spacing = 1.0 / (_DENSE_POINTS - 1)
-        anchored = _refine(
-            objective,
-            anchor,
-            p_u_max,
-            p_d_max,
-            grid,
-            span_u=8.0 * p_u_max * spacing,
-            span_d=8.0 * p_d_max * spacing,
-        )
-        best = _prefer(anchored, best)
-    return _polish(objective, best, p_u_max, p_d_max)
+    best = _edge_optimum(rates, p_u_max, p_d_max)
+    if sic is SicMode.TREAT_AS_NOISE:
+        return best
+
+    def decode_first(pu, pd):
+        return np.minimum(*rates(pu, pd, decode_first=True))
+
+    edge_u = np.linspace(0.0, p_u_max, grid * grid)
+    edge_d = np.linspace(0.0, p_d_max, grid * grid)
+    best_u = edge_u[np.argmax(decode_first(edge_u, p_d_max))]
+    best_d = edge_d[np.argmax(decode_first(p_u_max, edge_d))]
+    pu = np.append(np.linspace(0.0, p_u_max, grid), [p_u_max, best_u])
+    seed = np.append(np.zeros(grid), [best_d, p_d_max])  # grid rows rely on their scan
+    challenger = _profile_max(decode_first, pu, seed, p_u_max, p_d_max, grid)
+    return challenger if challenger[0] > best[0] + _TIE_TOL else best
 
 
 # ----------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Everything here works on a fixed uniform sampling of the unit frequency
 interval with an even panel count, so results are deterministic for a given
 panel count: the channel response H(f), composite-Simpson quadrature, the
 zero-forcing precoder, the filter autocorrelation R_g(tau) and the effective
-channel taps h~_k seen after precoding.
+channel taps h~_k seen after precoding.  The one exception is
+rate_closed_form, the exact value of the rate integral, which the power
+search evaluates in place of the quadrature.
 """
 
 import math
@@ -22,6 +24,7 @@ __all__ = [
     "custom_precoder",
     "h_tilde",
     "integrate_unit",
+    "rate_closed_form",
     "rate_integral",
     "rg",
     "simpson_weights",
@@ -222,6 +225,26 @@ def rate_integral(snr_scale, alpha: float, panels: int = DEFAULT_PANELS):
         _check_panels(panels)
         h2 = channel_response(alpha, unit_grid(panels)) ** 2
         vals = np.sum(np.log2(1.0 + s[..., None] * h2) * simpson_weights(panels), axis=-1)
+    if s.ndim == 0:
+        return float(vals)
+    return vals
+
+
+def rate_closed_form(snr_scale, alpha: float):
+    """Exact value of rate_integral: 2 log2|z| (Somekh & Shamai, IEEE T-IT 2000).
+
+    With u = sqrt(s), 1 + s H(f)^2 = |a + b cos 2 pi f|^2 for a = 1 + i u and
+    b = 2 i alpha u; by Jensen's formula its log-mean is log|z| for z the
+    larger-modulus root (a + sqrt(a^2 - b^2)) / 2, which the principal root
+    gives for every u >= 0.  z - 1 is formed without cancellation and fed to
+    log1p, so small s keeps full relative accuracy.  Vectorized like
+    rate_integral, without its input check (the power search is the caller).
+    """
+    s = np.asarray(snr_scale, dtype=float)
+    u = np.sqrt(s)
+    w = (4.0 * alpha * alpha - 1.0) * s + 2j * u  # a^2 - b^2 - 1
+    z1 = 0.5 * (1j * u + w / (1.0 + np.sqrt(1.0 + w)))  # z - 1
+    vals = np.log1p(z1.real * (2.0 + z1.real) + z1.imag * z1.imag) / math.log(2.0)
     if s.ndim == 0:
         return float(vals)
     return vals

@@ -30,7 +30,7 @@ enum order minor, so identical configs produce byte-identical CSV output.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .model import SchemeId, SystemParams, db_to_linear
 from .oracle import DEFAULT_CELLS, circulant_uplink_rate, exhaustive_power_opt
@@ -165,18 +165,7 @@ class SweepSpec:
 
     def params_at(self, value: float) -> SystemParams:
         """Materialize SystemParams with the swept variable set to value."""
-        b = self.base
-        surface = {
-            "alpha": b.alpha,
-            "beta_du": b.beta_du,
-            "beta_ud": b.beta_ud,
-            "gamma_du": b.gamma_du,
-            "gamma_ud": b.gamma_ud,
-            "p_u_db": b.p_u_db,
-            "p_d_db": b.p_d_db,
-            "c_u": b.c_u,
-            "c_d": b.c_d,
-        }
+        surface = asdict(self.base)
         if self.sweep_var == "c_u_c_d_joint":
             surface["c_u"] = surface["c_d"] = value
         elif self.sweep_var == "p_db_joint":
@@ -184,15 +173,9 @@ class SweepSpec:
         else:
             surface[self.sweep_var] = value
         return SystemParams(
-            alpha=surface["alpha"],
-            beta_du=surface["beta_du"],
-            beta_ud=surface["beta_ud"],
-            gamma_du=surface["gamma_du"],
-            gamma_ud=surface["gamma_ud"],
-            p_u_max=db_to_linear(surface["p_u_db"]),
-            p_d_max=db_to_linear(surface["p_d_db"]),
-            c_u=surface["c_u"],
-            c_d=surface["c_d"],
+            p_u_max=db_to_linear(surface.pop("p_u_db")),
+            p_d_max=db_to_linear(surface.pop("p_d_db")),
+            **surface,
         )
 
 
@@ -399,7 +382,9 @@ def _attach_oracle(row: SweepRow, params, scheme: SchemeId) -> None:
             p_u = row.p_u_star if row.p_u_star is not None else params.p_u_max
             row.oracle_r_u = circulant_uplink_rate(params.alpha, p_u, sigma, DEFAULT_CELLS)
     if scheme in (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC):
-        row.oracle_r_eq = exhaustive_power_opt(params, _sic_of(scheme), _ORACLE_RESOLUTION)[0]
+        row.oracle_r_eq = exhaustive_power_opt(
+            params, _sic_of(scheme), _ORACLE_RESOLUTION, (row.p_u_star, row.p_d_star)
+        )[0]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:

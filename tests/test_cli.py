@@ -57,6 +57,23 @@ def test_compute_zero_fronthaul_maps_inf_to_null(capsys):
     assert payload["diagnostics"]["sigma_u_sq"] is None
 
 
+@pytest.mark.parametrize("scheme", ["hd_cran", "fd_cran"])
+def test_compute_huge_fronthaul_has_no_quantization_noise(scheme, capsys):
+    code = main(["compute", "--scheme", scheme, "--c-u", "2000", "--panels", "1024"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["diagnostics"]["sigma_u_sq"] == 0.0
+    assert payload["r_eq"] > 0.0
+
+
+@pytest.mark.parametrize("scheme", ["hd_cran", "fd_cran"])
+def test_compute_vanishing_fronthaul_gives_zero_rate(scheme, capsys):
+    code = main(["compute", "--scheme", scheme, "--c-u", "1e-300", "--panels", "1024"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["r_u"] == 0.0 and payload["r_eq"] == 0.0
+
+
 def test_compute_rejects_bad_gain(capsys):
     assert main(["compute", "--scheme", "hd_scp", "--alpha", "-1"]) == 2
     assert "config error" in capsys.readouterr().err
@@ -116,6 +133,13 @@ def test_sweep_verify_passes(tmp_path):
     assert code == 0
     header = out.read_text(encoding="utf-8").splitlines()[0]
     assert header.endswith(",oracle_r_u,oracle_r_eq")
+
+
+def test_fig3_verify_passes(tmp_path):
+    # fd_scp_sic at gamma_ud = 0.5 peaks off the oracle's 512x512 grid; the
+    # oracle also scores the reported argmax, so the honest row passes
+    out = tmp_path / "fig3.csv"
+    assert main(["sweep", "--preset", "fig3", "--out", str(out), "--verify"]) == 0
 
 
 def test_sweep_verify_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -53,8 +53,9 @@ def test_fd_scp_agrees_with_exhaustive_oracle(fig2_params):
 
 
 def test_fd_scp_regression_dense_small_cell_point(fig2_params):
-    # frozen after oracle-verified first computation (512x512 exhaustive grid)
-    assert fd_scp(fig2_params, SIC).r_eq == pytest.approx(1.833047268251531, abs=1e-6)
+    # optimum at (100, 18.8076); the oracle formulas give 1.8330483 on a
+    # 2,000,001-point p_u = P_u edge and 1.8330450 on a 2048x2048 grid
+    assert fd_scp(fig2_params, SIC).r_eq == pytest.approx(1.833048379670351, abs=1e-6)
 
 
 def test_fd_scp_argmax_reproduces_value(fig2_params):
@@ -194,9 +195,10 @@ def test_fd_cran_uplink_full_power_independent_oracle(fig2_params):
 
 
 def test_fd_cran_regression_dense_small_cell_point(fig2_params):
-    # frozen after oracle-verified first computation (circulant uplink check)
+    # optimum at (27.4465, 100); 4096-panel quadrature gives 4.2276710 on a
+    # 200,001-point p_d = P_d edge and 4.2274450 on a 1025x1025 grid (512 panels)
     res = fd_cran(fig2_params, zf_precoder(0.4), SIC)
-    assert res.r_eq == pytest.approx(4.227594692075212, abs=1e-6)
+    assert res.r_eq == pytest.approx(4.227671180719804, abs=1e-6)
 
 
 def test_fd_cran_full_power_flag(fig2_params):

@@ -1,0 +1,104 @@
+"""Seeded properties of the full-duplex max-min power solver over the paper's
+parameter domain, each checked against a dense grid that shares no code with
+the solver's search objective."""
+
+import numpy as np
+import pytest
+
+from fdcran.model import SystemParams, db_to_linear
+from fdcran.oracle import exhaustive_power_opt
+from fdcran.rates import SicMode, fd_cran, fd_scp
+from fdcran.spectral import h_tilde, rate_closed_form, rate_integral, rg, zf_precoder
+from fdcran.sweep import preset_spec
+
+TAN = SicMode.TREAT_AS_NOISE
+SIC = SicMode.SIC
+POINTS = 20
+SCP_GRID = 512  # exhaustive_power_opt resolution
+CRAN_GRID = 256
+CRAN_PANELS = 128  # quadrature converges to ~1e-14 here for alpha < 0.45
+
+
+def _domain_points():
+    rng = np.random.default_rng(2014)
+
+    def capacity():
+        return 1000.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 12.0))
+
+    return [
+        SystemParams(
+            alpha=float(rng.uniform(0.0, 0.45)),
+            beta_du=float(rng.uniform(0.0, 1.0)),
+            beta_ud=float(rng.uniform(0.0, 0.3)),
+            gamma_du=0.0,
+            gamma_ud=float(rng.uniform(0.0, 8.0)),
+            p_u_max=db_to_linear(float(rng.uniform(0.0, 30.0))),
+            p_d_max=db_to_linear(float(rng.uniform(0.0, 30.0))),
+            c_u=capacity(),
+            c_d=capacity(),
+        )
+        for _ in range(POINTS)
+    ]
+
+
+DOMAIN = _domain_points()
+
+
+def _fd_cran_grid_max(params, precoder) -> tuple[float, float]:
+    """(treat-as-noise, SIC) max-min of FD-C-RAN on a dense power grid, with
+    the uplink integral by quadrature and the model's formulas written out."""
+    a2 = params.alpha**2
+    pu = np.linspace(0.0, params.p_u_max, CRAN_GRID)[:, None]
+    pd = np.linspace(0.0, params.p_d_max, CRAN_GRID)[None, :]
+    sigma_u = (
+        1.0 + (1.0 + 2.0 * a2) * pu + 2.0 * params.beta_du**2 * (1.0 + rg(precoder, 2)) * pd
+    ) / (2.0**params.c_u - 1.0)
+    snr = np.broadcast_to(pu / (1.0 + sigma_u), (CRAN_GRID, CRAN_GRID))
+    r_u = rate_integral(snr, params.alpha, CRAN_PANELS)
+    signal = pd * (1.0 - 2.0**-params.c_d) * h_tilde(precoder, params.alpha, 0) ** 2
+    den = 1.0 + pd * 2.0**-params.c_d * (1.0 + 2.0 * a2) + 2.0 * params.beta_ud**2 * pu
+    g2pu = params.gamma_ud**2 * pu
+    t1 = np.log2(1.0 + signal / den)
+    t2 = np.log2(1.0 + (signal + g2pu) / den)
+    t3 = np.log2(1.0 + signal / (den + g2pu))
+    r_d_sic = np.minimum(t1, np.maximum(t2 - r_u, t3))
+    return float(np.minimum(r_u, t3).max()), float(np.minimum(r_u, r_d_sic).max())
+
+
+@pytest.mark.parametrize("index", range(POINTS))
+def test_fd_scp_never_loses_to_the_exhaustive_grid(index):
+    params = DOMAIN[index]
+    tan, sic = fd_scp(params, TAN).r_eq, fd_scp(params, SIC).r_eq
+    assert tan >= exhaustive_power_opt(params, TAN, SCP_GRID)[0] - 1e-6
+    assert sic >= exhaustive_power_opt(params, SIC, SCP_GRID)[0] - 1e-6
+    assert sic >= tan
+
+
+@pytest.mark.parametrize("index", range(POINTS))
+def test_fd_cran_never_loses_to_a_quadrature_grid(index):
+    params = DOMAIN[index]
+    precoder = zf_precoder(params.alpha)
+    tan, sic = fd_cran(params, precoder, TAN).r_eq, fd_cran(params, precoder, SIC).r_eq
+    grid_tan, grid_sic = _fd_cran_grid_max(params, precoder)
+    assert tan >= grid_tan - 1e-6
+    assert sic >= grid_sic - 1e-6
+    assert sic >= tan
+
+
+def test_fd_cran_sic_interior_optimum():
+    # fig3 at gamma_ud = 3.5: the SIC optimum lies inside the power box, above
+    # every point of both budget edges
+    params = preset_spec("fig3").params_at(3.5)
+    res = fd_cran(params, zf_precoder(params.alpha), SIC)
+    assert res.r_eq >= 3.98323
+    assert 0.0 < res.diagnostics["p_u_star"] < params.p_u_max
+    assert 0.0 < res.diagnostics["p_d_star"] < params.p_d_max
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.4, 0.45, 0.49, 0.49999])
+def test_rate_closed_form_matches_quadrature(alpha):
+    s = np.concatenate([[0.0], np.logspace(-8.0, 8.0, 161)])
+    assert np.abs(rate_closed_form(s, alpha) - rate_integral(s, alpha, 4096)).max() <= 1e-12
+    scalar = rate_closed_form(7.0, alpha)
+    assert isinstance(scalar, float)
+    assert scalar == pytest.approx(rate_integral(7.0, alpha, 4096), abs=1e-12)

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from fdcran.model import SchemeId, ZfSingularError
+from fdcran.oracle import exhaustive_power_opt
 from fdcran.rates import SicMode
 from fdcran.sweep import (
     CSV_COLUMNS,
+    ORACLE_RATE_TOL,
     ConfigError,
     SweepBase,
     SweepRow,
@@ -278,3 +281,17 @@ def test_zf_singularity_propagates_with_alpha():
     with pytest.raises(ZfSingularError) as err:
         run_sweep(spec)
     assert err.value.alpha == 0.6
+
+
+def test_oracle_scores_the_reported_argmax():
+    # fig3's fd_scp_sic row at gamma_ud = 0.5 peaks off the 512x512 grid
+    spec = replace(
+        preset_spec("fig3"), start=0.5, stop=0.5, schemes=(SchemeId.FD_SCP_SIC,), oracle=True
+    )
+    row = run_sweep(spec)[0]
+    grid_only = exhaustive_power_opt(spec.params_at(0.5), SicMode.SIC, 512)[0]
+    assert row.r_eq > grid_only + ORACLE_RATE_TOL  # the grid alone would flag it
+    assert verification_failures([row]) == []
+    # a rate misreported at the same argmax is still caught
+    doctored = replace(row, r_eq=row.r_eq + 0.01)
+    assert len(verification_failures([doctored])) == 1
