@@ -7,6 +7,16 @@ schemes transmit simultaneously and instead choose the operating powers
 treat-as-noise, plus a grid-seeded search of the decode-first branch for SIC
 (see _max_min_search).
 
+The power search runs for a batch of operating points at once
+(compute_fd_batch, which a sweep calls once per full-duplex scheme; fd_scp,
+fd_cran and compute_scheme are its batch of one).  Each point's constants are
+computed by the same scalar expressions as for a single point and stacked
+along a leading batch axis, so every point of a batch gets bit-for-bit the
+result it gets alone.  Kernel calls are split along that axis so that none
+evaluates more elements than the largest call of a one-point search,
+(grid + 2) * (grid + 1) at the default grid; the grid**2 budget-edge scans
+and the first row scan therefore run one point at a time.
+
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
 precoding at stream power p_d * (1 - 2**-c_d) plus quantization noise
@@ -15,6 +25,7 @@ p_d * 2**-c_d, so the radio unit transmits exactly p_d.
 
 import math
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +49,7 @@ from .spectral import (
 __all__ = [
     "DEFAULT_GRID",
     "SicMode",
+    "compute_fd_batch",
     "compute_scheme",
     "equal_rate_split",
     "fd_cran",
@@ -112,14 +124,11 @@ def _per_unit_quantization(c: float) -> float:
     return 2.0**-c / -math.expm1(-c * math.log(2.0))
 
 
-def _sigma_u_sq(params, p_u, p_d=0.0, rg2=0.0):
+def _sigma_u_sq(a2, bdu2, quant, p_u, p_d=0.0, rg2=0.0):
+    # a2 = alpha^2, bdu2 = beta_du^2, quant = _per_unit_quantization(c_u);
     # half duplex has p_d = 0; the neighboring radio units' downlink signals
     # are correlated at lag 2 through the shared precoder, hence (1 + R_g(2))
-    a2 = params.alpha**2
-    bdu2 = params.beta_du**2
-    return (
-        1.0 + (1.0 + 2.0 * a2) * p_u + 2.0 * bdu2 * (1.0 + rg2) * p_d
-    ) * _per_unit_quantization(params.c_u)
+    return (1.0 + (1.0 + 2.0 * a2) * p_u + 2.0 * bdu2 * (1.0 + rg2) * p_d) * quant
 
 
 def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
@@ -130,17 +139,28 @@ def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
     integral of C(P_u H(f)^2 / (1 + sigma_u^2)).  Returns (rate, sigma_u_sq);
     c_u = 0 gives sigma_u_sq = inf and rate 0 (the quantizer passes nothing).
     """
-    sigma = _sigma_u_sq(params, params.p_u_max)
+    quant = _per_unit_quantization(params.c_u)
+    sigma = _sigma_u_sq(params.alpha**2, params.beta_du**2, quant, params.p_u_max)
     rate = float(rate_integral(params.p_u_max / (1.0 + sigma), params.alpha, panels))
     return rate, sigma
 
 
+@lru_cache(maxsize=1)
+def _shared_zf(alpha: float, panels: int) -> Precoder:
+    """zf_precoder, built once for consecutive C-RAN rows at the same
+    (alpha, panels); one entry, so a long sweep holds one precoder."""
+    return zf_precoder(alpha, panels)
+
+
+@lru_cache(maxsize=1)
 def _effective_taps(precoder: Precoder, alpha: float) -> tuple[float, float]:
     """(h~_0^2, sum_{k>0} h~_k^2) for the given precoder over this channel.
 
     A zero-forcing precoder built for the same alpha nulls every off-center
     tap by construction, so the tail sum is taken as exactly zero; otherwise
     it is truncated at k <= 8 (the inverse-filter taps decay geometrically).
+    The last result is kept (precoders compare by identity), so rows sharing
+    a precoder share its taps.
     """
     h0 = h_tilde(precoder, alpha, 0)
     if precoder.kind == "zero_forcing" and precoder.alpha == alpha:
@@ -152,11 +172,12 @@ def _effective_taps(precoder: Precoder, alpha: float) -> tuple[float, float]:
     return h0 * h0, tail
 
 
-def _downlink_base_terms(p_d, c_d: float, h0sq: float, hk_sum: float, a2: float):
+def _downlink_base_terms(p_d, q_d, h0sq, hk_sum, a2):
     """Signal power and interference-plus-quantization denominator, before any
-    uplink-to-downlink terms.  Works on scalars and arrays alike."""
-    p_s = p_d * (1.0 - 2.0**-c_d)
-    sigma = p_d * 2.0**-c_d
+    uplink-to-downlink terms, with q_d = 2**-c_d.  Works on scalars and arrays
+    alike."""
+    p_s = p_d * (1.0 - q_d)
+    sigma = p_d * q_d
     den = 1.0 + 2.0 * p_s * hk_sum + sigma * (1.0 + 2.0 * a2)
     return p_s * h0sq, den
 
@@ -177,7 +198,7 @@ def hd_cran_downlink(
         )
     h0sq, hk_sum = _effective_taps(precoder, params.alpha)
     signal, den = _downlink_base_terms(
-        params.p_d_max, params.c_d, h0sq, hk_sum, params.alpha**2
+        params.p_d_max, 2.0**-params.c_d, h0sq, hk_sum, params.alpha**2
     )
     rate = shannon_c(signal / den)
     sigma = params.p_d_max * 2.0**-params.c_d
@@ -239,17 +260,33 @@ def fd_scp_downlink_rate(
     return min(q_clamp(t1, t2 - r_u, t3), params.c_d)
 
 
-def _fd_scp_rates(params):
-    """Vectorized FD-SCP (r_u, r_d) at broadcastable power arrays, with the
-    formulas of fd_scp_uplink_rate and fd_scp_downlink_rate (see
-    _max_min_search for decode_first)."""
-    a2 = params.alpha**2
-    bdu2 = params.beta_du**2
-    bud2 = params.beta_ud**2
-    g2 = params.gamma_ud**2
-    c_u, c_d = params.c_u, params.c_d
+def _stacked(rows):
+    """Per-point constants, one row per point, as a function of a slice b of
+    the points: one (n, 1, 1) column per quantity, broadcasting against power
+    arrays of shape (n, ...), or for a single point its plain floats, which
+    numpy combines with arrays at less cost and to the same values."""
+    columns = np.array(rows, dtype=float).T[..., None, None]
 
-    def rates(pu, pd, decode_first=False):
+    def of(b: slice):
+        return rows[b.start] if b.stop - b.start == 1 else columns[:, b]
+
+    return of
+
+
+def _fd_scp_rates(points):
+    """Vectorized FD-SCP (r_u, r_d) of a batch of points, with the formulas of
+    fd_scp_uplink_rate and fd_scp_downlink_rate: rates(b, pu, pd) for the
+    points in slice b at power arrays whose leading axis runs over them (see
+    _max_min_search for decode_first)."""
+    consts = _stacked(
+        [
+            (p.alpha**2, p.beta_du**2, p.beta_ud**2, p.gamma_ud**2, p.c_u, p.c_d)
+            for p in points
+        ]
+    )
+
+    def rates(b, pu, pd, decode_first=False):
+        a2, bdu2, bud2, g2, c_u, c_d = consts(b)
         ru = np.minimum(np.log2(1.0 + pu / (1.0 + 2.0 * a2 * pu + 2.0 * bdu2 * pd)), c_u)
         base = 1.0 + 2.0 * a2 * pd + 2.0 * bud2 * pu
         if decode_first:
@@ -270,11 +307,17 @@ def fd_scp(
     directions interfere), so the equal rate is the max over (p_u, p_d) of
     min{R_u, R_d}, found by _max_min_search.
     """
-    rates = _fd_scp_rates(params)
-    _, p_u, p_d = _max_min_search(rates, params.p_u_max, params.p_d_max, grid, sic)
-    r_u = fd_scp_uplink_rate(params, p_u, p_d)
-    r_d = fd_scp_downlink_rate(params, p_u, p_d, sic, r_u)
-    return RateResult(r_u, r_d, min(r_u, r_d), {"p_u_star": p_u, "p_d_star": p_d})
+    return _fd_scp_batch([params], sic, grid)[0]
+
+
+def _fd_scp_batch(points, sic: SicMode, grid: int) -> list[RateResult]:
+    _, p_u, p_d = _max_min_search(_fd_scp_rates(points), *_budgets(points), grid, sic)
+    results = []
+    for params, pu, pd in zip(points, p_u.tolist(), p_d.tolist()):
+        r_u = fd_scp_uplink_rate(params, pu, pd)
+        r_d = fd_scp_downlink_rate(params, pu, pd, sic, r_u)
+        results.append(RateResult(r_u, r_d, min(r_u, r_d), {"p_u_star": pu, "p_d_star": pd}))
+    return results
 
 
 # ----------------------------------------------------------------------------
@@ -300,7 +343,9 @@ def fd_cran_uplink(
     only sigma_u^2 reaches the decoder.  Returns (rate, sigma_u_sq).
     """
     _check_budget(params, powers)
-    sigma = _sigma_u_sq(params, powers.p_u, powers.p_d, rg(precoder, 2))
+    quant = _per_unit_quantization(params.c_u)
+    a2, bdu2 = params.alpha**2, params.beta_du**2
+    sigma = _sigma_u_sq(a2, bdu2, quant, powers.p_u, powers.p_d, rg(precoder, 2))
     rate = float(rate_integral(powers.p_u / (1.0 + sigma), params.alpha, panels))
     return rate, sigma
 
@@ -329,7 +374,7 @@ def fd_cran_downlink(
         )
     h0sq, hk_sum = _effective_taps(precoder, params.alpha)
     signal, den = _downlink_base_terms(
-        powers.p_d, params.c_d, h0sq, hk_sum, params.alpha**2
+        powers.p_d, 2.0**-params.c_d, h0sq, hk_sum, params.alpha**2
     )
     den = den + 2.0 * params.beta_ud**2 * powers.p_u
     g2pu = params.gamma_ud**2 * powers.p_u
@@ -343,20 +388,33 @@ def fd_cran_downlink(
     return q_clamp(t1, t2 - r_u, t3)
 
 
-def _fd_cran_rates(params, precoder: Precoder):
-    """Vectorized FD-C-RAN (r_u, r_d) at broadcastable power arrays, with the
-    formulas of fd_cran_uplink and fd_cran_downlink except that the uplink
-    integral is taken in closed form (see _max_min_search for decode_first)."""
-    a2 = params.alpha**2
-    bud2 = params.beta_ud**2
-    g2 = params.gamma_ud**2
-    rg2 = rg(precoder, 2)
-    h0sq, hk_sum = _effective_taps(precoder, params.alpha)
+def _fd_cran_rates(points, precoders):
+    """Vectorized FD-C-RAN (r_u, r_d) of a batch of points, one precoder per
+    point, with the formulas of fd_cran_uplink and fd_cran_downlink except
+    that the uplink integral is taken in closed form; called as _fd_scp_rates
+    (see _max_min_search for decode_first)."""
+    consts = _stacked(
+        [
+            (
+                p.alpha,
+                p.alpha**2,
+                p.beta_du**2,
+                p.beta_ud**2,
+                p.gamma_ud**2,
+                _per_unit_quantization(p.c_u),
+                2.0**-p.c_d,
+                rg(precoder, 2),
+                *_effective_taps(precoder, p.alpha),
+            )
+            for p, precoder in zip(points, precoders)
+        ]
+    )
 
-    def rates(pu, pd, decode_first=False):
-        snr = pu / (1.0 + _sigma_u_sq(params, pu, pd, rg2))
-        ru = rate_closed_form(snr, params.alpha)
-        signal, den = _downlink_base_terms(pd, params.c_d, h0sq, hk_sum, a2)
+    def rates(b, pu, pd, decode_first=False):
+        alpha, a2, bdu2, bud2, g2, quant, q_d, rg2, h0sq, hk_sum = consts(b)
+        snr = pu / (1.0 + _sigma_u_sq(a2, bdu2, quant, pu, pd, rg2))
+        ru = rate_closed_form(snr, alpha)
+        signal, den = _downlink_base_terms(pd, q_d, h0sq, hk_sum, a2)
         den = den + 2.0 * bud2 * pu
         if decode_first:
             t1 = np.log2(1.0 + signal / den)
@@ -384,11 +442,21 @@ def fd_cran(
     sensitivity checks against a fixed-power reading of the scheme.
     """
     if full_power:
-        p_u, p_d = params.p_u_max, params.p_d_max
-    else:
-        _, p_u, p_d = _max_min_search(
-            _fd_cran_rates(params, precoder), params.p_u_max, params.p_d_max, grid, sic
-        )
+        return _fd_cran_at(params, precoder, sic, panels, params.p_u_max, params.p_d_max)
+    return _fd_cran_batch([params], [precoder], sic, grid, panels)[0]
+
+
+def _fd_cran_batch(points, precoders, sic: SicMode, grid: int, panels: int) -> list[RateResult]:
+    rates = _fd_cran_rates(points, precoders)
+    _, p_u, p_d = _max_min_search(rates, *_budgets(points), grid, sic)
+    return [
+        _fd_cran_at(params, precoder, sic, panels, pu, pd)
+        for params, precoder, pu, pd in zip(points, precoders, p_u.tolist(), p_d.tolist())
+    ]
+
+
+def _fd_cran_at(params, precoder: Precoder, sic: SicMode, panels: int, p_u, p_d) -> RateResult:
+    """FD-C-RAN rates and diagnostics at the operating powers (p_u, p_d)."""
     powers = PowerAllocation(p_u, p_d)
     r_u, sigma_u = fd_cran_uplink(params, powers, precoder, panels)
     r_d = fd_cran_downlink(params, powers, precoder, sic, r_u)
@@ -404,9 +472,39 @@ def fd_cran(
 
 # ----------------------------------------------------------------------------
 # power search
+#
+# Every function below works on a batch of n operating points: budgets are
+# (n,) arrays, and so is each returned value and power.
 
 
-def _edge_optimum(rates, p_u_max: float, p_d_max: float):
+def _budgets(points) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([p.p_u_max for p in points]), np.array([p.p_d_max for p in points])
+
+
+def _call_limit(grid: int) -> int:
+    """Elements in the largest objective call of a one-point SIC search: its
+    first row scan, or a window of rows at small grid (see _max_min_search)."""
+    w = _WINDOW.size
+    return max((grid + 2) * max(grid + 1, w), w * w)
+
+
+def _in_chunks(fn, limit: int, pu, pd, at: int = 0):
+    """fn(b, pu[i:j], pd[i:j]) for the points b = slice(at + i, at + j), one
+    per leading row of pu and pd, in calls of at most limit elements (one
+    point at least) along that axis; the tuples of arrays that fn returns are
+    joined along it."""
+    shape = np.broadcast(pu, pd).shape
+    step = max(1, limit // math.prod(shape[1:]))
+    if step >= shape[0]:
+        return fn(slice(at, at + shape[0]), pu, pd)
+    parts = [
+        fn(slice(at + i, at + i + step), pu[i : i + step], pd[i : i + step])
+        for i in range(0, shape[0], step)
+    ]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
     """Exact treat-as-noise max-min, searched on both budget edges at once.
 
     Along p_u = p_u_max, r_u falls and r_d rises with p_d; along p_d = p_d_max
@@ -419,61 +517,86 @@ def _edge_optimum(rates, p_u_max: float, p_d_max: float):
     2**-_SHRINK_STEPS).  Returns (value, p_u, p_d).
     """
     first = np.array([[True], [False]])  # row 0: p_u = p_u_max; row 1: p_d = p_d_max
+    u_max, d_max = p_u_max[:, None, None], p_d_max[:, None, None]
 
     def edges(t):  # t places p_d on the first edge and p_u on the second
-        return np.where(first, p_u_max, t * p_u_max), np.where(first, t * p_d_max, p_d_max)
+        return np.where(first, u_max, t * u_max), np.where(first, t * d_max, d_max)
 
-    lo, hi = np.zeros((2, 1)), np.ones((2, 1))
+    n = p_u_max.size
+    lo, hi = np.zeros((n, 2, 1)), np.ones((n, 2, 1))
     last = _WINDOW.size - 1
     for _ in range(_EDGE_PASSES):
         t = lo + (hi - lo) * _WINDOW
-        r_u, r_d = rates(*edges(t))
+        r_u, r_d = evaluate(*edges(t))
         behind = np.where(first, r_u - r_d, r_d - r_u) < 0.0  # monotone along each row
-        k = np.where(behind.any(axis=1), behind.argmax(axis=1), last + 1)[:, None]
-        lo = np.take_along_axis(t, np.maximum(k - 1, 0), axis=1)
-        hi = np.take_along_axis(t, np.minimum(k, last), axis=1)
-    pu, pd = edges(np.hstack([lo, hi]))
-    ends = zip(np.minimum(*rates(pu, pd)).ravel(), pu.ravel(), pd.ravel())
-    value, p_u, p_d = (float(x) for x in max(ends, key=lambda e: (e[0], -e[1], -e[2])))
-    if value <= 0.0:
-        return value, 0.0, 0.0
+        k = np.where(behind.any(axis=2), behind.argmax(axis=2), last + 1)[..., None]
+        lo = np.take_along_axis(t, np.maximum(k - 1, 0), axis=2)
+        hi = np.take_along_axis(t, np.minimum(k, last), axis=2)
+    pu, pd = edges(np.concatenate([lo, hi], axis=2))
+    ends = np.minimum(*evaluate(pu, pd))
+    value, p_u, p_d = np.array(
+        [
+            max(zip(v.ravel(), u.ravel(), d.ravel()), key=lambda e: (e[0], -e[1], -e[2]))
+            for v, u, d in zip(ends, pu, pd)
+        ]
+    ).T
 
     def holds(t):
-        return float(np.minimum(*rates(t * p_u, t * p_d))) >= value
+        r_u, r_d = evaluate((t * p_u)[:, None, None], (t * p_d)[:, None, None])
+        return np.minimum(r_u, r_d)[:, 0, 0] >= value
 
-    lo, hi = 0.0, 1.0
-    if holds(1.0 - 2.0**-_SHRINK_STEPS):
+    lo, hi = np.zeros(n), np.ones(n)
+    shrink = (value > 0.0) & holds(np.full(n, 1.0 - 2.0**-_SHRINK_STEPS))
+    if shrink.any():
         for _ in range(_SHRINK_STEPS):
             mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-    return value, hi * p_u, hi * p_d
+            ok = holds(mid)
+            lo, hi = np.where(shrink & ~ok, mid, lo), np.where(shrink & ok, mid, hi)
+    scale = np.where(value <= 0.0, 0.0, hi)
+    return value, scale * p_u, scale * p_d
 
 
-def _row_max(objective, pu: np.ndarray, seed: np.ndarray, p_d_max: float, grid: int):
+def _best_of(values, at):
+    """Each row's first maximum of values (last axis) and where it is in at,
+    an array of the same shape."""
+    flat = values.reshape(-1, values.shape[-1])
+    rows, j = np.arange(flat.shape[0]), flat.argmax(axis=1)
+    shape = values.shape[:-1]
+    return flat[rows, j].reshape(shape), at.reshape(flat.shape)[rows, j].reshape(shape)
+
+
+def _row_max(row_best, pu, seed, p_d_max, grid: int):
     """Per-row max over p_d for each p_u: a scan of grid values plus the row's
     seed, then _ZOOM_PASSES windows of len(_WINDOW) values centred on the
     row's incumbent, the first _ZOOM scan steps wide, each next _ZOOM times
-    narrower; the incumbent moves only to a strictly better value.  Returns
-    (values, p_d) per row."""
-    rows = np.arange(pu.size)
-    scan = np.column_stack([np.tile(np.linspace(0.0, p_d_max, grid), (pu.size, 1)), seed])
-    values = objective(pu[:, None], scan)
-    j = np.argmax(values, axis=1)
-    value, pd = values[rows, j], scan[rows, j]
+    narrower; the incumbent moves only to a strictly better value.  pu and
+    seed are (n, rows); the scans are built for as many points at a time as
+    one kernel call takes.  Returns (values, p_d) per row."""
+    n, rows = pu.shape
+    value, pd = np.empty((n, rows)), np.empty((n, rows))
+    step = max(1, _call_limit(grid) // (rows * (grid + 1)))
+    for i in range(0, n, step):
+        b = slice(i, i + step)
+        lin = np.array([np.linspace(0.0, d_max, grid) for d_max in p_d_max[b]])
+        scan = np.concatenate(
+            [np.broadcast_to(lin[:, None, :], (len(lin), rows, grid)), seed[b, :, None]], axis=2
+        )
+        value[b], pd[b] = row_best(pu[b, :, None], scan, at=i)
     span = _ZOOM * p_d_max / (grid - 1)
     for _ in range(_ZOOM_PASSES):
-        window = np.clip(pd[:, None] + span * (_WINDOW - 0.5), 0.0, p_d_max)
-        values = objective(pu[:, None], window)
-        j = np.argmax(values, axis=1)
-        better = values[rows, j] > value
-        value = np.where(better, values[rows, j], value)
-        pd = np.where(better, window[rows, j], pd)
-        span /= _ZOOM
+        window = np.clip(
+            pd[..., None] + span[:, None, None] * (_WINDOW - 0.5), 0.0, p_d_max[:, None, None]
+        )
+        top, at = row_best(pu[..., None], window)
+        better = top > value
+        value = np.where(better, top, value)
+        pd = np.where(better, at, pd)
+        span = span / _ZOOM
     return value, pd
 
 
-def _profile_max(objective, pu, seed, p_u_max: float, p_d_max: float, grid: int):
-    """Maximize objective over the box from rows pu seeded with p_d values.
+def _profile_max(row_best, pu, seed, p_u_max, p_d_max, grid: int):
+    """Maximize the objective over the box from rows pu seeded with p_d values.
 
     The max-min objective peaks on narrow curved ridges, where a 2-D grid
     ranks points by their distance to the ridge more than by their height,
@@ -482,28 +605,30 @@ def _profile_max(objective, pu, seed, p_u_max: float, p_d_max: float, grid: int)
     with windows of len(_WINDOW) rows, each seeded where the rows seen so far
     put the ridge.  Returns (value, p_u, p_d).
     """
-    value, pd = _row_max(objective, pu, seed, p_d_max, grid)
-    i = int(np.argmax(value >= value.max() - _TIE_TOL))
-    best = (float(value[i]), float(pu[i]), float(pd[i]))
+    value, pd = _row_max(row_best, pu, seed, p_d_max, grid)
+    i = np.argmax(value >= value.max(axis=1, keepdims=True) - _TIE_TOL, axis=1)[:, None]
+    best = [np.take_along_axis(x, i, 1)[:, 0] for x in (value, pu, pd)]
     span = _ZOOM * p_u_max / (grid - 1)
     for _ in range(_ZOOM_PASSES):
-        order = np.argsort(pu, kind="stable")
-        rows = np.clip(best[1] + span * (_WINDOW - 0.5), 0.0, p_u_max)
-        seed = np.interp(rows, pu[order], pd[order])
-        row_value, row_pd = _row_max(objective, rows, seed, p_d_max, grid)
-        pu, pd = np.append(pu, rows), np.append(pd, row_pd)
-        i = int(np.argmax(row_value))
-        if row_value[i] > best[0]:
-            best = (float(row_value[i]), float(rows[i]), float(row_pd[i]))
-        span /= _ZOOM
+        order = np.argsort(pu, axis=1, kind="stable")
+        rows = np.clip(best[1][:, None] + span[:, None] * (_WINDOW - 0.5), 0.0, p_u_max[:, None])
+        seed = np.array([np.interp(r, u[o], d[o]) for r, u, d, o in zip(rows, pu, pd, order)])
+        row_value, row_pd = _row_max(row_best, rows, seed, p_d_max, grid)
+        pu, pd = np.hstack([pu, rows]), np.hstack([pd, row_pd])
+        i = np.argmax(row_value, axis=1)[:, None]
+        top = [np.take_along_axis(x, i, 1)[:, 0] for x in (row_value, rows, row_pd)]
+        better = top[0] > best[0]
+        best = [np.where(better, now, was) for now, was in zip(top, best)]
+        span = span / _ZOOM
     return best
 
 
-def _max_min_search(rates, p_u_max: float, p_d_max: float, grid: int, sic: SicMode):
+def _max_min_search(rates, p_u_max, p_d_max, grid: int, sic: SicMode):
     """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max].
 
-    rates(pu, pd, decode_first=False) -> (r_u, r_d) broadcasts over power
-    arrays; r_d is the treat-as-noise rate, or with decode_first=True that of
+    rates(b, pu, pd, decode_first=False) -> (r_u, r_d) evaluates the points
+    in slice b of the batch at power arrays whose leading axis runs over
+    them; r_d is the treat-as-noise rate, or with decode_first=True that of
     the branch decoding the co-located uplink first, min(t1, t2 - r_u).
 
     Treat-as-noise: both SINRs are standard interference functions (Yates,
@@ -516,29 +641,66 @@ def _max_min_search(rates, p_u_max: float, p_d_max: float, grid: int, sic: SicMo
     searches it from grid rows of p_u, each scanned at grid values of p_d, and
     from the best points of both budget edges scanned at grid**2 points; it
     replaces the treat-as-noise optimum only when better by over _TIE_TOL.
-    grid sets only these scans.  Returns (value, p_u, p_d).
+    grid sets only these scans.  No call to rates evaluates more elements
+    than the first row scan of one point (_call_limit), so the edge scans and
+    the first row scan go one point at a time and the rest in groups of
+    points.  Returns (value, p_u, p_d), each an (n,) array.
     """
     if not isinstance(grid, int) or grid < 2:
         raise ValueError(f"grid resolution must be an integer >= 2, got {grid!r}")
-    best = _edge_optimum(rates, p_u_max, p_d_max)
+    limit = _call_limit(grid)
+    best = _edge_optimum(lambda pu, pd: _in_chunks(rates, limit, pu, pd), p_u_max, p_d_max)
     if sic is SicMode.TREAT_AS_NOISE:
         return best
 
-    def decode_first(pu, pd):
-        return np.minimum(*rates(pu, pd, decode_first=True))
+    def decode_first(b, pu, pd):
+        return np.minimum(*rates(b, pu, pd, decode_first=True))
 
-    edge_u = np.linspace(0.0, p_u_max, grid * grid)
-    edge_d = np.linspace(0.0, p_d_max, grid * grid)
-    best_u = edge_u[np.argmax(decode_first(edge_u, p_d_max))]
-    best_d = edge_d[np.argmax(decode_first(p_u_max, edge_d))]
-    pu = np.append(np.linspace(0.0, p_u_max, grid), [p_u_max, best_u])
-    seed = np.append(np.zeros(grid), [best_d, p_d_max])  # grid rows rely on their scan
-    challenger = _profile_max(decode_first, pu, seed, p_u_max, p_d_max, grid)
-    return challenger if challenger[0] > best[0] + _TIE_TOL else best
+    def row_best(pu, pd, at=0):  # each row's max over the last axis of pd, and its p_d
+        return _in_chunks(lambda b, u, d: _best_of(decode_first(b, u, d), d), limit, pu, pd, at)
+
+    pu, seed = [], []
+    for i, (u_max, d_max) in enumerate(zip(p_u_max, p_d_max)):
+        b = slice(i, i + 1)
+        edge_u = np.linspace(0.0, u_max, grid * grid)
+        edge_d = np.linspace(0.0, d_max, grid * grid)
+        best_u = edge_u[np.argmax(decode_first(b, edge_u[None, None], d_max[None, None, None]))]
+        best_d = edge_d[np.argmax(decode_first(b, u_max[None, None, None], edge_d[None, None]))]
+        pu.append(np.append(np.linspace(0.0, u_max, grid), [u_max, best_u]))
+        seed.append(np.append(np.zeros(grid), [best_d, d_max]))  # grid rows rely on their scan
+    challenger = _profile_max(row_best, np.array(pu), np.array(seed), p_u_max, p_d_max, grid)
+    better = challenger[0] > best[0] + _TIE_TOL
+    return tuple(np.where(better, c, b) for c, b in zip(challenger, best))
 
 
 # ----------------------------------------------------------------------------
 # dispatch
+
+_SIC_SCHEMES = (SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC)
+
+
+def compute_fd_batch(
+    scheme: SchemeId,
+    points,
+    panels: int = DEFAULT_PANELS,
+    grid: int = DEFAULT_GRID,
+) -> list[RateResult]:
+    """compute_scheme for one full-duplex scheme at each of a sequence of
+    operating points, with one power search for the whole batch.
+
+    Every result equals that of the point alone.  C-RAN schemes build one ZF
+    precoder per distinct alpha, in the order the points first use it.
+    """
+    sic = SicMode.SIC if scheme in _SIC_SCHEMES else SicMode.TREAT_AS_NOISE
+    if scheme in (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC):
+        return _fd_scp_batch(points, sic, grid)
+    if scheme in (SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC):
+        precoders = {}
+        for p in points:
+            if p.alpha not in precoders:
+                precoders[p.alpha] = _shared_zf(p.alpha, panels)
+        return _fd_cran_batch(points, [precoders[p.alpha] for p in points], sic, grid, panels)
+    raise ValueError(f"{scheme.value} is not a full-duplex scheme")
 
 
 def compute_scheme(
@@ -548,15 +710,13 @@ def compute_scheme(
     grid: int = DEFAULT_GRID,
     full_power: bool = False,
 ) -> RateResult:
-    """Evaluate one scheme end to end, building the ZF precoder where needed."""
+    """Evaluate one scheme end to end, building the ZF precoder where needed
+    (consecutive calls at the same alpha and panels share it)."""
     if scheme is SchemeId.HD_SCP:
         return hd_scp(params)
-    if scheme is SchemeId.FD_SCP:
-        return fd_scp(params, SicMode.TREAT_AS_NOISE, grid)
-    if scheme is SchemeId.FD_SCP_SIC:
-        return fd_scp(params, SicMode.SIC, grid)
-    precoder = zf_precoder(params.alpha, panels)
     if scheme is SchemeId.HD_CRAN:
-        return hd_cran(params, precoder, panels)
-    sic = SicMode.SIC if scheme is SchemeId.FD_CRAN_SIC else SicMode.TREAT_AS_NOISE
-    return fd_cran(params, precoder, sic, grid, panels, full_power)
+        return hd_cran(params, _shared_zf(params.alpha, panels), panels)
+    if full_power and scheme in (SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC):
+        sic = SicMode.SIC if scheme in _SIC_SCHEMES else SicMode.TREAT_AS_NOISE
+        return fd_cran(params, _shared_zf(params.alpha, panels), sic, grid, panels, True)
+    return compute_fd_batch(scheme, [params], panels, grid)[0]

@@ -19,14 +19,20 @@ fronthaul capacities in bits/s/Hz:
     sweep.stop      = 12
     sweep.step      = 0.5
     schemes         = hd_scp, hd_cran, fd_scp, fd_scp_sic, fd_cran, fd_cran_sic
-    sic             = on              # downlink receiver noted for the sweep;
-                                      # the *_sic scheme ids pin it per row
     numerics.panels = 4096
     numerics.grid   = 64
     numerics.oracle = off
 
+The downlink receiver is part of the scheme: the ``*_sic`` ids cancel the
+co-located uplink signal first, the others treat it as noise.
+
 Rows come out one per (sweep value, scheme), sweep value major and scheme in
 enum order minor, so identical configs produce byte-identical CSV output.
+A sweep is solved in blocks of up to 64 values: each full-duplex scheme's
+max-min power search runs once for the whole block (rates.compute_fd_batch),
+in kernel calls no larger than those of a one-point search, while half-duplex
+rows are computed one at a time.  The block size bounds the solver's memory
+whatever the sweep length.
 """
 
 import math
@@ -34,7 +40,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .model import SchemeId, SystemParams, db_to_linear
 from .oracle import DEFAULT_CELLS, circulant_uplink_rate, exhaustive_power_opt
-from .rates import DEFAULT_GRID, SicMode, compute_scheme
+from .rates import DEFAULT_GRID, SicMode, compute_fd_batch, compute_scheme
 from .spectral import DEFAULT_PANELS
 
 __all__ = [
@@ -133,7 +139,6 @@ class SweepSpec:
     stop: float = 12.0
     step: float = 0.5
     schemes: tuple[SchemeId, ...] = tuple(SchemeId)
-    sic: SicMode = SicMode.SIC
     panels: int = DEFAULT_PANELS
     grid: int = DEFAULT_GRID
     oracle: bool = False
@@ -189,7 +194,6 @@ def preset_spec(name: str) -> SweepSpec:
             stop=12.0,
             step=0.5,
             schemes=tuple(SchemeId),
-            sic=SicMode.SIC,
         )
     if name == "fig3":
         return SweepSpec(
@@ -199,7 +203,6 @@ def preset_spec(name: str) -> SweepSpec:
             stop=8.0,
             step=0.25,
             schemes=tuple(SchemeId),
-            sic=SicMode.SIC,
         )
     raise ConfigError(f"unknown preset {name!r}; expected 'fig2' or 'fig3'")
 
@@ -297,14 +300,6 @@ def parse_config(text: str, defaults: SweepSpec | None = None) -> SweepSpec:
             spec_kw[key.split(".", 1)[1]] = _parse_float(raw, lineno, key)
         elif key == "schemes":
             spec_kw["schemes"] = _parse_schemes(raw, lineno)
-        elif key == "sic":
-            token = raw.lower()
-            if token in _ON_OFF:
-                spec_kw["sic"] = SicMode.SIC if _ON_OFF[token] else SicMode.TREAT_AS_NOISE
-            elif token in (SicMode.SIC.value, SicMode.TREAT_AS_NOISE.value):
-                spec_kw["sic"] = SicMode(token)
-            else:
-                raise ConfigError(f"expected on/off, got {raw!r}", lineno, key)
         elif key == "numerics.panels":
             spec_kw["panels"] = _parse_int(raw, lineno, key)
         elif key == "numerics.grid":
@@ -336,7 +331,6 @@ def serialize_spec(spec: SweepSpec) -> str:
     lines.append(f"sweep.stop = {spec.stop!r}")
     lines.append(f"sweep.step = {spec.step!r}")
     lines.append("schemes = " + ", ".join(s.value for s in spec.schemes))
-    lines.append(f"sic = {'on' if spec.sic is SicMode.SIC else 'off'}")
     lines.append(f"numerics.panels = {spec.panels}")
     lines.append(f"numerics.grid = {spec.grid}")
     lines.append(f"numerics.oracle = {'on' if spec.oracle else 'off'}")
@@ -347,6 +341,7 @@ def serialize_spec(spec: SweepSpec) -> str:
 # running sweeps
 
 _FD_SCHEMES = (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC)
+_BLOCK = 64  # sweep values solved together; fig2 and fig3 take one block each
 _CRAN_SCHEMES = (SchemeId.HD_CRAN, SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC)
 
 
@@ -388,12 +383,42 @@ def _attach_oracle(row: SweepRow, params, scheme: SchemeId) -> None:
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Compute one row per (sweep value, scheme) in deterministic order."""
+    """Compute one row per (sweep value, scheme) in deterministic order.
+
+    Sweep values are taken in blocks of _BLOCK, which bounds the solver's
+    memory.  Within a block each full-duplex scheme is solved for all values
+    at once (compute_fd_batch); half-duplex rows go one at a time through
+    compute_scheme.  A block that raises is recomputed row by row, so the
+    error is that of the first failing row in (value, scheme) order.
+    """
+    values = spec.values()
     rows = []
-    for value in spec.values():
+    for start in range(0, len(values), _BLOCK):
+        block = values[start : start + _BLOCK]
+        try:
+            points = [spec.params_at(value) for value in block]
+            solved = {
+                scheme: compute_fd_batch(scheme, points, spec.panels, spec.grid)
+                for scheme in spec.schemes
+                if scheme in _FD_SCHEMES
+            }
+            rows += _block_rows(spec, block, solved)
+        except ValueError:
+            rows += _block_rows(spec, block, {})
+    return rows
+
+
+def _block_rows(spec: SweepSpec, block, solved: dict) -> list[SweepRow]:
+    """Rows of one block, taking each scheme's results from solved where
+    present and from compute_scheme otherwise."""
+    rows = []
+    for i, value in enumerate(block):
         params = spec.params_at(value)
         for scheme in spec.schemes:
-            result = compute_scheme(scheme, params, spec.panels, spec.grid)
+            if scheme in solved:
+                result = solved[scheme][i]
+            else:
+                result = compute_scheme(scheme, params, spec.panels, spec.grid)
             diag = result.diagnostics
             row = SweepRow(
                 sweep_var=spec.sweep_var,

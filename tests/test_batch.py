@@ -1,0 +1,87 @@
+"""The batched full-duplex power search: every point of a batch gets exactly
+the result it gets alone, and no kernel call outgrows a one-point search."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import fdcran.rates as rates
+from fdcran.model import SchemeId
+from fdcran.rates import DEFAULT_GRID, compute_fd_batch, compute_scheme
+from fdcran.sweep import SweepSpec, run_sweep
+from test_solver_properties import DOMAIN
+
+FD_SCHEMES = (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC)
+
+# the domain points plus the budget and fronthaul edges of SystemParams
+MIXED = DOMAIN + [
+    replace(DOMAIN[0], p_u_max=0.0, c_u=0.0),
+    replace(DOMAIN[1], p_d_max=0.0, c_u=2000.0, c_d=1e-300),
+    replace(DOMAIN[2], p_u_max=0.0, p_d_max=0.0),
+    replace(DOMAIN[3], c_u=1e-300, c_d=0.0),
+]
+
+
+@pytest.mark.parametrize("scheme", FD_SCHEMES, ids=lambda s: s.value)
+def test_batch_equals_each_point_alone(scheme):
+    # grid 32 still puts several points into most kernel calls
+    batch = compute_fd_batch(scheme, MIXED, panels=1024, grid=32)
+    alone = [compute_scheme(scheme, p, panels=1024, grid=32) for p in MIXED]
+    for got, want in zip(batch, alone):
+        assert (got.r_u, got.r_d, got.r_eq) == (want.r_u, want.r_d, want.r_eq)
+        assert got.diagnostics == want.diagnostics
+
+
+def test_alpha_sweep_rows_equal_compute_scheme():
+    spec = SweepSpec(sweep_var="alpha", start=0.0, stop=0.45, step=0.15, panels=1024, grid=16)
+    rows = run_sweep(spec)
+    assert len({r.value for r in rows}) == 4
+    for row in rows:
+        want = compute_scheme(row.scheme, spec.params_at(row.value), spec.panels, spec.grid)
+        diag = want.diagnostics
+        assert (row.r_u, row.r_d, row.r_eq) == (want.r_u, want.r_d, want.r_eq)
+        assert (row.sigma_u_sq, row.sigma_d_sq, row.p_u_star, row.p_d_star, row.f_star) == (
+            diag.get("sigma_u_sq"),
+            diag.get("sigma_d_sq"),
+            diag.get("p_u_star"),
+            diag.get("p_d_star"),
+            diag.get("f_star"),
+        )
+
+
+def test_sweeps_longer_than_a_block_keep_every_row():
+    spec = SweepSpec(
+        sweep_var="gamma_ud", start=0.0, stop=8.0, step=0.1,
+        schemes=(SchemeId.HD_SCP, SchemeId.FD_SCP), grid=16,
+    )
+    rows = run_sweep(spec)
+    assert [(r.value, r.scheme) for r in rows] == [
+        (v, s) for v in spec.values() for s in spec.schemes
+    ]
+    assert len(spec.values()) > 64
+    for row in rows[-4:]:
+        assert row.r_eq == compute_scheme(row.scheme, spec.params_at(row.value), grid=16).r_eq
+
+
+def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
+    sizes = []
+    kernel = rates._fd_scp_rates
+
+    def recording(points):
+        evaluate = kernel(points)
+
+        def rates_of(b, pu, pd, decode_first=False):
+            sizes.append(np.broadcast(pu, pd).size)
+            return evaluate(b, pu, pd, decode_first)
+
+        return rates_of
+
+    monkeypatch.setattr(rates, "_fd_scp_rates", recording)
+    compute_scheme(SchemeId.FD_SCP_SIC, DOMAIN[0])
+    one_point = (len(sizes), max(sizes))
+    sizes.clear()
+    compute_fd_batch(SchemeId.FD_SCP_SIC, DOMAIN)
+    assert one_point[1] == (DEFAULT_GRID + 2) * (DEFAULT_GRID + 1)
+    assert max(sizes) == one_point[1]
+    assert len(sizes) < len(DOMAIN) * one_point[0] / 4  # the batch shares its calls

@@ -110,6 +110,23 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_sweep_rejects_the_removed_sic_key(tmp_path, capsys):
+    # the *_sic scheme ids choose the receiver; a sweep-wide key no longer exists
+    config = tmp_path / "sic.cfg"
+    config.write_text(TINY_CONFIG + "sic = on\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "unknown key 'sic'" in capsys.readouterr().err
+
+
+def test_sweep_grid_below_two_is_config_error(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(TINY_CONFIG, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--grid", "1"]) == 2
+    assert "grid resolution" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_missing_config_file(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "nope.cfg"), "--out", "x.csv"]) == 2
 

@@ -45,7 +45,6 @@ def test_preset_fig2_shape():
     assert len(spec.values()) == 25
     assert spec.values()[0] == 0.0 and spec.values()[-1] == 12.0
     assert spec.schemes == tuple(SchemeId)
-    assert spec.sic is SicMode.SIC
 
 
 def test_preset_fig3_shape():
@@ -108,7 +107,6 @@ def test_parse_config_minimal_and_overrides():
     numerics.panels = 512
     numerics.grid = 16
     numerics.oracle = on
-    sic = off
     """
     spec = parse_config(text)
     assert spec.base.alpha == 0.2
@@ -116,7 +114,6 @@ def test_parse_config_minimal_and_overrides():
     assert spec.sweep_var == "gamma_ud"
     assert spec.schemes == (SchemeId.HD_SCP, SchemeId.FD_SCP)
     assert spec.panels == 512 and spec.grid == 16 and spec.oracle is True
-    assert spec.sic is SicMode.TREAT_AS_NOISE
 
 
 def test_parse_config_scheme_shorthand_all():
@@ -133,7 +130,7 @@ def test_parse_config_scheme_shorthand_all():
         ("unknown.key = 3", "unknown key"),
         ("schemes = warp_drive", "unknown scheme"),
         ("sweep.var = sideways", "unknown sweep variable"),
-        ("sic = maybe", "on/off"),
+        ("sic = on", "unknown key"),
         ("base.alpha =", "missing value"),
     ],
 )
@@ -281,6 +278,20 @@ def test_zf_singularity_propagates_with_alpha():
     with pytest.raises(ZfSingularError) as err:
         run_sweep(spec)
     assert err.value.alpha == 0.6
+
+
+def test_first_failing_row_decides_the_error():
+    # the full-duplex C-RAN batch fails too, but (0.6, hd_cran) comes first
+    spec = small_spec(sweep_var="alpha", start=0.3, stop=0.6, step=0.3, schemes=tuple(SchemeId))
+    with pytest.raises(ZfSingularError) as err:
+        run_sweep(spec)
+    assert err.value.alpha == 0.6
+    # a bad grid fails every full-duplex row: (0.3, fd_scp) is the first
+    with pytest.raises(ValueError, match="grid resolution"):
+        run_sweep(replace(spec, grid=1))
+    # at 0.6 alone, the hd_cran row fails before the full-duplex ones
+    with pytest.raises(ZfSingularError):
+        run_sweep(replace(spec, start=0.6, grid=1))
 
 
 def test_oracle_scores_the_reported_argmax():
