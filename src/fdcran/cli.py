@@ -19,6 +19,7 @@ from .sweep import (
     SweepSpec,
     VerificationError,
     emit_csv,
+    oracle_gaps,
     parse_config,
     preset_spec,
     run_sweep,
@@ -140,6 +141,8 @@ def _cmd_sweep(args) -> int:
         failures = verification_failures(rows)
         if failures:
             raise VerificationError(failures)
+        for line in oracle_gaps(rows):
+            print(line, file=sys.stderr)
     return 0
 
 
@@ -154,6 +157,10 @@ def main(argv=None) -> int:
         return 2
     except NumericDomainError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        # a finite input whose square or power exceeds a float, e.g. a gain of 1e200
+        print(f"numeric error: float overflow ({exc.args[-1]})", file=sys.stderr)
         return 3
     except VerificationError as exc:
         print("verification failed:", file=sys.stderr)

@@ -44,8 +44,12 @@ class ZfSingularError(NumericDomainError):
 
 
 def db_to_linear(x_db: float) -> float:
-    """Convert dB to linear scale: 10**(x/10)."""
-    return 10.0 ** (x_db / 10.0)
+    """Convert dB to linear scale: 10**(x/10), inf where that overflows a float
+    (above about 3,083 dB), so SystemParams rejects it as not finite."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def linear_to_db(x: float) -> float:

@@ -5,9 +5,17 @@ log-determinant over a circulant channel matrix; building that matrix for a
 finite ring of cells and evaluating the log-det directly checks the limit
 without sharing any code with the quadrature path.  Likewise the
 full-duplex power solver is validated against a single dense grid with no
-refinement, evaluated with formulas of its own.  Cells wrap around (a ring
-rather than a truncated line) so no border effects pollute the comparison
-with the infinite-array formulas.
+refinement.  Cells wrap around (a ring rather than a truncated line) so no
+border effects pollute the comparison with the infinite-array formulas.
+
+Each oracle keeps formulas of its own rather than calling the rate kernels it
+checks, so a fault in a kernel cannot hide in its own gate.
+
+The exhaustive grid is evaluated in blocks of rows of at most _BLOCK_ELEMENTS
+(8,192) values, keeping only each row's maximum; the row that holds the
+argmax is then evaluated once more.  Every temporary therefore holds at most
+8,192 values (64 KiB), or one row where a row is longer, and the result is
+bit for bit that of evaluating the whole grid as one array.
 """
 
 import math
@@ -29,6 +37,9 @@ DEFAULT_CELLS = 512
 _MIN_CELLS = 8
 _DENSE_CELL_CAP = 64  # O(n^3) second-layer check stays small
 _TIE_TOL = 1e-9
+# elements per block of the exhaustive grid: each temporary is 64 KiB, below
+# glibc's 128 KiB mmap threshold and within a core's L2 cache
+_BLOCK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +120,9 @@ def exhaustive_power_opt(
     the same formulas and beats the grid by more than 1e-9: an optimum off the
     grid then agrees, a misreported rate still does not.  Ties within 1e-9 of
     the maximum resolve to the smallest (p_u, p_d), the same rule the solver
-    uses, so argmax comparisons are meaningful.  Returns (r_eq, p_u, p_d).
+    uses, so argmax comparisons are meaningful.  The grid is evaluated in
+    blocks of max(1, _BLOCK_ELEMENTS // resolution) rows.  Returns
+    (r_eq, p_u, p_d).
     """
     if resolution < 64:
         raise ValueError(f"resolution must be >= 64, got {resolution}")
@@ -134,13 +147,20 @@ def exhaustive_power_opt(
 
     pu_grid = np.linspace(0.0, params.p_u_max, resolution)
     pd_grid = np.linspace(0.0, params.p_d_max, resolution)
-    grid_value = value(pu_grid[:, None], pd_grid[None, :])
-    vmax = float(grid_value.max())
+
+    def rows(start, stop):
+        return value(pu_grid[start:stop, None], pd_grid[None, :])
+
+    step = max(1, _BLOCK_ELEMENTS // resolution)
+    row_max = np.concatenate(
+        [rows(k, k + step).max(axis=1) for k in range(0, resolution, step)]
+    )
+    vmax = float(row_max.max())
     if candidate is not None:
         off_grid = float(value(*candidate))
         if off_grid > vmax + _TIE_TOL:
             return off_grid, float(candidate[0]), float(candidate[1])
-    tied = grid_value >= vmax - _TIE_TOL
-    i = int(np.argmax(tied.any(axis=1)))
-    j = int(np.argmax(tied[i]))
-    return float(grid_value[i, j]), float(pu_grid[i]), float(pd_grid[j])
+    i = int(np.argmax(row_max >= vmax - _TIE_TOL))
+    row = rows(i, i + 1)[0]
+    j = int(np.argmax(row >= vmax - _TIE_TOL))
+    return float(row[j]), float(pu_grid[i]), float(pd_grid[j])

@@ -172,6 +172,13 @@ def _effective_taps(precoder: Precoder, alpha: float) -> tuple[float, float]:
     return h0 * h0, tail
 
 
+@lru_cache(maxsize=1)
+def _rg2(precoder: Precoder) -> float:
+    """R_g(2) of the precoder, kept for the last precoder as _effective_taps
+    keeps its taps, so the search constants and the final uplink share it."""
+    return rg(precoder, 2)
+
+
 def _downlink_base_terms(p_d, q_d, h0sq, hk_sum, a2):
     """Signal power and interference-plus-quantization denominator, before any
     uplink-to-downlink terms, with q_d = 2**-c_d.  Works on scalars and arrays
@@ -345,7 +352,7 @@ def fd_cran_uplink(
     _check_budget(params, powers)
     quant = _per_unit_quantization(params.c_u)
     a2, bdu2 = params.alpha**2, params.beta_du**2
-    sigma = _sigma_u_sq(a2, bdu2, quant, powers.p_u, powers.p_d, rg(precoder, 2))
+    sigma = _sigma_u_sq(a2, bdu2, quant, powers.p_u, powers.p_d, _rg2(precoder))
     rate = float(rate_integral(powers.p_u / (1.0 + sigma), params.alpha, panels))
     return rate, sigma
 
@@ -403,7 +410,7 @@ def _fd_cran_rates(points, precoders):
                 p.gamma_ud**2,
                 _per_unit_quantization(p.c_u),
                 2.0**-p.c_d,
-                rg(precoder, 2),
+                _rg2(precoder),
                 *_effective_taps(precoder, p.alpha),
             )
             for p, precoder in zip(points, precoders)

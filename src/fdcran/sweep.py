@@ -36,7 +36,7 @@ whatever the sweep length.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from .model import SchemeId, SystemParams, db_to_linear
 from .oracle import DEFAULT_CELLS, circulant_uplink_rate, exhaustive_power_opt
@@ -55,6 +55,7 @@ __all__ = [
     "VerificationError",
     "emit_csv",
     "load_csv",
+    "oracle_gaps",
     "parse_config",
     "preset_spec",
     "run_sweep",
@@ -170,7 +171,7 @@ class SweepSpec:
 
     def params_at(self, value: float) -> SystemParams:
         """Materialize SystemParams with the swept variable set to value."""
-        surface = asdict(self.base)
+        surface = dict(vars(self.base))
         if self.sweep_var == "c_u_c_d_joint":
             surface["c_u"] = surface["c_d"] = value
         elif self.sweep_var == "p_db_joint":
@@ -402,18 +403,18 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 for scheme in spec.schemes
                 if scheme in _FD_SCHEMES
             }
-            rows += _block_rows(spec, block, solved)
+            rows += _block_rows(spec, block, points, solved)
         except ValueError:
-            rows += _block_rows(spec, block, {})
+            rows += _block_rows(spec, block, map(spec.params_at, block), {})
     return rows
 
 
-def _block_rows(spec: SweepSpec, block, solved: dict) -> list[SweepRow]:
-    """Rows of one block, taking each scheme's results from solved where
+def _block_rows(spec: SweepSpec, block, points, solved: dict) -> list[SweepRow]:
+    """Rows of one block at its points (any iterable, so a replay can build
+    them one at a time), taking each scheme's results from solved where
     present and from compute_scheme otherwise."""
     rows = []
-    for i, value in enumerate(block):
-        params = spec.params_at(value)
+    for i, (value, params) in enumerate(zip(block, points)):
         for scheme in spec.schemes:
             if scheme in solved:
                 result = solved[scheme][i]
@@ -439,26 +440,45 @@ def _block_rows(spec: SweepSpec, block, solved: dict) -> list[SweepRow]:
     return rows
 
 
+def _oracle_checks(rows: list[SweepRow]):
+    """(row, quantity, reported, oracle name, oracle value, |gap|) for every
+    oracle value a row carries."""
+    for row in rows:
+        for quantity, reported, name, oracle in (
+            ("uplink rate", row.r_u, "circulant", row.oracle_r_u),
+            ("equal rate", row.r_eq, "exhaustive", row.oracle_r_eq),
+        ):
+            if oracle is not None:
+                yield row, quantity, reported, name, oracle, abs(oracle - reported)
+
+
 def verification_failures(rows: list[SweepRow]) -> list[str]:
     """Oracle disagreements beyond tolerance, as human-readable strings."""
-    failures = []
-    for row in rows:
-        where = f"{row.scheme.value} at {row.sweep_var}={row.value:g}"
-        if row.oracle_r_u is not None:
-            delta = abs(row.oracle_r_u - row.r_u)
-            if delta > ORACLE_RATE_TOL:
-                failures.append(
-                    f"{where}: uplink rate {row.r_u:.6g} vs circulant oracle "
-                    f"{row.oracle_r_u:.6g} (|delta|={delta:.3g})"
-                )
-        if row.oracle_r_eq is not None:
-            delta = abs(row.oracle_r_eq - row.r_eq)
-            if delta > ORACLE_RATE_TOL:
-                failures.append(
-                    f"{where}: equal rate {row.r_eq:.6g} vs exhaustive oracle "
-                    f"{row.oracle_r_eq:.6g} (|delta|={delta:.3g})"
-                )
-    return failures
+    return [
+        f"{row.scheme.value} at {row.sweep_var}={row.value:g}: {quantity} "
+        f"{reported:.6g} vs {name} oracle {oracle:.6g} (|delta|={gap:.3g})"
+        for row, quantity, reported, name, oracle, gap in _oracle_checks(rows)
+        if gap > ORACLE_RATE_TOL
+    ]
+
+
+def oracle_gaps(rows: list[SweepRow]) -> list[str]:
+    """One line per scheme with an oracle, in canonical scheme order: its
+    largest |oracle - reported| gap and the row where it occurs (the first
+    such row on a tie)."""
+    worst = {}
+    for row, quantity, _, _, _, gap in _oracle_checks(rows):
+        if row.scheme not in worst or gap > worst[row.scheme][0]:
+            worst[row.scheme] = (gap, quantity, row)
+    lines = []
+    for scheme in SchemeId:
+        if scheme in worst:
+            gap, quantity, row = worst[scheme]
+            lines.append(
+                f"verified {scheme.value}: worst |oracle - reported| {quantity} "
+                f"gap {gap:.3g} at {row.sweep_var}={row.value:g}"
+            )
+    return lines
 
 
 # ----------------------------------------------------------------------------

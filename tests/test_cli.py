@@ -1,11 +1,16 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdcran.sweep
 from fdcran.cli import main
+from fdcran.model import SchemeId
+from fdcran.sweep import ORACLE_RATE_TOL
 
 TINY_CONFIG = """
 base.alpha = 0.4
@@ -152,11 +157,20 @@ def test_sweep_verify_passes(tmp_path):
     assert header.endswith(",oracle_r_u,oracle_r_eq")
 
 
-def test_fig3_verify_passes(tmp_path):
+def test_fig3_verify_passes(tmp_path, capsys):
     # fd_scp_sic at gamma_ud = 0.5 peaks off the oracle's 512x512 grid; the
     # oracle also scores the reported argmax, so the honest row passes
     out = tmp_path / "fig3.csv"
     assert main(["sweep", "--preset", "fig3", "--out", str(out), "--verify"]) == 0
+    # a passing run names each checked scheme's worst oracle gap and its row
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"verified {s}" for s in ("hd_cran", "fd_scp", "fd_scp_sic", "fd_cran", "fd_cran_sic")
+    ]
+    for line in lines:
+        gap = float(line.split(" gap ")[1].split(" at ")[0])
+        assert 0.0 <= gap <= ORACLE_RATE_TOL
+        assert " at gamma_ud=" in line
 
 
 def test_sweep_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -181,3 +195,55 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["scheme"] == "hd_scp"
+
+
+@pytest.mark.parametrize("flag", ["--p-u-db", "--p-d-db"])
+def test_huge_db_budget_is_config_error(tmp_path, capsys, flag):
+    # 10**(4000/10) overflows a float; the budget reads as inf and is rejected
+    assert main(["compute", "--scheme=hd_scp", f"{flag}=4000"]) == 2
+    config = tmp_path / "huge.cfg"
+    config.write_text(TINY_CONFIG + f"base.{flag[2:].replace('-', '_')} = 4000\n", encoding="utf-8")
+    out = tmp_path / "rates.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta-du", "--beta-ud", "--gamma-ud"])
+def test_compute_gain_overflow_is_numeric_error(capsys, flag):
+    # the power gain 1e300**2 overflows a Python float
+    assert main(["compute", "--scheme=fd_scp", f"{flag}=1e300"]) == 3
+    assert "numeric error: float overflow" in capsys.readouterr().err
+
+
+# each draw sets some flags inside the paper's domain and one or two to an
+# extreme: a huge, tiny, negative, nan or infinite value, or alpha >= 0.5
+_IN_DOMAIN = {
+    "--alpha": st.floats(0.0, 0.499),
+    "--beta-du": st.floats(0.0, 1.0),
+    "--beta-ud": st.floats(0.0, 0.3),
+    "--gamma-du": st.just(0.0),
+    "--gamma-ud": st.floats(0.0, 8.0),
+    "--p-u-db": st.floats(-30.0, 40.0),
+    "--p-d-db": st.floats(-30.0, 40.0),
+    "--c-u": st.floats(0.0, 12.0),
+    "--c-d": st.floats(0.0, 12.0),
+}
+_EXTREME = st.one_of(
+    st.sampled_from([0.0, 1e-300, 0.5, 1000.0, 3083.0, 4000.0, 1e300, -1.0, -4000.0]),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.floats(0.5, 2.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(
+    scheme=st.sampled_from([s.value for s in SchemeId]),
+    in_domain=st.fixed_dictionaries({}, optional=_IN_DOMAIN),
+    extreme=st.dictionaries(st.sampled_from(sorted(_IN_DOMAIN)), _EXTREME, min_size=1, max_size=2),
+)
+def test_compute_exits_with_a_documented_code(scheme, in_domain, extreme):
+    flags = {**in_domain, **extreme}
+    # flag=value keeps argparse from reading a negative number as an option
+    argv = ["compute", f"--scheme={scheme}"] + [f"{k}={v!r}" for k, v in flags.items()]
+    assert main(argv) in (0, 2, 3)

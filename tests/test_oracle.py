@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fdcran.oracle
 from fdcran.oracle import (
     CirculantChannel,
     circulant_uplink_rate,
@@ -11,8 +12,10 @@ from fdcran.oracle import (
 )
 from fdcran.rates import SicMode, fd_scp
 from fdcran.spectral import rate_integral
+from fdcran.sweep import preset_spec
 
 from conftest import make_params
+from test_solver_properties import DOMAIN
 
 TAN = SicMode.TREAT_AS_NOISE
 SIC = SicMode.SIC
@@ -112,3 +115,105 @@ def test_refined_search_never_loses_to_dense_grid():
         refined = fd_scp(params, sic).r_eq
         brute = exhaustive_power_opt(params, sic, 512)[0]
         assert refined >= brute - 1e-6
+
+
+def _full_grid_reference(params, sic, resolution=512, candidate=None):
+    """exhaustive_power_opt as it was before blocked evaluation: the whole
+    resolution x resolution grid as one array."""
+    a2 = params.alpha**2
+    bdu2 = params.beta_du**2
+    bud2 = params.beta_ud**2
+    g2 = params.gamma_ud**2
+
+    def value(pu, pd):
+        r_u = np.minimum(
+            np.log2(1.0 + pu / (1.0 + 2.0 * a2 * pu + 2.0 * bdu2 * pd)), params.c_u
+        )
+        den = 1.0 + 2.0 * a2 * pd + 2.0 * bud2 * pu
+        if sic is SicMode.TREAT_AS_NOISE:
+            r_d = np.log2(1.0 + pd / (den + g2 * pu))
+        else:
+            t1 = np.log2(1.0 + pd / den)
+            t2 = np.log2(1.0 + (pd + g2 * pu) / den)
+            t3 = np.log2(1.0 + pd / (den + g2 * pu))
+            r_d = np.minimum(t1, np.maximum(t2 - r_u, t3))
+        return np.minimum(r_u, np.minimum(r_d, params.c_d))
+
+    pu_grid = np.linspace(0.0, params.p_u_max, resolution)
+    pd_grid = np.linspace(0.0, params.p_d_max, resolution)
+    grid_value = value(pu_grid[:, None], pd_grid[None, :])
+    vmax = float(grid_value.max())
+    if candidate is not None:
+        off_grid = float(value(*candidate))
+        if off_grid > vmax + 1e-9:
+            return off_grid, float(candidate[0]), float(candidate[1])
+    tied = grid_value >= vmax - 1e-9
+    i = int(np.argmax(tied.any(axis=1)))
+    j = int(np.argmax(tied[i]))
+    return float(grid_value[i, j]), float(pu_grid[i]), float(pd_grid[j])
+
+
+def _assert_exact(params, resolution=512, candidate=None):
+    for sic in (TAN, SIC):
+        got = exhaustive_power_opt(params, sic, resolution, candidate)
+        assert got == _full_grid_reference(params, sic, resolution, candidate)
+
+
+@pytest.mark.parametrize("index", range(len(DOMAIN)))
+def test_blocked_grid_equals_full_grid_on_the_domain(index):
+    _assert_exact(DOMAIN[index])
+
+
+@pytest.mark.parametrize("resolution", [64, 100, 512, 513])
+def test_blocked_grid_equals_full_grid_at_edge_cases(resolution):
+    # plateau: every grid point ties at 0, so the origin wins
+    for sic in (TAN, SIC):
+        plateau = make_params(c_u=0.0, c_d=0.0)
+        assert exhaustive_power_opt(plateau, sic, resolution) == (0.0, 0.0, 0.0)
+    _assert_exact(make_params(c_u=0.0, c_d=0.0), resolution)
+    _assert_exact(make_params(p_u_max=0.0), resolution)
+    _assert_exact(make_params(c_u=1000.0, c_d=1000.0), resolution)
+    _assert_exact(make_params(gamma_ud=0.5, p_u_max=3.0, p_d_max=250.0), resolution)
+    # interference-limited at huge budgets: many rows come within 1e-9 of the
+    # maximum without reaching it, so the tie tolerance picks the row
+    _assert_exact(make_params(p_u_max=1e9, p_d_max=1e9), resolution)
+
+
+def test_blocked_grid_scores_a_candidate_like_the_full_grid():
+    params = preset_spec("fig3").params_at(0.5)
+    on_grid = _full_grid_reference(params, SIC)[1:]
+    _assert_exact(params, candidate=on_grid)
+    # fd_scp_sic at gamma_ud = 0.5 peaks between grid points, so the solver's
+    # argmax beats the grid and is returned as given
+    diag = fd_scp(params, SIC).diagnostics
+    off_grid = (diag["p_u_star"], diag["p_d_star"])
+    assert exhaustive_power_opt(params, SIC, 512, off_grid)[1:] == off_grid
+    _assert_exact(params, candidate=off_grid)
+
+
+class _SizeProbe:
+    """Stands in for numpy inside the oracle, recording the largest result of
+    the elementwise functions that every grid evaluation goes through."""
+
+    def __init__(self):
+        self.largest = 0
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("log2", "minimum", "maximum"):
+            return fn
+
+        def probed(*args):
+            out = fn(*args)
+            self.largest = max(self.largest, np.size(out))
+            return out
+
+        return probed
+
+
+@pytest.mark.parametrize("resolution", [64, 513, 1000])
+def test_blocked_grid_memory_bound(monkeypatch, resolution):
+    probe = _SizeProbe()
+    monkeypatch.setattr(fdcran.oracle, "np", probe)
+    exhaustive_power_opt(make_params(), SIC, resolution)
+    assert 0 < probe.largest <= max(8192, resolution)
