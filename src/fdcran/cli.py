@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument(
         "--full-power",
         action="store_true",
-        help="full-duplex C-RAN only: spend both budgets instead of optimizing",
+        help="full-duplex schemes: spend both budgets instead of optimizing "
+        "(half-duplex schemes always do)",
     )
 
     sweep = sub.add_parser("sweep", help="run a declarative parameter sweep")

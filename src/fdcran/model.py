@@ -105,6 +105,7 @@ _PARAM_FIELDS = (
     "c_u",
     "c_d",
 )
+_GAIN_FIELDS = ("alpha", "beta_du", "beta_ud", "gamma_ud")  # gamma_du is inert
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,10 @@ class SystemParams:
     p_u_max   -- uplink power budget (linear, unit noise power)
     p_d_max   -- downlink power budget (linear)
     c_u, c_d  -- per-link fronthaul capacities in bits/s/Hz
+
+    Every field must be finite and >= 0 (ValueError).  A rate-bearing gain
+    whose power gain, doubled for the two neighboring cells, overflows a
+    float (above about 9.5e153) raises NumericDomainError naming the field.
     """
 
     alpha: float
@@ -139,6 +144,10 @@ class SystemParams:
             v = float(v)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+            if name in _GAIN_FIELDS and math.isinf(2.0 * v * v):
+                raise NumericDomainError(
+                    f"float overflow: {name}={v:g} has a power gain beyond the float range"
+                )
             object.__setattr__(self, name, v)
         if self.gamma_du > 0:
             _warn_inert_gamma_du(self.gamma_du)
@@ -146,7 +155,8 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Operating transmit powers; budgets are enforced where the pair is used."""
+    """Operating transmit powers; budgets are enforced where the pair is used.
+    A power that is not a finite number >= 0 raises NumericDomainError."""
 
     p_u: float
     p_d: float
@@ -155,7 +165,7 @@ class PowerAllocation:
         for name in ("p_u", "p_d"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+                raise NumericDomainError(f"{name} must be finite and >= 0, got {v!r}")
             object.__setattr__(self, name, float(v))
 
 

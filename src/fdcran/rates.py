@@ -1,21 +1,27 @@
 """Per-cell rate calculators for all six duplex/processing schemes.
 
+The schemes are two processing families, single-cell processing (SCP) and
+C-RAN, each with three receivers: half duplex, and full duplex treating the
+co-located uplink signal as noise or cancelling it first (SIC).  Each family
+has one uplink and one downlink rate kernel, (k, p_u, p_d[, r_u, receiver])
+-> rate, where k holds an operating point's constants: plain floats for one
+point, or (n, 1, 1) columns for a batch (_stacked).  The power search, the
+reported rates at its argmax, the public scalar rate functions and half
+duplex (the kernels with the other direction's power at 0) all call them;
+the search takes the C-RAN uplink integral in closed form, the reported rates
+by quadrature.  The oracles keep formulas of their own.
+
 Half-duplex schemes split the band between directions at full power; the
 equal rate follows from balancing f*R_u against (1-f)*R_d.  Full-duplex
-schemes transmit simultaneously and instead choose the operating powers
-(p_u, p_d) that maximize min(R_u, R_d): exactly on the budget edges for
-treat-as-noise, plus a grid-seeded search of the decode-first branch for SIC
-(see _max_min_search).
-
-The power search runs for a batch of operating points at once
-(compute_fd_batch, which a sweep calls once per full-duplex scheme; fd_scp,
-fd_cran and compute_scheme are its batch of one).  Each point's constants are
-computed by the same scalar expressions as for a single point and stacked
-along a leading batch axis, so every point of a batch gets bit-for-bit the
-result it gets alone.  Kernel calls are split along that axis so that none
-evaluates more elements than the largest call of a one-point search,
-(grid + 2) * (grid + 1) at the default grid; the grid**2 budget-edge scans
-and the first row scan therefore run one point at a time.
+schemes choose the operating powers (p_u, p_d) that maximize min(R_u, R_d):
+exactly on the budget edges for treat-as-noise, plus a grid-seeded search of
+the decode-first branch for SIC (see _max_min_search).  The search runs for a
+batch of operating points at once (compute_fd_batch; fd_scp, fd_cran and
+compute_scheme are its batch of one), and every point of a batch gets
+bit-for-bit the result it gets alone.  Kernel calls are split along the batch
+axis so that none evaluates more elements than the largest call of a
+one-point search, (grid + 2) * (grid + 1); the grid**2 budget-edge scans and
+the first row scan therefore run one point at a time.
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
@@ -24,18 +30,13 @@ p_d * 2**-c_d, so the radio unit transmits exactly p_d.
 """
 
 import math
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .model import (
-    PowerAllocation,
-    RateResult,
-    SchemeId,
-    q_clamp,
-    shannon_c,
-)
+from .model import NumericDomainError, PowerAllocation, RateResult, SchemeId
 from .spectral import (
     DEFAULT_PANELS,
     Precoder,
@@ -48,6 +49,7 @@ from .spectral import (
 
 __all__ = [
     "DEFAULT_GRID",
+    "SCHEMES",
     "SicMode",
     "compute_fd_batch",
     "compute_scheme",
@@ -82,6 +84,21 @@ class SicMode(Enum):
     SIC = "sic"
 
 
+_TAN = SicMode.TREAT_AS_NOISE
+# the search's third receiver: the SIC branch that decodes the uplink first
+_DECODE_FIRST = "decode_first"
+
+# scheme -> (processing family, full-duplex receiver or None for half duplex)
+SCHEMES = {
+    SchemeId.HD_SCP: ("scp", None),
+    SchemeId.HD_CRAN: ("cran", None),
+    SchemeId.FD_SCP: ("scp", _TAN),
+    SchemeId.FD_SCP_SIC: ("scp", SicMode.SIC),
+    SchemeId.FD_CRAN: ("cran", _TAN),
+    SchemeId.FD_CRAN_SIC: ("cran", SicMode.SIC),
+}
+
+
 def equal_rate_split(r_u: float, r_d: float) -> tuple[float, float | None]:
     """Equal rate and time split from balancing f*r_u = (1-f)*r_d.
 
@@ -95,24 +112,49 @@ def equal_rate_split(r_u: float, r_d: float) -> tuple[float, float | None]:
 
 
 # ----------------------------------------------------------------------------
-# half duplex
+# rate kernels: powers are floats or arrays, and k is one point's constants
+# or the stacked columns of a batch, unpacked by position either way
 
 
-def hd_scp(params) -> RateResult:
-    """Half-duplex single-cell processing.
+def _receive(signal, den, g2pu, r_u, receiver):
+    """Downlink rate from the signal power, the denominator without the
+    intra-cell uplink power g2pu, and the receiver.  With t1 = C(signal/den),
+    t2 = C((signal + g2pu)/den) and t3 = C(signal/(den + g2pu)): treat-as-noise
+    gives t3; decode-first, which decodes the uplink message carried at r_u
+    first, min(t1, t2 - r_u); SIC the better of the two, which equals the
+    clamp q(t1, t2 - r_u, t3) = min(t1, max(t2 - r_u, t3)) because t3 <= t1."""
+    if receiver is not _TAN:
+        first = np.minimum(np.log2(1.0 + signal / den), np.log2(1.0 + (signal + g2pu) / den) - r_u)
+        if receiver is _DECODE_FIRST:
+            return first
+    t3 = np.log2(1.0 + signal / (den + g2pu))
+    return t3 if receiver is _TAN else np.maximum(first, t3)
 
-    Each direction treats inter-cell interference as noise and is capped by
-    its fronthaul: R = min{C(P / (1 + 2 alpha^2 P)), c}.  Full power loses
-    nothing here, and the time split gives r_eq = r_u*r_d/(r_u + r_d).
-    """
-    a2 = params.alpha**2
-    r_u = min(shannon_c(params.p_u_max / (1.0 + 2.0 * a2 * params.p_u_max)), params.c_u)
-    r_d = min(shannon_c(params.p_d_max / (1.0 + 2.0 * a2 * params.p_d_max)), params.c_d)
-    r_eq, f_star = equal_rate_split(r_u, r_d)
-    diag = {}
-    if f_star is not None:
-        diag["f_star"] = f_star
-    return RateResult(r_u, r_d, r_eq, diag)
+
+def _scp_consts(p) -> tuple:
+    return p.alpha**2, p.beta_du**2, p.beta_ud**2, p.gamma_ud**2, p.c_u, p.c_d
+
+
+def _scp_uplink(k, p_u, p_d, integral=None):  # SCP has no spectral integral
+    a2, bdu2, _, _, c_u, _ = k
+    return np.minimum(np.log2(1.0 + p_u / (1.0 + 2.0 * a2 * p_u + 2.0 * bdu2 * p_d)), c_u)
+
+
+def _scp_downlink(k, p_u, p_d, r_u, receiver):
+    a2, _, bud2, g2, _, c_d = k
+    den = 1.0 + 2.0 * a2 * p_d + 2.0 * bud2 * p_u
+    return np.minimum(_receive(p_d, den, g2 * p_u, r_u, receiver), c_d)
+
+
+# quant = _per_unit_quantization(c_u), q_d = 2**-c_d, rg2 = R_g(2) of the
+# precoder and taps = _effective_taps; an uplink alone needs no taps, and one
+# at p_d = 0 no rg2
+_CranConsts = namedtuple("_CranConsts", "alpha a2 bdu2 bud2 g2 quant q_d rg2 h0sq hk_sum")
+
+
+def _cran_consts(p, taps=(0.0, 0.0), rg2=0.0) -> _CranConsts:
+    squares = (p.alpha**2, p.beta_du**2, p.beta_ud**2, p.gamma_ud**2)
+    return _CranConsts(p.alpha, *squares, _per_unit_quantization(p.c_u), 2.0**-p.c_d, rg2, *taps)
 
 
 def _per_unit_quantization(c: float) -> float:
@@ -124,11 +166,87 @@ def _per_unit_quantization(c: float) -> float:
     return 2.0**-c / -math.expm1(-c * math.log(2.0))
 
 
-def _sigma_u_sq(a2, bdu2, quant, p_u, p_d=0.0, rg2=0.0):
-    # a2 = alpha^2, bdu2 = beta_du^2, quant = _per_unit_quantization(c_u);
-    # half duplex has p_d = 0; the neighboring radio units' downlink signals
-    # are correlated at lag 2 through the shared precoder, hence (1 + R_g(2))
+def _sigma_u_sq(k, p_u, p_d):
+    # the neighboring radio units' downlink signals are correlated at lag 2
+    # through the shared precoder, hence (1 + R_g(2))
+    _, a2, bdu2, _, _, quant, _, rg2, _, _ = k
     return (1.0 + (1.0 + 2.0 * a2) * p_u + 2.0 * bdu2 * (1.0 + rg2) * p_d) * quant
+
+
+def _cran_uplink(k, p_u, p_d, integral):  # integral(snr, alpha) of the spectral rate
+    return integral(p_u / (1.0 + _sigma_u_sq(k, p_u, p_d)), k[0])
+
+
+def _downlink_powers(p_d, q_d):  # (stream power p_s, quantization noise sigma_d^2)
+    return p_d * (1.0 - q_d), p_d * q_d
+
+
+def _cran_downlink(k, p_u, p_d, r_u, receiver):
+    _, a2, _, bud2, g2, _, q_d, _, h0sq, hk_sum = k
+    p_s, sigma_d = _downlink_powers(p_d, q_d)
+    den = 1.0 + 2.0 * p_s * hk_sum + sigma_d * (1.0 + 2.0 * a2) + 2.0 * bud2 * p_u
+    return _receive(p_s * h0sq, den, g2 * p_u, r_u, receiver)
+
+
+def _kernels(family: str):
+    """(uplink, downlink) kernels of a processing family."""
+    return (_scp_uplink, _scp_downlink) if family == "scp" else (_cran_uplink, _cran_downlink)
+
+
+def _quadrature(panels: int):
+    """The reported C-RAN uplink integral, panels-point quadrature through
+    this module's rate_integral binding, looked up at call time."""
+    return lambda snr, alpha: float(rate_integral(snr, alpha, panels))
+
+
+def _check_powers(params, p_u, p_d, budgets: bool = False) -> None:
+    for name, v in (("p_u", p_u), ("p_d", p_d)):
+        if not math.isfinite(v) or v < 0:
+            raise NumericDomainError(f"{name} must be finite and >= 0, got {v!r}")
+    if budgets and (p_u > params.p_u_max or p_d > params.p_d_max):
+        raise ValueError(
+            f"powers ({p_u}, {p_d}) exceed budgets ({params.p_u_max}, {params.p_d_max})"
+        )
+
+
+def _carried_uplink(sic: SicMode, r_u) -> float:
+    """The uplink rate a SIC receiver decodes first (unused otherwise)."""
+    if sic is _TAN:
+        return 0.0
+    if r_u is None:
+        raise ValueError("r_u is required for the SIC downlink rate")
+    if not math.isfinite(r_u):
+        raise NumericDomainError(f"r_u must be finite, got {r_u!r}")
+    return r_u
+
+
+def _check_panels(precoder: Precoder, panels: int | None) -> None:
+    if panels is not None and panels != precoder.panels:
+        raise ValueError(f"precoder is sampled at {precoder.panels} panels, got panels={panels}")
+
+
+# ----------------------------------------------------------------------------
+# half duplex: the full-duplex kernels with the other direction's power at 0
+
+
+def _hd_result(r_u: float, r_d: float, diag: dict) -> RateResult:
+    r_eq, f_star = equal_rate_split(r_u, r_d)
+    if f_star is not None:
+        diag["f_star"] = f_star
+    return RateResult(r_u, r_d, r_eq, diag)
+
+
+def hd_scp(params) -> RateResult:
+    """Half-duplex single-cell processing.
+
+    Each direction treats inter-cell interference as noise and is capped by
+    its fronthaul: R = min{C(P / (1 + 2 alpha^2 P)), c}.  Full power loses
+    nothing here, and the time split gives r_eq = r_u*r_d/(r_u + r_d).
+    """
+    k = _scp_consts(params)
+    r_u = float(_scp_uplink(k, params.p_u_max, 0.0))
+    r_d = float(_scp_downlink(k, 0.0, params.p_d_max, 0.0, _TAN))
+    return _hd_result(r_u, r_d, {})
 
 
 def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
@@ -139,10 +257,9 @@ def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
     integral of C(P_u H(f)^2 / (1 + sigma_u^2)).  Returns (rate, sigma_u_sq);
     c_u = 0 gives sigma_u_sq = inf and rate 0 (the quantizer passes nothing).
     """
-    quant = _per_unit_quantization(params.c_u)
-    sigma = _sigma_u_sq(params.alpha**2, params.beta_du**2, quant, params.p_u_max)
-    rate = float(rate_integral(params.p_u_max / (1.0 + sigma), params.alpha, panels))
-    return rate, sigma
+    k = _cran_consts(params)
+    rate = _cran_uplink(k, params.p_u_max, 0.0, _quadrature(panels))
+    return rate, _sigma_u_sq(k, params.p_u_max, 0.0)
 
 
 @lru_cache(maxsize=1)
@@ -175,18 +292,8 @@ def _effective_taps(precoder: Precoder, alpha: float) -> tuple[float, float]:
 @lru_cache(maxsize=1)
 def _rg2(precoder: Precoder) -> float:
     """R_g(2) of the precoder, kept for the last precoder as _effective_taps
-    keeps its taps, so the search constants and the final uplink share it."""
+    keeps its taps, so consecutive points sharing a precoder share it."""
     return rg(precoder, 2)
-
-
-def _downlink_base_terms(p_d, q_d, h0sq, hk_sum, a2):
-    """Signal power and interference-plus-quantization denominator, before any
-    uplink-to-downlink terms, with q_d = 2**-c_d.  Works on scalars and arrays
-    alike."""
-    p_s = p_d * (1.0 - q_d)
-    sigma = p_d * q_d
-    den = 1.0 + 2.0 * p_s * hk_sum + sigma * (1.0 + 2.0 * a2)
-    return p_s * h0sq, den
 
 
 def hd_cran_downlink(
@@ -199,17 +306,10 @@ def hd_cran_downlink(
     C(p_s h~_0^2 / (1 + 2 p_s sum_{k>0} h~_k^2 + sigma_d^2 (1 + 2 alpha^2))).
     Returns (rate, sigma_d_sq, p_s).
     """
-    if panels is not None and panels != precoder.panels:
-        raise ValueError(
-            f"precoder is sampled at {precoder.panels} panels, got panels={panels}"
-        )
-    h0sq, hk_sum = _effective_taps(precoder, params.alpha)
-    signal, den = _downlink_base_terms(
-        params.p_d_max, 2.0**-params.c_d, h0sq, hk_sum, params.alpha**2
-    )
-    rate = shannon_c(signal / den)
-    sigma = params.p_d_max * 2.0**-params.c_d
-    p_s = params.p_d_max * (1.0 - 2.0**-params.c_d)
+    _check_panels(precoder, panels)
+    k = _cran_consts(params, _effective_taps(precoder, params.alpha))
+    rate = float(_cran_downlink(k, 0.0, params.p_d_max, 0.0, _TAN))
+    p_s, sigma = _downlink_powers(params.p_d_max, k.q_d)
     return rate, sigma, p_s
 
 
@@ -217,33 +317,22 @@ def hd_cran(params, precoder: Precoder, panels: int = DEFAULT_PANELS) -> RateRes
     """Half-duplex C-RAN: both directions combined through the time split."""
     r_u, sigma_u = hd_cran_uplink(params, panels)
     r_d, sigma_d, p_s = hd_cran_downlink(params, precoder, panels)
-    r_eq, f_star = equal_rate_split(r_u, r_d)
-    diag = {"sigma_u_sq": sigma_u, "sigma_d_sq": sigma_d, "p_s": p_s}
-    if f_star is not None:
-        diag["f_star"] = f_star
-    return RateResult(r_u, r_d, r_eq, diag)
+    return _hd_result(r_u, r_d, {"sigma_u_sq": sigma_u, "sigma_d_sq": sigma_d, "p_s": p_s})
 
 
 # ----------------------------------------------------------------------------
-# full duplex, single-cell processing
+# full duplex
 
 
 def fd_scp_uplink_rate(params, p_u: float, p_d: float) -> float:
     """Uplink SCP rate at operating powers: inter-cell and downlink-to-uplink
     interference are treated as noise, then the fronthaul cap applies."""
-    a2 = params.alpha**2
-    bdu2 = params.beta_du**2
-    return min(
-        shannon_c(p_u / (1.0 + 2.0 * a2 * p_u + 2.0 * bdu2 * p_d)), params.c_u
-    )
+    _check_powers(params, p_u, p_d)
+    return float(_scp_uplink(_scp_consts(params), p_u, p_d))
 
 
 def fd_scp_downlink_rate(
-    params,
-    p_u: float,
-    p_d: float,
-    sic: SicMode = SicMode.TREAT_AS_NOISE,
-    r_u: float | None = None,
+    params, p_u: float, p_d: float, sic: SicMode = SicMode.TREAT_AS_NOISE, r_u: float | None = None
 ) -> float:
     """Downlink SCP rate at operating powers.
 
@@ -253,18 +342,77 @@ def fd_scp_downlink_rate(
     to t2 - r_u jointly, t1 alone), giving the clamp q(t1, t2 - r_u, t3);
     r_u is the uplink rate actually carried.  Both variants cap at c_d.
     """
-    a2 = params.alpha**2
-    bud2 = params.beta_ud**2
-    g2 = params.gamma_ud**2
-    base = 1.0 + 2.0 * a2 * p_d + 2.0 * bud2 * p_u
-    if sic is SicMode.TREAT_AS_NOISE:
-        return min(shannon_c(p_d / (base + g2 * p_u)), params.c_d)
-    if r_u is None:
-        raise ValueError("r_u is required for the SIC downlink rate")
-    t1 = shannon_c(p_d / base)
-    t2 = shannon_c((p_d + g2 * p_u) / base)
-    t3 = shannon_c(p_d / (base + g2 * p_u))
-    return min(q_clamp(t1, t2 - r_u, t3), params.c_d)
+    r_u = _carried_uplink(sic, r_u)
+    _check_powers(params, p_u, p_d)
+    return float(_scp_downlink(_scp_consts(params), p_u, p_d, r_u, sic))
+
+
+def fd_scp(params, sic: SicMode = SicMode.TREAT_AS_NOISE, grid: int = DEFAULT_GRID) -> RateResult:
+    """Full-duplex single-cell processing: max-min over operating powers.
+
+    Unlike half duplex, backing off from full power can help (the two
+    directions interfere), so the equal rate is the max over (p_u, p_d) of
+    min{R_u, R_d}, found by _max_min_search.
+    """
+    return _fd_batch("scp", [_scp_consts(params)], [params], sic, grid, DEFAULT_PANELS)[0]
+
+
+def fd_cran_uplink(
+    params, powers: PowerAllocation, precoder: Precoder, panels: int = DEFAULT_PANELS
+) -> tuple[float, float]:
+    """Full-duplex C-RAN uplink at given operating powers.
+
+    The downlink-to-uplink interference raises the quantization noise through
+    its received power 2 beta_du^2 (1 + R_g(2)) p_d, but the central unit
+    knows the downlink signals and subtracts them after decompression, so
+    only sigma_u^2 reaches the decoder.  Returns (rate, sigma_u_sq).
+    """
+    _check_powers(params, powers.p_u, powers.p_d, budgets=True)
+    k = _cran_consts(params, rg2=_rg2(precoder))
+    rate = _cran_uplink(k, powers.p_u, powers.p_d, _quadrature(panels))
+    return rate, _sigma_u_sq(k, powers.p_u, powers.p_d)
+
+
+def fd_cran_downlink(
+    params, powers: PowerAllocation, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE,
+    r_u: float | None = None, panels: int | None = None,
+) -> float:
+    """Full-duplex C-RAN downlink at given operating powers.
+
+    Treat-as-noise adds the uplink-to-downlink power
+    (2 beta_ud^2 + gamma_ud^2) p_u to the quantized-downlink denominator.
+    With SIC the gamma_ud^2 p_u term moves between numerator and denominator
+    to form q(t1, t2 - r_u, t3); r_u (required then) is the uplink rate the
+    mobile must first decode.  No fronthaul cap applies here -- the fronthaul
+    already enters through the quantization noise.
+    """
+    _check_powers(params, powers.p_u, powers.p_d, budgets=True)
+    _check_panels(precoder, panels)
+    r_u = _carried_uplink(sic, r_u)
+    k = _cran_consts(params, _effective_taps(precoder, params.alpha))
+    return float(_cran_downlink(k, powers.p_u, powers.p_d, r_u, sic))
+
+
+def _cran_fd_consts(params, precoder: Precoder) -> _CranConsts:
+    return _cran_consts(params, _effective_taps(precoder, params.alpha), _rg2(precoder))
+
+
+def fd_cran(
+    params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE, grid: int = DEFAULT_GRID,
+    panels: int = DEFAULT_PANELS, full_power: bool = False,
+) -> RateResult:
+    """Full-duplex C-RAN equal rate: max-min over operating powers.
+
+    The power search (_max_min_search) evaluates the uplink integral in
+    closed form (rate_closed_form); the returned rates and diagnostics are
+    re-evaluated at the argmax with the panels-point quadrature.
+    full_power=True skips the search and spends both budgets, for
+    sensitivity checks against a fixed-power reading of the scheme.
+    """
+    k = _cran_fd_consts(params, precoder)
+    if full_power:
+        return _fd_result("cran", k, sic, panels, params.p_u_max, params.p_d_max)
+    return _fd_batch("cran", [k], [params], sic, grid, panels)[0]
 
 
 def _stacked(rows):
@@ -280,200 +428,34 @@ def _stacked(rows):
     return of
 
 
-def _fd_scp_rates(points):
-    """Vectorized FD-SCP (r_u, r_d) of a batch of points, with the formulas of
-    fd_scp_uplink_rate and fd_scp_downlink_rate: rates(b, pu, pd) for the
-    points in slice b at power arrays whose leading axis runs over them (see
-    _max_min_search for decode_first)."""
-    consts = _stacked(
-        [
-            (p.alpha**2, p.beta_du**2, p.beta_ud**2, p.gamma_ud**2, p.c_u, p.c_d)
-            for p in points
-        ]
-    )
+def _fd_batch(family: str, consts, points, sic: SicMode, grid: int, panels: int) -> list:
+    """One power search for the points of a batch, consts holding each point's
+    kernel constants; the search takes the C-RAN uplink integral in closed
+    form, the results (_fd_result) by quadrature."""
+    uplink, downlink = _kernels(family)
+    of = _stacked(consts)
 
-    def rates(b, pu, pd, decode_first=False):
-        a2, bdu2, bud2, g2, c_u, c_d = consts(b)
-        ru = np.minimum(np.log2(1.0 + pu / (1.0 + 2.0 * a2 * pu + 2.0 * bdu2 * pd)), c_u)
-        base = 1.0 + 2.0 * a2 * pd + 2.0 * bud2 * pu
-        if decode_first:
-            t1 = np.log2(1.0 + pd / base)
-            t2 = np.log2(1.0 + (pd + g2 * pu) / base)
-            return ru, np.minimum(np.minimum(t1, t2 - ru), c_d)
-        return ru, np.minimum(np.log2(1.0 + pd / (base + g2 * pu)), c_d)
+    def rates(b, pu, pd, receiver):
+        k = of(b)
+        r_u = uplink(k, pu, pd, rate_closed_form)
+        return r_u, downlink(k, pu, pd, r_u, receiver)
 
-    return rates
-
-
-def fd_scp(
-    params, sic: SicMode = SicMode.TREAT_AS_NOISE, grid: int = DEFAULT_GRID
-) -> RateResult:
-    """Full-duplex single-cell processing: max-min over operating powers.
-
-    Unlike half duplex, backing off from full power can help (the two
-    directions interfere), so the equal rate is the max over (p_u, p_d) of
-    min{R_u, R_d}, found by _max_min_search.
-    """
-    return _fd_scp_batch([params], sic, grid)[0]
-
-
-def _fd_scp_batch(points, sic: SicMode, grid: int) -> list[RateResult]:
-    _, p_u, p_d = _max_min_search(_fd_scp_rates(points), *_budgets(points), grid, sic)
-    results = []
-    for params, pu, pd in zip(points, p_u.tolist(), p_d.tolist()):
-        r_u = fd_scp_uplink_rate(params, pu, pd)
-        r_d = fd_scp_downlink_rate(params, pu, pd, sic, r_u)
-        results.append(RateResult(r_u, r_d, min(r_u, r_d), {"p_u_star": pu, "p_d_star": pd}))
-    return results
-
-
-# ----------------------------------------------------------------------------
-# full duplex, C-RAN
-
-
-def _check_budget(params, powers: PowerAllocation) -> None:
-    if powers.p_u > params.p_u_max or powers.p_d > params.p_d_max:
-        raise ValueError(
-            f"powers ({powers.p_u}, {powers.p_d}) exceed budgets "
-            f"({params.p_u_max}, {params.p_d_max})"
-        )
-
-
-def fd_cran_uplink(
-    params, powers: PowerAllocation, precoder: Precoder, panels: int = DEFAULT_PANELS
-) -> tuple[float, float]:
-    """Full-duplex C-RAN uplink at given operating powers.
-
-    The downlink-to-uplink interference raises the quantization noise through
-    its received power 2 beta_du^2 (1 + R_g(2)) p_d, but the central unit
-    knows the downlink signals and subtracts them after decompression, so
-    only sigma_u^2 reaches the decoder.  Returns (rate, sigma_u_sq).
-    """
-    _check_budget(params, powers)
-    quant = _per_unit_quantization(params.c_u)
-    a2, bdu2 = params.alpha**2, params.beta_du**2
-    sigma = _sigma_u_sq(a2, bdu2, quant, powers.p_u, powers.p_d, _rg2(precoder))
-    rate = float(rate_integral(powers.p_u / (1.0 + sigma), params.alpha, panels))
-    return rate, sigma
-
-
-def fd_cran_downlink(
-    params,
-    powers: PowerAllocation,
-    precoder: Precoder,
-    sic: SicMode = SicMode.TREAT_AS_NOISE,
-    r_u: float | None = None,
-    panels: int | None = None,
-) -> float:
-    """Full-duplex C-RAN downlink at given operating powers.
-
-    Treat-as-noise adds the uplink-to-downlink power
-    (2 beta_ud^2 + gamma_ud^2) p_u to the quantized-downlink denominator.
-    With SIC the gamma_ud^2 p_u term moves between numerator and denominator
-    to form q(t1, t2 - r_u, t3); r_u (required then) is the uplink rate the
-    mobile must first decode.  No fronthaul cap applies here -- the fronthaul
-    already enters through the quantization noise.
-    """
-    _check_budget(params, powers)
-    if panels is not None and panels != precoder.panels:
-        raise ValueError(
-            f"precoder is sampled at {precoder.panels} panels, got panels={panels}"
-        )
-    h0sq, hk_sum = _effective_taps(precoder, params.alpha)
-    signal, den = _downlink_base_terms(
-        powers.p_d, 2.0**-params.c_d, h0sq, hk_sum, params.alpha**2
-    )
-    den = den + 2.0 * params.beta_ud**2 * powers.p_u
-    g2pu = params.gamma_ud**2 * powers.p_u
-    if sic is SicMode.TREAT_AS_NOISE:
-        return shannon_c(signal / (den + g2pu))
-    if r_u is None:
-        raise ValueError("r_u is required for the SIC downlink rate")
-    t1 = shannon_c(signal / den)
-    t2 = shannon_c((signal + g2pu) / den)
-    t3 = shannon_c(signal / (den + g2pu))
-    return q_clamp(t1, t2 - r_u, t3)
-
-
-def _fd_cran_rates(points, precoders):
-    """Vectorized FD-C-RAN (r_u, r_d) of a batch of points, one precoder per
-    point, with the formulas of fd_cran_uplink and fd_cran_downlink except
-    that the uplink integral is taken in closed form; called as _fd_scp_rates
-    (see _max_min_search for decode_first)."""
-    consts = _stacked(
-        [
-            (
-                p.alpha,
-                p.alpha**2,
-                p.beta_du**2,
-                p.beta_ud**2,
-                p.gamma_ud**2,
-                _per_unit_quantization(p.c_u),
-                2.0**-p.c_d,
-                _rg2(precoder),
-                *_effective_taps(precoder, p.alpha),
-            )
-            for p, precoder in zip(points, precoders)
-        ]
-    )
-
-    def rates(b, pu, pd, decode_first=False):
-        alpha, a2, bdu2, bud2, g2, quant, q_d, rg2, h0sq, hk_sum = consts(b)
-        snr = pu / (1.0 + _sigma_u_sq(a2, bdu2, quant, pu, pd, rg2))
-        ru = rate_closed_form(snr, alpha)
-        signal, den = _downlink_base_terms(pd, q_d, h0sq, hk_sum, a2)
-        den = den + 2.0 * bud2 * pu
-        if decode_first:
-            t1 = np.log2(1.0 + signal / den)
-            t2 = np.log2(1.0 + (signal + g2 * pu) / den)
-            return ru, np.minimum(t1, t2 - ru)
-        return ru, np.log2(1.0 + signal / (den + g2 * pu))
-
-    return rates
-
-
-def fd_cran(
-    params,
-    precoder: Precoder,
-    sic: SicMode = SicMode.TREAT_AS_NOISE,
-    grid: int = DEFAULT_GRID,
-    panels: int = DEFAULT_PANELS,
-    full_power: bool = False,
-) -> RateResult:
-    """Full-duplex C-RAN equal rate: max-min over operating powers.
-
-    The power search (_max_min_search) evaluates the uplink integral in
-    closed form (rate_closed_form); the returned rates and diagnostics are
-    re-evaluated at the argmax with the panels-point quadrature.
-    full_power=True skips the search and spends both budgets, for
-    sensitivity checks against a fixed-power reading of the scheme.
-    """
-    if full_power:
-        return _fd_cran_at(params, precoder, sic, panels, params.p_u_max, params.p_d_max)
-    return _fd_cran_batch([params], [precoder], sic, grid, panels)[0]
-
-
-def _fd_cran_batch(points, precoders, sic: SicMode, grid: int, panels: int) -> list[RateResult]:
-    rates = _fd_cran_rates(points, precoders)
     _, p_u, p_d = _max_min_search(rates, *_budgets(points), grid, sic)
     return [
-        _fd_cran_at(params, precoder, sic, panels, pu, pd)
-        for params, precoder, pu, pd in zip(points, precoders, p_u.tolist(), p_d.tolist())
+        _fd_result(family, k, sic, panels, pu, pd)
+        for k, pu, pd in zip(consts, p_u.tolist(), p_d.tolist())
     ]
 
 
-def _fd_cran_at(params, precoder: Precoder, sic: SicMode, panels: int, p_u, p_d) -> RateResult:
-    """FD-C-RAN rates and diagnostics at the operating powers (p_u, p_d)."""
-    powers = PowerAllocation(p_u, p_d)
-    r_u, sigma_u = fd_cran_uplink(params, powers, precoder, panels)
-    r_d = fd_cran_downlink(params, powers, precoder, sic, r_u)
-    diag = {
-        "p_u_star": p_u,
-        "p_d_star": p_d,
-        "sigma_u_sq": sigma_u,
-        "sigma_d_sq": p_d * 2.0**-params.c_d,
-        "p_s": p_d * (1.0 - 2.0**-params.c_d),
-    }
+def _fd_result(family: str, k, sic: SicMode, panels: int, p_u: float, p_d: float) -> RateResult:
+    """A full-duplex scheme's rates and diagnostics at (p_u, p_d)."""
+    uplink, downlink = _kernels(family)
+    r_u = float(uplink(k, p_u, p_d, _quadrature(panels)))
+    r_d = float(downlink(k, p_u, p_d, r_u, sic))
+    diag = {"p_u_star": p_u, "p_d_star": p_d}
+    if family == "cran":
+        p_s, sigma_d = _downlink_powers(p_d, k.q_d)
+        diag.update(sigma_u_sq=_sigma_u_sq(k, p_u, p_d), sigma_d_sq=sigma_d, p_s=p_s)
     return RateResult(r_u, r_d, min(r_u, r_d), diag)
 
 
@@ -633,10 +615,10 @@ def _profile_max(row_best, pu, seed, p_u_max, p_d_max, grid: int):
 def _max_min_search(rates, p_u_max, p_d_max, grid: int, sic: SicMode):
     """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max].
 
-    rates(b, pu, pd, decode_first=False) -> (r_u, r_d) evaluates the points
-    in slice b of the batch at power arrays whose leading axis runs over
-    them; r_d is the treat-as-noise rate, or with decode_first=True that of
-    the branch decoding the co-located uplink first, min(t1, t2 - r_u).
+    rates(b, pu, pd, receiver) -> (r_u, r_d) evaluates the points in slice b
+    of the batch at power arrays whose leading axis runs over them; r_d is
+    that of the treat-as-noise receiver or of the branch decoding the
+    co-located uplink first, min(t1, t2 - r_u) (see _receive).
 
     Treat-as-noise: both SINRs are standard interference functions (Yates,
     IEEE JSAC 1995), so scaling (p_u, p_d) up raises both rates and the
@@ -656,12 +638,16 @@ def _max_min_search(rates, p_u_max, p_d_max, grid: int, sic: SicMode):
     if not isinstance(grid, int) or grid < 2:
         raise ValueError(f"grid resolution must be an integer >= 2, got {grid!r}")
     limit = _call_limit(grid)
-    best = _edge_optimum(lambda pu, pd: _in_chunks(rates, limit, pu, pd), p_u_max, p_d_max)
-    if sic is SicMode.TREAT_AS_NOISE:
+
+    def treat_as_noise(b, pu, pd):
+        return rates(b, pu, pd, _TAN)
+
+    best = _edge_optimum(lambda pu, pd: _in_chunks(treat_as_noise, limit, pu, pd), p_u_max, p_d_max)
+    if sic is _TAN:
         return best
 
     def decode_first(b, pu, pd):
-        return np.minimum(*rates(b, pu, pd, decode_first=True))
+        return np.minimum(*rates(b, pu, pd, _DECODE_FIRST))
 
     def row_best(pu, pd, at=0):  # each row's max over the last axis of pd, and its p_d
         return _in_chunks(lambda b, u, d: _best_of(decode_first(b, u, d), d), limit, pu, pd, at)
@@ -683,47 +669,49 @@ def _max_min_search(rates, p_u_max, p_d_max, grid: int, sic: SicMode):
 # ----------------------------------------------------------------------------
 # dispatch
 
-_SIC_SCHEMES = (SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC)
+
+def _fd_consts(family: str, points, panels: int) -> list:
+    """Kernel constants of each point; C-RAN builds one ZF precoder per
+    distinct alpha, in the order the points first use it."""
+    if family == "scp":
+        return [_scp_consts(p) for p in points]
+    precoders = {}
+    for p in points:
+        if p.alpha not in precoders:
+            precoders[p.alpha] = _shared_zf(p.alpha, panels)
+    return [_cran_fd_consts(p, precoders[p.alpha]) for p in points]
 
 
 def compute_fd_batch(
-    scheme: SchemeId,
-    points,
-    panels: int = DEFAULT_PANELS,
-    grid: int = DEFAULT_GRID,
+    scheme: SchemeId, points, panels: int = DEFAULT_PANELS, grid: int = DEFAULT_GRID
 ) -> list[RateResult]:
     """compute_scheme for one full-duplex scheme at each of a sequence of
     operating points, with one power search for the whole batch.
 
-    Every result equals that of the point alone.  C-RAN schemes build one ZF
-    precoder per distinct alpha, in the order the points first use it.
+    Every result equals that of the point alone.
     """
-    sic = SicMode.SIC if scheme in _SIC_SCHEMES else SicMode.TREAT_AS_NOISE
-    if scheme in (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC):
-        return _fd_scp_batch(points, sic, grid)
-    if scheme in (SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC):
-        precoders = {}
-        for p in points:
-            if p.alpha not in precoders:
-                precoders[p.alpha] = _shared_zf(p.alpha, panels)
-        return _fd_cran_batch(points, [precoders[p.alpha] for p in points], sic, grid, panels)
-    raise ValueError(f"{scheme.value} is not a full-duplex scheme")
+    family, sic = SCHEMES[scheme]
+    if sic is None:
+        raise ValueError(f"{scheme.value} is not a full-duplex scheme")
+    return _fd_batch(family, _fd_consts(family, points, panels), points, sic, grid, panels)
 
 
 def compute_scheme(
-    scheme: SchemeId,
-    params,
-    panels: int = DEFAULT_PANELS,
-    grid: int = DEFAULT_GRID,
+    scheme: SchemeId, params, panels: int = DEFAULT_PANELS, grid: int = DEFAULT_GRID,
     full_power: bool = False,
 ) -> RateResult:
     """Evaluate one scheme end to end, building the ZF precoder where needed
-    (consecutive calls at the same alpha and panels share it)."""
-    if scheme is SchemeId.HD_SCP:
-        return hd_scp(params)
-    if scheme is SchemeId.HD_CRAN:
+    (consecutive calls at the same alpha and panels share it).
+
+    full_power=True evaluates a full-duplex scheme at its budgets
+    (P_u, P_d) instead of searching; half-duplex schemes always spend them.
+    """
+    family, sic = SCHEMES[scheme]
+    if sic is None:
+        if family == "scp":
+            return hd_scp(params)
         return hd_cran(params, _shared_zf(params.alpha, panels), panels)
-    if full_power and scheme in (SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC):
-        sic = SicMode.SIC if scheme in _SIC_SCHEMES else SicMode.TREAT_AS_NOISE
-        return fd_cran(params, _shared_zf(params.alpha, panels), sic, grid, panels, True)
+    if full_power:
+        k = _fd_consts(family, [params], panels)[0]
+        return _fd_result(family, k, sic, panels, params.p_u_max, params.p_d_max)
     return compute_fd_batch(scheme, [params], panels, grid)[0]

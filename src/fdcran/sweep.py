@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 from .model import SchemeId, SystemParams, db_to_linear
 from .oracle import DEFAULT_CELLS, circulant_uplink_rate, exhaustive_power_opt
-from .rates import DEFAULT_GRID, SicMode, compute_fd_batch, compute_scheme
+from .rates import DEFAULT_GRID, SCHEMES, compute_fd_batch, compute_scheme
 from .spectral import DEFAULT_PANELS
 
 __all__ = [
@@ -341,9 +341,7 @@ def serialize_spec(spec: SweepSpec) -> str:
 # ----------------------------------------------------------------------------
 # running sweeps
 
-_FD_SCHEMES = (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC)
 _BLOCK = 64  # sweep values solved together; fig2 and fig3 take one block each
-_CRAN_SCHEMES = (SchemeId.HD_CRAN, SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC)
 
 
 @dataclass
@@ -365,21 +363,16 @@ class SweepRow:
     oracle_r_eq: float | None = None
 
 
-def _sic_of(scheme: SchemeId) -> SicMode:
-    if scheme in (SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC):
-        return SicMode.SIC
-    return SicMode.TREAT_AS_NOISE
-
-
 def _attach_oracle(row: SweepRow, params, scheme: SchemeId) -> None:
-    if scheme in _CRAN_SCHEMES:
+    family, receiver = SCHEMES[scheme]
+    if family == "cran":
         sigma = row.sigma_u_sq
         if sigma is not None and math.isfinite(sigma):
             p_u = row.p_u_star if row.p_u_star is not None else params.p_u_max
             row.oracle_r_u = circulant_uplink_rate(params.alpha, p_u, sigma, DEFAULT_CELLS)
-    if scheme in (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC):
+    elif receiver is not None:
         row.oracle_r_eq = exhaustive_power_opt(
-            params, _sic_of(scheme), _ORACLE_RESOLUTION, (row.p_u_star, row.p_d_star)
+            params, receiver, _ORACLE_RESOLUTION, (row.p_u_star, row.p_d_star)
         )[0]
 
 
@@ -401,7 +394,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             solved = {
                 scheme: compute_fd_batch(scheme, points, spec.panels, spec.grid)
                 for scheme in spec.schemes
-                if scheme in _FD_SCHEMES
+                if SCHEMES[scheme][1] is not None  # full duplex
             }
             rows += _block_rows(spec, block, points, solved)
         except ValueError:

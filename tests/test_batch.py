@@ -65,19 +65,15 @@ def test_sweeps_longer_than_a_block_keep_every_row():
 
 
 def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
+    # every objective evaluation of the search calls the family's uplink kernel once
     sizes = []
-    kernel = rates._fd_scp_rates
+    kernel = rates._scp_uplink
 
-    def recording(points):
-        evaluate = kernel(points)
+    def recording(k, p_u, p_d, integral=None):
+        sizes.append(np.broadcast(p_u, p_d).size)
+        return kernel(k, p_u, p_d, integral)
 
-        def rates_of(b, pu, pd, decode_first=False):
-            sizes.append(np.broadcast(pu, pd).size)
-            return evaluate(b, pu, pd, decode_first)
-
-        return rates_of
-
-    monkeypatch.setattr(rates, "_fd_scp_rates", recording)
+    monkeypatch.setattr(rates, "_scp_uplink", recording)
     compute_scheme(SchemeId.FD_SCP_SIC, DOMAIN[0])
     one_point = (len(sizes), max(sizes))
     sizes.clear()

@@ -43,15 +43,16 @@ def test_compute_prints_json(capsys):
 
 
 def test_compute_full_power(capsys):
-    code = main(
-        [
-            "compute", "--scheme", "fd_cran_sic",
-            "--panels", "1024", "--grid", "16", "--full-power",
-        ]
-    )
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["diagnostics"]["p_u_star"] == pytest.approx(100.0)
+    for scheme in ("fd_scp", "fd_cran_sic"):
+        common = ["compute", "--scheme", scheme, "--panels", "1024", "--grid", "16"]
+        assert main(common + ["--full-power"]) == 0
+        full = json.loads(capsys.readouterr().out)
+        assert main(common) == 0
+        optimized = json.loads(capsys.readouterr().out)
+        diag = full["diagnostics"]
+        assert (diag["p_u_star"], diag["p_d_star"]) == (100.0, 100.0)
+        assert optimized["diagnostics"]["p_u_star"] < 100.0  # the default point backs off
+        assert full["r_eq"] <= optimized["r_eq"]
 
 
 def test_compute_zero_fronthaul_maps_inf_to_null(capsys):
@@ -209,10 +210,15 @@ def test_huge_db_budget_is_config_error(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--beta-du", "--beta-ud", "--gamma-ud"])
-def test_compute_gain_overflow_is_numeric_error(capsys, flag):
+def test_compute_gain_overflow_is_numeric_error(tmp_path, capsys, flag):
     # the power gain 1e300**2 overflows a Python float
     assert main(["compute", "--scheme=fd_scp", f"{flag}=1e300"]) == 3
     assert "numeric error: float overflow" in capsys.readouterr().err
+    field = flag[2:].replace("-", "_")
+    config = tmp_path / "overflow.cfg"
+    config.write_text(TINY_CONFIG + f"base.{field} = 1e300\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "rates.csv")]) == 3
+    assert f"numeric error: float overflow: {field}=1e+300" in capsys.readouterr().err
 
 
 # each draw sets some flags inside the paper's domain and one or two to an

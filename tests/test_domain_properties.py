@@ -1,14 +1,28 @@
 """Invariants of every scheme over the whole accepted input domain, drawn by
 Hypothesis (derandomized, so every run checks the same examples): finite
-rates within [0, c] of their link, and SIC never below treat-as-noise."""
+rates within [0, c] of their link, SIC never below treat-as-noise, exact
+half-duplex reductions, and equal rates that do not fall as the fronthaul
+grows (the SIC schemes excepted: they are not monotone in it)."""
 
 import math
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdcran.model import SchemeId, SystemParams, db_to_linear
-from fdcran.rates import compute_scheme
+from fdcran.model import PowerAllocation, SchemeId, SystemParams, db_to_linear
+from fdcran.rates import (
+    SicMode,
+    compute_scheme,
+    fd_cran_downlink,
+    fd_cran_uplink,
+    fd_scp_downlink_rate,
+    fd_scp_uplink_rate,
+    hd_cran_downlink,
+    hd_cran_uplink,
+    hd_scp,
+)
+from fdcran.spectral import zf_precoder
 
 EXAMPLES = 50
 
@@ -42,3 +56,34 @@ def test_rates_are_finite_and_within_the_fronthaul(params):
         r_eq[scheme] = result.r_eq
     assert r_eq[SchemeId.FD_SCP_SIC] >= r_eq[SchemeId.FD_SCP]
     assert r_eq[SchemeId.FD_CRAN_SIC] >= r_eq[SchemeId.FD_CRAN]
+
+
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
+@given(domain, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_half_duplex_reductions_are_exact(params, u, d):
+    # criterion 6 at every draw: without the cross-duplex gains, a full-duplex
+    # rate at (p_u, p_d) is the half-duplex rate at that direction's power
+    p_u, p_d = u * params.p_u_max, d * params.p_d_max
+    powers = PowerAllocation(p_u, p_d)
+    precoder = zf_precoder(params.alpha)
+    fd_u = replace(params, beta_du=0.0)
+    fd_d = replace(params, beta_ud=0.0, gamma_ud=0.0)
+    hd_u = replace(fd_u, p_u_max=p_u)
+    hd_d = replace(params, p_d_max=p_d)
+    assert fd_scp_uplink_rate(fd_u, p_u, p_d) == hd_scp(hd_u).r_u
+    assert fd_cran_uplink(fd_u, powers, precoder) == hd_cran_uplink(hd_u)
+    r_u = fd_scp_uplink_rate(params, p_u, p_d)
+    for sic in SicMode:
+        assert fd_scp_downlink_rate(fd_d, p_u, p_d, sic, r_u) == hd_scp(hd_d).r_d
+        assert fd_cran_downlink(fd_d, powers, precoder, sic, r_u) == hd_cran_downlink(
+            hd_d, precoder
+        )[0]
+
+
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
+@given(domain, capacities, st.floats(0.0, 12.0))
+def test_equal_rate_does_not_fall_as_the_fronthaul_grows(params, c, more):
+    for scheme in (SchemeId.HD_SCP, SchemeId.HD_CRAN, SchemeId.FD_SCP, SchemeId.FD_CRAN):
+        low = compute_scheme(scheme, replace(params, c_u=c, c_d=c)).r_eq
+        high = compute_scheme(scheme, replace(params, c_u=c + more, c_d=c + more)).r_eq
+        assert high >= low - 1e-9, scheme

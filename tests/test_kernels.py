@@ -1,0 +1,89 @@
+"""The public scalar rate functions call the kernels of the power search: at
+each full-duplex result's argmax they return its rates exactly, and they
+check their inputs explicitly."""
+
+import math
+from types import SimpleNamespace
+
+import pytest
+
+from fdcran.model import NumericDomainError, PowerAllocation, SchemeId
+from fdcran.rates import (
+    SCHEMES,
+    SicMode,
+    compute_fd_batch,
+    fd_cran_downlink,
+    fd_cran_uplink,
+    fd_scp_downlink_rate,
+    fd_scp_uplink_rate,
+    hd_cran_downlink,
+)
+from fdcran.spectral import zf_precoder
+from test_solver_properties import DOMAIN
+
+PANELS = 1024
+SIC = SicMode.SIC
+FD_SCHEMES = (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC)
+PARAMS = DOMAIN[0]
+PRECODER = zf_precoder(PARAMS.alpha, PANELS)
+
+
+@pytest.mark.parametrize("scheme", FD_SCHEMES, ids=lambda s: s.value)
+def test_scalar_functions_reproduce_the_reported_rates(scheme):
+    family, sic = SCHEMES[scheme]
+    for params, result in zip(DOMAIN, compute_fd_batch(scheme, DOMAIN, PANELS)):
+        p_u, p_d = result.diagnostics["p_u_star"], result.diagnostics["p_d_star"]
+        if family == "scp":
+            r_u = fd_scp_uplink_rate(params, p_u, p_d)
+            r_d = fd_scp_downlink_rate(params, p_u, p_d, sic, r_u)
+        else:
+            precoder = zf_precoder(params.alpha, PANELS)
+            powers = PowerAllocation(p_u, p_d)
+            r_u, sigma_u = fd_cran_uplink(params, powers, precoder, PANELS)
+            r_d = fd_cran_downlink(params, powers, precoder, sic, r_u, PANELS)
+            assert sigma_u == result.diagnostics["sigma_u_sq"]
+        assert (r_u, r_d, min(r_u, r_d)) == (result.r_u, result.r_d, result.r_eq)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_a_bad_power_is_a_numeric_domain_error(bad):
+    for p_u, p_d in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(NumericDomainError):
+            fd_scp_uplink_rate(PARAMS, p_u, p_d)
+        with pytest.raises(NumericDomainError):
+            fd_scp_downlink_rate(PARAMS, p_u, p_d)
+        with pytest.raises(NumericDomainError):
+            PowerAllocation(p_u, p_d)
+        powers = SimpleNamespace(p_u=p_u, p_d=p_d)  # a pair that bypasses PowerAllocation
+        with pytest.raises(NumericDomainError):
+            fd_cran_uplink(PARAMS, powers, PRECODER, PANELS)
+        with pytest.raises(NumericDomainError):
+            fd_cran_downlink(PARAMS, powers, PRECODER)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sic_needs_a_finite_uplink_rate(bad):
+    powers = PowerAllocation(1.0, 1.0)
+    with pytest.raises(NumericDomainError):
+        fd_scp_downlink_rate(PARAMS, 1.0, 1.0, SIC, bad)
+    with pytest.raises(NumericDomainError):
+        fd_cran_downlink(PARAMS, powers, PRECODER, SIC, bad)
+    with pytest.raises(ValueError, match="r_u is required"):
+        fd_scp_downlink_rate(PARAMS, 1.0, 1.0, SIC)
+    with pytest.raises(ValueError, match="r_u is required"):
+        fd_cran_downlink(PARAMS, powers, PRECODER, SIC)
+    # treat-as-noise does not read r_u
+    assert fd_scp_downlink_rate(PARAMS, 1.0, 1.0, r_u=bad) == fd_scp_downlink_rate(PARAMS, 1.0, 1.0)
+
+
+def test_budgets_and_panels_are_checked():
+    over = PowerAllocation(PARAMS.p_u_max, 2.0 * PARAMS.p_d_max + 1.0)
+    with pytest.raises(ValueError, match="exceed budgets"):
+        fd_cran_uplink(PARAMS, over, PRECODER, PANELS)
+    with pytest.raises(ValueError, match="exceed budgets"):
+        fd_cran_downlink(PARAMS, over, PRECODER)
+    within = PowerAllocation(PARAMS.p_u_max, PARAMS.p_d_max)
+    with pytest.raises(ValueError, match="panels"):
+        fd_cran_downlink(PARAMS, within, PRECODER, panels=2 * PANELS)
+    with pytest.raises(ValueError, match="panels"):
+        hd_cran_downlink(PARAMS, PRECODER, panels=2 * PANELS)
