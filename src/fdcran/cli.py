@@ -1,7 +1,8 @@
 """Command line: single-point rate computation and declarative sweeps.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric-domain error
-(including a singular zero-forcing inversion), 4 oracle verification failure.
+(including a singular zero-forcing inversion or a rate that overflows), 4
+oracle verification failure.  Rates are exact closed forms: no quadrature flag.
 """
 
 import argparse
@@ -12,7 +13,6 @@ from dataclasses import replace
 
 from .model import NumericDomainError, SchemeId, SystemParams, db_to_linear
 from .rates import DEFAULT_GRID, compute_scheme
-from .spectral import DEFAULT_PANELS
 from .svg import PlotSpec, emit_svg
 from .sweep import (
     ConfigError,
@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--p-d-db", type=float, default=20.0, help="downlink budget in dB")
     compute.add_argument("--c-u", type=float, default=10.0, help="uplink fronthaul, bits/s/Hz")
     compute.add_argument("--c-d", type=float, default=10.0, help="downlink fronthaul, bits/s/Hz")
-    compute.add_argument("--panels", type=int, default=DEFAULT_PANELS, help="quadrature panels")
     compute.add_argument("--grid", type=int, default=DEFAULT_GRID, help="SIC power-scan resolution")
     compute.add_argument(
         "--full-power",
@@ -76,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append oracle columns and fail on disagreement beyond tolerance",
     )
-    sweep.add_argument("--panels", type=int, help="override quadrature panels")
     sweep.add_argument("--grid", type=int, help="override SIC power-scan resolution")
     return parser
 
@@ -94,7 +92,7 @@ def _cmd_compute(args) -> int:
         c_d=args.c_d,
     )
     result = compute_scheme(
-        SchemeId(args.scheme), params, args.panels, args.grid, args.full_power
+        SchemeId(args.scheme), params, grid=args.grid, full_power=args.full_power
     )
 
     def clean(x: float):
@@ -123,8 +121,6 @@ def _load_spec(args) -> SweepSpec:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         spec = parse_config(text, defaults=spec)
     overrides = {}
-    if args.panels is not None:
-        overrides["panels"] = args.panels
     if args.grid is not None:
         overrides["grid"] = args.grid
     if args.verify:

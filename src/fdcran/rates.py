@@ -7,9 +7,11 @@ has one uplink and one downlink rate kernel, (k, p_u, p_d[, r_u, receiver])
 -> rate, where k holds an operating point's constants: plain floats for one
 point, or (n, 1, 1) columns for a batch (_stacked).  The power search, the
 reported rates at its argmax, the public scalar rate functions and half
-duplex (the kernels with the other direction's power at 0) all call them;
-the search takes the C-RAN uplink integral in closed form, the reported rates
-by quadrature.  The oracles keep formulas of their own.
+duplex (the kernels with the other direction's power at 0) all call them.
+C-RAN rates are exact: the uplink integral is rate_closed_form and the
+zero-forcing precoder enters through zf_constants.  Only a precoder that a
+caller passes in, other than the zero-forcing one for the point's alpha, is
+sampled (_precoder_terms).  The oracles keep formulas of their own.
 
 Half-duplex schemes split the band between directions at full power; the
 equal rate follows from balancing f*R_u against (1-f)*R_d.  Full-duplex
@@ -32,7 +34,6 @@ p_d * 2**-c_d, so the radio unit transmits exactly p_d.
 import math
 from collections import namedtuple
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,11 +41,11 @@ from .model import NumericDomainError, PowerAllocation, RateResult, SchemeId
 from .spectral import (
     DEFAULT_PANELS,
     Precoder,
+    _check_panels as _check_panel_count,
     h_tilde,
     rate_closed_form,
-    rate_integral,
     rg,
-    zf_precoder,
+    zf_constants,
 )
 
 __all__ = [
@@ -68,7 +69,8 @@ __all__ = [
 
 DEFAULT_GRID = 64
 
-_EDGE_PASSES = 14  # 16-fold cuts of a budget-edge bracket, to float resolution
+_EDGE_CUTS = 269  # most 16-fold cuts of a bracket: 16**-269 < 2**-1074, the least subnormal
+_EPS = np.finfo(float).eps
 _SHRINK_STEPS = 20  # halvings of the tie-breaking power scale
 _ZOOM = 8  # window shrink factor per zoom pass
 _ZOOM_PASSES = 12  # zoom passes along each axis of the SIC search
@@ -135,7 +137,7 @@ def _scp_consts(p) -> tuple:
     return p.alpha**2, p.beta_du**2, p.beta_ud**2, p.gamma_ud**2, p.c_u, p.c_d
 
 
-def _scp_uplink(k, p_u, p_d, integral=None):  # SCP has no spectral integral
+def _scp_uplink(k, p_u, p_d):
     a2, bdu2, _, _, c_u, _ = k
     return np.minimum(np.log2(1.0 + p_u / (1.0 + 2.0 * a2 * p_u + 2.0 * bdu2 * p_d)), c_u)
 
@@ -146,15 +148,26 @@ def _scp_downlink(k, p_u, p_d, r_u, receiver):
     return np.minimum(_receive(p_d, den, g2 * p_u, r_u, receiver), c_d)
 
 
-# quant = _per_unit_quantization(c_u), q_d = 2**-c_d, rg2 = R_g(2) of the
-# precoder and taps = _effective_taps; an uplink alone needs no taps, and one
-# at p_d = 0 no rg2
-_CranConsts = namedtuple("_CranConsts", "alpha a2 bdu2 bud2 g2 quant q_d rg2 h0sq hk_sum")
+# quant = _per_unit_quantization(c_u), q_d = 2**-c_d, and (h0sq, hk_sum, rg2)
+# from _precoder_terms, which an uplink alone does not need
+_CranConsts = namedtuple("_CranConsts", "alpha a2 bdu2 bud2 g2 quant q_d h0sq hk_sum rg2")
 
 
-def _cran_consts(p, taps=(0.0, 0.0), rg2=0.0) -> _CranConsts:
+def _cran_consts(p, terms=(0.0, 0.0, 0.0)) -> _CranConsts:
     squares = (p.alpha**2, p.beta_du**2, p.beta_ud**2, p.gamma_ud**2)
-    return _CranConsts(p.alpha, *squares, _per_unit_quantization(p.c_u), 2.0**-p.c_d, rg2, *taps)
+    return _CranConsts(p.alpha, *squares, _per_unit_quantization(p.c_u), 2.0**-p.c_d, *terms)
+
+
+def _precoder_terms(alpha: float, precoder: Precoder | None = None) -> tuple:
+    """(h~_0^2, sum_{k>0} h~_k^2, R_g(2)) over the channel of gain alpha: exact
+    for the zero-forcing precoder of alpha (None, or one built for alpha),
+    which nulls every off-center tap; else sampled, the tail truncated at
+    k <= 8 (the inverse-filter taps decay geometrically)."""
+    if precoder is None or (precoder.kind == "zero_forcing" and precoder.alpha == alpha):
+        h0sq, rg2 = zf_constants(alpha)
+        return h0sq, 0.0, rg2
+    h0, *tail = (h_tilde(precoder, alpha, k) for k in range(_K_MAX + 1))
+    return h0 * h0, sum(hk * hk for hk in tail), rg(precoder, 2)
 
 
 def _per_unit_quantization(c: float) -> float:
@@ -169,12 +182,12 @@ def _per_unit_quantization(c: float) -> float:
 def _sigma_u_sq(k, p_u, p_d):
     # the neighboring radio units' downlink signals are correlated at lag 2
     # through the shared precoder, hence (1 + R_g(2))
-    _, a2, bdu2, _, _, quant, _, rg2, _, _ = k
+    _, a2, bdu2, _, _, quant, _, _, _, rg2 = k
     return (1.0 + (1.0 + 2.0 * a2) * p_u + 2.0 * bdu2 * (1.0 + rg2) * p_d) * quant
 
 
-def _cran_uplink(k, p_u, p_d, integral):  # integral(snr, alpha) of the spectral rate
-    return integral(p_u / (1.0 + _sigma_u_sq(k, p_u, p_d)), k[0])
+def _cran_uplink(k, p_u, p_d):
+    return rate_closed_form(p_u / (1.0 + _sigma_u_sq(k, p_u, p_d)), k[0])
 
 
 def _downlink_powers(p_d, q_d):  # (stream power p_s, quantization noise sigma_d^2)
@@ -182,21 +195,16 @@ def _downlink_powers(p_d, q_d):  # (stream power p_s, quantization noise sigma_d
 
 
 def _cran_downlink(k, p_u, p_d, r_u, receiver):
-    _, a2, _, bud2, g2, _, q_d, _, h0sq, hk_sum = k
+    _, a2, _, bud2, g2, _, q_d, h0sq, hk_sum, _ = k
     p_s, sigma_d = _downlink_powers(p_d, q_d)
-    den = 1.0 + 2.0 * p_s * hk_sum + sigma_d * (1.0 + 2.0 * a2) + 2.0 * bud2 * p_u
+    # hk_sum first: a zero tail times an overflowed p_s stays 0, not NaN
+    den = 1.0 + 2.0 * hk_sum * p_s + sigma_d * (1.0 + 2.0 * a2) + 2.0 * bud2 * p_u
     return _receive(p_s * h0sq, den, g2 * p_u, r_u, receiver)
 
 
 def _kernels(family: str):
     """(uplink, downlink) kernels of a processing family."""
     return (_scp_uplink, _scp_downlink) if family == "scp" else (_cran_uplink, _cran_downlink)
-
-
-def _quadrature(panels: int):
-    """The reported C-RAN uplink integral, panels-point quadrature through
-    this module's rate_integral binding, looked up at call time."""
-    return lambda snr, alpha: float(rate_integral(snr, alpha, panels))
 
 
 def _check_powers(params, p_u, p_d, budgets: bool = False) -> None:
@@ -223,6 +231,14 @@ def _carried_uplink(sic: SicMode, r_u) -> float:
 def _check_panels(precoder: Precoder, panels: int | None) -> None:
     if panels is not None and panels != precoder.panels:
         raise ValueError(f"precoder is sampled at {precoder.panels} panels, got panels={panels}")
+
+
+def _finite(name: str, rate) -> float:
+    """A reported rate as a float; NaN or inf (an overflowed power) raises."""
+    rate = float(rate)
+    if not math.isfinite(rate):
+        raise NumericDomainError(f"{name} is {rate!r}: the operating point overflows a float")
+    return rate
 
 
 # ----------------------------------------------------------------------------
@@ -254,46 +270,21 @@ def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
 
     The received signal is quantized at sigma_u^2 = (1 + (1 + 2 alpha^2) P_u)
     / (2**c_u - 1); joint decoding across cells then achieves the spectral
-    integral of C(P_u H(f)^2 / (1 + sigma_u^2)).  Returns (rate, sigma_u_sq);
+    integral of C(P_u H(f)^2 / (1 + sigma_u^2)), in closed form: panels must be
+    a valid panel count but changes nothing.  Returns (rate, sigma_u_sq);
     c_u = 0 gives sigma_u_sq = inf and rate 0 (the quantizer passes nothing).
     """
+    _check_panel_count(panels)
     k = _cran_consts(params)
-    rate = _cran_uplink(k, params.p_u_max, 0.0, _quadrature(panels))
+    rate = _finite("r_u", _cran_uplink(k, params.p_u_max, 0.0))
     return rate, _sigma_u_sq(k, params.p_u_max, 0.0)
 
 
-@lru_cache(maxsize=1)
-def _shared_zf(alpha: float, panels: int) -> Precoder:
-    """zf_precoder, built once for consecutive C-RAN rows at the same
-    (alpha, panels); one entry, so a long sweep holds one precoder."""
-    return zf_precoder(alpha, panels)
-
-
-@lru_cache(maxsize=1)
-def _effective_taps(precoder: Precoder, alpha: float) -> tuple[float, float]:
-    """(h~_0^2, sum_{k>0} h~_k^2) for the given precoder over this channel.
-
-    A zero-forcing precoder built for the same alpha nulls every off-center
-    tap by construction, so the tail sum is taken as exactly zero; otherwise
-    it is truncated at k <= 8 (the inverse-filter taps decay geometrically).
-    The last result is kept (precoders compare by identity), so rows sharing
-    a precoder share its taps.
-    """
-    h0 = h_tilde(precoder, alpha, 0)
-    if precoder.kind == "zero_forcing" and precoder.alpha == alpha:
-        return h0 * h0, 0.0
-    tail = 0.0
-    for k in range(1, _K_MAX + 1):
-        hk = h_tilde(precoder, alpha, k)
-        tail += hk * hk
-    return h0 * h0, tail
-
-
-@lru_cache(maxsize=1)
-def _rg2(precoder: Precoder) -> float:
-    """R_g(2) of the precoder, kept for the last precoder as _effective_taps
-    keeps its taps, so consecutive points sharing a precoder share it."""
-    return rg(precoder, 2)
+def _hd_cran_downlink(params, terms) -> tuple[float, float, float]:
+    k = _cran_consts(params, terms)
+    rate = float(_cran_downlink(k, 0.0, params.p_d_max, 0.0, _TAN))
+    p_s, sigma = _downlink_powers(params.p_d_max, k.q_d)
+    return rate, sigma, p_s
 
 
 def hd_cran_downlink(
@@ -303,21 +294,25 @@ def hd_cran_downlink(
 
     Stream power p_s = P_d (1 - 2**-c_d) and quantization noise
     sigma_d^2 = P_d 2**-c_d keep the radio unit at exactly P_d.  The rate is
-    C(p_s h~_0^2 / (1 + 2 p_s sum_{k>0} h~_k^2 + sigma_d^2 (1 + 2 alpha^2))).
-    Returns (rate, sigma_d_sq, p_s).
+    C(p_s h~_0^2 / (1 + 2 p_s sum_{k>0} h~_k^2 + sigma_d^2 (1 + 2 alpha^2))),
+    exact for the zero-forcing precoder of params.alpha at any sampling;
+    panels, if given, must match it.  Returns (rate, sigma_d_sq, p_s).
     """
     _check_panels(precoder, panels)
-    k = _cran_consts(params, _effective_taps(precoder, params.alpha))
-    rate = float(_cran_downlink(k, 0.0, params.p_d_max, 0.0, _TAN))
-    p_s, sigma = _downlink_powers(params.p_d_max, k.q_d)
-    return rate, sigma, p_s
+    return _hd_cran_downlink(params, _precoder_terms(params.alpha, precoder))
+
+
+def _hd_cran(params, terms, panels: int) -> RateResult:
+    r_u, sigma_u = hd_cran_uplink(params, panels)
+    r_d, sigma_d, p_s = _hd_cran_downlink(params, terms)
+    return _hd_result(r_u, r_d, {"sigma_u_sq": sigma_u, "sigma_d_sq": sigma_d, "p_s": p_s})
 
 
 def hd_cran(params, precoder: Precoder, panels: int = DEFAULT_PANELS) -> RateResult:
-    """Half-duplex C-RAN: both directions combined through the time split."""
-    r_u, sigma_u = hd_cran_uplink(params, panels)
-    r_d, sigma_d, p_s = hd_cran_downlink(params, precoder, panels)
-    return _hd_result(r_u, r_d, {"sigma_u_sq": sigma_u, "sigma_d_sq": sigma_d, "p_s": p_s})
+    """Half-duplex C-RAN: both directions combined through the time split;
+    panels must match the precoder's sampling."""
+    _check_panels(precoder, panels)
+    return _hd_cran(params, _precoder_terms(params.alpha, precoder), panels)
 
 
 # ----------------------------------------------------------------------------
@@ -354,7 +349,7 @@ def fd_scp(params, sic: SicMode = SicMode.TREAT_AS_NOISE, grid: int = DEFAULT_GR
     directions interfere), so the equal rate is the max over (p_u, p_d) of
     min{R_u, R_d}, found by _max_min_search.
     """
-    return _fd_batch("scp", [_scp_consts(params)], [params], sic, grid, DEFAULT_PANELS)[0]
+    return _fd_batch("scp", [_scp_consts(params)], [params], sic, grid)[0]
 
 
 def fd_cran_uplink(
@@ -365,11 +360,13 @@ def fd_cran_uplink(
     The downlink-to-uplink interference raises the quantization noise through
     its received power 2 beta_du^2 (1 + R_g(2)) p_d, but the central unit
     knows the downlink signals and subtracts them after decompression, so
-    only sigma_u^2 reaches the decoder.  Returns (rate, sigma_u_sq).
+    only sigma_u^2 reaches the decoder.  panels must be a valid panel count but
+    changes nothing.  Returns (rate, sigma_u_sq).
     """
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
-    k = _cran_consts(params, rg2=_rg2(precoder))
-    rate = _cran_uplink(k, powers.p_u, powers.p_d, _quadrature(panels))
+    _check_panel_count(panels)
+    k = _cran_consts(params, _precoder_terms(params.alpha, precoder))
+    rate = _finite("r_u", _cran_uplink(k, powers.p_u, powers.p_d))
     return rate, _sigma_u_sq(k, powers.p_u, powers.p_d)
 
 
@@ -384,35 +381,25 @@ def fd_cran_downlink(
     With SIC the gamma_ud^2 p_u term moves between numerator and denominator
     to form q(t1, t2 - r_u, t3); r_u (required then) is the uplink rate the
     mobile must first decode.  No fronthaul cap applies here -- the fronthaul
-    already enters through the quantization noise.
+    already enters through the quantization noise.  panels, if given, must
+    match the precoder's sampling.
     """
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
     _check_panels(precoder, panels)
     r_u = _carried_uplink(sic, r_u)
-    k = _cran_consts(params, _effective_taps(precoder, params.alpha))
+    k = _cran_consts(params, _precoder_terms(params.alpha, precoder))
     return float(_cran_downlink(k, powers.p_u, powers.p_d, r_u, sic))
-
-
-def _cran_fd_consts(params, precoder: Precoder) -> _CranConsts:
-    return _cran_consts(params, _effective_taps(precoder, params.alpha), _rg2(precoder))
 
 
 def fd_cran(
     params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE, grid: int = DEFAULT_GRID,
-    panels: int = DEFAULT_PANELS, full_power: bool = False,
+    panels: int = DEFAULT_PANELS,
 ) -> RateResult:
-    """Full-duplex C-RAN equal rate: max-min over operating powers.
-
-    The power search (_max_min_search) evaluates the uplink integral in
-    closed form (rate_closed_form); the returned rates and diagnostics are
-    re-evaluated at the argmax with the panels-point quadrature.
-    full_power=True skips the search and spends both budgets, for
-    sensitivity checks against a fixed-power reading of the scheme.
-    """
-    k = _cran_fd_consts(params, precoder)
-    if full_power:
-        return _fd_result("cran", k, sic, panels, params.p_u_max, params.p_d_max)
-    return _fd_batch("cran", [k], [params], sic, grid, panels)[0]
+    """Full-duplex C-RAN equal rate: max-min over operating powers, found by
+    _max_min_search.  panels must be a valid panel count but changes nothing."""
+    _check_panel_count(panels)
+    k = _cran_consts(params, _precoder_terms(params.alpha, precoder))
+    return _fd_batch("cran", [k], [params], sic, grid)[0]
 
 
 def _stacked(rows):
@@ -428,30 +415,26 @@ def _stacked(rows):
     return of
 
 
-def _fd_batch(family: str, consts, points, sic: SicMode, grid: int, panels: int) -> list:
+def _fd_batch(family: str, consts, points, sic: SicMode, grid: int) -> list:
     """One power search for the points of a batch, consts holding each point's
-    kernel constants; the search takes the C-RAN uplink integral in closed
-    form, the results (_fd_result) by quadrature."""
+    kernel constants, and each point's result (_fd_result) at its argmax."""
     uplink, downlink = _kernels(family)
     of = _stacked(consts)
 
     def rates(b, pu, pd, receiver):
         k = of(b)
-        r_u = uplink(k, pu, pd, rate_closed_form)
+        r_u = uplink(k, pu, pd)
         return r_u, downlink(k, pu, pd, r_u, receiver)
 
     _, p_u, p_d = _max_min_search(rates, *_budgets(points), grid, sic)
-    return [
-        _fd_result(family, k, sic, panels, pu, pd)
-        for k, pu, pd in zip(consts, p_u.tolist(), p_d.tolist())
-    ]
+    return [_fd_result(family, k, sic, *at) for k, *at in zip(consts, p_u.tolist(), p_d.tolist())]
 
 
-def _fd_result(family: str, k, sic: SicMode, panels: int, p_u: float, p_d: float) -> RateResult:
+def _fd_result(family: str, k, sic: SicMode, p_u: float, p_d: float) -> RateResult:
     """A full-duplex scheme's rates and diagnostics at (p_u, p_d)."""
     uplink, downlink = _kernels(family)
-    r_u = float(uplink(k, p_u, p_d, _quadrature(panels)))
-    r_d = float(downlink(k, p_u, p_d, r_u, sic))
+    r_u = _finite("r_u", uplink(k, p_u, p_d))
+    r_d = _finite("r_d", downlink(k, p_u, p_d, r_u, sic))
     diag = {"p_u_star": p_u, "p_d_star": p_d}
     if family == "cran":
         p_s, sigma_d = _downlink_powers(p_d, k.q_d)
@@ -499,11 +482,13 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
     Along p_u = p_u_max, r_u falls and r_d rises with p_d; along p_d = p_d_max
     the roles swap (fronthaul caps only flatten them).  Each pass samples both
     brackets at len(_WINDOW) points and keeps the step where the falling rate
-    drops below the rising one; the better bracket end wins, exact ties going
-    to smaller powers.  A common power scaling raises both rates, so the
-    winner keeps its value at a smaller scale only where a cap binds or the
-    value is 0; it is scaled down to the smallest such scale (to within
-    2**-_SHRINK_STEPS).  Returns (value, p_u, p_d).
+    drops below the rising one, until every bracket is within float eps of its
+    upper end (at most _EDGE_CUTS passes: subnormal brackets never are), so an
+    optimum at any fraction of the budget is found.  The better bracket end
+    wins, exact ties going to smaller powers.  A common power scaling raises
+    both rates, so the winner keeps its value at a smaller scale only where a
+    cap binds or the value is 0; it is scaled down to the smallest such scale
+    (to within 2**-_SHRINK_STEPS).  Returns (value, p_u, p_d).
     """
     first = np.array([[True], [False]])  # row 0: p_u = p_u_max; row 1: p_d = p_d_max
     u_max, d_max = p_u_max[:, None, None], p_d_max[:, None, None]
@@ -514,7 +499,9 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
     n = p_u_max.size
     lo, hi = np.zeros((n, 2, 1)), np.ones((n, 2, 1))
     last = _WINDOW.size - 1
-    for _ in range(_EDGE_PASSES):
+    for _ in range(_EDGE_CUTS):
+        if (hi - lo <= _EPS * hi).all():
+            break
         t = lo + (hi - lo) * _WINDOW
         r_u, r_d = evaluate(*edges(t))
         behind = np.where(first, r_u - r_d, r_d - r_u) < 0.0  # monotone along each row
@@ -670,21 +657,14 @@ def _max_min_search(rates, p_u_max, p_d_max, grid: int, sic: SicMode):
 # dispatch
 
 
-def _fd_consts(family: str, points, panels: int) -> list:
-    """Kernel constants of each point; C-RAN builds one ZF precoder per
-    distinct alpha, in the order the points first use it."""
+def _fd_consts(family: str, points) -> list:
+    """Kernel constants of each point, C-RAN with the exact zero-forcing terms."""
     if family == "scp":
         return [_scp_consts(p) for p in points]
-    precoders = {}
-    for p in points:
-        if p.alpha not in precoders:
-            precoders[p.alpha] = _shared_zf(p.alpha, panels)
-    return [_cran_fd_consts(p, precoders[p.alpha]) for p in points]
+    return [_cran_consts(p, _precoder_terms(p.alpha)) for p in points]
 
 
-def compute_fd_batch(
-    scheme: SchemeId, points, panels: int = DEFAULT_PANELS, grid: int = DEFAULT_GRID
-) -> list[RateResult]:
+def compute_fd_batch(scheme: SchemeId, points, grid: int = DEFAULT_GRID) -> list[RateResult]:
     """compute_scheme for one full-duplex scheme at each of a sequence of
     operating points, with one power search for the whole batch.
 
@@ -693,25 +673,28 @@ def compute_fd_batch(
     family, sic = SCHEMES[scheme]
     if sic is None:
         raise ValueError(f"{scheme.value} is not a full-duplex scheme")
-    return _fd_batch(family, _fd_consts(family, points, panels), points, sic, grid, panels)
+    return _fd_batch(family, _fd_consts(family, points), points, sic, grid)
 
 
 def compute_scheme(
     scheme: SchemeId, params, panels: int = DEFAULT_PANELS, grid: int = DEFAULT_GRID,
     full_power: bool = False,
 ) -> RateResult:
-    """Evaluate one scheme end to end, building the ZF precoder where needed
-    (consecutive calls at the same alpha and panels share it).
+    """Evaluate one scheme end to end.  C-RAN schemes take the zero-forcing
+    precoder through its exact constants (zf_constants) and the uplink
+    integral in closed form, so panels, still checked to be a valid panel
+    count, changes no result.
 
     full_power=True evaluates a full-duplex scheme at its budgets
     (P_u, P_d) instead of searching; half-duplex schemes always spend them.
     """
+    _check_panel_count(panels)
     family, sic = SCHEMES[scheme]
     if sic is None:
         if family == "scp":
             return hd_scp(params)
-        return hd_cran(params, _shared_zf(params.alpha, panels), panels)
+        return _hd_cran(params, _precoder_terms(params.alpha), panels)
     if full_power:
-        k = _fd_consts(family, [params], panels)[0]
-        return _fd_result(family, k, sic, panels, params.p_u_max, params.p_d_max)
-    return compute_fd_batch(scheme, [params], panels, grid)[0]
+        k = _fd_consts(family, [params])[0]
+        return _fd_result(family, k, sic, params.p_u_max, params.p_d_max)
+    return compute_fd_batch(scheme, [params], grid)[0]

@@ -1,12 +1,12 @@
 """Frequency-domain machinery for the linear Wyner channel.
 
-Everything here works on a fixed uniform sampling of the unit frequency
-interval with an even panel count, so results are deterministic for a given
-panel count: the channel response H(f), composite-Simpson quadrature, the
-zero-forcing precoder, the filter autocorrelation R_g(tau) and the effective
-channel taps h~_k seen after precoding.  The one exception is
-rate_closed_form, the exact value of the rate integral, which the power
-search evaluates in place of the quadrature.
+Every rate computed from the parameters alone comes from two closed forms:
+rate_closed_form, the exact uplink rate integral, and zf_constants, the exact
+zero-forcing h~_0^2 and R_g(2).  The rest samples the unit frequency interval at an even
+panel count, deterministically for a given count: the channel response H(f),
+composite-Simpson quadrature, sampled precoders, the filter autocorrelation
+R_g(tau) and the effective channel taps h~_k.  It serves precoders that a
+caller passes in, and is the reference the closed forms are tested against.
 """
 
 import math
@@ -29,6 +29,7 @@ __all__ = [
     "rg",
     "simpson_weights",
     "unit_grid",
+    "zf_constants",
     "zf_precoder",
 ]
 
@@ -123,17 +124,35 @@ class Precoder:
         return _quad(self.g_of_f**2, self.panels)
 
 
+def _check_zf_alpha(alpha) -> None:  # zero forcing needs 0 <= alpha < 0.5
+    if not isinstance(alpha, (int, float)) or not math.isfinite(alpha) or alpha < 0:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
+    if alpha >= _ZF_ALPHA_LIMIT:
+        raise ZfSingularError(float(alpha))
+
+
+def zf_constants(alpha: float) -> tuple[float, float]:
+    """Exact (h~_0^2, R_g(2)) of the zero-forcing precoder for gain alpha.
+
+    With d = sqrt(1 - 4 alpha^2) and r = (1 - d) / (2 alpha) = 2 alpha / (1 + d),
+    1/H(f) has taps (-r)^|k| / d, so unit energy gives h~_0^2 = d^3 and
+    R_g(2) = r^2 (1 + 2d): the values of zf_precoder's sampled filter, to
+    quadrature rounding.  alpha is checked as by zf_precoder.
+    """
+    _check_zf_alpha(alpha)
+    d = math.sqrt(1.0 - 4.0 * alpha * alpha)
+    r = 2.0 * alpha / (1.0 + d)
+    return d * d * d, r * r * (1.0 + 2.0 * d)
+
+
 def zf_precoder(alpha: float, panels: int = DEFAULT_PANELS) -> Precoder:
     """Zero-forcing precoder G(f) = c / H(f), c chosen for unit energy.
 
     Requires 0 <= alpha < 0.5; at and beyond 0.5 the inverse filter diverges
     (ZfSingularError).  The resulting effective channel has
-    h~_0^2 = (1 - 4*alpha^2)**1.5 and h~_k ~= 0 for k != 0.
+    h~_0^2 = (1 - 4*alpha^2)**1.5 and h~_k ~= 0 for k != 0 (zf_constants).
     """
-    if not isinstance(alpha, (int, float)) or not math.isfinite(alpha) or alpha < 0:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
-    if alpha >= _ZF_ALPHA_LIMIT:
-        raise ZfSingularError(float(alpha))
+    _check_zf_alpha(alpha)
     h = channel_response(alpha, unit_grid(panels))
     c = 1.0 / math.sqrt(_quad(1.0 / (h * h), panels))
     g = c / h
@@ -237,8 +256,9 @@ def rate_closed_form(snr_scale, alpha: float):
     b = 2 i alpha u; by Jensen's formula its log-mean is log|z| for z the
     larger-modulus root (a + sqrt(a^2 - b^2)) / 2, which the principal root
     gives for every u >= 0.  z - 1 is formed without cancellation and fed to
-    log1p, so small s keeps full relative accuracy.  Vectorized like
-    rate_integral, without its input check (the power search is the caller).
+    log1p, so small s keeps full relative accuracy.  It holds for any alpha
+    and gives every uplink rate the schemes search and report.  Vectorized
+    like rate_integral, without its input check (a NaN s gives NaN).
     """
     s = np.asarray(snr_scale, dtype=float)
     u = np.sqrt(s)

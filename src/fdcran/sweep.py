@@ -19,7 +19,6 @@ fronthaul capacities in bits/s/Hz:
     sweep.stop      = 12
     sweep.step      = 0.5
     schemes         = hd_scp, hd_cran, fd_scp, fd_scp_sic, fd_cran, fd_cran_sic
-    numerics.panels = 4096
     numerics.grid   = 64
     numerics.oracle = off
 
@@ -32,7 +31,8 @@ A sweep is solved in blocks of up to 64 values: each full-duplex scheme's
 max-min power search runs once for the whole block (rates.compute_fd_batch),
 in kernel calls no larger than those of a one-point search, while half-duplex
 rows are computed one at a time.  The block size bounds the solver's memory
-whatever the sweep length.
+whatever the sweep length.  C-RAN rows are exact (closed forms, see rates),
+so a sweep has no quadrature setting.
 """
 
 import math
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field, replace
 from .model import SchemeId, SystemParams, db_to_linear
 from .oracle import DEFAULT_CELLS, circulant_uplink_rate, exhaustive_power_opt
 from .rates import DEFAULT_GRID, SCHEMES, compute_fd_batch, compute_scheme
-from .spectral import DEFAULT_PANELS
 
 __all__ = [
     "CSV_COLUMNS",
@@ -140,7 +139,6 @@ class SweepSpec:
     stop: float = 12.0
     step: float = 0.5
     schemes: tuple[SchemeId, ...] = tuple(SchemeId)
-    panels: int = DEFAULT_PANELS
     grid: int = DEFAULT_GRID
     oracle: bool = False
 
@@ -301,8 +299,6 @@ def parse_config(text: str, defaults: SweepSpec | None = None) -> SweepSpec:
             spec_kw[key.split(".", 1)[1]] = _parse_float(raw, lineno, key)
         elif key == "schemes":
             spec_kw["schemes"] = _parse_schemes(raw, lineno)
-        elif key == "numerics.panels":
-            spec_kw["panels"] = _parse_int(raw, lineno, key)
         elif key == "numerics.grid":
             spec_kw["grid"] = _parse_int(raw, lineno, key)
         elif key == "numerics.oracle":
@@ -332,7 +328,6 @@ def serialize_spec(spec: SweepSpec) -> str:
     lines.append(f"sweep.stop = {spec.stop!r}")
     lines.append(f"sweep.step = {spec.step!r}")
     lines.append("schemes = " + ", ".join(s.value for s in spec.schemes))
-    lines.append(f"numerics.panels = {spec.panels}")
     lines.append(f"numerics.grid = {spec.grid}")
     lines.append(f"numerics.oracle = {'on' if spec.oracle else 'off'}")
     return "\n".join(lines) + "\n"
@@ -392,7 +387,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         try:
             points = [spec.params_at(value) for value in block]
             solved = {
-                scheme: compute_fd_batch(scheme, points, spec.panels, spec.grid)
+                scheme: compute_fd_batch(scheme, points, spec.grid)
                 for scheme in spec.schemes
                 if SCHEMES[scheme][1] is not None  # full duplex
             }
@@ -412,7 +407,7 @@ def _block_rows(spec: SweepSpec, block, points, solved: dict) -> list[SweepRow]:
             if scheme in solved:
                 result = solved[scheme][i]
             else:
-                result = compute_scheme(scheme, params, spec.panels, spec.grid)
+                result = compute_scheme(scheme, params, grid=spec.grid)
             diag = result.diagnostics
             row = SweepRow(
                 sweep_var=spec.sweep_var,

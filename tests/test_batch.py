@@ -26,19 +26,19 @@ MIXED = DOMAIN + [
 @pytest.mark.parametrize("scheme", FD_SCHEMES, ids=lambda s: s.value)
 def test_batch_equals_each_point_alone(scheme):
     # grid 32 still puts several points into most kernel calls
-    batch = compute_fd_batch(scheme, MIXED, panels=1024, grid=32)
-    alone = [compute_scheme(scheme, p, panels=1024, grid=32) for p in MIXED]
+    batch = compute_fd_batch(scheme, MIXED, grid=32)
+    alone = [compute_scheme(scheme, p, grid=32) for p in MIXED]
     for got, want in zip(batch, alone):
         assert (got.r_u, got.r_d, got.r_eq) == (want.r_u, want.r_d, want.r_eq)
         assert got.diagnostics == want.diagnostics
 
 
 def test_alpha_sweep_rows_equal_compute_scheme():
-    spec = SweepSpec(sweep_var="alpha", start=0.0, stop=0.45, step=0.15, panels=1024, grid=16)
+    spec = SweepSpec(sweep_var="alpha", start=0.0, stop=0.45, step=0.15, grid=16)
     rows = run_sweep(spec)
     assert len({r.value for r in rows}) == 4
     for row in rows:
-        want = compute_scheme(row.scheme, spec.params_at(row.value), spec.panels, spec.grid)
+        want = compute_scheme(row.scheme, spec.params_at(row.value), grid=spec.grid)
         diag = want.diagnostics
         assert (row.r_u, row.r_d, row.r_eq) == (want.r_u, want.r_d, want.r_eq)
         assert (row.sigma_u_sq, row.sigma_d_sq, row.p_u_star, row.p_d_star, row.f_star) == (
@@ -69,9 +69,9 @@ def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
     sizes = []
     kernel = rates._scp_uplink
 
-    def recording(k, p_u, p_d, integral=None):
+    def recording(k, p_u, p_d):
         sizes.append(np.broadcast(p_u, p_d).size)
-        return kernel(k, p_u, p_d, integral)
+        return kernel(k, p_u, p_d)
 
     monkeypatch.setattr(rates, "_scp_uplink", recording)
     compute_scheme(SchemeId.FD_SCP_SIC, DOMAIN[0])

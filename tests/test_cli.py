@@ -22,7 +22,6 @@ sweep.start = 4
 sweep.stop = 8
 sweep.step = 4
 schemes = hd_scp, hd_cran, fd_scp_sic
-numerics.panels = 1024
 numerics.grid = 16
 """
 
@@ -44,7 +43,7 @@ def test_compute_prints_json(capsys):
 
 def test_compute_full_power(capsys):
     for scheme in ("fd_scp", "fd_cran_sic"):
-        common = ["compute", "--scheme", scheme, "--panels", "1024", "--grid", "16"]
+        common = ["compute", "--scheme", scheme, "--grid", "16"]
         assert main(common + ["--full-power"]) == 0
         full = json.loads(capsys.readouterr().out)
         assert main(common) == 0
@@ -56,7 +55,7 @@ def test_compute_full_power(capsys):
 
 
 def test_compute_zero_fronthaul_maps_inf_to_null(capsys):
-    code = main(["compute", "--scheme", "hd_cran", "--c-u", "0", "--panels", "1024"])
+    code = main(["compute", "--scheme", "hd_cran", "--c-u", "0"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["r_eq"] == 0.0
@@ -65,7 +64,7 @@ def test_compute_zero_fronthaul_maps_inf_to_null(capsys):
 
 @pytest.mark.parametrize("scheme", ["hd_cran", "fd_cran"])
 def test_compute_huge_fronthaul_has_no_quantization_noise(scheme, capsys):
-    code = main(["compute", "--scheme", scheme, "--c-u", "2000", "--panels", "1024"])
+    code = main(["compute", "--scheme", scheme, "--c-u", "2000"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["diagnostics"]["sigma_u_sq"] == 0.0
@@ -73,11 +72,67 @@ def test_compute_huge_fronthaul_has_no_quantization_noise(scheme, capsys):
 
 
 @pytest.mark.parametrize("scheme", ["hd_cran", "fd_cran"])
-def test_compute_vanishing_fronthaul_gives_zero_rate(scheme, capsys):
-    code = main(["compute", "--scheme", scheme, "--c-u", "1e-300", "--panels", "1024"])
+def test_compute_vanishing_fronthaul_gives_the_model_rate(scheme, capsys):
+    # at c_u = 1e-300 the uplink SNR s = p_u / (1 + sigma_u^2) is about 5e-301,
+    # where the mean of log2(1 + s H(f)^2) is s (1 + 2 alpha^2) / ln 2 to
+    # first order, about 9.9e-301
+    code = main(["compute", "--scheme", scheme, "--c-u", "1e-300"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["r_u"] == 0.0 and payload["r_eq"] == 0.0
+    diag = payload["diagnostics"]
+    s = diag.get("p_u_star", 100.0) / (1.0 + diag["sigma_u_sq"])
+    model = s * (1.0 + 2.0 * 0.4**2) / math.log(2.0)
+    assert 0.0 < model < 1e-299
+    assert payload["r_u"] == pytest.approx(model, rel=1e-9, abs=0.0)
+    assert payload["r_eq"] <= payload["r_u"]
+
+
+# these drive intermediate powers past the float range on purpose
+_OVERFLOW_WARNINGS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+
+
+def _point_config(tmp_path, flags: dict, schemes: str):
+    """A one-row sweep config at the operating point of the compute flags."""
+    config = tmp_path / "point.cfg"
+    base = "".join(f"base.{k.replace('-', '_')} = {v}\n" for k, v in flags.items())
+    sweep = "sweep.var = gamma_ud\nsweep.start = 4\nsweep.stop = 4\n"
+    config.write_text(base + sweep + f"schemes = {schemes}\n", encoding="utf-8")
+    return str(config)
+
+
+@_OVERFLOW_WARNINGS
+def test_an_overflowing_stream_power_still_gives_finite_rates(tmp_path, capsys):
+    # 2 p_s = 2e308 overflows; times the zero tap tail of zero forcing it must
+    # stay 0, as a NaN r_d would leave Python's min(r_u, nan) reporting r_u
+    flags = {"p-u-db": "3000", "p-d-db": "3080", "c-u": "2000"}
+    argv = ["compute", "--scheme=fd_cran"] + [f"--{k}={v}" for k, v in flags.items()]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["r_d"] is not None and payload["r_d"] > 0.0
+    assert payload["r_eq"] == min(payload["r_u"], payload["r_d"])
+    config = _point_config(tmp_path, flags, "fd_cran, fd_cran_sic")
+    out = tmp_path / "huge.csv"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+    rows = fdcran.sweep.load_csv(out)
+    assert len(rows) == 2
+    for row in rows:
+        assert math.isfinite(row.r_d) and row.r_eq == min(row.r_u, row.r_d)
+
+
+@_OVERFLOW_WARNINGS
+@pytest.mark.parametrize("scheme", ["hd_cran", "fd_cran", "fd_cran_sic"])
+def test_a_rate_that_overflows_is_a_numeric_error(tmp_path, capsys, scheme):
+    # (1 + 2 alpha^2) P_u overflows, and times a zero quantization noise per
+    # unit power it is NaN: no rate exists to report
+    flags = {"alpha": "0.49", "p-u-db": "3082", "c-u": "2000"}
+    argv = ["compute", f"--scheme={scheme}"] + [f"--{k}={v}" for k, v in flags.items()]
+    assert main(argv) == 3
+    assert "numeric error: r_u is nan" in capsys.readouterr().err
+    config = _point_config(tmp_path, flags, scheme)
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "nan.csv")]) == 3
+    assert "numeric error: r_u is nan" in capsys.readouterr().err
 
 
 def test_compute_rejects_bad_gain(capsys):
@@ -141,10 +196,7 @@ def test_sweep_numeric_overrides(tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text(TINY_CONFIG, encoding="utf-8")
     out = tmp_path / "rates.csv"
-    code = main(
-        ["sweep", "--config", str(config), "--out", str(out),
-         "--panels", "512", "--grid", "8"]
-    )
+    code = main(["sweep", "--config", str(config), "--out", str(out), "--grid", "8"])
     assert code == 0
 
 

@@ -1,25 +1,53 @@
-"""Golden rates: the fig2 preset reproduces tests/data/fig2.csv, the output
-of `fdcran sweep --preset fig2`, row by row.
+"""Golden rates: sweeps reproduce CSVs checked in under tests/data, row by row.
 
-The CSV keeps nine significant digits (every fig2 rate is below 10, so each
-value is exact to 5e-9).  Only the rates are compared: the power argmax of a
-row on a fronthaul-cap plateau may tie-break differently on another numpy
-without changing any rate."""
+- fig2.csv: `fdcran sweep --preset fig2`;
+- fig3_verify.csv: `fdcran sweep --preset fig3 --verify`, with the oracle
+  columns;
+- hd_cran_alpha.csv: hd_cran over alpha = 0, 0.005, ..., 0.495 at the default
+  base point, which covers the zero-forcing constants up to the singularity.
 
+The CSVs keep nine significant digits (every rate here is below 10, so each
+value is exact to 5e-9).  Only the rates and oracle values are compared: the
+power argmax of a row on a fronthaul-cap plateau may tie-break differently on
+another numpy without changing any rate."""
+
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fdcran.sweep import load_csv, preset_spec, run_sweep
+from fdcran.model import SchemeId
+from fdcran.sweep import SweepSpec, load_csv, preset_spec, run_sweep
 
-GOLDEN = Path(__file__).parent / "data" / "fig2.csv"
+DATA = Path(__file__).parent / "data"
+RATES = ("r_u", "r_d", "r_eq")
+
+
+def _assert_rows_match(rows, golden_csv, columns=RATES):
+    golden = load_csv(DATA / golden_csv)
+    assert [r.scheme for r in rows] == [g.scheme for g in golden]
+    assert [r.value for r in rows] == pytest.approx([g.value for g in golden], rel=0.0, abs=1e-12)
+    for row, want in zip(rows, golden):
+        for name in columns:
+            got, expected = getattr(row, name), getattr(want, name)
+            where = (row.value, row.scheme, name)
+            if expected is None:
+                assert got is None, where
+            else:
+                assert got == pytest.approx(expected, rel=0.0, abs=1e-8), where
 
 
 def test_fig2_rates_match_the_golden_csv():
-    golden = load_csv(GOLDEN)
-    rows = run_sweep(preset_spec("fig2"))
-    assert [(r.value, r.scheme) for r in rows] == [(g.value, g.scheme) for g in golden]
-    for row, want in zip(rows, golden):
-        for name in ("r_u", "r_d", "r_eq"):
-            got = getattr(row, name)
-            assert got == pytest.approx(getattr(want, name), abs=1e-8), (row.value, row.scheme, name)
+    _assert_rows_match(run_sweep(preset_spec("fig2")), "fig2.csv")
+
+
+def test_fig3_verify_rates_and_oracles_match_the_golden_csv():
+    rows = run_sweep(replace(preset_spec("fig3"), oracle=True))
+    _assert_rows_match(rows, "fig3_verify.csv", RATES + ("oracle_r_u", "oracle_r_eq"))
+
+
+def test_hd_cran_alpha_sweep_matches_the_golden_csv():
+    spec = SweepSpec(
+        sweep_var="alpha", start=0.0, stop=0.495, step=0.005, schemes=(SchemeId.HD_CRAN,)
+    )
+    _assert_rows_match(run_sweep(spec), "hd_cran_alpha.csv")

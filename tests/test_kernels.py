@@ -1,6 +1,7 @@
 """The public scalar rate functions call the kernels of the power search: at
-each full-duplex result's argmax they return its rates exactly, and they
-check their inputs explicitly."""
+each full-duplex result's argmax they return its rates exactly, given the
+zero-forcing precoder at any sampling they give compute_scheme's results, and
+they check their inputs explicitly."""
 
 import math
 from types import SimpleNamespace
@@ -12,10 +13,13 @@ from fdcran.rates import (
     SCHEMES,
     SicMode,
     compute_fd_batch,
+    compute_scheme,
+    fd_cran,
     fd_cran_downlink,
     fd_cran_uplink,
     fd_scp_downlink_rate,
     fd_scp_uplink_rate,
+    hd_cran,
     hd_cran_downlink,
 )
 from fdcran.spectral import zf_precoder
@@ -31,7 +35,7 @@ PRECODER = zf_precoder(PARAMS.alpha, PANELS)
 @pytest.mark.parametrize("scheme", FD_SCHEMES, ids=lambda s: s.value)
 def test_scalar_functions_reproduce_the_reported_rates(scheme):
     family, sic = SCHEMES[scheme]
-    for params, result in zip(DOMAIN, compute_fd_batch(scheme, DOMAIN, PANELS)):
+    for params, result in zip(DOMAIN, compute_fd_batch(scheme, DOMAIN)):
         p_u, p_d = result.diagnostics["p_u_star"], result.diagnostics["p_d_star"]
         if family == "scp":
             r_u = fd_scp_uplink_rate(params, p_u, p_d)
@@ -43,6 +47,18 @@ def test_scalar_functions_reproduce_the_reported_rates(scheme):
             r_d = fd_cran_downlink(params, powers, precoder, sic, r_u, PANELS)
             assert sigma_u == result.diagnostics["sigma_u_sq"]
         assert (r_u, r_d, min(r_u, r_d)) == (result.r_u, result.r_d, result.r_eq)
+
+
+@pytest.mark.parametrize("panels", [512, PANELS, 4096])
+def test_the_zero_forcing_precoder_gives_compute_scheme_results(panels):
+    # a zero-forcing precoder built for the point's alpha enters through the
+    # exact constants, so its sampling changes nothing
+    for params in DOMAIN[:4]:
+        precoder = zf_precoder(params.alpha, panels)
+        assert hd_cran(params, precoder, panels) == compute_scheme(SchemeId.HD_CRAN, params)
+        for scheme in (SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC):
+            got = fd_cran(params, precoder, SCHEMES[scheme][1], panels=panels)
+            assert got == compute_scheme(scheme, params)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fdcran.model import PowerAllocation
+from fdcran.model import PowerAllocation, db_to_linear
 from fdcran.oracle import circulant_uplink_rate, exhaustive_power_opt
 from fdcran.rates import (
     SicMode,
@@ -202,11 +202,22 @@ def test_fd_cran_regression_dense_small_cell_point(fig2_params):
 
 
 def test_fd_cran_full_power_flag(fig2_params):
-    pre = zf_precoder(0.4)
-    res = fd_cran(fig2_params, pre, SIC, full_power=True)
+    res = compute_scheme(SchemeId.FD_CRAN_SIC, fig2_params, full_power=True)
     assert res.diagnostics["p_u_star"] == 100.0
     assert res.diagnostics["p_d_star"] == 100.0
-    assert res.r_eq <= fd_cran(fig2_params, pre, SIC).r_eq + 1e-12
+    assert res.r_eq <= compute_scheme(SchemeId.FD_CRAN_SIC, fig2_params).r_eq + 1e-12
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.FD_SCP, SchemeId.FD_CRAN], ids=lambda s: s.value)
+def test_treat_as_noise_equal_rate_never_falls_with_the_uplink_budget(scheme):
+    # a larger power box never lowers the max-min; at P_u = 3000 dB the
+    # optimum sits at p_u / P_u below 1e-298, which the edge search still resolves
+    r_eq = [
+        compute_scheme(scheme, make_params(p_u_max=db_to_linear(db))).r_eq
+        for db in (20.0, 100.0, 150.0, 200.0, 250.0, 3000.0)
+    ]
+    assert all(later >= earlier - 1e-12 for earlier, later in zip(r_eq, r_eq[1:]))
+    assert r_eq[3] == pytest.approx(r_eq[0], rel=0.0, abs=1e-12)
 
 
 def test_sic_never_hurts():
@@ -223,8 +234,8 @@ def test_sic_never_hurts():
         )
         assert fd_scp(params, SIC).r_eq >= fd_scp(params, TAN).r_eq - 1e-9
         pre = pre_cache.setdefault(params.alpha, zf_precoder(params.alpha, 1024))
-        sic = fd_cran(params, pre, SIC, grid=32, panels=1024).r_eq
-        tan = fd_cran(params, pre, TAN, grid=32, panels=1024).r_eq
+        sic = fd_cran(params, pre, SIC, grid=32).r_eq
+        tan = fd_cran(params, pre, TAN, grid=32).r_eq
         assert sic >= tan - 1e-9
 
 
@@ -233,7 +244,7 @@ def test_equal_rate_non_decreasing_in_fronthaul():
         last = -1.0
         for c in np.linspace(0.0, 12.0, 20):
             params = make_params(c_u=float(c), c_d=float(c))
-            r_eq = compute_scheme(scheme, params, panels=1024, grid=32).r_eq
+            r_eq = compute_scheme(scheme, params, grid=32).r_eq
             assert r_eq >= last - 1e-9, f"{scheme} not monotone at c={c}"
             last = r_eq
 

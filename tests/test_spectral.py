@@ -13,6 +13,7 @@ from fdcran.spectral import (
     rg,
     simpson_weights,
     unit_grid,
+    zf_constants,
     zf_precoder,
 )
 
@@ -74,18 +75,23 @@ def test_zf_closed_form_alpha_04():
     h0 = h_tilde(pre, 0.4, 0)
     assert h0 * h0 == pytest.approx(0.216, abs=1e-9)
     assert h0 == pytest.approx(0.216**0.5, abs=1e-9)
+    # d = 0.6 and r = 0.5: R_g(2) = 0.25 * 2.2
+    assert zf_constants(0.4) == pytest.approx((0.216, 0.55), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.7, 0.5 - 1e-12])
 def test_zf_singular(alpha):
-    with pytest.raises(ZfSingularError) as err:
-        zf_precoder(alpha)
-    assert err.value.alpha == alpha
+    for build in (zf_precoder, zf_constants):
+        with pytest.raises(ZfSingularError) as err:
+            build(alpha)
+        assert err.value.alpha == alpha
 
 
 def test_zf_rejects_negative_alpha():
-    with pytest.raises(ValueError):
-        zf_precoder(-0.1)
+    for build in (zf_precoder, zf_constants):
+        for bad in (-0.1, math.nan, math.inf, "0.3"):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                build(bad)
 
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
@@ -93,6 +99,17 @@ def test_zf_closed_form_grid(alpha):
     pre = zf_precoder(alpha, 4096)
     h0sq = h_tilde(pre, alpha, 0) ** 2
     assert abs(h0sq - (1.0 - 4.0 * alpha**2) ** 1.5) < 1e-9
+    assert zf_constants(alpha)[0] == pytest.approx(h0sq, rel=1e-12, abs=0.0)
+
+
+def test_zf_constants_match_the_sampled_precoder():
+    # up to the edge of the zero-forcing domain, where r -> 1 and d -> 0
+    for alpha in np.linspace(0.0, 0.4999, 1001).tolist():
+        pre = zf_precoder(alpha, 4096)
+        h0sq, rg2 = zf_constants(alpha)
+        assert h0sq == pytest.approx(h_tilde(pre, alpha, 0) ** 2, rel=1e-12, abs=0.0), alpha
+        assert rg2 == pytest.approx(rg(pre, 2), rel=0.0, abs=1e-14), alpha
+    assert zf_constants(0.0) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)

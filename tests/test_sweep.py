@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import pytest
 
+import fdcran.rates
+import fdcran.spectral
 from fdcran.model import SchemeId, ZfSingularError
 from fdcran.oracle import exhaustive_power_opt
 from fdcran.rates import SicMode
@@ -22,7 +24,7 @@ from fdcran.sweep import (
     verification_failures,
 )
 
-FAST = dict(panels=1024, grid=32)
+FAST = dict(grid=32)
 
 
 def small_spec(**kw) -> SweepSpec:
@@ -104,7 +106,6 @@ def test_parse_config_minimal_and_overrides():
     sweep.stop = 2
     sweep.step = 1
     schemes = hd_scp, fd_scp
-    numerics.panels = 512
     numerics.grid = 16
     numerics.oracle = on
     """
@@ -113,7 +114,7 @@ def test_parse_config_minimal_and_overrides():
     assert spec.base.beta_du == 0.4  # untouched default
     assert spec.sweep_var == "gamma_ud"
     assert spec.schemes == (SchemeId.HD_SCP, SchemeId.FD_SCP)
-    assert spec.panels == 512 and spec.grid == 16 and spec.oracle is True
+    assert spec.grid == 16 and spec.oracle is True
 
 
 def test_parse_config_scheme_shorthand_all():
@@ -131,6 +132,7 @@ def test_parse_config_scheme_shorthand_all():
         ("schemes = warp_drive", "unknown scheme"),
         ("sweep.var = sideways", "unknown sweep variable"),
         ("sic = on", "unknown key"),
+        ("numerics.panels = 4096", "unknown key"),
         ("base.alpha =", "missing value"),
     ],
 )
@@ -268,6 +270,20 @@ def test_verification_flags_disagreement():
     ]
     failures = verification_failures(rows)
     assert len(failures) == 1 and "hd_cran" in failures[0]
+
+
+def test_sweeps_reach_no_sampled_precoder_or_quadrature(monkeypatch):
+    # every row computed from the parameters alone is exact: no precoder is
+    # sampled, and no tap, R_g(2) or rate is integrated by quadrature
+    def sampled(*args, **kwargs):
+        raise AssertionError("a sweep row reached the sampled path")
+
+    for module in (fdcran.spectral, fdcran.rates):
+        for name in ("zf_precoder", "rate_integral", "h_tilde", "rg"):
+            monkeypatch.setattr(module, name, sampled, raising=False)
+    assert len(run_sweep(preset_spec("fig2"))) == 25 * 6
+    alpha = SweepSpec(sweep_var="alpha", start=0.0, stop=0.45, step=0.05, grid=16)
+    assert len(run_sweep(alpha)) == 10 * 6
 
 
 def test_zf_singularity_propagates_with_alpha():
