@@ -186,6 +186,27 @@ def _sigma_u_sq(k, p_u, p_d):
     return (1.0 + (1.0 + 2.0 * a2) * p_u + 2.0 * bdu2 * (1.0 + rg2) * p_d) * quant
 
 
+def _sigma_u_sq_at_budgets(k, p_u_max: float, p_d_max: float) -> float:
+    """sigma_u^2 at the budgets, its largest value over the power box.  It is
+    inf at c_u = 0, where the quantizer passes nothing; inf at c_u > 0 is an
+    overflow, which would report a zero uplink rate where the model has a
+    positive one, so it raises NumericDomainError."""
+    sigma = _sigma_u_sq(k, p_u_max, p_d_max)
+    if sigma == math.inf and k.quant < math.inf:
+        raise NumericDomainError(
+            f"sigma_u_sq overflows a float at the budgets p_u_max={p_u_max!r}, "
+            f"p_d_max={p_d_max!r}"
+        )
+    return sigma
+
+
+def _fd_cran_consts(p, terms) -> _CranConsts:
+    """A full-duplex point's C-RAN constants, its sigma_u^2 checked at the budgets."""
+    k = _cran_consts(p, terms)
+    _sigma_u_sq_at_budgets(k, p.p_u_max, p.p_d_max)
+    return k
+
+
 def _cran_uplink(k, p_u, p_d):
     return rate_closed_form(p_u / (1.0 + _sigma_u_sq(k, p_u, p_d)), k[0])
 
@@ -272,12 +293,13 @@ def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
     / (2**c_u - 1); joint decoding across cells then achieves the spectral
     integral of C(P_u H(f)^2 / (1 + sigma_u^2)), in closed form: panels must be
     a valid panel count but changes nothing.  Returns (rate, sigma_u_sq);
-    c_u = 0 gives sigma_u_sq = inf and rate 0 (the quantizer passes nothing).
+    c_u = 0 gives sigma_u_sq = inf and rate 0 (the quantizer passes nothing);
+    a sigma_u_sq that overflows a float at c_u > 0 raises NumericDomainError.
     """
     _check_panel_count(panels)
     k = _cran_consts(params)
-    rate = _finite("r_u", _cran_uplink(k, params.p_u_max, 0.0))
-    return rate, _sigma_u_sq(k, params.p_u_max, 0.0)
+    sigma = _sigma_u_sq_at_budgets(k, params.p_u_max, 0.0)
+    return _finite("r_u", _cran_uplink(k, params.p_u_max, 0.0)), sigma
 
 
 def _hd_cran_downlink(params, terms) -> tuple[float, float, float]:
@@ -398,7 +420,7 @@ def fd_cran(
     """Full-duplex C-RAN equal rate: max-min over operating powers, found by
     _max_min_search.  panels must be a valid panel count but changes nothing."""
     _check_panel_count(panels)
-    k = _cran_consts(params, _precoder_terms(params.alpha, precoder))
+    k = _fd_cran_consts(params, _precoder_terms(params.alpha, precoder))
     return _fd_batch("cran", [k], [params], sic, grid)[0]
 
 
@@ -661,7 +683,7 @@ def _fd_consts(family: str, points) -> list:
     """Kernel constants of each point, C-RAN with the exact zero-forcing terms."""
     if family == "scp":
         return [_scp_consts(p) for p in points]
-    return [_cran_consts(p, _precoder_terms(p.alpha)) for p in points]
+    return [_fd_cran_consts(p, _precoder_terms(p.alpha)) for p in points]
 
 
 def compute_fd_batch(scheme: SchemeId, points, grid: int = DEFAULT_GRID) -> list[RateResult]:

@@ -31,19 +31,34 @@ A sweep is solved in blocks of up to 64 values: each full-duplex scheme's
 max-min power search runs once for the whole block (rates.compute_fd_batch),
 in kernel calls no larger than those of a one-point search, while half-duplex
 rows are computed one at a time.  The block size bounds the solver's memory
-whatever the sweep length.  C-RAN rows are exact (closed forms, see rates),
-so a sweep has no quadrature setting.
+whatever the sweep length, and MAX_SWEEP_VALUES bounds the sweep.  C-RAN
+rows are exact (closed forms, see rates), so a sweep has no quadrature
+setting.
+
+Where more than one CPU is usable and the sweep has full-duplex schemes,
+run_sweep forks a pool of worker processes for its duration: the workers
+solve each block's full-duplex schemes in contiguous chunks of values, SIC
+schemes first, and then its exhaustive oracles, while this process computes
+the half-duplex rows and the circulant checks.  A value gets the same bits
+in any batch, so the rows, and the CSV and SVG files, do not depend on the
+number of CPUs.  With one usable CPU, no fork, only half-duplex schemes, or
+another thread running, the sweep runs serially in this process.
 """
 
 import math
+import os
+import sys
+import threading
+import warnings
 from dataclasses import dataclass, field, replace
 
 from .model import SchemeId, SystemParams, db_to_linear
 from .oracle import DEFAULT_CELLS, circulant_uplink_rate, exhaustive_power_opt
-from .rates import DEFAULT_GRID, SCHEMES, compute_fd_batch, compute_scheme
+from .rates import DEFAULT_GRID, SCHEMES, SicMode, compute_fd_batch, compute_scheme
 
 __all__ = [
     "CSV_COLUMNS",
+    "MAX_SWEEP_VALUES",
     "ORACLE_COLUMNS",
     "ORACLE_RATE_TOL",
     "SWEEP_VARS",
@@ -86,6 +101,10 @@ CSV_COLUMNS = (
 )
 
 ORACLE_COLUMNS = ("oracle_r_u", "oracle_r_eq")
+
+# most values a sweep may have: a million rows per scheme, ~1e6 * 64 B of
+# CSV each, is already far beyond any figure's resolution
+MAX_SWEEP_VALUES = 1_000_000
 
 # agreement demanded between analytical rates and their brute-force oracles
 ORACLE_RATE_TOL = 1e-3
@@ -156,15 +175,25 @@ class SweepSpec:
             raise ConfigError(
                 f"start {self.start} exceeds stop {self.stop}", field_name="sweep.start"
             )
+        # values() has floor(steps) + 1 values; the test is false for inf and NaN
+        if not self._steps() < MAX_SWEEP_VALUES:
+            raise ConfigError(
+                f"start {self.start}, stop {self.stop} and step {self.step} must give "
+                f"at most {MAX_SWEEP_VALUES} sweep values",
+                field_name="sweep.step",
+            )
         # canonical order: dedupe and sort schemes by enum definition order
         listed = set(self.schemes)
         object.__setattr__(
             self, "schemes", tuple(s for s in SchemeId if s in listed)
         )
 
+    def _steps(self) -> float:
+        return (self.stop - self.start) / self.step + 1e-9
+
     def values(self) -> list[float]:
         """Inclusive sweep grid start, start + step, ... up to stop."""
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        count = int(math.floor(self._steps())) + 1
         return [self.start + i * self.step for i in range(count)]
 
     def params_at(self, value: float) -> SystemParams:
@@ -337,6 +366,7 @@ def serialize_spec(spec: SweepSpec) -> str:
 # running sweeps
 
 _BLOCK = 64  # sweep values solved together; fig2 and fig3 take one block each
+_TAN = SicMode.TREAT_AS_NOISE
 
 
 @dataclass
@@ -358,19 +388,6 @@ class SweepRow:
     oracle_r_eq: float | None = None
 
 
-def _attach_oracle(row: SweepRow, params, scheme: SchemeId) -> None:
-    family, receiver = SCHEMES[scheme]
-    if family == "cran":
-        sigma = row.sigma_u_sq
-        if sigma is not None and math.isfinite(sigma):
-            p_u = row.p_u_star if row.p_u_star is not None else params.p_u_max
-            row.oracle_r_u = circulant_uplink_rate(params.alpha, p_u, sigma, DEFAULT_CELLS)
-    elif receiver is not None:
-        row.oracle_r_eq = exhaustive_power_opt(
-            params, receiver, _ORACLE_RESOLUTION, (row.p_u_star, row.p_d_star)
-        )[0]
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Compute one row per (sweep value, scheme) in deterministic order.
 
@@ -379,28 +396,96 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     at once (compute_fd_batch); half-duplex rows go one at a time through
     compute_scheme.  A block that raises is recomputed row by row, so the
     error is that of the first failing row in (value, scheme) order.
+
+    When the spec has full-duplex schemes and more than one CPU is usable,
+    run_sweep forks a pool of worker processes, one per usable CPU but no
+    more than a block has full-duplex (value, scheme) pairs.  For each block the workers
+    solve every full-duplex scheme in contiguous chunks of values, SIC
+    schemes first as they cost the most, and then run the exhaustive oracles
+    of the full-duplex SCP rows; the half-duplex rows and the circulant
+    checks stay in this process.  A point gets the same result in any batch,
+    so the rows do not depend on the number of workers.  If anything fails on
+    the pool, the block is computed again on the serial path, which decides
+    the error.  The pool is forked here, so its workers see the caller's
+    state, and it is shut down before run_sweep returns.
     """
     values = spec.values()
+    fd = [s for s in spec.schemes if SCHEMES[s][1] is not None]
+    workers = min(_usable_cpus(), len(fd) * min(len(values), _BLOCK))
+    pool = _fork_pool(workers) if workers > 1 else None
     rows = []
-    for start in range(0, len(values), _BLOCK):
-        block = values[start : start + _BLOCK]
-        try:
-            points = [spec.params_at(value) for value in block]
-            solved = {
-                scheme: compute_fd_batch(scheme, points, spec.grid)
-                for scheme in spec.schemes
-                if SCHEMES[scheme][1] is not None  # full duplex
-            }
-            rows += _block_rows(spec, block, points, solved)
-        except ValueError:
-            rows += _block_rows(spec, block, map(spec.params_at, block), {})
+    try:
+        for start in range(0, len(values), _BLOCK):
+            rows += _run_block(spec, values[start : start + _BLOCK], fd, pool, workers)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return rows
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork workers safely:
+    a child forked while another Python thread runs could inherit a lock that
+    thread holds, and never see it released."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_pool(workers: int):
+    """A pool of worker processes forked from this one."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _run_block(spec: SweepSpec, block, fd, pool, workers: int) -> list[SweepRow]:
+    """Rows of one block, on the pool if there is one; fd lists the spec's
+    full-duplex schemes in their order."""
+    if pool is not None:
+        sic_first = sorted(fd, key=lambda s: SCHEMES[s][1] is _TAN)  # the costliest searches
+        try:
+            return _solve_block(spec, block, sic_first, _pool_map(pool), workers)
+        except Exception:  # a worker, or the pool itself, failed: the serial path decides
+            pass
+    try:
+        return _solve_block(spec, block, fd, map, 1)
+    except ValueError:
+        rows = _block_rows(spec, block, map(spec.params_at, block), {})
+        if spec.oracle:
+            _attach_exhaustive(spec, rows, map)
+        return rows
+
+
+def _solve_block(spec: SweepSpec, block, fd, run, chunks: int) -> list[SweepRow]:
+    """Rows of one block, each full-duplex scheme solved in the given number
+    of contiguous chunks of points through run (map, or a pool's map)."""
+    points = [spec.params_at(value) for value in block]
+    n = min(chunks, len(points))
+    cuts = [len(points) * i // n for i in range(n + 1)]
+    tasks = [(s, points[a:b], spec.grid) for s in fd for a, b in zip(cuts, cuts[1:])]
+    solved = {s: [] for s in fd}
+    for (scheme, _, _), results in zip(tasks, run(_solve_chunk, tasks)):
+        solved[scheme] += results
+    rows = _block_rows(spec, block, points, solved)
+    if spec.oracle:
+        _attach_exhaustive(spec, rows, run)
+    return rows
+
+
+def _solve_chunk(task) -> list:
+    scheme, points, grid = task
+    return compute_fd_batch(scheme, points, grid)
 
 
 def _block_rows(spec: SweepSpec, block, points, solved: dict) -> list[SweepRow]:
     """Rows of one block at its points (any iterable, so a replay can build
     them one at a time), taking each scheme's results from solved where
-    present and from compute_scheme otherwise."""
+    present and from compute_scheme otherwise.  Under spec.oracle the C-RAN
+    rows get their circulant check; _attach_exhaustive checks the others."""
     rows = []
     for i, (value, params) in enumerate(zip(block, points)):
         for scheme in spec.schemes:
@@ -422,10 +507,71 @@ def _block_rows(spec: SweepSpec, block, points, solved: dict) -> list[SweepRow]:
                 p_d_star=diag.get("p_d_star"),
                 f_star=diag.get("f_star"),
             )
-            if spec.oracle:
-                _attach_oracle(row, params, scheme)
+            if spec.oracle and SCHEMES[scheme][0] == "cran":
+                _attach_circulant(row, params)
             rows.append(row)
     return rows
+
+
+def _attach_circulant(row: SweepRow, params) -> None:
+    sigma = row.sigma_u_sq
+    if sigma is not None and math.isfinite(sigma):
+        p_u = row.p_u_star if row.p_u_star is not None else params.p_u_max
+        row.oracle_r_u = circulant_uplink_rate(params.alpha, p_u, sigma, DEFAULT_CELLS)
+
+
+def _attach_exhaustive(spec: SweepSpec, rows: list[SweepRow], run) -> None:
+    """oracle_r_eq of every full-duplex SCP row: the exhaustive power grid,
+    which also scores the row's argmax, evaluated through run (map, or a
+    pool's map)."""
+    checked = [r for r in rows if SCHEMES[r.scheme] in (("scp", _TAN), ("scp", SicMode.SIC))]
+    jobs = [
+        (spec.params_at(r.value), SCHEMES[r.scheme][1], _ORACLE_RESOLUTION,
+         (r.p_u_star, r.p_d_star))
+        for r in checked
+    ]
+    for row, r_eq in zip(checked, run(_exhaustive_r_eq, jobs)):
+        row.oracle_r_eq = r_eq
+
+
+def _exhaustive_r_eq(args) -> float:
+    return exhaustive_power_opt(*args)[0]
+
+
+def _pool_map(pool):
+    """A map like the builtin one that runs on pool's workers."""
+
+    def run(fn, args):
+        for result, caught in pool.map(_in_worker, [(fn, arg) for arg in args]):
+            _reissue(caught)
+            yield result
+
+    return run
+
+
+def _in_worker(task):
+    """fn(arg) in a pool worker, with the warnings it issued: each worker has
+    its own registry of warnings already shown, so printing them there would
+    repeat each once per worker."""
+    fn, arg = task
+    with warnings.catch_warnings(record=True) as caught:
+        result = fn(arg)
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def _reissue(caught) -> None:
+    """Issue a worker's warnings in this process, under the name and registry
+    of the module that issued them, so that they print as on the serial path."""
+    for text, category, filename, lineno in caught:
+        module = next(
+            (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename),
+            None,
+        )
+        if module is None:
+            warnings.warn_explicit(text, category, filename, lineno)
+        else:
+            registry = vars(module).setdefault("__warningregistry__", {})
+            warnings.warn_explicit(text, category, filename, lineno, module.__name__, registry)
 
 
 def _oracle_checks(rows: list[SweepRow]):

@@ -135,6 +135,33 @@ def test_a_rate_that_overflows_is_a_numeric_error(tmp_path, capsys, scheme):
     assert "numeric error: r_u is nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["hd_cran", "fd_cran", "fd_cran_sic"])
+def test_a_quantization_noise_that_overflows_is_a_numeric_error(tmp_path, capsys, scheme):
+    # sigma_u^2 = (1 + (1 + 2 alpha^2) P_u + ...) / (2**5 - 1) overflows at
+    # 3082 dB, yet the uplink SNR P_u / (1 + sigma_u^2) tends to a positive
+    # limit as P_u grows, so a zero rate would be wrong
+    flags = {"alpha": "0.49", "p-u-db": "3082", "c-u": "5"}
+    argv = ["compute", f"--scheme={scheme}"] + [f"--{k}={v}" for k, v in flags.items()]
+    assert main(argv) == 3
+    message = "numeric error: sigma_u_sq overflows a float at the budgets p_u_max=1.58"
+    assert message in capsys.readouterr().err
+    config = _point_config(tmp_path, flags, scheme)
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "inf.csv")]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_a_finite_quantization_noise_at_a_huge_budget_keeps_its_rate(capsys):
+    flags = ["--alpha=0.49", "--p-u-db=3000", "--c-u=5"]
+    assert main(["compute", "--scheme=hd_cran"] + flags) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["r_u"] == pytest.approx(3.776, abs=1e-3)
+    assert payload["diagnostics"]["sigma_u_sq"] > 1e298
+    # c_u = 0 passes nothing at any budget: sigma_u^2 = inf and rate 0
+    assert main(["compute", "--scheme=hd_cran", "--alpha=0.49", "--p-u-db=3082", "--c-u=0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["r_u"] == 0.0 and payload["diagnostics"]["sigma_u_sq"] is None
+
+
 def test_compute_rejects_bad_gain(capsys):
     assert main(["compute", "--scheme", "hd_scp", "--alpha", "-1"]) == 2
     assert "config error" in capsys.readouterr().err

@@ -11,7 +11,6 @@ value is exact to 5e-9).  Only the rates and oracle values are compared: the
 power argmax of a row on a fronthaul-cap plateau may tie-break differently on
 another numpy without changing any rate."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -41,9 +40,8 @@ def test_fig2_rates_match_the_golden_csv():
     _assert_rows_match(run_sweep(preset_spec("fig2")), "fig2.csv")
 
 
-def test_fig3_verify_rates_and_oracles_match_the_golden_csv():
-    rows = run_sweep(replace(preset_spec("fig3"), oracle=True))
-    _assert_rows_match(rows, "fig3_verify.csv", RATES + ("oracle_r_u", "oracle_r_eq"))
+def test_fig3_verify_rates_and_oracles_match_the_golden_csv(fig3_verify_rows):
+    _assert_rows_match(fig3_verify_rows, "fig3_verify.csv", RATES + ("oracle_r_u", "oracle_r_eq"))
 
 
 def test_hd_cran_alpha_sweep_matches_the_golden_csv():

@@ -1,4 +1,9 @@
+import concurrent.futures
 import math
+import multiprocessing
+import os
+import threading
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -10,6 +15,7 @@ from fdcran.oracle import exhaustive_power_opt
 from fdcran.rates import SicMode
 from fdcran.sweep import (
     CSV_COLUMNS,
+    MAX_SWEEP_VALUES,
     ORACLE_RATE_TOL,
     ConfigError,
     SweepBase,
@@ -146,6 +152,29 @@ def test_parse_config_errors_carry_line(line, fragment):
 def test_parse_config_step_validation_flows_through():
     with pytest.raises(ConfigError):
         parse_config("sweep.step = 0\n")
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        dict(start=0.0, step=1e-300),  # about 1e301 values
+        dict(start=0.0, stop=1e308, step=1.0),
+        dict(start=0.0, step=1e-310),  # subnormal: (stop - start) / step is inf
+        dict(start=-1e308, stop=1e308),  # stop - start is inf
+        dict(start=0.0, stop=float(MAX_SWEEP_VALUES), step=1.0),  # one value too many
+    ],
+)
+def test_a_sweep_too_long_to_run_is_a_config_error(sweep):
+    with pytest.raises(ConfigError) as err:
+        small_spec(**sweep)
+    assert err.value.field == "sweep.step"
+    text = "".join(f"sweep.{key} = {value!r}\n" for key, value in sweep.items())
+    with pytest.raises(ConfigError, match="at most 1000000 sweep values"):
+        parse_config(text)
+
+
+def test_the_longest_allowed_sweep_is_accepted():
+    small_spec(start=0.0, stop=float(MAX_SWEEP_VALUES - 1), step=1.0)
 
 
 def test_config_round_trip():
@@ -322,3 +351,108 @@ def test_oracle_scores_the_reported_argmax():
     # a rate misreported at the same argmax is still caught
     doctored = replace(row, r_eq=row.r_eq + 0.01)
     assert len(verification_failures([doctored])) == 1
+
+
+# ----------------------------------------------------------------------------
+# the worker pool of run_sweep
+
+
+def _force_cpus(monkeypatch, n: int) -> None:
+    """Let run_sweep see n usable CPUs (never more than 3 in these tests)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool constructed while the test runs."""
+    made = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return made
+
+
+def _pooled(spec, monkeypatch, pools):
+    """Rows of spec on a pool of two workers."""
+    _force_cpus(monkeypatch, 2)
+    rows = run_sweep(spec)
+    assert len(pools) == 1 and pools[0]._max_workers == 2
+    assert multiprocessing.active_children() == []  # no worker outlives run_sweep
+    return rows
+
+
+def test_fig3_verify_rows_do_not_depend_on_the_worker_count(fig3_verify_rows, monkeypatch, pools):
+    pooled = _pooled(replace(preset_spec("fig3"), oracle=True), monkeypatch, pools)
+    assert pooled == fig3_verify_rows  # computed on one usable CPU
+    assert all(r.oracle_r_eq is not None for r in pooled if r.scheme.value.startswith("fd_scp"))
+
+
+def test_a_two_block_sweep_does_not_depend_on_the_worker_count(monkeypatch, pools):
+    spec = SweepSpec(  # 81 values: a block of 64 and one of 17
+        start=0.0, stop=12.0, step=0.15,
+        schemes=(SchemeId.HD_CRAN, SchemeId.FD_SCP, SchemeId.FD_CRAN),
+    )
+    _force_cpus(monkeypatch, 1)
+    serial = run_sweep(spec)
+    assert pools == []
+    assert _pooled(spec, monkeypatch, pools) == serial
+    assert len(serial) == 81 * 3
+
+
+def test_first_failing_row_decides_the_error_on_a_pool(monkeypatch, pools):
+    _force_cpus(monkeypatch, 2)
+    test_first_failing_row_decides_the_error()
+    assert len(pools) == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_a_half_duplex_sweep_forks_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a half-duplex sweep constructed a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    _force_cpus(monkeypatch, 2)
+    spec = small_spec(schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN), oracle=True)
+    assert len(run_sweep(spec)) == 3 * 2
+
+
+def test_a_sweep_beside_another_thread_forks_no_pool(monkeypatch, pools):
+    # a child forked now could inherit a lock the other thread holds
+    _force_cpus(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        rows = run_sweep(small_spec())
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert pools == []
+    assert len(rows) == 3 * 3
+
+
+def test_worker_warnings_print_as_on_the_serial_path(monkeypatch):
+    # huge budgets overflow inside the full-duplex searches, in every worker
+    spec = small_spec(
+        base=SweepBase(p_u_db=3000.0, p_d_db=3080.0, c_u=2000.0),
+        sweep_var="gamma_ud", start=0.0, stop=3.0, step=1.0,
+        schemes=(SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN),
+    )
+    shown = {}
+    for cpus in (1, 2):
+        _force_cpus(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            run_sweep(spec)
+        # Python >= 3.12 adds a DeprecationWarning when it forks beside native threads
+        shown[cpus] = sorted(
+            (str(w.message), w.filename, w.lineno)
+            for w in caught
+            if issubclass(w.category, RuntimeWarning)
+        )
+    assert shown[1] and shown[2] == shown[1]
