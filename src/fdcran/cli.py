@@ -3,6 +3,7 @@
 Exit codes: 0 success, 2 configuration error, 3 numeric-domain error
 (including a singular zero-forcing inversion or a rate that overflows), 4
 oracle verification failure.  Rates are exact closed forms: no quadrature flag.
+The SIC power search scans at one fixed resolution: no grid flag.
 """
 
 import argparse
@@ -34,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fdcran",
         description=(
             "Per-cell achievable rates for half/full-duplex cellular systems "
-            "under single-cell processing or C-RAN operation."
+            "under single-cell processing or C-RAN operation.  The SIC power "
+            f"search scans at one fixed resolution of {DEFAULT_GRID} x {DEFAULT_GRID}."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -57,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--p-d-db", type=float, default=20.0, help="downlink budget in dB")
     compute.add_argument("--c-u", type=float, default=10.0, help="uplink fronthaul, bits/s/Hz")
     compute.add_argument("--c-d", type=float, default=10.0, help="downlink fronthaul, bits/s/Hz")
-    compute.add_argument("--grid", type=int, default=DEFAULT_GRID, help="SIC power-scan resolution")
     compute.add_argument(
         "--full-power",
         action="store_true",
@@ -75,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append oracle columns and fail on disagreement beyond tolerance",
     )
-    sweep.add_argument("--grid", type=int, help="override SIC power-scan resolution")
     return parser
 
 
@@ -91,9 +91,7 @@ def _cmd_compute(args) -> int:
         c_u=args.c_u,
         c_d=args.c_d,
     )
-    result = compute_scheme(
-        SchemeId(args.scheme), params, grid=args.grid, full_power=args.full_power
-    )
+    result = compute_scheme(SchemeId(args.scheme), params, full_power=args.full_power)
 
     def clean(x: float):
         return x if math.isfinite(x) else None
@@ -120,12 +118,7 @@ def _load_spec(args) -> SweepSpec:
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         spec = parse_config(text, defaults=spec)
-    overrides = {}
-    if args.grid is not None:
-        overrides["grid"] = args.grid
-    if args.verify:
-        overrides["oracle"] = True
-    return replace(spec, **overrides) if overrides else spec
+    return replace(spec, oracle=True) if args.verify else spec
 
 
 def _cmd_sweep(args) -> int:

@@ -16,14 +16,15 @@ sampled (_precoder_terms).  The oracles keep formulas of their own.
 Half-duplex schemes split the band between directions at full power; the
 equal rate follows from balancing f*R_u against (1-f)*R_d.  Full-duplex
 schemes choose the operating powers (p_u, p_d) that maximize min(R_u, R_d):
-exactly on the budget edges for treat-as-noise, plus a grid-seeded search of
-the decode-first branch for SIC (see _max_min_search).  The search runs for a
-batch of operating points at once (compute_fd_batch; fd_scp, fd_cran and
-compute_scheme are its batch of one), and every point of a batch gets
-bit-for-bit the result it gets alone.  Kernel calls are split along the batch
-axis so that none evaluates more elements than the largest call of a
-one-point search, (grid + 2) * (grid + 1); the grid**2 budget-edge scans and
-the first row scan therefore run one point at a time.
+exactly on the budget edges for treat-as-noise, plus a search of the
+decode-first branch for SIC seeded by scans at one fixed resolution,
+DEFAULT_GRID (see _max_min_search).  The search runs for a batch of operating
+points at once (compute_fd_batch; fd_scp, fd_cran and compute_scheme are its
+batch of one), and every point of a batch gets bit-for-bit the result it gets
+alone.  Kernel calls are split along the batch axis so that none evaluates
+more elements than the largest call of a one-point search, _CALL_LIMIT; the
+DEFAULT_GRID**2 budget-edge scans and the first row scan therefore run one
+point at a time.
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
@@ -67,7 +68,8 @@ __all__ = [
     "hd_scp",
 ]
 
-DEFAULT_GRID = 64
+DEFAULT_GRID = 64  # the one resolution of the SIC search's scans (_max_min_search)
+_CALL_LIMIT = (DEFAULT_GRID + 2) * (DEFAULT_GRID + 1)  # a one-point SIC search's first row scan
 
 _EDGE_CUTS = 269  # most 16-fold cuts of a bracket: 16**-269 < 2**-1074, the least subnormal
 _EPS = np.finfo(float).eps
@@ -186,24 +188,22 @@ def _sigma_u_sq(k, p_u, p_d):
     return (1.0 + (1.0 + 2.0 * a2) * p_u + 2.0 * bdu2 * (1.0 + rg2) * p_d) * quant
 
 
-def _sigma_u_sq_at_budgets(k, p_u_max: float, p_d_max: float) -> float:
-    """sigma_u^2 at the budgets, its largest value over the power box.  It is
-    inf at c_u = 0, where the quantizer passes nothing; inf at c_u > 0 is an
-    overflow, which would report a zero uplink rate where the model has a
-    positive one, so it raises NumericDomainError."""
-    sigma = _sigma_u_sq(k, p_u_max, p_d_max)
+def _checked_sigma_u_sq(k, p_u: float, p_d: float, budgets: bool = True) -> float:
+    """sigma_u^2 at the powers (p_u, p_d), the budgets unless budgets=False.
+    It is inf at c_u = 0, where the quantizer passes nothing; inf at c_u > 0
+    is an overflow, which would report a zero uplink rate where the model has
+    a positive one, so it raises NumericDomainError."""
+    sigma = _sigma_u_sq(k, p_u, p_d)
     if sigma == math.inf and k.quant < math.inf:
-        raise NumericDomainError(
-            f"sigma_u_sq overflows a float at the budgets p_u_max={p_u_max!r}, "
-            f"p_d_max={p_d_max!r}"
-        )
+        at = "the budgets p_u_max={!r}, p_d_max={!r}" if budgets else "p_u={!r}, p_d={!r}"
+        raise NumericDomainError("sigma_u_sq overflows a float at " + at.format(p_u, p_d))
     return sigma
 
 
 def _fd_cran_consts(p, terms) -> _CranConsts:
     """A full-duplex point's C-RAN constants, its sigma_u^2 checked at the budgets."""
     k = _cran_consts(p, terms)
-    _sigma_u_sq_at_budgets(k, p.p_u_max, p.p_d_max)
+    _checked_sigma_u_sq(k, p.p_u_max, p.p_d_max)
     return k
 
 
@@ -298,7 +298,7 @@ def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
     """
     _check_panel_count(panels)
     k = _cran_consts(params)
-    sigma = _sigma_u_sq_at_budgets(k, params.p_u_max, 0.0)
+    sigma = _checked_sigma_u_sq(k, params.p_u_max, 0.0)
     return _finite("r_u", _cran_uplink(k, params.p_u_max, 0.0)), sigma
 
 
@@ -364,14 +364,14 @@ def fd_scp_downlink_rate(
     return float(_scp_downlink(_scp_consts(params), p_u, p_d, r_u, sic))
 
 
-def fd_scp(params, sic: SicMode = SicMode.TREAT_AS_NOISE, grid: int = DEFAULT_GRID) -> RateResult:
+def fd_scp(params, sic: SicMode = SicMode.TREAT_AS_NOISE) -> RateResult:
     """Full-duplex single-cell processing: max-min over operating powers.
 
     Unlike half duplex, backing off from full power can help (the two
     directions interfere), so the equal rate is the max over (p_u, p_d) of
     min{R_u, R_d}, found by _max_min_search.
     """
-    return _fd_batch("scp", [_scp_consts(params)], [params], sic, grid)[0]
+    return _fd_batch("scp", [_scp_consts(params)], [params], sic)[0]
 
 
 def fd_cran_uplink(
@@ -383,13 +383,15 @@ def fd_cran_uplink(
     its received power 2 beta_du^2 (1 + R_g(2)) p_d, but the central unit
     knows the downlink signals and subtracts them after decompression, so
     only sigma_u^2 reaches the decoder.  panels must be a valid panel count but
-    changes nothing.  Returns (rate, sigma_u_sq).
+    changes nothing.  Returns (rate, sigma_u_sq); c_u = 0 gives sigma_u_sq =
+    inf and rate 0, and a sigma_u_sq that overflows a float at c_u > 0 raises
+    NumericDomainError.
     """
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
     _check_panel_count(panels)
     k = _cran_consts(params, _precoder_terms(params.alpha, precoder))
-    rate = _finite("r_u", _cran_uplink(k, powers.p_u, powers.p_d))
-    return rate, _sigma_u_sq(k, powers.p_u, powers.p_d)
+    sigma = _checked_sigma_u_sq(k, powers.p_u, powers.p_d, budgets=False)
+    return _finite("r_u", _cran_uplink(k, powers.p_u, powers.p_d)), sigma
 
 
 def fd_cran_downlink(
@@ -414,14 +416,13 @@ def fd_cran_downlink(
 
 
 def fd_cran(
-    params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE, grid: int = DEFAULT_GRID,
-    panels: int = DEFAULT_PANELS,
+    params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE, panels: int = DEFAULT_PANELS,
 ) -> RateResult:
     """Full-duplex C-RAN equal rate: max-min over operating powers, found by
     _max_min_search.  panels must be a valid panel count but changes nothing."""
     _check_panel_count(panels)
     k = _fd_cran_consts(params, _precoder_terms(params.alpha, precoder))
-    return _fd_batch("cran", [k], [params], sic, grid)[0]
+    return _fd_batch("cran", [k], [params], sic)[0]
 
 
 def _stacked(rows):
@@ -437,7 +438,7 @@ def _stacked(rows):
     return of
 
 
-def _fd_batch(family: str, consts, points, sic: SicMode, grid: int) -> list:
+def _fd_batch(family: str, consts, points, sic: SicMode) -> list:
     """One power search for the points of a batch, consts holding each point's
     kernel constants, and each point's result (_fd_result) at its argmax."""
     uplink, downlink = _kernels(family)
@@ -448,7 +449,7 @@ def _fd_batch(family: str, consts, points, sic: SicMode, grid: int) -> list:
         r_u = uplink(k, pu, pd)
         return r_u, downlink(k, pu, pd, r_u, receiver)
 
-    _, p_u, p_d = _max_min_search(rates, *_budgets(points), grid, sic)
+    _, p_u, p_d = _max_min_search(rates, *_budgets(points), sic)
     return [_fd_result(family, k, sic, *at) for k, *at in zip(consts, p_u.tolist(), p_d.tolist())]
 
 
@@ -475,20 +476,13 @@ def _budgets(points) -> tuple[np.ndarray, np.ndarray]:
     return np.array([p.p_u_max for p in points]), np.array([p.p_d_max for p in points])
 
 
-def _call_limit(grid: int) -> int:
-    """Elements in the largest objective call of a one-point SIC search: its
-    first row scan, or a window of rows at small grid (see _max_min_search)."""
-    w = _WINDOW.size
-    return max((grid + 2) * max(grid + 1, w), w * w)
-
-
-def _in_chunks(fn, limit: int, pu, pd, at: int = 0):
+def _in_chunks(fn, pu, pd, at: int = 0):
     """fn(b, pu[i:j], pd[i:j]) for the points b = slice(at + i, at + j), one
-    per leading row of pu and pd, in calls of at most limit elements (one
-    point at least) along that axis; the tuples of arrays that fn returns are
-    joined along it."""
+    per leading row of pu and pd, in calls of at most _CALL_LIMIT elements
+    (one point at least) along that axis; the tuples of arrays that fn
+    returns are joined along it."""
     shape = np.broadcast(pu, pd).shape
-    step = max(1, limit // math.prod(shape[1:]))
+    step = max(1, _CALL_LIMIT // math.prod(shape[1:]))
     if step >= shape[0]:
         return fn(slice(at, at + shape[0]), pu, pd)
     parts = [
@@ -563,24 +557,25 @@ def _best_of(values, at):
     return flat[rows, j].reshape(shape), at.reshape(flat.shape)[rows, j].reshape(shape)
 
 
-def _row_max(row_best, pu, seed, p_d_max, grid: int):
-    """Per-row max over p_d for each p_u: a scan of grid values plus the row's
-    seed, then _ZOOM_PASSES windows of len(_WINDOW) values centred on the
+def _row_max(row_best, pu, seed, p_d_max):
+    """Per-row max over p_d for each p_u: a scan of DEFAULT_GRID values plus the
+    row's seed, then _ZOOM_PASSES windows of len(_WINDOW) values centred on the
     row's incumbent, the first _ZOOM scan steps wide, each next _ZOOM times
     narrower; the incumbent moves only to a strictly better value.  pu and
     seed are (n, rows); the scans are built for as many points at a time as
     one kernel call takes.  Returns (values, p_d) per row."""
     n, rows = pu.shape
     value, pd = np.empty((n, rows)), np.empty((n, rows))
-    step = max(1, _call_limit(grid) // (rows * (grid + 1)))
+    step = max(1, _CALL_LIMIT // (rows * (DEFAULT_GRID + 1)))
     for i in range(0, n, step):
         b = slice(i, i + step)
-        lin = np.array([np.linspace(0.0, d_max, grid) for d_max in p_d_max[b]])
+        lin = np.array([np.linspace(0.0, d_max, DEFAULT_GRID) for d_max in p_d_max[b]])
         scan = np.concatenate(
-            [np.broadcast_to(lin[:, None, :], (len(lin), rows, grid)), seed[b, :, None]], axis=2
+            [np.broadcast_to(lin[:, None, :], (len(lin), rows, DEFAULT_GRID)), seed[b, :, None]],
+            axis=2,
         )
         value[b], pd[b] = row_best(pu[b, :, None], scan, at=i)
-    span = _ZOOM * p_d_max / (grid - 1)
+    span = _ZOOM * (p_d_max / (DEFAULT_GRID - 1))  # divided first: _ZOOM * p_d_max can overflow
     for _ in range(_ZOOM_PASSES):
         window = np.clip(
             pd[..., None] + span[:, None, None] * (_WINDOW - 0.5), 0.0, p_d_max[:, None, None]
@@ -593,7 +588,7 @@ def _row_max(row_best, pu, seed, p_d_max, grid: int):
     return value, pd
 
 
-def _profile_max(row_best, pu, seed, p_u_max, p_d_max, grid: int):
+def _profile_max(row_best, pu, seed, p_u_max, p_d_max):
     """Maximize the objective over the box from rows pu seeded with p_d values.
 
     The max-min objective peaks on narrow curved ridges, where a 2-D grid
@@ -603,15 +598,15 @@ def _profile_max(row_best, pu, seed, p_u_max, p_d_max, grid: int):
     with windows of len(_WINDOW) rows, each seeded where the rows seen so far
     put the ridge.  Returns (value, p_u, p_d).
     """
-    value, pd = _row_max(row_best, pu, seed, p_d_max, grid)
+    value, pd = _row_max(row_best, pu, seed, p_d_max)
     i = np.argmax(value >= value.max(axis=1, keepdims=True) - _TIE_TOL, axis=1)[:, None]
     best = [np.take_along_axis(x, i, 1)[:, 0] for x in (value, pu, pd)]
-    span = _ZOOM * p_u_max / (grid - 1)
+    span = _ZOOM * (p_u_max / (DEFAULT_GRID - 1))
     for _ in range(_ZOOM_PASSES):
         order = np.argsort(pu, axis=1, kind="stable")
         rows = np.clip(best[1][:, None] + span[:, None] * (_WINDOW - 0.5), 0.0, p_u_max[:, None])
         seed = np.array([np.interp(r, u[o], d[o]) for r, u, d, o in zip(rows, pu, pd, order)])
-        row_value, row_pd = _row_max(row_best, rows, seed, p_d_max, grid)
+        row_value, row_pd = _row_max(row_best, rows, seed, p_d_max)
         pu, pd = np.hstack([pu, rows]), np.hstack([pd, row_pd])
         i = np.argmax(row_value, axis=1)[:, None]
         top = [np.take_along_axis(x, i, 1)[:, 0] for x in (row_value, rows, row_pd)]
@@ -621,7 +616,7 @@ def _profile_max(row_best, pu, seed, p_u_max, p_d_max, grid: int):
     return best
 
 
-def _max_min_search(rates, p_u_max, p_d_max, grid: int, sic: SicMode):
+def _max_min_search(rates, p_u_max, p_d_max, sic: SicMode):
     """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max].
 
     rates(b, pu, pd, receiver) -> (r_u, r_d) evaluates the points in slice b
@@ -636,22 +631,18 @@ def _max_min_search(rates, p_u_max, p_d_max, grid: int, sic: SicMode):
     SIC: as t3 <= t1, min(r_u, q(t1, t2 - r_u, t3)) is the larger of the
     treat-as-noise objective min(r_u, t3) and the decode-first one
     min(r_u, t1, t2 - r_u), which can peak inside the box.  _profile_max
-    searches it from grid rows of p_u, each scanned at grid values of p_d, and
-    from the best points of both budget edges scanned at grid**2 points; it
-    replaces the treat-as-noise optimum only when better by over _TIE_TOL.
-    grid sets only these scans.  No call to rates evaluates more elements
-    than the first row scan of one point (_call_limit), so the edge scans and
+    searches it from DEFAULT_GRID rows of p_u, each scanned at DEFAULT_GRID
+    values of p_d, and from the best points of both budget edges scanned at
+    DEFAULT_GRID**2 points; it replaces the treat-as-noise optimum only when
+    better by over _TIE_TOL.  No call to rates evaluates more elements
+    than the first row scan of one point (_CALL_LIMIT), so the edge scans and
     the first row scan go one point at a time and the rest in groups of
     points.  Returns (value, p_u, p_d), each an (n,) array.
     """
-    if not isinstance(grid, int) or grid < 2:
-        raise ValueError(f"grid resolution must be an integer >= 2, got {grid!r}")
-    limit = _call_limit(grid)
-
     def treat_as_noise(b, pu, pd):
         return rates(b, pu, pd, _TAN)
 
-    best = _edge_optimum(lambda pu, pd: _in_chunks(treat_as_noise, limit, pu, pd), p_u_max, p_d_max)
+    best = _edge_optimum(lambda pu, pd: _in_chunks(treat_as_noise, pu, pd), p_u_max, p_d_max)
     if sic is _TAN:
         return best
 
@@ -659,18 +650,18 @@ def _max_min_search(rates, p_u_max, p_d_max, grid: int, sic: SicMode):
         return np.minimum(*rates(b, pu, pd, _DECODE_FIRST))
 
     def row_best(pu, pd, at=0):  # each row's max over the last axis of pd, and its p_d
-        return _in_chunks(lambda b, u, d: _best_of(decode_first(b, u, d), d), limit, pu, pd, at)
+        return _in_chunks(lambda b, u, d: _best_of(decode_first(b, u, d), d), pu, pd, at)
 
     pu, seed = [], []
     for i, (u_max, d_max) in enumerate(zip(p_u_max, p_d_max)):
         b = slice(i, i + 1)
-        edge_u = np.linspace(0.0, u_max, grid * grid)
-        edge_d = np.linspace(0.0, d_max, grid * grid)
+        edge_u = np.linspace(0.0, u_max, DEFAULT_GRID**2)
+        edge_d = np.linspace(0.0, d_max, DEFAULT_GRID**2)
         best_u = edge_u[np.argmax(decode_first(b, edge_u[None, None], d_max[None, None, None]))]
         best_d = edge_d[np.argmax(decode_first(b, u_max[None, None, None], edge_d[None, None]))]
-        pu.append(np.append(np.linspace(0.0, u_max, grid), [u_max, best_u]))
-        seed.append(np.append(np.zeros(grid), [best_d, d_max]))  # grid rows rely on their scan
-    challenger = _profile_max(row_best, np.array(pu), np.array(seed), p_u_max, p_d_max, grid)
+        pu.append(np.append(np.linspace(0.0, u_max, DEFAULT_GRID), [u_max, best_u]))
+        seed.append(np.append(np.zeros(DEFAULT_GRID), [best_d, d_max]))  # scanned rows: no seed
+    challenger = _profile_max(row_best, np.array(pu), np.array(seed), p_u_max, p_d_max)
     better = challenger[0] > best[0] + _TIE_TOL
     return tuple(np.where(better, c, b) for c, b in zip(challenger, best))
 
@@ -686,7 +677,7 @@ def _fd_consts(family: str, points) -> list:
     return [_fd_cran_consts(p, _precoder_terms(p.alpha)) for p in points]
 
 
-def compute_fd_batch(scheme: SchemeId, points, grid: int = DEFAULT_GRID) -> list[RateResult]:
+def compute_fd_batch(scheme: SchemeId, points) -> list[RateResult]:
     """compute_scheme for one full-duplex scheme at each of a sequence of
     operating points, with one power search for the whole batch.
 
@@ -695,7 +686,7 @@ def compute_fd_batch(scheme: SchemeId, points, grid: int = DEFAULT_GRID) -> list
     family, sic = SCHEMES[scheme]
     if sic is None:
         raise ValueError(f"{scheme.value} is not a full-duplex scheme")
-    return _fd_batch(family, _fd_consts(family, points), points, sic, grid)
+    return _fd_batch(family, _fd_consts(family, points), points, sic)
 
 
 def compute_scheme(
@@ -705,12 +696,15 @@ def compute_scheme(
     """Evaluate one scheme end to end.  C-RAN schemes take the zero-forcing
     precoder through its exact constants (zf_constants) and the uplink
     integral in closed form, so panels, still checked to be a valid panel
-    count, changes no result.
+    count, changes no result.  Nor does grid, checked to be an integer >= 2:
+    the SIC search always scans at DEFAULT_GRID.
 
     full_power=True evaluates a full-duplex scheme at its budgets
     (P_u, P_d) instead of searching; half-duplex schemes always spend them.
     """
     _check_panel_count(panels)
+    if not isinstance(grid, int) or grid < 2:
+        raise ValueError(f"grid resolution must be an integer >= 2, got {grid!r}")
     family, sic = SCHEMES[scheme]
     if sic is None:
         if family == "scp":
@@ -719,4 +713,4 @@ def compute_scheme(
     if full_power:
         k = _fd_consts(family, [params])[0]
         return _fd_result(family, k, sic, params.p_u_max, params.p_d_max)
-    return compute_fd_batch(scheme, [params], grid)[0]
+    return compute_fd_batch(scheme, [params])[0]

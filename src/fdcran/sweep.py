@@ -19,7 +19,6 @@ fronthaul capacities in bits/s/Hz:
     sweep.stop      = 12
     sweep.step      = 0.5
     schemes         = hd_scp, hd_cran, fd_scp, fd_scp_sic, fd_cran, fd_cran_sic
-    numerics.grid   = 64
     numerics.oracle = off
 
 The downlink receiver is part of the scheme: the ``*_sic`` ids cancel the
@@ -33,7 +32,8 @@ in kernel calls no larger than those of a one-point search, while half-duplex
 rows are computed one at a time.  The block size bounds the solver's memory
 whatever the sweep length, and MAX_SWEEP_VALUES bounds the sweep.  C-RAN
 rows are exact (closed forms, see rates), so a sweep has no quadrature
-setting.
+setting, and the SIC search scans at one fixed resolution (rates.DEFAULT_GRID),
+so it has no resolution setting either.
 
 Where more than one CPU is usable and the sweep has full-duplex schemes,
 run_sweep forks a pool of worker processes for its duration: the workers
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field, replace
 
 from .model import SchemeId, SystemParams, db_to_linear
 from .oracle import DEFAULT_CELLS, circulant_uplink_rate, exhaustive_power_opt
-from .rates import DEFAULT_GRID, SCHEMES, SicMode, compute_fd_batch, compute_scheme
+from .rates import SCHEMES, SicMode, compute_fd_batch, compute_scheme
 
 __all__ = [
     "CSV_COLUMNS",
@@ -158,7 +158,6 @@ class SweepSpec:
     stop: float = 12.0
     step: float = 0.5
     schemes: tuple[SchemeId, ...] = tuple(SchemeId)
-    grid: int = DEFAULT_GRID
     oracle: bool = False
 
     def __post_init__(self):
@@ -263,13 +262,6 @@ def _parse_float(raw: str, line: int, key: str) -> float:
     return v
 
 
-def _parse_int(raw: str, line: int, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {raw!r}", line, key) from None
-
-
 def _parse_schemes(raw: str, line: int) -> tuple[SchemeId, ...]:
     names = [part.strip() for part in raw.split(",") if part.strip()]
     if not names:
@@ -328,8 +320,6 @@ def parse_config(text: str, defaults: SweepSpec | None = None) -> SweepSpec:
             spec_kw[key.split(".", 1)[1]] = _parse_float(raw, lineno, key)
         elif key == "schemes":
             spec_kw["schemes"] = _parse_schemes(raw, lineno)
-        elif key == "numerics.grid":
-            spec_kw["grid"] = _parse_int(raw, lineno, key)
         elif key == "numerics.oracle":
             token = raw.lower()
             if token not in _ON_OFF:
@@ -357,7 +347,6 @@ def serialize_spec(spec: SweepSpec) -> str:
     lines.append(f"sweep.stop = {spec.stop!r}")
     lines.append(f"sweep.step = {spec.step!r}")
     lines.append("schemes = " + ", ".join(s.value for s in spec.schemes))
-    lines.append(f"numerics.grid = {spec.grid}")
     lines.append(f"numerics.oracle = {'on' if spec.oracle else 'off'}")
     return "\n".join(lines) + "\n"
 
@@ -466,9 +455,9 @@ def _solve_block(spec: SweepSpec, block, fd, run, chunks: int) -> list[SweepRow]
     points = [spec.params_at(value) for value in block]
     n = min(chunks, len(points))
     cuts = [len(points) * i // n for i in range(n + 1)]
-    tasks = [(s, points[a:b], spec.grid) for s in fd for a, b in zip(cuts, cuts[1:])]
+    tasks = [(s, points[a:b]) for s in fd for a, b in zip(cuts, cuts[1:])]
     solved = {s: [] for s in fd}
-    for (scheme, _, _), results in zip(tasks, run(_solve_chunk, tasks)):
+    for (scheme, _), results in zip(tasks, run(_solve_chunk, tasks)):
         solved[scheme] += results
     rows = _block_rows(spec, block, points, solved)
     if spec.oracle:
@@ -477,8 +466,7 @@ def _solve_block(spec: SweepSpec, block, fd, run, chunks: int) -> list[SweepRow]
 
 
 def _solve_chunk(task) -> list:
-    scheme, points, grid = task
-    return compute_fd_batch(scheme, points, grid)
+    return compute_fd_batch(*task)
 
 
 def _block_rows(spec: SweepSpec, block, points, solved: dict) -> list[SweepRow]:
@@ -492,7 +480,7 @@ def _block_rows(spec: SweepSpec, block, points, solved: dict) -> list[SweepRow]:
             if scheme in solved:
                 result = solved[scheme][i]
             else:
-                result = compute_scheme(scheme, params, grid=spec.grid)
+                result = compute_scheme(scheme, params)
             diag = result.diagnostics
             row = SweepRow(
                 sweep_var=spec.sweep_var,

@@ -25,20 +25,19 @@ MIXED = DOMAIN + [
 
 @pytest.mark.parametrize("scheme", FD_SCHEMES, ids=lambda s: s.value)
 def test_batch_equals_each_point_alone(scheme):
-    # grid 32 still puts several points into most kernel calls
-    batch = compute_fd_batch(scheme, MIXED, grid=32)
-    alone = [compute_scheme(scheme, p, grid=32) for p in MIXED]
+    batch = compute_fd_batch(scheme, MIXED)
+    alone = [compute_scheme(scheme, p) for p in MIXED]
     for got, want in zip(batch, alone):
         assert (got.r_u, got.r_d, got.r_eq) == (want.r_u, want.r_d, want.r_eq)
         assert got.diagnostics == want.diagnostics
 
 
 def test_alpha_sweep_rows_equal_compute_scheme():
-    spec = SweepSpec(sweep_var="alpha", start=0.0, stop=0.45, step=0.15, grid=16)
+    spec = SweepSpec(sweep_var="alpha", start=0.0, stop=0.45, step=0.15)
     rows = run_sweep(spec)
     assert len({r.value for r in rows}) == 4
     for row in rows:
-        want = compute_scheme(row.scheme, spec.params_at(row.value), grid=spec.grid)
+        want = compute_scheme(row.scheme, spec.params_at(row.value))
         diag = want.diagnostics
         assert (row.r_u, row.r_d, row.r_eq) == (want.r_u, want.r_d, want.r_eq)
         assert (row.sigma_u_sq, row.sigma_d_sq, row.p_u_star, row.p_d_star, row.f_star) == (
@@ -53,7 +52,7 @@ def test_alpha_sweep_rows_equal_compute_scheme():
 def test_sweeps_longer_than_a_block_keep_every_row():
     spec = SweepSpec(
         sweep_var="gamma_ud", start=0.0, stop=8.0, step=0.1,
-        schemes=(SchemeId.HD_SCP, SchemeId.FD_SCP), grid=16,
+        schemes=(SchemeId.HD_SCP, SchemeId.FD_SCP),
     )
     rows = run_sweep(spec)
     assert [(r.value, r.scheme) for r in rows] == [
@@ -61,7 +60,7 @@ def test_sweeps_longer_than_a_block_keep_every_row():
     ]
     assert len(spec.values()) > 64
     for row in rows[-4:]:
-        assert row.r_eq == compute_scheme(row.scheme, spec.params_at(row.value), grid=16).r_eq
+        assert row.r_eq == compute_scheme(row.scheme, spec.params_at(row.value)).r_eq
 
 
 def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):

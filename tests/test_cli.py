@@ -22,7 +22,6 @@ sweep.start = 4
 sweep.stop = 8
 sweep.step = 4
 schemes = hd_scp, hd_cran, fd_scp_sic
-numerics.grid = 16
 """
 
 
@@ -43,7 +42,7 @@ def test_compute_prints_json(capsys):
 
 def test_compute_full_power(capsys):
     for scheme in ("fd_scp", "fd_cran_sic"):
-        common = ["compute", "--scheme", scheme, "--grid", "16"]
+        common = ["compute", "--scheme", scheme]
         assert main(common + ["--full-power"]) == 0
         full = json.loads(capsys.readouterr().out)
         assert main(common) == 0
@@ -206,12 +205,18 @@ def test_sweep_rejects_the_removed_sic_key(tmp_path, capsys):
     assert "unknown key 'sic'" in capsys.readouterr().err
 
 
-def test_sweep_grid_below_two_is_config_error(tmp_path, capsys):
-    config = tmp_path / "sweep.cfg"
-    config.write_text(TINY_CONFIG, encoding="utf-8")
+@pytest.mark.parametrize("command", ["compute", "sweep"])
+def test_grid_flag_is_an_unknown_argument(command, tmp_path, capsys):
+    # the SIC search scans at one fixed resolution, so neither command takes --grid
     out = tmp_path / "x.csv"
-    assert main(["sweep", "--config", str(config), "--out", str(out), "--grid", "1"]) == 2
-    assert "grid resolution" in capsys.readouterr().err
+    argv = {
+        "compute": ["compute", "--scheme", "fd_scp_sic"],
+        "sweep": ["sweep", "--preset", "fig2", "--out", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exited:
+        main(argv + ["--grid", "16"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --grid 16" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -223,7 +228,7 @@ def test_sweep_numeric_overrides(tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text(TINY_CONFIG, encoding="utf-8")
     out = tmp_path / "rates.csv"
-    code = main(["sweep", "--config", str(config), "--out", str(out), "--grid", "8"])
+    code = main(["sweep", "--config", str(config), "--out", str(out)])
     assert code == 0
 
 

@@ -28,7 +28,6 @@ NUMERIC_KEYS = [
     "sweep.start",
     "sweep.stop",
     "sweep.step",
-    "numerics.grid",
 ]
 KEYS = NUMERIC_KEYS + ["sweep.var", "schemes", "numerics.oracle"]
 

@@ -4,11 +4,12 @@ zero-forcing precoder at any sampling they give compute_scheme's results, and
 they check their inputs explicitly."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from fdcran.model import NumericDomainError, PowerAllocation, SchemeId
+from fdcran.model import NumericDomainError, PowerAllocation, SchemeId, db_to_linear
 from fdcran.rates import (
     SCHEMES,
     SicMode,
@@ -24,6 +25,8 @@ from fdcran.rates import (
 )
 from fdcran.spectral import zf_precoder
 from test_solver_properties import DOMAIN
+
+from conftest import make_params
 
 PANELS = 1024
 SIC = SicMode.SIC
@@ -103,3 +106,19 @@ def test_budgets_and_panels_are_checked():
         fd_cran_downlink(PARAMS, within, PRECODER, panels=2 * PANELS)
     with pytest.raises(ValueError, match="panels"):
         hd_cran_downlink(PARAMS, PRECODER, panels=2 * PANELS)
+
+
+def test_an_overflowing_quantization_noise_is_a_numeric_domain_error():
+    # sigma_u^2 = (1 + (1 + 2 alpha^2) P_u + ...) / (2**5 - 1) overflows at 3082 dB,
+    # where a zero uplink rate would be wrong: the SNR tends to (2**c_u - 1)/(1 + 2 alpha^2)
+    params = make_params(alpha=0.49, p_u_max=db_to_linear(3082.0), c_u=5.0)
+    precoder = zf_precoder(params.alpha)
+    top = PowerAllocation(params.p_u_max, 100.0)
+    with pytest.raises(NumericDomainError, match="sigma_u_sq overflows"):
+        fd_cran_uplink(params, top, precoder)
+    with pytest.raises(NumericDomainError, match="sigma_u_sq overflows"):
+        compute_scheme(SchemeId.FD_CRAN, params)
+    rate, sigma = fd_cran_uplink(params, PowerAllocation(1.0, 100.0), precoder)
+    assert rate > 0.0 and math.isfinite(sigma)
+    # at c_u = 0 the quantizer passes nothing: sigma_u^2 is inf and the rate 0
+    assert fd_cran_uplink(replace(params, c_u=0.0), top, precoder) == (0.0, math.inf)

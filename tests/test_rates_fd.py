@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,24 @@ def test_fd_scp_argmax_reproduces_value(fig2_params):
         r_u = fd_scp_uplink_rate(fig2_params, p_u, p_d)
         r_d = fd_scp_downlink_rate(fig2_params, p_u, p_d, sic, r_u)
         assert abs(min(r_u, r_d) - res.r_eq) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma_ud", [1.0, 2.0, 3.0])
+def test_fd_scp_sic_search_zooms_at_the_top_of_the_budget_range(gamma_ud):
+    # the zoom windows are _ZOOM scan steps wide, a width that once overflowed
+    # to inf above about 3073 dB and lost the decode-first search
+    params = make_params(
+        p_u_max=db_to_linear(3000.0), p_d_max=db_to_linear(3080.0), c_u=2000.0, gamma_ud=gamma_ud
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = fd_scp(params, SIC)
+    assert [w for w in caught if w.filename.endswith("rates.py")] == []
+    assert res.r_eq > fd_scp(params, TAN).r_eq + 0.5
+    # the oracle's own formulas give the same value at the reported argmax
+    candidate = (res.diagnostics["p_u_star"], res.diagnostics["p_d_star"])
+    scored = exhaustive_power_opt(params, SIC, 512, candidate)[0]
+    assert scored == pytest.approx(res.r_eq, abs=1e-12)
 
 
 # --- reduction identities: zero cross-duplex gains recover the HD formulas ---
@@ -234,8 +253,8 @@ def test_sic_never_hurts():
         )
         assert fd_scp(params, SIC).r_eq >= fd_scp(params, TAN).r_eq - 1e-9
         pre = pre_cache.setdefault(params.alpha, zf_precoder(params.alpha, 1024))
-        sic = fd_cran(params, pre, SIC, grid=32).r_eq
-        tan = fd_cran(params, pre, TAN, grid=32).r_eq
+        sic = fd_cran(params, pre, SIC).r_eq
+        tan = fd_cran(params, pre, TAN).r_eq
         assert sic >= tan - 1e-9
 
 
@@ -244,7 +263,7 @@ def test_equal_rate_non_decreasing_in_fronthaul():
         last = -1.0
         for c in np.linspace(0.0, 12.0, 20):
             params = make_params(c_u=float(c), c_d=float(c))
-            r_eq = compute_scheme(scheme, params, grid=32).r_eq
+            r_eq = compute_scheme(scheme, params).r_eq
             assert r_eq >= last - 1e-9, f"{scheme} not monotone at c={c}"
             last = r_eq
 

@@ -30,8 +30,6 @@ from fdcran.sweep import (
     verification_failures,
 )
 
-FAST = dict(grid=32)
-
 
 def small_spec(**kw) -> SweepSpec:
     defaults = dict(
@@ -41,7 +39,6 @@ def small_spec(**kw) -> SweepSpec:
         stop=6.0,
         step=2.0,
         schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN, SchemeId.FD_SCP_SIC),
-        **FAST,
     )
     defaults.update(kw)
     return SweepSpec(**defaults)
@@ -112,7 +109,6 @@ def test_parse_config_minimal_and_overrides():
     sweep.stop = 2
     sweep.step = 1
     schemes = hd_scp, fd_scp
-    numerics.grid = 16
     numerics.oracle = on
     """
     spec = parse_config(text)
@@ -120,7 +116,7 @@ def test_parse_config_minimal_and_overrides():
     assert spec.base.beta_du == 0.4  # untouched default
     assert spec.sweep_var == "gamma_ud"
     assert spec.schemes == (SchemeId.HD_SCP, SchemeId.FD_SCP)
-    assert spec.grid == 16 and spec.oracle is True
+    assert spec.oracle is True
 
 
 def test_parse_config_scheme_shorthand_all():
@@ -139,6 +135,7 @@ def test_parse_config_scheme_shorthand_all():
         ("sweep.var = sideways", "unknown sweep variable"),
         ("sic = on", "unknown key"),
         ("numerics.panels = 4096", "unknown key"),
+        ("numerics.grid = 16", "unknown key"),
         ("base.alpha =", "missing value"),
     ],
 )
@@ -311,7 +308,7 @@ def test_sweeps_reach_no_sampled_precoder_or_quadrature(monkeypatch):
         for name in ("zf_precoder", "rate_integral", "h_tilde", "rg"):
             monkeypatch.setattr(module, name, sampled, raising=False)
     assert len(run_sweep(preset_spec("fig2"))) == 25 * 6
-    alpha = SweepSpec(sweep_var="alpha", start=0.0, stop=0.45, step=0.05, grid=16)
+    alpha = SweepSpec(sweep_var="alpha", start=0.0, stop=0.45, step=0.05)
     assert len(run_sweep(alpha)) == 10 * 6
 
 
@@ -325,18 +322,24 @@ def test_zf_singularity_propagates_with_alpha():
     assert err.value.alpha == 0.6
 
 
-def test_first_failing_row_decides_the_error():
+def test_first_failing_row_decides_the_error(monkeypatch):
     # the full-duplex C-RAN batch fails too, but (0.6, hd_cran) comes first
     spec = small_spec(sweep_var="alpha", start=0.3, stop=0.6, step=0.3, schemes=tuple(SchemeId))
     with pytest.raises(ZfSingularError) as err:
         run_sweep(spec)
     assert err.value.alpha == 0.6
-    # a bad grid fails every full-duplex row: (0.3, fd_scp) is the first
-    with pytest.raises(ValueError, match="grid resolution"):
-        run_sweep(replace(spec, grid=1))
+
+    def failing_search(*args):
+        raise ValueError("power search failed")
+
+    # a failing power search fails every full-duplex row: (0.3, fd_scp) is the
+    # first; forked workers inherit the patch
+    monkeypatch.setattr(fdcran.rates, "_max_min_search", failing_search)
+    with pytest.raises(ValueError, match="power search failed"):
+        run_sweep(spec)
     # at 0.6 alone, the hd_cran row fails before the full-duplex ones
     with pytest.raises(ZfSingularError):
-        run_sweep(replace(spec, start=0.6, grid=1))
+        run_sweep(replace(spec, start=0.6))
 
 
 def test_oracle_scores_the_reported_argmax():
@@ -405,7 +408,7 @@ def test_a_two_block_sweep_does_not_depend_on_the_worker_count(monkeypatch, pool
 
 def test_first_failing_row_decides_the_error_on_a_pool(monkeypatch, pools):
     _force_cpus(monkeypatch, 2)
-    test_first_failing_row_decides_the_error()
+    test_first_failing_row_decides_the_error(monkeypatch)
     assert len(pools) == 3
     assert multiprocessing.active_children() == []
 
@@ -437,9 +440,9 @@ def test_a_sweep_beside_another_thread_forks_no_pool(monkeypatch, pools):
 
 
 def test_worker_warnings_print_as_on_the_serial_path(monkeypatch):
-    # huge budgets overflow inside the full-duplex searches, in every worker
+    # a huge uplink budget overflows the downlink kernels in every worker
     spec = small_spec(
-        base=SweepBase(p_u_db=3000.0, p_d_db=3080.0, c_u=2000.0),
+        base=SweepBase(p_u_db=3080.0, p_d_db=3000.0, c_u=2000.0),
         sweep_var="gamma_ud", start=0.0, stop=3.0, step=1.0,
         schemes=(SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN),
     )
