@@ -10,15 +10,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from .model import NumericDomainError, SchemeId, SystemParams, db_to_linear
+from .model import NumericDomainError, SchemeId
 from .rates import DEFAULT_GRID, compute_scheme
-from .svg import PlotSpec, emit_svg
+from .svg import emit_svg
 from .sweep import (
     ConfigError,
+    SweepBase,
     SweepSpec,
     VerificationError,
+    base_params,
     emit_csv,
     oracle_gaps,
     parse_config,
@@ -28,6 +30,19 @@ from .sweep import (
 )
 
 __all__ = ["main"]
+
+# help text of the compute flag for each SweepBase field
+_BASE_HELP = {
+    "alpha": "inter-cell gain",
+    "beta_du": "inter-cell D-U gain",
+    "beta_ud": "inter-cell U-D gain",
+    "gamma_du": "self-interference gain (inert)",
+    "gamma_ud": "intra-cell U-D gain",
+    "p_u_db": "uplink budget in dB",
+    "p_d_db": "downlink budget in dB",
+    "c_u": "uplink fronthaul, bits/s/Hz",
+    "c_d": "downlink fronthaul, bits/s/Hz",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,15 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[s.value for s in SchemeId],
         help="scheme to evaluate",
     )
-    compute.add_argument("--alpha", type=float, default=0.4, help="inter-cell gain")
-    compute.add_argument("--beta-du", type=float, default=0.4, help="inter-cell D-U gain")
-    compute.add_argument("--beta-ud", type=float, default=0.04, help="inter-cell U-D gain")
-    compute.add_argument("--gamma-du", type=float, default=0.0, help="self-interference gain (inert)")
-    compute.add_argument("--gamma-ud", type=float, default=4.0, help="intra-cell U-D gain")
-    compute.add_argument("--p-u-db", type=float, default=20.0, help="uplink budget in dB")
-    compute.add_argument("--p-d-db", type=float, default=20.0, help="downlink budget in dB")
-    compute.add_argument("--c-u", type=float, default=10.0, help="uplink fronthaul, bits/s/Hz")
-    compute.add_argument("--c-d", type=float, default=10.0, help="downlink fronthaul, bits/s/Hz")
+    for f in fields(SweepBase):
+        flag = "--" + f.name.replace("_", "-")
+        compute.add_argument(flag, type=float, default=f.default, help=_BASE_HELP[f.name])
     compute.add_argument(
         "--full-power",
         action="store_true",
@@ -80,17 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    params = SystemParams(
-        alpha=args.alpha,
-        beta_du=args.beta_du,
-        beta_ud=args.beta_ud,
-        gamma_du=args.gamma_du,
-        gamma_ud=args.gamma_ud,
-        p_u_max=db_to_linear(args.p_u_db),
-        p_d_max=db_to_linear(args.p_d_db),
-        c_u=args.c_u,
-        c_d=args.c_d,
-    )
+    base = SweepBase(**{f.name: getattr(args, f.name) for f in fields(SweepBase)})
+    params = base_params(**vars(base))
     result = compute_scheme(SchemeId(args.scheme), params, full_power=args.full_power)
 
     def clean(x: float):
@@ -126,7 +126,7 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(spec)
     emit_csv(rows, args.out)
     if args.svg:
-        emit_svg(rows, args.svg, PlotSpec(x_label=spec.sweep_var))
+        emit_svg(rows, args.svg)
     if spec.oracle:
         failures = verification_failures(rows)
         if failures:

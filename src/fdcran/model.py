@@ -9,7 +9,7 @@ large finite capacity (e.g. 1000) so that 2**c stays finite.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -94,17 +94,6 @@ def _warn_inert_gamma_du(value: float) -> None:
         _gamma_du_warned = True
 
 
-_PARAM_FIELDS = (
-    "alpha",
-    "beta_du",
-    "beta_ud",
-    "gamma_du",
-    "gamma_ud",
-    "p_u_max",
-    "p_d_max",
-    "c_u",
-    "c_d",
-)
 _GAIN_FIELDS = ("alpha", "beta_du", "beta_ud", "gamma_ud")  # gamma_du is inert
 
 
@@ -137,8 +126,8 @@ class SystemParams:
     c_d: float
 
     def __post_init__(self):
-        for name in _PARAM_FIELDS:
-            v = getattr(self, name)
+        for f in fields(self):
+            name, v = f.name, getattr(self, f.name)
             if not isinstance(v, (int, float)):
                 raise ValueError(f"{name} must be numeric, got {v!r}")
             v = float(v)

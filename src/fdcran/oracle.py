@@ -47,7 +47,7 @@ class CirculantChannel:
     """Ring-of-cells channel matrix, stored by its first row.
 
     Row k is row 0 rotated right by k, so the matrix is fully determined by
-    first_row; for the symmetric rows used here the eigenvalues are real.
+    first_row.
     """
 
     n: int
@@ -72,10 +72,6 @@ class CirculantChannel:
 
     def matrix(self) -> np.ndarray:
         return np.array([np.roll(self.first_row, k) for k in range(self.n)])
-
-    def eigenvalues(self) -> np.ndarray:
-        # symmetric first row => the DFT of the row is real
-        return np.fft.fft(self.first_row).real
 
 
 def circulant_uplink_rate(

@@ -2,16 +2,21 @@
 
 Hand-rolled on purpose: the output for a given table must be reproducible to
 the byte, so no plotting library (with its ids and timestamps) is involved.
-One polyline per scheme, circle markers at the data points, fixed palette.
+One polyline per scheme, circle markers at the data points, fixed palette,
+fixed size and title; the x axis is labeled with the swept variable.
 """
 
 import math
-from dataclasses import dataclass
 
 from .model import SchemeId
 from .sweep import SweepRow
 
-__all__ = ["PlotSpec", "emit_svg"]
+__all__ = ["emit_svg"]
+
+_TITLE = "equal per-cell rate"
+_Y_LABEL = "r_eq [bits/s/Hz]"
+_WIDTH = 640
+_HEIGHT = 440
 
 # one fixed color per scheme, keyed by enum order
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
@@ -20,17 +25,6 @@ _MARGIN_LEFT = 62.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 28.0
 _MARGIN_BOTTOM = 46.0
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    """Chart framing; label defaults are filled from the table."""
-
-    title: str = "equal per-cell rate"
-    x_label: str | None = None
-    y_label: str = "r_eq [bits/s/Hz]"
-    width: int = 640
-    height: int = 440
 
 
 def _nice_step(span: float, target: int = 6) -> float:
@@ -63,12 +57,10 @@ def _label(x: float) -> str:
     return f"{x:g}"
 
 
-def emit_svg(rows: list[SweepRow], path, plot_spec: PlotSpec | None = None) -> None:
+def emit_svg(rows: list[SweepRow], path) -> None:
     """Render r_eq versus the sweep value, one polyline per scheme."""
     if not rows:
         raise ValueError("cannot plot an empty table")
-    spec = plot_spec if plot_spec is not None else PlotSpec()
-    x_label = spec.x_label if spec.x_label is not None else rows[0].sweep_var
 
     series = []  # (scheme, [(x, y), ...]) in enum order
     for scheme in SchemeId:
@@ -84,8 +76,8 @@ def emit_svg(rows: list[SweepRow], path, plot_spec: PlotSpec | None = None) -> N
     y_lo = 0.0
     y_hi = max(max(ys), 1e-9) * 1.05
 
-    plot_w = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = spec.height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def to_x(v: float) -> float:
         return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
@@ -94,11 +86,11 @@ def emit_svg(rows: list[SweepRow], path, plot_spec: PlotSpec | None = None) -> N
         return _MARGIN_TOP + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
-        f'<text x="{_num(spec.width / 2)}" y="18" font-family="sans-serif" '
-        f'font-size="14" text-anchor="middle">{spec.title}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{_num(_WIDTH / 2)}" y="18" font-family="sans-serif" '
+        f'font-size="14" text-anchor="middle">{_TITLE}</text>',
     ]
 
     # axes, grid and ticks
@@ -129,13 +121,13 @@ def emit_svg(rows: list[SweepRow], path, plot_spec: PlotSpec | None = None) -> N
         f'height="{_num(plot_h)}" fill="none" stroke="#333333" stroke-width="1"/>'
     )
     parts.append(
-        f'<text x="{_num(x0 + plot_w / 2)}" y="{_num(spec.height - 10)}" '
-        f'font-family="sans-serif" font-size="12" text-anchor="middle">{x_label}</text>'
+        f'<text x="{_num(x0 + plot_w / 2)}" y="{_num(_HEIGHT - 10)}" '
+        f'font-family="sans-serif" font-size="12" text-anchor="middle">{rows[0].sweep_var}</text>'
     )
     parts.append(
         f'<text x="16" y="{_num(y1 + plot_h / 2)}" font-family="sans-serif" '
         f'font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_num(y1 + plot_h / 2)})">{spec.y_label}</text>'
+        f'transform="rotate(-90 16 {_num(y1 + plot_h / 2)})">{_Y_LABEL}</text>'
     )
 
     # data series

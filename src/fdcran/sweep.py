@@ -19,10 +19,11 @@ fronthaul capacities in bits/s/Hz:
     sweep.stop      = 12
     sweep.step      = 0.5
     schemes         = hd_scp, hd_cran, fd_scp, fd_scp_sic, fd_cran, fd_cran_sic
-    numerics.oracle = off
 
-The downlink receiver is part of the scheme: the ``*_sic`` ids cancel the
-co-located uplink signal first, the others treat it as noise.
+Each ``base.*`` key is a SweepBase field, as is each ``compute`` flag.  The
+downlink receiver is part of the scheme: the ``*_sic`` ids cancel the
+co-located uplink signal first, the others treat it as noise.  Oracle
+verification is not a config key: ``fdcran sweep --verify`` is its one switch.
 
 Rows come out one per (sweep value, scheme), sweep value major and scheme in
 enum order minor, so identical configs produce byte-identical CSV output.
@@ -50,7 +51,7 @@ import os
 import sys
 import threading
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .model import SchemeId, SystemParams, db_to_linear
 from .oracle import DEFAULT_CELLS, circulant_uplink_rate, exhaustive_power_opt
@@ -67,6 +68,7 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "VerificationError",
+    "base_params",
     "emit_csv",
     "load_csv",
     "oracle_gaps",
@@ -135,7 +137,9 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepBase:
-    """Baseline operating point in config-surface units (powers in dB)."""
+    """Baseline operating point in config-surface units (powers in dB).
+
+    Each field is also a ``base.<name>`` config key and a ``compute`` flag."""
 
     alpha: float = 0.4
     beta_du: float = 0.4
@@ -148,9 +152,16 @@ class SweepBase:
     c_d: float = 10.0
 
 
+def base_params(p_u_db: float, p_d_db: float, **gains) -> SystemParams:
+    """SystemParams at a point given by SweepBase's fields: the budgets in dB
+    become linear, every other field passes through."""
+    return SystemParams(p_u_max=db_to_linear(p_u_db), p_d_max=db_to_linear(p_d_db), **gains)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """One declarative sweep: a baseline, one swept variable, schemes, numerics."""
+    """One declarative sweep: a baseline, one swept variable, schemes, and
+    whether to run the oracles; the defaults are the paper's Fig. 2 sweep."""
 
     base: SweepBase = field(default_factory=SweepBase)
     sweep_var: str = "c_u_c_d_joint"
@@ -204,52 +215,26 @@ class SweepSpec:
             surface["p_u_db"] = surface["p_d_db"] = value
         else:
             surface[self.sweep_var] = value
-        return SystemParams(
-            p_u_max=db_to_linear(surface.pop("p_u_db")),
-            p_d_max=db_to_linear(surface.pop("p_d_db")),
-            **surface,
-        )
+        return base_params(**surface)
+
+
+_PRESETS = {
+    "fig2": SweepSpec(),
+    "fig3": SweepSpec(sweep_var="gamma_ud", stop=8.0, step=0.25),
+}
 
 
 def preset_spec(name: str) -> SweepSpec:
     """Built-in sweeps: 'fig2' (joint fronthaul sweep) and 'fig3' (gamma_ud sweep)."""
-    if name == "fig2":
-        return SweepSpec(
-            base=SweepBase(),
-            sweep_var="c_u_c_d_joint",
-            start=0.0,
-            stop=12.0,
-            step=0.5,
-            schemes=tuple(SchemeId),
-        )
-    if name == "fig3":
-        return SweepSpec(
-            base=SweepBase(),
-            sweep_var="gamma_ud",
-            start=0.0,
-            stop=8.0,
-            step=0.25,
-            schemes=tuple(SchemeId),
-        )
-    raise ConfigError(f"unknown preset {name!r}; expected 'fig2' or 'fig3'")
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; expected 'fig2' or 'fig3'")
+    return _PRESETS[name]
 
 
 # ----------------------------------------------------------------------------
 # config text parsing / serialization
 
-_BASE_KEYS = {
-    "base.alpha": "alpha",
-    "base.beta_du": "beta_du",
-    "base.beta_ud": "beta_ud",
-    "base.gamma_du": "gamma_du",
-    "base.gamma_ud": "gamma_ud",
-    "base.p_u_db": "p_u_db",
-    "base.p_d_db": "p_d_db",
-    "base.c_u": "c_u",
-    "base.c_d": "c_d",
-}
-
-_ON_OFF = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
+_BASE_KEYS = {f"base.{f.name}": f.name for f in fields(SweepBase)}
 
 
 def _parse_float(raw: str, line: int, key: str) -> float:
@@ -320,11 +305,6 @@ def parse_config(text: str, defaults: SweepSpec | None = None) -> SweepSpec:
             spec_kw[key.split(".", 1)[1]] = _parse_float(raw, lineno, key)
         elif key == "schemes":
             spec_kw["schemes"] = _parse_schemes(raw, lineno)
-        elif key == "numerics.oracle":
-            token = raw.lower()
-            if token not in _ON_OFF:
-                raise ConfigError(f"expected on/off, got {raw!r}", lineno, key)
-            spec_kw["oracle"] = _ON_OFF[token]
         else:
             raise ConfigError(f"unknown key {key!r}", lineno, key)
     if base_kw:
@@ -338,7 +318,8 @@ def parse_config(text: str, defaults: SweepSpec | None = None) -> SweepSpec:
 
 
 def serialize_spec(spec: SweepSpec) -> str:
-    """Canonical config text for a spec; parse_config round-trips it."""
+    """Canonical config text for a spec; parse_config round-trips every field
+    but oracle, which only --verify sets."""
     lines = []
     for key, attr in _BASE_KEYS.items():
         lines.append(f"{key} = {getattr(spec.base, attr)!r}")
@@ -347,7 +328,6 @@ def serialize_spec(spec: SweepSpec) -> str:
     lines.append(f"sweep.stop = {spec.stop!r}")
     lines.append(f"sweep.step = {spec.step!r}")
     lines.append("schemes = " + ", ".join(s.value for s in spec.schemes))
-    lines.append(f"numerics.oracle = {'on' if spec.oracle else 'off'}")
     return "\n".join(lines) + "\n"
 
 
@@ -356,6 +336,7 @@ def serialize_spec(spec: SweepSpec) -> str:
 
 _BLOCK = 64  # sweep values solved together; fig2 and fig3 take one block each
 _TAN = SicMode.TREAT_AS_NOISE
+_DIAGNOSTICS = CSV_COLUMNS[6:]  # the RateResult.diagnostics a row carries
 
 
 @dataclass
@@ -481,19 +462,9 @@ def _block_rows(spec: SweepSpec, block, points, solved: dict) -> list[SweepRow]:
                 result = solved[scheme][i]
             else:
                 result = compute_scheme(scheme, params)
-            diag = result.diagnostics
             row = SweepRow(
-                sweep_var=spec.sweep_var,
-                value=value,
-                scheme=scheme,
-                r_u=result.r_u,
-                r_d=result.r_d,
-                r_eq=result.r_eq,
-                sigma_u_sq=diag.get("sigma_u_sq"),
-                sigma_d_sq=diag.get("sigma_d_sq"),
-                p_u_star=diag.get("p_u_star"),
-                p_d_star=diag.get("p_d_star"),
-                f_star=diag.get("f_star"),
+                spec.sweep_var, value, scheme, result.r_u, result.r_d, result.r_eq,
+                **{name: result.diagnostics.get(name) for name in _DIAGNOSTICS},
             )
             if spec.oracle and SCHEMES[scheme][0] == "cran":
                 _attach_circulant(row, params)
@@ -647,28 +618,11 @@ def load_csv(path) -> list[SweepRow]:
         raise ValueError(f"{path}: unexpected header {header!r}")
     rows = []
     for line in lines[1:]:
-        cells = line.split(",")
-        record = dict(zip(header, cells))
-
-        def num(name):
-            raw = record.get(name, "NA")
-            return None if raw == "NA" else float(raw)
-
-        rows.append(
-            SweepRow(
-                sweep_var=record["sweep_var"],
-                value=float(record["value"]),
-                scheme=SchemeId(record["scheme"]),
-                r_u=num("r_u"),
-                r_d=num("r_d"),
-                r_eq=num("r_eq"),
-                sigma_u_sq=num("sigma_u_sq"),
-                sigma_d_sq=num("sigma_d_sq"),
-                p_u_star=num("p_u_star"),
-                p_d_star=num("p_d_star"),
-                f_star=num("f_star"),
-                oracle_r_u=num("oracle_r_u"),
-                oracle_r_eq=num("oracle_r_eq"),
-            )
-        )
+        record = dict(zip(header, line.split(",")))
+        numbers = {
+            name: None if record.get(name, "NA") == "NA" else float(record[name])
+            for name in CSV_COLUMNS[3:] + ORACLE_COLUMNS
+        }
+        scheme = SchemeId(record["scheme"])
+        rows.append(SweepRow(record["sweep_var"], float(record["value"]), scheme, **numbers))
     return rows

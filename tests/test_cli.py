@@ -2,15 +2,16 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdcran.sweep
-from fdcran.cli import main
+from fdcran.cli import _build_parser, main
 from fdcran.model import SchemeId
-from fdcran.sweep import ORACLE_RATE_TOL
+from fdcran.sweep import ORACLE_RATE_TOL, SweepBase, parse_config
 
 TINY_CONFIG = """
 base.alpha = 0.4
@@ -96,9 +97,30 @@ def _point_config(tmp_path, flags: dict, schemes: str):
     """A one-row sweep config at the operating point of the compute flags."""
     config = tmp_path / "point.cfg"
     base = "".join(f"base.{k.replace('-', '_')} = {v}\n" for k, v in flags.items())
-    sweep = "sweep.var = gamma_ud\nsweep.start = 4\nsweep.stop = 4\n"
+    gamma_ud = flags.get("gamma-ud", 4)
+    sweep = f"sweep.var = gamma_ud\nsweep.start = {gamma_ud}\nsweep.stop = {gamma_ud}\n"
     config.write_text(base + sweep + f"schemes = {schemes}\n", encoding="utf-8")
     return str(config)
+
+
+@pytest.mark.filterwarnings("ignore:gamma_du=:UserWarning")
+@pytest.mark.parametrize("field", fields(SweepBase), ids=lambda f: f.name)
+def test_each_base_field_is_a_compute_flag_and_a_config_key(field, tmp_path, capsys):
+    flag = field.name.replace("_", "-")
+    args = _build_parser().parse_args(["compute", "--scheme=fd_cran_sic"])
+    assert getattr(args, field.name) == field.default
+    value = field.default / 2 + 0.05
+    spec = parse_config(f"base.{field.name} = {value}\n")
+    assert spec.base == replace(SweepBase(), **{field.name: value})
+    # fd_cran_sic reads every field but the inert gamma_du
+    assert main(["compute", "--scheme=fd_cran_sic", f"--{flag}={value}"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    config = _point_config(tmp_path, {flag: value}, "fd_cran_sic")
+    out = tmp_path / "point.csv"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+    (row,) = fdcran.sweep.load_csv(out)
+    for name in ("r_u", "r_d", "r_eq"):
+        assert float(f"{payload[name]:.9g}") == getattr(row, name)
 
 
 @_OVERFLOW_WARNINGS

@@ -29,7 +29,7 @@ NUMERIC_KEYS = [
     "sweep.stop",
     "sweep.step",
 ]
-KEYS = NUMERIC_KEYS + ["sweep.var", "schemes", "numerics.oracle"]
+KEYS = NUMERIC_KEYS + ["sweep.var", "schemes"]
 
 # numbers that are non-numeric, huge, tiny, negative or not finite, as text
 NUMBERS = st.one_of(
@@ -102,7 +102,6 @@ HD_ENTRIES = st.one_of(
         st.one_of(PLAUSIBLE, PLAUSIBLE, NUMBERS),
     ),
     st.tuples(st.just("sweep.var"), st.sampled_from(["gamma_ud", "alpha", "p_db_joint"])),
-    st.tuples(st.just("numerics.oracle"), st.sampled_from(["on", "off"])),
 )
 HD_SCHEMES = st.sampled_from(["hd_scp", "hd_cran", "hd_scp, hd_cran", "hd_cran, hd_scp"])
 
@@ -117,13 +116,14 @@ def half_duplex_config(draw):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(text=half_duplex_config())
-def test_half_duplex_sweeps_exit_with_a_documented_code(text):
+@given(text=half_duplex_config(), verify=st.booleans())
+def test_half_duplex_sweeps_exit_with_a_documented_code(text, verify):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "sweep.cfg"
         config.write_text(text, encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main(["sweep", "--config", str(config), "--out", str(Path(tmp) / "out.csv")])
+            argv = ["sweep", "--config", str(config), "--out", str(Path(tmp) / "out.csv")]
+            code = main(argv + ["--verify"] * verify)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()

@@ -1,6 +1,8 @@
-"""Golden rates: sweeps reproduce CSVs checked in under tests/data, row by row.
+"""Golden outputs checked in under tests/data: sweeps reproduce the CSVs row
+by row, and the fig2 chart byte for byte.
 
 - fig2.csv: `fdcran sweep --preset fig2`;
+- fig2.svg: `fdcran sweep --preset fig2 --svg`, the chart of fig2.csv;
 - fig3_verify.csv: `fdcran sweep --preset fig3 --verify`, with the oracle
   columns;
 - hd_cran_alpha.csv: hd_cran over alpha = 0, 0.005, ..., 0.495 at the default
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from fdcran.model import SchemeId
+from fdcran.svg import emit_svg
 from fdcran.sweep import SweepSpec, load_csv, preset_spec, run_sweep
 
 DATA = Path(__file__).parent / "data"
@@ -36,8 +39,19 @@ def _assert_rows_match(rows, golden_csv, columns=RATES):
                 assert got == pytest.approx(expected, rel=0.0, abs=1e-8), where
 
 
-def test_fig2_rates_match_the_golden_csv():
-    _assert_rows_match(run_sweep(preset_spec("fig2")), "fig2.csv")
+@pytest.fixture(scope="module")
+def fig2_rows():
+    return run_sweep(preset_spec("fig2"))
+
+
+def test_fig2_rates_match_the_golden_csv(fig2_rows):
+    _assert_rows_match(fig2_rows, "fig2.csv")
+
+
+def test_fig2_chart_matches_the_golden_svg(fig2_rows, tmp_path):
+    out = tmp_path / "fig2.svg"
+    emit_svg(fig2_rows, out)
+    assert out.read_bytes() == (DATA / "fig2.svg").read_bytes()
 
 
 def test_fig3_verify_rates_and_oracles_match_the_golden_csv(fig3_verify_rows):

@@ -202,13 +202,6 @@ def test_rate_integral_flat_channel():
         assert rate_integral(s, 0.0, 4096) == pytest.approx(math.log2(1 + s), abs=1e-12)
 
 
-def test_rate_integral_half_and_full_grid_agree():
-    s = np.linspace(0.0, 120.0, 7)
-    half = rate_integral(s, 0.4, 4096)  # panels % 4 == 0: folded path
-    full = rate_integral(s, 0.4, 4098)  # not divisible by 4: full interval
-    assert np.max(np.abs(half - full)) < 1e-10
-
-
 def test_rate_integral_rejects_negative():
     with pytest.raises(NumericDomainError):
         rate_integral(-1.0, 0.4)

@@ -1,7 +1,7 @@
 import pytest
 
 from fdcran.model import SchemeId
-from fdcran.svg import PlotSpec, emit_svg
+from fdcran.svg import emit_svg
 from fdcran.sweep import SweepRow
 
 
@@ -40,15 +40,16 @@ def test_one_polyline_per_scheme(tmp_path):
 
 
 def test_axis_labels_and_title(tmp_path):
+    # the title is fixed and the x axis is labeled with the rows' sweep variable
     out = tmp_path / "labels.svg"
-    emit_svg(
-        rows_for([SchemeId.HD_CRAN], [0.0, 1.0]),
-        out,
-        PlotSpec(title="rates", x_label="fronthaul"),
-    )
+    rows = rows_for([SchemeId.HD_CRAN], [0.0, 1.0])
+    for row in rows:
+        row.sweep_var = "gamma_ud"
+    emit_svg(rows, out)
     text = out.read_text(encoding="utf-8")
-    assert ">rates</text>" in text
-    assert ">fronthaul</text>" in text
+    assert ">equal per-cell rate</text>" in text
+    assert ">gamma_ud</text>" in text
+    assert "c_u_c_d_joint" not in text
     assert "r_eq [bits/s/Hz]" in text
 
 

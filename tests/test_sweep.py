@@ -109,14 +109,13 @@ def test_parse_config_minimal_and_overrides():
     sweep.stop = 2
     sweep.step = 1
     schemes = hd_scp, fd_scp
-    numerics.oracle = on
     """
     spec = parse_config(text)
     assert spec.base.alpha == 0.2
     assert spec.base.beta_du == 0.4  # untouched default
     assert spec.sweep_var == "gamma_ud"
     assert spec.schemes == (SchemeId.HD_SCP, SchemeId.FD_SCP)
-    assert spec.oracle is True
+    assert spec.oracle is False  # only --verify turns the oracles on
 
 
 def test_parse_config_scheme_shorthand_all():
@@ -136,6 +135,7 @@ def test_parse_config_scheme_shorthand_all():
         ("sic = on", "unknown key"),
         ("numerics.panels = 4096", "unknown key"),
         ("numerics.grid = 16", "unknown key"),
+        ("numerics.oracle = on", "unknown key"),
         ("base.alpha =", "missing value"),
     ],
 )
@@ -182,9 +182,9 @@ def test_config_round_trip():
         stop=0.1,
         step=0.025,
         schemes=(SchemeId.HD_CRAN, SchemeId.FD_CRAN_SIC),
-        oracle=True,
     )
     assert parse_config(serialize_spec(spec)) == spec
+    assert serialize_spec(replace(spec, oracle=True)) == serialize_spec(spec)
 
 
 def test_preset_round_trip():
