@@ -15,7 +15,11 @@ The exhaustive grid is evaluated in blocks of rows of at most _BLOCK_ELEMENTS
 (8,192) values, keeping only each row's maximum; the row that holds the
 argmax is then evaluated once more.  Every temporary therefore holds at most
 8,192 values (64 KiB), or one row where a row is longer, and the result is
-bit for bit that of evaluating the whole grid as one array.
+bit for bit that of evaluating the whole grid as one array.  One pass over
+the grid scores several downlink receivers at one operating point
+(exhaustive_power_opts): each block computes the uplink rate, the downlink
+denominator and the treat-as-noise rate once for all of them, under the same
+block bound.
 """
 
 import math
@@ -31,6 +35,7 @@ __all__ = [
     "circulant_uplink_rate",
     "circulant_uplink_rate_dense",
     "exhaustive_power_opt",
+    "exhaustive_power_opts",
 ]
 
 DEFAULT_CELLS = 512
@@ -118,7 +123,25 @@ def exhaustive_power_opt(
     the maximum resolve to the smallest (p_u, p_d), the same rule the solver
     uses, so argmax comparisons are meaningful.  The grid is evaluated in
     blocks of max(1, _BLOCK_ELEMENTS // resolution) rows.  Returns
-    (r_eq, p_u, p_d).
+    (r_eq, p_u, p_d).  This is exhaustive_power_opts for one receiver.
+    """
+    return exhaustive_power_opts(params, ((sic, candidate),), resolution)[0]
+
+
+def exhaustive_power_opts(
+    params, receivers, resolution: int = 512
+) -> list[tuple[float, float, float]]:
+    """exhaustive_power_opt for several downlink receivers at one operating
+    point, in one pass over the grid.
+
+    receivers is a sequence of (sic, candidate) pairs; the result holds one
+    (r_eq, p_u, p_d) per pair, in order, each bit for bit what
+    exhaustive_power_opt returns for that pair.  Each block of at most
+    _BLOCK_ELEMENTS values computes the uplink rate, the downlink denominator
+    and the treat-as-noise rate once for every receiver; each receiver keeps
+    its own row maxima, tie rule, candidate check and winning row, so every
+    temporary still holds at most _BLOCK_ELEMENTS values, or one row where a
+    row is longer.
     """
     if resolution < 64:
         raise ValueError(f"resolution must be >= 64, got {resolution}")
@@ -127,36 +150,48 @@ def exhaustive_power_opt(
     bud2 = params.beta_ud**2
     g2 = params.gamma_ud**2
 
-    def value(pu, pd):
+    def shared(pu, pd):
+        """(r_u, downlink denominator, treat-as-noise downlink rate)."""
         r_u = np.minimum(
             np.log2(1.0 + pu / (1.0 + 2.0 * a2 * pu + 2.0 * bdu2 * pd)), params.c_u
         )
         den = 1.0 + 2.0 * a2 * pd + 2.0 * bud2 * pu
+        return r_u, den, np.log2(1.0 + pd / (den + g2 * pu))
+
+    def value(sic, pu, pd, r_u, den, t3):
         if sic is SicMode.TREAT_AS_NOISE:
-            r_d = np.log2(1.0 + pd / (den + g2 * pu))
+            r_d = t3
         else:
             t1 = np.log2(1.0 + pd / den)
             t2 = np.log2(1.0 + (pd + g2 * pu) / den)
-            t3 = np.log2(1.0 + pd / (den + g2 * pu))
             r_d = np.minimum(t1, np.maximum(t2 - r_u, t3))
         return np.minimum(r_u, np.minimum(r_d, params.c_d))
 
+    def score(sic, pu, pd):
+        return value(sic, pu, pd, *shared(pu, pd))
+
     pu_grid = np.linspace(0.0, params.p_u_max, resolution)
     pd_grid = np.linspace(0.0, params.p_d_max, resolution)
-
-    def rows(start, stop):
-        return value(pu_grid[start:stop, None], pd_grid[None, :])
+    pd = pd_grid[None, :]
 
     step = max(1, _BLOCK_ELEMENTS // resolution)
-    row_max = np.concatenate(
-        [rows(k, k + step).max(axis=1) for k in range(0, resolution, step)]
-    )
-    vmax = float(row_max.max())
-    if candidate is not None:
-        off_grid = float(value(*candidate))
-        if off_grid > vmax + _TIE_TOL:
-            return off_grid, float(candidate[0]), float(candidate[1])
-    i = int(np.argmax(row_max >= vmax - _TIE_TOL))
-    row = rows(i, i + 1)[0]
-    j = int(np.argmax(row >= vmax - _TIE_TOL))
-    return float(row[j]), float(pu_grid[i]), float(pd_grid[j])
+    row_max = [[] for _ in receivers]
+    for k in range(0, resolution, step):
+        pu = pu_grid[k : k + step, None]
+        terms = shared(pu, pd)
+        for maxima, (sic, _) in zip(row_max, receivers):
+            maxima.append(value(sic, pu, pd, *terms).max(axis=1))
+    results = []
+    for maxima, (sic, candidate) in zip(row_max, receivers):
+        maxima = np.concatenate(maxima)
+        vmax = float(maxima.max())
+        if candidate is not None:
+            off_grid = float(score(sic, *candidate))
+            if off_grid > vmax + _TIE_TOL:
+                results.append((off_grid, float(candidate[0]), float(candidate[1])))
+                continue
+        i = int(np.argmax(maxima >= vmax - _TIE_TOL))
+        row = score(sic, pu_grid[i : i + 1, None], pd)[0]
+        j = int(np.argmax(row >= vmax - _TIE_TOL))
+        results.append((float(row[j]), float(pu_grid[i]), float(pd_grid[j])))
+    return results

@@ -39,13 +39,15 @@ so it has no resolution setting either.
 Where more than one CPU is usable and the sweep has full-duplex schemes,
 run_sweep forks a pool of worker processes for its duration: the workers
 solve each block's full-duplex schemes in contiguous chunks of values, SIC
-schemes first, and then its exhaustive oracles, while this process computes
+schemes first, and then its exhaustive oracles, one task per sweep value
+scoring all of that value's full-duplex SCP rows, while this process computes
 the half-duplex rows and the circulant checks.  A value gets the same bits
 in any batch, so the rows, and the CSV and SVG files, do not depend on the
 number of CPUs.  With one usable CPU, no fork, only half-duplex schemes, or
 another thread running, the sweep runs serially in this process.
 """
 
+import itertools
 import math
 import os
 import sys
@@ -54,7 +56,7 @@ import warnings
 from dataclasses import dataclass, field, fields, replace
 
 from .model import SchemeId, SystemParams, db_to_linear
-from .oracle import DEFAULT_CELLS, circulant_uplink_rate, exhaustive_power_opt
+from .oracle import DEFAULT_CELLS, circulant_uplink_rate, exhaustive_power_opts
 from .rates import SCHEMES, SicMode, compute_fd_batch, compute_scheme
 
 __all__ = [
@@ -371,8 +373,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     run_sweep forks a pool of worker processes, one per usable CPU but no
     more than a block has full-duplex (value, scheme) pairs.  For each block the workers
     solve every full-duplex scheme in contiguous chunks of values, SIC
-    schemes first as they cost the most, and then run the exhaustive oracles
-    of the full-duplex SCP rows; the half-duplex rows and the circulant
+    schemes first as they cost the most, and then run the exhaustive oracle
+    of the full-duplex SCP rows, one grid pass per sweep value for all of
+    them (on the serial path too); the half-duplex rows and the circulant
     checks stay in this process.  A point gets the same result in any batch,
     so the rows do not depend on the number of workers.  If anything fails on
     the pool, the block is computed again on the serial path, which decides
@@ -480,21 +483,29 @@ def _attach_circulant(row: SweepRow, params) -> None:
 
 
 def _attach_exhaustive(spec: SweepSpec, rows: list[SweepRow], run) -> None:
-    """oracle_r_eq of every full-duplex SCP row: the exhaustive power grid,
-    which also scores the row's argmax, evaluated through run (map, or a
-    pool's map)."""
-    checked = [r for r in rows if SCHEMES[r.scheme] in (("scp", _TAN), ("scp", SicMode.SIC))]
+    """oracle_r_eq of every full-duplex SCP row: one exhaustive power grid per
+    sweep value scores that value's full-duplex SCP receivers, each with its
+    row's argmax, evaluated through run (map, or a pool's map)."""
+    checked = []
+    for _, same_value in itertools.groupby(rows, key=lambda r: r.value):
+        group = [
+            r for r in same_value if SCHEMES[r.scheme] in (("scp", _TAN), ("scp", SicMode.SIC))
+        ]
+        if group:
+            checked.append(group)
     jobs = [
-        (spec.params_at(r.value), SCHEMES[r.scheme][1], _ORACLE_RESOLUTION,
-         (r.p_u_star, r.p_d_star))
-        for r in checked
+        (spec.params_at(group[0].value),
+         [(SCHEMES[r.scheme][1], (r.p_u_star, r.p_d_star)) for r in group],
+         _ORACLE_RESOLUTION)
+        for group in checked
     ]
-    for row, r_eq in zip(checked, run(_exhaustive_r_eq, jobs)):
-        row.oracle_r_eq = r_eq
+    for group, r_eqs in zip(checked, run(_exhaustive_r_eqs, jobs)):
+        for row, r_eq in zip(group, r_eqs):
+            row.oracle_r_eq = r_eq
 
 
-def _exhaustive_r_eq(args) -> float:
-    return exhaustive_power_opt(*args)[0]
+def _exhaustive_r_eqs(args) -> list[float]:
+    return [r_eq for r_eq, _, _ in exhaustive_power_opts(*args)]
 
 
 def _pool_map(pool):

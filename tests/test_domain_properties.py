@@ -1,8 +1,9 @@
 """Invariants of every scheme over the whole accepted input domain, drawn by
 Hypothesis (derandomized, so every run checks the same examples): finite
 rates within [0, c] of their link, SIC never below treat-as-noise, exact
-half-duplex reductions, and equal rates that do not fall as the fronthaul
-grows (the SIC schemes excepted: they are not monotone in it)."""
+half-duplex reductions, equal rates that do not fall as the fronthaul grows
+(the SIC schemes excepted: they are not monotone in it), and equal rates that
+do not fall as either power budget grows."""
 
 import math
 from dataclasses import replace
@@ -25,6 +26,7 @@ from fdcran.rates import (
 from fdcran.spectral import zf_precoder
 
 EXAMPLES = 50
+BUDGET_EXAMPLES = 15  # each draw solves all six schemes three times
 
 budgets = st.floats(0.0, 30.0).map(db_to_linear)
 capacities = st.one_of(st.floats(0.0, 12.0), st.sampled_from([0.0, 1000.0, 2000.0]))
@@ -87,3 +89,22 @@ def test_equal_rate_does_not_fall_as_the_fronthaul_grows(params, c, more):
         low = compute_scheme(scheme, replace(params, c_u=c, c_d=c)).r_eq
         high = compute_scheme(scheme, replace(params, c_u=c + more, c_d=c + more)).r_eq
         assert high >= low - 1e-9, scheme
+
+
+@settings(derandomize=True, max_examples=BUDGET_EXAMPLES, deadline=None, database=None)
+@given(domain, st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+def test_equal_rate_does_not_fall_as_a_budget_grows(params, more_u_db, more_d_db):
+    """r_eq of every scheme does not fall as P_u grows, or as P_d grows.
+
+    For the full-duplex schemes a larger budget only enlarges the box the
+    search maximizes over.  The half-duplex C-RAN uplink's quantization noise
+    grows with P_u, so there it is tested, not assumed.  Budgets here reach
+    40 dB; the SIC loss seen at 150-200 dB (CHANGES.md, FOUND) lies outside
+    this domain and is not covered by this property.
+    """
+    more_u = replace(params, p_u_max=params.p_u_max * db_to_linear(more_u_db))
+    more_d = replace(params, p_d_max=params.p_d_max * db_to_linear(more_d_db))
+    for scheme in SchemeId:
+        r_eq = compute_scheme(scheme, params).r_eq
+        assert compute_scheme(scheme, more_u).r_eq >= r_eq - 1e-9, (scheme, "P_u")
+        assert compute_scheme(scheme, more_d).r_eq >= r_eq - 1e-9, (scheme, "P_d")

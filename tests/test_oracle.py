@@ -9,6 +9,7 @@ from fdcran.oracle import (
     circulant_uplink_rate,
     circulant_uplink_rate_dense,
     exhaustive_power_opt,
+    exhaustive_power_opts,
 )
 from fdcran.rates import SicMode, fd_scp
 from fdcran.spectral import rate_integral
@@ -154,9 +155,14 @@ def _full_grid_reference(params, sic, resolution=512, candidate=None):
 
 
 def _assert_exact(params, resolution=512, candidate=None):
+    """Each receiver alone, and one pass for each list of receivers, give the
+    full grid's result for every receiver."""
+    expected = {sic: _full_grid_reference(params, sic, resolution, candidate) for sic in (TAN, SIC)}
     for sic in (TAN, SIC):
-        got = exhaustive_power_opt(params, sic, resolution, candidate)
-        assert got == _full_grid_reference(params, sic, resolution, candidate)
+        assert exhaustive_power_opt(params, sic, resolution, candidate) == expected[sic]
+    for sics in ((TAN,), (SIC,), (TAN, SIC), (SIC, TAN)):
+        got = exhaustive_power_opts(params, [(sic, candidate) for sic in sics], resolution)
+        assert got == [expected[sic] for sic in sics]
 
 
 @pytest.mark.parametrize("index", range(len(DOMAIN)))
@@ -189,23 +195,32 @@ def test_blocked_grid_scores_a_candidate_like_the_full_grid():
     off_grid = (diag["p_u_star"], diag["p_d_star"])
     assert exhaustive_power_opt(params, SIC, 512, off_grid)[1:] == off_grid
     _assert_exact(params, candidate=off_grid)
+    # one pass with a candidate of each receiver's own, as a --verify sweep asks
+    tan_diag = fd_scp(params, TAN).diagnostics
+    tan_argmax = (tan_diag["p_u_star"], tan_diag["p_d_star"])
+    for receivers in (((TAN, tan_argmax), (SIC, off_grid)), ((SIC, off_grid), (TAN, None))):
+        assert exhaustive_power_opts(params, receivers) == [
+            _full_grid_reference(params, sic, 512, candidate) for sic, candidate in receivers
+        ]
 
 
 class _SizeProbe:
-    """Stands in for numpy inside the oracle, recording the largest result of
-    the elementwise functions that every grid evaluation goes through."""
+    """Stands in for numpy inside the oracle, recording the largest array that
+    any numpy function returns there: the elementwise functions that every
+    grid evaluation goes through, and any stacking or joining of blocks."""
 
     def __init__(self):
         self.largest = 0
 
     def __getattr__(self, name):
         fn = getattr(np, name)
-        if name not in ("log2", "minimum", "maximum"):
+        if not callable(fn):
             return fn
 
-        def probed(*args):
-            out = fn(*args)
-            self.largest = max(self.largest, np.size(out))
+        def probed(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if isinstance(out, np.ndarray):
+                self.largest = max(self.largest, out.size)
             return out
 
         return probed
@@ -213,7 +228,10 @@ class _SizeProbe:
 
 @pytest.mark.parametrize("resolution", [64, 513, 1000])
 def test_blocked_grid_memory_bound(monkeypatch, resolution):
-    probe = _SizeProbe()
-    monkeypatch.setattr(fdcran.oracle, "np", probe)
+    monkeypatch.setattr(fdcran.oracle, "np", _SizeProbe())
     exhaustive_power_opt(make_params(), SIC, resolution)
-    assert 0 < probe.largest <= max(8192, resolution)
+    assert 0 < fdcran.oracle.np.largest <= max(8192, resolution)
+    # scoring both receivers in one pass keeps the same bound per temporary
+    monkeypatch.setattr(fdcran.oracle, "np", _SizeProbe())
+    exhaustive_power_opts(make_params(), [(TAN, None), (SIC, None)], resolution)
+    assert 0 < fdcran.oracle.np.largest <= max(8192, resolution)

@@ -10,6 +10,7 @@ import pytest
 
 import fdcran.rates
 import fdcran.spectral
+import fdcran.sweep
 from fdcran.model import SchemeId, ZfSingularError
 from fdcran.oracle import exhaustive_power_opt
 from fdcran.rates import SicMode
@@ -354,6 +355,30 @@ def test_oracle_scores_the_reported_argmax():
     # a rate misreported at the same argmax is still caught
     doctored = replace(row, r_eq=row.r_eq + 0.01)
     assert len(verification_failures([doctored])) == 1
+
+
+def test_fig3_verify_makes_one_grid_pass_per_sweep_value(fig3_verify_rows, monkeypatch):
+    passes = []
+    one_pass = fdcran.sweep.exhaustive_power_opts
+
+    def counted(params, receivers, resolution):
+        passes.append([sic for sic, _ in receivers])
+        return one_pass(params, receivers, resolution)
+
+    monkeypatch.setattr(fdcran.sweep, "exhaustive_power_opts", counted)
+    _force_cpus(monkeypatch, 1)
+    spec = replace(preset_spec("fig3"), oracle=True)
+    assert run_sweep(spec) == fig3_verify_rows
+    assert len(spec.values()) == 33
+    assert passes == [[SicMode.TREAT_AS_NOISE, SicMode.SIC]] * 33
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.FD_SCP, SchemeId.FD_SCP_SIC])
+def test_a_receiver_verified_alone_gets_the_rows_of_the_full_run(fig3_verify_rows, scheme):
+    alone = run_sweep(replace(preset_spec("fig3"), schemes=(scheme,), oracle=True))
+    assert all(r.oracle_r_eq is not None for r in alone)
+    # rows compare field by field, oracle_r_eq included
+    assert alone == [r for r in fig3_verify_rows if r.scheme is scheme]
 
 
 # ----------------------------------------------------------------------------
