@@ -1,28 +1,33 @@
-"""Independent brute-force validators for the analytical rate expressions.
+"""Independent validators for the analytical rate expressions and the
+full-duplex power optimum.
 
 The C-RAN uplink spectral integrals are the large-system limit of a per-cell
 log-determinant over a circulant channel matrix; building that matrix for a
 finite ring of cells and evaluating the log-det directly checks the limit
-without sharing any code with the quadrature path.  Likewise the
-full-duplex power solver is validated against a single dense grid with no
-refinement.  Cells wrap around (a ring rather than a truncated line) so no
-border effects pollute the comparison with the infinite-array formulas.
+without sharing any code with the quadrature path.  Cells wrap around (a ring
+rather than a truncated line) so no border effects pollute the comparison
+with the infinite-array formulas.
+
+The full-duplex max-min power optimum is certified by branch and bound
+(certified_max_min; monotonic optimization, H. Tuy, SIAM J. Optim. 2000, and
+MAPEL, Qian, Zhang and Huang, IEEE TWC 2009).  Each rate term is monotone in
+each power, and the SIC term t2 is linear-fractional, so its maximum over a
+cell of the power box lies at a vertex; that bounds the objective over any
+cell.  A cell is discarded once its bound is at most CERTIFIED_EPS above the
+best point scored, so when none is left the true maximum lies in
+[best, best + CERTIFIED_EPS].  exhaustive_power_opt keeps a single dense grid
+with no refinement for full-duplex single-cell processing.
 
 Each oracle keeps formulas of its own rather than calling the rate kernels it
-checks, so a fault in a kernel cannot hide in its own gate.
-
-The exhaustive grid is evaluated in blocks of rows of at most _BLOCK_ELEMENTS
-(8,192) values, keeping only each row's maximum; the row that holds the
-argmax is then evaluated once more.  Every temporary therefore holds at most
-8,192 values (64 KiB), or one row where a row is longer, and the result is
-bit for bit that of evaluating the whole grid as one array.  One pass over
-the grid scores several downlink receivers at one operating point
-(exhaustive_power_opts): each block computes the uplink rate, the downlink
-denominator and the treat-as-noise rate once for all of them, under the same
-block bound.
+checks, so a fault in a kernel cannot hide in its own gate.  Both hold every
+temporary to at most _BLOCK_ELEMENTS (8,192) values, 64 KiB: the grid is
+evaluated in blocks of rows, keeping only each row's maximum, and the branch
+and bound takes its cells in groups small enough that even the circulant
+uplink's samples of a group fit.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,21 +35,28 @@ import numpy as np
 from .rates import SicMode
 
 __all__ = [
+    "CERTIFIED_EPS",
     "DEFAULT_CELLS",
+    "Certified",
     "CirculantChannel",
+    "certified_max_min",
     "circulant_uplink_rate",
     "circulant_uplink_rate_dense",
     "exhaustive_power_opt",
-    "exhaustive_power_opts",
 ]
 
 DEFAULT_CELLS = 512
 _MIN_CELLS = 8
 _DENSE_CELL_CAP = 64  # O(n^3) second-layer check stays small
 _TIE_TOL = 1e-9
-# elements per block of the exhaustive grid: each temporary is 64 KiB, below
-# glibc's 128 KiB mmap threshold and within a core's L2 cache
+# elements per oracle temporary: 64 KiB, below glibc's 128 KiB mmap threshold
+# and within a core's L2 cache
 _BLOCK_ELEMENTS = 8192
+# the certificate: the true maximum lies within this of the best point found
+CERTIFIED_EPS = 1e-6
+# ring cells times acosh(1/(2 alpha)): the ring then misses the infinite
+# array's uplink rate by about e**-21, below 1e-9
+_RING_DEPTH = 21.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,26 +134,8 @@ def exhaustive_power_opt(
     grid then agrees, a misreported rate still does not.  Ties within 1e-9 of
     the maximum resolve to the smallest (p_u, p_d), the same rule the solver
     uses, so argmax comparisons are meaningful.  The grid is evaluated in
-    blocks of max(1, _BLOCK_ELEMENTS // resolution) rows.  Returns
-    (r_eq, p_u, p_d).  This is exhaustive_power_opts for one receiver.
-    """
-    return exhaustive_power_opts(params, ((sic, candidate),), resolution)[0]
-
-
-def exhaustive_power_opts(
-    params, receivers, resolution: int = 512
-) -> list[tuple[float, float, float]]:
-    """exhaustive_power_opt for several downlink receivers at one operating
-    point, in one pass over the grid.
-
-    receivers is a sequence of (sic, candidate) pairs; the result holds one
-    (r_eq, p_u, p_d) per pair, in order, each bit for bit what
-    exhaustive_power_opt returns for that pair.  Each block of at most
-    _BLOCK_ELEMENTS values computes the uplink rate, the downlink denominator
-    and the treat-as-noise rate once for every receiver; each receiver keeps
-    its own row maxima, tie rule, candidate check and winning row, so every
-    temporary still holds at most _BLOCK_ELEMENTS values, or one row where a
-    row is longer.
+    blocks of max(1, _BLOCK_ELEMENTS // resolution) rows, keeping each row's
+    maximum, and the winning row once more.  Returns (r_eq, p_u, p_d).
     """
     if resolution < 64:
         raise ValueError(f"resolution must be >= 64, got {resolution}")
@@ -150,15 +144,12 @@ def exhaustive_power_opts(
     bud2 = params.beta_ud**2
     g2 = params.gamma_ud**2
 
-    def shared(pu, pd):
-        """(r_u, downlink denominator, treat-as-noise downlink rate)."""
+    def value(pu, pd):
         r_u = np.minimum(
             np.log2(1.0 + pu / (1.0 + 2.0 * a2 * pu + 2.0 * bdu2 * pd)), params.c_u
         )
         den = 1.0 + 2.0 * a2 * pd + 2.0 * bud2 * pu
-        return r_u, den, np.log2(1.0 + pd / (den + g2 * pu))
-
-    def value(sic, pu, pd, r_u, den, t3):
+        t3 = np.log2(1.0 + pd / (den + g2 * pu))
         if sic is SicMode.TREAT_AS_NOISE:
             r_d = t3
         else:
@@ -167,31 +158,241 @@ def exhaustive_power_opts(
             r_d = np.minimum(t1, np.maximum(t2 - r_u, t3))
         return np.minimum(r_u, np.minimum(r_d, params.c_d))
 
-    def score(sic, pu, pd):
-        return value(sic, pu, pd, *shared(pu, pd))
-
     pu_grid = np.linspace(0.0, params.p_u_max, resolution)
     pd_grid = np.linspace(0.0, params.p_d_max, resolution)
     pd = pd_grid[None, :]
-
     step = max(1, _BLOCK_ELEMENTS // resolution)
-    row_max = [[] for _ in receivers]
-    for k in range(0, resolution, step):
-        pu = pu_grid[k : k + step, None]
-        terms = shared(pu, pd)
-        for maxima, (sic, _) in zip(row_max, receivers):
-            maxima.append(value(sic, pu, pd, *terms).max(axis=1))
-    results = []
-    for maxima, (sic, candidate) in zip(row_max, receivers):
-        maxima = np.concatenate(maxima)
-        vmax = float(maxima.max())
-        if candidate is not None:
-            off_grid = float(score(sic, *candidate))
-            if off_grid > vmax + _TIE_TOL:
-                results.append((off_grid, float(candidate[0]), float(candidate[1])))
-                continue
-        i = int(np.argmax(maxima >= vmax - _TIE_TOL))
-        row = score(sic, pu_grid[i : i + 1, None], pd)[0]
-        j = int(np.argmax(row >= vmax - _TIE_TOL))
-        results.append((float(row[j]), float(pu_grid[i]), float(pd_grid[j])))
-    return results
+    maxima = np.concatenate(
+        [value(pu_grid[k : k + step, None], pd).max(axis=1) for k in range(0, resolution, step)]
+    )
+    vmax = float(maxima.max())
+    if candidate is not None:
+        off_grid = float(value(*candidate))
+        if off_grid > vmax + _TIE_TOL:
+            return off_grid, float(candidate[0]), float(candidate[1])
+    i = int(np.argmax(maxima >= vmax - _TIE_TOL))
+    row = value(pu_grid[i : i + 1, None], pd)[0]
+    j = int(np.argmax(row >= vmax - _TIE_TOL))
+    return float(row[j]), float(pu_grid[i]), float(pd_grid[j])
+
+
+# ----------------------------------------------------------------------------
+# certified max-min by branch and bound
+#
+# Both processing families share one form of the objective, with per-point
+# constants (_Form):
+#   r_u = min(sum_j weight_j log2(1 + s lam_j^2), cap_u),
+#         s = p_u / (1 + quant (base + f p_u + h p_d)),
+#   t1 = C(a p_d / den), t2 = C((a p_d + g p_u) / den), t3 = C(a p_d / (den + g p_u)),
+#         den = 1 + b p_d + c p_u,
+#   r_d = t3 (treat as noise) or min(t1, max(t2 - r_u, t3)) (SIC), capped at cap_d,
+# and the objective min(r_u, r_d).  Single-cell processing decodes each cell
+# alone (one eigenvalue, lam = 1) under the fronthaul caps c_u and c_d.  C-RAN
+# decodes the ring jointly (lam_j = 1 + 2 alpha cos(2 pi j / n)) after
+# quantization at sigma_u^2 = quant (1 + (1 + 2 alpha^2) p_u + 2 beta_du^2
+# (1 + R_g(2)) p_d), and precodes with zero forcing at stream power
+# p_d (1 - 2**-c_d) and quantization noise p_d 2**-c_d.
+
+_Form = namedtuple("_Form", "two_alpha quant base f h cap_u a b c g cap_d")
+
+# a point's certificate: its maximum lies in [r_eq, r_eq + eps], found after
+# bounding the objective over that many cells
+Certified = namedtuple("Certified", "r_eq eps cells")
+
+
+def _form(family: str, p) -> tuple:
+    """One point's _Form constants."""
+    a2, du, ud, g2 = p.alpha**2, 2.0 * p.beta_du**2, 2.0 * p.beta_ud**2, p.gamma_ud**2
+    if family == "scp":
+        return 0.0, 1.0, 0.0, 2.0 * a2, du, p.c_u, 1.0, 2.0 * a2, ud, g2, p.c_d
+    # zero forcing's h~_0^2 = (1 - 4 alpha^2)^(3/2) and R_g(2) = r^2 (1 + 2d),
+    # d = sqrt(1 - 4 alpha^2), r = (1 - d) / (2 alpha) = 2 alpha / (1 + d)
+    d = math.sqrt(1.0 - 4.0 * a2)
+    r = 2.0 * p.alpha / (1.0 + d)
+    h0sq, rg2 = d * d * d, r * r * (1.0 + 2.0 * d)
+    # 1 / (2**c_u - 1): inf at c_u = 0, where the quantizer passes nothing
+    quant = math.inf if p.c_u <= 0.0 else 2.0**-p.c_u / -math.expm1(-p.c_u * math.log(2.0))
+    q_d = 2.0**-p.c_d
+    return (
+        2.0 * p.alpha, quant, 1.0, 1.0 + 2.0 * a2, du * (1.0 + rg2), math.inf,
+        (1.0 - q_d) * h0sq, q_d * (1.0 + 2.0 * a2), ud, g2, math.inf,
+    )
+
+
+def _ring(family: str, points):
+    """(ring, error per point) of the uplink: ring is None for single-cell
+    processing, which decodes each cell alone, else (cosines, weights).
+
+    An n-cell ring samples the infinite array's rate integrand at n points;
+    its error falls as e**(-n acosh(1/(2 alpha))), so n = _RING_DEPTH /
+    acosh(1/(2 alpha)) for the largest alpha of the points, capped at
+    DEFAULT_CELLS, where the error is then returned for each point it exceeds
+    e**-_RING_DEPTH.  The eigenvalues 1 + 2 alpha cos(2 pi j / n) come in
+    pairs j, n - j, so only j <= n/2 are kept, weighted by their count / n.
+    """
+    if family == "scp":
+        return None, [0.0] * len(points)
+    decay = [math.acosh(0.5 / p.alpha) if p.alpha > 0.0 else math.inf for p in points]
+    n = min(DEFAULT_CELLS, max(_MIN_CELLS, math.ceil(_RING_DEPTH / min(decay))))
+    j = np.arange(n // 2 + 1)
+    weights = np.where((j == 0) | (2 * j == n), 1.0, 2.0) / n
+    errors = [math.exp(-n * x) if n * x < _RING_DEPTH else 0.0 for x in decay]
+    return (np.cos(2.0 * np.pi * j / n), weights), errors
+
+
+def _constants(family: str, points):
+    """(columns, ring, ring error per point): each _Form constant as an array
+    over the points, and the ring as _ring gives it."""
+    cols = [np.array(col, dtype=float) for col in zip(*(_form(family, p) for p in points))]
+    return (cols, *_ring(family, points))
+
+
+def _terms(cols, ring, row):
+    """(k, samples) at the points row, an index array: their _Form
+    constants, and their ring's (lam_j^2, weights), or None for single-cell
+    processing."""
+    k = _Form(*(col[row] for col in cols))
+    if ring is None:
+        return k, None
+    lam = 1.0 + k.two_alpha[:, None] * ring[0]
+    return k, (lam * lam, ring[1])
+
+
+def _uplink(k, ring, pu, pd):
+    """r_u at powers whose last axis runs over k's points, ring their samples
+    from _terms."""
+    s = pu / (1.0 + k.quant * (k.base + k.f * pu + k.h * pd))
+    if ring is None:
+        return np.minimum(np.log2(1.0 + s), k.cap_u)
+    lam2, weights = ring
+    return np.minimum((np.log2(1.0 + s[..., None] * lam2) * weights).sum(axis=-1), k.cap_u)
+
+
+def _sinr2(k, pu, pd):  # t2's SINR, linear-fractional in (p_u, p_d)
+    return (k.a * pd + k.g * pu) / (1.0 + k.b * pd + k.c * pu)
+
+
+def _max_min(sic, k, r_hi, r_lo, pu, pd, sinr2):
+    """min(r_u, r_d) with r_u at most r_hi and at least r_lo, t1 and t3 at
+    (pu, pd), and t2 at SINR sinr2 (unused when treating the uplink as noise)."""
+    signal = k.a * pd
+    den = 1.0 + k.b * pd + k.c * pu
+    r_d = np.log2(1.0 + signal / (den + k.g * pu))
+    if sic is SicMode.SIC:
+        t1 = np.log2(1.0 + signal / den)
+        r_d = np.minimum(t1, np.maximum(np.log2(1.0 + sinr2) - r_lo, r_d))
+    return np.minimum(r_hi, np.minimum(r_d, k.cap_d))
+
+
+def _value(sic, k, ring, pu, pd):
+    """The objective at the points (pu, pd)."""
+    r_u = _uplink(k, ring, pu, pd)
+    return _max_min(sic, k, r_u, r_u, pu, pd, _sinr2(k, pu, pd) if sic is SicMode.SIC else None)
+
+
+def _bound(sic, k, ring, u0, u1, d0, d1):
+    """An upper bound of the objective over each cell [u0, u1] x [d0, d1]:
+    r_u rises in p_u and falls in p_d, t1 and t3 the other way round, and
+    the linear-fractional t2 peaks at a vertex."""
+    r_hi = _uplink(k, ring, u1, d0)
+    if sic is not SicMode.SIC:
+        return _max_min(sic, k, r_hi, None, u0, d1, None)
+    r_lo = _uplink(k, ring, u0, d1)
+    sinr2 = np.maximum(
+        np.maximum(_sinr2(k, u0, d0), _sinr2(k, u1, d0)),
+        np.maximum(_sinr2(k, u0, d1), _sinr2(k, u1, d1)),
+    )
+    return _max_min(sic, k, r_hi, r_lo, u0, d1, sinr2)
+
+
+def _halves(row, u0, u1, d0, d1):
+    """Both halves of each cell, lower halves first, each cut across the
+    cell's axis of larger relative width, (u1 - u0) / u1 or (d1 - d0) / d1."""
+    du, dd = u1 - u0, d1 - d0
+    wide_u = np.divide(du, u1, out=np.zeros_like(du), where=u1 > 0.0)
+    wide_d = np.divide(dd, d1, out=np.zeros_like(dd), where=d1 > 0.0)
+    along_u = wide_u >= wide_d
+    mid_u, mid_d = u0 + 0.5 * du, d0 + 0.5 * dd
+    return (
+        np.concatenate([row, row]),
+        np.concatenate([u0, np.where(along_u, mid_u, u0)]),
+        np.concatenate([np.where(along_u, mid_u, u1), u1]),
+        np.concatenate([d0, np.where(along_u, d0, mid_d)]),
+        np.concatenate([np.where(along_u, d1, mid_d), d1]),
+    )
+
+
+def _packed(parts, size: int):
+    """The cells of parts, a sequence of (row, u0, u1, d0, d1) arrays,
+    regrouped into groups of at most size cells."""
+    pending, count = [], 0
+    for part in parts:
+        for at in range(0, part[0].size, size):
+            piece = tuple(x[at : at + size] for x in part)
+            if count + piece[0].size > size:
+                yield tuple(np.concatenate(xs) for xs in zip(*pending))
+                pending, count = [], 0
+            pending.append(piece)
+            count += piece[0].size
+    if pending:
+        yield tuple(np.concatenate(xs) for xs in zip(*pending))
+
+
+def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certified]:
+    """Certified max over the power box of min(r_u, r_d) for full-duplex
+    processing family ('scp' or 'cran', zero forcing) and receiver sic, at
+    each of a sequence of operating points, all searched at once.
+
+    Each point starts from its whole box [0, p_u_max] x [0, p_d_max], with
+    its four budget corners and its argmax from argmaxes, a (p_u, p_d) such as
+    a solver's, scored.  Every round, each cell whose bound (_bound) exceeds
+    its point's best score by more than eps is halved (_halves), and each new
+    cell's top corner and centre are scored.  A round's scores prune cells
+    from the next round on, so a point gets the same result in any batch.  When
+    no cell is left, the point's maximum lies in [r_eq, r_eq + eps]: eps is
+    CERTIFIED_EPS plus, for C-RAN at an alpha so close to 1/2 that the ring
+    reaches DEFAULT_CELLS, the ring's error (_ring).  Cells are halved in
+    groups small enough that no temporary, the ring's samples included, holds
+    more than _BLOCK_ELEMENTS values.  Returns one Certified(r_eq, eps, cells)
+    per point, cells counting the bounds evaluated.
+    """
+    n = len(points)
+    cols, ring, ring_error = _constants(family, points)
+    eps = CERTIFIED_EPS + np.array(ring_error)
+    # a group of cells is scored at twice as many halves, at two points each
+    size = max(1, _BLOCK_ELEMENTS // (4 * (1 if ring is None else ring[0].size)))
+    u_max = np.array([p.p_u_max for p in points])
+    d_max = np.array([p.p_d_max for p in points])
+    arg_u, arg_d = (np.array(x, dtype=float) for x in zip(*argmaxes))
+
+    best = np.full(n, -np.inf)
+    cells = np.zeros(n, dtype=np.int64)
+    bounded = []  # (cells, their bounds), each cell to be kept or discarded
+    for at in range(0, n, size):
+        row = np.arange(at, min(n, at + size))
+        k, samples = _terms(cols, ring, row)
+        u, d, zero = u_max[row], d_max[row], np.zeros(row.size)
+        for pu, pd in ((zero, zero), (u, zero), (zero, d), (u, d), (arg_u[row], arg_d[row])):
+            np.fmax.at(best, row, _value(sic, k, samples, pu, pd))
+        bounded.append(((row, zero, u, zero, d), _bound(sic, k, samples, zero, u, zero, d)))
+    while bounded:
+        live = []
+        for cell, bound in bounded:
+            row = cell[0]
+            cells += np.bincount(row, minlength=n)
+            keep = bound > best[row] + eps[row]
+            live.append(tuple(x[keep] for x in cell))
+        bounded, scored = [], best.copy()
+        for cell in _packed(live, size):
+            half = _halves(*cell)
+            row, u0, u1, d0, d1 = half
+            k, samples = _terms(cols, ring, row)
+            # each half's centre and top corner: (2, halves) points
+            centre_and_top = _value(
+                sic, k, samples, np.stack([u0 + 0.5 * (u1 - u0), u1]),
+                np.stack([d0 + 0.5 * (d1 - d0), d1]),
+            )
+            np.fmax.at(scored, row, centre_and_top.max(axis=0))
+            bounded.append((half, _bound(sic, k, samples, u0, u1, d0, d1)))
+        best = scored
+    return [Certified(float(b), float(e), int(c)) for b, e, c in zip(best, eps, cells)]

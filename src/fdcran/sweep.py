@@ -39,15 +39,21 @@ so it has no resolution setting either.
 Where more than one CPU is usable and the sweep has full-duplex schemes,
 run_sweep forks a pool of worker processes for its duration: the workers
 solve each block's full-duplex schemes in contiguous chunks of values, SIC
-schemes first, and then its exhaustive oracles, one task per sweep value
-scoring all of that value's full-duplex SCP rows, while this process computes
-the half-duplex rows and the circulant checks.  A value gets the same bits
-in any batch, so the rows, and the CSV and SVG files, do not depend on the
-number of CPUs.  With one usable CPU, no fork, only half-duplex schemes, or
-another thread running, the sweep runs serially in this process.
+schemes first, while this process computes the half-duplex rows.  A value
+gets the same bits in any batch, so the rows, and the CSV and SVG files, do
+not depend on the number of CPUs.  With one usable CPU, no fork, only
+half-duplex schemes, or another thread running, the sweep runs serially in
+this process.
+
+Under --verify the oracles run in this process after each block's solve:
+the circulant ring checks each C-RAN uplink rate, and oracle.certified_max_min
+certifies the optimum of the fd_scp, fd_scp_sic and fd_cran rows, one
+branch-and-bound search per scheme for the block's rows.  It proves that the
+true max-min lies at most eps (CERTIFIED_EPS, more for C-RAN near alpha =
+1/2) above its best point, and holds every temporary to 8,192 values, so its
+memory does not grow with the budgets.
 """
 
-import itertools
 import math
 import os
 import sys
@@ -56,7 +62,7 @@ import warnings
 from dataclasses import dataclass, field, fields, replace
 
 from .model import SchemeId, SystemParams, db_to_linear
-from .oracle import DEFAULT_CELLS, circulant_uplink_rate, exhaustive_power_opts
+from .oracle import DEFAULT_CELLS, certified_max_min, circulant_uplink_rate
 from .rates import SCHEMES, SicMode, compute_fd_batch, compute_scheme
 
 __all__ = [
@@ -112,7 +118,11 @@ MAX_SWEEP_VALUES = 1_000_000
 
 # agreement demanded between analytical rates and their brute-force oracles
 ORACLE_RATE_TOL = 1e-3
-_ORACLE_RESOLUTION = 512
+# schemes whose optimum --verify certifies (oracle.certified_max_min).  Not
+# fd_cran_sic: its decode-first optimum inside the box lies on a ridge that
+# first-order bounds resolve only with about 1/sqrt(eps) cells, and fig3's
+# rows take 2.2 s at eps = 1e-4 against 0.04 s for the other three at 1e-6
+_CERTIFIED = (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN)
 
 
 class ConfigError(ValueError):
@@ -358,6 +368,10 @@ class SweepRow:
     f_star: float | None = None
     oracle_r_u: float | None = None
     oracle_r_eq: float | None = None
+    # a certified row's optimum lies in [oracle_r_eq, oracle_r_eq + oracle_eps],
+    # found after bounding the objective over oracle_cells cells
+    oracle_eps: float | None = None
+    oracle_cells: int | None = None
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -371,16 +385,14 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     When the spec has full-duplex schemes and more than one CPU is usable,
     run_sweep forks a pool of worker processes, one per usable CPU but no
-    more than a block has full-duplex (value, scheme) pairs.  For each block the workers
-    solve every full-duplex scheme in contiguous chunks of values, SIC
-    schemes first as they cost the most, and then run the exhaustive oracle
-    of the full-duplex SCP rows, one grid pass per sweep value for all of
-    them (on the serial path too); the half-duplex rows and the circulant
-    checks stay in this process.  A point gets the same result in any batch,
-    so the rows do not depend on the number of workers.  If anything fails on
-    the pool, the block is computed again on the serial path, which decides
-    the error.  The pool is forked here, so its workers see the caller's
-    state, and it is shut down before run_sweep returns.
+    more than a block has full-duplex (value, scheme) pairs.  For each block
+    the workers solve every full-duplex scheme in contiguous chunks of values,
+    SIC schemes first as they cost the most; the half-duplex rows and, under
+    spec.oracle, every oracle stay in this process.  A point gets the same
+    result in any batch, so the rows do not depend on the number of workers.
+    If anything fails on the pool, the block is computed again on the serial
+    path, which decides the error.  The pool is forked here, so its workers
+    see the caller's state, and it is shut down before run_sweep returns.
     """
     values = spec.values()
     fd = [s for s in spec.schemes if SCHEMES[s][1] is not None]
@@ -416,21 +428,24 @@ def _fork_pool(workers: int):
 
 
 def _run_block(spec: SweepSpec, block, fd, pool, workers: int) -> list[SweepRow]:
-    """Rows of one block, on the pool if there is one; fd lists the spec's
-    full-duplex schemes in their order."""
+    """Rows of one block, solved on the pool if there is one (fd lists the
+    spec's full-duplex schemes in their order), and under spec.oracle with
+    their certified optima, found in this process."""
+    rows = None
     if pool is not None:
         sic_first = sorted(fd, key=lambda s: SCHEMES[s][1] is _TAN)  # the costliest searches
         try:
-            return _solve_block(spec, block, sic_first, _pool_map(pool), workers)
+            rows = _solve_block(spec, block, sic_first, _pool_map(pool), workers)
         except Exception:  # a worker, or the pool itself, failed: the serial path decides
             pass
-    try:
-        return _solve_block(spec, block, fd, map, 1)
-    except ValueError:
-        rows = _block_rows(spec, block, map(spec.params_at, block), {})
-        if spec.oracle:
-            _attach_exhaustive(spec, rows, map)
-        return rows
+    if rows is None:
+        try:
+            rows = _solve_block(spec, block, fd, map, 1)
+        except ValueError:
+            rows = _block_rows(spec, block, map(spec.params_at, block), {})
+    if spec.oracle:
+        _attach_certified(spec, rows)
+    return rows
 
 
 def _solve_block(spec: SweepSpec, block, fd, run, chunks: int) -> list[SweepRow]:
@@ -443,10 +458,7 @@ def _solve_block(spec: SweepSpec, block, fd, run, chunks: int) -> list[SweepRow]
     solved = {s: [] for s in fd}
     for (scheme, _), results in zip(tasks, run(_solve_chunk, tasks)):
         solved[scheme] += results
-    rows = _block_rows(spec, block, points, solved)
-    if spec.oracle:
-        _attach_exhaustive(spec, rows, run)
-    return rows
+    return _block_rows(spec, block, points, solved)
 
 
 def _solve_chunk(task) -> list:
@@ -457,7 +469,7 @@ def _block_rows(spec: SweepSpec, block, points, solved: dict) -> list[SweepRow]:
     """Rows of one block at its points (any iterable, so a replay can build
     them one at a time), taking each scheme's results from solved where
     present and from compute_scheme otherwise.  Under spec.oracle the C-RAN
-    rows get their circulant check; _attach_exhaustive checks the others."""
+    rows get their circulant check here."""
     rows = []
     for i, (value, params) in enumerate(zip(block, points)):
         for scheme in spec.schemes:
@@ -482,30 +494,18 @@ def _attach_circulant(row: SweepRow, params) -> None:
         row.oracle_r_u = circulant_uplink_rate(params.alpha, p_u, sigma, DEFAULT_CELLS)
 
 
-def _attach_exhaustive(spec: SweepSpec, rows: list[SweepRow], run) -> None:
-    """oracle_r_eq of every full-duplex SCP row: one exhaustive power grid per
-    sweep value scores that value's full-duplex SCP receivers, each with its
-    row's argmax, evaluated through run (map, or a pool's map)."""
-    checked = []
-    for _, same_value in itertools.groupby(rows, key=lambda r: r.value):
-        group = [
-            r for r in same_value if SCHEMES[r.scheme] in (("scp", _TAN), ("scp", SicMode.SIC))
-        ]
-        if group:
-            checked.append(group)
-    jobs = [
-        (spec.params_at(group[0].value),
-         [(SCHEMES[r.scheme][1], (r.p_u_star, r.p_d_star)) for r in group],
-         _ORACLE_RESOLUTION)
-        for group in checked
-    ]
-    for group, r_eqs in zip(checked, run(_exhaustive_r_eqs, jobs)):
-        for row, r_eq in zip(group, r_eqs):
-            row.oracle_r_eq = r_eq
-
-
-def _exhaustive_r_eqs(args) -> list[float]:
-    return [r_eq for r_eq, _, _ in exhaustive_power_opts(*args)]
+def _attach_certified(spec: SweepSpec, rows: list[SweepRow]) -> None:
+    """oracle_r_eq, oracle_eps and oracle_cells of every row of a certified
+    scheme: one certified_max_min search per scheme for the block's rows, each
+    scoring its row's argmax."""
+    for scheme in _CERTIFIED:
+        checked = [r for r in rows if r.scheme is scheme]
+        if not checked:
+            continue
+        points = [spec.params_at(r.value) for r in checked]
+        argmaxes = [(r.p_u_star, r.p_d_star) for r in checked]
+        for row, found in zip(checked, certified_max_min(*SCHEMES[scheme], points, argmaxes)):
+            row.oracle_r_eq, row.oracle_eps, row.oracle_cells = found
 
 
 def _pool_map(pool):
@@ -545,15 +545,18 @@ def _reissue(caught) -> None:
 
 
 def _oracle_checks(rows: list[SweepRow]):
-    """(row, quantity, reported, oracle name, oracle value, |gap|) for every
-    oracle value a row carries."""
+    """(row, quantity, reported, oracle name, oracle value, gap) for every
+    oracle value a row carries.  An uplink rate's gap is |oracle - reported|;
+    an equal rate's is its distance from the certified interval
+    [oracle_r_eq, oracle_r_eq + oracle_eps] that holds the true optimum."""
     for row in rows:
-        for quantity, reported, name, oracle in (
-            ("uplink rate", row.r_u, "circulant", row.oracle_r_u),
-            ("equal rate", row.r_eq, "exhaustive", row.oracle_r_eq),
-        ):
-            if oracle is not None:
-                yield row, quantity, reported, name, oracle, abs(oracle - reported)
+        if row.oracle_r_u is not None:
+            gap = abs(row.oracle_r_u - row.r_u)
+            yield row, "uplink rate", row.r_u, "circulant", row.oracle_r_u, gap
+        if row.oracle_r_eq is not None:
+            best, eps = row.oracle_r_eq, row.oracle_eps or 0.0
+            gap = max(best - row.r_eq, row.r_eq - best - eps, 0.0)
+            yield row, "equal rate", row.r_eq, "certified", best, gap
 
 
 def verification_failures(rows: list[SweepRow]) -> list[str]:
@@ -568,20 +571,28 @@ def verification_failures(rows: list[SweepRow]) -> list[str]:
 
 def oracle_gaps(rows: list[SweepRow]) -> list[str]:
     """One line per scheme with an oracle, in canonical scheme order: its
-    largest |oracle - reported| gap and the row where it occurs (the first
-    such row on a tie)."""
-    worst = {}
+    largest oracle gap and the row where it occurs (the first such row on a
+    tie), and for a certified scheme the largest eps of its certificates and
+    the cells bounded for all its rows."""
+    worst, certified = {}, {}
     for row, quantity, _, _, _, gap in _oracle_checks(rows):
         if row.scheme not in worst or gap > worst[row.scheme][0]:
             worst[row.scheme] = (gap, quantity, row)
+    for row in rows:
+        if row.oracle_cells is not None:
+            eps, cells = certified.get(row.scheme, (0.0, 0))
+            certified[row.scheme] = (max(eps, row.oracle_eps), cells + row.oracle_cells)
     lines = []
     for scheme in SchemeId:
         if scheme in worst:
             gap, quantity, row = worst[scheme]
-            lines.append(
+            line = (
                 f"verified {scheme.value}: worst |oracle - reported| {quantity} "
                 f"gap {gap:.3g} at {row.sweep_var}={row.value:g}"
             )
+            if scheme in certified:
+                line += "; certified to eps {:.3g} over {:,} cells".format(*certified[scheme])
+            lines.append(line)
     return lines
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fdcran.sweep
 from fdcran.cli import _build_parser, main
 from fdcran.model import SchemeId
-from fdcran.sweep import ORACLE_RATE_TOL, SweepBase, parse_config
+from fdcran.sweep import ORACLE_RATE_TOL, SweepBase, load_csv, parse_config
 
 TINY_CONFIG = """
 base.alpha = 0.4
@@ -278,6 +278,49 @@ def test_fig3_verify_passes(tmp_path, capsys):
         gap = float(line.split(" gap ")[1].split(" at ")[0])
         assert 0.0 <= gap <= ORACLE_RATE_TOL
         assert " at gamma_ud=" in line
+    # the certified schemes name their eps and the cells their oracle bounded
+    certified = [line for line in lines if "; certified to eps 1e-06 over " in line]
+    assert [line.split(":")[0] for line in certified] == [
+        f"verified {s}" for s in ("fd_scp", "fd_scp_sic", "fd_cran")
+    ]
+    for line in certified:
+        assert int(line.split(" over ")[1].split(" cells")[0].replace(",", "")) > 0
+
+
+@pytest.mark.parametrize("p_u_db, reported", [(150, 1.9198), (200, 0.4660)])
+def test_the_sic_search_misses_the_certified_optimum_at_large_budgets(
+    tmp_path, capsys, p_u_db, reported
+):
+    # the paper base with a huge uplink budget: the SIC search loses the
+    # decode-first ridge at p_u of order 10-100, and --verify says so
+    config = tmp_path / "large.cfg"
+    config.write_text(
+        f"base.p_u_db = {p_u_db}\nsweep.var = gamma_ud\nsweep.start = 4\nsweep.stop = 4\n"
+        "schemes = fd_scp_sic\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "large.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--verify"]) == 4
+    failures = capsys.readouterr().err.splitlines()[1:]
+    assert len(failures) == 1 and failures[0].startswith("  fd_scp_sic at gamma_ud=4:")
+    (row,) = load_csv(out)
+    assert row.r_eq == pytest.approx(reported, abs=1e-4)
+    assert row.oracle_r_eq == pytest.approx(1.9238, abs=1e-4)
+
+
+def test_fig2_verify_issues_no_runtime_warning(tmp_path):
+    # fig2 starts at c_u = c_d = 0, where the uplink quantization noise is inf
+    out = tmp_path / "fig2.csv"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fdcran", "sweep",
+         "--preset", "fig2", "--verify", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = load_csv(out)
+    zero = [r for r in rows if r.value == 0.0 and r.scheme is SchemeId.FD_CRAN]
+    assert [(r.r_eq, r.oracle_r_eq) for r in zero] == [(0.0, 0.0)]
 
 
 def test_sweep_verify_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,21 +1,28 @@
+import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fdcran.oracle
+from fdcran.model import SystemParams, db_to_linear
 from fdcran.oracle import (
+    CERTIFIED_EPS,
     CirculantChannel,
+    certified_max_min,
     circulant_uplink_rate,
     circulant_uplink_rate_dense,
     exhaustive_power_opt,
-    exhaustive_power_opts,
 )
 from fdcran.rates import SicMode, fd_scp
 from fdcran.spectral import rate_integral
 from fdcran.sweep import preset_spec
 
 from conftest import make_params
+from test_domain_properties import domain
 from test_solver_properties import DOMAIN
 
 TAN = SicMode.TREAT_AS_NOISE
@@ -155,14 +162,10 @@ def _full_grid_reference(params, sic, resolution=512, candidate=None):
 
 
 def _assert_exact(params, resolution=512, candidate=None):
-    """Each receiver alone, and one pass for each list of receivers, give the
-    full grid's result for every receiver."""
-    expected = {sic: _full_grid_reference(params, sic, resolution, candidate) for sic in (TAN, SIC)}
+    """Each receiver gives the full grid's result."""
     for sic in (TAN, SIC):
-        assert exhaustive_power_opt(params, sic, resolution, candidate) == expected[sic]
-    for sics in ((TAN,), (SIC,), (TAN, SIC), (SIC, TAN)):
-        got = exhaustive_power_opts(params, [(sic, candidate) for sic in sics], resolution)
-        assert got == [expected[sic] for sic in sics]
+        expected = _full_grid_reference(params, sic, resolution, candidate)
+        assert exhaustive_power_opt(params, sic, resolution, candidate) == expected
 
 
 @pytest.mark.parametrize("index", range(len(DOMAIN)))
@@ -195,34 +198,32 @@ def test_blocked_grid_scores_a_candidate_like_the_full_grid():
     off_grid = (diag["p_u_star"], diag["p_d_star"])
     assert exhaustive_power_opt(params, SIC, 512, off_grid)[1:] == off_grid
     _assert_exact(params, candidate=off_grid)
-    # one pass with a candidate of each receiver's own, as a --verify sweep asks
-    tan_diag = fd_scp(params, TAN).diagnostics
-    tan_argmax = (tan_diag["p_u_star"], tan_diag["p_d_star"])
-    for receivers in (((TAN, tan_argmax), (SIC, off_grid)), ((SIC, off_grid), (TAN, None))):
-        assert exhaustive_power_opts(params, receivers) == [
-            _full_grid_reference(params, sic, 512, candidate) for sic, candidate in receivers
-        ]
 
 
 class _SizeProbe:
     """Stands in for numpy inside the oracle, recording the largest array that
-    any numpy function returns there: the elementwise functions that every
-    grid evaluation goes through, and any stacking or joining of blocks."""
+    any numpy function returns there (the elementwise functions that every
+    evaluation goes through, and any stacking or joining of blocks) and how
+    often each function is called."""
 
     def __init__(self):
         self.largest = 0
+        self.calls = collections.Counter()
 
     def __getattr__(self, name):
         fn = getattr(np, name)
-        if not callable(fn):
+        if not callable(fn) or isinstance(fn, type):
             return fn
 
         def probed(*args, **kwargs):
+            self.calls[name] += 1
             out = fn(*args, **kwargs)
             if isinstance(out, np.ndarray):
                 self.largest = max(self.largest, out.size)
             return out
 
+        if isinstance(fn, np.ufunc):
+            probed.at = fn.at  # in place: returns no array
         return probed
 
 
@@ -231,7 +232,86 @@ def test_blocked_grid_memory_bound(monkeypatch, resolution):
     monkeypatch.setattr(fdcran.oracle, "np", _SizeProbe())
     exhaustive_power_opt(make_params(), SIC, resolution)
     assert 0 < fdcran.oracle.np.largest <= max(8192, resolution)
-    # scoring both receivers in one pass keeps the same bound per temporary
+
+
+# ----------------------------------------------------------------------------
+# the certified max-min
+
+FAMILIES = [("scp", TAN), ("scp", SIC), ("cran", TAN), ("cran", SIC)]
+# the domain's budgets, or any up to 3000 dB, near the top of the float range
+any_budgets = st.one_of(st.floats(0.0, 30.0), st.floats(0.0, 3000.0)).map(db_to_linear)
+cuts = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7)
+# where each cell is checked: its vertices, its centre and points inside
+INSIDE = [(0, 0), (0, 1), (1, 0), (1, 1), (0.5, 0.5), (0.1, 0.9), (0.9, 0.1), (0.7, 0.3), (0.3, 0.7)]
+
+
+# an FD-C-RAN cell whose SIC t2 peaks at its top vertex (u1, d1) only
+T2_AT_THE_TOP = SystemParams(
+    alpha=0.37808318644757777, beta_du=0.5902154124085758, beta_ud=0.03104109059991339,
+    gamma_du=0.0, gamma_ud=0.795048701429768, p_u_max=9.824393364829563,
+    p_d_max=2.2530516077382288, c_u=4.277003174014664, c_d=1000.0,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(domain, any_budgets, any_budgets, cuts, cuts)
+@example(T2_AT_THE_TOP, T2_AT_THE_TOP.p_u_max, T2_AT_THE_TOP.p_d_max, [0.7, 0.8], [0.0, 1.0])
+def test_a_cells_bound_is_at_least_the_objective_inside_it(params, p_u, p_d, cuts_u, cuts_d):
+    params = replace(params, p_u_max=p_u, p_d_max=p_d)
+    # the grid of cells between the drawn cuts of both budgets
+    us, ds = np.sort(cuts_u) * p_u, np.sort(cuts_d) * p_d
+    i, j = (x.ravel() for x in np.meshgrid(np.arange(us.size - 1), np.arange(ds.size - 1)))
+    u0, u1, d0, d1 = us[i], us[i + 1], ds[j], ds[j + 1]
+    row = np.zeros(i.size, dtype=int)
+    # the program rejects a quantization noise that overflows at the budgets
+    cols, _, _ = fdcran.oracle._constants("cran", [params])
+    quant, base, f, h = (float(cols[n][0]) for n in (1, 2, 3, 4))
+    quantized = params.c_u == 0.0 or math.isfinite(quant * (base + f * p_u + h * p_d))
+    for family, sic in FAMILIES if quantized else FAMILIES[:2]:
+        cols, ring, _ = fdcran.oracle._constants(family, [params])
+        k, samples = fdcran.oracle._terms(cols, ring, row)
+        bound = fdcran.oracle._bound(sic, k, samples, u0, u1, d0, d1)
+        assert np.isfinite(bound).all()
+        for x, y in INSIDE:
+            pu = np.minimum(u1, u0 + x * (u1 - u0))
+            pd = np.minimum(d1, d0 + y * (d1 - d0))
+            value = fdcran.oracle._value(sic, k, samples, pu, pd)
+            assert (value <= bound + 1e-12 * np.maximum(1.0, bound)).all(), (family, sic, x, y)
+
+
+@pytest.mark.parametrize("sic", [TAN, SIC])
+def test_the_exhaustive_grid_never_beats_the_certified_maximum(sic):
+    certified = certified_max_min("scp", sic, DOMAIN, [(0.0, 0.0)] * len(DOMAIN))
+    for params, found in zip(DOMAIN, certified):
+        assert found.eps == CERTIFIED_EPS
+        assert exhaustive_power_opt(params, sic, 512)[0] <= found.r_eq + found.eps
+
+
+@pytest.mark.parametrize("family, sic", FAMILIES)
+def test_a_point_is_certified_alike_alone_and_in_a_batch(family, sic):
+    points = [preset_spec("fig3").params_at(g) for g in (0.5, 2.0, 6.0)]
+    argmaxes = [(p.p_u_max, p.p_d_max) for p in points]
+    batch = certified_max_min(family, sic, points, argmaxes)
+    assert batch == [certified_max_min(family, sic, [p], [a])[0] for p, a in zip(points, argmaxes)]
+    assert all(found.cells > 0 for found in batch)
+
+
+def test_the_ring_error_widens_eps_only_where_the_cells_are_capped():
+    # alpha = 0.4997 asks for 21 / acosh(1 / 0.9994) = 606 cells
+    near = [make_params(alpha=0.4), make_params(alpha=0.4997)]
+    ring, errors = fdcran.oracle._ring("cran", near)
+    assert ring[0].size == fdcran.oracle.DEFAULT_CELLS // 2 + 1
+    assert errors[0] == 0.0 and 0.0 < errors[1] < 1e-7
+    found = certified_max_min("cran", TAN, near, [(1.0, 1.0)] * 2)
+    assert [f.eps for f in found] == [CERTIFIED_EPS, CERTIFIED_EPS + errors[1]]
+    ring, errors = fdcran.oracle._ring("cran", near[:1])
+    assert ring[0].size == 31 // 2 + 1 and errors == [0.0]  # 21 / acosh(1.25) = 30.3 cells
+
+
+@pytest.mark.parametrize("family, sic", FAMILIES)
+def test_certified_memory_bound(monkeypatch, family, sic):
+    # near alpha = 1/2 the ring has DEFAULT_CELLS cells: the fewest cells per group
+    points = [make_params(alpha=a, gamma_ud=g) for a in (0.1, 0.4999) for g in (0.5, 4.0)]
     monkeypatch.setattr(fdcran.oracle, "np", _SizeProbe())
-    exhaustive_power_opts(make_params(), [(TAN, None), (SIC, None)], resolution)
-    assert 0 < fdcran.oracle.np.largest <= max(8192, resolution)
+    certified_max_min(family, sic, points, [(1.0, 1.0)] * len(points))
+    assert 0 < fdcran.oracle.np.largest <= fdcran.oracle._BLOCK_ELEMENTS

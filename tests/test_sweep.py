@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+import fdcran.oracle
 import fdcran.rates
 import fdcran.spectral
 import fdcran.sweep
@@ -30,6 +31,8 @@ from fdcran.sweep import (
     serialize_spec,
     verification_failures,
 )
+
+from test_oracle import _SizeProbe
 
 
 def small_spec(**kw) -> SweepSpec:
@@ -357,23 +360,41 @@ def test_oracle_scores_the_reported_argmax():
     assert len(verification_failures([doctored])) == 1
 
 
-def test_fig3_verify_makes_one_grid_pass_per_sweep_value(fig3_verify_rows, monkeypatch):
-    passes = []
-    one_pass = fdcran.sweep.exhaustive_power_opts
+def test_a_doctored_fd_cran_row_is_flagged():
+    spec = replace(
+        preset_spec("fig3"), start=3.5, stop=3.5, schemes=(SchemeId.FD_CRAN,), oracle=True
+    )
+    row = run_sweep(spec)[0]
+    assert row.oracle_r_eq == pytest.approx(row.r_eq, abs=1e-9)
+    assert verification_failures([row]) == []
+    doctored = replace(row, r_eq=row.r_eq + 0.01)
+    (failure,) = verification_failures([doctored])
+    assert failure.startswith("fd_cran at gamma_ud=3.5: equal rate")
 
-    def counted(params, receivers, resolution):
-        passes.append([sic for sic, _ in receivers])
-        return one_pass(params, receivers, resolution)
 
-    monkeypatch.setattr(fdcran.sweep, "exhaustive_power_opts", counted)
+def test_fig3_verify_builds_no_grid_and_certifies_once_per_block_and_scheme(
+    fig3_verify_rows, monkeypatch
+):
+    calls = []
+    certify = fdcran.sweep.certified_max_min
+
+    def counted(family, sic, points, argmaxes):
+        calls.append((family, sic, len(points)))
+        return certify(family, sic, points, argmaxes)
+
+    monkeypatch.setattr(fdcran.sweep, "certified_max_min", counted)
+    probe = _SizeProbe()
+    monkeypatch.setattr(fdcran.oracle, "np", probe)
     _force_cpus(monkeypatch, 1)
-    spec = replace(preset_spec("fig3"), oracle=True)
-    assert run_sweep(spec) == fig3_verify_rows
-    assert len(spec.values()) == 33
-    assert passes == [[SicMode.TREAT_AS_NOISE, SicMode.SIC]] * 33
+    assert run_sweep(replace(preset_spec("fig3"), oracle=True)) == fig3_verify_rows
+    # fig3's 33 values make one block
+    assert calls == [("scp", SicMode.TREAT_AS_NOISE, 33), ("scp", SicMode.SIC, 33),
+                     ("cran", SicMode.TREAT_AS_NOISE, 33)]
+    assert probe.calls["linspace"] == 0  # no power grid
+    assert 0 < probe.largest <= fdcran.oracle._BLOCK_ELEMENTS
 
 
-@pytest.mark.parametrize("scheme", [SchemeId.FD_SCP, SchemeId.FD_SCP_SIC])
+@pytest.mark.parametrize("scheme", [SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN])
 def test_a_receiver_verified_alone_gets_the_rows_of_the_full_run(fig3_verify_rows, scheme):
     alone = run_sweep(replace(preset_spec("fig3"), schemes=(scheme,), oracle=True))
     assert all(r.oracle_r_eq is not None for r in alone)
@@ -416,7 +437,8 @@ def _pooled(spec, monkeypatch, pools):
 def test_fig3_verify_rows_do_not_depend_on_the_worker_count(fig3_verify_rows, monkeypatch, pools):
     pooled = _pooled(replace(preset_spec("fig3"), oracle=True), monkeypatch, pools)
     assert pooled == fig3_verify_rows  # computed on one usable CPU
-    assert all(r.oracle_r_eq is not None for r in pooled if r.scheme.value.startswith("fd_scp"))
+    certified = (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN)
+    assert all((r.oracle_r_eq is not None) == (r.scheme in certified) for r in pooled)
 
 
 def test_a_two_block_sweep_does_not_depend_on_the_worker_count(monkeypatch, pools):
