@@ -3,28 +3,29 @@
 The schemes are two processing families, single-cell processing (SCP) and
 C-RAN, each with three receivers: half duplex, and full duplex treating the
 co-located uplink signal as noise or cancelling it first (SIC).  Each family
-has one uplink and one downlink rate kernel, (k, p_u, p_d[, r_u, receiver])
--> rate, where k holds an operating point's constants: plain floats for one
-point, or (n, 1, 1) columns for a batch (_stacked).  The power search, the
-reported rates at its argmax, the public scalar rate functions and half
-duplex (the kernels with the other direction's power at 0) all call them.
+has one uplink and one downlink kernel, (k, p_u, p_d[, r_u, receiver]) ->
+rate, with k a point's constants (plain floats, or (n, 1, 1) columns for a
+batch: _stacked) and powers in its _unit, which keeps the float range.  The
+power search, the reported rates at its argmax, the public scalar rate
+functions and half duplex (the other direction's power at 0) all call them.
 C-RAN rates are exact: the uplink integral is rate_closed_form and the
-zero-forcing precoder enters through zf_constants.  Only a precoder that a
-caller passes in, other than the zero-forcing one for the point's alpha, is
-sampled (_precoder_terms).  The oracles keep formulas of their own.
+zero-forcing precoder of the point's alpha enters through zf_constants.  A
+precoder passed to a public function must be that one, at any sampling
+(_check_precoder).  The oracles keep formulas of their own.
 
 Half-duplex schemes split the band between directions at full power; the
 equal rate follows from balancing f*R_u against (1-f)*R_d.  Full-duplex
 schemes choose the operating powers (p_u, p_d) that maximize min(R_u, R_d):
 exactly on the budget edges for treat-as-noise, plus a search of the
 decode-first branch for SIC seeded by scans at one fixed resolution,
-DEFAULT_GRID (see _max_min_search).  The search runs for a batch of operating
-points at once (compute_fd_batch; fd_scp, fd_cran and compute_scheme are its
-batch of one), and every point of a batch gets bit-for-bit the result it gets
-alone.  Kernel calls are split along the batch axis so that none evaluates
-more elements than the largest call of a one-point search, _CALL_LIMIT; the
-DEFAULT_GRID**2 budget-edge scans and the first row scan therefore run one
-point at a time.
+DEFAULT_GRID (see _max_min_search).  compute_batch evaluates one scheme at a
+batch of operating points at once: half duplex as the kernels at (P_u, 0)
+and (0, P_d) for every point, full duplex as one power search (compute_scheme,
+hd_scp, hd_cran, fd_scp and fd_cran are its batch of one).  Every point of a
+batch gets bit-for-bit the result it gets alone.  Kernel calls are split
+along the batch axis so that none evaluates more elements than the largest
+call of a one-point search, _CALL_LIMIT; the DEFAULT_GRID**2 budget-edge
+scans and the first row scan therefore run one point at a time.
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
@@ -43,9 +44,7 @@ from .spectral import (
     DEFAULT_PANELS,
     Precoder,
     _check_panels as _check_panel_count,
-    h_tilde,
     rate_closed_form,
-    rg,
     zf_constants,
 )
 
@@ -53,7 +52,7 @@ __all__ = [
     "DEFAULT_GRID",
     "SCHEMES",
     "SicMode",
-    "compute_fd_batch",
+    "compute_batch",
     "compute_scheme",
     "equal_rate_split",
     "fd_cran",
@@ -78,7 +77,6 @@ _ZOOM = 8  # window shrink factor per zoom pass
 _ZOOM_PASSES = 12  # zoom passes along each axis of the SIC search
 _WINDOW = np.linspace(0.0, 1.0, 17)  # samples across a search window
 _TIE_TOL = 1e-9  # objective values this close count as tied
-_K_MAX = 8  # truncation of sum_{k>0} h~_k^2 for custom precoders
 
 
 class SicMode(Enum):
@@ -128,48 +126,55 @@ def _receive(signal, den, g2pu, r_u, receiver):
     first, min(t1, t2 - r_u); SIC the better of the two, which equals the
     clamp q(t1, t2 - r_u, t3) = min(t1, max(t2 - r_u, t3)) because t3 <= t1."""
     if receiver is not _TAN:
-        first = np.minimum(np.log2(1.0 + signal / den), np.log2(1.0 + (signal + g2pu) / den) - r_u)
+        with np.errstate(over="ignore"):  # past 1024 bits t2 is taken as a difference
+            t2 = np.log2(1.0 + (signal + g2pu) / den)
+        if np.isinf(t2).any():
+            t2 = np.where(np.isinf(t2), np.log2(den + signal + g2pu) - np.log2(den), t2)
+        first = np.minimum(np.log2(1.0 + signal / den), t2 - r_u)
         if receiver is _DECODE_FIRST:
             return first
     t3 = np.log2(1.0 + signal / (den + g2pu))
     return t3 if receiver is _TAN else np.maximum(first, t3)
 
 
+def _unit(p, gain: float) -> float:
+    """2**-k, a point's unit of power: its kernels take every power, the noise
+    power included, as a multiple of 2**-k, and the power search runs in
+    these units, which leave each SINR as it is.  k = 0 unless gain, the
+    largest power gain, times the larger budget passes 2**1016; then k brings
+    that product down to 2**1016, so no product or sum of the kernels
+    overflows a float even where gamma_ud^2 P_u does."""
+    k = math.frexp(gain)[1] + math.frexp(max(p.p_u_max, p.p_d_max))[1] - 1016
+    return math.ldexp(1.0, -max(k, 0))
+
+
 def _scp_consts(p) -> tuple:
-    return p.alpha**2, p.beta_du**2, p.beta_ud**2, p.gamma_ud**2, p.c_u, p.c_d
+    a2, bdu2, bud2, g2 = p.alpha**2, p.beta_du**2, p.beta_ud**2, p.gamma_ud**2
+    gain = max(1.0, 2.0 * a2, 2.0 * bdu2, 2.0 * bud2, g2)
+    return a2, bdu2, bud2, g2, p.c_u, p.c_d, _unit(p, gain)
 
 
 def _scp_uplink(k, p_u, p_d):
-    a2, bdu2, _, _, c_u, _ = k
-    return np.minimum(np.log2(1.0 + p_u / (1.0 + 2.0 * a2 * p_u + 2.0 * bdu2 * p_d)), c_u)
+    a2, bdu2, _, _, c_u, _, unit = k
+    return np.minimum(np.log2(1.0 + p_u / (unit + 2.0 * a2 * p_u + 2.0 * bdu2 * p_d)), c_u)
 
 
 def _scp_downlink(k, p_u, p_d, r_u, receiver):
-    a2, _, bud2, g2, _, c_d = k
-    den = 1.0 + 2.0 * a2 * p_d + 2.0 * bud2 * p_u
+    a2, _, bud2, g2, _, c_d, unit = k
+    den = unit + 2.0 * a2 * p_d + 2.0 * bud2 * p_u
     return np.minimum(_receive(p_d, den, g2 * p_u, r_u, receiver), c_d)
 
 
-# quant = _per_unit_quantization(c_u), q_d = 2**-c_d, and (h0sq, hk_sum, rg2)
-# from _precoder_terms, which an uplink alone does not need
-_CranConsts = namedtuple("_CranConsts", "alpha a2 bdu2 bud2 g2 quant q_d h0sq hk_sum rg2")
+# quant = _per_unit_quantization(c_u), q_d = 2**-c_d, (h0sq, rg2) from
+# zf_constants, which an uplink alone does not need, and the _unit of power
+_CranConsts = namedtuple("_CranConsts", "alpha a2 bdu2 bud2 g2 quant q_d h0sq rg2 unit")
 
 
-def _cran_consts(p, terms=(0.0, 0.0, 0.0)) -> _CranConsts:
-    squares = (p.alpha**2, p.beta_du**2, p.beta_ud**2, p.gamma_ud**2)
-    return _CranConsts(p.alpha, *squares, _per_unit_quantization(p.c_u), 2.0**-p.c_d, *terms)
-
-
-def _precoder_terms(alpha: float, precoder: Precoder | None = None) -> tuple:
-    """(h~_0^2, sum_{k>0} h~_k^2, R_g(2)) over the channel of gain alpha: exact
-    for the zero-forcing precoder of alpha (None, or one built for alpha),
-    which nulls every off-center tap; else sampled, the tail truncated at
-    k <= 8 (the inverse-filter taps decay geometrically)."""
-    if precoder is None or (precoder.kind == "zero_forcing" and precoder.alpha == alpha):
-        h0sq, rg2 = zf_constants(alpha)
-        return h0sq, 0.0, rg2
-    h0, *tail = (h_tilde(precoder, alpha, k) for k in range(_K_MAX + 1))
-    return h0 * h0, sum(hk * hk for hk in tail), rg(precoder, 2)
+def _cran_consts(p, terms=(0.0, 0.0)) -> _CranConsts:
+    a2, bdu2, bud2, g2 = p.alpha**2, p.beta_du**2, p.beta_ud**2, p.gamma_ud**2
+    unit = _unit(p, max(1.0 + 2.0 * a2, 2.0 * bdu2, 2.0 * bud2, g2))  # (1 + rg2) <= 2
+    quant = _per_unit_quantization(p.c_u)
+    return _CranConsts(p.alpha, a2, bdu2, bud2, g2, quant, 2.0**-p.c_d, *terms, unit)
 
 
 def _per_unit_quantization(c: float) -> float:
@@ -181,34 +186,30 @@ def _per_unit_quantization(c: float) -> float:
     return 2.0**-c / -math.expm1(-c * math.log(2.0))
 
 
-def _sigma_u_sq(k, p_u, p_d):
+def _sigma_u_sq(k, p_u, p_d, noise=1.0):
     # the neighboring radio units' downlink signals are correlated at lag 2
     # through the shared precoder, hence (1 + R_g(2))
-    _, a2, bdu2, _, _, quant, _, _, _, rg2 = k
-    return (1.0 + (1.0 + 2.0 * a2) * p_u + 2.0 * bdu2 * (1.0 + rg2) * p_d) * quant
+    _, a2, bdu2, _, _, quant, _, _, rg2, _ = k
+    return (noise + (1.0 + 2.0 * a2) * p_u + 2.0 * bdu2 * (1.0 + rg2) * p_d) * quant
 
 
 def _checked_sigma_u_sq(k, p_u: float, p_d: float, budgets: bool = True) -> float:
-    """sigma_u^2 at the powers (p_u, p_d), the budgets unless budgets=False.
-    It is inf at c_u = 0, where the quantizer passes nothing; inf at c_u > 0
-    is an overflow, which would report a zero uplink rate where the model has
-    a positive one, so it raises NumericDomainError."""
+    """sigma_u^2 at the powers (p_u, p_d), the budgets unless budgets=False,
+    as a plain float.  It is inf at c_u = 0, where the quantizer passes
+    nothing; inf at c_u > 0 is an overflow, which would report a zero uplink
+    rate where the model has a positive one, so it raises NumericDomainError,
+    as does NaN, an overflow times the zero quant of c_u past about 1075."""
     sigma = _sigma_u_sq(k, p_u, p_d)
+    if math.isnan(sigma):  # so is the uplink rate
+        raise NumericDomainError("r_u is nan: the operating point overflows a float")
     if sigma == math.inf and k.quant < math.inf:
         at = "the budgets p_u_max={!r}, p_d_max={!r}" if budgets else "p_u={!r}, p_d={!r}"
         raise NumericDomainError("sigma_u_sq overflows a float at " + at.format(p_u, p_d))
     return sigma
 
 
-def _fd_cran_consts(p, terms) -> _CranConsts:
-    """A full-duplex point's C-RAN constants, its sigma_u^2 checked at the budgets."""
-    k = _cran_consts(p, terms)
-    _checked_sigma_u_sq(k, p.p_u_max, p.p_d_max)
-    return k
-
-
 def _cran_uplink(k, p_u, p_d):
-    return rate_closed_form(p_u / (1.0 + _sigma_u_sq(k, p_u, p_d)), k[0])
+    return rate_closed_form(p_u / (k[-1] + _sigma_u_sq(k, p_u, p_d, k[-1])), k[0])
 
 
 def _downlink_powers(p_d, q_d):  # (stream power p_s, quantization noise sigma_d^2)
@@ -216,16 +217,20 @@ def _downlink_powers(p_d, q_d):  # (stream power p_s, quantization noise sigma_d
 
 
 def _cran_downlink(k, p_u, p_d, r_u, receiver):
-    _, a2, _, bud2, g2, _, q_d, h0sq, hk_sum, _ = k
+    _, a2, _, bud2, g2, _, q_d, h0sq, _, unit = k
     p_s, sigma_d = _downlink_powers(p_d, q_d)
-    # hk_sum first: a zero tail times an overflowed p_s stays 0, not NaN
-    den = 1.0 + 2.0 * hk_sum * p_s + sigma_d * (1.0 + 2.0 * a2) + 2.0 * bud2 * p_u
+    den = unit + sigma_d * (1.0 + 2.0 * a2) + 2.0 * bud2 * p_u
     return _receive(p_s * h0sq, den, g2 * p_u, r_u, receiver)
 
 
 def _kernels(family: str):
     """(uplink, downlink) kernels of a processing family."""
     return (_scp_uplink, _scp_downlink) if family == "scp" else (_cran_uplink, _cran_downlink)
+
+
+def _at(kernel, k, p_u, p_d, *args):
+    """kernel at the powers (p_u, p_d), passed in the point's _unit."""
+    return kernel(k, p_u * k[-1], p_d * k[-1], *args)
 
 
 def _check_powers(params, p_u, p_d, budgets: bool = False) -> None:
@@ -249,9 +254,14 @@ def _carried_uplink(sic: SicMode, r_u) -> float:
     return r_u
 
 
-def _check_panels(precoder: Precoder, panels: int | None) -> None:
+def _check_precoder(params, precoder: Precoder, panels: int | None = None) -> None:
+    """A precoder passed in must be the zero-forcing one of params.alpha, at
+    any sampling, as its exact constants stand for it; panels, if given, must
+    match that sampling."""
     if panels is not None and panels != precoder.panels:
         raise ValueError(f"precoder is sampled at {precoder.panels} panels, got panels={panels}")
+    if precoder.alpha != params.alpha:
+        raise ValueError(f"precoder is for alpha={precoder.alpha!r}, not {params.alpha!r}")
 
 
 def _finite(name: str, rate) -> float:
@@ -263,14 +273,7 @@ def _finite(name: str, rate) -> float:
 
 
 # ----------------------------------------------------------------------------
-# half duplex: the full-duplex kernels with the other direction's power at 0
-
-
-def _hd_result(r_u: float, r_d: float, diag: dict) -> RateResult:
-    r_eq, f_star = equal_rate_split(r_u, r_d)
-    if f_star is not None:
-        diag["f_star"] = f_star
-    return RateResult(r_u, r_d, r_eq, diag)
+# the public scheme and link functions
 
 
 def hd_scp(params) -> RateResult:
@@ -280,10 +283,7 @@ def hd_scp(params) -> RateResult:
     its fronthaul: R = min{C(P / (1 + 2 alpha^2 P)), c}.  Full power loses
     nothing here, and the time split gives r_eq = r_u*r_d/(r_u + r_d).
     """
-    k = _scp_consts(params)
-    r_u = float(_scp_uplink(k, params.p_u_max, 0.0))
-    r_d = float(_scp_downlink(k, 0.0, params.p_d_max, 0.0, _TAN))
-    return _hd_result(r_u, r_d, {})
+    return _batch("scp", None, [params])[0]
 
 
 def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
@@ -299,14 +299,7 @@ def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
     _check_panel_count(panels)
     k = _cran_consts(params)
     sigma = _checked_sigma_u_sq(k, params.p_u_max, 0.0)
-    return _finite("r_u", _cran_uplink(k, params.p_u_max, 0.0)), sigma
-
-
-def _hd_cran_downlink(params, terms) -> tuple[float, float, float]:
-    k = _cran_consts(params, terms)
-    rate = float(_cran_downlink(k, 0.0, params.p_d_max, 0.0, _TAN))
-    p_s, sigma = _downlink_powers(params.p_d_max, k.q_d)
-    return rate, sigma, p_s
+    return _finite("r_u", _at(_cran_uplink, k, params.p_u_max, 0.0)), sigma
 
 
 def hd_cran_downlink(
@@ -315,37 +308,31 @@ def hd_cran_downlink(
     """Downlink rate with central-unit precoding and fronthaul quantization.
 
     Stream power p_s = P_d (1 - 2**-c_d) and quantization noise
-    sigma_d^2 = P_d 2**-c_d keep the radio unit at exactly P_d.  The rate is
-    C(p_s h~_0^2 / (1 + 2 p_s sum_{k>0} h~_k^2 + sigma_d^2 (1 + 2 alpha^2))),
-    exact for the zero-forcing precoder of params.alpha at any sampling;
-    panels, if given, must match it.  Returns (rate, sigma_d_sq, p_s).
+    sigma_d^2 = P_d 2**-c_d keep the radio unit at exactly P_d.  Zero forcing
+    nulls every inter-stream tap, so the rate is
+    C(p_s h~_0^2 / (1 + sigma_d^2 (1 + 2 alpha^2))): full-duplex C-RAN's
+    downlink at (0, P_d).  The precoder must be the zero-forcing one of
+    params.alpha (ValueError otherwise); panels, if given, must match its
+    sampling.  Returns (rate, sigma_d_sq, p_s).
     """
-    _check_panels(precoder, panels)
-    return _hd_cran_downlink(params, _precoder_terms(params.alpha, precoder))
-
-
-def _hd_cran(params, terms, panels: int) -> RateResult:
-    r_u, sigma_u = hd_cran_uplink(params, panels)
-    r_d, sigma_d, p_s = _hd_cran_downlink(params, terms)
-    return _hd_result(r_u, r_d, {"sigma_u_sq": sigma_u, "sigma_d_sq": sigma_d, "p_s": p_s})
+    rate = fd_cran_downlink(params, PowerAllocation(0.0, params.p_d_max), precoder, panels=panels)
+    p_s, sigma = _downlink_powers(params.p_d_max, 2.0**-params.c_d)
+    return rate, sigma, p_s
 
 
 def hd_cran(params, precoder: Precoder, panels: int = DEFAULT_PANELS) -> RateResult:
-    """Half-duplex C-RAN: both directions combined through the time split;
-    panels must match the precoder's sampling."""
-    _check_panels(precoder, panels)
-    return _hd_cran(params, _precoder_terms(params.alpha, precoder), panels)
-
-
-# ----------------------------------------------------------------------------
-# full duplex
+    """Half-duplex C-RAN: both directions combined through the time split.
+    The precoder must be the zero-forcing one of params.alpha, and panels
+    must match its sampling."""
+    _check_precoder(params, precoder, panels)
+    return _batch("cran", None, [params])[0]
 
 
 def fd_scp_uplink_rate(params, p_u: float, p_d: float) -> float:
     """Uplink SCP rate at operating powers: inter-cell and downlink-to-uplink
     interference are treated as noise, then the fronthaul cap applies."""
     _check_powers(params, p_u, p_d)
-    return float(_scp_uplink(_scp_consts(params), p_u, p_d))
+    return float(_at(_scp_uplink, _scp_consts(params), p_u, p_d))
 
 
 def fd_scp_downlink_rate(
@@ -361,7 +348,7 @@ def fd_scp_downlink_rate(
     """
     r_u = _carried_uplink(sic, r_u)
     _check_powers(params, p_u, p_d)
-    return float(_scp_downlink(_scp_consts(params), p_u, p_d, r_u, sic))
+    return float(_at(_scp_downlink, _scp_consts(params), p_u, p_d, r_u, sic))
 
 
 def fd_scp(params, sic: SicMode = SicMode.TREAT_AS_NOISE) -> RateResult:
@@ -371,7 +358,7 @@ def fd_scp(params, sic: SicMode = SicMode.TREAT_AS_NOISE) -> RateResult:
     directions interfere), so the equal rate is the max over (p_u, p_d) of
     min{R_u, R_d}, found by _max_min_search.
     """
-    return _fd_batch("scp", [_scp_consts(params)], [params], sic)[0]
+    return _batch("scp", sic, [params])[0]
 
 
 def fd_cran_uplink(
@@ -382,16 +369,18 @@ def fd_cran_uplink(
     The downlink-to-uplink interference raises the quantization noise through
     its received power 2 beta_du^2 (1 + R_g(2)) p_d, but the central unit
     knows the downlink signals and subtracts them after decompression, so
-    only sigma_u^2 reaches the decoder.  panels must be a valid panel count but
+    only sigma_u^2 reaches the decoder.  The precoder must be the
+    zero-forcing one of params.alpha; panels must be a valid panel count but
     changes nothing.  Returns (rate, sigma_u_sq); c_u = 0 gives sigma_u_sq =
     inf and rate 0, and a sigma_u_sq that overflows a float at c_u > 0 raises
     NumericDomainError.
     """
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
     _check_panel_count(panels)
-    k = _cran_consts(params, _precoder_terms(params.alpha, precoder))
+    _check_precoder(params, precoder)
+    k = _cran_consts(params, zf_constants(params.alpha))
     sigma = _checked_sigma_u_sq(k, powers.p_u, powers.p_d, budgets=False)
-    return _finite("r_u", _cran_uplink(k, powers.p_u, powers.p_d)), sigma
+    return _finite("r_u", _at(_cran_uplink, k, powers.p_u, powers.p_d)), sigma
 
 
 def fd_cran_downlink(
@@ -405,24 +394,53 @@ def fd_cran_downlink(
     With SIC the gamma_ud^2 p_u term moves between numerator and denominator
     to form q(t1, t2 - r_u, t3); r_u (required then) is the uplink rate the
     mobile must first decode.  No fronthaul cap applies here -- the fronthaul
-    already enters through the quantization noise.  panels, if given, must
-    match the precoder's sampling.
+    already enters through the quantization noise.  The precoder must be the
+    zero-forcing one of params.alpha; panels, if given, must match its
+    sampling.
     """
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
-    _check_panels(precoder, panels)
+    _check_precoder(params, precoder, panels)
     r_u = _carried_uplink(sic, r_u)
-    k = _cran_consts(params, _precoder_terms(params.alpha, precoder))
-    return float(_cran_downlink(k, powers.p_u, powers.p_d, r_u, sic))
+    k = _cran_consts(params, zf_constants(params.alpha))
+    return float(_at(_cran_downlink, k, powers.p_u, powers.p_d, r_u, sic))
 
 
 def fd_cran(
     params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE, panels: int = DEFAULT_PANELS,
 ) -> RateResult:
     """Full-duplex C-RAN equal rate: max-min over operating powers, found by
-    _max_min_search.  panels must be a valid panel count but changes nothing."""
+    _max_min_search.  The precoder must be the zero-forcing one of
+    params.alpha; panels must be a valid panel count but changes nothing."""
     _check_panel_count(panels)
-    k = _fd_cran_consts(params, _precoder_terms(params.alpha, precoder))
-    return _fd_batch("cran", [k], [params], sic)[0]
+    _check_precoder(params, precoder)
+    return _batch("cran", sic, [params])[0]
+
+
+# ----------------------------------------------------------------------------
+# batches
+
+
+def _consts(family: str, sic, points) -> list:
+    """Kernel constants of each point, C-RAN with the exact zero-forcing terms
+    and sigma_u^2 checked, in plain floats, at the most power the scheme
+    spends: P_u alone in half duplex (sic None), else both budgets."""
+    if family == "scp":
+        return [_scp_consts(p) for p in points]
+    consts = []
+    for p in points:
+        k = _cran_consts(p, zf_constants(p.alpha))
+        _checked_sigma_u_sq(k, p.p_u_max, 0.0 if sic is None else p.p_d_max)
+        consts.append(k)
+    return consts
+
+
+def _batch(family: str, sic, points) -> list:
+    """Each point's result for the scheme of family and receiver sic (None:
+    half duplex), all points evaluated at once."""
+    consts = _consts(family, sic, points)
+    if sic is None:
+        return _hd_batch(family, consts, points)
+    return _fd_batch(family, consts, points, sic)
 
 
 def _stacked(rows):
@@ -438,6 +456,32 @@ def _stacked(rows):
     return of
 
 
+def _hd_batch(family: str, consts, points) -> list:
+    """Half duplex at every point at once: the uplink kernel at (P_u, 0), the
+    downlink kernel at (0, P_d), and the time split that balances them."""
+    uplink, downlink = _kernels(family)
+    of = _stacked(consts)
+
+    def rates(b, pu, pd):
+        k = of(b)
+        return uplink(k, pu, 0.0), downlink(k, 0.0, pd, 0.0, _TAN)
+
+    p_u, p_d = (x[:, None, None] for x in _budgets(points, [k[-1] for k in consts]))
+    r_u, r_d = (r.ravel().tolist() for r in _in_chunks(rates, p_u, p_d))
+    results = []
+    for k, p, up, down in zip(consts, points, r_u, r_d):
+        up, down = _finite("r_u", up), _finite("r_d", down)
+        diag = {}
+        if family == "cran":
+            p_s, sigma_d = _downlink_powers(p.p_d_max, k.q_d)
+            diag.update(sigma_u_sq=_sigma_u_sq(k, p.p_u_max, 0.0), sigma_d_sq=sigma_d, p_s=p_s)
+        r_eq, f_star = equal_rate_split(up, down)
+        if f_star is not None:
+            diag["f_star"] = f_star
+        results.append(RateResult(up, down, r_eq, diag))
+    return results
+
+
 def _fd_batch(family: str, consts, points, sic: SicMode) -> list:
     """One power search for the points of a batch, consts holding each point's
     kernel constants, and each point's result (_fd_result) at its argmax."""
@@ -449,15 +493,17 @@ def _fd_batch(family: str, consts, points, sic: SicMode) -> list:
         r_u = uplink(k, pu, pd)
         return r_u, downlink(k, pu, pd, r_u, receiver)
 
-    _, p_u, p_d = _max_min_search(rates, *_budgets(points), sic)
+    units = np.array([k[-1] for k in consts])
+    _, p_u, p_d = _max_min_search(rates, *_budgets(points, units), sic)
+    p_u, p_d = p_u / units, p_d / units
     return [_fd_result(family, k, sic, *at) for k, *at in zip(consts, p_u.tolist(), p_d.tolist())]
 
 
 def _fd_result(family: str, k, sic: SicMode, p_u: float, p_d: float) -> RateResult:
     """A full-duplex scheme's rates and diagnostics at (p_u, p_d)."""
     uplink, downlink = _kernels(family)
-    r_u = _finite("r_u", uplink(k, p_u, p_d))
-    r_d = _finite("r_d", downlink(k, p_u, p_d, r_u, sic))
+    r_u = _finite("r_u", _at(uplink, k, p_u, p_d))
+    r_d = _finite("r_d", _at(downlink, k, p_u, p_d, r_u, sic))
     diag = {"p_u_star": p_u, "p_d_star": p_d}
     if family == "cran":
         p_s, sigma_d = _downlink_powers(p_d, k.q_d)
@@ -472,8 +518,9 @@ def _fd_result(family: str, k, sic: SicMode, p_u: float, p_d: float) -> RateResu
 # (n,) arrays, and so is each returned value and power.
 
 
-def _budgets(points) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([p.p_u_max for p in points]), np.array([p.p_d_max for p in points])
+def _budgets(points, units) -> np.ndarray:
+    """Each point's (P_u, P_d) in its _unit: two (n,) rows."""
+    return (np.array([(p.p_u_max, p.p_d_max) for p in points]) * np.c_[units]).T
 
 
 def _in_chunks(fn, pu, pd, at: int = 0):
@@ -606,6 +653,8 @@ def _profile_max(row_best, pu, seed, p_u_max, p_d_max):
         order = np.argsort(pu, axis=1, kind="stable")
         rows = np.clip(best[1][:, None] + span[:, None] * (_WINDOW - 0.5), 0.0, p_u_max[:, None])
         seed = np.array([np.interp(r, u[o], d[o]) for r, u, d, o in zip(rows, pu, pd, order)])
+        # a slope past the float range (huge p_d over close rows) interpolates to inf or NaN
+        seed = np.clip(np.nan_to_num(seed, nan=0.0), 0.0, p_d_max[:, None])
         row_value, row_pd = _row_max(row_best, rows, seed, p_d_max)
         pu, pd = np.hstack([pu, rows]), np.hstack([pd, row_pd])
         i = np.argmax(row_value, axis=1)[:, None]
@@ -670,34 +719,25 @@ def _max_min_search(rates, p_u_max, p_d_max, sic: SicMode):
 # dispatch
 
 
-def _fd_consts(family: str, points) -> list:
-    """Kernel constants of each point, C-RAN with the exact zero-forcing terms."""
-    if family == "scp":
-        return [_scp_consts(p) for p in points]
-    return [_fd_cran_consts(p, _precoder_terms(p.alpha)) for p in points]
-
-
-def compute_fd_batch(scheme: SchemeId, points) -> list[RateResult]:
-    """compute_scheme for one full-duplex scheme at each of a sequence of
-    operating points, with one power search for the whole batch.
+def compute_batch(scheme: SchemeId, points) -> list[RateResult]:
+    """compute_scheme for one scheme at each of a sequence of operating
+    points, all evaluated at once: half duplex as the kernels at every
+    point's budgets, full duplex as one power search for the whole batch.
 
     Every result equals that of the point alone.
     """
-    family, sic = SCHEMES[scheme]
-    if sic is None:
-        raise ValueError(f"{scheme.value} is not a full-duplex scheme")
-    return _fd_batch(family, _fd_consts(family, points), points, sic)
+    return _batch(*SCHEMES[scheme], points)
 
 
 def compute_scheme(
     scheme: SchemeId, params, panels: int = DEFAULT_PANELS, grid: int = DEFAULT_GRID,
     full_power: bool = False,
 ) -> RateResult:
-    """Evaluate one scheme end to end.  C-RAN schemes take the zero-forcing
-    precoder through its exact constants (zf_constants) and the uplink
-    integral in closed form, so panels, still checked to be a valid panel
-    count, changes no result.  Nor does grid, checked to be an integer >= 2:
-    the SIC search always scans at DEFAULT_GRID.
+    """Evaluate one scheme end to end: compute_batch for one point.  C-RAN
+    schemes take the zero-forcing precoder through its exact constants
+    (zf_constants) and the uplink integral in closed form, so panels, still
+    checked to be a valid panel count, changes no result.  Nor does grid,
+    checked to be an integer >= 2: the SIC search always scans at DEFAULT_GRID.
 
     full_power=True evaluates a full-duplex scheme at its budgets
     (P_u, P_d) instead of searching; half-duplex schemes always spend them.
@@ -706,11 +746,7 @@ def compute_scheme(
     if not isinstance(grid, int) or grid < 2:
         raise ValueError(f"grid resolution must be an integer >= 2, got {grid!r}")
     family, sic = SCHEMES[scheme]
-    if sic is None:
-        if family == "scp":
-            return hd_scp(params)
-        return _hd_cran(params, _precoder_terms(params.alpha), panels)
-    if full_power:
-        k = _fd_consts(family, [params])[0]
+    if full_power and sic is not None:
+        k = _consts(family, sic, [params])[0]
         return _fd_result(family, k, sic, params.p_u_max, params.p_d_max)
-    return compute_fd_batch(scheme, [params])[0]
+    return compute_batch(scheme, [params])[0]

@@ -1,12 +1,12 @@
 """Frequency-domain machinery for the linear Wyner channel.
 
-Every rate computed from the parameters alone comes from two closed forms:
-rate_closed_form, the exact uplink rate integral, and zf_constants, the exact
-zero-forcing h~_0^2 and R_g(2).  The rest samples the unit frequency interval at an even
-panel count, deterministically for a given count: the channel response H(f),
-composite-Simpson quadrature, sampled precoders, the filter autocorrelation
-R_g(tau) and the effective channel taps h~_k.  It serves precoders that a
-caller passes in, and is the reference the closed forms are tested against.
+Every rate comes from two closed forms: rate_closed_form, the exact uplink
+rate integral, and zf_constants, the exact zero-forcing h~_0^2 and R_g(2).
+The rest samples the unit frequency interval at an even panel count,
+deterministically for a given count: the channel response H(f),
+composite-Simpson quadrature, the sampled zero-forcing precoder, the filter
+autocorrelation R_g(tau) and the effective channel taps h~_k.  It is the
+reference the closed forms are tested against.
 """
 
 import math
@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_PANELS",
     "Precoder",
     "channel_response",
-    "custom_precoder",
     "h_tilde",
     "integrate_unit",
     "rate_closed_form",
@@ -37,9 +36,6 @@ DEFAULT_PANELS = 4096
 
 # 1/H(f)^2 stops being integrable at alpha = 0.5; reject just below.
 _ZF_ALPHA_LIMIT = 0.5 - 1e-9
-
-# a custom precoder must be symmetric to this tolerance after normalization
-_ASYMMETRY_TOL = 1e-6
 
 
 def _check_panels(panels: int) -> None:
@@ -107,16 +103,15 @@ def channel_response(alpha: float, f):
 
 @dataclass(frozen=True, eq=False)
 class Precoder:
-    """Unit-energy, symmetric precoding filter sampled in the frequency domain.
+    """Unit-energy, symmetric zero-forcing filter sampled in the frequency domain.
 
-    g_of_f holds G(f) at f = i/panels for i = 0..panels.  Invariants kept by
-    the constructors: unit energy (integral of G^2 equals 1 within quadrature
-    rounding) and symmetry G(f) = G(1 - f).
+    g_of_f holds G(f) at f = i/panels for i = 0..panels.  Invariants: unit
+    energy (integral of G^2 equals 1 within quadrature rounding) and symmetry
+    G(f) = G(1 - f).
     """
 
     g_of_f: np.ndarray
-    kind: str  # "zero_forcing" | "custom"
-    alpha: float | None  # channel gain a zero-forcing precoder was built for
+    alpha: float  # the channel gain it was built for
     panels: int
 
     def energy(self) -> float:
@@ -157,37 +152,7 @@ def zf_precoder(alpha: float, panels: int = DEFAULT_PANELS) -> Precoder:
     c = 1.0 / math.sqrt(_quad(1.0 / (h * h), panels))
     g = c / h
     g.setflags(write=False)
-    return Precoder(g_of_f=g, kind="zero_forcing", alpha=float(alpha), panels=panels)
-
-
-def custom_precoder(samples) -> Precoder:
-    """Build a Precoder from a dense sampling of G(f) on the Simpson grid.
-
-    The sample vector must cover f = i/panels inclusive of both endpoints
-    (length panels + 1 with panels even).  It is renormalized to unit energy
-    and symmetrized by averaging G(f) with G(1 - f); asymmetry beyond 1e-6
-    after normalization is rejected.
-    """
-    g = np.array(samples, dtype=float)
-    if g.ndim != 1 or g.size < 3:
-        raise ValueError("precoder samples must be a 1-D vector of length panels + 1")
-    panels = g.size - 1
-    _check_panels(panels)
-    if not np.isfinite(g).all():
-        raise NumericDomainError("precoder samples must be finite")
-    energy = _quad(g * g, panels)
-    if energy <= 0.0:
-        raise ValueError("precoder samples have zero energy")
-    g /= math.sqrt(energy)
-    asymmetry = float(np.max(np.abs(g - g[::-1])))
-    if asymmetry > _ASYMMETRY_TOL:
-        raise ValueError(
-            f"precoder samples are asymmetric: max |G(f) - G(1-f)| = {asymmetry:.3g}"
-        )
-    g = 0.5 * (g + g[::-1])
-    g /= math.sqrt(_quad(g * g, panels))
-    g.setflags(write=False)
-    return Precoder(g_of_f=g, kind="custom", alpha=None, panels=panels)
+    return Precoder(g_of_f=g, alpha=float(alpha), panels=panels)
 
 
 def _resolve_panels(precoder: Precoder, panels: int | None) -> int:

@@ -27,23 +27,24 @@ verification is not a config key: ``fdcran sweep --verify`` is its one switch.
 
 Rows come out one per (sweep value, scheme), sweep value major and scheme in
 enum order minor, so identical configs produce byte-identical CSV output.
-A sweep is solved in blocks of up to 64 values: each full-duplex scheme's
-max-min power search runs once for the whole block (rates.compute_fd_batch),
-in kernel calls no larger than those of a one-point search, while half-duplex
-rows are computed one at a time.  The block size bounds the solver's memory
-whatever the sweep length, and MAX_SWEEP_VALUES bounds the sweep.  C-RAN
-rows are exact (closed forms, see rates), so a sweep has no quadrature
-setting, and the SIC search scans at one fixed resolution (rates.DEFAULT_GRID),
-so it has no resolution setting either.
+A sweep is solved in blocks of up to 64 values, each scheme's rows of a
+block by one call of rates.compute_batch: the half-duplex kernels at every
+value's budgets, or one full-duplex max-min power search for the whole
+block, in kernel calls no larger than those of a one-point search.  The
+block size bounds the solver's memory whatever the sweep length, and
+MAX_SWEEP_VALUES bounds the sweep.  C-RAN rows are exact (closed forms, see
+rates), so a sweep has no quadrature setting, and the SIC search scans at
+one fixed resolution (rates.DEFAULT_GRID), so it has no resolution setting
+either.
 
 Where more than one CPU is usable and the sweep has full-duplex schemes,
 run_sweep forks a pool of worker processes for its duration: the workers
-solve each block's full-duplex schemes in contiguous chunks of values, SIC
-schemes first, while this process computes the half-duplex rows.  A value
-gets the same bits in any batch, so the rows, and the CSV and SVG files, do
-not depend on the number of CPUs.  With one usable CPU, no fork, only
-half-duplex schemes, or another thread running, the sweep runs serially in
-this process.
+solve each block's schemes in contiguous chunks of values, SIC schemes first
+and half duplex last, and this process builds the block's rows once every
+result is in.  A value gets the same bits in any batch, so the rows, and the
+CSV and SVG files, do not depend on the number of CPUs.  With one usable
+CPU, no fork, only half-duplex schemes, or another thread running, the sweep
+runs serially in this process.
 
 Under --verify the oracles run in this process after each block's solve:
 the circulant ring checks each C-RAN uplink rate, and oracle.certified_max_min
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .model import SchemeId, SystemParams, db_to_linear
 from .oracle import DEFAULT_CELLS, certified_max_min, circulant_uplink_rate
-from .rates import SCHEMES, SicMode, compute_fd_batch, compute_scheme
+from .rates import SCHEMES, SicMode, compute_batch, compute_scheme
 
 __all__ = [
     "CSV_COLUMNS",
@@ -347,7 +348,7 @@ def serialize_spec(spec: SweepSpec) -> str:
 # running sweeps
 
 _BLOCK = 64  # sweep values solved together; fig2 and fig3 take one block each
-_TAN = SicMode.TREAT_AS_NOISE
+_BY_COST = (SicMode.SIC, SicMode.TREAT_AS_NOISE, None)  # receivers, costliest search first
 _DIAGNOSTICS = CSV_COLUMNS[6:]  # the RateResult.diagnostics a row carries
 
 
@@ -378,30 +379,30 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Compute one row per (sweep value, scheme) in deterministic order.
 
     Sweep values are taken in blocks of _BLOCK, which bounds the solver's
-    memory.  Within a block each full-duplex scheme is solved for all values
-    at once (compute_fd_batch); half-duplex rows go one at a time through
-    compute_scheme.  A block that raises is recomputed row by row, so the
-    error is that of the first failing row in (value, scheme) order.
+    memory.  Within a block each scheme is solved for all values at once
+    (compute_batch).  After a block raises, compute_scheme replays its rows
+    in (value, scheme) order, so the error is that of the first failing row.
 
     When the spec has full-duplex schemes and more than one CPU is usable,
     run_sweep forks a pool of worker processes, one per usable CPU but no
     more than a block has full-duplex (value, scheme) pairs.  For each block
-    the workers solve every full-duplex scheme in contiguous chunks of values,
-    SIC schemes first as they cost the most; the half-duplex rows and, under
-    spec.oracle, every oracle stay in this process.  A point gets the same
-    result in any batch, so the rows do not depend on the number of workers.
+    the workers solve every scheme in contiguous chunks of values, SIC
+    schemes first as they cost the most and half duplex last; this process
+    waits for all of them, then builds the rows and, under spec.oracle, runs
+    every oracle.  A point gets the same result in any batch, so the rows do
+    not depend on the number of workers.
     If anything fails on the pool, the block is computed again on the serial
     path, which decides the error.  The pool is forked here, so its workers
     see the caller's state, and it is shut down before run_sweep returns.
     """
     values = spec.values()
-    fd = [s for s in spec.schemes if SCHEMES[s][1] is not None]
-    workers = min(_usable_cpus(), len(fd) * min(len(values), _BLOCK))
+    fd = sum(SCHEMES[s][1] is not None for s in spec.schemes)
+    workers = min(_usable_cpus(), fd * min(len(values), _BLOCK))
     pool = _fork_pool(workers) if workers > 1 else None
     rows = []
     try:
         for start in range(0, len(values), _BLOCK):
-            rows += _run_block(spec, values[start : start + _BLOCK], fd, pool, workers)
+            rows += _run_block(spec, values[start : start + _BLOCK], pool, workers)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -427,56 +428,54 @@ def _fork_pool(workers: int):
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
-def _run_block(spec: SweepSpec, block, fd, pool, workers: int) -> list[SweepRow]:
-    """Rows of one block, solved on the pool if there is one (fd lists the
-    spec's full-duplex schemes in their order), and under spec.oracle with
-    their certified optima, found in this process."""
+def _run_block(spec: SweepSpec, block, pool, workers: int) -> list[SweepRow]:
+    """Rows of one block, solved on the pool if there is one, and under
+    spec.oracle with their certified optima, found in this process."""
     rows = None
     if pool is not None:
-        sic_first = sorted(fd, key=lambda s: SCHEMES[s][1] is _TAN)  # the costliest searches
+        by_cost = sorted(spec.schemes, key=lambda s: _BY_COST.index(SCHEMES[s][1]))
         try:
-            rows = _solve_block(spec, block, sic_first, _pool_map(pool), workers)
+            rows = _solve_block(spec, block, by_cost, _pool_map(pool), workers)
         except Exception:  # a worker, or the pool itself, failed: the serial path decides
             pass
     if rows is None:
         try:
-            rows = _solve_block(spec, block, fd, map, 1)
+            rows = _solve_block(spec, block, spec.schemes, map, 1)
         except ValueError:
-            rows = _block_rows(spec, block, map(spec.params_at, block), {})
+            for value in block:  # the first failing row in (value, scheme) order raises
+                for scheme in spec.schemes:
+                    compute_scheme(scheme, spec.params_at(value))
+            raise
     if spec.oracle:
         _attach_certified(spec, rows)
     return rows
 
 
-def _solve_block(spec: SweepSpec, block, fd, run, chunks: int) -> list[SweepRow]:
-    """Rows of one block, each full-duplex scheme solved in the given number
-    of contiguous chunks of points through run (map, or a pool's map)."""
+def _solve_block(spec: SweepSpec, block, schemes, run, chunks: int) -> list[SweepRow]:
+    """Rows of one block, each scheme's batch (compute_batch) cut into the
+    given number of contiguous chunks of points and solved through run (map,
+    or a pool's map) in the order of schemes."""
     points = [spec.params_at(value) for value in block]
     n = min(chunks, len(points))
     cuts = [len(points) * i // n for i in range(n + 1)]
-    tasks = [(s, points[a:b]) for s in fd for a, b in zip(cuts, cuts[1:])]
-    solved = {s: [] for s in fd}
+    tasks = [(s, points[a:b]) for s in schemes for a, b in zip(cuts, cuts[1:])]
+    solved = {s: [] for s in schemes}
     for (scheme, _), results in zip(tasks, run(_solve_chunk, tasks)):
         solved[scheme] += results
     return _block_rows(spec, block, points, solved)
 
 
 def _solve_chunk(task) -> list:
-    return compute_fd_batch(*task)
+    return compute_batch(*task)
 
 
 def _block_rows(spec: SweepSpec, block, points, solved: dict) -> list[SweepRow]:
-    """Rows of one block at its points (any iterable, so a replay can build
-    them one at a time), taking each scheme's results from solved where
-    present and from compute_scheme otherwise.  Under spec.oracle the C-RAN
-    rows get their circulant check here."""
+    """Rows of one block at its points, each scheme's results taken from
+    solved.  Under spec.oracle the C-RAN rows get their circulant check here."""
     rows = []
     for i, (value, params) in enumerate(zip(block, points)):
         for scheme in spec.schemes:
-            if scheme in solved:
-                result = solved[scheme][i]
-            else:
-                result = compute_scheme(scheme, params)
+            result = solved[scheme][i]
             row = SweepRow(
                 spec.sweep_var, value, scheme, result.r_u, result.r_d, result.r_eq,
                 **{name: result.diagnostics.get(name) for name in _DIAGNOSTICS},

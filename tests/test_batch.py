@@ -1,5 +1,7 @@
-"""The batched full-duplex power search: every point of a batch gets exactly
-the result it gets alone, and no kernel call outgrows a one-point search."""
+"""compute_batch, the one row path of every scheme: every point of a batch
+gets exactly the result it gets alone, a sweep's rows are those results, the
+replay of a failing block reports its first failing row, and no kernel call
+outgrows a one-point search."""
 
 from dataclasses import replace
 
@@ -7,12 +9,10 @@ import numpy as np
 import pytest
 
 import fdcran.rates as rates
-from fdcran.model import SchemeId
-from fdcran.rates import DEFAULT_GRID, compute_fd_batch, compute_scheme
+from fdcran.model import NumericDomainError, SchemeId
+from fdcran.rates import DEFAULT_GRID, compute_batch, compute_scheme
 from fdcran.sweep import SweepSpec, run_sweep
 from test_solver_properties import DOMAIN
-
-FD_SCHEMES = (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC)
 
 # the domain points plus the budget and fronthaul edges of SystemParams
 MIXED = DOMAIN + [
@@ -23,9 +23,9 @@ MIXED = DOMAIN + [
 ]
 
 
-@pytest.mark.parametrize("scheme", FD_SCHEMES, ids=lambda s: s.value)
+@pytest.mark.parametrize("scheme", SchemeId, ids=lambda s: s.value)
 def test_batch_equals_each_point_alone(scheme):
-    batch = compute_fd_batch(scheme, MIXED)
+    batch = compute_batch(scheme, MIXED)
     alone = [compute_scheme(scheme, p) for p in MIXED]
     for got, want in zip(batch, alone):
         assert (got.r_u, got.r_d, got.r_eq) == (want.r_u, want.r_d, want.r_eq)
@@ -47,6 +47,16 @@ def test_alpha_sweep_rows_equal_compute_scheme():
             diag.get("p_d_star"),
             diag.get("f_star"),
         )
+
+
+def test_the_replay_reports_a_half_duplex_row_that_fails_first():
+    # at 3082 dB sigma_u^2 overflows for every C-RAN row; hd_cran, first in
+    # (value, scheme) order, checks it at (P_u, 0), where the full-duplex
+    # C-RAN rows check both budgets
+    base = replace(SweepSpec().base, alpha=0.49, c_u=5.0)
+    spec = SweepSpec(base=base, sweep_var="p_db_joint", start=3000.0, stop=3082.0, step=82.0)
+    with pytest.raises(NumericDomainError, match="p_d_max=0.0$"):
+        run_sweep(spec)
 
 
 def test_sweeps_longer_than_a_block_keep_every_row():
@@ -76,7 +86,7 @@ def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
     compute_scheme(SchemeId.FD_SCP_SIC, DOMAIN[0])
     one_point = (len(sizes), max(sizes))
     sizes.clear()
-    compute_fd_batch(SchemeId.FD_SCP_SIC, DOMAIN)
+    compute_batch(SchemeId.FD_SCP_SIC, DOMAIN)
     assert one_point[1] == (DEFAULT_GRID + 2) * (DEFAULT_GRID + 1)
     assert max(sizes) == one_point[1]
     assert len(sizes) < len(DOMAIN) * one_point[0] / 4  # the batch shares its calls

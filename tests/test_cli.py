@@ -142,6 +142,23 @@ def test_an_overflowing_stream_power_still_gives_finite_rates(tmp_path, capsys):
         assert math.isfinite(row.r_d) and row.r_eq == min(row.r_u, row.r_d)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_intra_cell_power_past_the_float_range_issues_no_warning(tmp_path):
+    # gamma_ud^2 P_u passes the float range from gamma_ud = 2 on
+    flags = {"p-u-db": "3080", "p-d-db": "3000", "c-u": "2000"}
+    config = tmp_path / "intra.cfg"
+    config.write_text(
+        "".join(f"base.{k.replace('-', '_')} = {v}\n" for k, v in flags.items())
+        + "sweep.var = gamma_ud\nsweep.start = 0\nsweep.stop = 3\nsweep.step = 1\n"
+        + "schemes = fd_scp_sic, fd_cran\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "intra.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    rows = fdcran.sweep.load_csv(out)
+    assert len(rows) == 8 and all(math.isfinite(r.r_eq) for r in rows)
+
+
 @_OVERFLOW_WARNINGS
 @pytest.mark.parametrize("scheme", ["hd_cran", "fd_cran", "fd_cran_sic"])
 def test_a_rate_that_overflows_is_a_numeric_error(tmp_path, capsys, scheme):
@@ -156,6 +173,7 @@ def test_a_rate_that_overflows_is_a_numeric_error(tmp_path, capsys, scheme):
     assert "numeric error: r_u is nan" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scheme", ["hd_cran", "fd_cran", "fd_cran_sic"])
 def test_a_quantization_noise_that_overflows_is_a_numeric_error(tmp_path, capsys, scheme):
     # sigma_u^2 = (1 + (1 + 2 alpha^2) P_u + ...) / (2**5 - 1) overflows at
@@ -171,6 +189,7 @@ def test_a_quantization_noise_that_overflows_is_a_numeric_error(tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_finite_quantization_noise_at_a_huge_budget_keeps_its_rate(capsys):
     flags = ["--alpha=0.49", "--p-u-db=3000", "--c-u=5"]
     assert main(["compute", "--scheme=hd_cran"] + flags) == 0

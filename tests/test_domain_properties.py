@@ -2,16 +2,19 @@
 Hypothesis (derandomized, so every run checks the same examples): finite
 rates within [0, c] of their link, SIC never below treat-as-noise, exact
 half-duplex reductions, equal rates that do not fall as the fronthaul grows
-(the SIC schemes excepted: they are not monotone in it), and equal rates that
-do not fall as either power budget grows."""
+(the SIC schemes excepted: they are not monotone in it), equal rates that do
+not fall as either power budget grows, and finite rates or NumericDomainError,
+without a numpy warning, at budgets up to the top of the float range."""
 
 import math
+import sys
+import warnings
 from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdcran.model import PowerAllocation, SchemeId, SystemParams, db_to_linear
+from fdcran.model import NumericDomainError, PowerAllocation, SchemeId, SystemParams, db_to_linear
 from fdcran.rates import (
     SicMode,
     compute_scheme,
@@ -108,3 +111,28 @@ def test_equal_rate_does_not_fall_as_a_budget_grows(params, more_u_db, more_d_db
         r_eq = compute_scheme(scheme, params).r_eq
         assert compute_scheme(scheme, more_u).r_eq >= r_eq - 1e-9, (scheme, "P_u")
         assert compute_scheme(scheme, more_d).r_eq >= r_eq - 1e-9, (scheme, "P_d")
+
+
+# the largest budget in dB whose linear value is a finite float
+DB_LIMIT = 10.0 * math.log10(sys.float_info.max)
+while not math.isfinite(db_to_linear(DB_LIMIT)):
+    DB_LIMIT = math.nextafter(DB_LIMIT, 0.0)
+# half the draws lie in the top 40 dB, where gains times budgets overflow
+huge_db = st.one_of(st.floats(0.0, DB_LIMIT), st.floats(DB_LIMIT - 40.0, DB_LIMIT))
+
+
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
+@given(domain, huge_db, huge_db)
+def test_budgets_up_to_the_float_range_give_finite_rates_or_exit_3(params, u_db, d_db):
+    # products such as gamma_ud^2 P_u leave the float range long before the
+    # budgets do: no numpy warning may show it, and every scheme either gives
+    # finite rates or raises NumericDomainError, the compute command's exit 3
+    point = replace(params, p_u_max=db_to_linear(u_db), p_d_max=db_to_linear(d_db))
+    for scheme in SchemeId:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                result = compute_scheme(scheme, point)
+            except NumericDomainError:
+                continue
+        assert all(math.isfinite(r) for r in (result.r_u, result.r_d, result.r_eq)), scheme

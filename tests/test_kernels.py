@@ -5,6 +5,7 @@ they check their inputs explicitly."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +14,7 @@ from fdcran.model import NumericDomainError, PowerAllocation, SchemeId, db_to_li
 from fdcran.rates import (
     SCHEMES,
     SicMode,
-    compute_fd_batch,
+    compute_batch,
     compute_scheme,
     fd_cran,
     fd_cran_downlink,
@@ -38,7 +39,7 @@ PRECODER = zf_precoder(PARAMS.alpha, PANELS)
 @pytest.mark.parametrize("scheme", FD_SCHEMES, ids=lambda s: s.value)
 def test_scalar_functions_reproduce_the_reported_rates(scheme):
     family, sic = SCHEMES[scheme]
-    for params, result in zip(DOMAIN, compute_fd_batch(scheme, DOMAIN)):
+    for params, result in zip(DOMAIN, compute_batch(scheme, DOMAIN)):
         p_u, p_d = result.diagnostics["p_u_star"], result.diagnostics["p_d_star"]
         if family == "scp":
             r_u = fd_scp_uplink_rate(params, p_u, p_d)
@@ -122,3 +123,16 @@ def test_an_overflowing_quantization_noise_is_a_numeric_domain_error():
     assert rate > 0.0 and math.isfinite(sigma)
     # at c_u = 0 the quantizer passes nothing: sigma_u^2 is inf and the rate 0
     assert fd_cran_uplink(replace(params, c_u=0.0), top, precoder) == (0.0, math.inf)
+
+
+def test_an_intra_cell_power_past_the_float_range_keeps_the_model_rate():
+    # gamma_ud^2 P_u = 9e308 overflows a float, yet the treat-as-noise SINR
+    # P_d / (1 + 2 alpha^2 P_d + (2 beta_ud^2 + gamma_ud^2) P_u) is about 1.1e-9
+    params = replace(PARAMS, alpha=0.4, beta_ud=0.04, gamma_ud=3.0, c_d=10.0,
+                     p_u_max=db_to_linear(3080.0), p_d_max=db_to_linear(3000.0))
+    p_u, p_d = (Fraction(x) for x in (params.p_u_max, params.p_d_max))
+    den = 1 + 2 * Fraction(params.alpha**2) * p_d + 2 * Fraction(params.beta_ud**2) * p_u
+    sinr = float(p_d / (den + Fraction(params.gamma_ud**2) * p_u))
+    model = math.log1p(sinr) / math.log(2.0)
+    rate = fd_scp_downlink_rate(params, params.p_u_max, params.p_d_max)
+    assert rate == pytest.approx(model, rel=1e-6) and model > 1e-9

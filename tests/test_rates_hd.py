@@ -6,13 +6,16 @@ import pytest
 from fdcran.oracle import circulant_uplink_rate
 from fdcran.rates import (
     equal_rate_split,
+    fd_cran,
+    fd_cran_downlink,
+    fd_cran_uplink,
     hd_cran,
     hd_cran_downlink,
     hd_cran_uplink,
     hd_scp,
 )
-from fdcran.model import shannon_c
-from fdcran.spectral import custom_precoder, unit_grid, zf_precoder
+from fdcran.model import PowerAllocation
+from fdcran.spectral import zf_precoder
 
 from conftest import make_params
 
@@ -129,40 +132,24 @@ def test_hd_cran_downlink_panel_mismatch():
         hd_cran_downlink(make_params(), zf_precoder(0.4, 512), panels=4096)
 
 
-def test_hd_cran_downlink_custom_precoder_matches_analytic_taps():
-    # three-tap filter g = c*[0.15, 1, 0.15]: every effective tap is analytic,
-    # so the inter-stream interference sum can be checked by hand
-    alpha, p_d, c_d = 0.4, 50.0, 6.0
-    samples = 1.0 + 0.3 * np.cos(2.0 * np.pi * unit_grid(4096))
-    pre = custom_precoder(samples)
-    energy = 1.0 + 2.0 * 0.15**2
-    h0sq = (1.0 + 2.0 * alpha * 0.15) ** 2 / energy
-    tail = ((alpha + 0.15) ** 2 + (alpha * 0.15) ** 2) / energy
-    p_s = p_d * (1.0 - 2.0**-c_d)
-    sigma = p_d * 2.0**-c_d
-    expected = shannon_c(
-        p_s * h0sq / (1.0 + 2.0 * p_s * tail + sigma * (1.0 + 2.0 * alpha**2))
-    )
-    rate, _, _ = hd_cran_downlink(make_params(alpha=alpha, p_d_max=p_d, c_d=c_d), pre)
-    assert rate == pytest.approx(expected, abs=1e-9)
+# every public function that takes a precoder, applied to params and a precoder
+_TAKING_A_PRECODER = {
+    "hd_cran": hd_cran,
+    "hd_cran_downlink": hd_cran_downlink,
+    "fd_cran": fd_cran,
+    "fd_cran_uplink": lambda params, pre: fd_cran_uplink(params, PowerAllocation(1.0, 1.0), pre),
+    "fd_cran_downlink": lambda params, pre: fd_cran_downlink(params, PowerAllocation(1.0, 1.0), pre),
+}
 
 
-def test_hd_cran_downlink_custom_copy_of_zf_matches_zf():
-    # same samples, but the "custom" kind takes the truncated-tail path
-    zf = zf_precoder(0.4)
-    copy = custom_precoder(zf.g_of_f)
-    params = make_params()
-    assert hd_cran_downlink(params, copy)[0] == pytest.approx(
-        hd_cran_downlink(params, zf)[0], abs=1e-9
-    )
-
-
-def test_hd_cran_downlink_mismatched_zf_leaks_interference():
-    # a ZF precoder built for the wrong channel no longer nulls the taps
+@pytest.mark.parametrize("name", _TAKING_A_PRECODER)
+def test_a_precoder_for_another_alpha_is_rejected(name):
+    # only the zero-forcing precoder of the point's own alpha is modelled
+    call = _TAKING_A_PRECODER[name]
     params = make_params(alpha=0.4)
-    matched = hd_cran_downlink(params, zf_precoder(0.4))[0]
-    mismatched = hd_cran_downlink(params, zf_precoder(0.3))[0]
-    assert mismatched < matched
+    with pytest.raises(ValueError, match="precoder is for alpha=0.3, not 0.4"):
+        call(params, zf_precoder(0.3))
+    call(params, zf_precoder(0.4))
 
 
 def test_hd_cran_combines_directions(fig2_params):

@@ -6,7 +6,6 @@ import pytest
 from fdcran.model import NumericDomainError, ZfSingularError
 from fdcran.spectral import (
     channel_response,
-    custom_precoder,
     h_tilde,
     integrate_unit,
     rate_integral,
@@ -149,35 +148,6 @@ def test_h_tilde_panel_mismatch_rejected():
     with pytest.raises(ValueError):
         h_tilde(pre, 0.3, 0, panels=1024)
     assert h_tilde(pre, 0.3, 0, panels=512) > 0
-
-
-def test_custom_precoder_normalizes_and_symmetrizes():
-    grid = unit_grid(256)
-    raw = 3.0 * (1.0 + 0.25 * np.cos(2 * np.pi * grid))  # symmetric, wrong scale
-    pre = custom_precoder(raw)
-    assert pre.kind == "custom"
-    assert abs(pre.energy() - 1.0) < 1e-10
-    assert np.allclose(pre.g_of_f, pre.g_of_f[::-1], atol=1e-15)
-
-
-def test_custom_precoder_rejects_asymmetry():
-    grid = unit_grid(256)
-    skewed = 1.0 + 0.1 * np.sin(2 * np.pi * grid)  # odd component
-    with pytest.raises(ValueError):
-        custom_precoder(skewed)
-
-
-def test_custom_precoder_tolerates_tiny_asymmetry():
-    grid = unit_grid(256)
-    raw = 1.0 + 0.25 * np.cos(2 * np.pi * grid)
-    raw[3] += 1e-9
-    pre = custom_precoder(raw)
-    assert np.array_equal(pre.g_of_f, pre.g_of_f[::-1])
-
-
-def test_custom_precoder_rejects_zero_energy():
-    with pytest.raises(ValueError):
-        custom_precoder(np.zeros(257))
 
 
 def test_symmetry_fold_is_exact():

@@ -487,9 +487,15 @@ def test_a_sweep_beside_another_thread_forks_no_pool(monkeypatch, pools):
 
 
 def test_worker_warnings_print_as_on_the_serial_path(monkeypatch):
-    # a huge uplink budget overflows the downlink kernels in every worker
+    # the SCP uplink kernel warns at every call, in every worker
+    kernel = fdcran.rates._scp_uplink
+
+    def warning_kernel(k, p_u, p_d):
+        warnings.warn("the SCP uplink kernel ran", RuntimeWarning)
+        return kernel(k, p_u, p_d)
+
+    monkeypatch.setattr(fdcran.rates, "_scp_uplink", warning_kernel)
     spec = small_spec(
-        base=SweepBase(p_u_db=3080.0, p_d_db=3000.0, c_u=2000.0),
         sweep_var="gamma_ud", start=0.0, stop=3.0, step=1.0,
         schemes=(SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN),
     )
