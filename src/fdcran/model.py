@@ -126,20 +126,24 @@ class SystemParams:
     c_d: float
 
     def __post_init__(self):
-        for f in fields(self):
-            name, v = f.name, getattr(self, f.name)
-            if not isinstance(v, (int, float)):
-                raise ValueError(f"{name} must be numeric, got {v!r}")
-            v = float(v)
-            if not math.isfinite(v) or v < 0:
+        for name in _PARAM_FIELDS:
+            v = getattr(self, name)
+            if type(v) is not float:  # an exact float is stored as it is
+                if not isinstance(v, (int, float)):
+                    raise ValueError(f"{name} must be numeric, got {v!r}")
+                v = float(v)
+                object.__setattr__(self, name, v)
+            if not 0.0 <= v < math.inf:  # false for NaN too
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
             if name in _GAIN_FIELDS and math.isinf(2.0 * v * v):
                 raise NumericDomainError(
                     f"float overflow: {name}={v:g} has a power gain beyond the float range"
                 )
-            object.__setattr__(self, name, v)
         if self.gamma_du > 0:
             _warn_inert_gamma_du(self.gamma_du)
+
+
+_PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))  # in validation order
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,11 @@ _TIE_TOL = 1e-9
 _BLOCK_ELEMENTS = 8192
 # the certificate: the true maximum lies within this of the best point found
 CERTIFIED_EPS = 1e-6
+# most cells bounded for one point, 20 times fig2's and fig3's most.  Far
+# above the noise the objective depends on the power ratio alone, so its
+# near-optimal set runs along a ray, which cells of the box cover only by
+# the billion at budgets of thousands of dB; eps widens there instead
+_MAX_CELLS = 1 << 16
 # ring cells times acosh(1/(2 alpha)): the ring then misses the infinite
 # array's uplink rate by about e**-21, below 1e-9
 _RING_DEPTH = 21.0
@@ -182,41 +187,51 @@ def exhaustive_power_opt(
 # Both processing families share one form of the objective, with per-point
 # constants (_Form):
 #   r_u = min(sum_j weight_j log2(1 + s lam_j^2), cap_u),
-#         s = p_u / (1 + quant (base + f p_u + h p_d)),
+#         s = p_u / (unit + quant (base + f p_u + h p_d)),
 #   t1 = C(a p_d / den), t2 = C((a p_d + g p_u) / den), t3 = C(a p_d / (den + g p_u)),
-#         den = 1 + b p_d + c p_u,
+#         den = unit + b p_d + c p_u,
 #   r_d = t3 (treat as noise) or min(t1, max(t2 - r_u, t3)) (SIC), capped at cap_d,
-# and the objective min(r_u, r_d).  Single-cell processing decodes each cell
-# alone (one eigenvalue, lam = 1) under the fronthaul caps c_u and c_d.  C-RAN
-# decodes the ring jointly (lam_j = 1 + 2 alpha cos(2 pi j / n)) after
-# quantization at sigma_u^2 = quant (1 + (1 + 2 alpha^2) p_u + 2 beta_du^2
-# (1 + R_g(2)) p_d), and precodes with zero forcing at stream power
-# p_d (1 - 2**-c_d) and quantization noise p_d 2**-c_d.
+# and the objective min(r_u, r_d), every power in the point's unit of power
+# (_form), in which the noise power is unit.  Single-cell processing decodes
+# each cell alone (one eigenvalue, lam = 1, base = 0) under the fronthaul
+# caps c_u and c_d.  C-RAN decodes the ring jointly (lam_j = 1 + 2 alpha
+# cos(2 pi j / n)) after quantization at sigma_u^2 = quant (1 + (1 + 2
+# alpha^2) p_u + 2 beta_du^2 (1 + R_g(2)) p_d) (base = unit), and precodes
+# with zero forcing at stream power p_d (1 - 2**-c_d) and quantization noise
+# p_d 2**-c_d.
 
-_Form = namedtuple("_Form", "two_alpha quant base f h cap_u a b c g cap_d")
+_Form = namedtuple("_Form", "two_alpha quant base f h cap_u a b c g cap_d unit")
 
 # a point's certificate: its maximum lies in [r_eq, r_eq + eps], found after
 # bounding the objective over that many cells
 Certified = namedtuple("Certified", "r_eq eps cells")
 
 
-def _form(family: str, p) -> tuple:
-    """One point's _Form constants."""
+def _form(family: str, p) -> _Form:
+    """One point's _Form constants, its powers in units of 2**-k: k = 0
+    unless the form's largest gain times the larger budget passes 2**1016;
+    then k brings that product down to 2**1016, so that no product or sum of
+    the form overflows a float, while every SINR stays as it is."""
     a2, du, ud, g2 = p.alpha**2, 2.0 * p.beta_du**2, 2.0 * p.beta_ud**2, p.gamma_ud**2
     if family == "scp":
-        return 0.0, 1.0, 0.0, 2.0 * a2, du, p.c_u, 1.0, 2.0 * a2, ud, g2, p.c_d
-    # zero forcing's h~_0^2 = (1 - 4 alpha^2)^(3/2) and R_g(2) = r^2 (1 + 2d),
-    # d = sqrt(1 - 4 alpha^2), r = (1 - d) / (2 alpha) = 2 alpha / (1 + d)
-    d = math.sqrt(1.0 - 4.0 * a2)
-    r = 2.0 * p.alpha / (1.0 + d)
-    h0sq, rg2 = d * d * d, r * r * (1.0 + 2.0 * d)
-    # 1 / (2**c_u - 1): inf at c_u = 0, where the quantizer passes nothing
-    quant = math.inf if p.c_u <= 0.0 else 2.0**-p.c_u / -math.expm1(-p.c_u * math.log(2.0))
-    q_d = 2.0**-p.c_d
-    return (
-        2.0 * p.alpha, quant, 1.0, 1.0 + 2.0 * a2, du * (1.0 + rg2), math.inf,
-        (1.0 - q_d) * h0sq, q_d * (1.0 + 2.0 * a2), ud, g2, math.inf,
-    )
+        k = _Form(0.0, 1.0, 0.0, 2.0 * a2, du, p.c_u, 1.0, 2.0 * a2, ud, g2, p.c_d, 1.0)
+    else:
+        # zero forcing's h~_0^2 = (1 - 4 alpha^2)^(3/2) and R_g(2) = r^2 (1 + 2d),
+        # d = sqrt(1 - 4 alpha^2), r = (1 - d) / (2 alpha) = 2 alpha / (1 + d)
+        d = math.sqrt(1.0 - 4.0 * a2)
+        r = 2.0 * p.alpha / (1.0 + d)
+        h0sq, rg2 = d * d * d, r * r * (1.0 + 2.0 * d)
+        # 1 / (2**c_u - 1): inf at c_u = 0, where the quantizer passes nothing
+        quant = math.inf if p.c_u <= 0.0 else 2.0**-p.c_u / -math.expm1(-p.c_u * math.log(2.0))
+        q_d = 2.0**-p.c_d
+        k = _Form(
+            2.0 * p.alpha, quant, 1.0, 1.0 + 2.0 * a2, du * (1.0 + rg2), math.inf,
+            (1.0 - q_d) * h0sq, q_d * (1.0 + 2.0 * a2), ud, g2, math.inf, 1.0,
+        )
+    gain = max(1.0, k.f, k.h, k.a, k.b, k.c, k.g)
+    e = math.frexp(gain)[1] + math.frexp(max(p.p_u_max, p.p_d_max))[1] - 1016
+    unit = math.ldexp(1.0, -max(e, 0))
+    return k._replace(base=k.base * unit, unit=unit)
 
 
 def _ring(family: str, points):
@@ -261,22 +276,29 @@ def _terms(cols, ring, row):
 def _uplink(k, ring, pu, pd):
     """r_u at powers whose last axis runs over k's points, ring their samples
     from _terms."""
-    s = pu / (1.0 + k.quant * (k.base + k.f * pu + k.h * pd))
+    s = pu / (k.unit + k.quant * (k.base + k.f * pu + k.h * pd))
     if ring is None:
         return np.minimum(np.log2(1.0 + s), k.cap_u)
     lam2, weights = ring
-    return np.minimum((np.log2(1.0 + s[..., None] * lam2) * weights).sum(axis=-1), k.cap_u)
+    with np.errstate(over="ignore"):
+        x = s[..., None] * lam2
+    samples = np.log2(1.0 + x)
+    big = np.isinf(x)
+    if big.any():  # an SINR past the float range: 1 + s lam^2 = s (1/s + lam^2)
+        s_big, lam2_big = (y[big] for y in np.broadcast_arrays(s[..., None], lam2))
+        samples[big] = np.log2(s_big) + np.log2(1.0 / s_big + lam2_big)
+    return np.minimum((samples * weights).sum(axis=-1), k.cap_u)
 
 
 def _sinr2(k, pu, pd):  # t2's SINR, linear-fractional in (p_u, p_d)
-    return (k.a * pd + k.g * pu) / (1.0 + k.b * pd + k.c * pu)
+    return (k.a * pd + k.g * pu) / (k.unit + k.b * pd + k.c * pu)
 
 
 def _max_min(sic, k, r_hi, r_lo, pu, pd, sinr2):
     """min(r_u, r_d) with r_u at most r_hi and at least r_lo, t1 and t3 at
     (pu, pd), and t2 at SINR sinr2 (unused when treating the uplink as noise)."""
     signal = k.a * pd
-    den = 1.0 + k.b * pd + k.c * pu
+    den = k.unit + k.b * pd + k.c * pu
     r_d = np.log2(1.0 + signal / (den + k.g * pu))
     if sic is SicMode.SIC:
         t1 = np.log2(1.0 + signal / den)
@@ -351,7 +373,10 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
     from the next round on, so a point gets the same result in any batch.  When
     no cell is left, the point's maximum lies in [r_eq, r_eq + eps]: eps is
     CERTIFIED_EPS plus, for C-RAN at an alpha so close to 1/2 that the ring
-    reaches DEFAULT_CELLS, the ring's error (_ring).  Cells are halved in
+    reaches DEFAULT_CELLS, the ring's error (_ring), or, for a point whose
+    next round would take it past _MAX_CELLS cells, the largest bound of its
+    cells left, which ends its search.  The box is scanned in the point's
+    unit of power (_form), so no budget overflows a form.  Cells are halved in
     groups small enough that no temporary, the ring's samples included, holds
     more than _BLOCK_ELEMENTS values.  Returns one Certified(r_eq, eps, cells)
     per point, cells counting the bounds evaluated.
@@ -361,12 +386,13 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
     eps = CERTIFIED_EPS + np.array(ring_error)
     # a group of cells is scored at twice as many halves, at two points each
     size = max(1, _BLOCK_ELEMENTS // (4 * (1 if ring is None else ring[0].size)))
-    u_max = np.array([p.p_u_max for p in points])
-    d_max = np.array([p.p_d_max for p in points])
-    arg_u, arg_d = (np.array(x, dtype=float) for x in zip(*argmaxes))
+    unit = cols[-1]  # the scan runs in each point's unit of power (_form)
+    u_max = np.array([p.p_u_max for p in points]) * unit
+    d_max = np.array([p.p_d_max for p in points]) * unit
+    arg_u, arg_d = (np.array(x, dtype=float) * unit for x in zip(*argmaxes))
 
     best = np.full(n, -np.inf)
-    cells = np.zeros(n, dtype=np.int64)
+    cells = np.ones(n, dtype=np.int64)  # each point's box
     bounded = []  # (cells, their bounds), each cell to be kept or discarded
     for at in range(0, n, size):
         row = np.arange(at, min(n, at + size))
@@ -376,12 +402,25 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
             np.fmax.at(best, row, _value(sic, k, samples, pu, pd))
         bounded.append(((row, zero, u, zero, d), _bound(sic, k, samples, zero, u, zero, d)))
     while bounded:
-        live = []
+        kept, halves = [], np.zeros(n, dtype=np.int64)
         for cell, bound in bounded:
             row = cell[0]
-            cells += np.bincount(row, minlength=n)
             keep = bound > best[row] + eps[row]
-            live.append(tuple(x[keep] for x in cell))
+            kept.append((cell, bound, keep))
+            halves += 2 * np.bincount(row[keep], minlength=n)
+        # a point whose halves would take it past _MAX_CELLS cells stops, its
+        # eps widened to the largest bound of its cells left
+        spent = cells + halves > _MAX_CELLS
+        if spent.any():
+            top = np.full(n, -np.inf)
+            for cell, bound, keep in kept:
+                stop = keep & spent[cell[0]]
+                np.fmax.at(top, cell[0][stop], bound[stop])
+                keep &= ~stop
+            eps = np.maximum(eps, top - best)
+            halves[spent] = 0
+        cells += halves
+        live = [tuple(x[keep] for x in cell) for cell, _, keep in kept]
         bounded, scored = [], best.copy()
         for cell in _packed(live, size):
             half = _halves(*cell)

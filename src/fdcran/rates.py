@@ -36,6 +36,7 @@ p_d * 2**-c_d, so the radio unit transmits exactly p_d.
 import math
 from collections import namedtuple
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -444,41 +445,61 @@ def _batch(family: str, sic, points) -> list:
 
 
 def _stacked(rows):
-    """Per-point constants, one row per point, as a function of a slice b of
-    the points: one (n, 1, 1) column per quantity, broadcasting against power
-    arrays of shape (n, ...), or for a single point its plain floats, which
-    numpy combines with arrays at less cost and to the same values."""
-    columns = np.array(rows, dtype=float).T[..., None, None]
+    """Per-point constants, one row per point, as (of, columns): columns holds
+    one (n,) array per quantity, and of(b) gives the constants of a slice b
+    of the points, one (n, 1, 1) column per quantity, broadcasting against
+    power arrays of shape (n, ...), or for a single point its plain floats,
+    which numpy combines with arrays at less cost and to the same values."""
+    n = len(rows)
+    columns = np.fromiter(chain.from_iterable(rows), float, n * len(rows[0])).reshape(n, -1).T
+    stacked = columns[..., None, None]
 
     def of(b: slice):
-        return rows[b.start] if b.stop - b.start == 1 else columns[:, b]
+        return rows[b.start] if b.stop - b.start == 1 else stacked[:, b]
 
-    return of
+    return of, columns
 
 
 def _hd_batch(family: str, consts, points) -> list:
     """Half duplex at every point at once: the uplink kernel at (P_u, 0), the
-    downlink kernel at (0, P_d), and the time split that balances them."""
+    downlink kernel at (0, P_d), and the time split that balances them, as
+    equal_rate_split forms it, bit for bit, for the whole batch."""
     uplink, downlink = _kernels(family)
-    of = _stacked(consts)
+    of, columns = _stacked(consts)
 
     def rates(b, pu, pd):
         k = of(b)
         return uplink(k, pu, 0.0), downlink(k, 0.0, pd, 0.0, _TAN)
 
-    p_u, p_d = (x[:, None, None] for x in _budgets(points, [k[-1] for k in consts]))
-    r_u, r_d = (r.ravel().tolist() for r in _in_chunks(rates, p_u, p_d))
+    p_u_max, p_d_max = _budgets(points)
+    p_u, p_d = ((x * columns[-1])[:, None, None] for x in (p_u_max, p_d_max))  # in each _unit
+    r_u, r_d = (r.ravel() for r in _in_chunks(rates, p_u, p_d))
+    finite = np.isfinite(r_u) & np.isfinite(r_d)
+    if not finite.all():  # the first point with a rate not finite raises
+        i = int(np.argmin(finite))
+        _finite("r_u", r_u[i])
+        _finite("r_d", r_d[i])
+    total = r_u + r_d
+    split = total > 0.0  # else rate 0 and no time split
+    r_eq = np.divide(r_u * r_d, total, out=np.zeros_like(total), where=split)
+    f_star = np.divide(r_d, total, out=np.zeros_like(total), where=split)
+    diag = {}
+    if family == "cran":
+        k = _CranConsts(*columns)
+        p_s, sigma_d = _downlink_powers(p_d_max, k.q_d)
+        # inf, as in plain floats, only where quant is (c_u = 0): _consts has
+        # checked sigma_u^2 at these powers for every other point
+        with np.errstate(over="ignore"):
+            diag["sigma_u_sq"] = _sigma_u_sq(k, p_u_max, 0.0)
+        diag.update(sigma_d_sq=sigma_d, p_s=p_s)
     results = []
-    for k, p, up, down in zip(consts, points, r_u, r_d):
-        up, down = _finite("r_u", up), _finite("r_d", down)
-        diag = {}
-        if family == "cran":
-            p_s, sigma_d = _downlink_powers(p.p_d_max, k.q_d)
-            diag.update(sigma_u_sq=_sigma_u_sq(k, p.p_u_max, 0.0), sigma_d_sq=sigma_d, p_s=p_s)
-        r_eq, f_star = equal_rate_split(up, down)
-        if f_star is not None:
-            diag["f_star"] = f_star
-        results.append(RateResult(up, down, r_eq, diag))
+    for up, down, eq, f, has_f, *values in zip(
+        *(x.tolist() for x in (r_u, r_d, r_eq, f_star, split, *diag.values()))
+    ):
+        d = dict(zip(diag, values))
+        if has_f:
+            d["f_star"] = f
+        results.append(RateResult(up, down, eq, d))
     return results
 
 
@@ -486,15 +507,16 @@ def _fd_batch(family: str, consts, points, sic: SicMode) -> list:
     """One power search for the points of a batch, consts holding each point's
     kernel constants, and each point's result (_fd_result) at its argmax."""
     uplink, downlink = _kernels(family)
-    of = _stacked(consts)
+    of, columns = _stacked(consts)
 
     def rates(b, pu, pd, receiver):
         k = of(b)
         r_u = uplink(k, pu, pd)
         return r_u, downlink(k, pu, pd, r_u, receiver)
 
-    units = np.array([k[-1] for k in consts])
-    _, p_u, p_d = _max_min_search(rates, *_budgets(points, units), sic)
+    units = columns[-1]
+    p_u_max, p_d_max = _budgets(points)
+    _, p_u, p_d = _max_min_search(rates, p_u_max * units, p_d_max * units, sic)
     p_u, p_d = p_u / units, p_d / units
     return [_fd_result(family, k, sic, *at) for k, *at in zip(consts, p_u.tolist(), p_d.tolist())]
 
@@ -518,9 +540,9 @@ def _fd_result(family: str, k, sic: SicMode, p_u: float, p_d: float) -> RateResu
 # (n,) arrays, and so is each returned value and power.
 
 
-def _budgets(points, units) -> np.ndarray:
-    """Each point's (P_u, P_d) in its _unit: two (n,) rows."""
-    return (np.array([(p.p_u_max, p.p_d_max) for p in points]) * np.c_[units]).T
+def _budgets(points) -> tuple:
+    """Each point's budgets (P_u, P_d): two (n,) arrays."""
+    return np.array([p.p_u_max for p in points]), np.array([p.p_d_max for p in points])
 
 
 def _in_chunks(fn, pu, pd, at: int = 0):

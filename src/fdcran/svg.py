@@ -62,11 +62,11 @@ def emit_svg(rows: list[SweepRow], path) -> None:
     if not rows:
         raise ValueError("cannot plot an empty table")
 
-    series = []  # (scheme, [(x, y), ...]) in enum order
-    for scheme in SchemeId:
-        points = [(row.value, row.r_eq) for row in rows if row.scheme is scheme]
-        if points:
-            series.append((scheme, points))
+    by_scheme = {}
+    for row in rows:
+        by_scheme.setdefault(row.scheme, []).append((row.value, row.r_eq))
+    # (scheme, [(x, y), ...]) in enum order
+    series = [(scheme, by_scheme[scheme]) for scheme in SchemeId if scheme in by_scheme]
 
     xs = [row.value for row in rows]
     ys = [row.r_eq for row in rows]
@@ -134,17 +134,15 @@ def emit_svg(rows: list[SweepRow], path) -> None:
     scheme_index = {scheme: i for i, scheme in enumerate(SchemeId)}
     for scheme, points in series:
         color = _PALETTE[scheme_index[scheme] % len(_PALETTE)]
-        coords = [(to_x(x), to_y(y)) for x, y in points]
+        coords = [(_num(to_x(x)), _num(to_y(y))) for x, y in points]
         if len(coords) >= 2:
-            joined = " ".join(f"{_num(px)},{_num(py)}" for px, py in coords)
+            joined = " ".join(f"{px},{py}" for px, py in coords)
             parts.append(
                 f'<polyline points="{joined}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"/>'
             )
         for px, py in coords:
-            parts.append(
-                f'<circle cx="{_num(px)}" cy="{_num(py)}" r="2.5" fill="{color}"/>'
-            )
+            parts.append(f'<circle cx="{px}" cy="{py}" r="2.5" fill="{color}"/>')
 
     # legend, top-left inside the plot area
     for i, (scheme, _) in enumerate(series):

@@ -37,22 +37,22 @@ rates), so a sweep has no quadrature setting, and the SIC search scans at
 one fixed resolution (rates.DEFAULT_GRID), so it has no resolution setting
 either.
 
-Where more than one CPU is usable and the sweep has full-duplex schemes,
-run_sweep forks a pool of worker processes for its duration: the workers
-solve each block's schemes in contiguous chunks of values, SIC schemes first
-and half duplex last, and this process builds the block's rows once every
-result is in.  A value gets the same bits in any batch, so the rows, and the
-CSV and SVG files, do not depend on the number of CPUs.  With one usable
-CPU, no fork, only half-duplex schemes, or another thread running, the sweep
-runs serially in this process.
+Where more than one CPU is usable and a block has enough SIC rows to repay
+a fork (fig2 and fig3 have), run_sweep forks a pool of worker processes for
+its duration: the workers solve each block's schemes in contiguous chunks of
+values, SIC schemes first and half duplex last, and this process builds the
+block's rows once every result is in.  A value gets the same bits in any
+batch, so the rows, and the CSV and SVG files, do not depend on the number
+of CPUs.  With one usable CPU, no fork, few SIC rows, or another thread
+running, the sweep runs serially in this process.
 
 Under --verify the oracles run in this process after each block's solve:
 the circulant ring checks each C-RAN uplink rate, and oracle.certified_max_min
 certifies the optimum of the fd_scp, fd_scp_sic and fd_cran rows, one
 branch-and-bound search per scheme for the block's rows.  It proves that the
 true max-min lies at most eps (CERTIFIED_EPS, more for C-RAN near alpha =
-1/2) above its best point, and holds every temporary to 8,192 values, so its
-memory does not grow with the budgets.
+1/2 and at budgets of thousands of dB) above its best point, and holds every
+temporary to 8,192 values, so its memory does not grow with the budgets.
 """
 
 import math
@@ -348,8 +348,14 @@ def serialize_spec(spec: SweepSpec) -> str:
 # running sweeps
 
 _BLOCK = 64  # sweep values solved together; fig2 and fig3 take one block each
+# SIC points of a block per pool worker.  On two CPUs, forking, starting and
+# shutting down a pool costs 15-30 ms, a SIC point 5-12 ms of a batched
+# search, and the other rows well under 1 ms each, so two workers were
+# slower than one process up to 8-12 SIC points and faster from 16; fig2
+# and fig3, with 50 and 66, fork two
+_SIC_POINTS_PER_WORKER = 8
 _BY_COST = (SicMode.SIC, SicMode.TREAT_AS_NOISE, None)  # receivers, costliest search first
-_DIAGNOSTICS = CSV_COLUMNS[6:]  # the RateResult.diagnostics a row carries
+_DIAGNOSTICS = CSV_COLUMNS[6:]  # the RateResult.diagnostics a row carries, in SweepRow's order
 
 
 @dataclass
@@ -383,9 +389,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     (compute_batch).  After a block raises, compute_scheme replays its rows
     in (value, scheme) order, so the error is that of the first failing row.
 
-    When the spec has full-duplex schemes and more than one CPU is usable,
-    run_sweep forks a pool of worker processes, one per usable CPU but no
-    more than a block has full-duplex (value, scheme) pairs.  For each block
+    When a block has _SIC_POINTS_PER_WORKER SIC (value, scheme) pairs for
+    each of at least two workers and more than one CPU is usable, run_sweep
+    forks a pool of worker processes, one per usable CPU but no more than
+    that; below it, forking the pool costs more than it saves.  For each block
     the workers solve every scheme in contiguous chunks of values, SIC
     schemes first as they cost the most and half duplex last; this process
     waits for all of them, then builds the rows and, under spec.oracle, runs
@@ -396,8 +403,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     see the caller's state, and it is shut down before run_sweep returns.
     """
     values = spec.values()
-    fd = sum(SCHEMES[s][1] is not None for s in spec.schemes)
-    workers = min(_usable_cpus(), fd * min(len(values), _BLOCK))
+    sic = sum(SCHEMES[s][1] is SicMode.SIC for s in spec.schemes)
+    workers = min(sic * min(len(values), _BLOCK) // _SIC_POINTS_PER_WORKER, _usable_cpus())
     pool = _fork_pool(workers) if workers > 1 else None
     rows = []
     try:
@@ -478,7 +485,7 @@ def _block_rows(spec: SweepSpec, block, points, solved: dict) -> list[SweepRow]:
             result = solved[scheme][i]
             row = SweepRow(
                 spec.sweep_var, value, scheme, result.r_u, result.r_d, result.r_eq,
-                **{name: result.diagnostics.get(name) for name in _DIAGNOSTICS},
+                *map(result.diagnostics.get, _DIAGNOSTICS),
             )
             if spec.oracle and SCHEMES[scheme][0] == "cran":
                 _attach_circulant(row, params)
@@ -599,17 +606,10 @@ def oracle_gaps(rows: list[SweepRow]) -> list[str]:
 # CSV
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, SchemeId):
-        return value.value
-    if isinstance(value, str):
-        return value
-    v = float(value)
-    if not math.isfinite(v):
-        return "NA"
-    return f"{v:.9g}"
+def _fmt(v) -> str:
+    """A number's CSV cell: nine significant digits, NA for None or a value
+    that is not finite."""
+    return "NA" if v is None or not math.isfinite(v) else f"{v:.9g}"
 
 
 def emit_csv(rows: list[SweepRow], path) -> None:
@@ -622,8 +622,15 @@ def emit_csv(rows: list[SweepRow], path) -> None:
     )
     columns = CSV_COLUMNS + ORACLE_COLUMNS if with_oracle else CSV_COLUMNS
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, col)) for col in columns))
+    for r in rows:  # the cells of CSV_COLUMNS, then of ORACLE_COLUMNS
+        line = (
+            f"{r.sweep_var},{_fmt(r.value)},{r.scheme.value},{_fmt(r.r_u)},{_fmt(r.r_d)},"
+            f"{_fmt(r.r_eq)},{_fmt(r.sigma_u_sq)},{_fmt(r.sigma_d_sq)},{_fmt(r.p_u_star)},"
+            f"{_fmt(r.p_d_star)},{_fmt(r.f_star)}"
+        )
+        if with_oracle:
+            line += f",{_fmt(r.oracle_r_u)},{_fmt(r.oracle_r_eq)}"
+        lines.append(line)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

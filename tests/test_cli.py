@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdcran.oracle
 import fdcran.sweep
 from fdcran.cli import _build_parser, main
 from fdcran.model import SchemeId
@@ -142,21 +143,41 @@ def test_an_overflowing_stream_power_still_gives_finite_rates(tmp_path, capsys):
         assert math.isfinite(row.r_d) and row.r_eq == min(row.r_u, row.r_d)
 
 
+# gamma_ud^2 P_u passes the float range from gamma_ud = 2 on
+INTRA_CELL_OVERFLOW_CONFIG = """
+base.p_u_db = 3080
+base.p_d_db = 3000
+base.c_u = 2000
+sweep.var = gamma_ud
+sweep.start = 0
+sweep.stop = 3
+sweep.step = 1
+schemes = fd_scp_sic, fd_cran
+"""
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_intra_cell_power_past_the_float_range_issues_no_warning(tmp_path):
-    # gamma_ud^2 P_u passes the float range from gamma_ud = 2 on
-    flags = {"p-u-db": "3080", "p-d-db": "3000", "c-u": "2000"}
     config = tmp_path / "intra.cfg"
-    config.write_text(
-        "".join(f"base.{k.replace('-', '_')} = {v}\n" for k, v in flags.items())
-        + "sweep.var = gamma_ud\nsweep.start = 0\nsweep.stop = 3\nsweep.step = 1\n"
-        + "schemes = fd_scp_sic, fd_cran\n",
-        encoding="utf-8",
-    )
+    config.write_text(INTRA_CELL_OVERFLOW_CONFIG, encoding="utf-8")
     out = tmp_path / "intra.csv"
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
     rows = fdcran.sweep.load_csv(out)
     assert len(rows) == 8 and all(math.isfinite(r.r_eq) for r in rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_certifies_budgets_past_the_float_range(tmp_path):
+    # the oracle scans each box in its point's unit of power; far above the
+    # noise the near-optimal set runs along a ray, and a point whose next
+    # round would pass _MAX_CELLS cells ends with a wider eps instead
+    config = tmp_path / "intra.cfg"
+    config.write_text(INTRA_CELL_OVERFLOW_CONFIG, encoding="utf-8")
+    out = tmp_path / "intra.csv"
+    assert main(["sweep", "--config", str(config), "--verify", "--out", str(out)]) in (0, 4)
+    assert all(r.oracle_r_eq is not None for r in load_csv(out))
+    rows = fdcran.sweep.run_sweep(replace(parse_config(INTRA_CELL_OVERFLOW_CONFIG), oracle=True))
+    assert all(0 < r.oracle_cells <= fdcran.oracle._MAX_CELLS for r in rows)
 
 
 @_OVERFLOW_WARNINGS
@@ -356,14 +377,29 @@ def test_sweep_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert out.exists()  # data still written for inspection
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "fdcran", "compute", "--scheme", "hd_scp"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["scheme"] == "hd_scp"
+def test_module_entry_point(tmp_path, capsys):
+    # python -m fdcran exits with main's code, its standard streams flushed
+    # with what main prints in-process
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG, encoding="utf-8")
+    cases = [
+        (["compute", "--scheme", "hd_scp"], 0),
+        (["sweep", "--config", str(config), "--verify", "--out", str(tmp_path / "{}.csv")], 0),
+        (["compute", "--scheme", "hd_cran", "--p-u-db", "4000"], 2),
+        (["sweep", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "x.csv")], 2),
+        (["compute", "--scheme", "fd_scp", "--gamma-ud", "1e300"], 3),
+    ]
+    for argv, code in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdcran", *(a.format("child") for a in argv)],
+            capture_output=True,
+            text=True,
+        )
+        assert main([a.format("main") for a in argv]) == code
+        printed = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, printed.out, printed.err)
+        assert proc.stdout or proc.stderr
+    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
 
 
 @pytest.mark.parametrize("flag", ["--p-u-db", "--p-d-db"])

@@ -5,8 +5,12 @@ import os
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fdcran.oracle
 import fdcran.rates
@@ -18,6 +22,7 @@ from fdcran.rates import SicMode
 from fdcran.sweep import (
     CSV_COLUMNS,
     MAX_SWEEP_VALUES,
+    ORACLE_COLUMNS,
     ORACLE_RATE_TOL,
     ConfigError,
     SweepBase,
@@ -33,6 +38,8 @@ from fdcran.sweep import (
 )
 
 from test_oracle import _SizeProbe
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_spec(**kw) -> SweepSpec:
@@ -277,6 +284,34 @@ def test_csv_non_finite_diagnostics_become_na(tmp_path):
     assert load_csv(out)[1].sigma_u_sq is None
 
 
+def _reference_cell(v) -> str:
+    return "NA" if v is None or not math.isfinite(float(v)) else f"{float(v):.9g}"
+
+
+# None, and any float: NaN, both infinities, -0.0, subnormals, 1e308, as
+# Python floats and as numpy float64
+_cells = st.one_of(st.none(), st.floats(), st.floats().map(np.float64))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.lists(_cells, min_size=11, max_size=11), st.sampled_from(SchemeId))
+@example(
+    [None, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, np.float64(0.1),
+     np.float64(-0.0), 2.2250738585072014e-308, np.float64(1e-310)],
+    SchemeId.FD_CRAN,
+)
+def test_csv_cells_are_nine_digits_or_na(tmp_path_factory, numbers, scheme):
+    row = SweepRow("alpha", numbers[0], scheme, *numbers[1:])
+    out = tmp_path_factory.getbasetemp() / "cells.csv"
+    emit_csv([row], out)
+    with_oracle = row.oracle_r_u is not None or row.oracle_r_eq is not None
+    columns = CSV_COLUMNS + (ORACLE_COLUMNS if with_oracle else ())
+    cells = ["alpha", _reference_cell(numbers[0]), scheme.value]
+    cells += [_reference_cell(getattr(row, name)) for name in columns[3:]]
+    assert out.read_text(encoding="utf-8") == ",".join(columns) + "\n" + ",".join(cells) + "\n"
+    assert [fdcran.sweep._fmt(v) for v in numbers] == [_reference_cell(v) for v in numbers]
+
+
 def test_oracle_columns_and_verification(tmp_path):
     spec = small_spec(oracle=True, start=4.0, stop=6.0, step=2.0)
     rows = run_sweep(spec)
@@ -411,6 +446,11 @@ def _force_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def _fork_for_any_sic_row(monkeypatch) -> None:
+    """Let a sweep far too small to repay a pool fork one: a worker per SIC row."""
+    monkeypatch.setattr(fdcran.sweep, "_SIC_POINTS_PER_WORKER", 1)
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """Every process pool constructed while the test runs."""
@@ -444,17 +484,18 @@ def test_fig3_verify_rows_do_not_depend_on_the_worker_count(fig3_verify_rows, mo
 def test_a_two_block_sweep_does_not_depend_on_the_worker_count(monkeypatch, pools):
     spec = SweepSpec(  # 81 values: a block of 64 and one of 17
         start=0.0, stop=12.0, step=0.15,
-        schemes=(SchemeId.HD_CRAN, SchemeId.FD_SCP, SchemeId.FD_CRAN),
+        schemes=(SchemeId.HD_CRAN, SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN),
     )
     _force_cpus(monkeypatch, 1)
     serial = run_sweep(spec)
     assert pools == []
     assert _pooled(spec, monkeypatch, pools) == serial
-    assert len(serial) == 81 * 3
+    assert len(serial) == 81 * 4
 
 
 def test_first_failing_row_decides_the_error_on_a_pool(monkeypatch, pools):
     _force_cpus(monkeypatch, 2)
+    _fork_for_any_sic_row(monkeypatch)
     test_first_failing_row_decides_the_error(monkeypatch)
     assert len(pools) == 3
     assert multiprocessing.active_children() == []
@@ -470,9 +511,27 @@ def test_a_half_duplex_sweep_forks_no_pool(monkeypatch):
     assert len(run_sweep(spec)) == 3 * 2
 
 
+def test_a_sweep_with_too_few_sic_rows_forks_no_pool(monkeypatch):
+    # one value of every scheme: forking would cost more than the two SIC rows
+    def refuse(workers):
+        raise AssertionError(f"a one-value sweep forked a pool of {workers}")
+
+    monkeypatch.setattr(fdcran.sweep, "_fork_pool", refuse)
+    _force_cpus(monkeypatch, 2)
+    spec = small_spec(start=4.0, stop=4.0, schemes=tuple(SchemeId))
+    assert [r.scheme for r in run_sweep(spec)] == list(SchemeId)
+
+
+def test_fig2_forks_two_workers_on_two_cpus(monkeypatch, pools, tmp_path):
+    rows = _pooled(preset_spec("fig2"), monkeypatch, pools)
+    emit_csv(rows, tmp_path / "fig2.csv")
+    assert (tmp_path / "fig2.csv").read_bytes() == (DATA / "fig2.csv").read_bytes()
+
+
 def test_a_sweep_beside_another_thread_forks_no_pool(monkeypatch, pools):
     # a child forked now could inherit a lock the other thread holds
     _force_cpus(monkeypatch, 2)
+    _fork_for_any_sic_row(monkeypatch)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
@@ -486,7 +545,7 @@ def test_a_sweep_beside_another_thread_forks_no_pool(monkeypatch, pools):
     assert len(rows) == 3 * 3
 
 
-def test_worker_warnings_print_as_on_the_serial_path(monkeypatch):
+def test_worker_warnings_print_as_on_the_serial_path(monkeypatch, pools):
     # the SCP uplink kernel warns at every call, in every worker
     kernel = fdcran.rates._scp_uplink
 
@@ -499,6 +558,7 @@ def test_worker_warnings_print_as_on_the_serial_path(monkeypatch):
         sweep_var="gamma_ud", start=0.0, stop=3.0, step=1.0,
         schemes=(SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN),
     )
+    _fork_for_any_sic_row(monkeypatch)
     shown = {}
     for cpus in (1, 2):
         _force_cpus(monkeypatch, cpus)
@@ -512,3 +572,4 @@ def test_worker_warnings_print_as_on_the_serial_path(monkeypatch):
             if issubclass(w.category, RuntimeWarning)
         )
     assert shown[1] and shown[2] == shown[1]
+    assert len(pools) == 1  # the run on two CPUs
