@@ -1,4 +1,4 @@
-"""Domain types and scalar helpers shared by every duplex/processing scheme.
+"""Domain types and the dB conversion shared by every duplex/processing scheme.
 
 Unit conventions: channel coefficients are amplitude gains (the power gain is
 the square), transmit powers are linear on a unit-noise-power scale, and
@@ -12,8 +12,6 @@ import warnings
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
-import numpy as np
-
 __all__ = [
     "NumericDomainError",
     "ZfSingularError",
@@ -21,10 +19,7 @@ __all__ = [
     "PowerAllocation",
     "RateResult",
     "SchemeId",
-    "shannon_c",
-    "q_clamp",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 
@@ -50,31 +45,6 @@ def db_to_linear(x_db: float) -> float:
         return 10.0 ** (x_db / 10.0)
     except OverflowError:
         return math.inf
-
-
-def linear_to_db(x: float) -> float:
-    """Convert a positive linear value to dB."""
-    if x <= 0 or not math.isfinite(x):
-        raise NumericDomainError(f"cannot express {x!r} in dB")
-    return 10.0 * math.log10(x)
-
-
-def shannon_c(s: float) -> float:
-    """Shannon capacity log2(1 + s) of a nonnegative SINR, in bits/s/Hz."""
-    if not np.isfinite(s) or s < 0:
-        raise NumericDomainError(f"SINR must be finite and >= 0, got {s!r}")
-    return float(np.log2(1.0 + s))
-
-
-def q_clamp(a: float, b: float, c: float) -> float:
-    """min(a, max(b, c)) -- the clamp arising from the multiple-access region.
-
-    b may be negative; it typically arrives as a rate difference.
-    """
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if not math.isfinite(v):
-            raise NumericDomainError(f"q_clamp argument {name!r} must be finite, got {v!r}")
-    return min(a, max(b, c))
 
 
 # gamma_du is accepted so configurations mirror the full interference diagram,

@@ -28,7 +28,6 @@ uplink's samples of a group fit.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "CERTIFIED_EPS",
     "DEFAULT_CELLS",
     "Certified",
-    "CirculantChannel",
     "certified_max_min",
     "circulant_uplink_rate",
     "circulant_uplink_rate_dense",
@@ -64,38 +62,6 @@ _MAX_CELLS = 1 << 16
 _RING_DEPTH = 21.0
 
 
-@dataclass(frozen=True, eq=False)
-class CirculantChannel:
-    """Ring-of-cells channel matrix, stored by its first row.
-
-    Row k is row 0 rotated right by k, so the matrix is fully determined by
-    first_row.
-    """
-
-    n: int
-    first_row: np.ndarray
-
-    def __post_init__(self):
-        if self.n < _MIN_CELLS:
-            raise ValueError(f"need at least {_MIN_CELLS} cells, got {self.n}")
-        row = np.asarray(self.first_row, dtype=float)
-        if row.shape != (self.n,):
-            raise ValueError(f"first_row must have shape ({self.n},)")
-        object.__setattr__(self, "first_row", row)
-
-    @classmethod
-    def wyner(cls, alpha: float, n: int) -> "CirculantChannel":
-        """Direct channel of the ring: 1 on the diagonal, alpha to each neighbor."""
-        row = np.zeros(n)
-        row[0] = 1.0
-        row[1] = alpha
-        row[-1] = alpha
-        return cls(n=n, first_row=row)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([np.roll(self.first_row, k) for k in range(self.n)])
-
-
 def circulant_uplink_rate(
     alpha: float, p_u: float, sigma_u_sq: float, n: int = DEFAULT_CELLS
 ) -> float:
@@ -117,11 +83,15 @@ def circulant_uplink_rate(
 def circulant_uplink_rate_dense(
     alpha: float, p_u: float, sigma_u_sq: float, n: int
 ) -> float:
-    """Same rate from an explicit dense log-det (second-layer check, n <= 64)."""
+    """Same rate from an explicit dense log-det (second-layer check, 8 <= n <= 64)."""
+    if n < _MIN_CELLS:
+        raise ValueError(f"need at least {_MIN_CELLS} cells, got {n}")
     if n > _DENSE_CELL_CAP:
         raise ValueError(f"dense check limited to n <= {_DENSE_CELL_CAP}, got {n}")
-    h = CirculantChannel.wyner(alpha, n).matrix()
-    b = np.eye(n) + (p_u / (1.0 + sigma_u_sq)) * (h @ h.T)
+    # the Wyner ring: 1 on the diagonal, alpha to each neighbor, wrapping around
+    eye = np.eye(n)
+    h = eye + alpha * (np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1))
+    b = eye + (p_u / (1.0 + sigma_u_sq)) * (h @ h.T)
     sign, logdet = np.linalg.slogdet(b)
     if sign <= 0:
         raise ValueError("log-det argument is not positive definite")

@@ -194,15 +194,19 @@ def _sigma_u_sq(k, p_u, p_d, noise=1.0):
     return (noise + (1.0 + 2.0 * a2) * p_u + 2.0 * bdu2 * (1.0 + rg2) * p_d) * quant
 
 
+def _reported_sigma_u_sq(k, p_u, p_d):
+    """sigma_u^2 at the powers (p_u, p_d), formed in the point's _unit and
+    brought back to the unit noise power, so that only a sigma_u^2 that is
+    itself past the float range is inf (or c_u = 0)."""
+    return _sigma_u_sq(k, p_u * k.unit, p_d * k.unit, k.unit) / k.unit
+
+
 def _checked_sigma_u_sq(k, p_u: float, p_d: float, budgets: bool = True) -> float:
     """sigma_u^2 at the powers (p_u, p_d), the budgets unless budgets=False,
     as a plain float.  It is inf at c_u = 0, where the quantizer passes
     nothing; inf at c_u > 0 is an overflow, which would report a zero uplink
-    rate where the model has a positive one, so it raises NumericDomainError,
-    as does NaN, an overflow times the zero quant of c_u past about 1075."""
-    sigma = _sigma_u_sq(k, p_u, p_d)
-    if math.isnan(sigma):  # so is the uplink rate
-        raise NumericDomainError("r_u is nan: the operating point overflows a float")
+    rate where the model has a positive one, so it raises NumericDomainError."""
+    sigma = _reported_sigma_u_sq(k, p_u, p_d)
     if sigma == math.inf and k.quant < math.inf:
         at = "the budgets p_u_max={!r}, p_d_max={!r}" if budgets else "p_u={!r}, p_d={!r}"
         raise NumericDomainError("sigma_u_sq overflows a float at " + at.format(p_u, p_d))
@@ -487,10 +491,9 @@ def _hd_batch(family: str, consts, points) -> list:
     if family == "cran":
         k = _CranConsts(*columns)
         p_s, sigma_d = _downlink_powers(p_d_max, k.q_d)
-        # inf, as in plain floats, only where quant is (c_u = 0): _consts has
-        # checked sigma_u^2 at these powers for every other point
-        with np.errstate(over="ignore"):
-            diag["sigma_u_sq"] = _sigma_u_sq(k, p_u_max, 0.0)
+        # inf only where quant is (c_u = 0): _consts has checked sigma_u^2 at
+        # these powers for every other point
+        diag["sigma_u_sq"] = _reported_sigma_u_sq(k, p_u_max, 0.0)
         diag.update(sigma_d_sq=sigma_d, p_s=p_s)
     results = []
     for up, down, eq, f, has_f, *values in zip(
@@ -529,7 +532,7 @@ def _fd_result(family: str, k, sic: SicMode, p_u: float, p_d: float) -> RateResu
     diag = {"p_u_star": p_u, "p_d_star": p_d}
     if family == "cran":
         p_s, sigma_d = _downlink_powers(p_d, k.q_d)
-        diag.update(sigma_u_sq=_sigma_u_sq(k, p_u, p_d), sigma_d_sq=sigma_d, p_s=p_s)
+        diag.update(sigma_u_sq=_reported_sigma_u_sq(k, p_u, p_d), sigma_d_sq=sigma_d, p_s=p_s)
     return RateResult(r_u, r_d, min(r_u, r_d), diag)
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "Precoder",
     "channel_response",
     "h_tilde",
-    "integrate_unit",
     "rate_closed_form",
     "rate_integral",
     "rg",
@@ -68,28 +67,6 @@ def _quad(samples: np.ndarray, panels: int) -> float:
     # single summation path for every integral, so folded/unfolded variants
     # of the same integrand reduce with the same pairwise tree
     return float(np.sum(samples * simpson_weights(panels), axis=-1))
-
-
-def integrate_unit(fn, panels: int = DEFAULT_PANELS) -> float:
-    """Composite-Simpson approximation of the integral of fn over [0, 1].
-
-    fn may accept a numpy array of frequencies or only scalars; a non-finite
-    sample aborts with a NumericDomainError naming the offending frequency.
-    """
-    grid = unit_grid(panels)
-    samples = None
-    try:
-        samples = np.asarray(fn(grid), dtype=float)
-    except (TypeError, ValueError):
-        pass
-    if samples is None or samples.shape != grid.shape:
-        samples = np.array([float(fn(f)) for f in grid])
-    bad = ~np.isfinite(samples)
-    if bad.any():
-        raise NumericDomainError(
-            f"integrand is not finite at f={grid[int(np.argmax(bad))]!r}"
-        )
-    return _quad(samples, panels)
 
 
 def channel_response(alpha: float, f):

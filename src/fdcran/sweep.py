@@ -39,12 +39,14 @@ either.
 
 Where more than one CPU is usable and a block has enough SIC rows to repay
 a fork (fig2 and fig3 have), run_sweep forks a pool of worker processes for
-its duration: the workers solve each block's schemes in contiguous chunks of
-values, SIC schemes first and half duplex last, and this process builds the
-block's rows once every result is in.  A value gets the same bits in any
-batch, so the rows, and the CSV and SVG files, do not depend on the number
-of CPUs.  With one usable CPU, no fork, few SIC rows, or another thread
-running, the sweep runs serially in this process.
+its duration.  The pool takes only the SIC max-min searches, the one costly
+part of a block: the workers solve each SIC scheme's batch in contiguous
+chunks of values while this process solves the other schemes, and this
+process builds the block's rows once every result is in.  A value gets the
+same bits in any batch, so the rows, and the CSV and SVG files, do not
+depend on the number of CPUs.  With one usable CPU, no fork, few SIC rows,
+or another thread running, the sweep runs serially in this process, as a
+block does again if anything fails on the pool, a worker dying included.
 
 Under --verify the oracles run in this process after each block's solve:
 the circulant ring checks each C-RAN uplink rate, and oracle.certified_max_min
@@ -57,9 +59,7 @@ temporary to 8,192 values, so its memory does not grow with the budgets.
 
 import math
 import os
-import sys
 import threading
-import warnings
 from dataclasses import dataclass, field, fields, replace
 
 from .model import SchemeId, SystemParams, db_to_linear
@@ -354,7 +354,6 @@ _BLOCK = 64  # sweep values solved together; fig2 and fig3 take one block each
 # slower than one process up to 8-12 SIC points and faster from 16; fig2
 # and fig3, with 50 and 66, fork two
 _SIC_POINTS_PER_WORKER = 8
-_BY_COST = (SicMode.SIC, SicMode.TREAT_AS_NOISE, None)  # receivers, costliest search first
 _DIAGNOSTICS = CSV_COLUMNS[6:]  # the RateResult.diagnostics a row carries, in SweepRow's order
 
 
@@ -392,12 +391,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     When a block has _SIC_POINTS_PER_WORKER SIC (value, scheme) pairs for
     each of at least two workers and more than one CPU is usable, run_sweep
     forks a pool of worker processes, one per usable CPU but no more than
-    that; below it, forking the pool costs more than it saves.  For each block
-    the workers solve every scheme in contiguous chunks of values, SIC
-    schemes first as they cost the most and half duplex last; this process
-    waits for all of them, then builds the rows and, under spec.oracle, runs
-    every oracle.  A point gets the same result in any batch, so the rows do
-    not depend on the number of workers.
+    that; below it, forking the pool costs more than it saves.  The pool
+    solves only the SIC searches, which take nearly all of a block's time:
+    each SIC scheme's batch goes to the workers in contiguous chunks of
+    values, while this process solves every other scheme, then collects the
+    chunks, builds the rows and, under spec.oracle, runs every oracle.  A
+    point gets the same result in any batch, so the rows do not depend on the
+    number of workers.
     If anything fails on the pool, the block is computed again on the serial
     path, which decides the error.  The pool is forked here, so its workers
     see the caller's state, and it is shut down before run_sweep returns.
@@ -436,18 +436,18 @@ def _fork_pool(workers: int):
 
 
 def _run_block(spec: SweepSpec, block, pool, workers: int) -> list[SweepRow]:
-    """Rows of one block, solved on the pool if there is one, and under
-    spec.oracle with their certified optima, found in this process."""
+    """Rows of one block, its SIC searches solved on the pool if there is
+    one, and under spec.oracle with their certified optima, found in this
+    process."""
     rows = None
     if pool is not None:
-        by_cost = sorted(spec.schemes, key=lambda s: _BY_COST.index(SCHEMES[s][1]))
         try:
-            rows = _solve_block(spec, block, by_cost, _pool_map(pool), workers)
+            rows = _solve_block(spec, block, pool, workers)
         except Exception:  # a worker, or the pool itself, failed: the serial path decides
             pass
     if rows is None:
         try:
-            rows = _solve_block(spec, block, spec.schemes, map, 1)
+            rows = _solve_block(spec, block)
         except ValueError:
             for value in block:  # the first failing row in (value, scheme) order raises
                 for scheme in spec.schemes:
@@ -458,22 +458,23 @@ def _run_block(spec: SweepSpec, block, pool, workers: int) -> list[SweepRow]:
     return rows
 
 
-def _solve_block(spec: SweepSpec, block, schemes, run, chunks: int) -> list[SweepRow]:
-    """Rows of one block, each scheme's batch (compute_batch) cut into the
-    given number of contiguous chunks of points and solved through run (map,
-    or a pool's map) in the order of schemes."""
+def _solve_block(spec: SweepSpec, block, pool=None, workers: int = 1) -> list[SweepRow]:
+    """Rows of one block, each scheme's points solved by compute_batch.  On a
+    pool, each SIC scheme's batch is cut into workers contiguous chunks of
+    points for the workers, while this process solves the other schemes."""
     points = [spec.params_at(value) for value in block]
-    n = min(chunks, len(points))
-    cuts = [len(points) * i // n for i in range(n + 1)]
-    tasks = [(s, points[a:b]) for s in schemes for a, b in zip(cuts, cuts[1:])]
-    solved = {s: [] for s in schemes}
-    for (scheme, _), results in zip(tasks, run(_solve_chunk, tasks)):
-        solved[scheme] += results
+    chunks = {}  # each SIC scheme's futures on the pool, in the order of points
+    if pool is not None:
+        n = min(workers, len(points))
+        cuts = [len(points) * i // n for i in range(n + 1)]
+        parts = [points[a:b] for a, b in zip(cuts, cuts[1:])]
+        for s in spec.schemes:
+            if SCHEMES[s][1] is SicMode.SIC:
+                chunks[s] = [pool.submit(compute_batch, s, part) for part in parts]
+    solved = {s: compute_batch(s, points) for s in spec.schemes if s not in chunks}
+    for s, futures in chunks.items():
+        solved[s] = [result for future in futures for result in future.result()]
     return _block_rows(spec, block, points, solved)
-
-
-def _solve_chunk(task) -> list:
-    return compute_batch(*task)
 
 
 def _block_rows(spec: SweepSpec, block, points, solved: dict) -> list[SweepRow]:
@@ -512,42 +513,6 @@ def _attach_certified(spec: SweepSpec, rows: list[SweepRow]) -> None:
         argmaxes = [(r.p_u_star, r.p_d_star) for r in checked]
         for row, found in zip(checked, certified_max_min(*SCHEMES[scheme], points, argmaxes)):
             row.oracle_r_eq, row.oracle_eps, row.oracle_cells = found
-
-
-def _pool_map(pool):
-    """A map like the builtin one that runs on pool's workers."""
-
-    def run(fn, args):
-        for result, caught in pool.map(_in_worker, [(fn, arg) for arg in args]):
-            _reissue(caught)
-            yield result
-
-    return run
-
-
-def _in_worker(task):
-    """fn(arg) in a pool worker, with the warnings it issued: each worker has
-    its own registry of warnings already shown, so printing them there would
-    repeat each once per worker."""
-    fn, arg = task
-    with warnings.catch_warnings(record=True) as caught:
-        result = fn(arg)
-    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-
-
-def _reissue(caught) -> None:
-    """Issue a worker's warnings in this process, under the name and registry
-    of the module that issued them, so that they print as on the serial path."""
-    for text, category, filename, lineno in caught:
-        module = next(
-            (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename),
-            None,
-        )
-        if module is None:
-            warnings.warn_explicit(text, category, filename, lineno)
-        else:
-            registry = vars(module).setdefault("__warningregistry__", {})
-            warnings.warn_explicit(text, category, filename, lineno, module.__name__, registry)
 
 
 def _oracle_checks(rows: list[SweepRow]):

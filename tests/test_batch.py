@@ -53,7 +53,7 @@ def test_the_replay_reports_a_half_duplex_row_that_fails_first():
     # at 3082 dB sigma_u^2 overflows for every C-RAN row; hd_cran, first in
     # (value, scheme) order, checks it at (P_u, 0), where the full-duplex
     # C-RAN rows check both budgets
-    base = replace(SweepSpec().base, alpha=0.49, c_u=5.0)
+    base = replace(SweepSpec().base, alpha=0.49, c_u=0.01)
     spec = SweepSpec(base=base, sweep_var="p_db_joint", start=3000.0, stop=3082.0, step=82.0)
     with pytest.raises(NumericDomainError, match="p_d_max=0.0$"):
         run_sweep(spec)

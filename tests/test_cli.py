@@ -180,27 +180,35 @@ def test_verify_certifies_budgets_past_the_float_range(tmp_path):
     assert all(0 < r.oracle_cells <= fdcran.oracle._MAX_CELLS for r in rows)
 
 
-@_OVERFLOW_WARNINGS
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scheme", ["hd_cran", "fd_cran", "fd_cran_sic"])
-def test_a_rate_that_overflows_is_a_numeric_error(tmp_path, capsys, scheme):
-    # (1 + 2 alpha^2) P_u overflows, and times a zero quantization noise per
-    # unit power it is NaN: no rate exists to report
-    flags = {"alpha": "0.49", "p-u-db": "3082", "c-u": "2000"}
-    argv = ["compute", f"--scheme={scheme}"] + [f"--{k}={v}" for k, v in flags.items()]
-    assert main(argv) == 3
-    assert "numeric error: r_u is nan" in capsys.readouterr().err
-    config = _point_config(tmp_path, flags, scheme)
-    assert main(["sweep", "--config", config, "--out", str(tmp_path / "nan.csv")]) == 3
-    assert "numeric error: r_u is nan" in capsys.readouterr().err
+def test_a_quantization_noise_near_the_float_range_keeps_a_finite_rate(tmp_path, capsys, scheme):
+    # (1 + 2 alpha^2) P_u is past the float range at 3082 dB, but sigma_u^2 is
+    # formed in the point's unit of power: 0 at c_u = 2000, where 2**-c_u
+    # underflows, and the model's 7.57e306 at c_u = 5
+    for c_u, sigma_u_sq in (("2000", 0.0), ("5", 7.567609366e306)):
+        flags = {"alpha": "0.49", "p-u-db": "3082", "c-u": c_u}
+        argv = ["compute", f"--scheme={scheme}"] + [f"--{k}={v}" for k, v in flags.items()]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(payload[r]) and payload[r] > 0 for r in ("r_u", "r_d", "r_eq"))
+        if scheme == "hd_cran":  # at the budget P_u
+            assert payload["diagnostics"]["sigma_u_sq"] == pytest.approx(sigma_u_sq, rel=1e-9)
+        config = _point_config(tmp_path, flags, scheme)
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "point.csv")]) == 0
+        [row] = load_csv(tmp_path / "point.csv")
+        assert (row.r_u, row.r_d, row.r_eq) == pytest.approx(
+            (payload["r_u"], payload["r_d"], payload["r_eq"]), rel=1e-8
+        )
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scheme", ["hd_cran", "fd_cran", "fd_cran_sic"])
 def test_a_quantization_noise_that_overflows_is_a_numeric_error(tmp_path, capsys, scheme):
-    # sigma_u^2 = (1 + (1 + 2 alpha^2) P_u + ...) / (2**5 - 1) overflows at
-    # 3082 dB, yet the uplink SNR P_u / (1 + sigma_u^2) tends to a positive
-    # limit as P_u grows, so a zero rate would be wrong
-    flags = {"alpha": "0.49", "p-u-db": "3082", "c-u": "5"}
+    # sigma_u^2 = (1 + (1 + 2 alpha^2) P_u + ...) / (2**0.01 - 1) is past the
+    # float range at 3082 dB, yet the uplink SNR P_u / (1 + sigma_u^2) tends
+    # to a positive limit as P_u grows, so a zero rate would be wrong
+    flags = {"alpha": "0.49", "p-u-db": "3082", "c-u": "0.01"}
     argv = ["compute", f"--scheme={scheme}"] + [f"--{k}={v}" for k, v in flags.items()]
     assert main(argv) == 3
     message = "numeric error: sigma_u_sq overflows a float at the budgets p_u_max=1.58"

@@ -110,9 +110,9 @@ def test_budgets_and_panels_are_checked():
 
 
 def test_an_overflowing_quantization_noise_is_a_numeric_domain_error():
-    # sigma_u^2 = (1 + (1 + 2 alpha^2) P_u + ...) / (2**5 - 1) overflows at 3082 dB,
+    # sigma_u^2 = (1 + (1 + 2 alpha^2) P_u + ...) / (2**0.01 - 1) overflows at 3082 dB,
     # where a zero uplink rate would be wrong: the SNR tends to (2**c_u - 1)/(1 + 2 alpha^2)
-    params = make_params(alpha=0.49, p_u_max=db_to_linear(3082.0), c_u=5.0)
+    params = make_params(alpha=0.49, p_u_max=db_to_linear(3082.0), c_u=0.01)
     precoder = zf_precoder(params.alpha)
     top = PowerAllocation(params.p_u_max, 100.0)
     with pytest.raises(NumericDomainError, match="sigma_u_sq overflows"):

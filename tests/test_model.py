@@ -1,71 +1,22 @@
 import math
 import warnings
 
-import numpy as np
 import pytest
 
 import fdcran.model as model
 from fdcran.model import (
-    NumericDomainError,
     PowerAllocation,
     SchemeId,
     SystemParams,
     db_to_linear,
-    linear_to_db,
-    q_clamp,
-    shannon_c,
 )
 
 from conftest import make_params
 
 
-@pytest.mark.parametrize("s,expected", [(0.0, 0.0), (1.0, 1.0), (3.0, 2.0)])
-def test_shannon_c_values(s, expected):
-    assert shannon_c(s) == pytest.approx(expected, abs=1e-15)
-
-
-@pytest.mark.parametrize("bad", [-1.0, -1e-12, math.inf, math.nan])
-def test_shannon_c_domain(bad):
-    with pytest.raises(NumericDomainError):
-        shannon_c(bad)
-
-
-def test_shannon_c_monotone_and_concave():
-    s = np.linspace(0.0, 50.0, 400)
-    c = np.array([shannon_c(x) for x in s])
-    assert (np.diff(c) > 0).all()
-    # midpoint concavity
-    mid = np.array([shannon_c(x) for x in (s[:-1] + s[1:]) / 2])
-    assert (mid >= (c[:-1] + c[1:]) / 2 - 1e-12).all()
-
-
-@pytest.mark.parametrize(
-    "a,b,c,expected",
-    [(3.0, 5.0, 2.0, 3.0), (3.0, 1.0, 2.0, 2.0), (1.0, -2.0, 0.5, 0.5)],
-)
-def test_q_clamp_values(a, b, c, expected):
-    assert q_clamp(a, b, c) == expected
-
-
-def test_q_clamp_membership_and_bound():
-    rng = np.random.default_rng(7)
-    for a, b, c in rng.normal(0.0, 5.0, size=(200, 3)):
-        out = q_clamp(a, b, c)
-        assert out in (a, b, c)
-        assert out <= a
-
-
-def test_q_clamp_rejects_non_finite():
-    with pytest.raises(NumericDomainError):
-        q_clamp(1.0, math.nan, 2.0)
-
-
 def test_db_round_trip():
     assert db_to_linear(20.0) == 100.0
     assert db_to_linear(0.0) == 1.0
-    assert linear_to_db(100.0) == pytest.approx(20.0, abs=1e-12)
-    with pytest.raises(NumericDomainError):
-        linear_to_db(0.0)
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta_du", "p_u_max", "c_d"])

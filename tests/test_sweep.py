@@ -3,7 +3,6 @@ import math
 import multiprocessing
 import os
 import threading
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import fdcran.spectral
 import fdcran.sweep
 from fdcran.model import SchemeId, ZfSingularError
 from fdcran.oracle import exhaustive_power_opt
-from fdcran.rates import SicMode
+from fdcran.rates import SCHEMES, SicMode
 from fdcran.sweep import (
     CSV_COLUMNS,
     MAX_SWEEP_VALUES,
@@ -459,7 +458,12 @@ def pools(monkeypatch):
     class Counted(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.submitted = []  # (fn, args) of each task, in submission order
             made.append(self)
+
+        def submit(self, fn, *args):
+            self.submitted.append((fn, args))
+            return super().submit(fn, *args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
     return made
@@ -528,6 +532,44 @@ def test_fig2_forks_two_workers_on_two_cpus(monkeypatch, pools, tmp_path):
     assert (tmp_path / "fig2.csv").read_bytes() == (DATA / "fig2.csv").read_bytes()
 
 
+_SOLVED_HERE = []  # (scheme, number of points) of each compute_batch call in this process
+
+
+def _recorded_batch(scheme, points):
+    """compute_batch, recording its calls in _SOLVED_HERE; pickled by name,
+    so a pool worker runs it too, into a list of its own."""
+    _SOLVED_HERE.append((scheme, len(points)))
+    return fdcran.rates.compute_batch(scheme, points)
+
+
+def test_the_pool_receives_only_the_sic_searches(monkeypatch, pools, tmp_path):
+    monkeypatch.setattr(fdcran.sweep, "compute_batch", _recorded_batch)
+    _SOLVED_HERE.clear()
+    emit_csv(_pooled(preset_spec("fig2"), monkeypatch, pools), tmp_path / "fig2.csv")
+    assert (tmp_path / "fig2.csv").read_bytes() == (DATA / "fig2.csv").read_bytes()
+    # fig2's 25 values are one block: each SIC scheme goes in two chunks of values
+    sic = [s for s in SchemeId if SCHEMES[s][1] is SicMode.SIC]
+    submitted = [(fn, s, len(points)) for fn, (s, points) in pools[0].submitted]
+    assert submitted == [(_recorded_batch, s, n) for s in sic for n in (12, 13)]
+    assert _SOLVED_HERE == [(s, 25) for s in SchemeId if s not in sic]
+
+
+def _die_in_a_worker(scheme, points):
+    """compute_batch, but a pool worker given a SIC chunk dies at once."""
+    if multiprocessing.parent_process() is not None and SCHEMES[scheme][1] is SicMode.SIC:
+        os._exit(1)
+    return fdcran.rates.compute_batch(scheme, points)
+
+
+def test_a_worker_that_dies_leaves_the_rows_to_the_serial_path(monkeypatch, pools):
+    spec = small_spec(schemes=tuple(SchemeId))
+    _force_cpus(monkeypatch, 1)
+    serial = run_sweep(spec)
+    monkeypatch.setattr(fdcran.sweep, "compute_batch", _die_in_a_worker)
+    _fork_for_any_sic_row(monkeypatch)
+    assert _pooled(spec, monkeypatch, pools) == serial
+
+
 def test_a_sweep_beside_another_thread_forks_no_pool(monkeypatch, pools):
     # a child forked now could inherit a lock the other thread holds
     _force_cpus(monkeypatch, 2)
@@ -543,33 +585,3 @@ def test_a_sweep_beside_another_thread_forks_no_pool(monkeypatch, pools):
     assert not other.is_alive()
     assert pools == []
     assert len(rows) == 3 * 3
-
-
-def test_worker_warnings_print_as_on_the_serial_path(monkeypatch, pools):
-    # the SCP uplink kernel warns at every call, in every worker
-    kernel = fdcran.rates._scp_uplink
-
-    def warning_kernel(k, p_u, p_d):
-        warnings.warn("the SCP uplink kernel ran", RuntimeWarning)
-        return kernel(k, p_u, p_d)
-
-    monkeypatch.setattr(fdcran.rates, "_scp_uplink", warning_kernel)
-    spec = small_spec(
-        sweep_var="gamma_ud", start=0.0, stop=3.0, step=1.0,
-        schemes=(SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN),
-    )
-    _fork_for_any_sic_row(monkeypatch)
-    shown = {}
-    for cpus in (1, 2):
-        _force_cpus(monkeypatch, cpus)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            run_sweep(spec)
-        # Python >= 3.12 adds a DeprecationWarning when it forks beside native threads
-        shown[cpus] = sorted(
-            (str(w.message), w.filename, w.lineno)
-            for w in caught
-            if issubclass(w.category, RuntimeWarning)
-        )
-    assert shown[1] and shown[2] == shown[1]
-    assert len(pools) == 1  # the run on two CPUs
