@@ -16,16 +16,17 @@ precoder passed to a public function must be that one, at any sampling
 Half-duplex schemes split the band between directions at full power; the
 equal rate follows from balancing f*R_u against (1-f)*R_d.  Full-duplex
 schemes choose the operating powers (p_u, p_d) that maximize min(R_u, R_d):
-exactly on the budget edges for treat-as-noise, plus a search of the
-decode-first branch for SIC seeded by scans at one fixed resolution,
+exactly on the budget edges for treat-as-noise, and for SIC's decode-first
+branch from an upper bound solved exactly on the same edges; only the points
+whose bound is not attained fall back to scans at one fixed resolution,
 DEFAULT_GRID (see _max_min_search).  compute_batch evaluates one scheme at a
 batch of operating points at once: half duplex as the kernels at (P_u, 0)
 and (0, P_d) for every point, full duplex as one power search (compute_scheme,
 hd_scp, hd_cran, fd_scp and fd_cran are its batch of one).  Every point of a
 batch gets bit-for-bit the result it gets alone.  Kernel calls are split
 along the batch axis so that none evaluates more elements than the largest
-call of a one-point search, _CALL_LIMIT; the DEFAULT_GRID**2 budget-edge
-scans and the first row scan therefore run one point at a time.
+call of a one-point search, _CALL_LIMIT; the fallback's DEFAULT_GRID**2
+budget-edge scans and first row scan therefore run one point at a time.
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
@@ -88,8 +89,10 @@ class SicMode(Enum):
 
 
 _TAN = SicMode.TREAT_AS_NOISE
-# the search's third receiver: the SIC branch that decodes the uplink first
+# the search's own receivers: the SIC branch that decodes the uplink first,
+# and the terms (t1, t2/2) of its upper bound (_max_min_search)
 _DECODE_FIRST = "decode_first"
+_BOUND = "bound"
 
 # scheme -> (processing family, full-duplex receiver or None for half duplex)
 SCHEMES = {
@@ -125,13 +128,17 @@ def _receive(signal, den, g2pu, r_u, receiver):
     t2 = C((signal + g2pu)/den) and t3 = C(signal/(den + g2pu)): treat-as-noise
     gives t3; decode-first, which decodes the uplink message carried at r_u
     first, min(t1, t2 - r_u); SIC the better of the two, which equals the
-    clamp q(t1, t2 - r_u, t3) = min(t1, max(t2 - r_u, t3)) because t3 <= t1."""
+    clamp q(t1, t2 - r_u, t3) = min(t1, max(t2 - r_u, t3)) because t3 <= t1.
+    The bound receiver returns t1 and t2/2 stacked along a new first axis."""
     if receiver is not _TAN:
         with np.errstate(over="ignore"):  # past 1024 bits t2 is taken as a difference
             t2 = np.log2(1.0 + (signal + g2pu) / den)
         if np.isinf(t2).any():
             t2 = np.where(np.isinf(t2), np.log2(den + signal + g2pu) - np.log2(den), t2)
-        first = np.minimum(np.log2(1.0 + signal / den), t2 - r_u)
+        t1 = np.log2(1.0 + signal / den)
+        if receiver is _BOUND:
+            return np.stack((t1, t2 / 2.0))
+        first = np.minimum(t1, t2 - r_u)
         if receiver is _DECODE_FIRST:
             return first
     t3 = np.log2(1.0 + signal / (den + g2pu))
@@ -194,22 +201,34 @@ def _sigma_u_sq(k, p_u, p_d, noise=1.0):
     return (noise + (1.0 + 2.0 * a2) * p_u + 2.0 * bdu2 * (1.0 + rg2) * p_d) * quant
 
 
-def _reported_sigma_u_sq(k, p_u, p_d):
+def _reported_sigma_u_sq(k, c_u, p_u, p_d):
     """sigma_u^2 at the powers (p_u, p_d), formed in the point's _unit and
     brought back to the unit noise power, so that only a sigma_u^2 that is
-    itself past the float range is inf (or c_u = 0)."""
-    return _sigma_u_sq(k, p_u * k.unit, p_d * k.unit, k.unit) / k.unit
+    itself past the float range is inf (or c_u = 0).  Past c_u = 1001, where
+    1 - 2**-c_u rounds to 1, 2**-c_u would underflow before the product: the
+    power sum takes 2**(n - c_u) there and ldexp the 2**-n, n being the
+    integer part of c_u - 1000, so that sigma_u^2 is 0 only where it is
+    itself past the float range."""
+    n = np.minimum(np.maximum(np.floor(c_u) - 1000.0, 0.0), 1100.0)
+    quant = np.where(n > 0.0, 2.0 ** (n - c_u), k.quant)
+    with np.errstate(over="ignore"):  # an overflow is inf, which callers check
+        sigma = _sigma_u_sq(k._replace(quant=quant), p_u * k.unit, p_d * k.unit, k.unit) / k.unit
+    return np.ldexp(sigma, -n.astype(int))
 
 
-def _checked_sigma_u_sq(k, p_u: float, p_d: float, budgets: bool = True) -> float:
+def _checked_sigma_u_sq(k, c_u, p_u, p_d, budgets: bool = True):
     """sigma_u^2 at the powers (p_u, p_d), the budgets unless budgets=False,
-    as a plain float.  It is inf at c_u = 0, where the quantizer passes
-    nothing; inf at c_u > 0 is an overflow, which would report a zero uplink
-    rate where the model has a positive one, so it raises NumericDomainError."""
-    sigma = _reported_sigma_u_sq(k, p_u, p_d)
-    if sigma == math.inf and k.quant < math.inf:
+    of one point or, given arrays, of each point of a batch.  It is inf at
+    c_u = 0, where the quantizer passes nothing; inf at c_u > 0 is an
+    overflow, which would report a zero uplink rate where the model has a
+    positive one, so the first point with one raises NumericDomainError."""
+    sigma = _reported_sigma_u_sq(k, c_u, p_u, p_d)
+    overflow = np.ravel((sigma == math.inf) & (k.quant < math.inf))
+    if overflow.any():
+        i = int(overflow.argmax())
         at = "the budgets p_u_max={!r}, p_d_max={!r}" if budgets else "p_u={!r}, p_d={!r}"
-        raise NumericDomainError("sigma_u_sq overflows a float at " + at.format(p_u, p_d))
+        powers = (float(np.broadcast_to(x, overflow.shape)[i]) for x in (p_u, p_d))
+        raise NumericDomainError("sigma_u_sq overflows a float at " + at.format(*powers))
     return sigma
 
 
@@ -303,8 +322,8 @@ def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
     """
     _check_panel_count(panels)
     k = _cran_consts(params)
-    sigma = _checked_sigma_u_sq(k, params.p_u_max, 0.0)
-    return _finite("r_u", _at(_cran_uplink, k, params.p_u_max, 0.0)), sigma
+    sigma = _checked_sigma_u_sq(k, params.c_u, params.p_u_max, 0.0)
+    return _finite("r_u", _at(_cran_uplink, k, params.p_u_max, 0.0)), float(sigma)
 
 
 def hd_cran_downlink(
@@ -384,8 +403,8 @@ def fd_cran_uplink(
     _check_panel_count(panels)
     _check_precoder(params, precoder)
     k = _cran_consts(params, zf_constants(params.alpha))
-    sigma = _checked_sigma_u_sq(k, powers.p_u, powers.p_d, budgets=False)
-    return _finite("r_u", _at(_cran_uplink, k, powers.p_u, powers.p_d)), sigma
+    sigma = _checked_sigma_u_sq(k, params.c_u, powers.p_u, powers.p_d, budgets=False)
+    return _finite("r_u", _at(_cran_uplink, k, powers.p_u, powers.p_d)), float(sigma)
 
 
 def fd_cran_downlink(
@@ -431,11 +450,10 @@ def _consts(family: str, sic, points) -> list:
     spends: P_u alone in half duplex (sic None), else both budgets."""
     if family == "scp":
         return [_scp_consts(p) for p in points]
-    consts = []
-    for p in points:
-        k = _cran_consts(p, zf_constants(p.alpha))
-        _checked_sigma_u_sq(k, p.p_u_max, 0.0 if sic is None else p.p_d_max)
-        consts.append(k)
+    consts = [_cran_consts(p, zf_constants(p.alpha)) for p in points]
+    p_u_max, p_d_max = _budgets(points)
+    k = _CranConsts(*_stacked(consts)[1])
+    _checked_sigma_u_sq(k, _capacities(points), p_u_max, p_d_max * (sic is not None))
     return consts
 
 
@@ -450,16 +468,19 @@ def _batch(family: str, sic, points) -> list:
 
 def _stacked(rows):
     """Per-point constants, one row per point, as (of, columns): columns holds
-    one (n,) array per quantity, and of(b) gives the constants of a slice b
-    of the points, one (n, 1, 1) column per quantity, broadcasting against
-    power arrays of shape (n, ...), or for a single point its plain floats,
-    which numpy combines with arrays at less cost and to the same values."""
+    one (n,) array per quantity, and of(b) gives the constants of the points
+    b, a slice or an array of indices, one (n, 1, 1) column per quantity,
+    broadcasting against power arrays of shape (n, ...), or for a single
+    point its plain floats, which numpy combines with arrays at less cost and
+    to the same values."""
     n = len(rows)
     columns = np.fromiter(chain.from_iterable(rows), float, n * len(rows[0])).reshape(n, -1).T
     stacked = columns[..., None, None]
+    index = np.arange(n)
 
-    def of(b: slice):
-        return rows[b.start] if b.stop - b.start == 1 else stacked[:, b]
+    def of(b):
+        at = index[b]
+        return rows[at[0]] if at.size == 1 else stacked[:, b]
 
     return of, columns
 
@@ -493,7 +514,7 @@ def _hd_batch(family: str, consts, points) -> list:
         p_s, sigma_d = _downlink_powers(p_d_max, k.q_d)
         # inf only where quant is (c_u = 0): _consts has checked sigma_u^2 at
         # these powers for every other point
-        diag["sigma_u_sq"] = _reported_sigma_u_sq(k, p_u_max, 0.0)
+        diag["sigma_u_sq"] = _reported_sigma_u_sq(k, _capacities(points), p_u_max, 0.0)
         diag.update(sigma_d_sq=sigma_d, p_s=p_s)
     results = []
     for up, down, eq, f, has_f, *values in zip(
@@ -521,10 +542,11 @@ def _fd_batch(family: str, consts, points, sic: SicMode) -> list:
     p_u_max, p_d_max = _budgets(points)
     _, p_u, p_d = _max_min_search(rates, p_u_max * units, p_d_max * units, sic)
     p_u, p_d = p_u / units, p_d / units
-    return [_fd_result(family, k, sic, *at) for k, *at in zip(consts, p_u.tolist(), p_d.tolist())]
+    at = zip(consts, points, p_u.tolist(), p_d.tolist())
+    return [_fd_result(family, k, p.c_u, sic, u, d) for k, p, u, d in at]
 
 
-def _fd_result(family: str, k, sic: SicMode, p_u: float, p_d: float) -> RateResult:
+def _fd_result(family: str, k, c_u: float, sic: SicMode, p_u: float, p_d: float) -> RateResult:
     """A full-duplex scheme's rates and diagnostics at (p_u, p_d)."""
     uplink, downlink = _kernels(family)
     r_u = _finite("r_u", _at(uplink, k, p_u, p_d))
@@ -532,7 +554,8 @@ def _fd_result(family: str, k, sic: SicMode, p_u: float, p_d: float) -> RateResu
     diag = {"p_u_star": p_u, "p_d_star": p_d}
     if family == "cran":
         p_s, sigma_d = _downlink_powers(p_d, k.q_d)
-        diag.update(sigma_u_sq=_reported_sigma_u_sq(k, p_u, p_d), sigma_d_sq=sigma_d, p_s=p_s)
+        sigma_u = float(_reported_sigma_u_sq(k, c_u, p_u, p_d))
+        diag.update(sigma_u_sq=sigma_u, sigma_d_sq=sigma_d, p_s=p_s)
     return RateResult(r_u, r_d, min(r_u, r_d), diag)
 
 
@@ -546,6 +569,11 @@ def _fd_result(family: str, k, sic: SicMode, p_u: float, p_d: float) -> RateResu
 def _budgets(points) -> tuple:
     """Each point's budgets (P_u, P_d): two (n,) arrays."""
     return np.array([p.p_u_max for p in points]), np.array([p.p_d_max for p in points])
+
+
+def _capacities(points) -> np.ndarray:
+    """Each point's uplink fronthaul capacity c_u, an (n,) array."""
+    return np.array([p.c_u for p in points])
 
 
 def _in_chunks(fn, pu, pd, at: int = 0):
@@ -565,24 +593,38 @@ def _in_chunks(fn, pu, pd, at: int = 0):
 
 
 def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
-    """Exact treat-as-noise max-min, searched on both budget edges at once.
+    """Exact max-min of monotone terms, searched on both budget edges at once.
 
-    Along p_u = p_u_max, r_u falls and r_d rises with p_d; along p_d = p_d_max
-    the roles swap (fronthaul caps only flatten them).  Each pass samples both
-    brackets at len(_WINDOW) points and keeps the step where the falling rate
-    drops below the rising one, until every bracket is within float eps of its
-    upper end (at most _EDGE_CUTS passes: subnormal brackets never are), so an
-    optimum at any fraction of the budget is found.  The better bracket end
-    wins, exact ties going to smaller powers.  A common power scaling raises
-    both rates, so the winner keeps its value at a smaller scale only where a
-    cap binds or the value is 0; it is scaled down to the smallest such scale
-    (to within 2**-_SHRINK_STEPS).  Returns (value, p_u, p_d).
+    evaluate(pu, pd) returns (up, down, *free), the terms whose min is the
+    objective.  Along p_u = p_u_max, up falls and down rises with p_d, as
+    r_u and the treat-as-noise r_d do; along p_d = p_d_max the roles swap
+    (fronthaul caps only flatten them).  A free term is monotone along each
+    edge in the direction its two ends show, and joins the terms it moves with
+    there.  Each pass samples both brackets at len(_WINDOW) points and keeps
+    the step where the falling terms drop below the rising ones, until every
+    bracket is within float eps of its upper end (at most _EDGE_CUTS passes:
+    subnormal brackets never are), so an optimum at any fraction of the budget
+    is found.  The better bracket end wins, exact ties going to smaller
+    powers.  A common power scaling lowers no term (every SINR is a standard
+    interference function), so the winner keeps its value at a smaller scale
+    only where a cap binds or the value is 0; it is scaled down to the
+    smallest such scale (to within 2**-_SHRINK_STEPS).  Returns (value, p_u, p_d).
     """
     first = np.array([[True], [False]])  # row 0: p_u = p_u_max; row 1: p_d = p_d_max
     u_max, d_max = p_u_max[:, None, None], p_d_max[:, None, None]
 
     def edges(t):  # t places p_d on the first edge and p_u on the second
         return np.where(first, u_max, t * u_max), np.where(first, t * d_max, d_max)
+
+    falls = [f[..., 1:] < f[..., :1] for f in evaluate(*edges(np.array([0.0, 1.0])))[2:]]
+
+    def grouped(pu, pd):  # the least falling and the least rising term along each edge
+        up, down, *free = evaluate(pu, pd)
+        falling, rising = np.where(first, up, down), np.where(first, down, up)
+        for term, down_edge in zip(free, falls):
+            falling = np.where(down_edge, np.minimum(falling, term), falling)
+            rising = np.where(down_edge, rising, np.minimum(rising, term))
+        return falling, rising
 
     n = p_u_max.size
     lo, hi = np.zeros((n, 2, 1)), np.ones((n, 2, 1))
@@ -591,13 +633,13 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
         if (hi - lo <= _EPS * hi).all():
             break
         t = lo + (hi - lo) * _WINDOW
-        r_u, r_d = evaluate(*edges(t))
-        behind = np.where(first, r_u - r_d, r_d - r_u) < 0.0  # monotone along each row
+        falling, rising = grouped(*edges(t))
+        behind = falling - rising < 0.0  # monotone along each row
         k = np.where(behind.any(axis=2), behind.argmax(axis=2), last + 1)[..., None]
         lo = np.take_along_axis(t, np.maximum(k - 1, 0), axis=2)
         hi = np.take_along_axis(t, np.minimum(k, last), axis=2)
     pu, pd = edges(np.concatenate([lo, hi], axis=2))
-    ends = np.minimum(*evaluate(pu, pd))
+    ends = np.minimum(*grouped(pu, pd))
     value, p_u, p_d = np.array(
         [
             max(zip(v.ravel(), u.ravel(), d.ravel()), key=lambda e: (e[0], -e[1], -e[2]))
@@ -605,9 +647,9 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
         ]
     ).T
 
-    def holds(t):
-        r_u, r_d = evaluate((t * p_u)[:, None, None], (t * p_d)[:, None, None])
-        return np.minimum(r_u, r_d)[:, 0, 0] >= value
+    def holds(t):  # either edge's grouping holds every term
+        falling, rising = grouped((t * p_u)[:, None, None], (t * p_d)[:, None, None])
+        return np.minimum(falling, rising)[:, 0, 0] >= value
 
     lo, hi = np.zeros(n), np.ones(n)
     shrink = (value > 0.0) & holds(np.full(n, 1.0 - 2.0**-_SHRINK_STEPS))
@@ -693,33 +735,66 @@ def _profile_max(row_best, pu, seed, p_u_max, p_d_max):
 def _max_min_search(rates, p_u_max, p_d_max, sic: SicMode):
     """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max].
 
-    rates(b, pu, pd, receiver) -> (r_u, r_d) evaluates the points in slice b
-    of the batch at power arrays whose leading axis runs over them; r_d is
-    that of the treat-as-noise receiver or of the branch decoding the
-    co-located uplink first, min(t1, t2 - r_u) (see _receive).
+    rates(b, pu, pd, receiver) -> (r_u, r_d) evaluates the points b of the
+    batch, a slice or an array of indices, at power arrays whose leading axis
+    runs over them; r_d is that of the receiver (see _receive).
 
     Treat-as-noise: both SINRs are standard interference functions (Yates,
     IEEE JSAC 1995), so scaling (p_u, p_d) up raises both rates and the
     optimum lies on a budget edge, where _edge_optimum finds it exactly.
 
     SIC: as t3 <= t1, min(r_u, q(t1, t2 - r_u, t3)) is the larger of the
-    treat-as-noise objective min(r_u, t3) and the decode-first one
-    min(r_u, t1, t2 - r_u), which can peak inside the box.  _profile_max
-    searches it from DEFAULT_GRID rows of p_u, each scanned at DEFAULT_GRID
-    values of p_d, and from the best points of both budget edges scanned at
-    DEFAULT_GRID**2 points; it replaces the treat-as-noise optimum only when
-    better by over _TIE_TOL.  No call to rates evaluates more elements
-    than the first row scan of one point (_CALL_LIMIT), so the edge scans and
-    the first row scan go one point at a time and the rest in groups of
-    points.  Returns (value, p_u, p_d), each an (n,) array.
+    treat-as-noise objective and the decode-first one V = min(r_u, t1,
+    t2 - r_u), which can peak inside the box, as t2 - r_u can fall when both
+    powers grow.  As min(r_u, t2 - r_u) <= t2/2, V is at most the bound
+    M = min(r_u, t1, t2/2), with the same caps.  Each SINR of M is a standard
+    interference function, so M peaks on a budget edge too, and t2/2 is
+    monotone along each edge, its SINR being linear-fractional in the free
+    power: _edge_optimum finds M's maximum M* exactly.  A point whose M* is
+    at most _TIE_TOL above the treat-as-noise optimum keeps that optimum; one
+    whose V at M's argmax is within _TIE_TOL of M* takes that argmax, optimal
+    to within _TIE_TOL.  Only the other points go to _profile_search, as a
+    batch of their own.  A decode-first point replaces the treat-as-noise
+    optimum only when better by over _TIE_TOL.  Returns (value, p_u, p_d),
+    each an (n,) array.
     """
-    def treat_as_noise(b, pu, pd):
-        return rates(b, pu, pd, _TAN)
+    def on_edges(fn):
+        return lambda pu, pd: _in_chunks(fn, pu, pd)
 
-    best = _edge_optimum(lambda pu, pd: _in_chunks(treat_as_noise, pu, pd), p_u_max, p_d_max)
+    best = _edge_optimum(on_edges(lambda b, pu, pd: rates(b, pu, pd, _TAN)), p_u_max, p_d_max)
     if sic is _TAN:
         return best
 
+    def bound(b, pu, pd):  # M's terms: r_u, t1 and the free t2/2
+        r_u, (t1, half) = rates(b, pu, pd, _BOUND)
+        return r_u, t1, half
+
+    def decode_first(b, pu, pd):
+        return (np.minimum(*rates(b, pu, pd, _DECODE_FIRST)),)
+
+    top, p_u, p_d = _edge_optimum(on_edges(bound), p_u_max, p_d_max)
+    (value,) = _in_chunks(decode_first, p_u[:, None, None], p_d[:, None, None])
+    found = [value[:, 0, 0], p_u, p_d]
+    contested = top > best[0] + _TIE_TOL  # elsewhere M* leaves treat-as-noise optimal
+    rest = np.flatnonzero(contested & (found[0] < top - _TIE_TOL))  # M* not attained
+    if rest.size:
+        searched = _profile_search(
+            lambda b, *args: rates(rest[b], *args), p_u_max[rest], p_d_max[rest]
+        )
+        for x, y in zip(found, searched):
+            x[rest] = y
+    better = contested & (found[0] > best[0] + _TIE_TOL)
+    return tuple(np.where(better, f, b) for f, b in zip(found, best))
+
+
+def _profile_search(rates, p_u_max, p_d_max):
+    """The decode-first optimum, searched by _profile_max from DEFAULT_GRID
+    rows of p_u, each scanned at DEFAULT_GRID values of p_d, and from the
+    best points of both budget edges scanned at DEFAULT_GRID**2 points.  No
+    call to rates evaluates more elements than the first row scan of one
+    point (_CALL_LIMIT), so the edge scans and the first row scan go one
+    point at a time and the rest in groups of points.  Returns (value, p_u,
+    p_d), each an (n,) array."""
     def decode_first(b, pu, pd):
         return np.minimum(*rates(b, pu, pd, _DECODE_FIRST))
 
@@ -735,9 +810,7 @@ def _max_min_search(rates, p_u_max, p_d_max, sic: SicMode):
         best_d = edge_d[np.argmax(decode_first(b, u_max[None, None, None], edge_d[None, None]))]
         pu.append(np.append(np.linspace(0.0, u_max, DEFAULT_GRID), [u_max, best_u]))
         seed.append(np.append(np.zeros(DEFAULT_GRID), [best_d, d_max]))  # scanned rows: no seed
-    challenger = _profile_max(row_best, np.array(pu), np.array(seed), p_u_max, p_d_max)
-    better = challenger[0] > best[0] + _TIE_TOL
-    return tuple(np.where(better, c, b) for c, b in zip(challenger, best))
+    return _profile_max(row_best, np.array(pu), np.array(seed), p_u_max, p_d_max)
 
 
 # ----------------------------------------------------------------------------
@@ -773,5 +846,5 @@ def compute_scheme(
     family, sic = SCHEMES[scheme]
     if full_power and sic is not None:
         k = _consts(family, sic, [params])[0]
-        return _fd_result(family, k, sic, params.p_u_max, params.p_d_max)
+        return _fd_result(family, k, params.c_u, sic, params.p_u_max, params.p_d_max)
     return compute_batch(scheme, [params])[0]

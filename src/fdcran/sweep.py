@@ -33,20 +33,11 @@ value's budgets, or one full-duplex max-min power search for the whole
 block, in kernel calls no larger than those of a one-point search.  The
 block size bounds the solver's memory whatever the sweep length, and
 MAX_SWEEP_VALUES bounds the sweep.  C-RAN rows are exact (closed forms, see
-rates), so a sweep has no quadrature setting, and the SIC search scans at
-one fixed resolution (rates.DEFAULT_GRID), so it has no resolution setting
-either.
-
-Where more than one CPU is usable and a block has enough SIC rows to repay
-a fork (fig2 and fig3 have), run_sweep forks a pool of worker processes for
-its duration.  The pool takes only the SIC max-min searches, the one costly
-part of a block: the workers solve each SIC scheme's batch in contiguous
-chunks of values while this process solves the other schemes, and this
-process builds the block's rows once every result is in.  A value gets the
-same bits in any batch, so the rows, and the CSV and SVG files, do not
-depend on the number of CPUs.  With one usable CPU, no fork, few SIC rows,
-or another thread running, the sweep runs serially in this process, as a
-block does again if anything fails on the pool, a worker dying included.
+rates), so a sweep has no quadrature setting, and the SIC search is solved
+from its bound on the budget edges, falling back to scans at one fixed
+resolution (rates.DEFAULT_GRID) only where the bound is not attained, so it
+has no resolution setting either.  A sweep runs in this one process: with
+the SIC search this cheap, worker processes would cost more than they save.
 
 Under --verify the oracles run in this process after each block's solve:
 the circulant ring checks each C-RAN uplink rate, and oracle.certified_max_min
@@ -58,13 +49,11 @@ temporary to 8,192 values, so its memory does not grow with the budgets.
 """
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field, fields, replace
 
 from .model import SchemeId, SystemParams, db_to_linear
 from .oracle import DEFAULT_CELLS, certified_max_min, circulant_uplink_rate
-from .rates import SCHEMES, SicMode, compute_batch, compute_scheme
+from .rates import SCHEMES, compute_batch, compute_scheme
 
 __all__ = [
     "CSV_COLUMNS",
@@ -348,12 +337,6 @@ def serialize_spec(spec: SweepSpec) -> str:
 # running sweeps
 
 _BLOCK = 64  # sweep values solved together; fig2 and fig3 take one block each
-# SIC points of a block per pool worker.  On two CPUs, forking, starting and
-# shutting down a pool costs 15-30 ms, a SIC point 5-12 ms of a batched
-# search, and the other rows well under 1 ms each, so two workers were
-# slower than one process up to 8-12 SIC points and faster from 16; fig2
-# and fig3, with 50 and 66, fork two
-_SIC_POINTS_PER_WORKER = 8
 _DIAGNOSTICS = CSV_COLUMNS[6:]  # the RateResult.diagnostics a row carries, in SweepRow's order
 
 
@@ -387,99 +370,27 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     memory.  Within a block each scheme is solved for all values at once
     (compute_batch).  After a block raises, compute_scheme replays its rows
     in (value, scheme) order, so the error is that of the first failing row.
-
-    When a block has _SIC_POINTS_PER_WORKER SIC (value, scheme) pairs for
-    each of at least two workers and more than one CPU is usable, run_sweep
-    forks a pool of worker processes, one per usable CPU but no more than
-    that; below it, forking the pool costs more than it saves.  The pool
-    solves only the SIC searches, which take nearly all of a block's time:
-    each SIC scheme's batch goes to the workers in contiguous chunks of
-    values, while this process solves every other scheme, then collects the
-    chunks, builds the rows and, under spec.oracle, runs every oracle.  A
-    point gets the same result in any batch, so the rows do not depend on the
-    number of workers.
-    If anything fails on the pool, the block is computed again on the serial
-    path, which decides the error.  The pool is forked here, so its workers
-    see the caller's state, and it is shut down before run_sweep returns.
+    Under spec.oracle each block's rows get their oracle values.
     """
     values = spec.values()
-    sic = sum(SCHEMES[s][1] is SicMode.SIC for s in spec.schemes)
-    workers = min(sic * min(len(values), _BLOCK) // _SIC_POINTS_PER_WORKER, _usable_cpus())
-    pool = _fork_pool(workers) if workers > 1 else None
     rows = []
-    try:
-        for start in range(0, len(values), _BLOCK):
-            rows += _run_block(spec, values[start : start + _BLOCK], pool, workers)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for start in range(0, len(values), _BLOCK):
+        rows += _run_block(spec, values[start : start + _BLOCK])
     return rows
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, or 1 where it cannot fork workers safely:
-    a child forked while another Python thread runs could inherit a lock that
-    thread holds, and never see it released."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _fork_pool(workers: int):
-    """A pool of worker processes forked from this one."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-
-
-def _run_block(spec: SweepSpec, block, pool, workers: int) -> list[SweepRow]:
-    """Rows of one block, its SIC searches solved on the pool if there is
-    one, and under spec.oracle with their certified optima, found in this
-    process."""
-    rows = None
-    if pool is not None:
-        try:
-            rows = _solve_block(spec, block, pool, workers)
-        except Exception:  # a worker, or the pool itself, failed: the serial path decides
-            pass
-    if rows is None:
-        try:
-            rows = _solve_block(spec, block)
-        except ValueError:
-            for value in block:  # the first failing row in (value, scheme) order raises
-                for scheme in spec.schemes:
-                    compute_scheme(scheme, spec.params_at(value))
-            raise
-    if spec.oracle:
-        _attach_certified(spec, rows)
-    return rows
-
-
-def _solve_block(spec: SweepSpec, block, pool=None, workers: int = 1) -> list[SweepRow]:
-    """Rows of one block, each scheme's points solved by compute_batch.  On a
-    pool, each SIC scheme's batch is cut into workers contiguous chunks of
-    points for the workers, while this process solves the other schemes."""
+def _run_block(spec: SweepSpec, block) -> list[SweepRow]:
+    """Rows of one block, each scheme's points solved by compute_batch, and
+    under spec.oracle with their oracle values: the circulant check of each
+    C-RAN row and the certified optima."""
     points = [spec.params_at(value) for value in block]
-    chunks = {}  # each SIC scheme's futures on the pool, in the order of points
-    if pool is not None:
-        n = min(workers, len(points))
-        cuts = [len(points) * i // n for i in range(n + 1)]
-        parts = [points[a:b] for a, b in zip(cuts, cuts[1:])]
-        for s in spec.schemes:
-            if SCHEMES[s][1] is SicMode.SIC:
-                chunks[s] = [pool.submit(compute_batch, s, part) for part in parts]
-    solved = {s: compute_batch(s, points) for s in spec.schemes if s not in chunks}
-    for s, futures in chunks.items():
-        solved[s] = [result for future in futures for result in future.result()]
-    return _block_rows(spec, block, points, solved)
-
-
-def _block_rows(spec: SweepSpec, block, points, solved: dict) -> list[SweepRow]:
-    """Rows of one block at its points, each scheme's results taken from
-    solved.  Under spec.oracle the C-RAN rows get their circulant check here."""
+    try:
+        solved = {s: compute_batch(s, points) for s in spec.schemes}
+    except ValueError:
+        for value in block:  # the first failing row in (value, scheme) order raises
+            for scheme in spec.schemes:
+                compute_scheme(scheme, spec.params_at(value))
+        raise
     rows = []
     for i, (value, params) in enumerate(zip(block, points)):
         for scheme in spec.schemes:
@@ -491,6 +402,8 @@ def _block_rows(spec: SweepSpec, block, points, solved: dict) -> list[SweepRow]:
             if spec.oracle and SCHEMES[scheme][0] == "cran":
                 _attach_circulant(row, params)
             rows.append(row)
+    if spec.oracle:
+        _attach_certified(spec, rows)
     return rows
 
 

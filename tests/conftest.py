@@ -1,4 +1,3 @@
-import os
 from dataclasses import replace
 
 import pytest
@@ -9,11 +8,9 @@ from fdcran.sweep import preset_spec, run_sweep
 
 @pytest.fixture(scope="session")
 def fig3_verify_rows():
-    """The rows of `fdcran sweep --preset fig3 --verify` on the serial path
-    (one usable CPU), computed once per session; tests must not change them."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        return run_sweep(replace(preset_spec("fig3"), oracle=True))
+    """The rows of `fdcran sweep --preset fig3 --verify`, computed once per
+    session; tests must not change them."""
+    return run_sweep(replace(preset_spec("fig3"), oracle=True))
 
 
 @pytest.fixture

@@ -74,7 +74,9 @@ def test_sweeps_longer_than_a_block_keep_every_row():
 
 
 def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
-    # every objective evaluation of the search calls the family's uplink kernel once
+    # every objective evaluation of the search calls the family's uplink kernel
+    # once; DOMAIN[5] is one of the points whose decode-first bound is not
+    # attained, so its search falls back to the row scans
     sizes = []
     kernel = rates._scp_uplink
 
@@ -83,7 +85,7 @@ def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
         return kernel(k, p_u, p_d)
 
     monkeypatch.setattr(rates, "_scp_uplink", recording)
-    compute_scheme(SchemeId.FD_SCP_SIC, DOMAIN[0])
+    compute_scheme(SchemeId.FD_SCP_SIC, DOMAIN[5])
     one_point = (len(sizes), max(sizes))
     sizes.clear()
     compute_batch(SchemeId.FD_SCP_SIC, DOMAIN)

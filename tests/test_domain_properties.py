@@ -102,8 +102,8 @@ def test_equal_rate_does_not_fall_as_a_budget_grows(params, more_u_db, more_d_db
     For the full-duplex schemes a larger budget only enlarges the box the
     search maximizes over.  The half-duplex C-RAN uplink's quantization noise
     grows with P_u, so there it is tested, not assumed.  Budgets here reach
-    40 dB; the SIC loss seen at 150-200 dB (CHANGES.md, FOUND) lies outside
-    this domain and is not covered by this property.
+    40 dB; the SIC optimum at 150-200 dB is checked against its certificate
+    in test_cli.
     """
     more_u = replace(params, p_u_max=params.p_u_max * db_to_linear(more_u_db))
     more_d = replace(params, p_d_max=params.p_d_max * db_to_linear(more_d_db))

@@ -1,15 +1,23 @@
 """Seeded properties of the full-duplex max-min power solver over the paper's
 parameter domain, each checked against a dense grid that shares no code with
-the solver's search objective."""
+the solver's search objective, and of the bound that the SIC search solves
+first: it does not fall as both powers scale up, and solving it loses
+nothing against the row-scan search alone."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fdcran.model import SystemParams, db_to_linear
+import fdcran.rates as rates
+from fdcran.model import NumericDomainError, SchemeId, SystemParams, db_to_linear
 from fdcran.oracle import exhaustive_power_opt
-from fdcran.rates import SicMode, fd_cran, fd_scp
+from fdcran.rates import SicMode, compute_batch, fd_cran, fd_scp
 from fdcran.spectral import h_tilde, rate_closed_form, rate_integral, rg, zf_precoder
 from fdcran.sweep import preset_spec
+from test_domain_properties import EXAMPLES, domain, huge_db
 
 TAN = SicMode.TREAT_AS_NOISE
 SIC = SicMode.SIC
@@ -102,3 +110,85 @@ def test_rate_closed_form_matches_quadrature(alpha):
     scalar = rate_closed_form(7.0, alpha)
     assert isinstance(scalar, float)
     assert scalar == pytest.approx(rate_integral(7.0, alpha, 4096), abs=1e-12)
+
+
+# ----------------------------------------------------------------------------
+# the decode-first bound M = min(r_u, t1, t2/2) of the SIC search
+
+
+def _bound(family: str, params, p_u: float, p_d: float) -> float:
+    """M at the powers (p_u, p_d), from the family's kernels in the point's unit."""
+    k = rates._consts(family, SIC, [params])[0]
+    uplink, downlink = rates._kernels(family)
+    r_u = rates._at(uplink, k, p_u, p_d)
+    return float(min(r_u, *rates._at(downlink, k, p_u, p_d, r_u, rates._BOUND)))
+
+
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
+@given(domain, huge_db, huge_db, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_the_bound_does_not_fall_as_both_powers_scale_up(params, u_db, d_db, u, d, scale):
+    # the premise that puts M's maximum on the budget edges; (u P_u, d P_d)
+    # stays in the box, and scale <= 1 shrinks it towards the origin
+    point = replace(params, p_u_max=db_to_linear(u_db), p_d_max=db_to_linear(d_db))
+    p_u, p_d = u * point.p_u_max, d * point.p_d_max
+    for family in ("scp", "cran"):
+        try:
+            high = _bound(family, point, p_u, p_d)
+        except NumericDomainError:  # sigma_u^2 past the float range: no rates
+            continue
+        low = _bound(family, point, scale * p_u, scale * p_d)
+        assert high >= low - 1e-12 * abs(low), family
+
+
+def _searched_by_rows_alone(monkeypatch) -> None:
+    """Give every point an infinite decode-first bound, which no point
+    attains, so that every SIC point goes through the row-scan search."""
+    edge_optimum = rates._edge_optimum
+
+    def unbounded(evaluate, p_u_max, p_d_max):
+        if len(evaluate(p_u_max[:, None, None], p_d_max[:, None, None])) == 3:  # M's terms
+            return np.full(p_u_max.shape, np.inf), p_u_max, p_d_max
+        return edge_optimum(evaluate, p_u_max, p_d_max)
+
+    monkeypatch.setattr(rates, "_edge_optimum", unbounded)
+
+
+SIC_SCHEMES = (SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC)
+
+
+@pytest.mark.parametrize("raise_db", [0.0, 20.0, 50.0])
+@pytest.mark.parametrize("scheme", SIC_SCHEMES, ids=lambda s: s.value)
+def test_the_bound_loses_nothing_against_the_row_scans_alone(monkeypatch, scheme, raise_db):
+    gain = db_to_linear(raise_db)
+    points = [replace(p, p_u_max=p.p_u_max * gain, p_d_max=p.p_d_max * gain) for p in DOMAIN]
+    solved = [r.r_eq for r in compute_batch(scheme, points)]
+    with monkeypatch.context() as patch:
+        _searched_by_rows_alone(patch)
+        scanned = [r.r_eq for r in compute_batch(scheme, points)]
+    assert all(a >= b for a, b in zip(solved, scanned)), list(zip(solved, scanned))
+
+
+def test_points_whose_bound_is_not_attained_still_reach_the_row_scans(monkeypatch):
+    searched = []
+    profile_search = rates._profile_search
+
+    def counted(rates_of, p_u_max, p_d_max):
+        searched.append(len(p_u_max))
+        return profile_search(rates_of, p_u_max, p_d_max)
+
+    monkeypatch.setattr(rates, "_profile_search", counted)
+    fig3 = preset_spec("fig3")
+    for scheme, point in (
+        (SchemeId.FD_CRAN_SIC, fig3.params_at(3.5)),
+        (SchemeId.FD_SCP_SIC, DOMAIN[5]),
+        (SchemeId.FD_SCP_SIC, DOMAIN[17]),
+    ):
+        searched.clear()
+        compute_batch(scheme, [point])
+        assert searched == [1], (scheme, point)
+    # fig2's SIC points all attain their bound or are settled by it
+    fig2 = preset_spec("fig2")
+    searched.clear()
+    for scheme in SIC_SCHEMES:
+        compute_batch(scheme, [fig2.params_at(v) for v in fig2.values()])
+    assert searched == []

@@ -1,10 +1,5 @@
-import concurrent.futures
 import math
-import multiprocessing
-import os
-import threading
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +12,7 @@ import fdcran.spectral
 import fdcran.sweep
 from fdcran.model import SchemeId, ZfSingularError
 from fdcran.oracle import exhaustive_power_opt
-from fdcran.rates import SCHEMES, SicMode
+from fdcran.rates import SicMode
 from fdcran.sweep import (
     CSV_COLUMNS,
     MAX_SWEEP_VALUES,
@@ -37,8 +32,6 @@ from fdcran.sweep import (
 )
 
 from test_oracle import _SizeProbe
-
-DATA = Path(__file__).parent / "data"
 
 
 def small_spec(**kw) -> SweepSpec:
@@ -371,7 +364,7 @@ def test_first_failing_row_decides_the_error(monkeypatch):
         raise ValueError("power search failed")
 
     # a failing power search fails every full-duplex row: (0.3, fd_scp) is the
-    # first; forked workers inherit the patch
+    # first
     monkeypatch.setattr(fdcran.rates, "_max_min_search", failing_search)
     with pytest.raises(ValueError, match="power search failed"):
         run_sweep(spec)
@@ -419,7 +412,6 @@ def test_fig3_verify_builds_no_grid_and_certifies_once_per_block_and_scheme(
     monkeypatch.setattr(fdcran.sweep, "certified_max_min", counted)
     probe = _SizeProbe()
     monkeypatch.setattr(fdcran.oracle, "np", probe)
-    _force_cpus(monkeypatch, 1)
     assert run_sweep(replace(preset_spec("fig3"), oracle=True)) == fig3_verify_rows
     # fig3's 33 values make one block
     assert calls == [("scp", SicMode.TREAT_AS_NOISE, 33), ("scp", SicMode.SIC, 33),
@@ -434,154 +426,3 @@ def test_a_receiver_verified_alone_gets_the_rows_of_the_full_run(fig3_verify_row
     assert all(r.oracle_r_eq is not None for r in alone)
     # rows compare field by field, oracle_r_eq included
     assert alone == [r for r in fig3_verify_rows if r.scheme is scheme]
-
-
-# ----------------------------------------------------------------------------
-# the worker pool of run_sweep
-
-
-def _force_cpus(monkeypatch, n: int) -> None:
-    """Let run_sweep see n usable CPUs (never more than 3 in these tests)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def _fork_for_any_sic_row(monkeypatch) -> None:
-    """Let a sweep far too small to repay a pool fork one: a worker per SIC row."""
-    monkeypatch.setattr(fdcran.sweep, "_SIC_POINTS_PER_WORKER", 1)
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Every process pool constructed while the test runs."""
-    made = []
-
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.submitted = []  # (fn, args) of each task, in submission order
-            made.append(self)
-
-        def submit(self, fn, *args):
-            self.submitted.append((fn, args))
-            return super().submit(fn, *args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-    return made
-
-
-def _pooled(spec, monkeypatch, pools):
-    """Rows of spec on a pool of two workers."""
-    _force_cpus(monkeypatch, 2)
-    rows = run_sweep(spec)
-    assert len(pools) == 1 and pools[0]._max_workers == 2
-    assert multiprocessing.active_children() == []  # no worker outlives run_sweep
-    return rows
-
-
-def test_fig3_verify_rows_do_not_depend_on_the_worker_count(fig3_verify_rows, monkeypatch, pools):
-    pooled = _pooled(replace(preset_spec("fig3"), oracle=True), monkeypatch, pools)
-    assert pooled == fig3_verify_rows  # computed on one usable CPU
-    certified = (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN)
-    assert all((r.oracle_r_eq is not None) == (r.scheme in certified) for r in pooled)
-
-
-def test_a_two_block_sweep_does_not_depend_on_the_worker_count(monkeypatch, pools):
-    spec = SweepSpec(  # 81 values: a block of 64 and one of 17
-        start=0.0, stop=12.0, step=0.15,
-        schemes=(SchemeId.HD_CRAN, SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN),
-    )
-    _force_cpus(monkeypatch, 1)
-    serial = run_sweep(spec)
-    assert pools == []
-    assert _pooled(spec, monkeypatch, pools) == serial
-    assert len(serial) == 81 * 4
-
-
-def test_first_failing_row_decides_the_error_on_a_pool(monkeypatch, pools):
-    _force_cpus(monkeypatch, 2)
-    _fork_for_any_sic_row(monkeypatch)
-    test_first_failing_row_decides_the_error(monkeypatch)
-    assert len(pools) == 3
-    assert multiprocessing.active_children() == []
-
-
-def test_a_half_duplex_sweep_forks_no_pool(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a half-duplex sweep constructed a process pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    _force_cpus(monkeypatch, 2)
-    spec = small_spec(schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN), oracle=True)
-    assert len(run_sweep(spec)) == 3 * 2
-
-
-def test_a_sweep_with_too_few_sic_rows_forks_no_pool(monkeypatch):
-    # one value of every scheme: forking would cost more than the two SIC rows
-    def refuse(workers):
-        raise AssertionError(f"a one-value sweep forked a pool of {workers}")
-
-    monkeypatch.setattr(fdcran.sweep, "_fork_pool", refuse)
-    _force_cpus(monkeypatch, 2)
-    spec = small_spec(start=4.0, stop=4.0, schemes=tuple(SchemeId))
-    assert [r.scheme for r in run_sweep(spec)] == list(SchemeId)
-
-
-def test_fig2_forks_two_workers_on_two_cpus(monkeypatch, pools, tmp_path):
-    rows = _pooled(preset_spec("fig2"), monkeypatch, pools)
-    emit_csv(rows, tmp_path / "fig2.csv")
-    assert (tmp_path / "fig2.csv").read_bytes() == (DATA / "fig2.csv").read_bytes()
-
-
-_SOLVED_HERE = []  # (scheme, number of points) of each compute_batch call in this process
-
-
-def _recorded_batch(scheme, points):
-    """compute_batch, recording its calls in _SOLVED_HERE; pickled by name,
-    so a pool worker runs it too, into a list of its own."""
-    _SOLVED_HERE.append((scheme, len(points)))
-    return fdcran.rates.compute_batch(scheme, points)
-
-
-def test_the_pool_receives_only_the_sic_searches(monkeypatch, pools, tmp_path):
-    monkeypatch.setattr(fdcran.sweep, "compute_batch", _recorded_batch)
-    _SOLVED_HERE.clear()
-    emit_csv(_pooled(preset_spec("fig2"), monkeypatch, pools), tmp_path / "fig2.csv")
-    assert (tmp_path / "fig2.csv").read_bytes() == (DATA / "fig2.csv").read_bytes()
-    # fig2's 25 values are one block: each SIC scheme goes in two chunks of values
-    sic = [s for s in SchemeId if SCHEMES[s][1] is SicMode.SIC]
-    submitted = [(fn, s, len(points)) for fn, (s, points) in pools[0].submitted]
-    assert submitted == [(_recorded_batch, s, n) for s in sic for n in (12, 13)]
-    assert _SOLVED_HERE == [(s, 25) for s in SchemeId if s not in sic]
-
-
-def _die_in_a_worker(scheme, points):
-    """compute_batch, but a pool worker given a SIC chunk dies at once."""
-    if multiprocessing.parent_process() is not None and SCHEMES[scheme][1] is SicMode.SIC:
-        os._exit(1)
-    return fdcran.rates.compute_batch(scheme, points)
-
-
-def test_a_worker_that_dies_leaves_the_rows_to_the_serial_path(monkeypatch, pools):
-    spec = small_spec(schemes=tuple(SchemeId))
-    _force_cpus(monkeypatch, 1)
-    serial = run_sweep(spec)
-    monkeypatch.setattr(fdcran.sweep, "compute_batch", _die_in_a_worker)
-    _fork_for_any_sic_row(monkeypatch)
-    assert _pooled(spec, monkeypatch, pools) == serial
-
-
-def test_a_sweep_beside_another_thread_forks_no_pool(monkeypatch, pools):
-    # a child forked now could inherit a lock the other thread holds
-    _force_cpus(monkeypatch, 2)
-    _fork_for_any_sic_row(monkeypatch)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        rows = run_sweep(small_spec())
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    assert pools == []
-    assert len(rows) == 3 * 3
