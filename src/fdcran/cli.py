@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 configuration error, 3 numeric-domain error
 (including a singular zero-forcing inversion or a rate that overflows), 4
 oracle verification failure.  Rates are exact closed forms: no quadrature flag.
-The SIC power search scans at one fixed resolution: no grid flag.
+The SIC power search is solved from its bound on the budget edges, and the
+points whose bound is not attained fall back to scans at one fixed
+resolution: no grid flag.
 """
 
 import argparse
@@ -51,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Per-cell achievable rates for half/full-duplex cellular systems "
             "under single-cell processing or C-RAN operation.  The SIC power "
-            f"search scans at one fixed resolution of {DEFAULT_GRID} x {DEFAULT_GRID}."
+            "search is solved from its bound on the budget edges; points whose "
+            f"bound is not attained fall back to scans at {DEFAULT_GRID} x {DEFAULT_GRID}."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

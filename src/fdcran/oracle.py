@@ -15,8 +15,11 @@ each power, and the SIC term t2 is linear-fractional, so its maximum over a
 cell of the power box lies at a vertex; that bounds the objective over any
 cell.  A cell is discarded once its bound is at most CERTIFIED_EPS above the
 best point scored, so when none is left the true maximum lies in
-[best, best + CERTIFIED_EPS].  exhaustive_power_opt keeps a single dense grid
-with no refinement for full-duplex single-cell processing.
+[best, best + CERTIFIED_EPS].  The treat-as-noise objective does not fall
+as both powers scale up, so its search covers only the two upper budget
+edges; the SIC one, whose t2 - r_u can fall, covers the whole box.
+exhaustive_power_opt keeps a single dense grid with no refinement for
+full-duplex single-cell processing.
 
 Each oracle keeps formulas of its own rather than calling the rate kernels it
 checks, so a fault in a kernel cannot hide in its own gate.  Both hold every
@@ -205,18 +208,20 @@ def _form(family: str, p) -> _Form:
 
 
 def _ring(family: str, points):
-    """(ring, error per point) of the uplink: ring is None for single-cell
-    processing, which decodes each cell alone, else (cosines, weights).
+    """(ring, error per point) of the uplink, ring being (cosines, weights):
+    for single-cell processing, which decodes each cell alone, one cosine
+    of weight 1, whose eigenvalue is 1 as _form sets two_alpha = 0.
 
-    An n-cell ring samples the infinite array's rate integrand at n points;
-    its error falls as e**(-n acosh(1/(2 alpha))), so n = _RING_DEPTH /
-    acosh(1/(2 alpha)) for the largest alpha of the points, capped at
-    DEFAULT_CELLS, where the error is then returned for each point it exceeds
-    e**-_RING_DEPTH.  The eigenvalues 1 + 2 alpha cos(2 pi j / n) come in
-    pairs j, n - j, so only j <= n/2 are kept, weighted by their count / n.
+    For C-RAN an n-cell ring samples the infinite array's rate integrand at
+    n points; its error falls as e**(-n acosh(1/(2 alpha))), so n =
+    _RING_DEPTH / acosh(1/(2 alpha)) for the largest alpha of the points,
+    capped at DEFAULT_CELLS, where the error is then returned for each point
+    it exceeds e**-_RING_DEPTH.  The eigenvalues 1 + 2 alpha cos(2 pi j / n)
+    come in pairs j, n - j, so only j <= n/2 are kept, weighted by their
+    count / n.
     """
     if family == "scp":
-        return None, [0.0] * len(points)
+        return (np.ones(1), np.ones(1)), [0.0] * len(points)
     decay = [math.acosh(0.5 / p.alpha) if p.alpha > 0.0 else math.inf for p in points]
     n = min(DEFAULT_CELLS, max(_MIN_CELLS, math.ceil(_RING_DEPTH / min(decay))))
     j = np.arange(n // 2 + 1)
@@ -234,11 +239,8 @@ def _constants(family: str, points):
 
 def _terms(cols, ring, row):
     """(k, samples) at the points row, an index array: their _Form
-    constants, and their ring's (lam_j^2, weights), or None for single-cell
-    processing."""
+    constants, and their ring's (lam_j^2, weights)."""
     k = _Form(*(col[row] for col in cols))
-    if ring is None:
-        return k, None
     lam = 1.0 + k.two_alpha[:, None] * ring[0]
     return k, (lam * lam, ring[1])
 
@@ -247,8 +249,6 @@ def _uplink(k, ring, pu, pd):
     """r_u at powers whose last axis runs over k's points, ring their samples
     from _terms."""
     s = pu / (k.unit + k.quant * (k.base + k.f * pu + k.h * pd))
-    if ring is None:
-        return np.minimum(np.log2(1.0 + s), k.cap_u)
     lam2, weights = ring
     with np.errstate(over="ignore"):
         x = s[..., None] * lam2
@@ -335,34 +335,41 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
     processing family ('scp' or 'cran', zero forcing) and receiver sic, at
     each of a sequence of operating points, all searched at once.
 
-    Each point starts from its whole box [0, p_u_max] x [0, p_d_max], with
-    its four budget corners and its argmax from argmaxes, a (p_u, p_d) such as
-    a solver's, scored.  Every round, each cell whose bound (_bound) exceeds
-    its point's best score by more than eps is halved (_halves), and each new
-    cell's top corner and centre are scored.  A round's scores prune cells
-    from the next round on, so a point gets the same result in any batch.  When
-    no cell is left, the point's maximum lies in [r_eq, r_eq + eps]: eps is
-    CERTIFIED_EPS plus, for C-RAN at an alpha so close to 1/2 that the ring
-    reaches DEFAULT_CELLS, the ring's error (_ring), or, for a point whose
-    next round would take it past _MAX_CELLS cells, the largest bound of its
-    cells left, which ends its search.  The box is scanned in the point's
-    unit of power (_form), so no budget overflows a form.  Cells are halved in
-    groups small enough that no temporary, the ring's samples included, holds
-    more than _BLOCK_ELEMENTS values.  Returns one Certified(r_eq, eps, cells)
-    per point, cells counting the bounds evaluated.
+    A treat-as-noise point starts from its two upper budget edges, the
+    zero-width cells {p_u_max} x [0, p_d_max] and [0, p_u_max] x {p_d_max}:
+    scaling both powers up lowers none of its terms (each SINR is a standard
+    interference function, Yates, IEEE JSAC 1995), so its maximum over the
+    box lies on them.  A SIC point, whose t2 - r_u can fall under that
+    scaling, starts from its whole box [0, p_u_max] x [0, p_d_max].  Each
+    point's four budget corners and its argmax from argmaxes, a (p_u, p_d)
+    such as a solver's, are scored.  Every round, each cell whose bound
+    (_bound) exceeds its point's best score by more than eps is halved
+    (_halves), and each new cell's top corner and centre are scored.  A
+    round's scores prune cells from the next round on, so a point gets the
+    same result in any batch.  When no cell is left, the point's maximum
+    lies in [r_eq, r_eq + eps]: eps is CERTIFIED_EPS plus, for C-RAN at an
+    alpha so close to 1/2 that the ring reaches DEFAULT_CELLS, the ring's
+    error (_ring), or, for a point whose next round would take it past
+    _MAX_CELLS cells, the largest bound of its cells left, which ends its
+    search.  The box is scanned in the point's unit of power (_form), so no
+    budget overflows a form.  Cells are halved in groups small enough that
+    no temporary, the ring's samples included, holds more than
+    _BLOCK_ELEMENTS values.  Returns one Certified(r_eq, eps, cells) per
+    point, cells counting the bounds evaluated.
     """
     n = len(points)
     cols, ring, ring_error = _constants(family, points)
     eps = CERTIFIED_EPS + np.array(ring_error)
     # a group of cells is scored at twice as many halves, at two points each
-    size = max(1, _BLOCK_ELEMENTS // (4 * (1 if ring is None else ring[0].size)))
+    size = max(1, _BLOCK_ELEMENTS // (4 * ring[0].size))
     unit = cols[-1]  # the scan runs in each point's unit of power (_form)
     u_max = np.array([p.p_u_max for p in points]) * unit
     d_max = np.array([p.p_d_max for p in points]) * unit
     arg_u, arg_d = (np.array(x, dtype=float) * unit for x in zip(*argmaxes))
 
+    edges = sic is not SicMode.SIC  # the maximum lies on the upper budget edges
     best = np.full(n, -np.inf)
-    cells = np.ones(n, dtype=np.int64)  # each point's box
+    cells = np.full(n, 2 if edges else 1, dtype=np.int64)  # each point's first cells
     bounded = []  # (cells, their bounds), each cell to be kept or discarded
     for at in range(0, n, size):
         row = np.arange(at, min(n, at + size))
@@ -370,7 +377,8 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
         u, d, zero = u_max[row], d_max[row], np.zeros(row.size)
         for pu, pd in ((zero, zero), (u, zero), (zero, d), (u, d), (arg_u[row], arg_d[row])):
             np.fmax.at(best, row, _value(sic, k, samples, pu, pd))
-        bounded.append(((row, zero, u, zero, d), _bound(sic, k, samples, zero, u, zero, d)))
+        for box in ((u, u, zero, d), (zero, u, d, d)) if edges else ((zero, u, zero, d),):
+            bounded.append(((row, *box), _bound(sic, k, samples, *box)))
     while bounded:
         kept, halves = [], np.zeros(n, dtype=np.int64)
         for cell, bound in bounded:

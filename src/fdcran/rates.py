@@ -19,14 +19,16 @@ schemes choose the operating powers (p_u, p_d) that maximize min(R_u, R_d):
 exactly on the budget edges for treat-as-noise, and for SIC's decode-first
 branch from an upper bound solved exactly on the same edges; only the points
 whose bound is not attained fall back to scans at one fixed resolution,
-DEFAULT_GRID (see _max_min_search).  compute_batch evaluates one scheme at a
-batch of operating points at once: half duplex as the kernels at (P_u, 0)
-and (0, P_d) for every point, full duplex as one power search (compute_scheme,
-hd_scp, hd_cran, fd_scp and fd_cran are its batch of one).  Every point of a
-batch gets bit-for-bit the result it gets alone.  Kernel calls are split
-along the batch axis so that none evaluates more elements than the largest
-call of a one-point search, _CALL_LIMIT; the fallback's DEFAULT_GRID**2
-budget-edge scans and first row scan therefore run one point at a time.
+DEFAULT_GRID (see _max_min_search).  _batch builds every result, of one
+scheme at a batch of operating points at once: half duplex as the kernels
+at (P_u, 0) and (0, P_d) for every point, full duplex as one power search
+and both kernels at its argmax, or at the budgets under full_power
+(compute_batch is _batch; compute_scheme, hd_scp, hd_cran, fd_scp and fd_cran
+are its batch of one).  Every point of a batch gets bit-for-bit the result it
+gets alone.  _in_chunks splits every kernel call along the batch axis so
+that none evaluates more elements than the largest call of a one-point
+search, _CALL_LIMIT; the fallback's DEFAULT_GRID**2 budget-edge scans and
+first row scan therefore run one point at a time.
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
@@ -37,7 +39,7 @@ p_d * 2**-c_d, so the radio unit transmits exactly p_d.
 import math
 from collections import namedtuple
 from enum import Enum
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -278,12 +280,9 @@ def _carried_uplink(sic: SicMode, r_u) -> float:
     return r_u
 
 
-def _check_precoder(params, precoder: Precoder, panels: int | None = None) -> None:
+def _check_precoder(params, precoder: Precoder) -> None:
     """A precoder passed in must be the zero-forcing one of params.alpha, at
-    any sampling, as its exact constants stand for it; panels, if given, must
-    match that sampling."""
-    if panels is not None and panels != precoder.panels:
-        raise ValueError(f"precoder is sampled at {precoder.panels} panels, got panels={panels}")
+    any sampling, as its exact constants stand for it."""
     if precoder.alpha != params.alpha:
         raise ValueError(f"precoder is for alpha={precoder.alpha!r}, not {params.alpha!r}")
 
@@ -326,9 +325,7 @@ def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
     return _finite("r_u", _at(_cran_uplink, k, params.p_u_max, 0.0)), float(sigma)
 
 
-def hd_cran_downlink(
-    params, precoder: Precoder, panels: int | None = None
-) -> tuple[float, float, float]:
+def hd_cran_downlink(params, precoder: Precoder) -> tuple[float, float, float]:
     """Downlink rate with central-unit precoding and fronthaul quantization.
 
     Stream power p_s = P_d (1 - 2**-c_d) and quantization noise
@@ -336,19 +333,17 @@ def hd_cran_downlink(
     nulls every inter-stream tap, so the rate is
     C(p_s h~_0^2 / (1 + sigma_d^2 (1 + 2 alpha^2))): full-duplex C-RAN's
     downlink at (0, P_d).  The precoder must be the zero-forcing one of
-    params.alpha (ValueError otherwise); panels, if given, must match its
-    sampling.  Returns (rate, sigma_d_sq, p_s).
+    params.alpha (ValueError otherwise).  Returns (rate, sigma_d_sq, p_s).
     """
-    rate = fd_cran_downlink(params, PowerAllocation(0.0, params.p_d_max), precoder, panels=panels)
+    rate = fd_cran_downlink(params, PowerAllocation(0.0, params.p_d_max), precoder)
     p_s, sigma = _downlink_powers(params.p_d_max, 2.0**-params.c_d)
     return rate, sigma, p_s
 
 
-def hd_cran(params, precoder: Precoder, panels: int = DEFAULT_PANELS) -> RateResult:
+def hd_cran(params, precoder: Precoder) -> RateResult:
     """Half-duplex C-RAN: both directions combined through the time split.
-    The precoder must be the zero-forcing one of params.alpha, and panels
-    must match its sampling."""
-    _check_precoder(params, precoder, panels)
+    The precoder must be the zero-forcing one of params.alpha."""
+    _check_precoder(params, precoder)
     return _batch("cran", None, [params])[0]
 
 
@@ -385,22 +380,18 @@ def fd_scp(params, sic: SicMode = SicMode.TREAT_AS_NOISE) -> RateResult:
     return _batch("scp", sic, [params])[0]
 
 
-def fd_cran_uplink(
-    params, powers: PowerAllocation, precoder: Precoder, panels: int = DEFAULT_PANELS
-) -> tuple[float, float]:
+def fd_cran_uplink(params, powers: PowerAllocation, precoder: Precoder) -> tuple[float, float]:
     """Full-duplex C-RAN uplink at given operating powers.
 
     The downlink-to-uplink interference raises the quantization noise through
     its received power 2 beta_du^2 (1 + R_g(2)) p_d, but the central unit
     knows the downlink signals and subtracts them after decompression, so
     only sigma_u^2 reaches the decoder.  The precoder must be the
-    zero-forcing one of params.alpha; panels must be a valid panel count but
-    changes nothing.  Returns (rate, sigma_u_sq); c_u = 0 gives sigma_u_sq =
-    inf and rate 0, and a sigma_u_sq that overflows a float at c_u > 0 raises
-    NumericDomainError.
+    zero-forcing one of params.alpha.  Returns (rate, sigma_u_sq); c_u = 0
+    gives sigma_u_sq = inf and rate 0, and a sigma_u_sq that overflows a
+    float at c_u > 0 raises NumericDomainError.
     """
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
-    _check_panel_count(panels)
     _check_precoder(params, precoder)
     k = _cran_consts(params, zf_constants(params.alpha))
     sigma = _checked_sigma_u_sq(k, params.c_u, powers.p_u, powers.p_d, budgets=False)
@@ -409,7 +400,7 @@ def fd_cran_uplink(
 
 def fd_cran_downlink(
     params, powers: PowerAllocation, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE,
-    r_u: float | None = None, panels: int | None = None,
+    r_u: float | None = None,
 ) -> float:
     """Full-duplex C-RAN downlink at given operating powers.
 
@@ -419,23 +410,19 @@ def fd_cran_downlink(
     to form q(t1, t2 - r_u, t3); r_u (required then) is the uplink rate the
     mobile must first decode.  No fronthaul cap applies here -- the fronthaul
     already enters through the quantization noise.  The precoder must be the
-    zero-forcing one of params.alpha; panels, if given, must match its
-    sampling.
+    zero-forcing one of params.alpha.
     """
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
-    _check_precoder(params, precoder, panels)
+    _check_precoder(params, precoder)
     r_u = _carried_uplink(sic, r_u)
     k = _cran_consts(params, zf_constants(params.alpha))
     return float(_at(_cran_downlink, k, powers.p_u, powers.p_d, r_u, sic))
 
 
-def fd_cran(
-    params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE, panels: int = DEFAULT_PANELS,
-) -> RateResult:
+def fd_cran(params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE) -> RateResult:
     """Full-duplex C-RAN equal rate: max-min over operating powers, found by
     _max_min_search.  The precoder must be the zero-forcing one of
-    params.alpha; panels must be a valid panel count but changes nothing."""
-    _check_panel_count(panels)
+    params.alpha."""
     _check_precoder(params, precoder)
     return _batch("cran", sic, [params])[0]
 
@@ -444,26 +431,18 @@ def fd_cran(
 # batches
 
 
-def _consts(family: str, sic, points) -> list:
-    """Kernel constants of each point, C-RAN with the exact zero-forcing terms
-    and sigma_u^2 checked, in plain floats, at the most power the scheme
-    spends: P_u alone in half duplex (sic None), else both budgets."""
+def _consts(family: str, sic, points) -> tuple:
+    """The points' kernel constants, C-RAN with the exact zero-forcing terms
+    and sigma_u^2 checked at the most power the scheme spends (P_u alone in
+    half duplex, sic None, else both budgets), stacked once: (of, columns)
+    of _stacked."""
     if family == "scp":
-        return [_scp_consts(p) for p in points]
-    consts = [_cran_consts(p, zf_constants(p.alpha)) for p in points]
+        return _stacked([_scp_consts(p) for p in points])
+    of, columns = _stacked([_cran_consts(p, zf_constants(p.alpha)) for p in points])
     p_u_max, p_d_max = _budgets(points)
-    k = _CranConsts(*_stacked(consts)[1])
+    k = _CranConsts(*columns)
     _checked_sigma_u_sq(k, _capacities(points), p_u_max, p_d_max * (sic is not None))
-    return consts
-
-
-def _batch(family: str, sic, points) -> list:
-    """Each point's result for the scheme of family and receiver sic (None:
-    half duplex), all points evaluated at once."""
-    consts = _consts(family, sic, points)
-    if sic is None:
-        return _hd_batch(family, consts, points)
-    return _fd_batch(family, consts, points, sic)
+    return of, columns
 
 
 def _stacked(rows):
@@ -485,78 +464,61 @@ def _stacked(rows):
     return of, columns
 
 
-def _hd_batch(family: str, consts, points) -> list:
-    """Half duplex at every point at once: the uplink kernel at (P_u, 0), the
-    downlink kernel at (0, P_d), and the time split that balances them, as
-    equal_rate_split forms it, bit for bit, for the whole batch."""
+def _batch(family: str, sic, points, full_power: bool = False) -> list:
+    """Each point's result for the scheme of family and receiver sic (None:
+    half duplex), the one place rows are built, all points at once.  Half
+    duplex evaluates the uplink kernel at (P_u, 0) and the downlink kernel at
+    (0, P_d), and balances them by the time split as equal_rate_split forms
+    it, bit for bit.  Full duplex evaluates both kernels at the power
+    search's argmax, or at the budgets if full_power, and reports their min.
+    The first point with a rate not finite raises, r_u checked before r_d."""
     uplink, downlink = _kernels(family)
-    of, columns = _stacked(consts)
+    of, columns = _consts(family, sic, points)
 
-    def rates(b, pu, pd):
+    def rates(b, pu, pd, receiver=sic):  # (r_u, r_d) of the points b (see _max_min_search)
         k = of(b)
-        return uplink(k, pu, 0.0), downlink(k, 0.0, pd, 0.0, _TAN)
-
-    p_u_max, p_d_max = _budgets(points)
-    p_u, p_d = ((x * columns[-1])[:, None, None] for x in (p_u_max, p_d_max))  # in each _unit
-    r_u, r_d = (r.ravel() for r in _in_chunks(rates, p_u, p_d))
-    finite = np.isfinite(r_u) & np.isfinite(r_d)
-    if not finite.all():  # the first point with a rate not finite raises
-        i = int(np.argmin(finite))
-        _finite("r_u", r_u[i])
-        _finite("r_d", r_d[i])
-    total = r_u + r_d
-    split = total > 0.0  # else rate 0 and no time split
-    r_eq = np.divide(r_u * r_d, total, out=np.zeros_like(total), where=split)
-    f_star = np.divide(r_d, total, out=np.zeros_like(total), where=split)
-    diag = {}
-    if family == "cran":
-        k = _CranConsts(*columns)
-        p_s, sigma_d = _downlink_powers(p_d_max, k.q_d)
-        # inf only where quant is (c_u = 0): _consts has checked sigma_u^2 at
-        # these powers for every other point
-        diag["sigma_u_sq"] = _reported_sigma_u_sq(k, _capacities(points), p_u_max, 0.0)
-        diag.update(sigma_d_sq=sigma_d, p_s=p_s)
-    results = []
-    for up, down, eq, f, has_f, *values in zip(
-        *(x.tolist() for x in (r_u, r_d, r_eq, f_star, split, *diag.values()))
-    ):
-        d = dict(zip(diag, values))
-        if has_f:
-            d["f_star"] = f
-        results.append(RateResult(up, down, eq, d))
-    return results
-
-
-def _fd_batch(family: str, consts, points, sic: SicMode) -> list:
-    """One power search for the points of a batch, consts holding each point's
-    kernel constants, and each point's result (_fd_result) at its argmax."""
-    uplink, downlink = _kernels(family)
-    of, columns = _stacked(consts)
-
-    def rates(b, pu, pd, receiver):
-        k = of(b)
+        if receiver is None:  # half duplex: each direction alone at its budget
+            return uplink(k, pu, 0.0), downlink(k, 0.0, pd, 0.0, _TAN)
         r_u = uplink(k, pu, pd)
         return r_u, downlink(k, pu, pd, r_u, receiver)
 
     units = columns[-1]
-    p_u_max, p_d_max = _budgets(points)
-    _, p_u, p_d = _max_min_search(rates, p_u_max * units, p_d_max * units, sic)
-    p_u, p_d = p_u / units, p_d / units
-    at = zip(consts, points, p_u.tolist(), p_d.tolist())
-    return [_fd_result(family, k, p.c_u, sic, u, d) for k, p, u, d in at]
-
-
-def _fd_result(family: str, k, c_u: float, sic: SicMode, p_u: float, p_d: float) -> RateResult:
-    """A full-duplex scheme's rates and diagnostics at (p_u, p_d)."""
-    uplink, downlink = _kernels(family)
-    r_u = _finite("r_u", _at(uplink, k, p_u, p_d))
-    r_d = _finite("r_d", _at(downlink, k, p_u, p_d, r_u, sic))
-    diag = {"p_u_star": p_u, "p_d_star": p_d}
+    p_u, p_d = _budgets(points)
+    if sic is not None and not full_power:
+        _, p_u, p_d = _max_min_search(rates, p_u * units, p_d * units, sic)
+        p_u, p_d = p_u / units, p_d / units
+    powers = ((x * units)[:, None, None] for x in (p_u, p_d))  # in each _unit
+    r_u, r_d = (r.ravel() for r in _in_chunks(rates, *powers))
+    finite = np.isfinite(r_u) & np.isfinite(r_d)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        _finite("r_u", r_u[i])
+        _finite("r_d", r_d[i])
+    diag = {} if sic is None else {"p_u_star": p_u, "p_d_star": p_d}
     if family == "cran":
+        k = _CranConsts(*columns)
         p_s, sigma_d = _downlink_powers(p_d, k.q_d)
-        sigma_u = float(_reported_sigma_u_sq(k, c_u, p_u, p_d))
-        diag.update(sigma_u_sq=sigma_u, sigma_d_sq=sigma_d, p_s=p_s)
-    return RateResult(r_u, r_d, min(r_u, r_d), diag)
+        # inf only where quant is (c_u = 0): _consts has checked sigma_u^2 at
+        # the budgets, and it is no larger at powers within them
+        up = (p_u, p_d * (sic is not None))  # the uplink's powers
+        diag["sigma_u_sq"] = _reported_sigma_u_sq(k, _capacities(points), *up)
+        diag.update(sigma_d_sq=sigma_d, p_s=p_s)
+    split = None
+    if sic is None:
+        total = r_u + r_d
+        split = total > 0.0  # else rate 0 and no time split
+        r_eq = np.divide(r_u * r_d, total, out=np.zeros_like(total), where=split)
+        diag["f_star"] = np.divide(r_d, total, out=np.zeros_like(total), where=split)
+    else:
+        r_eq = np.minimum(r_u, r_d)
+    results = [
+        RateResult(u, d, eq, dict(zip(diag, values)))
+        for u, d, eq, *values in zip(*(x.tolist() for x in (r_u, r_d, r_eq, *diag.values())))
+    ]
+    if split is not None and not split.all():
+        for result in compress(results, ~split):
+            del result.diagnostics["f_star"]
+    return results
 
 
 # ----------------------------------------------------------------------------
@@ -576,17 +538,17 @@ def _capacities(points) -> np.ndarray:
     return np.array([p.c_u for p in points])
 
 
-def _in_chunks(fn, pu, pd, at: int = 0):
-    """fn(b, pu[i:j], pd[i:j]) for the points b = slice(at + i, at + j), one
-    per leading row of pu and pd, in calls of at most _CALL_LIMIT elements
-    (one point at least) along that axis; the tuples of arrays that fn
-    returns are joined along it."""
+def _in_chunks(fn, pu, pd):
+    """fn(b, pu[b], pd[b]) for the points b = slice(i, j), one per leading
+    row of pu and pd, in calls of at most _CALL_LIMIT elements (one point at
+    least) along that axis; the tuples of arrays that fn returns are joined
+    along it."""
     shape = np.broadcast(pu, pd).shape
     step = max(1, _CALL_LIMIT // math.prod(shape[1:]))
     if step >= shape[0]:
-        return fn(slice(at, at + shape[0]), pu, pd)
+        return fn(slice(0, shape[0]), pu, pd)
     parts = [
-        fn(slice(at + i, at + i + step), pu[i : i + step], pd[i : i + step])
+        fn(slice(i, i + step), pu[i : i + step], pd[i : i + step])
         for i in range(0, shape[0], step)
     ]
     return tuple(np.concatenate(part) for part in zip(*parts))
@@ -676,19 +638,11 @@ def _row_max(row_best, pu, seed, p_d_max):
     row's seed, then _ZOOM_PASSES windows of len(_WINDOW) values centred on the
     row's incumbent, the first _ZOOM scan steps wide, each next _ZOOM times
     narrower; the incumbent moves only to a strictly better value.  pu and
-    seed are (n, rows); the scans are built for as many points at a time as
-    one kernel call takes.  Returns (values, p_d) per row."""
+    seed are (n, rows).  Returns (values, p_d) per row."""
     n, rows = pu.shape
-    value, pd = np.empty((n, rows)), np.empty((n, rows))
-    step = max(1, _CALL_LIMIT // (rows * (DEFAULT_GRID + 1)))
-    for i in range(0, n, step):
-        b = slice(i, i + step)
-        lin = np.array([np.linspace(0.0, d_max, DEFAULT_GRID) for d_max in p_d_max[b]])
-        scan = np.concatenate(
-            [np.broadcast_to(lin[:, None, :], (len(lin), rows, DEFAULT_GRID)), seed[b, :, None]],
-            axis=2,
-        )
-        value[b], pd[b] = row_best(pu[b, :, None], scan, at=i)
+    lin = np.linspace(0.0, p_d_max, DEFAULT_GRID, axis=-1)[:, None, :]
+    scan = np.concatenate([np.broadcast_to(lin, (n, rows, DEFAULT_GRID)), seed[..., None]], axis=2)
+    value, pd = row_best(pu[..., None], scan)
     span = _ZOOM * (p_d_max / (DEFAULT_GRID - 1))  # divided first: _ZOOM * p_d_max can overflow
     for _ in range(_ZOOM_PASSES):
         window = np.clip(
@@ -792,25 +746,27 @@ def _profile_search(rates, p_u_max, p_d_max):
     rows of p_u, each scanned at DEFAULT_GRID values of p_d, and from the
     best points of both budget edges scanned at DEFAULT_GRID**2 points.  No
     call to rates evaluates more elements than the first row scan of one
-    point (_CALL_LIMIT), so the edge scans and the first row scan go one
-    point at a time and the rest in groups of points.  Returns (value, p_u,
-    p_d), each an (n,) array."""
+    point (_CALL_LIMIT), so _in_chunks takes the edge scans and the first row
+    scan one point at a time and the rest in groups of points.  Every point
+    here has a bound above _TIE_TOL, so both its budgets are far from 0, and
+    each linspace below gives what it gives for the point alone, bit for
+    bit.  Returns (value, p_u, p_d), each an (n,) array."""
     def decode_first(b, pu, pd):
         return np.minimum(*rates(b, pu, pd, _DECODE_FIRST))
 
-    def row_best(pu, pd, at=0):  # each row's max over the last axis of pd, and its p_d
-        return _in_chunks(lambda b, u, d: _best_of(decode_first(b, u, d), d), pu, pd, at)
+    def row_best(pu, pd, free=1):  # each row's max over the last axis, and its p_d (free=0: p_u)
+        return _in_chunks(lambda b, u, d: _best_of(decode_first(b, u, d), (u, d)[free]), pu, pd)
 
-    pu, seed = [], []
-    for i, (u_max, d_max) in enumerate(zip(p_u_max, p_d_max)):
-        b = slice(i, i + 1)
-        edge_u = np.linspace(0.0, u_max, DEFAULT_GRID**2)
-        edge_d = np.linspace(0.0, d_max, DEFAULT_GRID**2)
-        best_u = edge_u[np.argmax(decode_first(b, edge_u[None, None], d_max[None, None, None]))]
-        best_d = edge_d[np.argmax(decode_first(b, u_max[None, None, None], edge_d[None, None]))]
-        pu.append(np.append(np.linspace(0.0, u_max, DEFAULT_GRID), [u_max, best_u]))
-        seed.append(np.append(np.zeros(DEFAULT_GRID), [best_d, d_max]))  # scanned rows: no seed
-    return _profile_max(row_best, np.array(pu), np.array(seed), p_u_max, p_d_max)
+    def edge(p_max):  # (n, 1, DEFAULT_GRID**2) powers along a budget edge
+        return np.linspace(0.0, p_max, DEFAULT_GRID**2, axis=-1)[:, None]
+
+    u_max, d_max = p_u_max[:, None], p_d_max[:, None]
+    _, best_u = row_best(edge(p_u_max), d_max[..., None], free=0)
+    _, best_d = row_best(u_max[..., None], edge(p_d_max))
+    pu = np.hstack([np.linspace(0.0, p_u_max, DEFAULT_GRID, axis=-1), u_max, best_u])
+    no_seed = np.zeros((p_u_max.size, DEFAULT_GRID))  # the scanned rows need none
+    seed = np.hstack([no_seed, best_d, d_max])
+    return _profile_max(row_best, pu, seed, p_u_max, p_d_max)
 
 
 # ----------------------------------------------------------------------------
@@ -831,7 +787,7 @@ def compute_scheme(
     scheme: SchemeId, params, panels: int = DEFAULT_PANELS, grid: int = DEFAULT_GRID,
     full_power: bool = False,
 ) -> RateResult:
-    """Evaluate one scheme end to end: compute_batch for one point.  C-RAN
+    """Evaluate one scheme end to end: _batch for one point.  C-RAN
     schemes take the zero-forcing precoder through its exact constants
     (zf_constants) and the uplink integral in closed form, so panels, still
     checked to be a valid panel count, changes no result.  Nor does grid,
@@ -843,8 +799,4 @@ def compute_scheme(
     _check_panel_count(panels)
     if not isinstance(grid, int) or grid < 2:
         raise ValueError(f"grid resolution must be an integer >= 2, got {grid!r}")
-    family, sic = SCHEMES[scheme]
-    if full_power and sic is not None:
-        k = _consts(family, sic, [params])[0]
-        return _fd_result(family, k, params.c_u, sic, params.p_u_max, params.p_d_max)
-    return compute_batch(scheme, [params])[0]
+    return _batch(*SCHEMES[scheme], [params], full_power)[0]

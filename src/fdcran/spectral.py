@@ -132,37 +132,25 @@ def zf_precoder(alpha: float, panels: int = DEFAULT_PANELS) -> Precoder:
     return Precoder(g_of_f=g, alpha=float(alpha), panels=panels)
 
 
-def _resolve_panels(precoder: Precoder, panels: int | None) -> int:
-    if panels is None:
-        return precoder.panels
-    if panels != precoder.panels:
-        raise ValueError(
-            f"precoder is sampled at {precoder.panels} panels, cannot integrate at {panels}"
-        )
-    return panels
-
-
-def rg(precoder: Precoder, tau: int, panels: int | None = None) -> float:
+def rg(precoder: Precoder, tau: int) -> float:
     """Filter autocorrelation sum_k g_k g_(k-tau), as a frequency integral.
 
     For a real symmetric filter this is the integral of G(f)^2 cos(2*pi*f*tau);
     rg(precoder, 0) is 1 by the unit-energy invariant.
     """
-    panels = _resolve_panels(precoder, panels)
-    y = precoder.g_of_f**2 * np.cos(2.0 * np.pi * tau * unit_grid(panels))
-    return _quad(y, panels)
+    y = precoder.g_of_f**2 * np.cos(2.0 * np.pi * tau * unit_grid(precoder.panels))
+    return _quad(y, precoder.panels)
 
 
-def h_tilde(precoder: Precoder, alpha: float, k: int, panels: int | None = None) -> float:
+def h_tilde(precoder: Precoder, alpha: float, k: int) -> float:
     """Effective channel tap h~_k = (h * g)_k: integral of H(f) G(f) cos(2*pi*f*k).
 
     Real by symmetry.  For a zero-forcing precoder built at the same alpha the
     result is the normalization constant at k = 0 and ~0 otherwise.
     """
-    panels = _resolve_panels(precoder, panels)
-    grid = unit_grid(panels)
+    grid = unit_grid(precoder.panels)
     y = channel_response(alpha, grid) * precoder.g_of_f * np.cos(2.0 * np.pi * k * grid)
-    return _quad(y, panels)
+    return _quad(y, precoder.panels)
 
 
 def rate_integral(snr_scale, alpha: float, panels: int = DEFAULT_PANELS):

@@ -42,10 +42,13 @@ the SIC search this cheap, worker processes would cost more than they save.
 Under --verify the oracles run in this process after each block's solve:
 the circulant ring checks each C-RAN uplink rate, and oracle.certified_max_min
 certifies the optimum of the fd_scp, fd_scp_sic and fd_cran rows, one
-branch-and-bound search per scheme for the block's rows.  It proves that the
-true max-min lies at most eps (CERTIFIED_EPS, more for C-RAN near alpha =
-1/2 and at budgets of thousands of dB) above its best point, and holds every
-temporary to 8,192 values, so its memory does not grow with the budgets.
+branch-and-bound search per scheme for the block's rows: over the two upper
+budget edges for fd_scp and fd_cran, where a treat-as-noise optimum lies,
+and over the whole power box for fd_scp_sic.  It proves that the true
+max-min lies at most eps (CERTIFIED_EPS, more for C-RAN near alpha = 1/2
+and for fd_scp_sic at budgets of thousands of dB) above its best point, and
+holds every temporary to 8,192 values, so its memory does not grow with the
+budgets.
 """
 
 import math

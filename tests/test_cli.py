@@ -278,7 +278,7 @@ def test_sweep_rejects_the_removed_sic_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["compute", "sweep"])
 def test_grid_flag_is_an_unknown_argument(command, tmp_path, capsys):
-    # the SIC search scans at one fixed resolution, so neither command takes --grid
+    # the SIC search has no resolution to set, so neither command takes --grid
     out = tmp_path / "x.csv"
     argv = {
         "compute": ["compute", "--scheme", "fd_scp_sic"],

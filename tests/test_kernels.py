@@ -22,7 +22,6 @@ from fdcran.rates import (
     fd_scp_downlink_rate,
     fd_scp_uplink_rate,
     hd_cran,
-    hd_cran_downlink,
 )
 from fdcran.spectral import zf_precoder
 from test_solver_properties import DOMAIN
@@ -47,8 +46,8 @@ def test_scalar_functions_reproduce_the_reported_rates(scheme):
         else:
             precoder = zf_precoder(params.alpha, PANELS)
             powers = PowerAllocation(p_u, p_d)
-            r_u, sigma_u = fd_cran_uplink(params, powers, precoder, PANELS)
-            r_d = fd_cran_downlink(params, powers, precoder, sic, r_u, PANELS)
+            r_u, sigma_u = fd_cran_uplink(params, powers, precoder)
+            r_d = fd_cran_downlink(params, powers, precoder, sic, r_u)
             assert sigma_u == result.diagnostics["sigma_u_sq"]
         assert (r_u, r_d, min(r_u, r_d)) == (result.r_u, result.r_d, result.r_eq)
 
@@ -59,9 +58,9 @@ def test_the_zero_forcing_precoder_gives_compute_scheme_results(panels):
     # exact constants, so its sampling changes nothing
     for params in DOMAIN[:4]:
         precoder = zf_precoder(params.alpha, panels)
-        assert hd_cran(params, precoder, panels) == compute_scheme(SchemeId.HD_CRAN, params)
+        assert hd_cran(params, precoder) == compute_scheme(SchemeId.HD_CRAN, params)
         for scheme in (SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC):
-            got = fd_cran(params, precoder, SCHEMES[scheme][1], panels=panels)
+            got = fd_cran(params, precoder, SCHEMES[scheme][1])
             assert got == compute_scheme(scheme, params)
 
 
@@ -76,7 +75,7 @@ def test_a_bad_power_is_a_numeric_domain_error(bad):
             PowerAllocation(p_u, p_d)
         powers = SimpleNamespace(p_u=p_u, p_d=p_d)  # a pair that bypasses PowerAllocation
         with pytest.raises(NumericDomainError):
-            fd_cran_uplink(PARAMS, powers, PRECODER, PANELS)
+            fd_cran_uplink(PARAMS, powers, PRECODER)
         with pytest.raises(NumericDomainError):
             fd_cran_downlink(PARAMS, powers, PRECODER)
 
@@ -96,17 +95,25 @@ def test_sic_needs_a_finite_uplink_rate(bad):
     assert fd_scp_downlink_rate(PARAMS, 1.0, 1.0, r_u=bad) == fd_scp_downlink_rate(PARAMS, 1.0, 1.0)
 
 
-def test_budgets_and_panels_are_checked():
+def test_budgets_are_checked():
     over = PowerAllocation(PARAMS.p_u_max, 2.0 * PARAMS.p_d_max + 1.0)
     with pytest.raises(ValueError, match="exceed budgets"):
-        fd_cran_uplink(PARAMS, over, PRECODER, PANELS)
+        fd_cran_uplink(PARAMS, over, PRECODER)
     with pytest.raises(ValueError, match="exceed budgets"):
         fd_cran_downlink(PARAMS, over, PRECODER)
-    within = PowerAllocation(PARAMS.p_u_max, PARAMS.p_d_max)
-    with pytest.raises(ValueError, match="panels"):
-        fd_cran_downlink(PARAMS, within, PRECODER, panels=2 * PANELS)
-    with pytest.raises(ValueError, match="panels"):
-        hd_cran_downlink(PARAMS, PRECODER, panels=2 * PANELS)
+
+
+@pytest.mark.parametrize("grid", [1, 2.5, "64"])
+def test_compute_scheme_rejects_a_grid_that_is_not_an_integer_of_at_least_2(grid):
+    with pytest.raises(ValueError, match="grid"):
+        compute_scheme(SchemeId.FD_SCP_SIC, PARAMS, grid=grid)
+
+
+def test_a_valid_grid_changes_no_result():
+    # the SIC search always scans at DEFAULT_GRID
+    assert compute_scheme(SchemeId.FD_SCP_SIC, PARAMS, grid=2) == compute_scheme(
+        SchemeId.FD_SCP_SIC, PARAMS
+    )
 
 
 def test_an_overflowing_quantization_noise_is_a_numeric_domain_error():

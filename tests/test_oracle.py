@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdcran.oracle
-from fdcran.model import SystemParams, db_to_linear
+from fdcran.model import SchemeId, SystemParams, db_to_linear
 from fdcran.oracle import (
     CERTIFIED_EPS,
     certified_max_min,
@@ -16,12 +16,12 @@ from fdcran.oracle import (
     circulant_uplink_rate_dense,
     exhaustive_power_opt,
 )
-from fdcran.rates import SicMode, fd_scp
+from fdcran.rates import SicMode, compute_batch, fd_scp
 from fdcran.spectral import rate_integral
 from fdcran.sweep import preset_spec
 
 from conftest import make_params
-from test_domain_properties import domain
+from test_domain_properties import EXAMPLES, domain, huge_db
 from test_solver_properties import DOMAIN
 
 TAN = SicMode.TREAT_AS_NOISE
@@ -297,6 +297,42 @@ def test_the_ring_error_widens_eps_only_where_the_cells_are_capped():
     assert [f.eps for f in found] == [CERTIFIED_EPS, CERTIFIED_EPS + errors[1]]
     ring, errors = fdcran.oracle._ring("cran", near[:1])
     assert ring[0].size == 31 // 2 + 1 and errors == [0.0]  # 21 / acosh(1.25) = 30.3 cells
+
+
+@pytest.mark.parametrize("raise_db", [20.0, 50.0])
+@pytest.mark.parametrize("scheme", [SchemeId.FD_SCP, SchemeId.FD_CRAN], ids=lambda s: s.value)
+def test_treat_as_noise_certifies_on_the_budget_edges_at_raised_budgets(scheme, raise_db):
+    # from the whole box, up to 17 of these 20 points stopped at _MAX_CELLS
+    # with eps widened to 4.1
+    gain = db_to_linear(raise_db)
+    points = [replace(p, p_u_max=p.p_u_max * gain, p_d_max=p.p_d_max * gain) for p in DOMAIN]
+    results = compute_batch(scheme, points)
+    argmaxes = [(r.diagnostics["p_u_star"], r.diagnostics["p_d_star"]) for r in results]
+    family = "scp" if scheme is SchemeId.FD_SCP else "cran"
+    for found in certified_max_min(family, TAN, points, argmaxes):
+        assert found.eps == CERTIFIED_EPS and found.cells < fdcran.oracle._MAX_CELLS, found
+
+
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
+@given(domain, huge_db, huge_db, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_the_treat_as_noise_objective_does_not_fall_as_both_powers_scale_up(
+    params, u_db, d_db, u, d, scale
+):
+    # the premise that puts the treat-as-noise maximum on the budget edges,
+    # checked on the oracle's own objective: (u P_u, d P_d) stays in the box,
+    # and scale <= 1 shrinks it towards the origin
+    point = replace(params, p_u_max=db_to_linear(u_db), p_d_max=db_to_linear(d_db))
+    for family in ("scp", "cran"):
+        cols, ring, _ = fdcran.oracle._constants(family, [point])
+        k, samples = fdcran.oracle._terms(cols, ring, np.zeros(1, dtype=int))
+        p_u, p_d = u * point.p_u_max * k.unit, d * point.p_d_max * k.unit
+        with np.errstate(over="ignore"):
+            noise = k.quant * (k.base + k.f * p_u + k.h * p_d)
+        if point.c_u > 0.0 and not np.isfinite(noise).all():
+            continue  # sigma_u^2 past the float range: the program gives no rates
+        high = fdcran.oracle._value(TAN, k, samples, p_u, p_d)
+        low = fdcran.oracle._value(TAN, k, samples, scale * p_u, scale * p_d)
+        assert (high >= low - 1e-12 * abs(low)).all(), family
 
 
 @pytest.mark.parametrize("family, sic", FAMILIES)

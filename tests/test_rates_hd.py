@@ -127,11 +127,6 @@ def test_hd_cran_downlink_zero_fronthaul():
     assert sigma == 100.0  # everything the RU radiates is quantization noise
 
 
-def test_hd_cran_downlink_panel_mismatch():
-    with pytest.raises(ValueError):
-        hd_cran_downlink(make_params(), zf_precoder(0.4, 512), panels=4096)
-
-
 # every public function that takes a precoder, applied to params and a precoder
 _TAKING_A_PRECODER = {
     "hd_cran": hd_cran,

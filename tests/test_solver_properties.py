@@ -118,7 +118,8 @@ def test_rate_closed_form_matches_quadrature(alpha):
 
 def _bound(family: str, params, p_u: float, p_d: float) -> float:
     """M at the powers (p_u, p_d), from the family's kernels in the point's unit."""
-    k = rates._consts(family, SIC, [params])[0]
+    of, _ = rates._consts(family, SIC, [params])
+    k = of([0])  # the point's constants in plain floats
     uplink, downlink = rates._kernels(family)
     r_u = rates._at(uplink, k, p_u, p_d)
     return float(min(r_u, *rates._at(downlink, k, p_u, p_d, r_u, rates._BOUND)))

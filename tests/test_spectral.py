@@ -137,13 +137,6 @@ def test_rg_matches_time_domain_taps():
     assert abs(rg(pre, 2) - acf2) < 1e-6
 
 
-def test_h_tilde_panel_mismatch_rejected():
-    pre = zf_precoder(0.3, 512)
-    with pytest.raises(ValueError):
-        h_tilde(pre, 0.3, 0, panels=1024)
-    assert h_tilde(pre, 0.3, 0, panels=512) > 0
-
-
 def test_symmetry_fold_is_exact():
     # for integrands even about f = 1/2, the [0,1] integral equals twice the
     # [0,1/2] integral (evaluated by mapping [0,1/2] back onto the unit grid)
