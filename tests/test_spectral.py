@@ -9,6 +9,7 @@ from fdcran.spectral import (
     _quad,
     channel_response,
     h_tilde,
+    rate_closed_form,
     rate_integral,
     rg,
     simpson_weights,
@@ -85,6 +86,22 @@ def test_zf_rejects_negative_alpha():
         for bad in (-0.1, math.nan, math.inf, "0.3"):
             with pytest.raises(ValueError, match="alpha must be finite"):
                 build(bad)
+
+
+def test_zf_constants_of_an_array_are_each_gains_own():
+    alphas = np.linspace(0.0, 0.4999, 1001)
+    h0sq, rg2 = zf_constants(alphas)
+    assert h0sq.tolist() == [zf_constants(a)[0] for a in alphas.tolist()]
+    assert rg2.tolist() == [zf_constants(a)[1] for a in alphas.tolist()]
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.7, math.nan, -0.1])
+def test_zf_constants_of_an_array_raise_for_the_first_bad_gain(bad):
+    with pytest.raises(ValueError) as err:
+        zf_constants(np.array([0.1, bad, 0.6, 0.2]))
+    with pytest.raises(type(err.value)) as alone:
+        zf_constants(bad)
+    assert str(err.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
@@ -167,3 +184,57 @@ def test_rate_integral_rejects_negative():
 def test_simpson_weights_sum_to_one():
     for panels in (2, 64, 4096):
         assert abs(float(np.sum(simpson_weights(panels))) - 1.0) < 1e-12
+
+
+# ----------------------------------------------------------------------------
+# rate_closed_form against an independent form of the same integral
+
+
+def _complex_closed_form(s, alpha):
+    """2 log2|z| for z the larger-modulus root (a + sqrt(a^2 - b^2))/2 of
+    Jensen's formula for |a + b cos 2 pi f|^2, a = 1 + i sqrt(s) and
+    b = 2 i alpha sqrt(s), in complex arithmetic, z - 1 formed without
+    cancellation.  Its z1.imag**2 overflows at the largest floats."""
+    u = np.sqrt(s)
+    w = (4.0 * alpha * alpha - 1.0) * s + 2j * u  # a^2 - b^2 - 1
+    z1 = 0.5 * (1j * u + w / (1.0 + np.sqrt(1.0 + w)))  # z - 1
+    return np.log1p(z1.real * (2.0 + z1.real) + z1.imag * z1.imag) / math.log(2.0)
+
+
+CLOSED_FORM_S = np.concatenate(
+    [[0.0, 5e-324], np.logspace(-300.0, 308.0, 6001), [np.finfo(float).max]]
+)
+
+
+def _assert_matches_the_complex_form(alpha):
+    """rate_closed_form, on arrays and on scalars, finite everywhere and
+    within 8 eps of the complex form wherever that is finite; returns it."""
+    got = rate_closed_form(CLOSED_FORM_S, alpha)
+    assert np.isfinite(got).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _complex_closed_form(CLOSED_FORM_S, alpha)
+    finite = np.isfinite(want)
+    eps = np.finfo(float).eps
+    assert (np.abs(got - want) <= 8.0 * eps * np.abs(want) + 1e-300)[finite].all()
+    for s, g in zip(CLOSED_FORM_S[::500].tolist(), got[::500].tolist()):
+        scalar = rate_closed_form(s, alpha)
+        assert isinstance(scalar, float)
+        assert scalar == g
+    return got, finite
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.4, 0.49, 0.49999, 0.5])
+def test_rate_closed_form_matches_the_complex_form(alpha):
+    # from s = 0 and the least subnormal up to the largest float, where the
+    # scaled branch takes over (about 1022 to 1024 bits)
+    got, finite = _assert_matches_the_complex_form(alpha)
+    assert finite[:-1].all()
+    assert 1022.0 <= got[-1] <= 1024.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0.5000001, 0.6, 1.0, 3.0])
+def test_rate_closed_form_matches_the_complex_form_above_one_half(alpha):
+    # hd_cran_uplink, which needs no zero-forcing precoder, takes any alpha
+    _assert_matches_the_complex_form(alpha)
