@@ -6,19 +6,18 @@ co-located uplink signal as noise or cancelling it first (SIC).  Each family
 has one uplink and one downlink kernel, (k, p_u, p_d[, r_u, receiver]) ->
 rate, with k a point's constants (plain floats, or for a batch (n, 1, 1)
 columns, a quantity its points share staying a float: _stacked) and powers
-in its _unit, which keeps the float range.  The constants are built once
-per batch, array-wise, and hold the products the kernels would otherwise
-form on every call: SCP's 2 alpha^2, 2 beta_du^2 and 2 beta_ud^2 (with
-gamma_ud^2, c_u, c_d and the unit), C-RAN's 1 + 2 alpha^2 and
-2 beta_du^2 (1 + R_g(2)) of the uplink quantization noise, and
-q_d (1 + 2 alpha^2), (1 - q_d) h~_0^2 and 2 beta_ud^2 of the downlink
-(_CranConsts).  The power search, the reported rates at its argmax, the
-public scalar rate functions and half duplex (the other direction's power
-at 0) all call them.  C-RAN rates are exact: the uplink integral is
-rate_closed_form and the zero-forcing precoder of the point's alpha enters
-through zf_constants.  A precoder passed to a public function must be that
-one, at any sampling (_check_precoder).  The oracles keep formulas of their
-own.
+in its _unit, which keeps the float range.  Each point's constants hold
+the products the kernels would otherwise form on every call: SCP's
+2 alpha^2, 2 beta_du^2 and 2 beta_ud^2 (with gamma_ud^2, c_u, c_d and the
+unit), C-RAN's 1 + 2 alpha^2 and 2 beta_du^2 (1 + R_g(2)) of the uplink
+quantization noise, and q_d (1 + 2 alpha^2), (1 - q_d) h~_0^2 and
+2 beta_ud^2 of the downlink (_CranConsts).  The power search, the reported
+rates at its argmax, the public scalar rate functions and half duplex (the
+other direction's power at 0) all call them.  C-RAN rates are exact: the
+uplink integral is rate_closed_form and the zero-forcing precoder of the
+point's alpha enters through zf_constants.  A precoder passed to a public
+function must be that one, at any sampling (_check_precoder).  The oracles
+keep formulas of their own.
 
 Half-duplex schemes split the band between directions at full power; the
 equal rate follows from balancing f*R_u against (1-f)*R_d.  Full-duplex
@@ -35,10 +34,7 @@ are its batch of one).  Every point of a batch gets bit-for-bit the result it
 gets alone.  _in_chunks splits every kernel call along the batch axis so
 that none evaluates more elements than the largest call of a one-point
 search, _CALL_LIMIT; the fallback's DEFAULT_GRID**2 budget-edge scans and
-first row scan therefore run one point at a time.  Whether the SIC
-receiver's t2 can pass the float range anywhere in a batch's power boxes is
-checked once, at their corners (_t2_stays_finite); only then do its kernel
-calls guard t2 against overflow.
+first row scan therefore run one point at a time.
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
@@ -50,7 +46,6 @@ import math
 from collections import namedtuple
 from enum import Enum
 from itertools import chain, compress
-from operator import attrgetter
 
 import numpy as np
 
@@ -138,25 +133,19 @@ def equal_rate_split(r_u: float, r_d: float) -> tuple[float, float | None]:
 # or the stacked columns of a batch, unpacked by position either way
 
 
-def _receive(signal, den, g2pu, r_u, receiver, wide=True):
+def _receive(signal, den, g2pu, r_u, receiver):
     """Downlink rate from the signal power, the denominator without the
     intra-cell uplink power g2pu, and the receiver.  With t1 = C(signal/den),
     t2 = C((signal + g2pu)/den) and t3 = C(signal/(den + g2pu)): treat-as-noise
     gives t3; decode-first, which decodes the uplink message carried at r_u
     first, min(t1, t2 - r_u); SIC the better of the two, which equals the
     clamp q(t1, t2 - r_u, t3) = min(t1, max(t2 - r_u, t3)) because t3 <= t1.
-    The bound receiver returns t1 and t2/2 stacked along a new first axis.
-    wide=False promises that t2's SINR stays inside the float range
-    (_t2_stays_finite); otherwise t2 is taken as a difference of logs where
-    its SINR overflows."""
+    The bound receiver returns t1 and t2/2 stacked along a new first axis."""
     if receiver is not _TAN:
-        if wide:
-            with np.errstate(over="ignore"):  # past 1024 bits t2 is taken as a difference
-                t2 = np.log2(1.0 + (signal + g2pu) / den)
-            if np.isinf(t2).any():
-                t2 = np.where(np.isinf(t2), np.log2(den + signal + g2pu) - np.log2(den), t2)
-        else:
+        with np.errstate(over="ignore"):  # past 1024 bits t2 is taken as a difference
             t2 = np.log2(1.0 + (signal + g2pu) / den)
+        if np.isinf(t2).any():
+            t2 = np.where(np.isinf(t2), np.log2(den + signal + g2pu) - np.log2(den), t2)
         t1 = np.log2(1.0 + signal / den)
         if receiver is _BOUND:
             return np.stack((t1, t2 / 2.0))
@@ -167,50 +156,23 @@ def _receive(signal, den, g2pu, r_u, receiver, wide=True):
     return t3 if receiver is _TAN else np.maximum(first, t3)
 
 
-def _unit(p_u_max, p_d_max, gain):
-    """2**-k, each point's unit of power: its kernels take every power, the
-    noise power included, as a multiple of 2**-k, and the power search runs
-    in these units, which leave each SINR as it is.  k = 0 unless gain, the
+def _unit(p, gain: float) -> float:
+    """2**-k, a point's unit of power: its kernels take every power, the noise
+    power included, as a multiple of 2**-k, and the power search runs in
+    these units, which leave each SINR as it is.  k = 0 unless gain, the
     largest power gain, times the larger budget passes 2**1016; then k brings
     that product down to 2**1016, so no product or sum of the kernels
-    overflows a float even where gamma_ud^2 P_u does.  (n,) arrays."""
-    k = np.frexp(gain)[1] + np.frexp(np.maximum(p_u_max, p_d_max))[1] - 1016
-    return np.ldexp(1.0, -np.maximum(k, 0))
+    overflows a float even where gamma_ud^2 P_u does."""
+    k = math.frexp(gain)[1] + math.frexp(max(p.p_u_max, p.p_d_max))[1] - 1016
+    return math.ldexp(1.0, -max(k, 0))
 
 
-# the parameters a rate depends on, one (n,) array each for a batch
-_Fields = namedtuple("_Fields", "alpha beta_du beta_ud gamma_ud p_u_max p_d_max c_u c_d")
-_field_values = attrgetter(*_Fields._fields)
-
-
-def _fields(points) -> _Fields:
-    """The _Fields of a batch of points."""
-    n = len(points)
-    flat = np.fromiter(chain.from_iterable(map(_field_values, points)), float, n * 8)
-    return _Fields(*flat.reshape(n, 8).T)
-
-
-def _each(fn, x) -> np.ndarray:
-    """fn, a formula on one float, at each value of x, an (n,) array, and
-    once where they are all the same: numpy's own power or expm1 can round
-    otherwise than a float's ** or math's, and so can its x*x."""
-    if (x == x[0]).all():
-        return np.full(x.shape, fn(x[0].item()))
-    return np.array([fn(v) for v in x.tolist()])
-
-
-def _power_gains(f: _Fields) -> list:
-    """alpha^2, beta_du^2, beta_ud^2 and gamma_ud^2 of each point."""
-    return [_each(lambda v: v**2, x) for x in (f.alpha, f.beta_du, f.beta_ud, f.gamma_ud)]
-
-
-def _scp_consts(f: _Fields) -> np.ndarray:
-    """The SCP kernel constants of each point, one (n,) row per quantity:
-    2 alpha^2, 2 beta_du^2, 2 beta_ud^2, gamma_ud^2, c_u, c_d and the _unit."""
-    a2, bdu2, bud2, g2 = _power_gains(f)
-    a2, bdu2, bud2 = 2.0 * a2, 2.0 * bdu2, 2.0 * bud2
-    gain = np.maximum.reduce([np.ones_like(g2), a2, bdu2, bud2, g2])
-    return np.array([a2, bdu2, bud2, g2, f.c_u, f.c_d, _unit(f.p_u_max, f.p_d_max, gain)])
+def _scp_consts(p) -> tuple:
+    # 2 alpha^2, 2 beta_du^2 and 2 beta_ud^2 formed once: the kernels'
+    # left-to-right 2.0 * a2 * p_u rounds the same
+    a2, bdu2, bud2 = 2.0 * p.alpha**2, 2.0 * p.beta_du**2, 2.0 * p.beta_ud**2
+    g2 = p.gamma_ud**2
+    return a2, bdu2, bud2, g2, p.c_u, p.c_d, _unit(p, max(1.0, a2, bdu2, bud2, g2))
 
 
 def _scp_uplink(k, p_u, p_d):
@@ -218,42 +180,31 @@ def _scp_uplink(k, p_u, p_d):
     return np.minimum(np.log2(1.0 + p_u / (unit + a2 * p_u + bdu2 * p_d)), c_u)
 
 
-def _scp_terms(k, p_u, p_d):  # the downlink's (signal, den, g2pu) of _receive
-    a2, _, bud2, g2, _, _, unit = k
-    return p_d, unit + a2 * p_d + bud2 * p_u, g2 * p_u
-
-
-def _scp_downlink(k, p_u, p_d, r_u, receiver, wide=True):
-    return np.minimum(_receive(*_scp_terms(k, p_u, p_d), r_u, receiver, wide), k[5])  # c_d
+def _scp_downlink(k, p_u, p_d, r_u, receiver):
+    a2, _, bud2, g2, _, c_d, unit = k
+    den = unit + a2 * p_d + bud2 * p_u
+    return np.minimum(_receive(p_d, den, g2 * p_u, r_u, receiver), c_d)
 
 
 # per unit of power: gain_u = 1 + 2 alpha^2 and gain_du = 2 beta_du^2
 # (1 + R_g(2)) of p_u and p_d at a radio unit, quant = _per_unit_quantization(c_u),
 # q_d = 2**-c_d, noise_d = q_d (1 + 2 alpha^2) and signal_d = (1 - q_d) h~_0^2 of
 # p_d at a mobile, and gain_ud = 2 beta_ud^2 of p_u there; (h~_0^2, R_g(2))
-# from zf_constants, which an uplink alone does not need (zero without them)
+# from zf_constants, which an uplink alone does not need (terms, zero by default)
 _CranConsts = namedtuple(
     "_CranConsts", "alpha gain_u gain_du quant q_d noise_d signal_d gain_ud g2 unit"
 )
 
 
-def _cran_consts(f: _Fields, zero_forcing: bool = True) -> np.ndarray:
-    """The C-RAN kernel constants of each point (_CranConsts), one (n,) row
-    per quantity.  zero_forcing=False leaves out the precoder's terms, which
-    then need no alpha < 1/2."""
-    a2, bdu2, bud2, g2 = _power_gains(f)
-    h0sq, rg2 = zf_constants(f.alpha) if zero_forcing else (0.0, 0.0)
-    quant, q_d = _each(_per_unit_quantization, f.c_u), _each(lambda c: 2.0**-c, f.c_d)
-    gain_u, bdu2, bud2 = 1.0 + 2.0 * a2, 2.0 * bdu2, 2.0 * bud2
-    gain = np.maximum.reduce([gain_u, bdu2, bud2, g2])  # (1 + rg2) <= 2
-    unit = _unit(f.p_u_max, f.p_d_max, gain)
-    gain_du, noise_d, signal_d = bdu2 * (1.0 + rg2), q_d * gain_u, (1.0 - q_d) * h0sq
-    return np.array([f.alpha, gain_u, gain_du, quant, q_d, noise_d, signal_d, bud2, g2, unit])
-
-
-def _one(consts) -> list:
-    """One point's constants as plain floats."""
-    return consts[:, 0].tolist()
+def _cran_consts(p, terms=(0.0, 0.0)) -> _CranConsts:
+    a2, bdu2, bud2, g2 = p.alpha**2, 2.0 * p.beta_du**2, 2.0 * p.beta_ud**2, p.gamma_ud**2
+    gain_u, (h0sq, rg2), q_d = 1.0 + 2.0 * a2, terms, 2.0**-p.c_d
+    unit = _unit(p, max(gain_u, bdu2, bud2, g2))  # (1 + rg2) <= 2
+    quant = _per_unit_quantization(p.c_u)
+    noise_d, signal_d = q_d * gain_u, (1.0 - q_d) * h0sq
+    return _CranConsts(
+        p.alpha, gain_u, bdu2 * (1.0 + rg2), quant, q_d, noise_d, signal_d, bud2, g2, unit
+    )
 
 
 def _per_unit_quantization(c: float) -> float:
@@ -311,13 +262,10 @@ def _downlink_powers(p_d, q_d):  # (stream power p_s, quantization noise sigma_d
     return p_d * (1.0 - q_d), p_d * q_d
 
 
-def _cran_terms(k, p_u, p_d):  # the downlink's (signal, den, g2pu) of _receive
+def _cran_downlink(k, p_u, p_d, r_u, receiver):
     _, _, _, _, _, noise_d, signal_d, gain_ud, g2, unit = k
-    return signal_d * p_d, unit + gain_ud * p_u + noise_d * p_d, g2 * p_u
-
-
-def _cran_downlink(k, p_u, p_d, r_u, receiver, wide=True):
-    return _receive(*_cran_terms(k, p_u, p_d), r_u, receiver, wide)
+    den = unit + gain_ud * p_u + noise_d * p_d
+    return _receive(signal_d * p_d, den, g2 * p_u, r_u, receiver)
 
 
 def _kernels(family: str):
@@ -391,7 +339,7 @@ def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
     a sigma_u_sq that overflows a float at c_u > 0 raises NumericDomainError.
     """
     _check_panel_count(panels)
-    k = _CranConsts(*_one(_cran_consts(_fields([params]), zero_forcing=False)))
+    k = _cran_consts(params)
     sigma = _checked_sigma_u_sq(k, params.c_u, params.p_u_max, 0.0)
     return _finite("r_u", _at(_cran_uplink, k, params.p_u_max, 0.0)), float(sigma)
 
@@ -422,7 +370,7 @@ def fd_scp_uplink_rate(params, p_u: float, p_d: float) -> float:
     """Uplink SCP rate at operating powers: inter-cell and downlink-to-uplink
     interference are treated as noise, then the fronthaul cap applies."""
     _check_powers(params, p_u, p_d)
-    return float(_at(_scp_uplink, _one(_scp_consts(_fields([params]))), p_u, p_d))
+    return float(_at(_scp_uplink, _scp_consts(params), p_u, p_d))
 
 
 def fd_scp_downlink_rate(
@@ -438,8 +386,7 @@ def fd_scp_downlink_rate(
     """
     r_u = _carried_uplink(sic, r_u)
     _check_powers(params, p_u, p_d)
-    k = _one(_scp_consts(_fields([params])))
-    return float(_at(_scp_downlink, k, p_u, p_d, r_u, sic))
+    return float(_at(_scp_downlink, _scp_consts(params), p_u, p_d, r_u, sic))
 
 
 def fd_scp(params, sic: SicMode = SicMode.TREAT_AS_NOISE) -> RateResult:
@@ -465,7 +412,7 @@ def fd_cran_uplink(params, powers: PowerAllocation, precoder: Precoder) -> tuple
     """
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
     _check_precoder(params, precoder)
-    k = _CranConsts(*_one(_cran_consts(_fields([params]))))
+    k = _cran_consts(params, zf_constants(params.alpha))
     sigma = _checked_sigma_u_sq(k, params.c_u, powers.p_u, powers.p_d, budgets=False)
     return _finite("r_u", _at(_cran_uplink, k, powers.p_u, powers.p_d)), float(sigma)
 
@@ -487,7 +434,7 @@ def fd_cran_downlink(
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
     _check_precoder(params, precoder)
     r_u = _carried_uplink(sic, r_u)
-    k = _one(_cran_consts(_fields([params])))
+    k = _cran_consts(params, zf_constants(params.alpha))
     return float(_at(_cran_downlink, k, powers.p_u, powers.p_d, r_u, sic))
 
 
@@ -503,51 +450,42 @@ def fd_cran(params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE) -
 # batches
 
 
-def _consts(family: str, sic, f: _Fields) -> tuple:
-    """The kernel constants of the points of f, C-RAN with the exact
-    zero-forcing terms and sigma_u^2 checked at the most power the scheme
-    spends (P_u alone in half duplex, sic None, else both budgets), stacked
-    once: (of, columns) of _stacked."""
+def _consts(family: str, sic, points) -> tuple:
+    """The points' kernel constants, C-RAN with the exact zero-forcing terms
+    and sigma_u^2 checked at the most power the scheme spends (P_u alone in
+    half duplex, sic None, else both budgets), stacked once: (of, columns)
+    of _stacked."""
     if family == "scp":
-        return _stacked(_scp_consts(f))
-    columns = _cran_consts(f)
-    _checked_sigma_u_sq(_CranConsts(*columns), f.c_u, f.p_u_max, f.p_d_max * (sic is not None))
-    return _stacked(columns)
+        return _stacked([_scp_consts(p) for p in points])
+    of, columns = _stacked([_cran_consts(p, zf_constants(p.alpha)) for p in points])
+    p_u_max, p_d_max = _budgets(points)
+    k = _CranConsts(*columns)
+    _checked_sigma_u_sq(k, _capacities(points), p_u_max, p_d_max * (sic is not None))
+    return of, columns
 
 
-def _stacked(columns):
-    """Per-point constants, one (n,) row per quantity, as (of, columns): of(b)
-    gives the constants of the points b, a slice or an array of indices, as
-    plain floats for a single point, and else a quantity that every point of
-    the batch shares as its plain float and any other as one (n, 1, 1)
-    column, broadcasting against power arrays of shape (n, ...).  numpy
-    combines a float with an array at less cost than a column, and to the
-    same values."""
-    first = columns[:, 0].tolist()
-    shared = (columns == columns[:, :1]).all(axis=1).tolist()
+def _stacked(rows):
+    """Per-point constants, one row per point, as (of, columns): columns holds
+    one (n,) array per quantity, and of(b) gives the constants of the points
+    b, a slice or an array of indices, one (n, 1, 1) column per quantity,
+    broadcasting against power arrays of shape (n, ...), but a quantity that
+    every point of the batch shares as its plain float, and for a single
+    point its plain floats: numpy combines a float with arrays at less cost
+    than a column, and to the same values."""
+    n = len(rows)
+    columns = np.fromiter(chain.from_iterable(rows), float, n * len(rows[0])).reshape(n, -1).T
     stacked = columns[..., None, None]
-    index = np.arange(columns.shape[1])
+    index = np.arange(n)
+    first = rows[0]
+    shared = (columns == columns[:, :1]).all(axis=1).tolist()
 
     def of(b):
         at = index[b]
         if at.size == 1:
-            return columns[:, at[0]].tolist()
+            return rows[at[0]]
         return [v if same else x[b] for v, same, x in zip(first, shared, stacked)]
 
     return of, columns
-
-
-def _t2_stays_finite(family: str, columns, p_u_max, p_d_max) -> bool:
-    """Whether t2's SINR (see _receive) stays inside the float range for
-    every point of a batch at every power within its budgets, given in each
-    _unit.  The SINR is linear-fractional in (p_u, p_d), so it peaks at a
-    corner of the box; a corner below 2**1022 leaves room for rounding."""
-    terms = _scp_terms if family == "scp" else _cran_terms
-    corners = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    pu, pd = p_u_max[:, None] * corners[:, 0], p_d_max[:, None] * corners[:, 1]
-    signal, den, g2pu = terms(columns[:, :, None], pu, pd)
-    with np.errstate(over="ignore"):
-        return bool(((signal + g2pu) / den < 2.0**1022).all())
 
 
 def _batch(family: str, sic, points, full_power: bool = False) -> list:
@@ -559,20 +497,17 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
     search's argmax, or at the budgets if full_power, and reports their min.
     The first point with a rate not finite raises, r_u checked before r_d."""
     uplink, downlink = _kernels(family)
-    f = _fields(points)
-    of, columns = _consts(family, sic, f)
-
-    units = columns[-1]
-    p_u, p_d = f.p_u_max, f.p_d_max
-    wide = sic is SicMode.SIC and not _t2_stays_finite(family, columns, p_u * units, p_d * units)
+    of, columns = _consts(family, sic, points)
 
     def rates(b, pu, pd, receiver=sic):  # (r_u, r_d) of the points b (see _max_min_search)
         k = of(b)
         if receiver is None:  # half duplex: each direction alone at its budget
             return uplink(k, pu, 0.0), downlink(k, 0.0, pd, 0.0, _TAN)
         r_u = uplink(k, pu, pd)
-        return r_u, downlink(k, pu, pd, r_u, receiver, wide)
+        return r_u, downlink(k, pu, pd, r_u, receiver)
 
+    units = columns[-1]
+    p_u, p_d = _budgets(points)
     if sic is not None and not full_power:
         _, p_u, p_d = _max_min_search(rates, p_u * units, p_d * units, sic)
         p_u, p_d = p_u / units, p_d / units
@@ -590,7 +525,7 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
         # inf only where quant is (c_u = 0): _consts has checked sigma_u^2 at
         # the budgets, and it is no larger at powers within them
         up = (p_u, p_d * (sic is not None))  # the uplink's powers
-        diag["sigma_u_sq"] = _reported_sigma_u_sq(k, f.c_u, *up)
+        diag["sigma_u_sq"] = _reported_sigma_u_sq(k, _capacities(points), *up)
         diag.update(sigma_d_sq=sigma_d, p_s=p_s)
     split = None
     if sic is None:
@@ -615,6 +550,16 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
 #
 # Every function below works on a batch of n operating points: budgets are
 # (n,) arrays, and so is each returned value and power.
+
+
+def _budgets(points) -> tuple:
+    """Each point's budgets (P_u, P_d): two (n,) arrays."""
+    return np.array([p.p_u_max for p in points]), np.array([p.p_d_max for p in points])
+
+
+def _capacities(points) -> np.ndarray:
+    """Each point's uplink fronthaul capacity c_u, an (n,) array."""
+    return np.array([p.c_u for p in points])
 
 
 def _in_chunks(fn, pu, pd):

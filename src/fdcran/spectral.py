@@ -3,7 +3,7 @@
 Every rate comes from two closed forms: rate_closed_form, the exact uplink
 rate integral in real arithmetic (Jensen's formula, the larger root's
 modulus taken from the distances of one point to +-1), and zf_constants,
-the exact zero-forcing h~_0^2 and R_g(2), for one gain or an array of them.
+the exact zero-forcing h~_0^2 and R_g(2).
 The rest samples the unit frequency interval at an even panel count,
 deterministically for a given count: the channel response H(f),
 composite-Simpson quadrature, the sampled zero-forcing precoder, the filter
@@ -109,24 +109,16 @@ def _check_zf_alpha(alpha) -> None:  # zero forcing needs 0 <= alpha < 0.5
         raise ZfSingularError(float(alpha))
 
 
-def zf_constants(alpha):
+def zf_constants(alpha: float) -> tuple[float, float]:
     """Exact (h~_0^2, R_g(2)) of the zero-forcing precoder for gain alpha.
 
     With d = sqrt(1 - 4 alpha^2) and r = (1 - d) / (2 alpha) = 2 alpha / (1 + d),
     1/H(f) has taps (-r)^|k| / d, so unit energy gives h~_0^2 = d^3 and
     R_g(2) = r^2 (1 + 2d): the values of zf_precoder's sampled filter, to
-    quadrature rounding.  alpha is checked as by zf_precoder; given an array
-    of gains, each is checked, the first bad one raising, and the constants
-    come back as two arrays, each element what its gain alone gives.
+    quadrature rounding.  alpha is checked as by zf_precoder.
     """
-    if isinstance(alpha, np.ndarray):
-        bad = alpha[~((alpha >= 0.0) & (alpha < _ZF_ALPHA_LIMIT))]
-        if bad.size:
-            _check_zf_alpha(float(bad[0]))
-        d = np.sqrt(1.0 - 4.0 * alpha * alpha)
-    else:
-        _check_zf_alpha(alpha)
-        d = math.sqrt(1.0 - 4.0 * alpha * alpha)
+    _check_zf_alpha(alpha)
+    d = math.sqrt(1.0 - 4.0 * alpha * alpha)
     r = 2.0 * alpha / (1.0 + d)
     return d * d * d, r * r * (1.0 + 2.0 * d)
 
@@ -205,13 +197,15 @@ def rate_closed_form(snr_scale, alpha: float):
     From (1 + 2 alpha)^2 s = 2**1022 on (s = 2**1020 for alpha <= 1/2), where
     an intermediate could pass the float range, z is taken as sqrt(s) times
     the z of 1/s + H(f)^2, as oracle._uplink takes its huge SINRs.
-    Vectorized like rate_integral, without its input check (a NaN s gives
-    NaN); alpha is a float or an array that broadcasts against s.
+    The integral depends on alpha only through alpha^2, so |alpha| stands in
+    for alpha throughout.  Vectorized like rate_integral, without its input
+    check (a NaN s gives NaN); alpha is a float or an array that broadcasts
+    against s.
     """
     s = np.asarray(snr_scale, dtype=float)
     x = s.reshape(1) if s.ndim == 0 else s  # arrays, for the in-place steps
-    a = 2.0 * alpha
-    above = np.any(a > 1.0)  # some alpha > 1/2
+    a = 2.0 * abs(alpha)
+    above = np.any(a > 1.0)  # some |alpha| > 1/2
     limit = _HUGE_SNR * 4.0 / np.max(np.maximum((1.0 + a) ** 2, 4.0)) if above else _HUGE_SNR
     huge = x >= limit if x.size and x.max() >= limit else None
     if huge is not None:
@@ -223,7 +217,7 @@ def rate_closed_form(snr_scale, alpha: float):
     d = (1.0 - b) * (1.0 + b) * x
     d += p * q
     d += w
-    if above:  # 2D = 4s/(PQ + 1 + (4 alpha^2 - 1) s) where alpha > 1/2
+    if above:  # 2D = 4s/(PQ + 1 + (4 alpha^2 - 1) s) where |alpha| > 1/2
         b = np.maximum(a, 1.0)
         twice = 4.0 * x / ((p + 1.0) * (q + 1.0) + 1.0 + (b - 1.0) * (b + 1.0) * x)
         d = np.where(a > 1.0, twice, d)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fdcran.rates as rates
-from fdcran.model import NumericDomainError, SchemeId, db_to_linear
+from fdcran.model import NumericDomainError, SchemeId
 from fdcran.rates import DEFAULT_GRID, compute_batch, compute_scheme
 from fdcran.sweep import SweepSpec, run_sweep
 from test_solver_properties import DOMAIN
@@ -30,54 +30,6 @@ def test_batch_equals_each_point_alone(scheme):
     for got, want in zip(batch, alone):
         assert (got.r_u, got.r_d, got.r_eq) == (want.r_u, want.r_d, want.r_eq)
         assert got.diagnostics == want.diagnostics
-
-
-@pytest.mark.parametrize("family", ["scp", "cran"])
-def test_a_batch_builds_each_points_constants_as_the_point_alone(family):
-    # the batch takes each formula array-wise, or value by value where numpy
-    # could round otherwise; a point alone takes every value once
-    build = rates._scp_consts if family == "scp" else rates._cran_consts
-    rng = np.random.default_rng(18)
-    points = MIXED + [
-        replace(DOMAIN[i % len(DOMAIN)], alpha=a, beta_du=b, beta_ud=c, gamma_ud=g, c_u=u, c_d=d)
-        for i, (a, b, c, g, u, d) in enumerate(
-            rng.uniform([0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.49, 1.0, 1.0, 8.0, 12.0, 12.0], (500, 6))
-        )
-    ]
-    batch = build(rates._fields(points))
-    alone = np.hstack([build(rates._fields([p])) for p in points])
-    assert batch.tobytes() == alone.tobytes()
-
-
-# beta_ud = 0 leaves t2's SINR gamma_ud^2 P_u at (P_u, 0): past the float range
-WIDE = replace(
-    DOMAIN[3], beta_ud=0.0, gamma_ud=3.0, c_u=2000.0,
-    p_u_max=db_to_linear(3080.0), p_d_max=db_to_linear(3000.0),
-)
-
-
-@pytest.mark.parametrize(
-    "scheme", (SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC), ids=lambda s: s.value
-)
-def test_a_batch_whose_t2_can_overflow_gives_each_point_its_result_alone(monkeypatch, scheme):
-    # one point whose t2 can pass the float range sends its whole batch down
-    # the guarded path, which changes no other point's result
-    seen = []
-    stays_finite = rates._t2_stays_finite
-
-    def recorded(*args):
-        seen.append(stays_finite(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(rates, "_t2_stays_finite", recorded)
-    points = DOMAIN[:3] + [WIDE]
-    batch = compute_batch(scheme, points)
-    alone = [compute_scheme(scheme, p) for p in points]
-    assert seen == [False, True, True, True, False]
-    for got, want in zip(batch, alone):
-        assert (got.r_u, got.r_d, got.r_eq) == (want.r_u, want.r_d, want.r_eq)
-        assert got.diagnostics == want.diagnostics
-    assert all(np.isfinite([r.r_u, r.r_d, r.r_eq]).all() for r in batch)
 
 
 def test_alpha_sweep_rows_equal_compute_scheme():

@@ -88,22 +88,6 @@ def test_zf_rejects_negative_alpha():
                 build(bad)
 
 
-def test_zf_constants_of_an_array_are_each_gains_own():
-    alphas = np.linspace(0.0, 0.4999, 1001)
-    h0sq, rg2 = zf_constants(alphas)
-    assert h0sq.tolist() == [zf_constants(a)[0] for a in alphas.tolist()]
-    assert rg2.tolist() == [zf_constants(a)[1] for a in alphas.tolist()]
-
-
-@pytest.mark.parametrize("bad", [0.5, 0.7, math.nan, -0.1])
-def test_zf_constants_of_an_array_raise_for_the_first_bad_gain(bad):
-    with pytest.raises(ValueError) as err:
-        zf_constants(np.array([0.1, bad, 0.6, 0.2]))
-    with pytest.raises(type(err.value)) as alone:
-        zf_constants(bad)
-    assert str(err.value) == str(alone.value)
-
-
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
 def test_zf_closed_form_grid(alpha):
     pre = zf_precoder(alpha, 4096)
@@ -224,7 +208,7 @@ def _assert_matches_the_complex_form(alpha):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.4, 0.49, 0.49999, 0.5])
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.4, 0.49, 0.49999, 0.5, -0.3, -0.5])
 def test_rate_closed_form_matches_the_complex_form(alpha):
     # from s = 0 and the least subnormal up to the largest float, where the
     # scaled branch takes over (about 1022 to 1024 bits)
@@ -234,7 +218,8 @@ def test_rate_closed_form_matches_the_complex_form(alpha):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("alpha", [0.5000001, 0.6, 1.0, 3.0])
+@pytest.mark.parametrize("alpha", [0.5000001, 0.6, 1.0, 3.0, -0.6, -1.0, -3.0])
 def test_rate_closed_form_matches_the_complex_form_above_one_half(alpha):
-    # hd_cran_uplink, which needs no zero-forcing precoder, takes any alpha
+    # hd_cran_uplink, which needs no zero-forcing precoder, takes any alpha,
+    # and the integral depends on alpha only through alpha^2
     _assert_matches_the_complex_form(alpha)
