@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 configuration error, 3 numeric-domain error
 (including a singular zero-forcing inversion or a rate that overflows), 4
 oracle verification failure.  Rates are exact closed forms: no quadrature flag.
 The SIC power search is solved from its bound on the budget edges, and the
-points whose bound is not attained fall back to scans at one fixed
-resolution: no grid flag.
+points whose bound is not attained fall back to 1-D scans of the budget
+edges and one closed-form curve at one fixed resolution: no grid flag.
 """
 
 import argparse
@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields, replace
 
 from .model import NumericDomainError, SchemeId
-from .rates import DEFAULT_GRID, compute_scheme
+from .rates import compute_scheme
 from .svg import emit_svg
 from .sweep import (
     ConfigError,
@@ -53,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Per-cell achievable rates for half/full-duplex cellular systems "
             "under single-cell processing or C-RAN operation.  The SIC power "
-            "search is solved from its bound on the budget edges; points whose "
-            f"bound is not attained fall back to scans at {DEFAULT_GRID} x {DEFAULT_GRID}."
+            "search is solved from its bound on the budget edges; points whose bound "
+            "is not attained fall back to scans of those edges and one closed-form curve."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -129,9 +129,12 @@ def _load_spec(args) -> SweepSpec:
 def _cmd_sweep(args) -> int:
     spec = _load_spec(args)
     rows = run_sweep(spec)
-    emit_csv(rows, args.out)
-    if args.svg:
-        emit_svg(rows, args.svg)
+    try:
+        emit_csv(rows, args.out)
+        if args.svg:
+            emit_svg(rows, args.svg)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
     if spec.oracle:
         failures = verification_failures(rows)
         if failures:

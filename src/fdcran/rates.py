@@ -24,17 +24,16 @@ equal rate follows from balancing f*R_u against (1-f)*R_d.  Full-duplex
 schemes choose the operating powers (p_u, p_d) that maximize min(R_u, R_d):
 exactly on the budget edges for treat-as-noise, and for SIC's decode-first
 branch from an upper bound solved exactly on the same edges; only the points
-whose bound is not attained fall back to scans at one fixed resolution,
-DEFAULT_GRID (see _max_min_search).  _batch builds every result, of one
-scheme at a batch of operating points at once: half duplex as the kernels
-at (P_u, 0) and (0, P_d) for every point, full duplex as one power search
-and both kernels at its argmax, or at the budgets under full_power
-(compute_batch is _batch; compute_scheme, hd_scp, hd_cran, fd_scp and fd_cran
-are its batch of one).  Every point of a batch gets bit-for-bit the result it
-gets alone.  _in_chunks splits every kernel call along the batch axis so
-that none evaluates more elements than the largest call of a one-point
-search, _CALL_LIMIT; the fallback's DEFAULT_GRID**2 budget-edge scans and
-first row scan therefore run one point at a time.
+whose bound is not attained fall back to 1-D searches of the budget edges
+and one closed-form curve (_decode_first_search).  _batch builds every
+result, of one scheme at a batch of operating points at once: half duplex
+as the kernels at (P_u, 0) and (0, P_d) for every point, full duplex as one
+power search and both kernels at its argmax, or at the budgets under
+full_power (compute_batch is _batch; compute_scheme, hd_scp, hd_cran, fd_scp
+and fd_cran are its batch of one).  Every point of a batch gets bit-for-bit
+the result it gets alone.  _in_chunks splits every kernel call along the
+batch axis so that none evaluates more elements than the largest call of a
+one-point search, _CALL_LIMIT: one point's scan of one fallback curve.
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
@@ -45,6 +44,7 @@ p_d * 2**-c_d, so the radio unit transmits exactly p_d.
 import math
 from collections import namedtuple
 from enum import Enum
+from functools import partial
 from itertools import chain, compress
 
 import numpy as np
@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 64  # the one resolution of the SIC search's scans (_max_min_search)
-_CALL_LIMIT = (DEFAULT_GRID + 2) * (DEFAULT_GRID + 1)  # a one-point SIC search's first row scan
+_CALL_LIMIT = DEFAULT_GRID**2  # a one-point SIC search's scan of one curve
 
 _EDGE_CUTS = 269  # most 16-fold cuts of a bracket: 16**-269 < 2**-1074, the least subnormal
 _EPS = np.finfo(float).eps
@@ -86,8 +86,8 @@ _SHRINK_STEPS = 20  # halvings of the tie-breaking power scale
 _ZOOM = 8  # window shrink factor per zoom pass
 _ZOOM_PASSES = 12  # zoom passes along each axis of the SIC search
 _WINDOW = np.linspace(0.0, 1.0, 17)  # samples across a search window
-# a _row_max window's offsets from its centre, without the centre itself,
-# the row's incumbent, whose value that row already has
+# a _curve_max window's offsets from its centre, without the centre itself,
+# the incumbent, whose value the search already has
 _OFF_CENTRE = np.delete(_WINDOW - 0.5, _WINDOW.size // 2)
 _TIE_TOL = 1e-9  # objective values this close count as tied
 
@@ -186,6 +186,11 @@ def _scp_downlink(k, p_u, p_d, r_u, receiver):
     return np.minimum(_receive(p_d, den, g2 * p_u, r_u, receiver), c_d)
 
 
+def _scp_line(k):  # (h, d0, d1, d2, g2) of _crossing
+    a2, bdu2, bud2, g2, _, _, unit = k
+    return bdu2 / unit, unit, bud2, 1.0 + a2, g2
+
+
 # per unit of power: gain_u = 1 + 2 alpha^2 and gain_du = 2 beta_du^2
 # (1 + R_g(2)) of p_u and p_d at a radio unit, quant = _per_unit_quantization(c_u),
 # q_d = 2**-c_d, noise_d = q_d (1 + 2 alpha^2) and signal_d = (1 - q_d) h~_0^2 of
@@ -268,9 +273,29 @@ def _cran_downlink(k, p_u, p_d, r_u, receiver):
     return _receive(signal_d * p_d, den, g2 * p_u, r_u, receiver)
 
 
+def _cran_line(k):  # (h, d0, d1, d2, g2) of _crossing
+    _, _, gain_du, quant, _, noise_d, signal_d, gain_ud, g2, unit = k
+    return quant * gain_du / (unit * (1.0 + quant)), unit, gain_ud, noise_d + signal_d, g2
+
+
 def _kernels(family: str):
     """(uplink, downlink) kernels of a processing family."""
     return (_scp_uplink, _scp_downlink) if family == "scp" else (_cran_uplink, _cran_downlink)
+
+
+def _crossing(family: str, k, x0):
+    """Gamma's point (p_u, p_d), in kernel powers, on the line of constant
+    uplink SINR p_u / (u0 + u1 p_u + u2 p_d) with foot (x0, 0): p_u =
+    x0 (1 + h p_d), h = u2 / u0.  With the downlink's den + signal = d0 +
+    d1 p_u + d2 p_d, t2 - t1 = r_u where e p_u = d0 + d2 p_d, e = g2 / q - d1
+    and q = 2**r_u(x0, 0) - 1, so p_d = (e x0 - d0) / (d2 - e x0 h), where no
+    term leaves the float range before the budgets do.  Past it, or at
+    r_u = 0, p_d is inf, NaN or 0, without a warning."""
+    h, d0, d1, d2, g2 = (_scp_line if family == "scp" else _cran_line)(k)
+    with np.errstate(all="ignore"):
+        e = g2 / (2.0 ** _kernels(family)[0](k, x0, 0.0) - 1.0) - d1
+        p_d = (e * x0 - d0) / (d2 - e * x0 * h)
+        return x0 * (1.0 + h * p_d), p_d
 
 
 def _at(kernel, k, p_u, p_d, *args):
@@ -506,10 +531,13 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
         r_u = uplink(k, pu, pd)
         return r_u, downlink(k, pu, pd, r_u, receiver)
 
+    def crossing(b, x0):  # the points b's points of Gamma (_decode_first_search)
+        return _crossing(family, of(b), x0)
+
     units = columns[-1]
     p_u, p_d = _budgets(points)
     if sic is not None and not full_power:
-        _, p_u, p_d = _max_min_search(rates, p_u * units, p_d * units, sic)
+        _, p_u, p_d = _max_min_search(rates, crossing, p_u * units, p_d * units, sic)
         p_u, p_d = p_u / units, p_d / units
     powers = ((x * units)[:, None, None] for x in (p_u, p_d))  # in each _unit
     r_u, r_d = (r.ravel() for r in _in_chunks(rates, *powers))
@@ -648,75 +676,39 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
     return value, scale * p_u, scale * p_d
 
 
-def _best_of(values, at):
-    """Each row's first maximum of values (last axis) and where it is in at,
-    an array of the same shape."""
-    flat = values.reshape(-1, values.shape[-1])
-    rows, j = np.arange(flat.shape[0]), flat.argmax(axis=1)
-    shape = values.shape[:-1]
-    return flat[rows, j].reshape(shape), at.reshape(flat.shape)[rows, j].reshape(shape)
+def _curve_max(score, top):
+    """Each point's max along a curve, score(b, x) giving the value and powers
+    (p_u, p_d) of the points b at x in [0, top]: a scan of DEFAULT_GRID**2
+    values, then _ZOOM_PASSES windows of len(_WINDOW) values centred on the
+    incumbent (which moves only to a strictly better value, so the centre is
+    not scored again), the first _ZOOM scan steps wide, each next _ZOOM times
+    narrower.  Returns (value, p_u, p_d), each an (n,) array."""
+    def best_of(b, x, _):  # the points b's first best of (value, p_u, p_d, x) over x
+        values, *at = np.broadcast_arrays(*score(b, x), x)
+        j = values.argmax(axis=-1)[..., None]
+        return tuple(np.take_along_axis(v, j, axis=-1)[..., 0] for v in (values, *at))
 
+    def best(x):  # each point's best over x, (n, 1, m), passed twice to _in_chunks
+        return _in_chunks(best_of, x, x)
 
-def _row_max(row_best, pu, seed, p_d_max):
-    """Per-row max over p_d for each p_u: a scan of DEFAULT_GRID values plus the
-    row's seed, then _ZOOM_PASSES windows of len(_WINDOW) values centred on the
-    row's incumbent, the first _ZOOM scan steps wide, each next _ZOOM times
-    narrower; the incumbent moves only to a strictly better value, so the
-    centre, where it is, is not scored again.  pu and seed are (n, rows).
-    Returns (values, p_d) per row."""
-    n, rows = pu.shape
-    lin = np.linspace(0.0, p_d_max, DEFAULT_GRID, axis=-1)[:, None, :]
-    scan = np.concatenate([np.broadcast_to(lin, (n, rows, DEFAULT_GRID)), seed[..., None]], axis=2)
-    value, pd = row_best(pu[..., None], scan)
-    span = _ZOOM * (p_d_max / (DEFAULT_GRID - 1))  # divided first: _ZOOM * p_d_max can overflow
-    top_d = p_d_max[:, None, None]
+    found = best(np.linspace(0.0, top, DEFAULT_GRID**2, axis=-1)[:, None])
+    span = _ZOOM * (top / (DEFAULT_GRID**2 - 1))  # divided first: _ZOOM * top can overflow
     for _ in range(_ZOOM_PASSES):
-        window = pd[..., None] + span[:, None, None] * _OFF_CENTRE
-        window = np.minimum(np.maximum(window, 0.0), top_d)  # np.clip, at less cost
-        top, at = row_best(pu[..., None], window)
-        better = top > value
-        value = np.where(better, top, value)
-        pd = np.where(better, at, pd)
+        window = found[-1][..., None] + span[:, None, None] * _OFF_CENTRE
+        new = best(np.minimum(np.maximum(window, 0.0), top[:, None, None]))  # as np.clip, cheaper
+        better = new[0] > found[0]
+        found = [np.where(better, x, y) for x, y in zip(new, found)]
         span = span / _ZOOM
-    return value, pd
+    return [x[:, 0] for x in found[:3]]
 
 
-def _profile_max(row_best, pu, seed, p_u_max, p_d_max):
-    """Maximize the objective over the box from rows pu seeded with p_d values.
-
-    The max-min objective peaks on narrow curved ridges, where a 2-D grid
-    ranks points by their distance to the ridge more than by their height,
-    so rows are compared only after each is maximized over p_d (_row_max).
-    The best row (the smallest p_u within _TIE_TOL) is zoomed in on along p_u
-    with windows of len(_WINDOW) rows, each seeded where the rows seen so far
-    put the ridge.  Returns (value, p_u, p_d).
-    """
-    value, pd = _row_max(row_best, pu, seed, p_d_max)
-    i = np.argmax(value >= value.max(axis=1, keepdims=True) - _TIE_TOL, axis=1)[:, None]
-    best = [np.take_along_axis(x, i, 1)[:, 0] for x in (value, pu, pd)]
-    span = _ZOOM * (p_u_max / (DEFAULT_GRID - 1))
-    for _ in range(_ZOOM_PASSES):
-        order = np.argsort(pu, axis=1, kind="stable")
-        rows = np.clip(best[1][:, None] + span[:, None] * (_WINDOW - 0.5), 0.0, p_u_max[:, None])
-        seed = np.array([np.interp(r, u[o], d[o]) for r, u, d, o in zip(rows, pu, pd, order)])
-        # a slope past the float range (huge p_d over close rows) interpolates to inf or NaN
-        seed = np.clip(np.nan_to_num(seed, nan=0.0), 0.0, p_d_max[:, None])
-        row_value, row_pd = _row_max(row_best, rows, seed, p_d_max)
-        pu, pd = np.hstack([pu, rows]), np.hstack([pd, row_pd])
-        i = np.argmax(row_value, axis=1)[:, None]
-        top = [np.take_along_axis(x, i, 1)[:, 0] for x in (row_value, rows, row_pd)]
-        better = top[0] > best[0]
-        best = [np.where(better, now, was) for now, was in zip(top, best)]
-        span = span / _ZOOM
-    return best
-
-
-def _max_min_search(rates, p_u_max, p_d_max, sic: SicMode):
+def _max_min_search(rates, crossing, p_u_max, p_d_max, sic: SicMode):
     """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max].
 
     rates(b, pu, pd, receiver) -> (r_u, r_d) evaluates the points b of the
     batch, a slice or an array of indices, at power arrays whose leading axis
     runs over them; r_d is that of the receiver (see _receive).
+    crossing(b, x0) gives their points of Gamma (_decode_first_search).
 
     Treat-as-noise: both SINRs are standard interference functions (Yates,
     IEEE JSAC 1995), so scaling (p_u, p_d) up raises both rates and the
@@ -732,15 +724,14 @@ def _max_min_search(rates, p_u_max, p_d_max, sic: SicMode):
     power: _edge_optimum finds M's maximum M* exactly.  A point whose M* is
     at most _TIE_TOL above the treat-as-noise optimum keeps that optimum; one
     whose V at M's argmax is within _TIE_TOL of M* takes that argmax, optimal
-    to within _TIE_TOL.  Only the other points go to _profile_search, as a
-    batch of their own.  A decode-first point replaces the treat-as-noise
-    optimum only when better by over _TIE_TOL.  Returns (value, p_u, p_d),
-    each an (n,) array.
+    to within _TIE_TOL.  Only the other points go to _decode_first_search, as
+    a batch of their own, which searches V on the two upper budget edges and
+    on Gamma, where V's maximum lies.  A decode-first point replaces the
+    treat-as-noise optimum only when better by over _TIE_TOL.  Returns
+    (value, p_u, p_d), each an (n,) array.
     """
-    def on_edges(fn):
-        return lambda pu, pd: _in_chunks(fn, pu, pd)
-
-    best = _edge_optimum(on_edges(lambda b, pu, pd: rates(b, pu, pd, _TAN)), p_u_max, p_d_max)
+    tan = partial(_in_chunks, lambda b, pu, pd: rates(b, pu, pd, _TAN))
+    best = _edge_optimum(tan, p_u_max, p_d_max)
     if sic is _TAN:
         return best
 
@@ -751,47 +742,51 @@ def _max_min_search(rates, p_u_max, p_d_max, sic: SicMode):
     def decode_first(b, pu, pd):
         return (np.minimum(*rates(b, pu, pd, _DECODE_FIRST)),)
 
-    top, p_u, p_d = _edge_optimum(on_edges(bound), p_u_max, p_d_max)
+    top, p_u, p_d = _edge_optimum(partial(_in_chunks, bound), p_u_max, p_d_max)
     (value,) = _in_chunks(decode_first, p_u[:, None, None], p_d[:, None, None])
     found = [value[:, 0, 0], p_u, p_d]
     contested = top > best[0] + _TIE_TOL  # elsewhere M* leaves treat-as-noise optimal
     rest = np.flatnonzero(contested & (found[0] < top - _TIE_TOL))  # M* not attained
     if rest.size:
-        searched = _profile_search(
-            lambda b, *args: rates(rest[b], *args), p_u_max[rest], p_d_max[rest]
-        )
+        of_rest = (lambda b, *args: rates(rest[b], *args), lambda b, x0: crossing(rest[b], x0))
+        searched = _decode_first_search(*of_rest, p_u_max[rest], p_d_max[rest])
         for x, y in zip(found, searched):
             x[rest] = y
     better = contested & (found[0] > best[0] + _TIE_TOL)
     return tuple(np.where(better, f, b) for f, b in zip(found, best))
 
 
-def _profile_search(rates, p_u_max, p_d_max):
-    """The decode-first optimum, searched by _profile_max from DEFAULT_GRID
-    rows of p_u, each scanned at DEFAULT_GRID values of p_d, and from the
-    best points of both budget edges scanned at DEFAULT_GRID**2 points.  No
-    call to rates evaluates more elements than the first row scan of one
-    point (_CALL_LIMIT), so _in_chunks takes the edge scans and the first row
-    scan one point at a time and the rest in groups of points.  Every point
-    here has a bound above _TIE_TOL, so both its budgets are far from 0, and
-    each linspace below gives what it gives for the point alone, bit for
-    bit.  Returns (value, p_u, p_d), each an (n,) array."""
-    def decode_first(b, pu, pd):
-        return np.minimum(*rates(b, pu, pd, _DECODE_FIRST))
+def _decode_first_search(rates, crossing, p_u_max, p_d_max):
+    """The max of V = min(r_u, t1, t2 - r_u) over the power box.
 
-    def row_best(pu, pd, free=1):  # each row's max over the last axis, and its p_d (free=0: p_u)
-        return _in_chunks(lambda b, u, d: _best_of(decode_first(b, u, d), (u, d)[free]), pu, pd)
+    Every point of the box lies on a line of constant uplink SINR with its
+    foot x0 in [0, P_u] on p_d = 0 (_crossing).  Along it r_u is constant
+    and t1 and t2, their SINRs linear-fractional there, are each monotone,
+    so V peaks at the line's upper end in the box, on p_u = P_u or p_d = P_d,
+    or where t1 = t2 - r_u (its lower end has t1 = 0): on the two upper
+    budget edges or on Gamma = {t2 - t1 = r_u}, whose point on each line
+    crossing(b, x0) gives in closed form.  _curve_max searches p_d along
+    p_u = P_u, p_u along p_d = P_d and x0 along Gamma (-inf outside the
+    box); the first best of the three wins.  Each scan is _CALL_LIMIT
+    elements per point, so _in_chunks takes it one point at a time."""
+    u_max, d_max = p_u_max[:, None, None], p_d_max[:, None, None]
 
-    def edge(p_max):  # (n, 1, DEFAULT_GRID**2) powers along a budget edge
-        return np.linspace(0.0, p_max, DEFAULT_GRID**2, axis=-1)[:, None]
+    def on_box(b, pu, pd):
+        return np.minimum(*rates(b, pu, pd, _DECODE_FIRST)), pu, pd
 
-    u_max, d_max = p_u_max[:, None], p_d_max[:, None]
-    _, best_u = row_best(edge(p_u_max), d_max[..., None], free=0)
-    _, best_d = row_best(u_max[..., None], edge(p_d_max))
-    pu = np.hstack([np.linspace(0.0, p_u_max, DEFAULT_GRID, axis=-1), u_max, best_u])
-    no_seed = np.zeros((p_u_max.size, DEFAULT_GRID))  # the scanned rows need none
-    seed = np.hstack([no_seed, best_d, d_max])
-    return _profile_max(row_best, pu, seed, p_u_max, p_d_max)
+    def on_gamma(b, x0):  # at p_d = 0, t1 = 0: no point of Gamma there is of use
+        pu, pd = crossing(b, x0)
+        inside = (0.0 < pd) & (pd <= d_max[b]) & (pu <= u_max[b])  # NaN is not
+        value, pu, pd = on_box(b, np.where(inside, pu, 0.0), np.where(inside, pd, 0.0))
+        return np.where(inside, value, -np.inf), pu, pd
+
+    found = [
+        _curve_max(lambda b, x: on_box(b, u_max[b], x), p_d_max),
+        _curve_max(lambda b, x: on_box(b, x, d_max[b]), p_u_max),
+        _curve_max(on_gamma, p_u_max),
+    ]
+    first = np.argmax([value for value, *_ in found], axis=0)
+    return tuple(np.choose(first, column) for column in zip(*found))
 
 
 # ----------------------------------------------------------------------------

@@ -34,10 +34,11 @@ block, in kernel calls no larger than those of a one-point search.  The
 block size bounds the solver's memory whatever the sweep length, and
 MAX_SWEEP_VALUES bounds the sweep.  C-RAN rows are exact (closed forms, see
 rates), so a sweep has no quadrature setting, and the SIC search is solved
-from its bound on the budget edges, falling back to scans at one fixed
-resolution (rates.DEFAULT_GRID) only where the bound is not attained, so it
-has no resolution setting either.  A sweep runs in this one process: with
-the SIC search this cheap, worker processes would cost more than they save.
+from its bound on the budget edges, falling back to 1-D scans of three
+curves at one fixed resolution (rates.DEFAULT_GRID) only where the bound is
+not attained, so it has no resolution setting either.  A sweep runs in this
+one process: with the SIC search this cheap, worker processes would cost
+more than they save.
 
 Under --verify the oracles run in this process after each block's solve:
 the circulant ring checks each C-RAN uplink rate, and oracle.certified_max_min

@@ -75,8 +75,9 @@ def test_sweeps_longer_than_a_block_keep_every_row():
 
 def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
     # every objective evaluation of the search calls the family's uplink kernel
-    # once; DOMAIN[5] is one of the points whose decode-first bound is not
-    # attained, so its search falls back to the row scans
+    # once (a point of Gamma twice); DOMAIN[5] is one of the points whose
+    # decode-first bound is not attained, so its search falls back to the
+    # scans of the budget edges and Gamma
     sizes = []
     kernel = rates._scp_uplink
 
@@ -89,6 +90,6 @@ def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
     one_point = (len(sizes), max(sizes))
     sizes.clear()
     compute_batch(SchemeId.FD_SCP_SIC, DOMAIN)
-    assert one_point[1] == (DEFAULT_GRID + 2) * (DEFAULT_GRID + 1)
+    assert one_point[1] == DEFAULT_GRID**2
     assert max(sizes) == one_point[1]
     assert len(sizes) < len(DOMAIN) * one_point[0] / 4  # the batch shares its calls

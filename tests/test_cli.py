@@ -295,6 +295,20 @@ def test_sweep_missing_config_file(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "nope.cfg"), "--out", "x.csv"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_sweep_output_that_cannot_be_written_is_a_config_error(flag, tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(TINY_CONFIG, encoding="utf-8")
+    paths = {"--out": str(tmp_path / "rates.csv"), "--svg": str(tmp_path / "rates.svg")}
+    paths[flag] = str(tmp_path / "nonexistent" / "x")
+    argv = ["sweep", "--config", str(config)]
+    for name, path in paths.items():
+        argv += [name, path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ") and paths[flag] in err
+
+
 def test_sweep_numeric_overrides(tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text(TINY_CONFIG, encoding="utf-8")
@@ -339,8 +353,8 @@ def test_fig3_verify_passes(tmp_path, capsys):
 @pytest.mark.parametrize("p_u_db", [150, 200])
 def test_the_sic_search_reaches_the_certified_optimum_at_large_budgets(tmp_path, capsys, p_u_db):
     # the paper base with a huge uplink budget: the decode-first optimum lies
-    # at p_u of order 10-100, where row scans of the whole box lost it, and
-    # the bound on the budget edges finds it
+    # at p_u of order 10-100, where scans of the whole box by rows lost it,
+    # and the bound on the budget edges finds it
     text = (
         f"base.p_u_db = {p_u_db}\nsweep.var = gamma_ud\nsweep.start = 4\nsweep.stop = 4\n"
         "schemes = fd_scp_sic, fd_cran_sic\n"

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fdcran.model import PowerAllocation, db_to_linear
+from fdcran.model import PowerAllocation, SystemParams, db_to_linear
 from fdcran.oracle import circulant_uplink_rate, exhaustive_power_opt
 from fdcran.rates import (
     SicMode,
@@ -180,6 +180,23 @@ def test_fd_cran_argmax_reproduces_value(fig2_params):
         r_u, _ = fd_cran_uplink(fig2_params, powers, pre)
         r_d = fd_cran_downlink(fig2_params, powers, pre, sic, r_u)
         assert abs(min(r_u, r_d) - res.r_eq) <= 1e-12
+
+
+def test_fd_cran_sic_finds_an_optimum_off_the_budget_edges_at_a_large_budget():
+    # the decode-first optimum lies on Gamma near p_u = 5.59, p_d = 169.5,
+    # tiny against both budgets; scans of the power box by rows reached 2.1688
+    params = SystemParams(
+        alpha=0.36578493843872995, beta_du=0.4110929869045731, beta_ud=0.23499225631812276,
+        gamma_du=0.0, gamma_ud=7.134233390360064, p_u_max=94622531.7406011,
+        p_d_max=628239.9283185953, c_u=11.313351282761829, c_d=4.47448611447474,
+    )
+    pre = zf_precoder(params.alpha)
+    res = fd_cran(params, pre, SIC)
+    assert res.r_eq >= 2.4716045
+    powers = PowerAllocation(res.diagnostics["p_u_star"], res.diagnostics["p_d_star"])
+    r_u, _ = fd_cran_uplink(params, powers, pre)
+    assert abs(r_u - res.r_u) <= 1e-12
+    assert abs(fd_cran_downlink(params, powers, pre, SIC, r_u) - res.r_d) <= 1e-12
 
 
 def test_fd_cran_uplink_argmax_matches_circulant_oracle(fig2_params):

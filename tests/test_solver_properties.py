@@ -2,8 +2,10 @@
 parameter domain, each checked against a dense grid that shares no code with
 the solver's search objective, and of the bound that the SIC search solves
 first: it does not fall as both powers scale up, and solving it loses
-nothing against the row-scan search alone."""
+nothing against the fallback search of the budget edges and Gamma alone,
+whose premise, lines of constant uplink SINR, holds for both families."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -141,9 +143,51 @@ def test_the_bound_does_not_fall_as_both_powers_scale_up(params, u_db, d_db, u, 
         assert high >= low - 1e-12 * abs(low), family
 
 
-def _searched_by_rows_alone(monkeypatch) -> None:
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
+@given(
+    domain, huge_db, huge_db, st.floats(0.0, 1.0),
+    st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+)
+def test_lines_of_constant_uplink_sinr_order_t1_and_t2_and_cross_gamma(params, u_db, d_db, u, f):
+    # the premise that puts the decode-first optimum on the budget edges or on
+    # Gamma: along p_u = x0 (1 + h p_d) the uplink kernel is constant and t1
+    # and t2 are each monotone, and Gamma's point there has t2 - t1 = r_u;
+    # SCP's downlink cap, which only flattens t1 and t2, is lifted
+    point = replace(params, p_u_max=db_to_linear(u_db), p_d_max=db_to_linear(d_db))
+    for family in ("scp", "cran"):
+        at_point = replace(point, c_d=2000.0) if family == "scp" else point
+        try:
+            of, _ = rates._consts(family, SIC, [at_point])
+        except NumericDomainError:  # sigma_u^2 past the float range: no rates
+            continue
+        k = of([0])
+        if family == "cran" and k.quant == math.inf:  # c_u = 0: no uplink signal, no lines
+            continue
+        uplink, downlink = rates._kernels(family)
+        h = (rates._scp_line if family == "scp" else rates._cran_line)(k)[0]
+        u_max, d_max = at_point.p_u_max * k[-1], at_point.p_d_max * k[-1]  # kernel powers
+        x0 = u * u_max
+        end = d_max if x0 == 0.0 or h == 0.0 else min(d_max, (u_max / x0 - 1.0) / h)
+        p_d = np.sort(f) * end  # three points of the line in the box
+        p_u = x0 * (1.0 + h * p_d)
+        r_u = uplink(k, p_u, p_d)
+        assert np.ptp(r_u) <= 1e-12 * r_u.max(), family
+        for t in downlink(k, p_u, p_d, r_u, rates._BOUND):  # t1, t2/2
+            step = np.diff(t)
+            tol = 1e-12 * np.abs(t).max()
+            assert (step >= -tol).all() or (step <= tol).all(), family
+        g_u, g_d = rates._crossing(family, k, u_max * np.logspace(-300.0, 0.0, 61))
+        scored = (0.0 < g_d) & (g_d <= d_max) & (g_u <= u_max)  # as the search does
+        g_u, g_d = g_u[scored], g_d[scored]
+        r_u = uplink(k, g_u, g_d)
+        t1, half = downlink(k, g_u, g_d, r_u, rates._BOUND)
+        assert (np.abs(2.0 * half - t1 - r_u) <= 1e-9).all(), family
+
+
+def _searched_by_curves_alone(monkeypatch) -> None:
     """Give every point an infinite decode-first bound, which no point
-    attains, so that every SIC point goes through the row-scan search."""
+    attains, so that every SIC point goes through the search of the budget
+    edges and Gamma."""
     edge_optimum = rates._edge_optimum
 
     def unbounded(evaluate, p_u_max, p_d_max):
@@ -164,20 +208,20 @@ def test_the_bound_loses_nothing_against_the_row_scans_alone(monkeypatch, scheme
     points = [replace(p, p_u_max=p.p_u_max * gain, p_d_max=p.p_d_max * gain) for p in DOMAIN]
     solved = [r.r_eq for r in compute_batch(scheme, points)]
     with monkeypatch.context() as patch:
-        _searched_by_rows_alone(patch)
+        _searched_by_curves_alone(patch)
         scanned = [r.r_eq for r in compute_batch(scheme, points)]
     assert all(a >= b for a, b in zip(solved, scanned)), list(zip(solved, scanned))
 
 
 def test_points_whose_bound_is_not_attained_still_reach_the_row_scans(monkeypatch):
     searched = []
-    profile_search = rates._profile_search
+    decode_first_search = rates._decode_first_search
 
-    def counted(rates_of, p_u_max, p_d_max):
+    def counted(rates_of, crossing, p_u_max, p_d_max):
         searched.append(len(p_u_max))
-        return profile_search(rates_of, p_u_max, p_d_max)
+        return decode_first_search(rates_of, crossing, p_u_max, p_d_max)
 
-    monkeypatch.setattr(rates, "_profile_search", counted)
+    monkeypatch.setattr(rates, "_decode_first_search", counted)
     fig3 = preset_spec("fig3")
     for scheme, point in (
         (SchemeId.FD_CRAN_SIC, fig3.params_at(3.5)),
