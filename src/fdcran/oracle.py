@@ -71,16 +71,29 @@ def circulant_uplink_rate(
     """Per-cell uplink rate of a finite ring of n cells.
 
     Evaluates (1/n) log2 det(I + p_u/(1 + sigma_u_sq) H H^T) through the
-    circulant eigenvalues 1 + 2 alpha cos(2 pi j / n); as n grows this
-    converges to the unit-interval spectral integral.
+    circulant eigenvalues 1 + 2 alpha cos(2 pi j / n), in _log2_1p's form,
+    which holds up to the top of the float range; as n grows this converges
+    to the unit-interval spectral integral.
     """
     if n < _MIN_CELLS:
         raise ValueError(f"need at least {_MIN_CELLS} cells, got {n}")
     if p_u < 0 or sigma_u_sq < 0:
         raise ValueError("p_u and sigma_u_sq must be >= 0")
     lam = 1.0 + 2.0 * alpha * np.cos(2.0 * np.pi * np.arange(n) / n)
-    scale = p_u / (1.0 + sigma_u_sq)
-    return float(np.mean(np.log2(1.0 + scale * lam * lam)))
+    return float(np.mean(_log2_1p(p_u / (1.0 + sigma_u_sq), lam * lam)))
+
+
+def _log2_1p(s, lam2):
+    """log2(1 + s lam2) for SINR scales s >= 0 and squared eigenvalues lam2,
+    broadcast; where s lam2 passes the float range, as log2 s + log2(1/s + lam2)."""
+    with np.errstate(over="ignore"):
+        x = s * lam2
+    samples = np.log2(1.0 + x)
+    big = np.isinf(x)
+    if big.any():
+        s_big, lam2_big = (y[big] for y in np.broadcast_arrays(s, lam2))
+        samples[big] = np.log2(s_big) + np.log2(1.0 / s_big + lam2_big)
+    return samples
 
 
 def circulant_uplink_rate_dense(
@@ -250,14 +263,7 @@ def _uplink(k, ring, pu, pd):
     from _terms."""
     s = pu / (k.unit + k.quant * (k.base + k.f * pu + k.h * pd))
     lam2, weights = ring
-    with np.errstate(over="ignore"):
-        x = s[..., None] * lam2
-    samples = np.log2(1.0 + x)
-    big = np.isinf(x)
-    if big.any():  # an SINR past the float range: 1 + s lam^2 = s (1/s + lam^2)
-        s_big, lam2_big = (y[big] for y in np.broadcast_arrays(s[..., None], lam2))
-        samples[big] = np.log2(s_big) + np.log2(1.0 / s_big + lam2_big)
-    return np.minimum((samples * weights).sum(axis=-1), k.cap_u)
+    return np.minimum((_log2_1p(s[..., None], lam2) * weights).sum(axis=-1), k.cap_u)
 
 
 def _sinr2(k, pu, pd):  # t2's SINR, linear-fractional in (p_u, p_d)

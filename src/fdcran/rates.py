@@ -31,9 +31,9 @@ as the kernels at (P_u, 0) and (0, P_d) for every point, full duplex as one
 power search and both kernels at its argmax, or at the budgets under
 full_power (compute_batch is _batch; compute_scheme, hd_scp, hd_cran, fd_scp
 and fd_cran are its batch of one).  Every point of a batch gets bit-for-bit
-the result it gets alone.  _in_chunks splits every kernel call along the
-batch axis so that none evaluates more elements than the largest call of a
-one-point search, _CALL_LIMIT: one point's scan of one fallback curve.
+the result it gets alone.  The search calls the kernels (_rates) for all
+points at once, but for the fallback's scans of DEFAULT_GRID**2 values,
+which go one point at a time (see compute_batch on memory).
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
@@ -44,7 +44,6 @@ p_d * 2**-c_d, so the radio unit transmits exactly p_d.
 import math
 from collections import namedtuple
 from enum import Enum
-from functools import partial
 from itertools import chain, compress
 
 import numpy as np
@@ -78,7 +77,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 64  # the one resolution of the SIC search's scans (_max_min_search)
-_CALL_LIMIT = DEFAULT_GRID**2  # a one-point SIC search's scan of one curve
 
 _EDGE_CUTS = 269  # most 16-fold cuts of a bracket: 16**-269 < 2**-1074, the least subnormal
 _EPS = np.finfo(float).eps
@@ -281,6 +279,17 @@ def _cran_line(k):  # (h, d0, d1, d2, g2) of _crossing
 def _kernels(family: str):
     """(uplink, downlink) kernels of a processing family."""
     return (_scp_uplink, _scp_downlink) if family == "scp" else (_cran_uplink, _cran_downlink)
+
+
+def _rates(family: str, k, pu, pd, receiver):
+    """(r_u, r_d) of a family at constants k and powers pu, pd, r_d that of
+    the receiver (_receive); half duplex, receiver None, takes the uplink at
+    (pu, 0) and the downlink at (0, pd)."""
+    uplink, downlink = _kernels(family)
+    if receiver is None:
+        return uplink(k, pu, 0.0), downlink(k, 0.0, pd, 0.0, _TAN)
+    r_u = uplink(k, pu, pd)
+    return r_u, downlink(k, pu, pd, r_u, receiver)
 
 
 def _crossing(family: str, k, x0):
@@ -521,26 +530,14 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
     it, bit for bit.  Full duplex evaluates both kernels at the power
     search's argmax, or at the budgets if full_power, and reports their min.
     The first point with a rate not finite raises, r_u checked before r_d."""
-    uplink, downlink = _kernels(family)
     of, columns = _consts(family, sic, points)
-
-    def rates(b, pu, pd, receiver=sic):  # (r_u, r_d) of the points b (see _max_min_search)
-        k = of(b)
-        if receiver is None:  # half duplex: each direction alone at its budget
-            return uplink(k, pu, 0.0), downlink(k, 0.0, pd, 0.0, _TAN)
-        r_u = uplink(k, pu, pd)
-        return r_u, downlink(k, pu, pd, r_u, receiver)
-
-    def crossing(b, x0):  # the points b's points of Gamma (_decode_first_search)
-        return _crossing(family, of(b), x0)
-
     units = columns[-1]
     p_u, p_d = _budgets(points)
     if sic is not None and not full_power:
-        _, p_u, p_d = _max_min_search(rates, crossing, p_u * units, p_d * units, sic)
+        _, p_u, p_d = _max_min_search(family, of, p_u * units, p_d * units, sic)
         p_u, p_d = p_u / units, p_d / units
     powers = ((x * units)[:, None, None] for x in (p_u, p_d))  # in each _unit
-    r_u, r_d = (r.ravel() for r in _in_chunks(rates, *powers))
+    r_u, r_d = (r.ravel() for r in _rates(family, of(slice(None)), *powers, sic))
     finite = np.isfinite(r_u) & np.isfinite(r_d)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -588,22 +585,6 @@ def _budgets(points) -> tuple:
 def _capacities(points) -> np.ndarray:
     """Each point's uplink fronthaul capacity c_u, an (n,) array."""
     return np.array([p.c_u for p in points])
-
-
-def _in_chunks(fn, pu, pd):
-    """fn(b, pu[b], pd[b]) for the points b = slice(i, j), one per leading
-    row of pu and pd, in calls of at most _CALL_LIMIT elements (one point at
-    least) along that axis; the tuples of arrays that fn returns are joined
-    along it."""
-    shape = np.broadcast(pu, pd).shape
-    step = max(1, _CALL_LIMIT // math.prod(shape[1:]))
-    if step >= shape[0]:
-        return fn(slice(0, shape[0]), pu, pd)
-    parts = [
-        fn(slice(i, i + step), pu[i : i + step], pd[i : i + step])
-        for i in range(0, shape[0], step)
-    ]
-    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
@@ -676,39 +657,39 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
     return value, scale * p_u, scale * p_d
 
 
-def _curve_max(score, top):
-    """Each point's max along a curve, score(b, x) giving the value and powers
-    (p_u, p_d) of the points b at x in [0, top]: a scan of DEFAULT_GRID**2
-    values, then _ZOOM_PASSES windows of len(_WINDOW) values centred on the
-    incumbent (which moves only to a strictly better value, so the centre is
-    not scored again), the first _ZOOM scan steps wide, each next _ZOOM times
-    narrower.  Returns (value, p_u, p_d), each an (n,) array."""
-    def best_of(b, x, _):  # the points b's first best of (value, p_u, p_d, x) over x
-        values, *at = np.broadcast_arrays(*score(b, x), x)
+def _curve_max(of, score, top):
+    """Each point's max along a curve, score(of(b), b, x) giving the value and
+    powers (p_u, p_d) of the points b (a slice) at x in [0, top]: a scan of
+    DEFAULT_GRID**2 values a point at a time, then _ZOOM_PASSES windows of
+    len(_WINDOW) values for all points at once, centred on the incumbent
+    (which moves only to a strictly better value, so the centre is not scored
+    again), the first _ZOOM scan steps wide, each next _ZOOM times narrower.
+    Returns (value, p_u, p_d), each an (n,) array."""
+    def best(b, x):  # the points b's first best of (value, p_u, p_d, x) over x
+        values, *at = np.broadcast_arrays(*score(of(b), b, x), x)
         j = values.argmax(axis=-1)[..., None]
-        return tuple(np.take_along_axis(v, j, axis=-1)[..., 0] for v in (values, *at))
+        return [np.take_along_axis(v, j, axis=-1)[..., 0] for v in (values, *at)]
 
-    def best(x):  # each point's best over x, (n, 1, m), passed twice to _in_chunks
-        return _in_chunks(best_of, x, x)
-
-    found = best(np.linspace(0.0, top, DEFAULT_GRID**2, axis=-1)[:, None])
+    scan = np.linspace(0.0, top, DEFAULT_GRID**2, axis=-1)[:, None]
+    each = [best(slice(i, i + 1), scan[i : i + 1]) for i in range(top.size)]
+    found = [np.concatenate(column) for column in zip(*each)]
     span = _ZOOM * (top / (DEFAULT_GRID**2 - 1))  # divided first: _ZOOM * top can overflow
     for _ in range(_ZOOM_PASSES):
         window = found[-1][..., None] + span[:, None, None] * _OFF_CENTRE
-        new = best(np.minimum(np.maximum(window, 0.0), top[:, None, None]))  # as np.clip, cheaper
+        window = np.minimum(np.maximum(window, 0.0), top[:, None, None])  # as np.clip, cheaper
+        new = best(slice(None), window)
         better = new[0] > found[0]
         found = [np.where(better, x, y) for x, y in zip(new, found)]
         span = span / _ZOOM
     return [x[:, 0] for x in found[:3]]
 
 
-def _max_min_search(rates, crossing, p_u_max, p_d_max, sic: SicMode):
+def _max_min_search(family: str, of, p_u_max, p_d_max, sic: SicMode):
     """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max].
 
-    rates(b, pu, pd, receiver) -> (r_u, r_d) evaluates the points b of the
-    batch, a slice or an array of indices, at power arrays whose leading axis
-    runs over them; r_d is that of the receiver (see _receive).
-    crossing(b, x0) gives their points of Gamma (_decode_first_search).
+    of(b) gives the constants of the points b of the batch, a slice or an
+    array of indices, for _rates at power arrays whose leading axis runs over
+    them; the edge searches take all points at once, of(slice(None)).
 
     Treat-as-noise: both SINRs are standard interference functions (Yates,
     IEEE JSAC 1995), so scaling (p_u, p_d) up raises both rates and the
@@ -724,40 +705,37 @@ def _max_min_search(rates, crossing, p_u_max, p_d_max, sic: SicMode):
     power: _edge_optimum finds M's maximum M* exactly.  A point whose M* is
     at most _TIE_TOL above the treat-as-noise optimum keeps that optimum; one
     whose V at M's argmax is within _TIE_TOL of M* takes that argmax, optimal
-    to within _TIE_TOL.  Only the other points go to _decode_first_search, as
-    a batch of their own, which searches V on the two upper budget edges and
-    on Gamma, where V's maximum lies.  A decode-first point replaces the
-    treat-as-noise optimum only when better by over _TIE_TOL.  Returns
-    (value, p_u, p_d), each an (n,) array.
+    to within _TIE_TOL.  Only the other points, rest, go to
+    _decode_first_search, as a batch of their own (of(rest[b])), which
+    searches V on the two upper budget edges and on Gamma, where V's maximum
+    lies.  A decode-first point replaces the treat-as-noise optimum only when
+    better by over _TIE_TOL.  Returns (value, p_u, p_d), each an (n,) array.
     """
-    tan = partial(_in_chunks, lambda b, pu, pd: rates(b, pu, pd, _TAN))
-    best = _edge_optimum(tan, p_u_max, p_d_max)
+    k = of(slice(None))
+    best = _edge_optimum(lambda pu, pd: _rates(family, k, pu, pd, _TAN), p_u_max, p_d_max)
     if sic is _TAN:
         return best
 
-    def bound(b, pu, pd):  # M's terms: r_u, t1 and the free t2/2
-        r_u, (t1, half) = rates(b, pu, pd, _BOUND)
+    def bound(pu, pd):  # M's terms: r_u, t1 and the free t2/2
+        r_u, (t1, half) = _rates(family, k, pu, pd, _BOUND)
         return r_u, t1, half
 
-    def decode_first(b, pu, pd):
-        return (np.minimum(*rates(b, pu, pd, _DECODE_FIRST)),)
-
-    top, p_u, p_d = _edge_optimum(partial(_in_chunks, bound), p_u_max, p_d_max)
-    (value,) = _in_chunks(decode_first, p_u[:, None, None], p_d[:, None, None])
-    found = [value[:, 0, 0], p_u, p_d]
+    top, p_u, p_d = _edge_optimum(bound, p_u_max, p_d_max)
+    at = (p_u[:, None, None], p_d[:, None, None])
+    found = [np.minimum(*_rates(family, k, *at, _DECODE_FIRST))[:, 0, 0], p_u, p_d]
     contested = top > best[0] + _TIE_TOL  # elsewhere M* leaves treat-as-noise optimal
     rest = np.flatnonzero(contested & (found[0] < top - _TIE_TOL))  # M* not attained
     if rest.size:
-        of_rest = (lambda b, *args: rates(rest[b], *args), lambda b, x0: crossing(rest[b], x0))
-        searched = _decode_first_search(*of_rest, p_u_max[rest], p_d_max[rest])
-        for x, y in zip(found, searched):
+        new = _decode_first_search(family, lambda b: of(rest[b]), p_u_max[rest], p_d_max[rest])
+        for x, y in zip(found, new):
             x[rest] = y
     better = contested & (found[0] > best[0] + _TIE_TOL)
     return tuple(np.where(better, f, b) for f, b in zip(found, best))
 
 
-def _decode_first_search(rates, crossing, p_u_max, p_d_max):
-    """The max of V = min(r_u, t1, t2 - r_u) over the power box.
+def _decode_first_search(family: str, of, p_u_max, p_d_max):
+    """The max of V = min(r_u, t1, t2 - r_u) over the power box, of(b) giving
+    the constants of the points b (see _max_min_search).
 
     Every point of the box lies on a line of constant uplink SINR with its
     foot x0 in [0, P_u] on p_d = 0 (_crossing).  Along it r_u is constant
@@ -765,25 +743,24 @@ def _decode_first_search(rates, crossing, p_u_max, p_d_max):
     so V peaks at the line's upper end in the box, on p_u = P_u or p_d = P_d,
     or where t1 = t2 - r_u (its lower end has t1 = 0): on the two upper
     budget edges or on Gamma = {t2 - t1 = r_u}, whose point on each line
-    crossing(b, x0) gives in closed form.  _curve_max searches p_d along
+    _crossing gives in closed form.  _curve_max searches p_d along
     p_u = P_u, p_u along p_d = P_d and x0 along Gamma (-inf outside the
-    box); the first best of the three wins.  Each scan is _CALL_LIMIT
-    elements per point, so _in_chunks takes it one point at a time."""
+    box); the first best of the three wins."""
     u_max, d_max = p_u_max[:, None, None], p_d_max[:, None, None]
 
-    def on_box(b, pu, pd):
-        return np.minimum(*rates(b, pu, pd, _DECODE_FIRST)), pu, pd
+    def on_box(k, pu, pd):
+        return np.minimum(*_rates(family, k, pu, pd, _DECODE_FIRST)), pu, pd
 
-    def on_gamma(b, x0):  # at p_d = 0, t1 = 0: no point of Gamma there is of use
-        pu, pd = crossing(b, x0)
+    def on_gamma(k, b, x0):  # at p_d = 0, t1 = 0: no point of Gamma there is of use
+        pu, pd = _crossing(family, k, x0)
         inside = (0.0 < pd) & (pd <= d_max[b]) & (pu <= u_max[b])  # NaN is not
-        value, pu, pd = on_box(b, np.where(inside, pu, 0.0), np.where(inside, pd, 0.0))
+        value, pu, pd = on_box(k, np.where(inside, pu, 0.0), np.where(inside, pd, 0.0))
         return np.where(inside, value, -np.inf), pu, pd
 
     found = [
-        _curve_max(lambda b, x: on_box(b, u_max[b], x), p_d_max),
-        _curve_max(lambda b, x: on_box(b, x, d_max[b]), p_u_max),
-        _curve_max(on_gamma, p_u_max),
+        _curve_max(of, lambda k, b, x: on_box(k, u_max[b], x), p_d_max),
+        _curve_max(of, lambda k, b, x: on_box(k, x, d_max[b]), p_u_max),
+        _curve_max(of, on_gamma, p_u_max),
     ]
     first = np.argmax([value for value, *_ in found], axis=0)
     return tuple(np.choose(first, column) for column in zip(*found))
@@ -798,7 +775,9 @@ def compute_batch(scheme: SchemeId, points) -> list[RateResult]:
     points, all evaluated at once: half duplex as the kernels at every
     point's budgets, full duplex as one power search for the whole batch.
 
-    Every result equals that of the point alone.
+    Every result equals that of the point alone.  The search's kernel calls
+    grow with the batch, 2 x len(_WINDOW) = 34 powers a point, so a caller
+    bounds its memory by the batches it passes, as run_sweep does (64).
     """
     return _batch(*SCHEMES[scheme], points)
 

@@ -30,9 +30,11 @@ enum order minor, so identical configs produce byte-identical CSV output.
 A sweep is solved in blocks of up to 64 values, each scheme's rows of a
 block by one call of rates.compute_batch: the half-duplex kernels at every
 value's budgets, or one full-duplex max-min power search for the whole
-block, in kernel calls no larger than those of a one-point search.  The
-block size bounds the solver's memory whatever the sweep length, and
-MAX_SWEEP_VALUES bounds the sweep.  C-RAN rows are exact (closed forms, see
+block.  Nothing splits the search's kernel calls: its fallback scans
+DEFAULT_GRID**2 powers a point at a time, and the block size keeps every
+other call below that (a block's edge search takes 64 x 2 x 17 powers).
+So the block size bounds the solver's memory whatever the sweep length,
+and MAX_SWEEP_VALUES bounds the sweep.  C-RAN rows are exact (closed forms, see
 rates), so a sweep has no quadrature setting, and the SIC search is solved
 from its bound on the budget edges, falling back to 1-D scans of three
 curves at one fixed resolution (rates.DEFAULT_GRID) only where the bound is
@@ -296,7 +298,7 @@ def parse_config(text: str, defaults: SweepSpec | None = None) -> SweepSpec:
             raise ConfigError("missing value", lineno, key)
         if key in _BASE_KEYS:
             value = _parse_float(raw, lineno, key)
-            if value < 0:
+            if value < 0 and not key.endswith("_db"):  # a budget in dB may be negative
                 raise ConfigError(f"must be >= 0, got {value}", lineno, key)
             base_kw[_BASE_KEYS[key]] = value
         elif key == "sweep.var":
@@ -340,7 +342,9 @@ def serialize_spec(spec: SweepSpec) -> str:
 # ----------------------------------------------------------------------------
 # running sweeps
 
-_BLOCK = 64  # sweep values solved together; fig2 and fig3 take one block each
+# sweep values solved together, fig2's and fig3's in one block; past 120, a
+# block's edge search would outgrow a one-point scan (module docstring)
+_BLOCK = 64
 _DIAGNOSTICS = CSV_COLUMNS[6:]  # the RateResult.diagnostics a row carries, in SweepRow's order
 
 

@@ -1,7 +1,8 @@
 """compute_batch, the one row path of every scheme: every point of a batch
 gets exactly the result it gets alone, a sweep's rows are those results, the
 replay of a failing block reports its first failing row, and no kernel call
-outgrows a one-point search."""
+outgrows a one-point search.  Nothing splits a kernel call: the sweep's block
+size and the search's one-point curve scans are what bound it."""
 
 from dataclasses import replace
 
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 import fdcran.rates as rates
+import fdcran.sweep as sweep
 from fdcran.model import NumericDomainError, SchemeId
 from fdcran.rates import DEFAULT_GRID, compute_batch, compute_scheme
-from fdcran.sweep import SweepSpec, run_sweep
+from fdcran.sweep import SweepSpec, preset_spec, run_sweep
 from test_solver_properties import DOMAIN
 
 # the domain points plus the budget and fronthaul edges of SystemParams
@@ -93,3 +95,26 @@ def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
     assert one_point[1] == DEFAULT_GRID**2
     assert max(sizes) == one_point[1]
     assert len(sizes) < len(DOMAIN) * one_point[0] / 4  # the batch shares its calls
+
+
+@pytest.mark.parametrize(
+    "scheme", [SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC], ids=lambda s: s.value
+)
+def test_a_full_block_calls_no_kernel_above_a_one_point_scan(scheme, monkeypatch):
+    # a sweep of one full block: its edge searches evaluate every point on
+    # both edges at len(_WINDOW) samples in one call, and points of it fall
+    # back to the scans of DEFAULT_GRID**2 values, taken one point at a time
+    name = f"_{rates.SCHEMES[scheme][0]}_uplink"
+    kernel = getattr(rates, name)
+    sizes = []
+
+    def recording(k, p_u, p_d):
+        sizes.append(np.broadcast(p_u, p_d).size)
+        return kernel(k, p_u, p_d)
+
+    monkeypatch.setattr(rates, name, recording)
+    fig3 = preset_spec("fig3")
+    stop = fig3.start + (sweep._BLOCK - 1) * fig3.step
+    run_sweep(replace(fig3, stop=stop, schemes=(scheme,)))
+    assert sweep._BLOCK * 2 * rates._WINDOW.size in sizes
+    assert max(sizes) == DEFAULT_GRID**2  # the fallback ran

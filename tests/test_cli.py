@@ -124,6 +124,27 @@ def test_each_base_field_is_a_compute_flag_and_a_config_key(field, tmp_path, cap
         assert float(f"{payload[name]:.9g}") == getattr(row, name)
 
 
+def test_a_negative_db_budget_in_a_config_gives_the_compute_rates(tmp_path, capsys):
+    # budgets below the noise power are in the domain of compute and of a
+    # p_db_joint sweep, so a config's base budgets take them too; a gain or a
+    # capacity stays >= 0
+    flags = {"p-u-db": "-10", "p-d-db": "-3"}
+    out = tmp_path / "point.csv"
+    config = _point_config(tmp_path, flags, "all")
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+    rows = load_csv(out)
+    assert [row.scheme for row in rows] == list(SchemeId)
+    for row in rows:
+        argv = ["compute", f"--scheme={row.scheme.value}"]
+        assert main(argv + [f"--{k}={v}" for k, v in flags.items()]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for name in ("r_u", "r_d", "r_eq"):
+            assert float(f"{payload[name]:.9g}") == getattr(row, name)
+    for key in ("base.c_u", "base.beta_ud"):
+        with pytest.raises(fdcran.sweep.ConfigError, match="must be >= 0"):
+            parse_config(f"{key} = -1\n")
+
+
 @_OVERFLOW_WARNINGS
 def test_an_overflowing_stream_power_still_gives_finite_rates(tmp_path, capsys):
     # 2 p_s = 2e308 overflows; times the zero tap tail of zero forcing it must

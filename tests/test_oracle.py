@@ -17,7 +17,7 @@ from fdcran.oracle import (
     exhaustive_power_opt,
 )
 from fdcran.rates import SicMode, compute_batch, fd_scp
-from fdcran.spectral import rate_integral
+from fdcran.spectral import rate_closed_form, rate_integral
 from fdcran.sweep import preset_spec
 
 from conftest import make_params
@@ -67,6 +67,14 @@ def test_finite_ring_convergence_direction_is_measurable_at_small_n():
     gap_8 = abs(circulant_uplink_rate(0.4, 100.0, 0.0, 8) - limit)
     gap_512 = abs(circulant_uplink_rate(0.4, 100.0, 0.0, 512) - limit)
     assert gap_8 > 1e-6 > gap_512
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_ring_keeps_an_sinr_scale_near_the_float_range():
+    # s lam^2 passes the float range at s = 1.7e308 (lam^2 up to 3.24); the
+    # ring still gives the closed form's finite rate, with no overflow warning
+    want = rate_closed_form(1.7e308, 0.4)
+    assert abs(circulant_uplink_rate(0.4, 1.7e308, 0.0) - want) <= np.spacing(want)
 
 
 def test_circulant_rate_input_validation():
