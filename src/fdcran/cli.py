@@ -3,9 +3,8 @@
 Exit codes: 0 success, 2 configuration error, 3 numeric-domain error
 (including a singular zero-forcing inversion or a rate that overflows), 4
 oracle verification failure.  Rates are exact closed forms: no quadrature flag.
-The SIC power search is solved from its bound on the budget edges, and the
-points whose bound is not attained fall back to 1-D scans of the budget
-edges and one closed-form curve at one fixed resolution: no grid flag.
+Every full-duplex power search, SIC's at its best carried uplink rate, is
+exact on the budget edges: no grid flag.
 """
 
 import argparse
@@ -52,9 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fdcran",
         description=(
             "Per-cell achievable rates for half/full-duplex cellular systems "
-            "under single-cell processing or C-RAN operation.  The SIC power "
-            "search is solved from its bound on the budget edges; points whose bound "
-            "is not attained fall back to scans of those edges and one closed-form curve."
+            "under single-cell processing or C-RAN operation.  Full-duplex powers "
+            "are searched exactly on the budget edges, SIC at its best carried "
+            "uplink rate."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,16 +10,17 @@ with the infinite-array formulas.
 
 The full-duplex max-min power optimum is certified by branch and bound
 (certified_max_min; monotonic optimization, H. Tuy, SIAM J. Optim. 2000, and
-MAPEL, Qian, Zhang and Huang, IEEE TWC 2009).  Each rate term is monotone in
-each power, and the SIC term t2 is linear-fractional, so its maximum over a
-cell of the power box lies at a vertex; that bounds the objective over any
-cell.  A cell is discarded once its bound is at most CERTIFIED_EPS above the
-best point scored, so when none is left the true maximum lies in
-[best, best + CERTIFIED_EPS].  The treat-as-noise objective does not fall
-as both powers scale up, so its search covers only the two upper budget
-edges; the SIC one, whose t2 - r_u can fall, covers the whole box.
-exhaustive_power_opt keeps a single dense grid with no refinement for
-full-duplex single-cell processing.
+MAPEL, Qian, Zhang and Huang, IEEE TWC 2009).  A SIC mobile faces the
+co-located uplink codeword at any carried rate up to the uplink capacity,
+so its objective is the larger of the treat-as-noise one and min(r_u, t1,
+t2/2).  Neither falls as both powers scale up, so every search covers only
+the two upper budget edges, in cells of one nonzero side.  Each rate term is
+monotone in each power, and the SIC term t2 is linear-fractional, so its
+maximum over such a cell lies at one of its two ends; that bounds the
+objective over any cell.  A cell is discarded once its bound is at most
+CERTIFIED_EPS above the best point scored, so when none is left the true
+maximum lies in [best, best + CERTIFIED_EPS].  exhaustive_power_opt keeps a
+single dense grid with no refinement for full-duplex single-cell processing.
 
 Each oracle keeps formulas of its own rather than calling the rate kernels it
 checks, so a fault in a kernel cannot hide in its own gate.  Both hold every
@@ -60,27 +61,31 @@ CERTIFIED_EPS = 1e-6
 # near-optimal set runs along a ray, which cells of the box cover only by
 # the billion at budgets of thousands of dB; eps widens there instead
 _MAX_CELLS = 1 << 16
+# where _quarters cuts a cell, as fractions of its nonzero side from its lower end
+_QUARTER_CUTS = np.array([[0.0], [0.25], [0.5], [0.75]])
 # ring cells times acosh(1/(2 alpha)): the ring then misses the infinite
 # array's uplink rate by about e**-21, below 1e-9
 _RING_DEPTH = 21.0
 
 
-def circulant_uplink_rate(
-    alpha: float, p_u: float, sigma_u_sq: float, n: int = DEFAULT_CELLS
-) -> float:
+def circulant_uplink_rate(alpha, p_u, sigma_u_sq, n: int = DEFAULT_CELLS):
     """Per-cell uplink rate of a finite ring of n cells.
 
     Evaluates (1/n) log2 det(I + p_u/(1 + sigma_u_sq) H H^T) through the
     circulant eigenvalues 1 + 2 alpha cos(2 pi j / n), in _log2_1p's form,
     which holds up to the top of the float range; as n grows this converges
-    to the unit-interval spectral integral.
+    to the unit-interval spectral integral.  alpha, p_u and sigma_u_sq
+    broadcast against each other: floats give a float, arrays an array of
+    their broadcast shape, with n samples per element in between.
     """
     if n < _MIN_CELLS:
         raise ValueError(f"need at least {_MIN_CELLS} cells, got {n}")
-    if p_u < 0 or sigma_u_sq < 0:
+    alpha, p_u, sigma_u_sq = (np.asarray(x, dtype=float) for x in (alpha, p_u, sigma_u_sq))
+    if (p_u < 0).any() or (sigma_u_sq < 0).any():
         raise ValueError("p_u and sigma_u_sq must be >= 0")
-    lam = 1.0 + 2.0 * alpha * np.cos(2.0 * np.pi * np.arange(n) / n)
-    return float(np.mean(_log2_1p(p_u / (1.0 + sigma_u_sq), lam * lam)))
+    lam = 1.0 + 2.0 * alpha[..., None] * np.cos(2.0 * np.pi * np.arange(n) / n)
+    rate = np.mean(_log2_1p((p_u / (1.0 + sigma_u_sq))[..., None], lam * lam), axis=-1)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def _log2_1p(s, lam2):
@@ -135,18 +140,16 @@ def exhaustive_power_opt(
     bud2 = params.beta_ud**2
     g2 = params.gamma_ud**2
 
-    def value(pu, pd):
+    def value(pu, pd):  # SIC at its best carried rate, as in _max_min
         r_u = np.minimum(
             np.log2(1.0 + pu / (1.0 + 2.0 * a2 * pu + 2.0 * bdu2 * pd)), params.c_u
         )
         den = 1.0 + 2.0 * a2 * pd + 2.0 * bud2 * pu
-        t3 = np.log2(1.0 + pd / (den + g2 * pu))
-        if sic is SicMode.TREAT_AS_NOISE:
-            r_d = t3
-        else:
+        r_d = np.log2(1.0 + pd / (den + g2 * pu))
+        if sic is SicMode.SIC:
             t1 = np.log2(1.0 + pd / den)
             t2 = np.log2(1.0 + (pd + g2 * pu) / den)
-            r_d = np.minimum(t1, np.maximum(t2 - r_u, t3))
+            r_d = np.maximum(r_d, np.minimum(t1, t2 / 2.0))
         return np.minimum(r_u, np.minimum(r_d, params.c_d))
 
     pu_grid = np.linspace(0.0, params.p_u_max, resolution)
@@ -176,7 +179,7 @@ def exhaustive_power_opt(
 #         s = p_u / (unit + quant (base + f p_u + h p_d)),
 #   t1 = C(a p_d / den), t2 = C((a p_d + g p_u) / den), t3 = C(a p_d / (den + g p_u)),
 #         den = unit + b p_d + c p_u,
-#   r_d = t3 (treat as noise) or min(t1, max(t2 - r_u, t3)) (SIC), capped at cap_d,
+#   r_d = t3 (treat as noise) or max(t3, min(t1, t2/2)) (SIC), capped at cap_d,
 # and the objective min(r_u, r_d), every power in the point's unit of power
 # (_form), in which the noise power is unit.  Single-cell processing decodes
 # each cell alone (one eigenvalue, lam = 1, base = 0) under the fronthaul
@@ -184,7 +187,10 @@ def exhaustive_power_opt(
 # cos(2 pi j / n)) after quantization at sigma_u^2 = quant (1 + (1 + 2
 # alpha^2) p_u + 2 beta_du^2 (1 + R_g(2)) p_d) (base = unit), and precodes
 # with zero forcing at stream power p_d (1 - 2**-c_d) and quantization noise
-# p_d 2**-c_d.
+# p_d 2**-c_d.  A SIC mobile facing the uplink codeword at a carried rate
+# R <= r_u gets max(t3, min(t1, t2 - R)) (treating it as noise, or decoding
+# jointly without having to decode it), and min(R, that) is largest at
+# max(min(r_u, t3), min(r_u, t1, t2/2)): the SIC r_d above, in min(r_u, r_d).
 
 _Form = namedtuple("_Form", "two_alpha quant base f h cap_u a b c g cap_d unit")
 
@@ -270,54 +276,40 @@ def _sinr2(k, pu, pd):  # t2's SINR, linear-fractional in (p_u, p_d)
     return (k.a * pd + k.g * pu) / (k.unit + k.b * pd + k.c * pu)
 
 
-def _max_min(sic, k, r_hi, r_lo, pu, pd, sinr2):
-    """min(r_u, r_d) with r_u at most r_hi and at least r_lo, t1 and t3 at
-    (pu, pd), and t2 at SINR sinr2 (unused when treating the uplink as noise)."""
+def _max_min(sic, k, r_hi, pu, pd, sinr2):
+    """min(r_u, r_d) with r_u at most r_hi, t1 and t3 at (pu, pd), and t2 at
+    SINR sinr2 (unused when treating the uplink as noise)."""
     signal = k.a * pd
     den = k.unit + k.b * pd + k.c * pu
     r_d = np.log2(1.0 + signal / (den + k.g * pu))
     if sic is SicMode.SIC:
         t1 = np.log2(1.0 + signal / den)
-        r_d = np.minimum(t1, np.maximum(np.log2(1.0 + sinr2) - r_lo, r_d))
+        r_d = np.maximum(r_d, np.minimum(t1, np.log2(1.0 + sinr2) / 2.0))
     return np.minimum(r_hi, np.minimum(r_d, k.cap_d))
 
 
 def _value(sic, k, ring, pu, pd):
     """The objective at the points (pu, pd)."""
-    r_u = _uplink(k, ring, pu, pd)
-    return _max_min(sic, k, r_u, r_u, pu, pd, _sinr2(k, pu, pd) if sic is SicMode.SIC else None)
+    sinr2 = _sinr2(k, pu, pd) if sic is SicMode.SIC else None
+    return _max_min(sic, k, _uplink(k, ring, pu, pd), pu, pd, sinr2)
 
 
 def _bound(sic, k, ring, u0, u1, d0, d1):
-    """An upper bound of the objective over each cell [u0, u1] x [d0, d1]:
-    r_u rises in p_u and falls in p_d, t1 and t3 the other way round, and
-    the linear-fractional t2 peaks at a vertex."""
-    r_hi = _uplink(k, ring, u1, d0)
-    if sic is not SicMode.SIC:
-        return _max_min(sic, k, r_hi, None, u0, d1, None)
-    r_lo = _uplink(k, ring, u0, d1)
-    sinr2 = np.maximum(
-        np.maximum(_sinr2(k, u0, d0), _sinr2(k, u1, d0)),
-        np.maximum(_sinr2(k, u0, d1), _sinr2(k, u1, d1)),
-    )
-    return _max_min(sic, k, r_hi, r_lo, u0, d1, sinr2)
+    """An upper bound of the objective over each cell [u0, u1] x [d0, d1], a
+    segment of a budget edge: r_u rises in p_u and falls in p_d, t1 and t3
+    the other way round, and the linear-fractional t2 peaks at an end,
+    (u0, d0) or (u1, d1)."""
+    sinr2 = None
+    if sic is SicMode.SIC:
+        sinr2 = np.maximum(_sinr2(k, u0, d0), _sinr2(k, u1, d1))
+    return _max_min(sic, k, _uplink(k, ring, u1, d0), u0, d1, sinr2)
 
 
-def _halves(row, u0, u1, d0, d1):
-    """Both halves of each cell, lower halves first, each cut across the
-    cell's axis of larger relative width, (u1 - u0) / u1 or (d1 - d0) / d1."""
-    du, dd = u1 - u0, d1 - d0
-    wide_u = np.divide(du, u1, out=np.zeros_like(du), where=u1 > 0.0)
-    wide_d = np.divide(dd, d1, out=np.zeros_like(dd), where=d1 > 0.0)
-    along_u = wide_u >= wide_d
-    mid_u, mid_d = u0 + 0.5 * du, d0 + 0.5 * dd
-    return (
-        np.concatenate([row, row]),
-        np.concatenate([u0, np.where(along_u, mid_u, u0)]),
-        np.concatenate([np.where(along_u, mid_u, u1), u1]),
-        np.concatenate([d0, np.where(along_u, d0, mid_d)]),
-        np.concatenate([np.where(along_u, d1, mid_d), d1]),
-    )
+def _quarters(row, u0, u1, d0, d1):
+    """The four quarters of each cell, cut along its one nonzero side (the
+    other, of zero width, stays as it is), a cell's lowest quarter first."""
+    us, ds = (np.vstack([lo + _QUARTER_CUTS * (hi - lo), hi]) for lo, hi in ((u0, u1), (d0, d1)))
+    return np.tile(row, 4), us[:-1].ravel(), us[1:].ravel(), ds[:-1].ravel(), ds[1:].ravel()
 
 
 def _packed(parts, size: int):
@@ -341,24 +333,22 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
     processing family ('scp' or 'cran', zero forcing) and receiver sic, at
     each of a sequence of operating points, all searched at once.
 
-    A treat-as-noise point starts from its two upper budget edges, the
-    zero-width cells {p_u_max} x [0, p_d_max] and [0, p_u_max] x {p_d_max}:
-    scaling both powers up lowers none of its terms (each SINR is a standard
+    Each point starts from its two upper budget edges, the zero-width cells
+    {p_u_max} x [0, p_d_max] and [0, p_u_max] x {p_d_max}: scaling both
+    powers up lowers neither receiver's objective (each SINR is a standard
     interference function, Yates, IEEE JSAC 1995), so its maximum over the
-    box lies on them.  A SIC point, whose t2 - r_u can fall under that
-    scaling, starts from its whole box [0, p_u_max] x [0, p_d_max].  Each
-    point's four budget corners and its argmax from argmaxes, a (p_u, p_d)
-    such as a solver's, are scored.  Every round, each cell whose bound
-    (_bound) exceeds its point's best score by more than eps is halved
-    (_halves), and each new cell's top corner and centre are scored.  A
-    round's scores prune cells from the next round on, so a point gets the
-    same result in any batch.  When no cell is left, the point's maximum
-    lies in [r_eq, r_eq + eps]: eps is CERTIFIED_EPS plus, for C-RAN at an
-    alpha so close to 1/2 that the ring reaches DEFAULT_CELLS, the ring's
-    error (_ring), or, for a point whose next round would take it past
-    _MAX_CELLS cells, the largest bound of its cells left, which ends its
-    search.  The box is scanned in the point's unit of power (_form), so no
-    budget overflows a form.  Cells are halved in groups small enough that
+    box lies on them.  Each point's three upper budget corners and its
+    argmax from argmaxes, a (p_u, p_d) such as a solver's, are scored.  Every
+    round, each cell whose bound (_bound) exceeds its point's best score by
+    more than eps is cut in four (_quarters), and each new cell's top end and
+    centre are scored.  A round's scores prune cells from the next round on,
+    so a point gets the same result in any batch.  When no cell is left, the
+    point's maximum lies in [r_eq, r_eq + eps]: eps is CERTIFIED_EPS plus,
+    for C-RAN at an alpha so close to 1/2 that the ring reaches DEFAULT_CELLS,
+    the ring's error (_ring), or, for a point whose next round would take it
+    past _MAX_CELLS cells, the largest bound of its cells left, which ends
+    its search.  The edges are scanned in the point's unit of power (_form),
+    so no budget overflows a form.  Cells are cut in groups small enough that
     no temporary, the ring's samples included, holds more than
     _BLOCK_ELEMENTS values.  Returns one Certified(r_eq, eps, cells) per
     point, cells counting the bounds evaluated.
@@ -366,35 +356,34 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
     n = len(points)
     cols, ring, ring_error = _constants(family, points)
     eps = CERTIFIED_EPS + np.array(ring_error)
-    # a group of cells is scored at twice as many halves, at two points each
-    size = max(1, _BLOCK_ELEMENTS // (4 * ring[0].size))
+    # a group of cells is scored at four times as many quarters, at two points each
+    size = max(1, _BLOCK_ELEMENTS // (8 * ring[0].size))
     unit = cols[-1]  # the scan runs in each point's unit of power (_form)
     u_max = np.array([p.p_u_max for p in points]) * unit
     d_max = np.array([p.p_d_max for p in points]) * unit
     arg_u, arg_d = (np.array(x, dtype=float) * unit for x in zip(*argmaxes))
 
-    edges = sic is not SicMode.SIC  # the maximum lies on the upper budget edges
     best = np.full(n, -np.inf)
-    cells = np.full(n, 2 if edges else 1, dtype=np.int64)  # each point's first cells
+    cells = np.full(n, 2, dtype=np.int64)  # each point's two edges
     bounded = []  # (cells, their bounds), each cell to be kept or discarded
     for at in range(0, n, size):
         row = np.arange(at, min(n, at + size))
         k, samples = _terms(cols, ring, row)
         u, d, zero = u_max[row], d_max[row], np.zeros(row.size)
-        for pu, pd in ((zero, zero), (u, zero), (zero, d), (u, d), (arg_u[row], arg_d[row])):
+        for pu, pd in ((u, zero), (zero, d), (u, d), (arg_u[row], arg_d[row])):
             np.fmax.at(best, row, _value(sic, k, samples, pu, pd))
-        for box in ((u, u, zero, d), (zero, u, d, d)) if edges else ((zero, u, zero, d),):
-            bounded.append(((row, *box), _bound(sic, k, samples, *box)))
+        for edge in ((u, u, zero, d), (zero, u, d, d)):
+            bounded.append(((row, *edge), _bound(sic, k, samples, *edge)))
     while bounded:
-        kept, halves = [], np.zeros(n, dtype=np.int64)
+        kept, quarters = [], np.zeros(n, dtype=np.int64)
         for cell, bound in bounded:
             row = cell[0]
             keep = bound > best[row] + eps[row]
             kept.append((cell, bound, keep))
-            halves += 2 * np.bincount(row[keep], minlength=n)
-        # a point whose halves would take it past _MAX_CELLS cells stops, its
+            quarters += 4 * np.bincount(row[keep], minlength=n)
+        # a point whose quarters would take it past _MAX_CELLS cells stops, its
         # eps widened to the largest bound of its cells left
-        spent = cells + halves > _MAX_CELLS
+        spent = cells + quarters > _MAX_CELLS
         if spent.any():
             top = np.full(n, -np.inf)
             for cell, bound, keep in kept:
@@ -402,20 +391,20 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
                 np.fmax.at(top, cell[0][stop], bound[stop])
                 keep &= ~stop
             eps = np.maximum(eps, top - best)
-            halves[spent] = 0
-        cells += halves
+            quarters[spent] = 0
+        cells += quarters
         live = [tuple(x[keep] for x in cell) for cell, _, keep in kept]
         bounded, scored = [], best.copy()
         for cell in _packed(live, size):
-            half = _halves(*cell)
-            row, u0, u1, d0, d1 = half
+            quarter = _quarters(*cell)
+            row, u0, u1, d0, d1 = quarter
             k, samples = _terms(cols, ring, row)
-            # each half's centre and top corner: (2, halves) points
+            # each quarter's centre and top end: (2, quarters) points
             centre_and_top = _value(
                 sic, k, samples, np.stack([u0 + 0.5 * (u1 - u0), u1]),
                 np.stack([d0 + 0.5 * (d1 - d0), d1]),
             )
             np.fmax.at(scored, row, centre_and_top.max(axis=0))
-            bounded.append((half, _bound(sic, k, samples, u0, u1, d0, d1)))
+            bounded.append((quarter, _bound(sic, k, samples, u0, u1, d0, d1)))
         best = scored
     return [Certified(float(b), float(e), int(c)) for b, e, c in zip(best, eps, cells)]

@@ -21,19 +21,19 @@ keep formulas of their own.
 
 Half-duplex schemes split the band between directions at full power; the
 equal rate follows from balancing f*R_u against (1-f)*R_d.  Full-duplex
-schemes choose the operating powers (p_u, p_d) that maximize min(R_u, R_d):
-exactly on the budget edges for treat-as-noise, and for SIC's decode-first
-branch from an upper bound solved exactly on the same edges; only the points
-whose bound is not attained fall back to 1-D searches of the budget edges
-and one closed-form curve (_decode_first_search).  _batch builds every
+schemes choose the operating powers (p_u, p_d) that maximize min(R_u, R_d),
+exactly on the budget edges (_max_min_search).  A SIC mobile faces the
+co-located uplink codeword, which may be sent at any rate up to the uplink
+capacity r_u; the search maximizes over that carried rate too, and the
+reported r_d is the downlink's at the best carried rate (_receive), so
+r_eq = min(r_u, r_d) is the rate the uplink carries.  _batch builds every
 result, of one scheme at a batch of operating points at once: half duplex
 as the kernels at (P_u, 0) and (0, P_d) for every point, full duplex as one
 power search and both kernels at its argmax, or at the budgets under
 full_power (compute_batch is _batch; compute_scheme, hd_scp, hd_cran, fd_scp
 and fd_cran are its batch of one).  Every point of a batch gets bit-for-bit
 the result it gets alone.  The search calls the kernels (_rates) for all
-points at once, but for the fallback's scans of DEFAULT_GRID**2 values,
-which go one point at a time (see compute_batch on memory).
+points at once (see compute_batch on memory).
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
@@ -76,17 +76,14 @@ __all__ = [
     "hd_scp",
 ]
 
-DEFAULT_GRID = 64  # the one resolution of the SIC search's scans (_max_min_search)
+# compute_scheme's default grid, kept for its signature: the search, exact on
+# the budget edges, has no grid
+DEFAULT_GRID = 64
 
 _EDGE_CUTS = 269  # most 16-fold cuts of a bracket: 16**-269 < 2**-1074, the least subnormal
 _EPS = np.finfo(float).eps
 _SHRINK_STEPS = 20  # halvings of the tie-breaking power scale
-_ZOOM = 8  # window shrink factor per zoom pass
-_ZOOM_PASSES = 12  # zoom passes along each axis of the SIC search
 _WINDOW = np.linspace(0.0, 1.0, 17)  # samples across a search window
-# a _curve_max window's offsets from its centre, without the centre itself,
-# the incumbent, whose value the search already has
-_OFF_CENTRE = np.delete(_WINDOW - 0.5, _WINDOW.size // 2)
 _TIE_TOL = 1e-9  # objective values this close count as tied
 
 
@@ -98,9 +95,7 @@ class SicMode(Enum):
 
 
 _TAN = SicMode.TREAT_AS_NOISE
-# the search's own receivers: the SIC branch that decodes the uplink first,
-# and the terms (t1, t2/2) of its upper bound (_max_min_search)
-_DECODE_FIRST = "decode_first"
+# the search's own receiver: the terms (t1, t2/2) of SIC's bound (_max_min_search)
 _BOUND = "bound"
 
 # scheme -> (processing family, full-duplex receiver or None for half duplex)
@@ -135,10 +130,13 @@ def _receive(signal, den, g2pu, r_u, receiver):
     """Downlink rate from the signal power, the denominator without the
     intra-cell uplink power g2pu, and the receiver.  With t1 = C(signal/den),
     t2 = C((signal + g2pu)/den) and t3 = C(signal/(den + g2pu)): treat-as-noise
-    gives t3; decode-first, which decodes the uplink message carried at r_u
-    first, min(t1, t2 - r_u); SIC the better of the two, which equals the
-    clamp q(t1, t2 - r_u, t3) = min(t1, max(t2 - r_u, t3)) because t3 <= t1.
-    The bound receiver returns t1 and t2/2 stacked along a new first axis."""
+    gives t3.  SIC faces the uplink codeword at a carried rate R up to the
+    uplink capacity r_u and gets max(t3, min(t1, t2 - R)): treating it as
+    noise, or decoding jointly without having to decode it (Bandemer, El Gamal
+    and Kim, IEEE T-IT 2015).  As t3 <= t1, min(R, that rate) peaks at the
+    carried rate R* = max(min(r_u, t3), min(r_u, t1, t2/2)); SIC returns the
+    rate at R*, so that min(r_u, r_d) = R*.  The bound receiver returns t1 and
+    t2/2 stacked along a new first axis."""
     if receiver is not _TAN:
         with np.errstate(over="ignore"):  # past 1024 bits t2 is taken as a difference
             t2 = np.log2(1.0 + (signal + g2pu) / den)
@@ -147,11 +145,11 @@ def _receive(signal, den, g2pu, r_u, receiver):
         t1 = np.log2(1.0 + signal / den)
         if receiver is _BOUND:
             return np.stack((t1, t2 / 2.0))
-        first = np.minimum(t1, t2 - r_u)
-        if receiver is _DECODE_FIRST:
-            return first
     t3 = np.log2(1.0 + signal / (den + g2pu))
-    return t3 if receiver is _TAN else np.maximum(first, t3)
+    if receiver is _TAN:
+        return t3
+    carried = np.maximum(np.minimum(r_u, t3), np.minimum(np.minimum(r_u, t1), t2 / 2.0))
+    return np.maximum(t3, np.minimum(t1, t2 - carried))
 
 
 def _unit(p, gain: float) -> float:
@@ -182,11 +180,6 @@ def _scp_downlink(k, p_u, p_d, r_u, receiver):
     a2, _, bud2, g2, _, c_d, unit = k
     den = unit + a2 * p_d + bud2 * p_u
     return np.minimum(_receive(p_d, den, g2 * p_u, r_u, receiver), c_d)
-
-
-def _scp_line(k):  # (h, d0, d1, d2, g2) of _crossing
-    a2, bdu2, bud2, g2, _, _, unit = k
-    return bdu2 / unit, unit, bud2, 1.0 + a2, g2
 
 
 # per unit of power: gain_u = 1 + 2 alpha^2 and gain_du = 2 beta_du^2
@@ -271,11 +264,6 @@ def _cran_downlink(k, p_u, p_d, r_u, receiver):
     return _receive(signal_d * p_d, den, g2 * p_u, r_u, receiver)
 
 
-def _cran_line(k):  # (h, d0, d1, d2, g2) of _crossing
-    _, _, gain_du, quant, _, noise_d, signal_d, gain_ud, g2, unit = k
-    return quant * gain_du / (unit * (1.0 + quant)), unit, gain_ud, noise_d + signal_d, g2
-
-
 def _kernels(family: str):
     """(uplink, downlink) kernels of a processing family."""
     return (_scp_uplink, _scp_downlink) if family == "scp" else (_cran_uplink, _cran_downlink)
@@ -290,21 +278,6 @@ def _rates(family: str, k, pu, pd, receiver):
         return uplink(k, pu, 0.0), downlink(k, 0.0, pd, 0.0, _TAN)
     r_u = uplink(k, pu, pd)
     return r_u, downlink(k, pu, pd, r_u, receiver)
-
-
-def _crossing(family: str, k, x0):
-    """Gamma's point (p_u, p_d), in kernel powers, on the line of constant
-    uplink SINR p_u / (u0 + u1 p_u + u2 p_d) with foot (x0, 0): p_u =
-    x0 (1 + h p_d), h = u2 / u0.  With the downlink's den + signal = d0 +
-    d1 p_u + d2 p_d, t2 - t1 = r_u where e p_u = d0 + d2 p_d, e = g2 / q - d1
-    and q = 2**r_u(x0, 0) - 1, so p_d = (e x0 - d0) / (d2 - e x0 h), where no
-    term leaves the float range before the budgets do.  Past it, or at
-    r_u = 0, p_d is inf, NaN or 0, without a warning."""
-    h, d0, d1, d2, g2 = (_scp_line if family == "scp" else _cran_line)(k)
-    with np.errstate(all="ignore"):
-        e = g2 / (2.0 ** _kernels(family)[0](k, x0, 0.0) - 1.0) - d1
-        p_d = (e * x0 - d0) / (d2 - e * x0 * h)
-        return x0 * (1.0 + h * p_d), p_d
 
 
 def _at(kernel, k, p_u, p_d, *args):
@@ -322,8 +295,9 @@ def _check_powers(params, p_u, p_d, budgets: bool = False) -> None:
         )
 
 
-def _carried_uplink(sic: SicMode, r_u) -> float:
-    """The uplink rate a SIC receiver decodes first (unused otherwise)."""
+def _uplink_capacity(sic: SicMode, r_u) -> float:
+    """The uplink capacity r_u a SIC receiver carries the uplink within
+    (_receive; unused otherwise)."""
     if sic is _TAN:
         return 0.0
     if r_u is None:
@@ -413,12 +387,13 @@ def fd_scp_downlink_rate(
     """Downlink SCP rate at operating powers.
 
     Treat-as-noise lumps the whole uplink-to-downlink power
-    (2 beta_ud^2 + gamma_ud^2) p_u into the noise.  With SIC the downlink
-    mobile first decodes the co-located uplink message (decodable at rates up
-    to t2 - r_u jointly, t1 alone), giving the clamp q(t1, t2 - r_u, t3);
-    r_u is the uplink rate actually carried.  Both variants cap at c_d.
+    (2 beta_ud^2 + gamma_ud^2) p_u into the noise.  With SIC, r_u (required
+    then) is the uplink capacity at (p_u, p_d): the uplink carries the rate
+    R* = max(min(r_u, t3), min(r_u, t1, t2/2)) and the mobile gets
+    max(t3, min(t1, t2 - R*)) (_receive), so min(r_u, r_d) is the carried
+    rate.  Both variants cap at c_d.
     """
-    r_u = _carried_uplink(sic, r_u)
+    r_u = _uplink_capacity(sic, r_u)
     _check_powers(params, p_u, p_d)
     return float(_at(_scp_downlink, _scp_consts(params), p_u, p_d, r_u, sic))
 
@@ -459,15 +434,17 @@ def fd_cran_downlink(
 
     Treat-as-noise adds the uplink-to-downlink power
     (2 beta_ud^2 + gamma_ud^2) p_u to the quantized-downlink denominator.
-    With SIC the gamma_ud^2 p_u term moves between numerator and denominator
-    to form q(t1, t2 - r_u, t3); r_u (required then) is the uplink rate the
-    mobile must first decode.  No fronthaul cap applies here -- the fronthaul
-    already enters through the quantization noise.  The precoder must be the
-    zero-forcing one of params.alpha.
+    With SIC, r_u (required then) is the uplink capacity at the powers: the
+    uplink carries R* = max(min(r_u, t3), min(r_u, t1, t2/2)) and the mobile
+    gets max(t3, min(t1, t2 - R*)) (_receive), t1 and t2 moving the
+    gamma_ud^2 p_u term out of the denominator and into the numerator.  No
+    fronthaul cap applies here -- the fronthaul already enters through the
+    quantization noise.  The precoder must be the zero-forcing one of
+    params.alpha.
     """
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
     _check_precoder(params, precoder)
-    r_u = _carried_uplink(sic, r_u)
+    r_u = _uplink_capacity(sic, r_u)
     k = _cran_consts(params, zf_constants(params.alpha))
     return float(_at(_cran_downlink, k, powers.p_u, powers.p_d, r_u, sic))
 
@@ -531,13 +508,13 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
     search's argmax, or at the budgets if full_power, and reports their min.
     The first point with a rate not finite raises, r_u checked before r_d."""
     of, columns = _consts(family, sic, points)
-    units = columns[-1]
+    k, units = of(slice(None)), columns[-1]
     p_u, p_d = _budgets(points)
     if sic is not None and not full_power:
-        _, p_u, p_d = _max_min_search(family, of, p_u * units, p_d * units, sic)
+        _, p_u, p_d = _max_min_search(family, k, p_u * units, p_d * units, sic)
         p_u, p_d = p_u / units, p_d / units
     powers = ((x * units)[:, None, None] for x in (p_u, p_d))  # in each _unit
-    r_u, r_d = (r.ravel() for r in _rates(family, of(slice(None)), *powers, sic))
+    r_u, r_d = (r.ravel() for r in _rates(family, k, *powers, sic))
     finite = np.isfinite(r_u) & np.isfinite(r_d)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -657,61 +634,24 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
     return value, scale * p_u, scale * p_d
 
 
-def _curve_max(of, score, top):
-    """Each point's max along a curve, score(of(b), b, x) giving the value and
-    powers (p_u, p_d) of the points b (a slice) at x in [0, top]: a scan of
-    DEFAULT_GRID**2 values a point at a time, then _ZOOM_PASSES windows of
-    len(_WINDOW) values for all points at once, centred on the incumbent
-    (which moves only to a strictly better value, so the centre is not scored
-    again), the first _ZOOM scan steps wide, each next _ZOOM times narrower.
-    Returns (value, p_u, p_d), each an (n,) array."""
-    def best(b, x):  # the points b's first best of (value, p_u, p_d, x) over x
-        values, *at = np.broadcast_arrays(*score(of(b), b, x), x)
-        j = values.argmax(axis=-1)[..., None]
-        return [np.take_along_axis(v, j, axis=-1)[..., 0] for v in (values, *at)]
-
-    scan = np.linspace(0.0, top, DEFAULT_GRID**2, axis=-1)[:, None]
-    each = [best(slice(i, i + 1), scan[i : i + 1]) for i in range(top.size)]
-    found = [np.concatenate(column) for column in zip(*each)]
-    span = _ZOOM * (top / (DEFAULT_GRID**2 - 1))  # divided first: _ZOOM * top can overflow
-    for _ in range(_ZOOM_PASSES):
-        window = found[-1][..., None] + span[:, None, None] * _OFF_CENTRE
-        window = np.minimum(np.maximum(window, 0.0), top[:, None, None])  # as np.clip, cheaper
-        new = best(slice(None), window)
-        better = new[0] > found[0]
-        found = [np.where(better, x, y) for x, y in zip(new, found)]
-        span = span / _ZOOM
-    return [x[:, 0] for x in found[:3]]
-
-
-def _max_min_search(family: str, of, p_u_max, p_d_max, sic: SicMode):
-    """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max].
-
-    of(b) gives the constants of the points b of the batch, a slice or an
-    array of indices, for _rates at power arrays whose leading axis runs over
-    them; the edge searches take all points at once, of(slice(None)).
+def _max_min_search(family: str, k, p_u_max, p_d_max, sic: SicMode):
+    """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max],
+    k being the batch's constants (_stacked), for _rates at power arrays whose
+    leading axis runs over its points.
 
     Treat-as-noise: both SINRs are standard interference functions (Yates,
     IEEE JSAC 1995), so scaling (p_u, p_d) up raises both rates and the
     optimum lies on a budget edge, where _edge_optimum finds it exactly.
 
-    SIC: as t3 <= t1, min(r_u, q(t1, t2 - r_u, t3)) is the larger of the
-    treat-as-noise objective and the decode-first one V = min(r_u, t1,
-    t2 - r_u), which can peak inside the box, as t2 - r_u can fall when both
-    powers grow.  As min(r_u, t2 - r_u) <= t2/2, V is at most the bound
-    M = min(r_u, t1, t2/2), with the same caps.  Each SINR of M is a standard
-    interference function, so M peaks on a budget edge too, and t2/2 is
-    monotone along each edge, its SINR being linear-fractional in the free
-    power: _edge_optimum finds M's maximum M* exactly.  A point whose M* is
-    at most _TIE_TOL above the treat-as-noise optimum keeps that optimum; one
-    whose V at M's argmax is within _TIE_TOL of M* takes that argmax, optimal
-    to within _TIE_TOL.  Only the other points, rest, go to
-    _decode_first_search, as a batch of their own (of(rest[b])), which
-    searches V on the two upper budget edges and on Gamma, where V's maximum
-    lies.  A decode-first point replaces the treat-as-noise optimum only when
-    better by over _TIE_TOL.  Returns (value, p_u, p_d), each an (n,) array.
+    SIC: maximized over the carried rate as well (_receive), the objective is
+    the larger of the treat-as-noise one and M = min(r_u, t1, t2/2), with the
+    same caps.  Each SINR of M is a standard interference function too, so M
+    peaks on a budget edge, and t2/2 is monotone along each edge, its SINR
+    being linear-fractional in the free power: _edge_optimum finds M's
+    maximum M* exactly, and a point takes M's optimum where M* beats the
+    treat-as-noise one by more than _TIE_TOL.  Returns (value, p_u, p_d),
+    each an (n,) array.
     """
-    k = of(slice(None))
     best = _edge_optimum(lambda pu, pd: _rates(family, k, pu, pd, _TAN), p_u_max, p_d_max)
     if sic is _TAN:
         return best
@@ -720,50 +660,9 @@ def _max_min_search(family: str, of, p_u_max, p_d_max, sic: SicMode):
         r_u, (t1, half) = _rates(family, k, pu, pd, _BOUND)
         return r_u, t1, half
 
-    top, p_u, p_d = _edge_optimum(bound, p_u_max, p_d_max)
-    at = (p_u[:, None, None], p_d[:, None, None])
-    found = [np.minimum(*_rates(family, k, *at, _DECODE_FIRST))[:, 0, 0], p_u, p_d]
-    contested = top > best[0] + _TIE_TOL  # elsewhere M* leaves treat-as-noise optimal
-    rest = np.flatnonzero(contested & (found[0] < top - _TIE_TOL))  # M* not attained
-    if rest.size:
-        new = _decode_first_search(family, lambda b: of(rest[b]), p_u_max[rest], p_d_max[rest])
-        for x, y in zip(found, new):
-            x[rest] = y
-    better = contested & (found[0] > best[0] + _TIE_TOL)
+    found = _edge_optimum(bound, p_u_max, p_d_max)
+    better = found[0] > best[0] + _TIE_TOL
     return tuple(np.where(better, f, b) for f, b in zip(found, best))
-
-
-def _decode_first_search(family: str, of, p_u_max, p_d_max):
-    """The max of V = min(r_u, t1, t2 - r_u) over the power box, of(b) giving
-    the constants of the points b (see _max_min_search).
-
-    Every point of the box lies on a line of constant uplink SINR with its
-    foot x0 in [0, P_u] on p_d = 0 (_crossing).  Along it r_u is constant
-    and t1 and t2, their SINRs linear-fractional there, are each monotone,
-    so V peaks at the line's upper end in the box, on p_u = P_u or p_d = P_d,
-    or where t1 = t2 - r_u (its lower end has t1 = 0): on the two upper
-    budget edges or on Gamma = {t2 - t1 = r_u}, whose point on each line
-    _crossing gives in closed form.  _curve_max searches p_d along
-    p_u = P_u, p_u along p_d = P_d and x0 along Gamma (-inf outside the
-    box); the first best of the three wins."""
-    u_max, d_max = p_u_max[:, None, None], p_d_max[:, None, None]
-
-    def on_box(k, pu, pd):
-        return np.minimum(*_rates(family, k, pu, pd, _DECODE_FIRST)), pu, pd
-
-    def on_gamma(k, b, x0):  # at p_d = 0, t1 = 0: no point of Gamma there is of use
-        pu, pd = _crossing(family, k, x0)
-        inside = (0.0 < pd) & (pd <= d_max[b]) & (pu <= u_max[b])  # NaN is not
-        value, pu, pd = on_box(k, np.where(inside, pu, 0.0), np.where(inside, pd, 0.0))
-        return np.where(inside, value, -np.inf), pu, pd
-
-    found = [
-        _curve_max(of, lambda k, b, x: on_box(k, u_max[b], x), p_d_max),
-        _curve_max(of, lambda k, b, x: on_box(k, x, d_max[b]), p_u_max),
-        _curve_max(of, on_gamma, p_u_max),
-    ]
-    first = np.argmax([value for value, *_ in found], axis=0)
-    return tuple(np.choose(first, column) for column in zip(*found))
 
 
 # ----------------------------------------------------------------------------
@@ -790,7 +689,7 @@ def compute_scheme(
     schemes take the zero-forcing precoder through its exact constants
     (zf_constants) and the uplink integral in closed form, so panels, still
     checked to be a valid panel count, changes no result.  Nor does grid,
-    checked to be an integer >= 2: the SIC search always scans at DEFAULT_GRID.
+    checked to be an integer >= 2: the search has no grid (DEFAULT_GRID).
 
     full_power=True evaluates a full-duplex scheme at its budgets
     (P_u, P_d) instead of searching; half-duplex schemes always spend them.

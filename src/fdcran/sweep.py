@@ -30,35 +30,37 @@ enum order minor, so identical configs produce byte-identical CSV output.
 A sweep is solved in blocks of up to 64 values, each scheme's rows of a
 block by one call of rates.compute_batch: the half-duplex kernels at every
 value's budgets, or one full-duplex max-min power search for the whole
-block.  Nothing splits the search's kernel calls: its fallback scans
-DEFAULT_GRID**2 powers a point at a time, and the block size keeps every
-other call below that (a block's edge search takes 64 x 2 x 17 powers).
-So the block size bounds the solver's memory whatever the sweep length,
-and MAX_SWEEP_VALUES bounds the sweep.  C-RAN rows are exact (closed forms, see
-rates), so a sweep has no quadrature setting, and the SIC search is solved
-from its bound on the budget edges, falling back to 1-D scans of three
-curves at one fixed resolution (rates.DEFAULT_GRID) only where the bound is
-not attained, so it has no resolution setting either.  A sweep runs in this
-one process: with the SIC search this cheap, worker processes would cost
-more than they save.
+block, exact on the budget edges.  Nothing splits the search's kernel calls,
+so the block size bounds the solver's memory whatever the sweep length (a
+block's edge search takes 64 x 2 x 17 powers), and MAX_SWEEP_VALUES bounds
+the sweep.  C-RAN rows are exact (closed forms, see rates), and the search
+has no grid, so a sweep has no quadrature or resolution setting.  A sweep
+runs in this one process: with the search this cheap, worker processes
+would cost more than they save.
+
+A row's r_u is the uplink capacity at its powers (p_u*, p_d*).  A SIC
+mobile faces the co-located uplink codeword at any carried rate up to that
+capacity, and its row's r_d is the downlink rate at the best carried rate,
+so r_eq = min(r_u, r_d) is the rate the uplink carries (rates._receive).
 
 Under --verify the oracles run in this process after each block's solve:
-the circulant ring checks each C-RAN uplink rate, and oracle.certified_max_min
-certifies the optimum of the fd_scp, fd_scp_sic and fd_cran rows, one
-branch-and-bound search per scheme for the block's rows: over the two upper
-budget edges for fd_scp and fd_cran, where a treat-as-noise optimum lies,
-and over the whole power box for fd_scp_sic.  It proves that the true
-max-min lies at most eps (CERTIFIED_EPS, more for C-RAN near alpha = 1/2
-and for fd_scp_sic at budgets of thousands of dB) above its best point, and
-holds every temporary to 8,192 values, so its memory does not grow with the
-budgets.
+the circulant ring checks each C-RAN uplink rate, _CIRCULANT_ROWS rows a
+call, and oracle.certified_max_min certifies the optimum of the rows of all
+four full-duplex schemes, one branch-and-bound search per scheme for the
+block's rows over the two upper budget edges, where the optimum of either
+receiver lies.  It proves that the true max-min lies at most eps
+(CERTIFIED_EPS, more for C-RAN near alpha = 1/2 and for points whose search
+reaches oracle._MAX_CELLS cells) above its best point, and holds every
+temporary to 8,192 values, so its memory does not grow with the budgets.
 """
 
 import math
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from .model import SchemeId, SystemParams, db_to_linear
-from .oracle import DEFAULT_CELLS, certified_max_min, circulant_uplink_rate
+from .oracle import _BLOCK_ELEMENTS, DEFAULT_CELLS, certified_max_min, circulant_uplink_rate
 from .rates import SCHEMES, compute_batch, compute_scheme
 
 __all__ = [
@@ -114,11 +116,12 @@ MAX_SWEEP_VALUES = 1_000_000
 
 # agreement demanded between analytical rates and their brute-force oracles
 ORACLE_RATE_TOL = 1e-3
-# schemes whose optimum --verify certifies (oracle.certified_max_min).  Not
-# fd_cran_sic: its decode-first optimum inside the box lies on a ridge that
-# first-order bounds resolve only with about 1/sqrt(eps) cells, and fig3's
-# rows take 2.2 s at eps = 1e-4 against 0.04 s for the other three at 1e-6
-_CERTIFIED = (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN)
+# schemes whose optimum --verify certifies (oracle.certified_max_min): on
+# fig3 each takes 1,166 to 1,666 cells at eps = 1e-6
+_CERTIFIED = (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC)
+# C-RAN rows per circulant_uplink_rate call: its DEFAULT_CELLS samples a row
+# then fill one oracle temporary
+_CIRCULANT_ROWS = _BLOCK_ELEMENTS // DEFAULT_CELLS
 
 
 class ConfigError(ValueError):
@@ -342,8 +345,8 @@ def serialize_spec(spec: SweepSpec) -> str:
 # ----------------------------------------------------------------------------
 # running sweeps
 
-# sweep values solved together, fig2's and fig3's in one block; past 120, a
-# block's edge search would outgrow a one-point scan (module docstring)
+# sweep values solved together, fig2's and fig3's in one block, which bounds
+# the search's largest kernel call, the edge search (module docstring)
 _BLOCK = 64
 _DIAGNOSTICS = CSV_COLUMNS[6:]  # the RateResult.diagnostics a row carries, in SweepRow's order
 
@@ -399,7 +402,7 @@ def _run_block(spec: SweepSpec, block) -> list[SweepRow]:
             for scheme in spec.schemes:
                 compute_scheme(scheme, spec.params_at(value))
         raise
-    rows = []
+    rows, cran = [], []
     for i, (value, params) in enumerate(zip(block, points)):
         for scheme in spec.schemes:
             result = solved[scheme][i]
@@ -408,18 +411,27 @@ def _run_block(spec: SweepSpec, block) -> list[SweepRow]:
                 *map(result.diagnostics.get, _DIAGNOSTICS),
             )
             if spec.oracle and SCHEMES[scheme][0] == "cran":
-                _attach_circulant(row, params)
+                cran.append((row, params))
             rows.append(row)
     if spec.oracle:
+        _attach_circulant(cran)
         _attach_certified(spec, rows)
     return rows
 
 
-def _attach_circulant(row: SweepRow, params) -> None:
-    sigma = row.sigma_u_sq
-    if sigma is not None and math.isfinite(sigma):
-        p_u = row.p_u_star if row.p_u_star is not None else params.p_u_max
-        row.oracle_r_u = circulant_uplink_rate(params.alpha, p_u, sigma, DEFAULT_CELLS)
+def _attach_circulant(cran) -> None:
+    """oracle_r_u of each C-RAN row, given as (row, params), whose sigma_u^2
+    is finite: the circulant ring's uplink rate at the row's uplink power,
+    _CIRCULANT_ROWS rows a call."""
+    checked = [(r, p) for r, p in cran if r.sigma_u_sq is not None and math.isfinite(r.sigma_u_sq)]
+    for at in range(0, len(checked), _CIRCULANT_ROWS):
+        group = checked[at : at + _CIRCULANT_ROWS]
+        alpha = np.array([p.alpha for _, p in group])
+        p_u = np.array([p.p_u_max if r.p_u_star is None else r.p_u_star for r, p in group])
+        sigma = np.array([r.sigma_u_sq for r, _ in group])
+        found = circulant_uplink_rate(alpha, p_u, sigma, DEFAULT_CELLS)
+        for (row, _), rate in zip(group, np.broadcast_to(found, len(group)).tolist()):
+            row.oracle_r_u = rate
 
 
 def _attach_certified(spec: SweepSpec, rows: list[SweepRow]) -> None:

@@ -1,8 +1,8 @@
 """compute_batch, the one row path of every scheme: every point of a batch
 gets exactly the result it gets alone, a sweep's rows are those results, the
 replay of a failing block reports its first failing row, and no kernel call
-outgrows a one-point search.  Nothing splits a kernel call: the sweep's block
-size and the search's one-point curve scans are what bound it."""
+outgrows a block's edge search.  Nothing splits a kernel call: the sweep's
+block size is what bounds it."""
 
 from dataclasses import replace
 
@@ -12,7 +12,7 @@ import pytest
 import fdcran.rates as rates
 import fdcran.sweep as sweep
 from fdcran.model import NumericDomainError, SchemeId
-from fdcran.rates import DEFAULT_GRID, compute_batch, compute_scheme
+from fdcran.rates import compute_batch, compute_scheme
 from fdcran.sweep import SweepSpec, preset_spec, run_sweep
 from test_solver_properties import DOMAIN
 
@@ -75,35 +75,14 @@ def test_sweeps_longer_than_a_block_keep_every_row():
         assert row.r_eq == compute_scheme(row.scheme, spec.params_at(row.value)).r_eq
 
 
-def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
-    # every objective evaluation of the search calls the family's uplink kernel
-    # once (a point of Gamma twice); DOMAIN[5] is one of the points whose
-    # decode-first bound is not attained, so its search falls back to the
-    # scans of the budget edges and Gamma
-    sizes = []
-    kernel = rates._scp_uplink
-
-    def recording(k, p_u, p_d):
-        sizes.append(np.broadcast(p_u, p_d).size)
-        return kernel(k, p_u, p_d)
-
-    monkeypatch.setattr(rates, "_scp_uplink", recording)
-    compute_scheme(SchemeId.FD_SCP_SIC, DOMAIN[5])
-    one_point = (len(sizes), max(sizes))
-    sizes.clear()
-    compute_batch(SchemeId.FD_SCP_SIC, DOMAIN)
-    assert one_point[1] == DEFAULT_GRID**2
-    assert max(sizes) == one_point[1]
-    assert len(sizes) < len(DOMAIN) * one_point[0] / 4  # the batch shares its calls
-
-
 @pytest.mark.parametrize(
     "scheme", [SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC], ids=lambda s: s.value
 )
-def test_a_full_block_calls_no_kernel_above_a_one_point_scan(scheme, monkeypatch):
+def test_a_full_block_calls_no_kernel_above_its_edge_search(scheme, monkeypatch):
     # a sweep of one full block: its edge searches evaluate every point on
-    # both edges at len(_WINDOW) samples in one call, and points of it fall
-    # back to the scans of DEFAULT_GRID**2 values, taken one point at a time
+    # both edges at len(_WINDOW) samples in one call, the largest call of the
+    # search, and the block shares its calls; every objective evaluation
+    # calls the family's uplink kernel once
     name = f"_{rates.SCHEMES[scheme][0]}_uplink"
     kernel = getattr(rates, name)
     sizes = []
@@ -116,5 +95,9 @@ def test_a_full_block_calls_no_kernel_above_a_one_point_scan(scheme, monkeypatch
     fig3 = preset_spec("fig3")
     stop = fig3.start + (sweep._BLOCK - 1) * fig3.step
     run_sweep(replace(fig3, stop=stop, schemes=(scheme,)))
-    assert sweep._BLOCK * 2 * rates._WINDOW.size in sizes
-    assert max(sizes) == DEFAULT_GRID**2  # the fallback ran
+    assert max(sizes) == sweep._BLOCK * 2 * rates._WINDOW.size
+    block_calls = len(sizes)
+    sizes.clear()
+    compute_scheme(scheme, fig3.params_at(stop))
+    assert max(sizes) == 2 * rates._WINDOW.size
+    assert block_calls < sweep._BLOCK * len(sizes) / 4

@@ -362,10 +362,11 @@ def test_fig3_verify_passes(tmp_path, capsys):
         gap = float(line.split(" gap ")[1].split(" at ")[0])
         assert 0.0 <= gap <= ORACLE_RATE_TOL
         assert " at gamma_ud=" in line
-    # the certified schemes name their eps and the cells their oracle bounded
+    # all four full-duplex schemes are certified: each names its eps and the
+    # cells its oracle bounded
     certified = [line for line in lines if "; certified to eps 1e-06 over " in line]
     assert [line.split(":")[0] for line in certified] == [
-        f"verified {s}" for s in ("fd_scp", "fd_scp_sic", "fd_cran")
+        f"verified {s}" for s in ("fd_scp", "fd_scp_sic", "fd_cran", "fd_cran_sic")
     ]
     for line in certified:
         assert int(line.split(" over ")[1].split(" cells")[0].replace(",", "")) > 0
@@ -373,9 +374,9 @@ def test_fig3_verify_passes(tmp_path, capsys):
 
 @pytest.mark.parametrize("p_u_db", [150, 200])
 def test_the_sic_search_reaches_the_certified_optimum_at_large_budgets(tmp_path, capsys, p_u_db):
-    # the paper base with a huge uplink budget: the decode-first optimum lies
-    # at p_u of order 10-100, where scans of the whole box by rows lost it,
-    # and the bound on the budget edges finds it
+    # the paper base with a huge uplink budget: the SIC optimum lies at p_u
+    # of order 10-1000, far below the budget, on the edge p_d = P_d, where
+    # the search and the certificate both find it
     text = (
         f"base.p_u_db = {p_u_db}\nsweep.var = gamma_ud\nsweep.start = 4\nsweep.stop = 4\n"
         "schemes = fd_scp_sic, fd_cran_sic\n"

@@ -2,8 +2,7 @@
 Hypothesis (derandomized, so every run checks the same examples): finite
 rates within [0, c] of their link, SIC never below treat-as-noise, exact
 half-duplex reductions, equal rates that do not fall as the fronthaul grows
-(the SIC schemes excepted: they are not monotone in it), equal rates that do
-not fall as either power budget grows, and finite rates or NumericDomainError,
+or as either power budget grows, and finite rates or NumericDomainError,
 without a numpy warning, at budgets up to the top of the float range."""
 
 import math
@@ -11,7 +10,7 @@ import sys
 import warnings
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdcran.model import NumericDomainError, PowerAllocation, SchemeId, SystemParams, db_to_linear
@@ -86,9 +85,40 @@ def test_half_duplex_reductions_are_exact(params, u, d):
 
 
 @settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
+@given(domain, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_the_sic_downlink_takes_the_uplink_capacity_and_reports_the_carried_rate(params, u, d):
+    # the recompute contract: given the uplink capacity r_u at (p_u, p_d),
+    # the SIC downlink backs off to the carried rate R* and reports
+    # max(t3, min(t1, t2 - R*)) under the c_d cap, so min(r_u, r_d) is R*
+    p_u, p_d = u * params.p_u_max, d * params.p_d_max
+    r_u = fd_scp_uplink_rate(params, p_u, p_d)
+    r_d = fd_scp_downlink_rate(params, p_u, p_d, SicMode.SIC, r_u)
+    den = 1.0 + 2.0 * params.alpha**2 * p_d + 2.0 * params.beta_ud**2 * p_u
+    intra = params.gamma_ud**2 * p_u
+    t1 = math.log2(1.0 + p_d / den)
+    t2 = math.log2(1.0 + (p_d + intra) / den)
+    t3 = math.log2(1.0 + p_d / (den + intra))
+    carried = max(min(r_u, t3), min(r_u, t1, t2 / 2.0))
+    tol = 1e-12 * max(1.0, t2)
+    assert abs(r_d - min(params.c_d, max(t3, min(t1, t2 - carried)))) <= tol
+    assert abs(min(r_u, r_d) - min(params.c_d, carried)) <= tol
+
+
+# fd_scp_sic fell from 0.82611 to 0.70769 here while the uplink was decoded
+# at its full capacity
+FRONTHAUL_DIP = SystemParams(
+    alpha=0.3161, beta_du=0.1296, beta_ud=0.2445, gamma_du=0.0, gamma_ud=0.9407,
+    p_u_max=35.3284, p_d_max=1.2754, c_u=1.0, c_d=1.0,
+)
+
+
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
 @given(domain, capacities, st.floats(0.0, 12.0))
+@example(FRONTHAUL_DIP, 1.0, 2.2911)
 def test_equal_rate_does_not_fall_as_the_fronthaul_grows(params, c, more):
-    for scheme in (SchemeId.HD_SCP, SchemeId.HD_CRAN, SchemeId.FD_SCP, SchemeId.FD_CRAN):
+    # every term of each objective, the SIC one at its best carried rate
+    # included, is non-decreasing in c_u and c_d
+    for scheme in SchemeId:
         low = compute_scheme(scheme, replace(params, c_u=c, c_d=c)).r_eq
         high = compute_scheme(scheme, replace(params, c_u=c + more, c_d=c + more)).r_eq
         assert high >= low - 1e-9, scheme

@@ -16,7 +16,7 @@ from fdcran.oracle import (
     circulant_uplink_rate_dense,
     exhaustive_power_opt,
 )
-from fdcran.rates import SicMode, compute_batch, fd_scp
+from fdcran.rates import SCHEMES, SicMode, compute_batch, fd_scp
 from fdcran.spectral import rate_closed_form, rate_integral
 from fdcran.sweep import preset_spec
 
@@ -77,9 +77,21 @@ def test_the_ring_keeps_an_sinr_scale_near_the_float_range():
     assert abs(circulant_uplink_rate(0.4, 1.7e308, 0.0) - want) <= np.spacing(want)
 
 
+def test_the_ring_rate_of_arrays_is_that_of_each_element_alone():
+    # floats give a float; arrays broadcast, each element bit for bit its own rate
+    alpha, p_u, sigma = np.array([0.0, 0.1, 0.4, 0.49]), np.array([[5.0], [1.7e308]]), 0.3
+    rates = circulant_uplink_rate(alpha, p_u, sigma)
+    assert rates.shape == (2, 4)
+    for (i, j), rate in np.ndenumerate(rates):
+        alone = circulant_uplink_rate(float(alpha[j]), float(p_u[i, 0]), sigma)
+        assert isinstance(alone, float) and rate == alone
+
+
 def test_circulant_rate_input_validation():
     with pytest.raises(ValueError):
         circulant_uplink_rate(0.4, -1.0, 0.0, 512)
+    with pytest.raises(ValueError):
+        circulant_uplink_rate(0.4, np.array([1.0, 2.0]), np.array([0.0, -1.0]))
     with pytest.raises(ValueError):
         circulant_uplink_rate(0.4, 1.0, 0.0, 4)
 
@@ -139,11 +151,11 @@ def _full_grid_reference(params, sic, resolution=512, candidate=None):
         den = 1.0 + 2.0 * a2 * pd + 2.0 * bud2 * pu
         if sic is SicMode.TREAT_AS_NOISE:
             r_d = np.log2(1.0 + pd / (den + g2 * pu))
-        else:
+        else:  # at the best carried rate
             t1 = np.log2(1.0 + pd / den)
             t2 = np.log2(1.0 + (pd + g2 * pu) / den)
             t3 = np.log2(1.0 + pd / (den + g2 * pu))
-            r_d = np.minimum(t1, np.maximum(t2 - r_u, t3))
+            r_d = np.maximum(t3, np.minimum(t1, t2 / 2.0))
         return np.minimum(r_u, np.minimum(r_d, params.c_d))
 
     pu_grid = np.linspace(0.0, params.p_u_max, resolution)
@@ -240,11 +252,13 @@ FAMILIES = [("scp", TAN), ("scp", SIC), ("cran", TAN), ("cran", SIC)]
 # the domain's budgets, or any up to 3000 dB, near the top of the float range
 any_budgets = st.one_of(st.floats(0.0, 30.0), st.floats(0.0, 3000.0)).map(db_to_linear)
 cuts = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7)
-# where each cell is checked: its vertices, its centre and points inside
-INSIDE = [(0, 0), (0, 1), (1, 0), (1, 1), (0.5, 0.5), (0.1, 0.9), (0.9, 0.1), (0.7, 0.3), (0.3, 0.7)]
+# where each cell, a segment of a budget edge, is checked: its ends, its
+# centre and points inside
+INSIDE = [0.0, 1.0, 0.5, 0.1, 0.9, 0.3, 0.7]
 
 
-# an FD-C-RAN cell whose SIC t2 peaks at its top vertex (u1, d1) only
+# an FD-C-RAN point whose SIC t2 peaks at the top end of the cell
+# [0.7 P_u, 0.8 P_u] x {P_d} only
 T2_AT_THE_TOP = SystemParams(
     alpha=0.37808318644757777, beta_du=0.5902154124085758, beta_ud=0.03104109059991339,
     gamma_du=0.0, gamma_ud=0.795048701429768, p_u_max=9.824393364829563,
@@ -257,11 +271,13 @@ T2_AT_THE_TOP = SystemParams(
 @example(T2_AT_THE_TOP, T2_AT_THE_TOP.p_u_max, T2_AT_THE_TOP.p_d_max, [0.7, 0.8], [0.0, 1.0])
 def test_a_cells_bound_is_at_least_the_objective_inside_it(params, p_u, p_d, cuts_u, cuts_d):
     params = replace(params, p_u_max=p_u, p_d_max=p_d)
-    # the grid of cells between the drawn cuts of both budgets
+    # the cells of both upper budget edges between the drawn cuts of the
+    # budgets: [u0, u1] x {p_d} and {p_u} x [d0, d1]
     us, ds = np.sort(cuts_u) * p_u, np.sort(cuts_d) * p_d
-    i, j = (x.ravel() for x in np.meshgrid(np.arange(us.size - 1), np.arange(ds.size - 1)))
-    u0, u1, d0, d1 = us[i], us[i + 1], ds[j], ds[j + 1]
-    row = np.zeros(i.size, dtype=int)
+    on_u, on_d = np.full(ds.size - 1, p_u), np.full(us.size - 1, p_d)
+    u0, u1 = np.concatenate([us[:-1], on_u]), np.concatenate([us[1:], on_u])
+    d0, d1 = np.concatenate([on_d, ds[:-1]]), np.concatenate([on_d, ds[1:]])
+    row = np.zeros(u0.size, dtype=int)
     # the program rejects a quantization noise that overflows at the budgets
     cols, _, _ = fdcran.oracle._constants("cran", [params])
     quant, base, f, h = (float(cols[n][0]) for n in (1, 2, 3, 4))
@@ -271,11 +287,11 @@ def test_a_cells_bound_is_at_least_the_objective_inside_it(params, p_u, p_d, cut
         k, samples = fdcran.oracle._terms(cols, ring, row)
         bound = fdcran.oracle._bound(sic, k, samples, u0, u1, d0, d1)
         assert np.isfinite(bound).all()
-        for x, y in INSIDE:
-            pu = np.minimum(u1, u0 + x * (u1 - u0))
-            pd = np.minimum(d1, d0 + y * (d1 - d0))
+        for t in INSIDE:
+            pu = np.minimum(u1, u0 + t * (u1 - u0))
+            pd = np.minimum(d1, d0 + t * (d1 - d0))
             value = fdcran.oracle._value(sic, k, samples, pu, pd)
-            assert (value <= bound + 1e-12 * np.maximum(1.0, bound)).all(), (family, sic, x, y)
+            assert (value <= bound + 1e-12 * np.maximum(1.0, bound)).all(), (family, sic, t)
 
 
 @pytest.mark.parametrize("sic", [TAN, SIC])
@@ -307,28 +323,38 @@ def test_the_ring_error_widens_eps_only_where_the_cells_are_capped():
     assert ring[0].size == 31 // 2 + 1 and errors == [0.0]  # 21 / acosh(1.25) = 30.3 cells
 
 
-@pytest.mark.parametrize("raise_db", [20.0, 50.0])
-@pytest.mark.parametrize("scheme", [SchemeId.FD_SCP, SchemeId.FD_CRAN], ids=lambda s: s.value)
-def test_treat_as_noise_certifies_on_the_budget_edges_at_raised_budgets(scheme, raise_db):
-    # from the whole box, up to 17 of these 20 points stopped at _MAX_CELLS
-    # with eps widened to 4.1
+def _certifies_on_the_budget_edges(scheme, raise_db) -> None:
+    """DOMAIN raised by raise_db certifies to CERTIFIED_EPS below _MAX_CELLS,
+    each solved r_eq in its interval to within the ring's 1e-9 (_RING_DEPTH)."""
     gain = db_to_linear(raise_db)
     points = [replace(p, p_u_max=p.p_u_max * gain, p_d_max=p.p_d_max * gain) for p in DOMAIN]
     results = compute_batch(scheme, points)
     argmaxes = [(r.diagnostics["p_u_star"], r.diagnostics["p_d_star"]) for r in results]
-    family = "scp" if scheme is SchemeId.FD_SCP else "cran"
-    for found in certified_max_min(family, TAN, points, argmaxes):
+    for result, found in zip(results, certified_max_min(*SCHEMES[scheme], points, argmaxes)):
         assert found.eps == CERTIFIED_EPS and found.cells < fdcran.oracle._MAX_CELLS, found
+        assert found.r_eq - 1e-9 <= result.r_eq <= found.r_eq + found.eps, (result, found)
 
 
-@settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
-@given(domain, huge_db, huge_db, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def test_the_treat_as_noise_objective_does_not_fall_as_both_powers_scale_up(
-    params, u_db, d_db, u, d, scale
-):
-    # the premise that puts the treat-as-noise maximum on the budget edges,
-    # checked on the oracle's own objective: (u P_u, d P_d) stays in the box,
-    # and scale <= 1 shrinks it towards the origin
+@pytest.mark.parametrize("raise_db", [0.0, 20.0, 50.0])
+@pytest.mark.parametrize("scheme", [SchemeId.FD_SCP, SchemeId.FD_CRAN], ids=lambda s: s.value)
+def test_treat_as_noise_certifies_on_the_budget_edges_at_raised_budgets(scheme, raise_db):
+    # from the whole box, up to 17 of these 20 points stopped at _MAX_CELLS
+    # with eps widened to 4.1
+    _certifies_on_the_budget_edges(scheme, raise_db)
+
+
+@pytest.mark.parametrize("raise_db", [0.0, 20.0, 50.0, 100.0])
+@pytest.mark.parametrize(
+    "scheme", [SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC], ids=lambda s: s.value
+)
+def test_sic_certifies_on_the_budget_edges_at_raised_budgets(scheme, raise_db):
+    # at its best carried rate the SIC objective peaks on the budget edges too
+    _certifies_on_the_budget_edges(scheme, raise_db)
+
+
+def _does_not_fall_as_both_powers_scale_up(sic, params, u_db, d_db, u, d, scale) -> None:
+    """The oracle's own objective of receiver sic at (u P_u, d P_d), in the
+    box, is no lower than at scale <= 1 times those powers."""
     point = replace(params, p_u_max=db_to_linear(u_db), p_d_max=db_to_linear(d_db))
     for family in ("scp", "cran"):
         cols, ring, _ = fdcran.oracle._constants(family, [point])
@@ -338,9 +364,31 @@ def test_the_treat_as_noise_objective_does_not_fall_as_both_powers_scale_up(
             noise = k.quant * (k.base + k.f * p_u + k.h * p_d)
         if point.c_u > 0.0 and not np.isfinite(noise).all():
             continue  # sigma_u^2 past the float range: the program gives no rates
-        high = fdcran.oracle._value(TAN, k, samples, p_u, p_d)
-        low = fdcran.oracle._value(TAN, k, samples, scale * p_u, scale * p_d)
+        high = fdcran.oracle._value(sic, k, samples, p_u, p_d)
+        low = fdcran.oracle._value(sic, k, samples, scale * p_u, scale * p_d)
         assert (high >= low - 1e-12 * abs(low)).all(), family
+
+
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
+@given(domain, huge_db, huge_db, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_the_treat_as_noise_objective_does_not_fall_as_both_powers_scale_up(
+    params, u_db, d_db, u, d, scale
+):
+    # the premise that puts the treat-as-noise maximum on the budget edges
+    _does_not_fall_as_both_powers_scale_up(TAN, params, u_db, d_db, u, d, scale)
+
+
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
+@given(domain, huge_db, huge_db, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+# fig3 at gamma_ud = 3.5: decoding the uplink at its full capacity peaked
+# inside the box at 0.9 times these powers
+@example(preset_spec("fig3").params_at(3.5), 20.0, 20.0, 0.40058060634505543, 0.9334620169965505, 0.9)
+def test_the_sic_objective_does_not_fall_as_both_powers_scale_up(
+    params, u_db, d_db, u, d, scale
+):
+    # the premise that puts the SIC maximum, at its best carried rate, on
+    # the budget edges
+    _does_not_fall_as_both_powers_scale_up(SIC, params, u_db, d_db, u, d, scale)
 
 
 @pytest.mark.parametrize("family, sic", FAMILIES)

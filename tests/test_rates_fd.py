@@ -70,8 +70,8 @@ def test_fd_scp_argmax_reproduces_value(fig2_params):
 
 @pytest.mark.parametrize("gamma_ud", [1.0, 2.0, 3.0])
 def test_fd_scp_sic_search_zooms_at_the_top_of_the_budget_range(gamma_ud):
-    # the zoom windows are _ZOOM scan steps wide, a width that once overflowed
-    # to inf above about 3073 dB and lost the decode-first search
+    # at the top of the float range the SIC search issues no warning and
+    # finds an optimum far above treat-as-noise's
     params = make_params(
         p_u_max=db_to_linear(3000.0), p_d_max=db_to_linear(3080.0), c_u=2000.0, gamma_ud=gamma_ud
     )
@@ -183,8 +183,9 @@ def test_fd_cran_argmax_reproduces_value(fig2_params):
 
 
 def test_fd_cran_sic_finds_an_optimum_off_the_budget_edges_at_a_large_budget():
-    # the decode-first optimum lies on Gamma near p_u = 5.59, p_d = 169.5,
-    # tiny against both budgets; scans of the power box by rows reached 2.1688
+    # decoding the uplink at its capacity peaked at 2.4716045 near p_u = 5.59,
+    # p_d = 169.5, tiny against both budgets; at its best carried rate the
+    # optimum lies on the edge p_d = P_d
     params = SystemParams(
         alpha=0.36578493843872995, beta_du=0.4110929869045731, beta_ud=0.23499225631812276,
         gamma_du=0.0, gamma_ud=7.134233390360064, p_u_max=94622531.7406011,

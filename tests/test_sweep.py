@@ -415,12 +415,14 @@ def test_fig3_verify_builds_no_grid_and_certifies_once_per_block_and_scheme(
     assert run_sweep(replace(preset_spec("fig3"), oracle=True)) == fig3_verify_rows
     # fig3's 33 values make one block
     assert calls == [("scp", SicMode.TREAT_AS_NOISE, 33), ("scp", SicMode.SIC, 33),
-                     ("cran", SicMode.TREAT_AS_NOISE, 33)]
+                     ("cran", SicMode.TREAT_AS_NOISE, 33), ("cran", SicMode.SIC, 33)]
     assert probe.calls["linspace"] == 0  # no power grid
     assert 0 < probe.largest <= fdcran.oracle._BLOCK_ELEMENTS
 
 
-@pytest.mark.parametrize("scheme", [SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN])
+@pytest.mark.parametrize(
+    "scheme", [SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC]
+)
 def test_a_receiver_verified_alone_gets_the_rows_of_the_full_run(fig3_verify_rows, scheme):
     alone = run_sweep(replace(preset_spec("fig3"), schemes=(scheme,), oracle=True))
     assert all(r.oracle_r_eq is not None for r in alone)
