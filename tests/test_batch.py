@@ -75,15 +75,10 @@ def test_sweeps_longer_than_a_block_keep_every_row():
         assert row.r_eq == compute_scheme(row.scheme, spec.params_at(row.value)).r_eq
 
 
-@pytest.mark.parametrize(
-    "scheme", [SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC], ids=lambda s: s.value
-)
-def test_a_full_block_calls_no_kernel_above_its_edge_search(scheme, monkeypatch):
-    # a sweep of one full block: its edge searches evaluate every point on
-    # both edges at len(_WINDOW) samples in one call, the largest call of the
-    # search, and the block shares its calls; every objective evaluation
-    # calls the family's uplink kernel once
-    name = f"_{rates.SCHEMES[scheme][0]}_uplink"
+def _recording(monkeypatch, family):
+    # record the size of every call of the family's uplink kernel; every
+    # objective evaluation of the search calls it once
+    name = f"_{family}_uplink"
     kernel = getattr(rates, name)
     sizes = []
 
@@ -92,12 +87,37 @@ def test_a_full_block_calls_no_kernel_above_its_edge_search(scheme, monkeypatch)
         return kernel(k, p_u, p_d)
 
     monkeypatch.setattr(rates, name, recording)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "scheme", [SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC], ids=lambda s: s.value
+)
+def test_a_full_block_calls_no_kernel_above_a_one_point_scan(scheme, monkeypatch):
+    # a sweep of one full block: its largest call is its edge search, which
+    # stacks the block's one-point edge scans (both edges of every point at
+    # len(_WINDOW) samples), and no call outgrows that stack
+    sizes = _recording(monkeypatch, rates.SCHEMES[scheme][0])
     fig3 = preset_spec("fig3")
     stop = fig3.start + (sweep._BLOCK - 1) * fig3.step
     run_sweep(replace(fig3, stop=stop, schemes=(scheme,)))
-    assert max(sizes) == sweep._BLOCK * 2 * rates._WINDOW.size
-    block_calls = len(sizes)
+    block_max = max(sizes)
     sizes.clear()
     compute_scheme(scheme, fig3.params_at(stop))
     assert max(sizes) == 2 * rates._WINDOW.size
-    assert block_calls < sweep._BLOCK * len(sizes) / 4
+    assert block_max == sweep._BLOCK * max(sizes)
+
+
+def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
+    # a batch makes the calls of one point's search, each stacked over its
+    # points: no call outgrows len(points) times the one-point search's
+    # largest, and the batch makes fewer than a quarter of the calls of
+    # separate solves
+    sizes = _recording(monkeypatch, "scp")
+    compute_scheme(SchemeId.FD_SCP_SIC, DOMAIN[5])
+    one_point = (len(sizes), max(sizes))
+    sizes.clear()
+    compute_batch(SchemeId.FD_SCP_SIC, DOMAIN)
+    assert one_point[1] == 2 * rates._WINDOW.size
+    assert max(sizes) == len(DOMAIN) * one_point[1]
+    assert len(sizes) < len(DOMAIN) * one_point[0] / 4  # the batch shares its calls
