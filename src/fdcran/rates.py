@@ -4,20 +4,21 @@ The schemes are two processing families, single-cell processing (SCP) and
 C-RAN, each with three receivers: half duplex, and full duplex treating the
 co-located uplink signal as noise or cancelling it first (SIC).  Each family
 has one uplink and one downlink kernel, (k, p_u, p_d[, r_u, receiver]) ->
-rate, with k a point's constants (plain floats, or for a batch (n, 1, 1)
-columns, a quantity its points share staying a float: _stacked) and powers
-in its _unit, which keeps the float range.  Each point's constants hold
-the products the kernels would otherwise form on every call: SCP's
-2 alpha^2, 2 beta_du^2 and 2 beta_ud^2 (with gamma_ud^2, c_u, c_d and the
-unit), C-RAN's 1 + 2 alpha^2 and 2 beta_du^2 (1 + R_g(2)) of the uplink
-quantization noise, and q_d (1 + 2 alpha^2), (1 - q_d) h~_0^2 and
-2 beta_ud^2 of the downlink (_CranConsts).  The power search, the reported
-rates at its argmax, the public scalar rate functions and half duplex (the
-other direction's power at 0) all call them.  C-RAN rates are exact: the
-uplink integral is rate_closed_form and the zero-forcing precoder of the
-point's alpha enters through zf_constants.  A precoder passed to a public
-function must be that one, at any sampling (_check_precoder).  The oracles
-keep formulas of their own.
+rate, with k the constants of a point or of a batch's parameter columns
+(_columns: a field its points share stays a float, and so does every
+constant made of such fields alone) and powers in its _unit, which keeps
+the float range.  The constants hold the products the kernels would
+otherwise form on every call: SCP's 2 alpha^2, 2 beta_du^2 and 2 beta_ud^2
+(with gamma_ud^2, c_u, c_d and the unit), C-RAN's 1 + 2 alpha^2 and
+2 beta_du^2 (1 + R_g(2)) of the uplink quantization noise, and
+q_d (1 + 2 alpha^2), (1 - q_d) h~_0^2 and 2 beta_ud^2 of the downlink
+(_CranConsts).  The power search, the reported rates at its argmax, the
+public scalar rate functions and half duplex (the other direction's power
+at 0) all call them.  C-RAN rates are exact: the uplink integral is
+rate_closed_form and the zero-forcing precoder of the point's alpha enters
+through zf_constants.  A precoder passed to a public function must be that
+one, at any sampling (_check_precoder).  The oracles keep formulas of their
+own.
 
 Half-duplex schemes split the band between directions at full power; the
 equal rate follows from balancing f*R_u against (1-f)*R_d.  Full-duplex
@@ -44,7 +45,9 @@ p_d * 2**-c_d, so the radio unit transmits exactly p_d.
 import math
 from collections import namedtuple
 from enum import Enum
-from itertools import chain, compress
+from functools import reduce
+from itertools import compress, repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -122,8 +125,8 @@ def equal_rate_split(r_u: float, r_d: float) -> tuple[float, float | None]:
 
 
 # ----------------------------------------------------------------------------
-# rate kernels: powers are floats or arrays, and k is one point's constants
-# or the stacked columns of a batch, unpacked by position either way
+# rate kernels: powers are floats or arrays, and k is the constants of one
+# point or of a batch's columns, unpacked by position either way
 
 
 def _receive(signal, den, g2pu, r_u, receiver):
@@ -152,23 +155,41 @@ def _receive(signal, den, g2pu, r_u, receiver):
     return np.maximum(t3, np.minimum(t1, t2 - carried))
 
 
-def _unit(p, gain: float) -> float:
+def _each(f, *args):
+    """f(*args) of floats; where some args are columns (_columns), f of each
+    point's values, as one column per value f returns.  A varying column so
+    keeps CPython's rounding: numpy's vector loops may round x**2, 2.0**-x
+    and expm1 otherwise, and a point must get the bits it gets alone."""
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return f(*args)
+    values = (a.ravel().tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args)
+    out = np.array(list(map(f, *values)))
+    return out.T.reshape(*out.shape[1:], -1, 1, 1)
+
+
+def _power_gains(p) -> tuple:  # alpha^2, beta_du^2, beta_ud^2 and gamma_ud^2
+    return tuple(_each(pow, x, 2) for x in (p.alpha, p.beta_du, p.beta_ud, p.gamma_ud))
+
+
+def _unit(p, *gains):
     """2**-k, a point's unit of power: its kernels take every power, the noise
     power included, as a multiple of 2**-k, and the power search runs in
-    these units, which leave each SINR as it is.  k = 0 unless gain, the
-    largest power gain, times the larger budget passes 2**1016; then k brings
-    that product down to 2**1016, so no product or sum of the kernels
-    overflows a float even where gamma_ud^2 P_u does."""
-    k = math.frexp(gain)[1] + math.frexp(max(p.p_u_max, p.p_d_max))[1] - 1016
-    return math.ldexp(1.0, -max(k, 0))
+    these units, which leave each SINR as it is.  k = 0 unless the largest
+    power gain (at least 1) times the larger budget passes 2**1016; then k
+    brings that product down to 2**1016, so no product or sum of the kernels
+    overflows a float even where gamma_ud^2 P_u does.  Of columns, a column:
+    frexp, ldexp and max round nothing, in numpy as in CPython."""
+    gain, budget = reduce(np.maximum, gains, 1.0), np.maximum(p.p_u_max, p.p_d_max)
+    unit = np.ldexp(1.0, -np.maximum(np.frexp(gain)[1] + np.frexp(budget)[1] - 1016, 0))
+    return unit if unit.ndim else float(unit)
 
 
 def _scp_consts(p) -> tuple:
     # 2 alpha^2, 2 beta_du^2 and 2 beta_ud^2 formed once: the kernels'
     # left-to-right 2.0 * a2 * p_u rounds the same
-    a2, bdu2, bud2 = 2.0 * p.alpha**2, 2.0 * p.beta_du**2, 2.0 * p.beta_ud**2
-    g2 = p.gamma_ud**2
-    return a2, bdu2, bud2, g2, p.c_u, p.c_d, _unit(p, max(1.0, a2, bdu2, bud2, g2))
+    a2, bdu2, bud2, g2 = _power_gains(p)
+    a2, bdu2, bud2 = 2.0 * a2, 2.0 * bdu2, 2.0 * bud2
+    return a2, bdu2, bud2, g2, p.c_u, p.c_d, _unit(p, a2, bdu2, bud2, g2)
 
 
 def _scp_uplink(k, p_u, p_d):
@@ -193,10 +214,10 @@ _CranConsts = namedtuple(
 
 
 def _cran_consts(p, terms=(0.0, 0.0)) -> _CranConsts:
-    a2, bdu2, bud2, g2 = p.alpha**2, 2.0 * p.beta_du**2, 2.0 * p.beta_ud**2, p.gamma_ud**2
-    gain_u, (h0sq, rg2), q_d = 1.0 + 2.0 * a2, terms, 2.0**-p.c_d
-    unit = _unit(p, max(gain_u, bdu2, bud2, g2))  # (1 + rg2) <= 2
-    quant = _per_unit_quantization(p.c_u)
+    a2, bdu2, bud2, g2 = _power_gains(p)
+    gain_u, bdu2, bud2, (h0sq, rg2) = 1.0 + 2.0 * a2, 2.0 * bdu2, 2.0 * bud2, terms
+    unit = _unit(p, gain_u, bdu2, bud2, g2)  # (1 + rg2) <= 2
+    q_d, quant = _each(pow, 2.0, -p.c_d), _each(_per_unit_quantization, p.c_u)
     noise_d, signal_d = q_d * gain_u, (1.0 - q_d) * h0sq
     return _CranConsts(
         p.alpha, gain_u, bdu2 * (1.0 + rg2), quant, q_d, noise_d, signal_d, bud2, g2, unit
@@ -241,11 +262,11 @@ def _checked_sigma_u_sq(k, c_u, p_u, p_d, budgets: bool = True):
     overflow, which would report a zero uplink rate where the model has a
     positive one, so the first point with one raises NumericDomainError."""
     sigma = _reported_sigma_u_sq(k, c_u, p_u, p_d)
-    overflow = np.ravel((sigma == math.inf) & (k.quant < math.inf))
+    overflow = (sigma == math.inf) & (k.quant < math.inf)
     if overflow.any():
         i = int(overflow.argmax())
         at = "the budgets p_u_max={!r}, p_d_max={!r}" if budgets else "p_u={!r}, p_d={!r}"
-        powers = (float(np.broadcast_to(x, overflow.shape)[i]) for x in (p_u, p_d))
+        powers = (float(np.broadcast_to(x, overflow.shape).flat[i]) for x in (p_u, p_d))
         raise NumericDomainError("sigma_u_sq overflows a float at " + at.format(*powers))
     return sigma
 
@@ -461,42 +482,31 @@ def fd_cran(params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE) -
 # batches
 
 
-def _consts(family: str, sic, points) -> tuple:
-    """The points' kernel constants, C-RAN with the exact zero-forcing terms
-    and sigma_u^2 checked at the most power the scheme spends (P_u alone in
-    half duplex, sic None, else both budgets), stacked once: (of, columns)
-    of _stacked."""
+_Columns = namedtuple("_Columns", "alpha beta_du beta_ud gamma_ud p_u_max p_d_max c_u c_d")
+
+
+def _columns(points) -> _Columns:
+    """A batch's parameters, the SystemParams fields the constants read, as
+    columns: a field every point shares stays its plain float, and one that
+    varies is an (n, 1, 1) array, which broadcasts against the power arrays
+    (n, ...) of the search.  A constant made of shared fields alone is then a
+    float, and a single point's constants are plain floats: numpy combines a
+    float with arrays at less cost than a column, and to the same values."""
+    return _Columns._make(
+        c[0] if c.count(c[0]) == len(c) else np.array(c)[:, None, None]
+        for c in zip(*map(attrgetter(*_Columns._fields), points))
+    )
+
+
+def _consts(family: str, sic, p) -> tuple:
+    """The kernels' constants of p, a point or a batch's _columns, C-RAN with
+    the exact zero-forcing terms and sigma_u^2 checked at the most power the
+    scheme spends (P_u alone in half duplex, sic None, else both budgets)."""
     if family == "scp":
-        return _stacked([_scp_consts(p) for p in points])
-    of, columns = _stacked([_cran_consts(p, zf_constants(p.alpha)) for p in points])
-    p_u_max, p_d_max = _budgets(points)
-    k = _CranConsts(*columns)
-    _checked_sigma_u_sq(k, _capacities(points), p_u_max, p_d_max * (sic is not None))
-    return of, columns
-
-
-def _stacked(rows):
-    """Per-point constants, one row per point, as (of, columns): columns holds
-    one (n,) array per quantity, and of(b) gives the constants of the points
-    b, a slice or an array of indices, one (n, 1, 1) column per quantity,
-    broadcasting against power arrays of shape (n, ...), but a quantity that
-    every point of the batch shares as its plain float, and for a single
-    point its plain floats: numpy combines a float with arrays at less cost
-    than a column, and to the same values."""
-    n = len(rows)
-    columns = np.fromiter(chain.from_iterable(rows), float, n * len(rows[0])).reshape(n, -1).T
-    stacked = columns[..., None, None]
-    index = np.arange(n)
-    first = rows[0]
-    shared = (columns == columns[:, :1]).all(axis=1).tolist()
-
-    def of(b):
-        at = index[b]
-        if at.size == 1:
-            return rows[at[0]]
-        return [v if same else x[b] for v, same, x in zip(first, shared, stacked)]
-
-    return of, columns
+        return _scp_consts(p)
+    k = _cran_consts(p, _each(zf_constants, p.alpha))
+    _checked_sigma_u_sq(k, p.c_u, p.p_u_max, p.p_d_max * (sic is not None))
+    return k
 
 
 def _batch(family: str, sic, points, full_power: bool = False) -> list:
@@ -507,14 +517,14 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
     it, bit for bit.  Full duplex evaluates both kernels at the power
     search's argmax, or at the budgets if full_power, and reports their min.
     The first point with a rate not finite raises, r_u checked before r_d."""
-    of, columns = _consts(family, sic, points)
-    k, units = of(slice(None)), columns[-1]
-    p_u, p_d = _budgets(points)
+    p = _columns(points)
+    k = _consts(family, sic, p)
+    shape, unit = (len(points), 1, 1), k[-1]
+    p_u, p_d = (np.broadcast_to(x, shape) for x in (p.p_u_max, p.p_d_max))
     if sic is not None and not full_power:
-        _, p_u, p_d = _max_min_search(family, k, p_u * units, p_d * units, sic)
-        p_u, p_d = p_u / units, p_d / units
-    powers = ((x * units)[:, None, None] for x in (p_u, p_d))  # in each _unit
-    r_u, r_d = (r.ravel() for r in _rates(family, k, *powers, sic))
+        _, u, d = _max_min_search(family, k, (p_u * unit).ravel(), (p_d * unit).ravel(), sic)
+        p_u, p_d = u.reshape(shape) / unit, d.reshape(shape) / unit
+    r_u, r_d = (r.ravel() for r in _rates(family, k, p_u * unit, p_d * unit, sic))  # in each _unit
     finite = np.isfinite(r_u) & np.isfinite(r_d)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -522,12 +532,12 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
         _finite("r_d", r_d[i])
     diag = {} if sic is None else {"p_u_star": p_u, "p_d_star": p_d}
     if family == "cran":
-        k = _CranConsts(*columns)
         p_s, sigma_d = _downlink_powers(p_d, k.q_d)
         # inf only where quant is (c_u = 0): _consts has checked sigma_u^2 at
         # the budgets, and it is no larger at powers within them
+        # c_u a column even where shared: 2.0**(n - c_u) rounds as in a batch
         up = (p_u, p_d * (sic is not None))  # the uplink's powers
-        diag["sigma_u_sq"] = _reported_sigma_u_sq(k, _capacities(points), *up)
+        diag["sigma_u_sq"] = _reported_sigma_u_sq(k, np.broadcast_to(p.c_u, shape), *up)
         diag.update(sigma_d_sq=sigma_d, p_s=p_s)
     split = None
     if sic is None:
@@ -537,10 +547,8 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
         diag["f_star"] = np.divide(r_d, total, out=np.zeros_like(total), where=split)
     else:
         r_eq = np.minimum(r_u, r_d)
-    results = [
-        RateResult(u, d, eq, dict(zip(diag, values)))
-        for u, d, eq, *values in zip(*(x.tolist() for x in (r_u, r_d, r_eq, *diag.values())))
-    ]
+    columns = (x.ravel().tolist() for x in (r_u, r_d, r_eq, *diag.values()))
+    results = [RateResult(u, d, eq, dict(zip(diag, values))) for u, d, eq, *values in zip(*columns)]
     if split is not None and not split.all():
         for result in compress(results, ~split):
             del result.diagnostics["f_star"]
@@ -552,16 +560,6 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
 #
 # Every function below works on a batch of n operating points: budgets are
 # (n,) arrays, and so is each returned value and power.
-
-
-def _budgets(points) -> tuple:
-    """Each point's budgets (P_u, P_d): two (n,) arrays."""
-    return np.array([p.p_u_max for p in points]), np.array([p.p_d_max for p in points])
-
-
-def _capacities(points) -> np.ndarray:
-    """Each point's uplink fronthaul capacity c_u, an (n,) array."""
-    return np.array([p.c_u for p in points])
 
 
 def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
@@ -636,7 +634,7 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
 
 def _max_min_search(family: str, k, p_u_max, p_d_max, sic: SicMode):
     """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max],
-    k being the batch's constants (_stacked), for _rates at power arrays whose
+    k being the batch's constants (_consts), for _rates at power arrays whose
     leading axis runs over its points.
 
     Treat-as-noise: both SINRs are standard interference functions (Yates,

@@ -415,7 +415,7 @@ def _run_block(spec: SweepSpec, block) -> list[SweepRow]:
             rows.append(row)
     if spec.oracle:
         _attach_circulant(cran)
-        _attach_certified(spec, rows)
+        _attach_certified(rows, points)
     return rows
 
 
@@ -434,15 +434,14 @@ def _attach_circulant(cran) -> None:
             row.oracle_r_u = rate
 
 
-def _attach_certified(spec: SweepSpec, rows: list[SweepRow]) -> None:
+def _attach_certified(rows: list[SweepRow], points) -> None:
     """oracle_r_eq, oracle_eps and oracle_cells of every row of a certified
-    scheme: one certified_max_min search per scheme for the block's rows, each
-    scoring its row's argmax."""
+    scheme: one certified_max_min search per scheme for the block's rows at
+    its points, one per value, each scoring its row's argmax."""
     for scheme in _CERTIFIED:
         checked = [r for r in rows if r.scheme is scheme]
         if not checked:
             continue
-        points = [spec.params_at(r.value) for r in checked]
         argmaxes = [(r.p_u_star, r.p_d_star) for r in checked]
         for row, found in zip(checked, certified_max_min(*SCHEMES[scheme], points, argmaxes)):
             row.oracle_r_eq, row.oracle_eps, row.oracle_cells = found

@@ -13,15 +13,24 @@ import fdcran.rates as rates
 import fdcran.sweep as sweep
 from fdcran.model import NumericDomainError, SchemeId
 from fdcran.rates import compute_batch, compute_scheme
-from fdcran.sweep import SweepSpec, preset_spec, run_sweep
+from fdcran.sweep import SWEEP_VARS, SweepSpec, preset_spec, run_sweep
 from test_solver_properties import DOMAIN
 
-# the domain points plus the budget and fronthaul edges of SystemParams
+# the domain points, the budget and fronthaul edges of SystemParams, and
+# rounding traps: numpy's vector loops can round alpha**2 at these alphas, and
+# 2.0**-c or expm1(-c ln 2) at these capacities, otherwise than CPython does,
+# and sigma_u^2's 2.0**(n - c_u) past c_u = 1001 otherwise than numpy's scalars
 MIXED = DOMAIN + [
     replace(DOMAIN[0], p_u_max=0.0, c_u=0.0),
     replace(DOMAIN[1], p_d_max=0.0, c_u=2000.0, c_d=1e-300),
     replace(DOMAIN[2], p_u_max=0.0, p_d_max=0.0),
     replace(DOMAIN[3], c_u=1e-300, c_d=0.0),
+    replace(DOMAIN[4], alpha=0.1977088984502399, c_u=0.3, c_d=0.65),
+    replace(DOMAIN[5], alpha=0.28344031331834535, c_u=0.6, c_d=1.1),
+    replace(DOMAIN[6], alpha=0.1977088984502399, c_u=0.65, c_d=1.4),
+    replace(DOMAIN[7], alpha=0.28344031331834535, c_u=1.1, c_d=0.3),
+    replace(DOMAIN[8], c_u=1.4, c_d=0.6),
+    replace(DOMAIN[9], c_u=1001.1),
 ]
 
 
@@ -34,8 +43,19 @@ def test_batch_equals_each_point_alone(scheme):
         assert got.diagnostics == want.diagnostics
 
 
-def test_alpha_sweep_rows_equal_compute_scheme():
-    spec = SweepSpec(sweep_var="alpha", start=0.0, stop=0.45, step=0.15)
+def test_hd_cran_sigma_d_sq_keeps_cpython_rounding():
+    # 2.0**-c_d of each point as CPython rounds it, where numpy's power or
+    # exp2 loops round 0.3, 0.65 or 1.1 otherwise
+    points = [replace(DOMAIN[0], c_d=c) for c in (0.3, 0.65, 1.1)]
+    for params, result in zip(points, compute_batch(SchemeId.HD_CRAN, points)):
+        assert result.diagnostics["sigma_d_sq"] == params.p_d_max * 2.0**-params.c_d
+
+
+@pytest.mark.parametrize("sweep_var", SWEEP_VARS)
+def test_sweep_rows_equal_compute_scheme(sweep_var):
+    # the swept field is the block's one varying column, and every other
+    # field a float the block's points share
+    spec = SweepSpec(sweep_var=sweep_var, start=0.0, stop=0.45, step=0.15)
     rows = run_sweep(spec)
     assert len({r.value for r in rows}) == 4
     for row in rows:

@@ -189,15 +189,18 @@ def test_an_intra_cell_power_past_the_float_range_issues_no_warning(tmp_path):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_certifies_budgets_past_the_float_range(tmp_path):
-    # the oracle scans each box in its point's unit of power; far above the
-    # noise the near-optimal set runs along a ray, and a point whose next
-    # round would pass _MAX_CELLS cells ends with a wider eps instead
+    # the oracle scans each box in its point's unit of power, starting from
+    # the two budget edges: all four full-duplex schemes certify every row to
+    # CERTIFIED_EPS itself, well within _MAX_CELLS cells
+    text = INTRA_CELL_OVERFLOW_CONFIG + "schemes = fd_scp, fd_scp_sic, fd_cran, fd_cran_sic\n"
     config = tmp_path / "intra.cfg"
-    config.write_text(INTRA_CELL_OVERFLOW_CONFIG, encoding="utf-8")
+    config.write_text(text, encoding="utf-8")
     out = tmp_path / "intra.csv"
-    assert main(["sweep", "--config", str(config), "--verify", "--out", str(out)]) in (0, 4)
+    assert main(["sweep", "--config", str(config), "--verify", "--out", str(out)]) == 0
     assert all(r.oracle_r_eq is not None for r in load_csv(out))
-    rows = fdcran.sweep.run_sweep(replace(parse_config(INTRA_CELL_OVERFLOW_CONFIG), oracle=True))
+    rows = fdcran.sweep.run_sweep(replace(parse_config(text), oracle=True))
+    assert len(rows) == 16
+    assert all(r.oracle_eps == fdcran.oracle.CERTIFIED_EPS for r in rows)
     assert all(0 < r.oracle_cells <= fdcran.oracle._MAX_CELLS for r in rows)
 
 

@@ -6,12 +6,16 @@ by row, and the fig2 chart byte for byte.
 - fig3_verify.csv: `fdcran sweep --preset fig3 --verify`, with the oracle
   columns;
 - hd_cran_alpha.csv: hd_cran over alpha = 0, 0.005, ..., 0.495 at the default
-  base point, which covers the zero-forcing constants up to the singularity.
+  base point, which covers the zero-forcing constants up to the singularity;
+- p_db_joint.csv and .svg: all six schemes over joint budgets of -10, 144,
+  ..., 3070 dB at c_u = c_d = 2000, whose top budgets scale each point's unit
+  of power (rates._unit).
 
-The CSVs keep nine significant digits (every rate here is below 10, so each
-value is exact to 5e-9).  Only the rates and oracle values are compared: the
-power argmax of a row on a fronthaul-cap plateau may tie-break differently on
-another numpy without changing any rate."""
+The CSVs keep nine significant digits, so each value is exact to 5e-9 of
+itself, and to 5e-9 absolute below 10, where every rate of the other CSVs is.
+Only the rates and oracle values are compared: the power argmax of a row on a
+fronthaul-cap plateau may tie-break differently on another numpy without
+changing any rate."""
 
 from pathlib import Path
 
@@ -19,13 +23,13 @@ import pytest
 
 from fdcran.model import SchemeId
 from fdcran.svg import emit_svg
-from fdcran.sweep import SweepSpec, load_csv, preset_spec, run_sweep
+from fdcran.sweep import SweepBase, SweepSpec, load_csv, preset_spec, run_sweep
 
 DATA = Path(__file__).parent / "data"
 RATES = ("r_u", "r_d", "r_eq")
 
 
-def _assert_rows_match(rows, golden_csv, columns=RATES):
+def _assert_rows_match(rows, golden_csv, columns=RATES, rel=0.0):
     golden = load_csv(DATA / golden_csv)
     assert [r.scheme for r in rows] == [g.scheme for g in golden]
     assert [r.value for r in rows] == pytest.approx([g.value for g in golden], rel=0.0, abs=1e-12)
@@ -36,7 +40,7 @@ def _assert_rows_match(rows, golden_csv, columns=RATES):
             if expected is None:
                 assert got is None, where
             else:
-                assert got == pytest.approx(expected, rel=0.0, abs=1e-8), where
+                assert got == pytest.approx(expected, rel=rel, abs=1e-8), where
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +67,15 @@ def test_hd_cran_alpha_sweep_matches_the_golden_csv():
         sweep_var="alpha", start=0.0, stop=0.495, step=0.005, schemes=(SchemeId.HD_CRAN,)
     )
     _assert_rows_match(run_sweep(spec), "hd_cran_alpha.csv")
+
+
+def test_p_db_joint_sweep_matches_the_golden_csv_and_svg(tmp_path):
+    spec = SweepSpec(
+        base=SweepBase(c_u=2000.0, c_d=2000.0), sweep_var="p_db_joint",
+        start=-10.0, stop=3070.0, step=154.0,
+    )
+    rows = run_sweep(spec)
+    _assert_rows_match(rows, "p_db_joint.csv", rel=5e-9)
+    out = tmp_path / "p_db_joint.svg"
+    emit_svg(rows, out)
+    assert out.read_bytes() == (DATA / "p_db_joint.svg").read_bytes()
