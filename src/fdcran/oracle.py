@@ -19,8 +19,9 @@ monotone in each power, and the SIC term t2 is linear-fractional, so its
 maximum over such a cell lies at one of its two ends; that bounds the
 objective over any cell.  A cell is discarded once its bound is at most
 CERTIFIED_EPS above the best point scored, so when none is left the true
-maximum lies in [best, best + CERTIFIED_EPS].  exhaustive_power_opt keeps a
-single dense grid with no refinement for full-duplex single-cell processing.
+maximum lies in [best, best + CERTIFIED_EPS].  exhaustive_power_opt scores a
+single dense grid, with no refinement, for full-duplex single-cell processing
+through the same single-cell form (_Form), in its unit of power.
 
 Each oracle keeps formulas of its own rather than calling the rate kernels it
 checks, so a fault in a kernel cannot hide in its own gate.  Both hold every
@@ -125,43 +126,35 @@ def exhaustive_power_opt(
     """Brute-force max-min power optimization for full-duplex single-cell
     processing on one dense grid, no refinement.
 
-    candidate, a (p_u, p_d) such as a solver's reported argmax, is scored by
-    the same formulas and beats the grid by more than 1e-9: an optimum off the
-    grid then agrees, a misreported rate still does not.  Ties within 1e-9 of
-    the maximum resolve to the smallest (p_u, p_d), the same rule the solver
-    uses, so argmax comparisons are meaningful.  The grid is evaluated in
-    blocks of max(1, _BLOCK_ELEMENTS // resolution) rows, keeping each row's
-    maximum, and the winning row once more.  Returns (r_eq, p_u, p_d).
+    Every point is scored by the certified oracle's single-cell _Form
+    (_value) in the form's unit of power (_form), so no product overflows a
+    float.  candidate, a (p_u, p_d) such as a solver's reported argmax, is
+    scored the same way and beats the grid by more than 1e-9: an optimum off
+    the grid then agrees, a misreported rate still does not.  Ties within
+    1e-9 of the maximum resolve to the smallest (p_u, p_d), the same rule the
+    solver uses, so argmax comparisons are meaningful.  The grid is evaluated
+    in blocks of max(1, _BLOCK_ELEMENTS // resolution) rows, keeping each
+    row's maximum, and the winning row once more.  Returns (r_eq, p_u, p_d),
+    the powers as params gives its budgets.
     """
     if resolution < 64:
         raise ValueError(f"resolution must be >= 64, got {resolution}")
-    a2 = params.alpha**2
-    bdu2 = params.beta_du**2
-    bud2 = params.beta_ud**2
-    g2 = params.gamma_ud**2
+    cols, ring, _ = _constants("scp", [params])
+    k, samples = _terms(cols, ring, np.zeros(1, dtype=int))
 
-    def value(pu, pd):  # SIC at its best carried rate, as in _max_min
-        r_u = np.minimum(
-            np.log2(1.0 + pu / (1.0 + 2.0 * a2 * pu + 2.0 * bdu2 * pd)), params.c_u
-        )
-        den = 1.0 + 2.0 * a2 * pd + 2.0 * bud2 * pu
-        r_d = np.log2(1.0 + pd / (den + g2 * pu))
-        if sic is SicMode.SIC:
-            t1 = np.log2(1.0 + pd / den)
-            t2 = np.log2(1.0 + (pd + g2 * pu) / den)
-            r_d = np.maximum(r_d, np.minimum(t1, t2 / 2.0))
-        return np.minimum(r_u, np.minimum(r_d, params.c_d))
+    def value(pu, pd):  # powers as the budgets give them, scored in _form's unit
+        return _value(sic, k, samples, pu * k.unit, pd * k.unit)
 
     pu_grid = np.linspace(0.0, params.p_u_max, resolution)
     pd_grid = np.linspace(0.0, params.p_d_max, resolution)
     pd = pd_grid[None, :]
     step = max(1, _BLOCK_ELEMENTS // resolution)
     maxima = np.concatenate(
-        [value(pu_grid[k : k + step, None], pd).max(axis=1) for k in range(0, resolution, step)]
+        [value(pu_grid[at : at + step, None], pd).max(axis=1) for at in range(0, resolution, step)]
     )
     vmax = float(maxima.max())
     if candidate is not None:
-        off_grid = float(value(*candidate))
+        off_grid = float(value(*candidate)[0])
         if off_grid > vmax + _TIE_TOL:
             return off_grid, float(candidate[0]), float(candidate[1])
     i = int(np.argmax(maxima >= vmax - _TIE_TOL))

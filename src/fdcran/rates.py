@@ -249,7 +249,7 @@ def _reported_sigma_u_sq(k, c_u, p_u, p_d):
     integer part of c_u - 1000, so that sigma_u^2 is 0 only where it is
     itself past the float range."""
     n = np.minimum(np.maximum(np.floor(c_u) - 1000.0, 0.0), 1100.0)
-    quant = np.where(n > 0.0, 2.0 ** (n - c_u), k.quant)
+    quant = np.where(n > 0.0, _each(pow, 2.0, n - c_u), k.quant)
     with np.errstate(over="ignore"):  # an overflow is inf, which callers check
         sigma = _sigma_u_sq(k._replace(quant=quant), p_u * k.unit, p_d * k.unit, k.unit) / k.unit
     return np.ldexp(sigma, -n.astype(int))
@@ -535,9 +535,8 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
         p_s, sigma_d = _downlink_powers(p_d, k.q_d)
         # inf only where quant is (c_u = 0): _consts has checked sigma_u^2 at
         # the budgets, and it is no larger at powers within them
-        # c_u a column even where shared: 2.0**(n - c_u) rounds as in a batch
         up = (p_u, p_d * (sic is not None))  # the uplink's powers
-        diag["sigma_u_sq"] = _reported_sigma_u_sq(k, np.broadcast_to(p.c_u, shape), *up)
+        diag["sigma_u_sq"] = _reported_sigma_u_sq(k, p.c_u, *up)
         diag.update(sigma_d_sq=sigma_d, p_s=p_s)
     split = None
     if sic is None:

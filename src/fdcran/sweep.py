@@ -379,8 +379,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     Sweep values are taken in blocks of _BLOCK, which bounds the solver's
     memory.  Within a block each scheme is solved for all values at once
-    (compute_batch).  After a block raises, compute_scheme replays its rows
-    in (value, scheme) order, so the error is that of the first failing row.
+    (compute_batch).  A block's points are built inside that replayed solve:
+    after it raises, compute_scheme replays the block's rows in (value,
+    scheme) order, so the error is that of the first failing row.
     Under spec.oracle each block's rows get their oracle values.
     """
     values = spec.values()
@@ -394,8 +395,8 @@ def _run_block(spec: SweepSpec, block) -> list[SweepRow]:
     """Rows of one block, each scheme's points solved by compute_batch, and
     under spec.oracle with their oracle values: the circulant check of each
     C-RAN row and the certified optima."""
-    points = [spec.params_at(value) for value in block]
     try:
+        points = [spec.params_at(value) for value in block]
         solved = {s: compute_batch(s, points) for s in spec.schemes}
     except ValueError:
         for value in block:  # the first failing row in (value, scheme) order raises

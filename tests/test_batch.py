@@ -11,8 +11,9 @@ import pytest
 
 import fdcran.rates as rates
 import fdcran.sweep as sweep
-from fdcran.model import NumericDomainError, SchemeId
-from fdcran.rates import compute_batch, compute_scheme
+from fdcran.model import NumericDomainError, PowerAllocation, SchemeId
+from fdcran.rates import compute_batch, compute_scheme, fd_cran_uplink, hd_cran_uplink
+from fdcran.spectral import zf_precoder
 from fdcran.sweep import SWEEP_VARS, SweepSpec, preset_spec, run_sweep
 from test_solver_properties import DOMAIN
 
@@ -49,6 +50,18 @@ def test_hd_cran_sigma_d_sq_keeps_cpython_rounding():
     points = [replace(DOMAIN[0], c_d=c) for c in (0.3, 0.65, 1.1)]
     for params, result in zip(points, compute_batch(SchemeId.HD_CRAN, points)):
         assert result.diagnostics["sigma_d_sq"] == params.p_d_max * 2.0**-params.c_d
+
+
+def test_the_public_cran_uplinks_report_the_rows_sigma_u_sq():
+    # sigma_u^2's 2.0**(n - c_u) is taken per point past c_u = 1001, in the
+    # public uplink functions as in a batch
+    for params, result in zip(MIXED, compute_batch(SchemeId.HD_CRAN, MIXED)):
+        assert hd_cran_uplink(params) == (result.r_u, result.diagnostics["sigma_u_sq"])
+    for params in MIXED:
+        result = compute_scheme(SchemeId.FD_CRAN, params, full_power=True)
+        budgets = PowerAllocation(params.p_u_max, params.p_d_max)
+        got = fd_cran_uplink(params, budgets, zf_precoder(params.alpha))
+        assert got == (result.r_u, result.diagnostics["sigma_u_sq"])
 
 
 @pytest.mark.parametrize("sweep_var", SWEEP_VARS)

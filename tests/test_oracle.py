@@ -1,5 +1,6 @@
 import collections
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from fdcran.oracle import (
 )
 from fdcran.rates import SCHEMES, SicMode, compute_batch, fd_scp
 from fdcran.spectral import rate_closed_form, rate_integral
-from fdcran.sweep import preset_spec
+from fdcran.sweep import SweepBase, SweepSpec, preset_spec
 
 from conftest import make_params
 from test_domain_properties import EXAMPLES, domain, huge_db
@@ -300,6 +301,17 @@ def test_the_exhaustive_grid_never_beats_the_certified_maximum(sic):
     for params, found in zip(DOMAIN, certified):
         assert found.eps == CERTIFIED_EPS
         assert exhaustive_power_opt(params, sic, 512)[0] <= found.r_eq + found.eps
+    # the CI's 3080/3000 dB config: scored in _form's unit of power, no
+    # product of the grid overflows a float
+    base = SweepBase(p_u_db=3080.0, p_d_db=3000.0, c_u=2000.0)
+    huge = SweepSpec(base=base, sweep_var="gamma_ud", start=0.0, stop=3.0, step=1.0)
+    points = [huge.params_at(gamma_ud) for gamma_ud in (2.0, 3.0)]
+    for params, found in zip(points, certified_max_min("scp", sic, points, [(0.0, 0.0)] * 2)):
+        assert found.eps == CERTIFIED_EPS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            grid = exhaustive_power_opt(params, sic, 512)[0]
+        assert math.isfinite(grid) and grid <= found.r_eq + found.eps
 
 
 @pytest.mark.parametrize("family, sic", FAMILIES)

@@ -10,7 +10,7 @@ import fdcran.oracle
 import fdcran.rates
 import fdcran.spectral
 import fdcran.sweep
-from fdcran.model import SchemeId, ZfSingularError
+from fdcran.model import NumericDomainError, SchemeId, ZfSingularError
 from fdcran.oracle import exhaustive_power_opt
 from fdcran.rates import SicMode
 from fdcran.sweep import (
@@ -371,6 +371,15 @@ def test_first_failing_row_decides_the_error(monkeypatch):
     # at 0.6 alone, the hd_cran row fails before the full-duplex ones
     with pytest.raises(ZfSingularError):
         run_sweep(replace(spec, start=0.6))
+    # the 3070 dB row's sigma_u^2 overflows before the block's 3090 dB budget
+    # is found past the float range
+    base = replace(SweepBase(), c_u=0.001)
+    spec = small_spec(
+        base=base, sweep_var="p_db_joint", start=3070.0, stop=3090.0, step=10.0,
+        schemes=(SchemeId.HD_CRAN,),
+    )
+    with pytest.raises(NumericDomainError, match="sigma_u_sq overflows"):
+        run_sweep(spec)
 
 
 def test_oracle_scores_the_reported_argmax():
