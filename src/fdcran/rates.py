@@ -2,17 +2,15 @@
 
 The schemes are two processing families, single-cell processing (SCP) and
 C-RAN, each with three receivers: half duplex, and full duplex treating the
-co-located uplink signal as noise or cancelling it first (SIC).  Each family
-has one uplink and one downlink kernel, (k, p_u, p_d[, r_u, receiver]) ->
-rate, with k the constants of a point or of a batch's parameter columns
-(_columns: a field its points share stays a float, and so does every
-constant made of such fields alone) and powers in its _unit, which keeps
-the float range.  The constants hold the products the kernels would
-otherwise form on every call: SCP's 2 alpha^2, 2 beta_du^2 and 2 beta_ud^2
-(with gamma_ud^2, c_u, c_d and the unit), C-RAN's 1 + 2 alpha^2 and
-2 beta_du^2 (1 + R_g(2)) of the uplink quantization noise, and
-q_d (1 + 2 alpha^2), (1 - q_d) h~_0^2 and 2 beta_ud^2 of the downlink
-(_CranConsts).  The power search, the reported rates at its argmax, the
+co-located uplink signal as noise or cancelling it first (SIC).  Both
+families share one uplink and one downlink kernel, (k, p_u, p_d[, r_u,
+receiver]) -> rate, with k the constants of a point or of a batch's
+parameter columns (_columns: a field its points share stays a float, and so
+does every constant made of such fields alone) and powers in its _unit,
+which keeps the float range.  The constants (_Form) write SCP as a C-RAN
+link with one eigenvalue and no fronthaul quantizer, in the oracle's form
+and under its names, and hold the products the kernels would otherwise form
+on every call.  The power search, the reported rates at its argmax, the
 public scalar rate functions and half duplex (the other direction's power
 at 0) all call them.  C-RAN rates are exact: the uplink integral is
 rate_closed_form and the zero-forcing precoder of the point's alpha enters
@@ -184,43 +182,33 @@ def _unit(p, *gains):
     return unit if unit.ndim else float(unit)
 
 
-def _scp_consts(p) -> tuple:
-    # 2 alpha^2, 2 beta_du^2 and 2 beta_ud^2 formed once: the kernels'
-    # left-to-right 2.0 * a2 * p_u rounds the same
+# The kernels' constants, every power in the point's _unit:
+#   r_u = min(C(p_u / ((unit + f p_u + h p_d) quant + noise_u)), cap_u),
+#   r_d = min(_receive(a p_d, unit + b p_d + c p_u, g p_u, ...), cap_d),
+# C being log2(1 + s) where alpha is None (SCP decodes each cell alone) and
+# rate_closed_form(s, alpha) otherwise (C-RAN decodes the ring jointly).
+# SCP has f = b = 2 alpha^2, h = 2 beta_du^2, quant = 1, noise_u = 0, a = 1
+# and the fronthaul caps c_u and c_d.  C-RAN quantizes the uplink at
+# sigma_u^2 = (unit + f p_u + h p_d) quant before the noise (noise_u = unit),
+# with f = 1 + 2 alpha^2, h = 2 beta_du^2 (1 + R_g(2)) and quant =
+# _per_unit_quantization(c_u), and precodes at a = (1 - q_d) h~_0^2 and
+# b = q_d (1 + 2 alpha^2), q_d = 2**-c_d, under no cap.  Both have
+# c = 2 beta_ud^2 and g = gamma_ud^2.  (h~_0^2, R_g(2)) come from
+# zf_constants, which an uplink alone does not need (terms, zero by default).
+_Form = namedtuple("_Form", "alpha f h quant noise_u cap_u a b c g cap_d unit")
+
+
+def _form(family: str, p, terms=(0.0, 0.0)) -> _Form:
     a2, bdu2, bud2, g2 = _power_gains(p)
-    a2, bdu2, bud2 = 2.0 * a2, 2.0 * bdu2, 2.0 * bud2
-    return a2, bdu2, bud2, g2, p.c_u, p.c_d, _unit(p, a2, bdu2, bud2, g2)
-
-
-def _scp_uplink(k, p_u, p_d):
-    a2, bdu2, _, _, c_u, _, unit = k
-    return np.minimum(np.log2(1.0 + p_u / (unit + a2 * p_u + bdu2 * p_d)), c_u)
-
-
-def _scp_downlink(k, p_u, p_d, r_u, receiver):
-    a2, _, bud2, g2, _, c_d, unit = k
-    den = unit + a2 * p_d + bud2 * p_u
-    return np.minimum(_receive(p_d, den, g2 * p_u, r_u, receiver), c_d)
-
-
-# per unit of power: gain_u = 1 + 2 alpha^2 and gain_du = 2 beta_du^2
-# (1 + R_g(2)) of p_u and p_d at a radio unit, quant = _per_unit_quantization(c_u),
-# q_d = 2**-c_d, noise_d = q_d (1 + 2 alpha^2) and signal_d = (1 - q_d) h~_0^2 of
-# p_d at a mobile, and gain_ud = 2 beta_ud^2 of p_u there; (h~_0^2, R_g(2))
-# from zf_constants, which an uplink alone does not need (terms, zero by default)
-_CranConsts = namedtuple(
-    "_CranConsts", "alpha gain_u gain_du quant q_d noise_d signal_d gain_ud g2 unit"
-)
-
-
-def _cran_consts(p, terms=(0.0, 0.0)) -> _CranConsts:
-    a2, bdu2, bud2, g2 = _power_gains(p)
-    gain_u, bdu2, bud2, (h0sq, rg2) = 1.0 + 2.0 * a2, 2.0 * bdu2, 2.0 * bud2, terms
-    unit = _unit(p, gain_u, bdu2, bud2, g2)  # (1 + rg2) <= 2
-    q_d, quant = _each(pow, 2.0, -p.c_d), _each(_per_unit_quantization, p.c_u)
-    noise_d, signal_d = q_d * gain_u, (1.0 - q_d) * h0sq
-    return _CranConsts(
-        p.alpha, gain_u, bdu2 * (1.0 + rg2), quant, q_d, noise_d, signal_d, bud2, g2, unit
+    a2, du, ud = 2.0 * a2, 2.0 * bdu2, 2.0 * bud2
+    if family == "scp":
+        return _Form(None, a2, du, 1.0, 0.0, p.c_u, 1.0, a2, ud, g2, p.c_d, _unit(p, a2, du, ud, g2))
+    (h0sq, rg2), f, q_d = terms, 1.0 + a2, _each(pow, 2.0, -p.c_d)
+    unit = _unit(p, f, du, ud, g2)  # h = du (1 + R_g(2)) <= 2 du
+    quant = _each(_per_unit_quantization, p.c_u)
+    return _Form(
+        p.alpha, f, du * (1.0 + rg2), quant, unit, math.inf, (1.0 - q_d) * h0sq, q_d * f, ud, g2,
+        math.inf, unit,
     )
 
 
@@ -233,11 +221,11 @@ def _per_unit_quantization(c: float) -> float:
     return 2.0**-c / -math.expm1(-c * math.log(2.0))
 
 
-def _sigma_u_sq(k, p_u, p_d, noise=1.0):
-    # the neighboring radio units' downlink signals are correlated at lag 2
-    # through the shared precoder, hence (1 + R_g(2)) in gain_du
-    _, gain_u, gain_du, quant, *_ = k
-    return (noise + gain_u * p_u + gain_du * p_d) * quant
+def _sigma_u_sq(k, p_u, p_d):
+    # C-RAN's sigma_u^2, and SCP's whole uplink denominator (quant = 1); the
+    # neighboring radio units' downlink signals are correlated at lag 2
+    # through the shared precoder, hence (1 + R_g(2)) in C-RAN's h
+    return (k.unit + k.f * p_u + k.h * p_d) * k.quant
 
 
 def _reported_sigma_u_sq(k, c_u, p_u, p_d):
@@ -251,7 +239,7 @@ def _reported_sigma_u_sq(k, c_u, p_u, p_d):
     n = np.minimum(np.maximum(np.floor(c_u) - 1000.0, 0.0), 1100.0)
     quant = np.where(n > 0.0, _each(pow, 2.0, n - c_u), k.quant)
     with np.errstate(over="ignore"):  # an overflow is inf, which callers check
-        sigma = _sigma_u_sq(k._replace(quant=quant), p_u * k.unit, p_d * k.unit, k.unit) / k.unit
+        sigma = _sigma_u_sq(k._replace(quant=quant), p_u * k.unit, p_d * k.unit) / k.unit
     return np.ldexp(sigma, -n.astype(int))
 
 
@@ -271,39 +259,33 @@ def _checked_sigma_u_sq(k, c_u, p_u, p_d, budgets: bool = True):
     return sigma
 
 
-def _cran_uplink(k, p_u, p_d):
-    return rate_closed_form(p_u / (k[-1] + _sigma_u_sq(k, p_u, p_d, k[-1])), k[0])
+def _uplink(k, p_u, p_d):
+    s = p_u / (_sigma_u_sq(k, p_u, p_d) + k.noise_u)
+    return np.minimum(np.log2(1.0 + s) if k.alpha is None else rate_closed_form(s, k.alpha), k.cap_u)
 
 
 def _downlink_powers(p_d, q_d):  # (stream power p_s, quantization noise sigma_d^2)
     return p_d * (1.0 - q_d), p_d * q_d
 
 
-def _cran_downlink(k, p_u, p_d, r_u, receiver):
-    _, _, _, _, _, noise_d, signal_d, gain_ud, g2, unit = k
-    den = unit + gain_ud * p_u + noise_d * p_d
-    return _receive(signal_d * p_d, den, g2 * p_u, r_u, receiver)
+def _downlink(k, p_u, p_d, r_u, receiver):
+    den = k.unit + k.b * p_d + k.c * p_u
+    return np.minimum(_receive(k.a * p_d, den, k.g * p_u, r_u, receiver), k.cap_d)
 
 
-def _kernels(family: str):
-    """(uplink, downlink) kernels of a processing family."""
-    return (_scp_uplink, _scp_downlink) if family == "scp" else (_cran_uplink, _cran_downlink)
-
-
-def _rates(family: str, k, pu, pd, receiver):
-    """(r_u, r_d) of a family at constants k and powers pu, pd, r_d that of
-    the receiver (_receive); half duplex, receiver None, takes the uplink at
-    (pu, 0) and the downlink at (0, pd)."""
-    uplink, downlink = _kernels(family)
+def _rates(k, pu, pd, receiver):
+    """(r_u, r_d) at constants k and powers pu, pd, r_d that of the receiver
+    (_receive); half duplex, receiver None, takes the uplink at (pu, 0) and
+    the downlink at (0, pd)."""
     if receiver is None:
-        return uplink(k, pu, 0.0), downlink(k, 0.0, pd, 0.0, _TAN)
-    r_u = uplink(k, pu, pd)
-    return r_u, downlink(k, pu, pd, r_u, receiver)
+        return _uplink(k, pu, 0.0), _downlink(k, 0.0, pd, 0.0, _TAN)
+    r_u = _uplink(k, pu, pd)
+    return r_u, _downlink(k, pu, pd, r_u, receiver)
 
 
 def _at(kernel, k, p_u, p_d, *args):
     """kernel at the powers (p_u, p_d), passed in the point's _unit."""
-    return kernel(k, p_u * k[-1], p_d * k[-1], *args)
+    return kernel(k, p_u * k.unit, p_d * k.unit, *args)
 
 
 def _check_powers(params, p_u, p_d, budgets: bool = False) -> None:
@@ -368,9 +350,9 @@ def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
     a sigma_u_sq that overflows a float at c_u > 0 raises NumericDomainError.
     """
     _check_panel_count(panels)
-    k = _cran_consts(params)
+    k = _form("cran", params)
     sigma = _checked_sigma_u_sq(k, params.c_u, params.p_u_max, 0.0)
-    return _finite("r_u", _at(_cran_uplink, k, params.p_u_max, 0.0)), float(sigma)
+    return _finite("r_u", _at(_uplink, k, params.p_u_max, 0.0)), float(sigma)
 
 
 def hd_cran_downlink(params, precoder: Precoder) -> tuple[float, float, float]:
@@ -399,7 +381,7 @@ def fd_scp_uplink_rate(params, p_u: float, p_d: float) -> float:
     """Uplink SCP rate at operating powers: inter-cell and downlink-to-uplink
     interference are treated as noise, then the fronthaul cap applies."""
     _check_powers(params, p_u, p_d)
-    return float(_at(_scp_uplink, _scp_consts(params), p_u, p_d))
+    return float(_at(_uplink, _form("scp", params), p_u, p_d))
 
 
 def fd_scp_downlink_rate(
@@ -416,7 +398,7 @@ def fd_scp_downlink_rate(
     """
     r_u = _uplink_capacity(sic, r_u)
     _check_powers(params, p_u, p_d)
-    return float(_at(_scp_downlink, _scp_consts(params), p_u, p_d, r_u, sic))
+    return float(_at(_downlink, _form("scp", params), p_u, p_d, r_u, sic))
 
 
 def fd_scp(params, sic: SicMode = SicMode.TREAT_AS_NOISE) -> RateResult:
@@ -442,9 +424,9 @@ def fd_cran_uplink(params, powers: PowerAllocation, precoder: Precoder) -> tuple
     """
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
     _check_precoder(params, precoder)
-    k = _cran_consts(params, zf_constants(params.alpha))
+    k = _form("cran", params, zf_constants(params.alpha))
     sigma = _checked_sigma_u_sq(k, params.c_u, powers.p_u, powers.p_d, budgets=False)
-    return _finite("r_u", _at(_cran_uplink, k, powers.p_u, powers.p_d)), float(sigma)
+    return _finite("r_u", _at(_uplink, k, powers.p_u, powers.p_d)), float(sigma)
 
 
 def fd_cran_downlink(
@@ -466,8 +448,8 @@ def fd_cran_downlink(
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
     _check_precoder(params, precoder)
     r_u = _uplink_capacity(sic, r_u)
-    k = _cran_consts(params, zf_constants(params.alpha))
-    return float(_at(_cran_downlink, k, powers.p_u, powers.p_d, r_u, sic))
+    k = _form("cran", params, zf_constants(params.alpha))
+    return float(_at(_downlink, k, powers.p_u, powers.p_d, r_u, sic))
 
 
 def fd_cran(params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE) -> RateResult:
@@ -498,13 +480,13 @@ def _columns(points) -> _Columns:
     )
 
 
-def _consts(family: str, sic, p) -> tuple:
+def _consts(family: str, sic, p) -> _Form:
     """The kernels' constants of p, a point or a batch's _columns, C-RAN with
     the exact zero-forcing terms and sigma_u^2 checked at the most power the
     scheme spends (P_u alone in half duplex, sic None, else both budgets)."""
     if family == "scp":
-        return _scp_consts(p)
-    k = _cran_consts(p, _each(zf_constants, p.alpha))
+        return _form("scp", p)
+    k = _form("cran", p, _each(zf_constants, p.alpha))
     _checked_sigma_u_sq(k, p.c_u, p.p_u_max, p.p_d_max * (sic is not None))
     return k
 
@@ -519,12 +501,12 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
     The first point with a rate not finite raises, r_u checked before r_d."""
     p = _columns(points)
     k = _consts(family, sic, p)
-    shape, unit = (len(points), 1, 1), k[-1]
+    shape, unit = (len(points), 1, 1), k.unit
     p_u, p_d = (np.broadcast_to(x, shape) for x in (p.p_u_max, p.p_d_max))
     if sic is not None and not full_power:
-        _, u, d = _max_min_search(family, k, (p_u * unit).ravel(), (p_d * unit).ravel(), sic)
+        _, u, d = _max_min_search(k, (p_u * unit).ravel(), (p_d * unit).ravel(), sic)
         p_u, p_d = u.reshape(shape) / unit, d.reshape(shape) / unit
-    r_u, r_d = (r.ravel() for r in _rates(family, k, p_u * unit, p_d * unit, sic))  # in each _unit
+    r_u, r_d = (r.ravel() for r in _rates(k, p_u * unit, p_d * unit, sic))  # in each _unit
     finite = np.isfinite(r_u) & np.isfinite(r_d)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -532,7 +514,7 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
         _finite("r_d", r_d[i])
     diag = {} if sic is None else {"p_u_star": p_u, "p_d_star": p_d}
     if family == "cran":
-        p_s, sigma_d = _downlink_powers(p_d, k.q_d)
+        p_s, sigma_d = _downlink_powers(p_d, _each(pow, 2.0, -p.c_d))
         # inf only where quant is (c_u = 0): _consts has checked sigma_u^2 at
         # the budgets, and it is no larger at powers within them
         up = (p_u, p_d * (sic is not None))  # the uplink's powers
@@ -631,7 +613,7 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
     return value, scale * p_u, scale * p_d
 
 
-def _max_min_search(family: str, k, p_u_max, p_d_max, sic: SicMode):
+def _max_min_search(k, p_u_max, p_d_max, sic: SicMode):
     """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max],
     k being the batch's constants (_consts), for _rates at power arrays whose
     leading axis runs over its points.
@@ -649,12 +631,12 @@ def _max_min_search(family: str, k, p_u_max, p_d_max, sic: SicMode):
     treat-as-noise one by more than _TIE_TOL.  Returns (value, p_u, p_d),
     each an (n,) array.
     """
-    best = _edge_optimum(lambda pu, pd: _rates(family, k, pu, pd, _TAN), p_u_max, p_d_max)
+    best = _edge_optimum(lambda pu, pd: _rates(k, pu, pd, _TAN), p_u_max, p_d_max)
     if sic is _TAN:
         return best
 
     def bound(pu, pd):  # M's terms: r_u, t1 and the free t2/2
-        r_u, (t1, half) = _rates(family, k, pu, pd, _BOUND)
+        r_u, (t1, half) = _rates(k, pu, pd, _BOUND)
         return r_u, t1, half
 
     found = _edge_optimum(bound, p_u_max, p_d_max)

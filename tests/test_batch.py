@@ -108,18 +108,17 @@ def test_sweeps_longer_than_a_block_keep_every_row():
         assert row.r_eq == compute_scheme(row.scheme, spec.params_at(row.value)).r_eq
 
 
-def _recording(monkeypatch, family):
-    # record the size of every call of the family's uplink kernel; every
-    # objective evaluation of the search calls it once
-    name = f"_{family}_uplink"
-    kernel = getattr(rates, name)
+def _recording(monkeypatch):
+    # record the size of every call of the uplink kernel, which serves both
+    # families; every objective evaluation of the search calls it once
+    kernel = rates._uplink
     sizes = []
 
     def recording(k, p_u, p_d):
         sizes.append(np.broadcast(p_u, p_d).size)
         return kernel(k, p_u, p_d)
 
-    monkeypatch.setattr(rates, name, recording)
+    monkeypatch.setattr(rates, "_uplink", recording)
     return sizes
 
 
@@ -130,7 +129,7 @@ def test_a_full_block_calls_no_kernel_above_a_one_point_scan(scheme, monkeypatch
     # a sweep of one full block: its largest call is its edge search, which
     # stacks the block's one-point edge scans (both edges of every point at
     # len(_WINDOW) samples), and no call outgrows that stack
-    sizes = _recording(monkeypatch, rates.SCHEMES[scheme][0])
+    sizes = _recording(monkeypatch)
     fig3 = preset_spec("fig3")
     stop = fig3.start + (sweep._BLOCK - 1) * fig3.step
     run_sweep(replace(fig3, stop=stop, schemes=(scheme,)))
@@ -146,7 +145,7 @@ def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
     # points: no call outgrows len(points) times the one-point search's
     # largest, and the batch makes fewer than a quarter of the calls of
     # separate solves
-    sizes = _recording(monkeypatch, "scp")
+    sizes = _recording(monkeypatch)
     compute_scheme(SchemeId.FD_SCP_SIC, DOMAIN[5])
     one_point = (len(sizes), max(sizes))
     sizes.clear()

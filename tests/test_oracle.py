@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdcran.oracle
+import fdcran.rates as rates
 from fdcran.model import SchemeId, SystemParams, db_to_linear
 from fdcran.oracle import (
     CERTIFIED_EPS,
@@ -22,6 +23,7 @@ from fdcran.spectral import rate_closed_form, rate_integral
 from fdcran.sweep import SweepBase, SweepSpec, preset_spec
 
 from conftest import make_params
+from test_batch import MIXED
 from test_domain_properties import EXAMPLES, domain, huge_db
 from test_solver_properties import DOMAIN
 
@@ -312,6 +314,21 @@ def test_the_exhaustive_grid_never_beats_the_certified_maximum(sic):
             warnings.simplefilter("error", RuntimeWarning)
             grid = exhaustive_power_opt(params, sic, 512)[0]
         assert math.isfinite(grid) and grid <= found.r_eq + found.eps
+
+
+@pytest.mark.parametrize("family", ["scp", "cran"])
+def test_the_solvers_constants_are_the_oracles_form(family):
+    # the solver writes both families in the oracle's one form, under its
+    # names: each unit-free constant of a batch's columns (MIXED holds
+    # DOMAIN) is that point's _form constant, built by the oracle's own
+    # formulas, to rounding
+    k = rates._consts(family, None, rates._columns(MIXED))
+    for i, params in enumerate(MIXED):
+        want = fdcran.oracle._form(family, params)
+        for name in ("f", "h", "a", "b", "c", "g", "quant", "cap_u", "cap_d"):
+            got = float(np.broadcast_to(getattr(k, name), (len(MIXED), 1, 1))[i, 0, 0])
+            expected = getattr(want, name)
+            assert got == expected or abs(got - expected) <= 1e-15 * abs(expected), (i, name)
 
 
 @pytest.mark.parametrize("family, sic", FAMILIES)

@@ -124,9 +124,8 @@ def test_rate_closed_form_matches_quadrature(alpha):
 def _bound(family: str, params, p_u: float, p_d: float) -> float:
     """M at the powers (p_u, p_d), from the family's kernels in the point's unit."""
     k = rates._consts(family, SIC, params)  # the point's constants in plain floats
-    uplink, downlink = rates._kernels(family)
-    r_u = rates._at(uplink, k, p_u, p_d)
-    return float(min(r_u, *rates._at(downlink, k, p_u, p_d, r_u, rates._BOUND)))
+    r_u = rates._at(rates._uplink, k, p_u, p_d)
+    return float(min(r_u, *rates._at(rates._downlink, k, p_u, p_d, r_u, rates._BOUND)))
 
 
 @settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
@@ -149,10 +148,10 @@ def _row_scans(family: str, params) -> float:
     """The SIC objective's max over 33 rows p_u = i P_u / 32 of the power box
     and the edge p_d = P_d, each scanned at 2,049 powers, from the kernels."""
     k = rates._consts(family, SIC, params)  # the point's constants in plain floats
-    u_max, d_max = params.p_u_max * k[-1], params.p_d_max * k[-1]  # kernel powers
+    u_max, d_max = params.p_u_max * k.unit, params.p_d_max * k.unit  # kernel powers
     rows = np.linspace(0.0, u_max, 33)[:, None], np.linspace(0.0, d_max, 2049)
     edge = np.linspace(0.0, u_max, 2049), d_max
-    return max(float(np.minimum(*rates._rates(family, k, *at, SIC)).max()) for at in (rows, edge))
+    return max(float(np.minimum(*rates._rates(k, *at, SIC)).max()) for at in (rows, edge))
 
 
 SIC_SCHEMES = (SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC)
