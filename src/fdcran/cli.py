@@ -149,9 +149,6 @@ def main(argv=None) -> int:
         if args.command == "compute":
             return _cmd_compute(args)
         return _cmd_sweep(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except NumericDomainError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
@@ -165,7 +162,7 @@ def main(argv=None) -> int:
             print(f"  {failure}", file=sys.stderr)
         return 4
     except ValueError as exc:
-        # bad flag combinations and out-of-range parameters count as config errors
+        # a ConfigError, a bad flag combination or an out-of-range parameter
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

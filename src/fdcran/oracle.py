@@ -4,7 +4,7 @@ full-duplex power optimum.
 The C-RAN uplink spectral integrals are the large-system limit of a per-cell
 log-determinant over a circulant channel matrix; building that matrix for a
 finite ring of cells and evaluating the log-det directly checks the limit
-without sharing any code with the quadrature path.  Cells wrap around (a ring
+without sharing any code with the closed form.  Cells wrap around (a ring
 rather than a truncated line) so no border effects pollute the comparison
 with the infinite-array formulas.
 
@@ -24,11 +24,12 @@ single dense grid, with no refinement, for full-duplex single-cell processing
 through the same single-cell form (_Form), in its unit of power.
 
 Each oracle keeps formulas of its own rather than calling the rate kernels it
-checks, so a fault in a kernel cannot hide in its own gate.  Both hold every
-temporary to at most _BLOCK_ELEMENTS (8,192) values, 64 KiB: the grid is
-evaluated in blocks of rows, keeping only each row's maximum, and the branch
-and bound takes its cells in groups small enough that even the circulant
-uplink's samples of a group fit.
+checks, so a fault in a kernel cannot hide in its own gate.  All three hold
+every temporary to at most _BLOCK_ELEMENTS (8,192) values, 64 KiB: the ring
+takes its elements in groups whose samples fit, the grid is evaluated in
+blocks of rows, keeping only each row's maximum, and the branch and bound
+takes its cells in groups small enough that even the circulant uplink's
+samples of a group fit.
 """
 
 import math
@@ -77,16 +78,25 @@ def circulant_uplink_rate(alpha, p_u, sigma_u_sq, n: int = DEFAULT_CELLS):
     which holds up to the top of the float range; as n grows this converges
     to the unit-interval spectral integral.  alpha, p_u and sigma_u_sq
     broadcast against each other: floats give a float, arrays an array of
-    their broadcast shape, with n samples per element in between.
+    their broadcast shape.  The elements are evaluated in groups of
+    max(1, _BLOCK_ELEMENTS // n), each the mean of its n samples, so the
+    samples of a group fit one temporary however many elements there are.
     """
     if n < _MIN_CELLS:
         raise ValueError(f"need at least {_MIN_CELLS} cells, got {n}")
-    alpha, p_u, sigma_u_sq = (np.asarray(x, dtype=float) for x in (alpha, p_u, sigma_u_sq))
+    alpha, p_u, sigma_u_sq = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (alpha, p_u, sigma_u_sq))
+    )
     if (p_u < 0).any() or (sigma_u_sq < 0).any():
         raise ValueError("p_u and sigma_u_sq must be >= 0")
-    lam = 1.0 + 2.0 * alpha[..., None] * np.cos(2.0 * np.pi * np.arange(n) / n)
-    rate = np.mean(_log2_1p((p_u / (1.0 + sigma_u_sq))[..., None], lam * lam), axis=-1)
-    return float(rate) if rate.ndim == 0 else rate
+    cosines = np.cos(2.0 * np.pi * np.arange(n) / n)
+    two_alpha, s = (2.0 * alpha).ravel(), (p_u / (1.0 + sigma_u_sq)).ravel()
+    rate = np.empty(s.size)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for at in range(0, s.size, step):
+        lam = 1.0 + two_alpha[at : at + step, None] * cosines
+        rate[at : at + step] = np.mean(_log2_1p(s[at : at + step, None], lam * lam), axis=-1)
+    return float(rate[0]) if alpha.ndim == 0 else rate.reshape(alpha.shape)
 
 
 def _log2_1p(s, lam2):

@@ -44,7 +44,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 from functools import reduce
-from itertools import compress, repeat
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -495,8 +495,8 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
     """Each point's result for the scheme of family and receiver sic (None:
     half duplex), the one place rows are built, all points at once.  Half
     duplex evaluates the uplink kernel at (P_u, 0) and the downlink kernel at
-    (0, P_d), and balances them by the time split as equal_rate_split forms
-    it, bit for bit.  Full duplex evaluates both kernels at the power
+    (0, P_d), and balances each point's pair by the time split
+    (equal_rate_split).  Full duplex evaluates both kernels at the power
     search's argmax, or at the budgets if full_power, and reports their min.
     The first point with a rate not finite raises, r_u checked before r_d."""
     p = _columns(points)
@@ -520,19 +520,16 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
         up = (p_u, p_d * (sic is not None))  # the uplink's powers
         diag["sigma_u_sq"] = _reported_sigma_u_sq(k, p.c_u, *up)
         diag.update(sigma_d_sq=sigma_d, p_s=p_s)
-    split = None
-    if sic is None:
-        total = r_u + r_d
-        split = total > 0.0  # else rate 0 and no time split
-        r_eq = np.divide(r_u * r_d, total, out=np.zeros_like(total), where=split)
-        diag["f_star"] = np.divide(r_d, total, out=np.zeros_like(total), where=split)
-    else:
-        r_eq = np.minimum(r_u, r_d)
-    columns = (x.ravel().tolist() for x in (r_u, r_d, r_eq, *diag.values()))
-    results = [RateResult(u, d, eq, dict(zip(diag, values))) for u, d, eq, *values in zip(*columns)]
-    if split is not None and not split.all():
-        for result in compress(results, ~split):
-            del result.diagnostics["f_star"]
+    results = []
+    for u, d, *values in zip(*(x.ravel().tolist() for x in (r_u, r_d, *diag.values()))):
+        diagnostics = dict(zip(diag, values))
+        if sic is None:
+            eq, f_star = equal_rate_split(u, d)
+            if f_star is not None:  # else rate 0 and no time split
+                diagnostics["f_star"] = f_star
+        else:
+            eq = min(u, d)
+        results.append(RateResult(u, d, eq, diagnostics))
     return results
 
 

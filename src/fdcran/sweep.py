@@ -43,15 +43,16 @@ mobile faces the co-located uplink codeword at any carried rate up to that
 capacity, and its row's r_d is the downlink rate at the best carried rate,
 so r_eq = min(r_u, r_d) is the rate the uplink carries (rates._receive).
 
-Under --verify the oracles run in this process after each block's solve:
-the circulant ring checks each C-RAN uplink rate, _CIRCULANT_ROWS rows a
-call, and oracle.certified_max_min certifies the optimum of the rows of all
-four full-duplex schemes, one branch-and-bound search per scheme for the
-block's rows over the two upper budget edges, where the optimum of either
+Under --verify the oracles run in this process after each block's solve,
+one pass per scheme over its rows of the block: the circulant ring checks
+a C-RAN scheme's uplink rates in one call, and oracle.certified_max_min
+certifies the optimum of a full-duplex scheme's rows, one branch-and-bound
+search over the two upper budget edges, where the optimum of either
 receiver lies.  It proves that the true max-min lies at most eps
 (CERTIFIED_EPS, more for C-RAN near alpha = 1/2 and for points whose search
-reaches oracle._MAX_CELLS cells) above its best point, and holds every
-temporary to 8,192 values, so its memory does not grow with the budgets.
+reaches oracle._MAX_CELLS cells) above its best point.  Both oracles hold
+every temporary to 8,192 values, so their memory grows neither with the
+block nor with the budgets.
 """
 
 import math
@@ -60,7 +61,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .model import SchemeId, SystemParams, db_to_linear
-from .oracle import _BLOCK_ELEMENTS, DEFAULT_CELLS, certified_max_min, circulant_uplink_rate
+from .oracle import certified_max_min, circulant_uplink_rate
 from .rates import SCHEMES, compute_batch, compute_scheme
 
 __all__ = [
@@ -116,12 +117,6 @@ MAX_SWEEP_VALUES = 1_000_000
 
 # agreement demanded between analytical rates and their brute-force oracles
 ORACLE_RATE_TOL = 1e-3
-# schemes whose optimum --verify certifies (oracle.certified_max_min): on
-# fig3 each takes 1,166 to 1,666 cells at eps = 1e-6
-_CERTIFIED = (SchemeId.FD_SCP, SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC)
-# C-RAN rows per circulant_uplink_rate call: its DEFAULT_CELLS samples a row
-# then fill one oracle temporary
-_CIRCULANT_ROWS = _BLOCK_ELEMENTS // DEFAULT_CELLS
 
 
 class ConfigError(ValueError):
@@ -397,54 +392,43 @@ def _run_block(spec: SweepSpec, block) -> list[SweepRow]:
     C-RAN row and the certified optima."""
     try:
         points = [spec.params_at(value) for value in block]
-        solved = {s: compute_batch(s, points) for s in spec.schemes}
+        solved = [compute_batch(s, points) for s in spec.schemes]
     except ValueError:
         for value in block:  # the first failing row in (value, scheme) order raises
             for scheme in spec.schemes:
                 compute_scheme(scheme, spec.params_at(value))
         raise
-    rows, cran = [], []
-    for i, (value, params) in enumerate(zip(block, points)):
-        for scheme in spec.schemes:
-            result = solved[scheme][i]
-            row = SweepRow(
-                spec.sweep_var, value, scheme, result.r_u, result.r_d, result.r_eq,
-                *map(result.diagnostics.get, _DIAGNOSTICS),
-            )
-            if spec.oracle and SCHEMES[scheme][0] == "cran":
-                cran.append((row, params))
-            rows.append(row)
-    if spec.oracle:
-        _attach_circulant(cran)
-        _attach_certified(rows, points)
+    rows = [
+        SweepRow(
+            spec.sweep_var, value, scheme, result.r_u, result.r_d, result.r_eq,
+            *map(result.diagnostics.get, _DIAGNOSTICS),
+        )
+        for value, *results in zip(block, *solved)
+        for scheme, result in zip(spec.schemes, results)
+    ]
+    if spec.oracle:  # each scheme's rows are one stride of the block, one per point
+        for at, scheme in enumerate(spec.schemes):
+            _attach_oracles(scheme, rows[at :: len(spec.schemes)], points)
     return rows
 
 
-def _attach_circulant(cran) -> None:
-    """oracle_r_u of each C-RAN row, given as (row, params), whose sigma_u^2
-    is finite: the circulant ring's uplink rate at the row's uplink power,
-    _CIRCULANT_ROWS rows a call."""
-    checked = [(r, p) for r, p in cran if r.sigma_u_sq is not None and math.isfinite(r.sigma_u_sq)]
-    for at in range(0, len(checked), _CIRCULANT_ROWS):
-        group = checked[at : at + _CIRCULANT_ROWS]
-        alpha = np.array([p.alpha for _, p in group])
-        p_u = np.array([p.p_u_max if r.p_u_star is None else r.p_u_star for r, p in group])
-        sigma = np.array([r.sigma_u_sq for r, _ in group])
-        found = circulant_uplink_rate(alpha, p_u, sigma, DEFAULT_CELLS)
-        for (row, _), rate in zip(group, np.broadcast_to(found, len(group)).tolist()):
+def _attach_oracles(scheme: SchemeId, rows: list[SweepRow], points) -> None:
+    """The oracle values of one scheme's rows, one row per point: for C-RAN,
+    oracle_r_u of each row whose sigma_u^2 is finite, the circulant ring's
+    uplink rate at the row's uplink power, all in one call; for full duplex,
+    oracle_r_eq, oracle_eps and oracle_cells from one certified_max_min
+    search over the points, each scoring its row's argmax."""
+    family, receiver = SCHEMES[scheme]
+    if family == "cran":
+        checked = [(r, p) for r, p in zip(rows, points) if math.isfinite(r.sigma_u_sq)]
+        alpha = [p.alpha for _, p in checked]
+        p_u = [p.p_u_max if r.p_u_star is None else r.p_u_star for r, p in checked]
+        found = circulant_uplink_rate(alpha, p_u, [r.sigma_u_sq for r, _ in checked])
+        for (row, _), rate in zip(checked, np.broadcast_to(found, len(checked)).tolist()):
             row.oracle_r_u = rate
-
-
-def _attach_certified(rows: list[SweepRow], points) -> None:
-    """oracle_r_eq, oracle_eps and oracle_cells of every row of a certified
-    scheme: one certified_max_min search per scheme for the block's rows at
-    its points, one per value, each scoring its row's argmax."""
-    for scheme in _CERTIFIED:
-        checked = [r for r in rows if r.scheme is scheme]
-        if not checked:
-            continue
-        argmaxes = [(r.p_u_star, r.p_d_star) for r in checked]
-        for row, found in zip(checked, certified_max_min(*SCHEMES[scheme], points, argmaxes)):
+    if receiver is not None:
+        argmaxes = [(r.p_u_star, r.p_d_star) for r in rows]
+        for row, found in zip(rows, certified_max_min(family, receiver, points, argmaxes)):
             row.oracle_r_eq, row.oracle_eps, row.oracle_cells = found
 
 

@@ -352,8 +352,8 @@ def test_sweep_verify_passes(tmp_path):
 
 
 def test_fig3_verify_passes(tmp_path, capsys):
-    # fd_scp_sic at gamma_ud = 0.5 peaks off the oracle's 512x512 grid; the
-    # oracle also scores the reported argmax, so the honest row passes
+    # the certified oracle bounds each full-duplex optimum by branch and bound
+    # and also scores the reported argmax, so the honest rows pass
     out = tmp_path / "fig3.csv"
     assert main(["sweep", "--preset", "fig3", "--out", str(out), "--verify"]) == 0
     # a passing run names each checked scheme's worst oracle gap and its row

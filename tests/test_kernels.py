@@ -110,7 +110,7 @@ def test_compute_scheme_rejects_a_grid_that_is_not_an_integer_of_at_least_2(grid
 
 
 def test_a_valid_grid_changes_no_result():
-    # the SIC search always scans at DEFAULT_GRID
+    # the search, exact on the budget edges, has no grid: grid is only checked
     assert compute_scheme(SchemeId.FD_SCP_SIC, PARAMS, grid=2) == compute_scheme(
         SchemeId.FD_SCP_SIC, PARAMS
     )

@@ -13,6 +13,7 @@ import fdcran.rates as rates
 from fdcran.model import SchemeId, SystemParams, db_to_linear
 from fdcran.oracle import (
     CERTIFIED_EPS,
+    DEFAULT_CELLS,
     certified_max_min,
     circulant_uplink_rate,
     circulant_uplink_rate_dense,
@@ -239,6 +240,25 @@ class _SizeProbe:
         if isinstance(fn, np.ufunc):
             probed.at = fn.at  # in place: returns no array
         return probed
+
+
+def test_a_full_blocks_ring_call_keeps_its_temporaries_to_the_block_size(monkeypatch):
+    # one call for the 3 x 64 C-RAN rows of a full sweep block: the elements
+    # are sampled in groups, so no temporary holds 192 x 512 samples, and each
+    # element is bit for bit its own scalar call
+    alpha = np.linspace(0.0, 0.49, 192)
+    p_u = np.geomspace(1e-3, 1e6, 192)
+    p_u[-1] = 1.7e308  # past the float range once times lam^2
+    sigma = np.linspace(0.0, 3.0, 192)
+    monkeypatch.setattr(fdcran.oracle, "np", _SizeProbe())
+    found = circulant_uplink_rate(alpha, p_u, sigma, DEFAULT_CELLS)
+    assert 0 < fdcran.oracle.np.largest <= fdcran.oracle._BLOCK_ELEMENTS
+    monkeypatch.undo()
+    alone = [
+        circulant_uplink_rate(a, u, s, DEFAULT_CELLS)
+        for a, u, s in zip(alpha.tolist(), p_u.tolist(), sigma.tolist())
+    ]
+    assert found.shape == (192,) and found.tolist() == alone
 
 
 @pytest.mark.parametrize("resolution", [64, 513, 1000])

@@ -69,7 +69,7 @@ def test_fd_scp_argmax_reproduces_value(fig2_params):
 
 
 @pytest.mark.parametrize("gamma_ud", [1.0, 2.0, 3.0])
-def test_fd_scp_sic_search_zooms_at_the_top_of_the_budget_range(gamma_ud):
+def test_fd_scp_sic_search_beats_treat_as_noise_at_the_top_of_the_float_range(gamma_ud):
     # at the top of the float range the SIC search issues no warning and
     # finds an optimum far above treat-as-noise's
     params = make_params(

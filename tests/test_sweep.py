@@ -11,8 +11,8 @@ import fdcran.rates
 import fdcran.spectral
 import fdcran.sweep
 from fdcran.model import NumericDomainError, SchemeId, ZfSingularError
-from fdcran.oracle import exhaustive_power_opt
-from fdcran.rates import SicMode
+from fdcran.oracle import circulant_uplink_rate, exhaustive_power_opt
+from fdcran.rates import SCHEMES, SicMode
 from fdcran.sweep import (
     CSV_COLUMNS,
     MAX_SWEEP_VALUES,
@@ -427,6 +427,29 @@ def test_fig3_verify_builds_no_grid_and_certifies_once_per_block_and_scheme(
                      ("cran", SicMode.TREAT_AS_NOISE, 33), ("cran", SicMode.SIC, 33)]
     assert probe.calls["linspace"] == 0  # no power grid
     assert 0 < probe.largest <= fdcran.oracle._BLOCK_ELEMENTS
+
+
+def test_each_schemes_oracle_values_are_its_own_across_a_block_boundary():
+    # 112 alpha values make two blocks, 64 and 48: each scheme's rows of a
+    # block are one stride of it, and every oracle value must be that row's
+    spec = SweepSpec(sweep_var="alpha", start=0.0, stop=0.4995, step=0.0045, oracle=True)
+    assert len(spec.values()) == 112
+    rows = run_sweep(spec)
+    assert len(rows) == 112 * len(SchemeId)
+    for row in rows:
+        family, receiver = SCHEMES[row.scheme]
+        params = spec.params_at(row.value)
+        if family == "cran":
+            p_u = params.p_u_max if row.p_u_star is None else row.p_u_star
+            assert row.oracle_r_u == circulant_uplink_rate(params.alpha, p_u, row.sigma_u_sq)
+        else:
+            assert row.oracle_r_u is None
+        if receiver is not None:
+            assert row.oracle_r_eq - 1e-9 <= row.r_eq <= row.oracle_r_eq + row.oracle_eps
+            assert row.oracle_cells > 0
+        else:
+            assert row.oracle_r_eq is None
+    assert verification_failures(rows) == []
 
 
 @pytest.mark.parametrize(
