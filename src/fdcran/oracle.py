@@ -179,23 +179,24 @@ def exhaustive_power_opt(
 # Both processing families share one form of the objective, with per-point
 # constants (_Form):
 #   r_u = min(sum_j weight_j log2(1 + s lam_j^2), cap_u),
-#         s = p_u / (unit + quant (base + f p_u + h p_d)),
+#         s = p_u / (unit + quant 2**-shift (base + f p_u + h p_d)),
 #   t1 = C(a p_d / den), t2 = C((a p_d + g p_u) / den), t3 = C(a p_d / (den + g p_u)),
 #         den = unit + b p_d + c p_u,
 #   r_d = t3 (treat as noise) or max(t3, min(t1, t2/2)) (SIC), capped at cap_d,
 # and the objective min(r_u, r_d), every power in the point's unit of power
 # (_form), in which the noise power is unit.  Single-cell processing decodes
-# each cell alone (one eigenvalue, lam = 1, base = 0) under the fronthaul
-# caps c_u and c_d.  C-RAN decodes the ring jointly (lam_j = 1 + 2 alpha
-# cos(2 pi j / n)) after quantization at sigma_u^2 = quant (1 + (1 + 2
-# alpha^2) p_u + 2 beta_du^2 (1 + R_g(2)) p_d) (base = unit), and precodes
-# with zero forcing at stream power p_d (1 - 2**-c_d) and quantization noise
+# each cell alone (one eigenvalue, lam = 1, base = 0, quant = 1, shift = 0)
+# under the fronthaul caps c_u and c_d.  C-RAN decodes the ring jointly
+# (lam_j = 1 + 2 alpha cos(2 pi j / n)) after quantization at sigma_u^2 =
+# (1 + (1 + 2 alpha^2) p_u + 2 beta_du^2 (1 + R_g(2)) p_d) / (2**c_u - 1)
+# (base = unit, quant 2**-shift = 1 / (2**c_u - 1)), and precodes with zero
+# forcing at stream power p_d (1 - 2**-c_d) and quantization noise
 # p_d 2**-c_d.  A SIC mobile facing the uplink codeword at a carried rate
 # R <= r_u gets max(t3, min(t1, t2 - R)) (treating it as noise, or decoding
 # jointly without having to decode it), and min(R, that) is largest at
 # max(min(r_u, t3), min(r_u, t1, t2/2)): the SIC r_d above, in min(r_u, r_d).
 
-_Form = namedtuple("_Form", "two_alpha quant base f h cap_u a b c g cap_d unit")
+_Form = namedtuple("_Form", "two_alpha quant base f h cap_u a b c g cap_d unit shift")
 
 # a point's certificate: its maximum lies in [r_eq, r_eq + eps], found after
 # bounding the objective over that many cells
@@ -209,19 +210,21 @@ def _form(family: str, p) -> _Form:
     the form overflows a float, while every SINR stays as it is."""
     a2, du, ud, g2 = p.alpha**2, 2.0 * p.beta_du**2, 2.0 * p.beta_ud**2, p.gamma_ud**2
     if family == "scp":
-        k = _Form(0.0, 1.0, 0.0, 2.0 * a2, du, p.c_u, 1.0, 2.0 * a2, ud, g2, p.c_d, 1.0)
+        k = _Form(0.0, 1.0, 0.0, 2.0 * a2, du, p.c_u, 1.0, 2.0 * a2, ud, g2, p.c_d, 1.0, 0)
     else:
         # zero forcing's h~_0^2 = (1 - 4 alpha^2)^(3/2) and R_g(2) = r^2 (1 + 2d),
         # d = sqrt(1 - 4 alpha^2), r = (1 - d) / (2 alpha) = 2 alpha / (1 + d)
         d = math.sqrt(1.0 - 4.0 * a2)
         r = 2.0 * p.alpha / (1.0 + d)
         h0sq, rg2 = d * d * d, r * r * (1.0 + 2.0 * d)
-        # 1 / (2**c_u - 1): inf at c_u = 0, where the quantizer passes nothing
-        quant = math.inf if p.c_u <= 0.0 else 2.0**-p.c_u / -math.expm1(-p.c_u * math.log(2.0))
+        # 1 / (2**c_u - 1) = quant 2**-shift, inf at c_u = 0, where the
+        # quantizer passes nothing; shift keeps quant from underflowing
+        shift, c = min(max(math.floor(p.c_u) - 1000, 0), 1100), p.c_u
+        quant = math.inf if c <= 0.0 else 2.0 ** (shift - c) / -math.expm1(-c * math.log(2.0))
         q_d = 2.0**-p.c_d
         k = _Form(
             2.0 * p.alpha, quant, 1.0, 1.0 + 2.0 * a2, du * (1.0 + rg2), math.inf,
-            (1.0 - q_d) * h0sq, q_d * (1.0 + 2.0 * a2), ud, g2, math.inf, 1.0,
+            (1.0 - q_d) * h0sq, q_d * (1.0 + 2.0 * a2), ud, g2, math.inf, 1.0, shift,
         )
     gain = max(1.0, k.f, k.h, k.a, k.b, k.c, k.g)
     e = math.frexp(gain)[1] + math.frexp(max(p.p_u_max, p.p_d_max))[1] - 1016
@@ -255,7 +258,7 @@ def _ring(family: str, points):
 def _constants(family: str, points):
     """(columns, ring, ring error per point): each _Form constant as an array
     over the points, and the ring as _ring gives it."""
-    cols = [np.array(col, dtype=float) for col in zip(*(_form(family, p) for p in points))]
+    cols = [np.array(col) for col in zip(*(_form(family, p) for p in points))]
     return (cols, *_ring(family, points))
 
 
@@ -270,42 +273,49 @@ def _terms(cols, ring, row):
 def _uplink(k, ring, pu, pd):
     """r_u at powers whose last axis runs over k's points, ring their samples
     from _terms."""
-    s = pu / (k.unit + k.quant * (k.base + k.f * pu + k.h * pd))
+    s = pu / (k.unit + np.ldexp(k.quant * (k.base + k.f * pu + k.h * pd), -k.shift))
     lam2, weights = ring
     return np.minimum((_log2_1p(s[..., None], lam2) * weights).sum(axis=-1), k.cap_u)
 
 
-def _sinr2(k, pu, pd):  # t2's SINR, linear-fractional in (p_u, p_d)
-    return (k.a * pd + k.g * pu) / (k.unit + k.b * pd + k.c * pu)
+def _t2(k, pu, pd):
+    """t2 = log2(1 + signal / den), its SINR linear-fractional in (p_u, p_d);
+    where the SINR passes the float range (gamma_ud^2 p_u may), it is
+    log2(den + signal) - log2(den)."""
+    signal, den = k.a * pd + k.g * pu, k.unit + k.b * pd + k.c * pu
+    with np.errstate(over="ignore"):
+        t2 = np.log2(1.0 + signal / den)
+    big = np.isinf(t2)
+    return np.where(big, np.log2(den + signal) - np.log2(den), t2) if big.any() else t2
 
 
-def _max_min(sic, k, r_hi, pu, pd, sinr2):
-    """min(r_u, r_d) with r_u at most r_hi, t1 and t3 at (pu, pd), and t2 at
-    SINR sinr2 (unused when treating the uplink as noise)."""
+def _max_min(sic, k, r_hi, pu, pd, t2):
+    """min(r_u, r_d) with r_u at most r_hi, t1 and t3 at (pu, pd), and t2
+    given (unused when treating the uplink as noise)."""
     signal = k.a * pd
     den = k.unit + k.b * pd + k.c * pu
     r_d = np.log2(1.0 + signal / (den + k.g * pu))
     if sic is SicMode.SIC:
         t1 = np.log2(1.0 + signal / den)
-        r_d = np.maximum(r_d, np.minimum(t1, np.log2(1.0 + sinr2) / 2.0))
+        r_d = np.maximum(r_d, np.minimum(t1, t2 / 2.0))
     return np.minimum(r_hi, np.minimum(r_d, k.cap_d))
 
 
 def _value(sic, k, ring, pu, pd):
     """The objective at the points (pu, pd)."""
-    sinr2 = _sinr2(k, pu, pd) if sic is SicMode.SIC else None
-    return _max_min(sic, k, _uplink(k, ring, pu, pd), pu, pd, sinr2)
+    t2 = _t2(k, pu, pd) if sic is SicMode.SIC else None
+    return _max_min(sic, k, _uplink(k, ring, pu, pd), pu, pd, t2)
 
 
 def _bound(sic, k, ring, u0, u1, d0, d1):
     """An upper bound of the objective over each cell [u0, u1] x [d0, d1], a
     segment of a budget edge: r_u rises in p_u and falls in p_d, t1 and t3
-    the other way round, and the linear-fractional t2 peaks at an end,
-    (u0, d0) or (u1, d1)."""
-    sinr2 = None
+    the other way round, and t2, of a linear-fractional SINR, peaks at an
+    end, (u0, d0) or (u1, d1)."""
+    t2 = None
     if sic is SicMode.SIC:
-        sinr2 = np.maximum(_sinr2(k, u0, d0), _sinr2(k, u1, d1))
-    return _max_min(sic, k, _uplink(k, ring, u1, d0), u0, d1, sinr2)
+        t2 = np.maximum(_t2(k, u0, d0), _t2(k, u1, d1))
+    return _max_min(sic, k, _uplink(k, ring, u1, d0), u0, d1, t2)
 
 
 def _quarters(row, u0, u1, d0, d1):
@@ -361,7 +371,7 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
     eps = CERTIFIED_EPS + np.array(ring_error)
     # a group of cells is scored at four times as many quarters, at two points each
     size = max(1, _BLOCK_ELEMENTS // (8 * ring[0].size))
-    unit = cols[-1]  # the scan runs in each point's unit of power (_form)
+    unit = _Form(*cols).unit  # the scan runs in each point's unit of power (_form)
     u_max = np.array([p.p_u_max for p in points]) * unit
     d_max = np.array([p.p_d_max for p in points]) * unit
     arg_u, arg_d = (np.array(x, dtype=float) * unit for x in zip(*argmaxes))

@@ -183,74 +183,67 @@ def _unit(p, *gains):
 
 
 # The kernels' constants, every power in the point's _unit:
-#   r_u = min(C(p_u / ((unit + f p_u + h p_d) quant + noise_u)), cap_u),
+#   r_u = min(C(p_u / ((unit + f p_u + h p_d) quant 2**-shift + noise_u)), cap_u),
 #   r_d = min(_receive(a p_d, unit + b p_d + c p_u, g p_u, ...), cap_d),
 # C being log2(1 + s) where alpha is None (SCP decodes each cell alone) and
 # rate_closed_form(s, alpha) otherwise (C-RAN decodes the ring jointly).
-# SCP has f = b = 2 alpha^2, h = 2 beta_du^2, quant = 1, noise_u = 0, a = 1
-# and the fronthaul caps c_u and c_d.  C-RAN quantizes the uplink at
-# sigma_u^2 = (unit + f p_u + h p_d) quant before the noise (noise_u = unit),
-# with f = 1 + 2 alpha^2, h = 2 beta_du^2 (1 + R_g(2)) and quant =
-# _per_unit_quantization(c_u), and precodes at a = (1 - q_d) h~_0^2 and
-# b = q_d (1 + 2 alpha^2), q_d = 2**-c_d, under no cap.  Both have
-# c = 2 beta_ud^2 and g = gamma_ud^2.  (h~_0^2, R_g(2)) come from
-# zf_constants, which an uplink alone does not need (terms, zero by default).
-_Form = namedtuple("_Form", "alpha f h quant noise_u cap_u a b c g cap_d unit")
+# SCP has f = b = 2 alpha^2, h = 2 beta_du^2, quant = 1, shift = 0,
+# noise_u = 0, a = 1 and the fronthaul caps c_u and c_d.  C-RAN quantizes
+# the uplink at sigma_u^2 = (unit + f p_u + h p_d) quant 2**-shift before
+# the noise (noise_u = unit), with f = 1 + 2 alpha^2, h = 2 beta_du^2
+# (1 + R_g(2)) and (quant, shift) = _per_unit_quantization(c_u), and
+# precodes at a = (1 - q_d) h~_0^2 and b = q_d (1 + 2 alpha^2), q_d = 2**-c_d,
+# under no cap.  Both have c = 2 beta_ud^2 and g = gamma_ud^2.  (h~_0^2,
+# R_g(2)) come from zf_constants, which an uplink alone does not need
+# (terms, zero by default).
+_Form = namedtuple("_Form", "alpha f h quant shift noise_u cap_u a b c g cap_d unit")
 
 
 def _form(family: str, p, terms=(0.0, 0.0)) -> _Form:
     a2, bdu2, bud2, g2 = _power_gains(p)
     a2, du, ud = 2.0 * a2, 2.0 * bdu2, 2.0 * bud2
     if family == "scp":
-        return _Form(None, a2, du, 1.0, 0.0, p.c_u, 1.0, a2, ud, g2, p.c_d, _unit(p, a2, du, ud, g2))
+        unit = _unit(p, a2, du, ud, g2)
+        return _Form(None, a2, du, 1.0, 0, 0.0, p.c_u, 1.0, a2, ud, g2, p.c_d, unit)
     (h0sq, rg2), f, q_d = terms, 1.0 + a2, _each(pow, 2.0, -p.c_d)
     unit = _unit(p, f, du, ud, g2)  # h = du (1 + R_g(2)) <= 2 du
-    quant = _each(_per_unit_quantization, p.c_u)
+    quant, shift = _each(_per_unit_quantization, p.c_u)
+    shift = np.asarray(shift, dtype=np.intc)  # ldexp's exponent: _each gives a column as floats
     return _Form(
-        p.alpha, f, du * (1.0 + rg2), quant, unit, math.inf, (1.0 - q_d) * h0sq, q_d * f, ud, g2,
-        math.inf, unit,
+        p.alpha, f, du * (1.0 + rg2), quant, shift, unit, math.inf, (1.0 - q_d) * h0sq, q_d * f,
+        ud, g2, math.inf, unit,
     )
 
 
-def _per_unit_quantization(c: float) -> float:
-    """1 / (2**c - 1), the uplink quantization noise per unit of power at the
-    radio unit, for any capacity c >= 0: it falls to 0 as c grows without
-    bound and is inf at c = 0, where the quantizer passes nothing."""
+def _per_unit_quantization(c: float) -> tuple[float, int]:
+    """(quant, shift) with quant 2**-shift = 1 / (2**c - 1), the uplink
+    quantization noise per unit of power at the radio unit, for any capacity
+    c >= 0: inf at c = 0, where the quantizer passes nothing.  Past c = 1001,
+    where 2**-c nears the subnormal range, shift (the integer part of c - 1000,
+    at most 1100) keeps quant = 2**(shift - c) near 2**-1000; _sigma_u_sq
+    applies 2**-shift last, so sigma_u^2 underflows only where its value does."""
     if c <= 0.0:
-        return math.inf
-    return 2.0**-c / -math.expm1(-c * math.log(2.0))
+        return math.inf, 0
+    shift = min(max(math.floor(c) - 1000, 0), 1100)
+    return 2.0 ** (shift - c) / -math.expm1(-c * math.log(2.0)), shift
 
 
 def _sigma_u_sq(k, p_u, p_d):
-    # C-RAN's sigma_u^2, and SCP's whole uplink denominator (quant = 1); the
-    # neighboring radio units' downlink signals are correlated at lag 2
-    # through the shared precoder, hence (1 + R_g(2)) in C-RAN's h
-    return (k.unit + k.f * p_u + k.h * p_d) * k.quant
-
-
-def _reported_sigma_u_sq(k, c_u, p_u, p_d):
-    """sigma_u^2 at the powers (p_u, p_d), formed in the point's _unit and
-    brought back to the unit noise power, so that only a sigma_u^2 that is
-    itself past the float range is inf (or c_u = 0).  Past c_u = 1001, where
-    1 - 2**-c_u rounds to 1, 2**-c_u would underflow before the product: the
-    power sum takes 2**(n - c_u) there and ldexp the 2**-n, n being the
-    integer part of c_u - 1000, so that sigma_u^2 is 0 only where it is
-    itself past the float range."""
-    n = np.minimum(np.maximum(np.floor(c_u) - 1000.0, 0.0), 1100.0)
-    quant = np.where(n > 0.0, _each(pow, 2.0, n - c_u), k.quant)
-    with np.errstate(over="ignore"):  # an overflow is inf, which callers check
-        sigma = _sigma_u_sq(k._replace(quant=quant), p_u * k.unit, p_d * k.unit) / k.unit
-    return np.ldexp(sigma, -n.astype(int))
+    # C-RAN's sigma_u^2, and SCP's whole uplink denominator (quant = 1,
+    # shift = 0); the neighboring radio units' downlink signals are correlated
+    # at lag 2 through the shared precoder, hence (1 + R_g(2)) in C-RAN's h
+    return np.ldexp((k.unit + k.f * p_u + k.h * p_d) * k.quant, -k.shift)
 
 
 def _checked_sigma_u_sq(k, c_u, p_u, p_d, budgets: bool = True):
-    """sigma_u^2 at the powers (p_u, p_d), the budgets unless budgets=False,
-    of one point or, given arrays, of each point of a batch.  It is inf at
-    c_u = 0, where the quantizer passes nothing; inf at c_u > 0 is an
-    overflow, which would report a zero uplink rate where the model has a
-    positive one, so the first point with one raises NumericDomainError."""
-    sigma = _reported_sigma_u_sq(k, c_u, p_u, p_d)
-    overflow = (sigma == math.inf) & (k.quant < math.inf)
+    """sigma_u^2 (_sigma_u_sq) at the powers (p_u, p_d), the budgets unless
+    budgets=False, of one point or, given arrays, of each point of a batch.
+    It is inf at c_u = 0, where the quantizer passes nothing; inf at c_u > 0
+    is an overflow, which would report a zero uplink rate where the model has
+    a positive one, so the first point with one raises NumericDomainError."""
+    with np.errstate(over="ignore"):  # formed in the _unit; an overflow is inf
+        sigma = _sigma_u_sq(k, p_u * k.unit, p_d * k.unit) / k.unit
+    overflow = (sigma == math.inf) & (c_u > 0.0)
     if overflow.any():
         i = int(overflow.argmax())
         at = "the budgets p_u_max={!r}, p_d_max={!r}" if budgets else "p_u={!r}, p_d={!r}"
@@ -515,10 +508,8 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
     diag = {} if sic is None else {"p_u_star": p_u, "p_d_star": p_d}
     if family == "cran":
         p_s, sigma_d = _downlink_powers(p_d, _each(pow, 2.0, -p.c_d))
-        # inf only where quant is (c_u = 0): _consts has checked sigma_u^2 at
-        # the budgets, and it is no larger at powers within them
         up = (p_u, p_d * (sic is not None))  # the uplink's powers
-        diag["sigma_u_sq"] = _reported_sigma_u_sq(k, p.c_u, *up)
+        diag["sigma_u_sq"] = _checked_sigma_u_sq(k, p.c_u, *up, budgets=False)
         diag.update(sigma_d_sq=sigma_d, p_s=p_s)
     results = []
     for u, d, *values in zip(*(x.ravel().tolist() for x in (r_u, r_d, *diag.values()))):

@@ -315,12 +315,7 @@ def parse_config(text: str, defaults: SweepSpec | None = None) -> SweepSpec:
             raise ConfigError(f"unknown key {key!r}", lineno, key)
     if base_kw:
         spec_kw["base"] = replace(spec.base, **base_kw)
-    try:
-        return replace(spec, **spec_kw) if spec_kw else spec
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return replace(spec, **spec_kw) if spec_kw else spec
 
 
 def serialize_spec(spec: SweepSpec) -> str:

@@ -244,6 +244,34 @@ def test_a_quantization_noise_that_overflows_is_a_numeric_error(tmp_path, capsys
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme", ["hd_cran", "fd_cran", "fd_cran_sic"])
+def test_a_subnormal_fronthaul_is_a_numeric_error(capsys, scheme):
+    # below c_u = 8.9e-309, 1 / (2**c_u - 1) itself overflows a float: no
+    # quantizer of the model passes nothing there, so no zero rate is right
+    assert main(["compute", f"--scheme={scheme}", "--c-u=1e-320"]) == 3
+    assert "numeric error: sigma_u_sq overflows a float" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_checks_the_uplink_past_c_u_1074(tmp_path, capsys):
+    # 2**-1100 underflows, but sigma_u^2 = (received power) / (2**1100 - 1)
+    # is about 2.28e177 here: the reported rates carry that noise, so the
+    # ring oracle at the reported sigma_u^2 agrees with every row
+    config = tmp_path / "q.cfg"
+    config.write_text(
+        "base.beta_du = 1e100\nbase.p_u_db = 3000\nbase.p_d_db = 3080\nbase.c_u = 1100\n"
+        "sweep.var = gamma_ud\nsweep.start = 0\nsweep.stop = 1\nsweep.step = 1\n"
+        "schemes = fd_cran, fd_cran_sic\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "q.csv"
+    assert main(["sweep", "--config", str(config), "--verify", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.count("verified ") == 2
+    rows = load_csv(out)
+    assert len(rows) == 4 and all(r.oracle_r_u == pytest.approx(r.r_u, abs=1e-9) for r in rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_finite_quantization_noise_at_a_huge_budget_keeps_its_rate(capsys):
     flags = ["--alpha=0.49", "--p-u-db=3000", "--c-u=5"]
     assert main(["compute", "--scheme=hd_cran"] + flags) == 0

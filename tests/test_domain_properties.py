@@ -62,6 +62,14 @@ def test_rates_are_finite_and_within_the_fronthaul(params):
     assert r_eq[SchemeId.FD_CRAN_SIC] >= r_eq[SchemeId.FD_CRAN]
 
 
+def _outcome(f, *args):
+    """f(*args), or NumericDomainError where it raises one."""
+    try:
+        return f(*args)
+    except NumericDomainError:
+        return NumericDomainError
+
+
 @settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
 @given(domain, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_half_duplex_reductions_are_exact(params, u, d):
@@ -75,7 +83,9 @@ def test_half_duplex_reductions_are_exact(params, u, d):
     hd_u = replace(fd_u, p_u_max=p_u)
     hd_d = replace(params, p_d_max=p_d)
     assert fd_scp_uplink_rate(fd_u, p_u, p_d) == hd_scp(hd_u).r_u
-    assert fd_cran_uplink(fd_u, powers, precoder) == hd_cran_uplink(hd_u)
+    # both sides give the same value, or both raise (a c_u so small that
+    # 1 / (2**c_u - 1) overflows a float)
+    assert _outcome(fd_cran_uplink, fd_u, powers, precoder) == _outcome(hd_cran_uplink, hd_u)
     r_u = fd_scp_uplink_rate(params, p_u, p_d)
     for sic in SicMode:
         assert fd_scp_downlink_rate(fd_d, p_u, p_d, sic, r_u) == hd_scp(hd_d).r_d

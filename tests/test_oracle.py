@@ -19,8 +19,9 @@ from fdcran.oracle import (
     circulant_uplink_rate_dense,
     exhaustive_power_opt,
 )
-from fdcran.rates import SCHEMES, SicMode, compute_batch, fd_scp
-from fdcran.spectral import rate_closed_form, rate_integral
+from fdcran.model import PowerAllocation
+from fdcran.rates import SCHEMES, SicMode, compute_batch, fd_cran_uplink, fd_scp
+from fdcran.spectral import rate_closed_form, rate_integral, zf_precoder
 from fdcran.sweep import SweepBase, SweepSpec, preset_spec
 
 from conftest import make_params
@@ -345,7 +346,7 @@ def test_the_solvers_constants_are_the_oracles_form(family):
     k = rates._consts(family, None, rates._columns(MIXED))
     for i, params in enumerate(MIXED):
         want = fdcran.oracle._form(family, params)
-        for name in ("f", "h", "a", "b", "c", "g", "quant", "cap_u", "cap_d"):
+        for name in ("f", "h", "a", "b", "c", "g", "quant", "shift", "cap_u", "cap_d"):
             got = float(np.broadcast_to(getattr(k, name), (len(MIXED), 1, 1))[i, 0, 0])
             expected = getattr(want, name)
             assert got == expected or abs(got - expected) <= 1e-15 * abs(expected), (i, name)
@@ -447,3 +448,69 @@ def test_certified_memory_bound(monkeypatch, family, sic):
     monkeypatch.setattr(fdcran.oracle, "np", _SizeProbe())
     certified_max_min(family, sic, points, [(1.0, 1.0)] * len(points))
     assert 0 < fdcran.oracle.np.largest <= fdcran.oracle._BLOCK_ELEMENTS
+
+
+# beta_du = 1e100 and budgets of 3000/3080 dB: sigma_u^2 is about 2**688 at
+# c_u = 1000 and stays far above the noise up to c_u = 1200
+QUANTIZED = make_params(beta_du=1e100, p_u_max=1e300, p_d_max=1e308)
+
+
+def test_the_uplink_gains_a_bit_per_fronthaul_bit_where_2_to_the_minus_c_u_underflows():
+    # past c_u = 1074, 2**-c_u alone underflows, but sigma_u^2 = P / (2**c_u
+    # - 1) does not: r_u rises by c_u - 1000 over its value at c_u = 1000, as
+    # the model's log2(P_u / sigma_u^2) does, and is the ring's rate at the
+    # reported sigma_u^2
+    precoder = zf_precoder(QUANTIZED.alpha)
+    powers = PowerAllocation(QUANTIZED.p_u_max, QUANTIZED.p_d_max)
+    r_1000, _ = fd_cran_uplink(replace(QUANTIZED, c_u=1000.0), powers, precoder)
+    for c_u in (1050.0, 1074.0, 1080.0, 1100.0, 1200.0):
+        r_u, sigma_u_sq = fd_cran_uplink(replace(QUANTIZED, c_u=c_u), powers, precoder)
+        assert r_u - r_1000 == pytest.approx(c_u - 1000.0, abs=1e-9), c_u
+        ring = circulant_uplink_rate(QUANTIZED.alpha, powers.p_u, sigma_u_sq)
+        assert r_u == pytest.approx(ring, abs=1e-9), c_u
+
+
+# gamma_ud^2 P_u = 1e500 passes the float range, and so does t2's SINR
+T2_PAST_THE_FLOAT_RANGE = make_params(
+    alpha=0.0, beta_du=0.0, beta_ud=0.0, gamma_ud=1e100, p_u_max=1e300, p_d_max=1e300,
+    c_u=2000.0, c_d=2000.0,
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "scheme", [SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC], ids=lambda s: s.value
+)
+def test_sic_is_certified_where_t2s_sinr_passes_the_float_range(scheme):
+    # r_u = t1 = log2(1 + 1e300) > t2 / 2 = log2(1e500) / 2 = 250 log2 10:
+    # t2 bounds the equal rate, for the solver and the certificate alike
+    [result] = compute_batch(scheme, [T2_PAST_THE_FLOAT_RANGE])
+    assert result.r_eq == pytest.approx(250.0 * math.log2(10.0), rel=1e-12, abs=0)
+    argmax = (result.diagnostics["p_u_star"], result.diagnostics["p_d_star"])
+    [found] = certified_max_min(*SCHEMES[scheme], [T2_PAST_THE_FLOAT_RANGE], [argmax])
+    assert abs(result.r_eq - found.r_eq) <= found.eps, found
+
+
+@pytest.mark.parametrize(
+    "scheme", [s for s, (_, sic) in SCHEMES.items() if sic is not None], ids=lambda s: s.value
+)
+def test_a_point_stopped_at_max_cells_widens_its_eps_to_its_largest_bound_left(
+    monkeypatch, scheme
+):
+    # fig3's points take more than 16 cells each with no argmax to start
+    # from; capped at 16, a point that would pass them stops with eps
+    # widened, and one that would not gets its full result
+    spec = preset_spec("fig3")
+    points = [spec.params_at(v) for v in spec.values()]
+    argmaxes = [(0.0, 0.0)] * len(points)
+    full = certified_max_min(*SCHEMES[scheme], points, argmaxes)
+    monkeypatch.setattr(fdcran.oracle, "_MAX_CELLS", 16)
+    capped = certified_max_min(*SCHEMES[scheme], points, argmaxes)
+    assert any(f.cells > 16 for f in full)
+    for result, whole, found in zip(compute_batch(scheme, points), full, capped):
+        assert found.cells <= 16, found
+        if whole.cells > 16:
+            assert found.eps > CERTIFIED_EPS, found
+        else:
+            assert found == whole
+        assert found.r_eq - 1e-9 <= result.r_eq <= found.r_eq + found.eps, (result, found)
