@@ -6,7 +6,10 @@ log-determinant over a circulant channel matrix; building that matrix for a
 finite ring of cells and evaluating the log-det directly checks the limit
 without sharing any code with the closed form.  Cells wrap around (a ring
 rather than a truncated line) so no border effects pollute the comparison
-with the infinite-array formulas.
+with the infinite-array formulas.  One sampler, _half_ring, gives every
+ring: the circulant uplink check's, the certified oracle's uplink ring, and
+the ring on which the oracle takes zero forcing's h~_0^2 and R_g(2)
+(_zero_forcing) instead of the closed forms the rate kernels use.
 
 The full-duplex max-min power optimum is certified by branch and bound
 (certified_max_min; monotonic optimization, H. Tuy, SIAM J. Optim. 2000, and
@@ -29,11 +32,13 @@ every temporary to at most _BLOCK_ELEMENTS (8,192) values, 64 KiB: the ring
 takes its elements in groups whose samples fit, the grid is evaluated in
 blocks of rows, keeping only each row's maximum, and the branch and bound
 takes its cells in groups small enough that even the circulant uplink's
-samples of a group fit.
+samples of a group fit; the zero-forcing ring, up to about 5e5 cells next
+to alpha = 1/2, is summed in blocks of frequencies.
 """
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +52,7 @@ __all__ = [
     "circulant_uplink_rate",
     "circulant_uplink_rate_dense",
     "exhaustive_power_opt",
+    "sigma_u_sq",
 ]
 
 DEFAULT_CELLS = 512
@@ -74,13 +80,14 @@ def circulant_uplink_rate(alpha, p_u, sigma_u_sq, n: int = DEFAULT_CELLS):
     """Per-cell uplink rate of a finite ring of n cells.
 
     Evaluates (1/n) log2 det(I + p_u/(1 + sigma_u_sq) H H^T) through the
-    circulant eigenvalues 1 + 2 alpha cos(2 pi j / n), in _log2_1p's form,
-    which holds up to the top of the float range; as n grows this converges
-    to the unit-interval spectral integral.  alpha, p_u and sigma_u_sq
+    circulant eigenvalues 1 + 2 alpha cos(2 pi j / n), over _half_ring's
+    n // 2 + 1 weighted samples, in _ring_rate's form, which holds up to the
+    top of the float range; as n grows this converges to the unit-interval
+    spectral integral, within _aliasing's bound.  alpha, p_u and sigma_u_sq
     broadcast against each other: floats give a float, arrays an array of
     their broadcast shape.  The elements are evaluated in groups of
-    max(1, _BLOCK_ELEMENTS // n), each the mean of its n samples, so the
-    samples of a group fit one temporary however many elements there are.
+    max(1, _BLOCK_ELEMENTS // (n // 2 + 1)), so the samples of a group fit
+    one temporary however many elements there are.
     """
     if n < _MIN_CELLS:
         raise ValueError(f"need at least {_MIN_CELLS} cells, got {n}")
@@ -89,19 +96,57 @@ def circulant_uplink_rate(alpha, p_u, sigma_u_sq, n: int = DEFAULT_CELLS):
     )
     if (p_u < 0).any() or (sigma_u_sq < 0).any():
         raise ValueError("p_u and sigma_u_sq must be >= 0")
-    cosines = np.cos(2.0 * np.pi * np.arange(n) / n)
+    half, weights = _half_ring(n)
     two_alpha, s = (2.0 * alpha).ravel(), (p_u / (1.0 + sigma_u_sq)).ravel()
     rate = np.empty(s.size)
-    step = max(1, _BLOCK_ELEMENTS // n)
+    step = max(1, _BLOCK_ELEMENTS // half.size)
     for at in range(0, s.size, step):
-        lam = 1.0 + two_alpha[at : at + step, None] * cosines
-        rate[at : at + step] = np.mean(_log2_1p(s[at : at + step, None], lam * lam), axis=-1)
+        lam = _eigenvalues(two_alpha[at : at + step, None], half)
+        rate[at : at + step] = _ring_rate(s[at : at + step], lam * lam, weights)
     return float(rate[0]) if alpha.ndim == 0 else rate.reshape(alpha.shape)
 
 
-def _log2_1p(s, lam2):
-    """log2(1 + s lam2) for SINR scales s >= 0 and squared eigenvalues lam2,
-    broadcast; where s lam2 passes the float range, as log2 s + log2(1/s + lam2)."""
+def _half_ring(n: int, j=None):
+    """(cos^2(pi j / n), weights) at the frequencies j of an n-cell ring, an
+    index array, by default every j <= n/2: the one place the ring is
+    sampled.  The eigenvalues 1 + 2 alpha cos(2 pi j / n) (_eigenvalues)
+    come in pairs j, n - j, so only j <= n/2 are kept, weighted by their
+    count / n; one cell (n = 1) is single-cell processing's lone eigenvalue."""
+    j = np.arange(n // 2 + 1) if j is None else j
+    weights = np.where((j == 0) | (2 * j == n), 1.0, 2.0) / n
+    half = np.cos(np.pi * j / n)
+    return half * half, weights
+
+
+def _eigenvalues(two_alpha, half):
+    """1 + 2 alpha cos(2 pi j / n) from half = cos^2(pi j / n) (_half_ring),
+    as (1 - 2 alpha) + 4 alpha half, which does not cancel near alpha = 1/2."""
+    return (1.0 - two_alpha) + 2.0 * two_alpha * half
+
+
+def _aliasing(n: int, alpha: float, s: float) -> float:
+    """Bound on how far the n-cell ring's mean of log2(1 + s lam^2) lies from
+    the infinite array's integral, for 0 <= alpha < 1/2 and s >= 0.  As a
+    function of theta = 2 pi f, 1 + s lam^2 = (alpha^2 s / |q|^2)
+    |1 - q e^(i theta)|^2 |1 - q e^(-i theta)|^2, where |q| = e^-y < 1 and
+    cosh y is the mean distance of (-1 + i / sqrt(s)) / (2 alpha), the
+    root of 1 + i sqrt(s) lam, from +-1.  So the log's Fourier coefficients
+    at +-m are at most 2 |q|^m / (m ln 2), and the ring's mean aliases only
+    those at multiples of n: at most 4 rho / (n ln 2 (1 - rho)), rho =
+    e^(-n y) (Trefethen and Weideman, "The exponentially convergent
+    trapezoidal rule", SIAM Review 2014)."""
+    if alpha == 0.0 or s == 0.0:
+        return 0.0  # lam = 1, or a zero integrand: the ring is exact
+    distances = (math.sqrt(1.0 / s + (1.0 + e) ** 2) for e in (2.0 * alpha, -2.0 * alpha))
+    y = math.acosh(sum(distances) / (4.0 * alpha))
+    return 4.0 * math.exp(-n * y) / (n * math.log(2.0) * -math.expm1(-n * y))
+
+
+def _ring_rate(s, lam2, weights):
+    """sum_j weights_j log2(1 + s lam2_j) for SINR scales s >= 0, the ring's
+    squared eigenvalues lam2 and weights on a last axis of their own; where
+    s lam2 passes the float range, the log is log2 s + log2(1/s + lam2)."""
+    s = s[..., None]
     with np.errstate(over="ignore"):
         x = s * lam2
     samples = np.log2(1.0 + x)
@@ -109,7 +154,7 @@ def _log2_1p(s, lam2):
     if big.any():
         s_big, lam2_big = (y[big] for y in np.broadcast_arrays(s, lam2))
         samples[big] = np.log2(s_big) + np.log2(1.0 / s_big + lam2_big)
-    return samples
+    return (samples * weights).sum(axis=-1)
 
 
 def circulant_uplink_rate_dense(
@@ -190,11 +235,12 @@ def exhaustive_power_opt(
 # (lam_j = 1 + 2 alpha cos(2 pi j / n)) after quantization at sigma_u^2 =
 # (1 + (1 + 2 alpha^2) p_u + 2 beta_du^2 (1 + R_g(2)) p_d) / (2**c_u - 1)
 # (base = unit, quant 2**-shift = 1 / (2**c_u - 1)), and precodes with zero
-# forcing at stream power p_d (1 - 2**-c_d) and quantization noise
-# p_d 2**-c_d.  A SIC mobile facing the uplink codeword at a carried rate
-# R <= r_u gets max(t3, min(t1, t2 - R)) (treating it as noise, or decoding
-# jointly without having to decode it), and min(R, that) is largest at
-# max(min(r_u, t3), min(r_u, t1, t2/2)): the SIC r_d above, in min(r_u, r_d).
+# forcing (h~_0^2 and R_g(2) from _zero_forcing's ring) at stream power
+# p_d (1 - 2**-c_d) and quantization noise p_d 2**-c_d.  A SIC mobile facing
+# the uplink codeword at a carried rate R <= r_u gets max(t3, min(t1, t2 -
+# R)) (treating it as noise, or decoding jointly without having to decode
+# it), and min(R, that) is largest at max(min(r_u, t3), min(r_u, t1, t2/2)):
+# the SIC r_d above, in min(r_u, r_d).
 
 _Form = namedtuple("_Form", "two_alpha quant base f h cap_u a b c g cap_d unit shift")
 
@@ -212,11 +258,7 @@ def _form(family: str, p) -> _Form:
     if family == "scp":
         k = _Form(0.0, 1.0, 0.0, 2.0 * a2, du, p.c_u, 1.0, 2.0 * a2, ud, g2, p.c_d, 1.0, 0)
     else:
-        # zero forcing's h~_0^2 = (1 - 4 alpha^2)^(3/2) and R_g(2) = r^2 (1 + 2d),
-        # d = sqrt(1 - 4 alpha^2), r = (1 - d) / (2 alpha) = 2 alpha / (1 + d)
-        d = math.sqrt(1.0 - 4.0 * a2)
-        r = 2.0 * p.alpha / (1.0 + d)
-        h0sq, rg2 = d * d * d, r * r * (1.0 + 2.0 * d)
+        h0sq, rg2 = _zero_forcing(p.alpha)
         # 1 / (2**c_u - 1) = quant 2**-shift, inf at c_u = 0, where the
         # quantizer passes nothing; shift keeps quant from underflowing
         shift, c = min(max(math.floor(p.c_u) - 1000, 0), 1100), p.c_u
@@ -232,50 +274,96 @@ def _form(family: str, p) -> _Form:
     return k._replace(base=k.base * unit, unit=unit)
 
 
-def _ring(family: str, points):
-    """(ring, error per point) of the uplink, ring being (cosines, weights):
-    for single-cell processing, which decodes each cell alone, one cosine
-    of weight 1, whose eigenvalue is 1 as _form sets two_alpha = 0.
+@lru_cache(maxsize=1024)  # a sweep's points mostly share alpha
+def _zero_forcing(alpha: float) -> tuple[float, float]:
+    """(h~_0^2, R_g(2)) of zero forcing W = c H^-1, unit energy, on an n-cell
+    ring: h~_0^2 = 1 / mean_j lam_j^-2 and R_g(2) = mean_j(cos(4 pi j / n)
+    lam_j^-2) / mean_j lam_j^-2.  Their aliasing falls as e**(-(n - 4) x), x =
+    acosh(1/(2 alpha)) (lam_j^-2's coefficient at lag 2 + m n, scaled by the
+    one at lag 2), so n = 45 / x + 4 cells leave it below 2**-53.  The ring
+    is taken in blocks of _BLOCK_ELEMENTS frequencies, each summed by fsum."""
+    if alpha == 0.0:
+        return 1.0, 0.0  # lam = 1: c = 1, and the ring's cos(4 pi j / n) sum to 0
+    n = max(_MIN_CELLS, math.ceil(45.0 / math.acosh(0.5 / alpha)) + 4)
+    sums = []
+    for at in range(0, n // 2 + 1, _BLOCK_ELEMENTS):
+        half, weights = _half_ring(n, np.arange(at, min(at + _BLOCK_ELEMENTS, n // 2 + 1)))
+        w = weights / _eigenvalues(2.0 * alpha, half) ** 2
+        # cos(4 pi j / n) = 1 - 2 sin^2(2 pi j / n) = 1 - 8 half (1 - half)
+        sums.append((math.fsum(w), math.fsum(w * (1.0 - 8.0 * half * (1.0 - half)))))
+    mean, lag2 = (math.fsum(x) for x in zip(*sums))
+    return 1.0 / mean, lag2 / mean
+
+
+def _ring(family: str, points, k):
+    """(ring, error per point) of the uplink at the points, k their _Form
+    columns, ring being _half_ring's (cos^2, weights): for single-cell
+    processing, which decodes each cell alone, the ring of one cell.
 
     For C-RAN an n-cell ring samples the infinite array's rate integrand at
-    n points; its error falls as e**(-n acosh(1/(2 alpha))), so n =
-    _RING_DEPTH / acosh(1/(2 alpha)) for the largest alpha of the points,
-    capped at DEFAULT_CELLS, where the error is then returned for each point
-    it exceeds e**-_RING_DEPTH.  The eigenvalues 1 + 2 alpha cos(2 pi j / n)
-    come in pairs j, n - j, so only j <= n/2 are kept, weighted by their
-    count / n.
+    n points, n = _RING_DEPTH / acosh(1/(2 alpha)) for the largest alpha of
+    the points, at least _MIN_CELLS and at most DEFAULT_CELLS.  A point the
+    ring covers to that depth gets error 0, its error being about
+    e**-_RING_DEPTH; one whose alpha is so close to 1/2 that the cap binds
+    gets _aliasing's bound at its worst SINR scale, p_u / (1 + sigma_u^2) at
+    (P_u, 0), as the bound rises with the scale.
     """
     if family == "scp":
-        return (np.ones(1), np.ones(1)), [0.0] * len(points)
+        return _half_ring(1), [0.0] * len(points)
     decay = [math.acosh(0.5 / p.alpha) if p.alpha > 0.0 else math.inf for p in points]
     n = min(DEFAULT_CELLS, max(_MIN_CELLS, math.ceil(_RING_DEPTH / min(decay))))
-    j = np.arange(n // 2 + 1)
-    weights = np.where((j == 0) | (2 * j == n), 1.0, 2.0) / n
-    errors = [math.exp(-n * x) if n * x < _RING_DEPTH else 0.0 for x in decay]
-    return (np.cos(2.0 * np.pi * j / n), weights), errors
+    u_max = np.array([p.p_u_max for p in points]) * k.unit
+    with np.errstate(over="ignore"):  # sigma_u^2 past the float range: no uplink
+        worst = (u_max / (k.unit + _sigma(k, u_max, 0.0))).tolist()
+    errors = [
+        _aliasing(n, p.alpha, s) if n * x < _RING_DEPTH else 0.0
+        for p, x, s in zip(points, decay, worst)
+    ]
+    return _half_ring(n), errors
+
+
+def _columns(family: str, points) -> _Form:
+    """Each _Form constant of the points as an array over them."""
+    return _Form(*map(np.array, zip(*(_form(family, p) for p in points))))
 
 
 def _constants(family: str, points):
-    """(columns, ring, ring error per point): each _Form constant as an array
-    over the points, and the ring as _ring gives it."""
-    cols = [np.array(col) for col in zip(*(_form(family, p) for p in points))]
-    return (cols, *_ring(family, points))
+    """(columns, ring, ring error per point): the points' _columns, and the
+    ring as _ring gives it."""
+    cols = _columns(family, points)
+    return (cols, *_ring(family, points, cols))
 
 
 def _terms(cols, ring, row):
     """(k, samples) at the points row, an index array: their _Form
     constants, and their ring's (lam_j^2, weights)."""
     k = _Form(*(col[row] for col in cols))
-    lam = 1.0 + k.two_alpha[:, None] * ring[0]
+    lam = _eigenvalues(k.two_alpha[:, None], ring[0])
     return k, (lam * lam, ring[1])
+
+
+def _sigma(k, pu, pd):
+    """The uplink quantization noise quant 2**-shift (base + f p_u + h p_d),
+    powers and noise in the points' unit of power (_form)."""
+    return np.ldexp(k.quant * (k.base + k.f * pu + k.h * pd), -k.shift)
+
+
+def sigma_u_sq(points, p_u, p_d):
+    """C-RAN's uplink quantization noise sigma_u^2 at each of a sequence of
+    operating points, at its powers from the sequences p_u and p_d, by the
+    oracle's own _form: an array, inf at c_u = 0, where the quantizer passes
+    nothing."""
+    k = _columns("cran", points)
+    pu, pd = (np.asarray(x, dtype=float) * k.unit for x in (p_u, p_d))
+    with np.errstate(over="ignore"):
+        return _sigma(k, pu, pd) / k.unit
 
 
 def _uplink(k, ring, pu, pd):
     """r_u at powers whose last axis runs over k's points, ring their samples
     from _terms."""
-    s = pu / (k.unit + np.ldexp(k.quant * (k.base + k.f * pu + k.h * pd), -k.shift))
-    lam2, weights = ring
-    return np.minimum((_log2_1p(s[..., None], lam2) * weights).sum(axis=-1), k.cap_u)
+    s = pu / (k.unit + _sigma(k, pu, pd))
+    return np.minimum(_ring_rate(s, *ring), k.cap_u)
 
 
 def _t2(k, pu, pd):
@@ -371,7 +459,7 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
     eps = CERTIFIED_EPS + np.array(ring_error)
     # a group of cells is scored at four times as many quarters, at two points each
     size = max(1, _BLOCK_ELEMENTS // (8 * ring[0].size))
-    unit = _Form(*cols).unit  # the scan runs in each point's unit of power (_form)
+    unit = cols.unit  # the scan runs in each point's unit of power (_form)
     u_max = np.array([p.p_u_max for p in points]) * unit
     d_max = np.array([p.p_d_max for p in points]) * unit
     arg_u, arg_d = (np.array(x, dtype=float) * unit for x in zip(*argmaxes))

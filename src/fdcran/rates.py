@@ -246,8 +246,12 @@ def _checked_sigma_u_sq(k, c_u, p_u, p_d, budgets: bool = True):
     overflow = (sigma == math.inf) & (c_u > 0.0)
     if overflow.any():
         i = int(overflow.argmax())
+        quant, c, *powers = (
+            float(np.broadcast_to(x, overflow.shape).flat[i]) for x in (k.quant, c_u, p_u, p_d)
+        )
         at = "the budgets p_u_max={!r}, p_d_max={!r}" if budgets else "p_u={!r}, p_d={!r}"
-        powers = (float(np.broadcast_to(x, overflow.shape).flat[i]) for x in (p_u, p_d))
+        if quant == math.inf:  # below c_u = 8.9e-309 1 / (2**c_u - 1) itself overflows
+            at, powers = "c_u={!r}, where 1 / (2**c_u - 1) does", [c]
         raise NumericDomainError("sigma_u_sq overflows a float at " + at.format(*powers))
     return sigma
 

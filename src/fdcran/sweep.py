@@ -45,7 +45,8 @@ so r_eq = min(r_u, r_d) is the rate the uplink carries (rates._receive).
 
 Under --verify the oracles run in this process after each block's solve,
 one pass per scheme over its rows of the block: the circulant ring checks
-a C-RAN scheme's uplink rates in one call, and oracle.certified_max_min
+a C-RAN scheme's uplink rates in one call, at the sigma_u^2 the oracle
+forms itself, and oracle.certified_max_min
 certifies the optimum of a full-duplex scheme's rows, one branch-and-bound
 search over the two upper budget edges, where the optimum of either
 receiver lies.  It proves that the true max-min lies at most eps
@@ -57,11 +58,12 @@ block nor with the budgets.
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from itertools import compress
 
 import numpy as np
 
 from .model import SchemeId, SystemParams, db_to_linear
-from .oracle import certified_max_min, circulant_uplink_rate
+from .oracle import certified_max_min, circulant_uplink_rate, sigma_u_sq
 from .rates import SCHEMES, compute_batch, compute_scheme
 
 __all__ = [
@@ -409,18 +411,21 @@ def _run_block(spec: SweepSpec, block) -> list[SweepRow]:
 
 def _attach_oracles(scheme: SchemeId, rows: list[SweepRow], points) -> None:
     """The oracle values of one scheme's rows, one row per point: for C-RAN,
-    oracle_r_u of each row whose sigma_u^2 is finite, the circulant ring's
-    uplink rate at the row's uplink power, all in one call; for full duplex,
-    oracle_r_eq, oracle_eps and oracle_cells from one certified_max_min
-    search over the points, each scoring its row's argmax."""
+    oracle_r_u of each row whose sigma_u^2 by the oracle's own form
+    (oracle.sigma_u_sq, not the row's) is finite, the circulant ring's
+    uplink rate at the row's uplink powers and that sigma_u^2, all in one
+    call; for full duplex, oracle_r_eq, oracle_eps and oracle_cells from one
+    certified_max_min search over the points, each scoring its row's argmax."""
     family, receiver = SCHEMES[scheme]
     if family == "cran":
-        checked = [(r, p) for r, p in zip(rows, points) if math.isfinite(r.sigma_u_sq)]
-        alpha = [p.alpha for _, p in checked]
-        p_u = [p.p_u_max if r.p_u_star is None else r.p_u_star for r, p in checked]
-        found = circulant_uplink_rate(alpha, p_u, [r.sigma_u_sq for r, _ in checked])
-        for (row, _), rate in zip(checked, np.broadcast_to(found, len(checked)).tolist()):
-            row.oracle_r_u = rate
+        # the uplink runs at (P_u, 0) in half duplex, at the argmax in full duplex
+        p_u = [p.p_u_max if r.p_u_star is None else r.p_u_star for r, p in zip(rows, points)]
+        noise = sigma_u_sq(points, p_u, [r.p_d_star or 0.0 for r in rows])
+        checked = noise < math.inf  # inf at c_u = 0, where no uplink is carried
+        alpha = np.array([p.alpha for p in points])[checked]
+        found = circulant_uplink_rate(alpha, np.array(p_u)[checked], noise[checked])
+        for row, rate in zip(compress(rows, checked), np.broadcast_to(found, alpha.shape).flat):
+            row.oracle_r_u = float(rate)
     if receiver is not None:
         argmaxes = [(r.p_u_star, r.p_d_star) for r in rows]
         for row, found in zip(rows, certified_max_min(family, receiver, points, argmaxes)):

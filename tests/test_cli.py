@@ -249,7 +249,9 @@ def test_a_subnormal_fronthaul_is_a_numeric_error(capsys, scheme):
     # below c_u = 8.9e-309, 1 / (2**c_u - 1) itself overflows a float: no
     # quantizer of the model passes nothing there, so no zero rate is right
     assert main(["compute", f"--scheme={scheme}", "--c-u=1e-320"]) == 3
-    assert "numeric error: sigma_u_sq overflows a float" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the fronthaul is at fault, not the budgets
+    assert "numeric error: sigma_u_sq overflows a float at c_u=1e-320" in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -2,6 +2,7 @@ import collections
 import math
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import fdcran.oracle
 import fdcran.rates as rates
+import fdcran.spectral
 from fdcran.model import SchemeId, SystemParams, db_to_linear
 from fdcran.oracle import (
     CERTIFIED_EPS,
@@ -21,8 +23,8 @@ from fdcran.oracle import (
 )
 from fdcran.model import PowerAllocation
 from fdcran.rates import SCHEMES, SicMode, compute_batch, fd_cran_uplink, fd_scp
-from fdcran.spectral import rate_closed_form, rate_integral, zf_precoder
-from fdcran.sweep import SweepBase, SweepSpec, preset_spec
+from fdcran.spectral import rate_closed_form, rate_integral, zf_constants, zf_precoder
+from fdcran.sweep import SweepBase, SweepSpec, preset_spec, run_sweep, verification_failures
 
 from conftest import make_params
 from test_batch import MIXED
@@ -362,15 +364,83 @@ def test_a_point_is_certified_alike_alone_and_in_a_batch(family, sic):
 
 
 def test_the_ring_error_widens_eps_only_where_the_cells_are_capped():
-    # alpha = 0.4997 asks for 21 / acosh(1 / 0.9994) = 606 cells
-    near = [make_params(alpha=0.4), make_params(alpha=0.4997)]
-    ring, errors = fdcran.oracle._ring("cran", near)
-    assert ring[0].size == fdcran.oracle.DEFAULT_CELLS // 2 + 1
-    assert errors[0] == 0.0 and 0.0 < errors[1] < 1e-7
+    # alpha = 0.4997 asks for 21 / acosh(1 / 0.9994) = 606 cells: capped at
+    # 512, its eps widens by the aliasing bound at its worst SINR scale, at
+    # (P_u, 0), which lies far below the old e**(-512 acosh(1 / 0.9994))
+    near = [make_params(alpha=0.4), make_params(alpha=0.4997, p_u_max=1e8, c_u=40.0)]
+    _, ring, errors = fdcran.oracle._constants("cran", near)
+    assert ring[0].size == DEFAULT_CELLS // 2 + 1
+    [sigma] = fdcran.oracle.sigma_u_sq(near[1:], [1e8], [0.0])
+    assert errors == [0.0, fdcran.oracle._aliasing(DEFAULT_CELLS, 0.4997, 1e8 / (1.0 + sigma))]
+    assert 1e-11 < errors[1] < 0.1 * math.exp(-DEFAULT_CELLS * math.acosh(1.0 / 0.9994))
     found = certified_max_min("cran", TAN, near, [(1.0, 1.0)] * 2)
     assert [f.eps for f in found] == [CERTIFIED_EPS, CERTIFIED_EPS + errors[1]]
-    ring, errors = fdcran.oracle._ring("cran", near[:1])
+    _, ring, errors = fdcran.oracle._constants("cran", near[:1])
     assert ring[0].size == 31 // 2 + 1 and errors == [0.0]  # 21 / acosh(1.25) = 30.3 cells
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.floats(0.0, 0.5, exclude_max=True), st.floats(0.0, 1e300), st.integers(8, 512))
+@example(0.49, 1e8, 128)  # the bound is tight here: 2.77e-13 against an error of 2.77e-13
+@example(0.49999, 1e8, 512)
+def test_the_rings_aliasing_bound_holds(alpha, s, n):
+    # the n-cell ring's mean of log2(1 + s lam^2) lies within _aliasing's
+    # bound of the integral, up to rounding: 16 ulp of the rate, or of 1
+    # below 1, as the ring rounds 1 + s lam^2 before its log
+    rate = rate_closed_form(s, alpha)
+    gap = abs(circulant_uplink_rate(alpha, s, 0.0, n) - rate)
+    assert gap <= fdcran.oracle._aliasing(n, alpha, s) + 16.0 * np.spacing(max(rate, 1.0))
+
+
+def _closed_form(alpha: float) -> tuple[float, float]:
+    """(h~_0^2, R_g(2)) = (d^3, r^2 (1 + 2d)) in 50 significant digits."""
+    with localcontext() as digits:
+        digits.prec = 50
+        a = Decimal(alpha)
+        d = (1 - 4 * a * a).sqrt()
+        r = 2 * a / (1 + d)
+        return float(d**3), float(r * r * (1 + 2 * d))
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    sorted({p.alpha for p in DOMAIN} | {0.0, 1e-4, 0.1, 0.4, 0.49, 0.499, 0.49999, 0.5 - 2e-9}),
+)
+def test_the_oracles_zero_forcing_ring_gives_the_closed_forms(alpha):
+    # sampled on the oracle's own ring (about 5e5 cells at 0.5 - 2e-9),
+    # h~_0^2 and R_g(2) are spectral's closed forms, h~_0^2 to 1e-13 beyond
+    # the closed form's own rounding of 1 - 4 alpha^2, and the closed forms
+    # taken in 50 digits to 1e-12, where the float ones are 3e-9 off at 0.5 - 2e-9
+    h0sq, rg2 = fdcran.oracle._zero_forcing(alpha)
+    closed = zf_constants(alpha)
+    assert h0sq == pytest.approx(closed[0], rel=1e-13 + 2.0**-52 / (1.0 - 4.0 * alpha**2), abs=0)
+    assert abs(rg2 - closed[1]) <= 1e-15
+    exact = _closed_form(alpha)
+    assert h0sq == pytest.approx(exact[0], rel=1e-12, abs=0) and abs(rg2 - exact[1]) <= 1e-15
+
+
+def test_the_oracles_sigma_u_sq_is_the_solvers():
+    # the circulant check takes sigma_u^2 from the oracle's own form: over
+    # MIXED it is the reported sigma_u^2 to rounding, and inf where c_u = 0
+    results = compute_batch(SchemeId.HD_CRAN, MIXED)
+    found = fdcran.oracle.sigma_u_sq(MIXED, [p.p_u_max for p in MIXED], [0.0] * len(MIXED))
+    for params, result, sigma in zip(MIXED, results, found.tolist()):
+        reported = result.diagnostics["sigma_u_sq"]
+        assert (sigma == math.inf) == (params.c_u == 0.0)
+        assert sigma == reported or sigma == pytest.approx(reported, rel=1e-15, abs=0)
+
+
+def test_a_zero_forcing_mistake_in_the_solver_fails_verify(monkeypatch):
+    # the oracle samples its own ring, so zf_constants' R_g(2) with 1 + d for
+    # 1 + 2d fails fig3's --verify instead of passing both copies
+    def doctored(alpha):
+        d = math.sqrt(1.0 - 4.0 * alpha * alpha)
+        r = 2.0 * alpha / (1.0 + d)
+        return d * d * d, r * r * (1.0 + d)
+
+    monkeypatch.setattr(fdcran.spectral, "zf_constants", doctored)
+    monkeypatch.setattr(rates, "zf_constants", doctored)
+    assert verification_failures(run_sweep(replace(preset_spec("fig3"), oracle=True)))
 
 
 def _certifies_on_the_budget_edges(scheme, raise_db) -> None:
@@ -443,8 +513,13 @@ def test_the_sic_objective_does_not_fall_as_both_powers_scale_up(
 
 @pytest.mark.parametrize("family, sic", FAMILIES)
 def test_certified_memory_bound(monkeypatch, family, sic):
-    # near alpha = 1/2 the ring has DEFAULT_CELLS cells: the fewest cells per group
-    points = [make_params(alpha=a, gamma_ud=g) for a in (0.1, 0.4999) for g in (0.5, 4.0)]
+    # near alpha = 1/2 the uplink ring has DEFAULT_CELLS cells: the fewest
+    # cells per group; at alpha = 0.5 - 2e-9 the zero-forcing ring has about
+    # 5e5 cells, sampled afresh here
+    points = [
+        make_params(alpha=a, gamma_ud=g) for a in (0.1, 0.4999, 0.5 - 2e-9) for g in (0.5, 4.0)
+    ]
+    fdcran.oracle._zero_forcing.cache_clear()
     monkeypatch.setattr(fdcran.oracle, "np", _SizeProbe())
     certified_max_min(family, sic, points, [(1.0, 1.0)] * len(points))
     assert 0 < fdcran.oracle.np.largest <= fdcran.oracle._BLOCK_ELEMENTS

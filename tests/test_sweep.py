@@ -441,7 +441,9 @@ def test_each_schemes_oracle_values_are_its_own_across_a_block_boundary():
         params = spec.params_at(row.value)
         if family == "cran":
             p_u = params.p_u_max if row.p_u_star is None else row.p_u_star
-            assert row.oracle_r_u == circulant_uplink_rate(params.alpha, p_u, row.sigma_u_sq)
+            # at the oracle's own sigma_u^2, not the row's
+            [sigma] = fdcran.oracle.sigma_u_sq([params], [p_u], [row.p_d_star or 0.0])
+            assert row.oracle_r_u == circulant_uplink_rate(params.alpha, p_u, sigma)
         else:
             assert row.oracle_r_u is None
         if receiver is not None:
