@@ -29,11 +29,12 @@ through the same single-cell form (_Form), in its unit of power.
 Each oracle keeps formulas of its own rather than calling the rate kernels it
 checks, so a fault in a kernel cannot hide in its own gate.  All three hold
 every temporary to at most _BLOCK_ELEMENTS (8,192) values, 64 KiB: the ring
-takes its elements in groups whose samples fit, the grid is evaluated in
-blocks of rows, keeping only each row's maximum, and the branch and bound
-takes its cells in groups small enough that even the circulant uplink's
-samples of a group fit; the zero-forcing ring, up to about 5e5 cells next
-to alpha = 1/2, is summed in blocks of frequencies.
+takes its frequencies in blocks and its elements in groups whose samples
+fit, the grid is evaluated in blocks of rows, keeping only each row's
+maximum, and the branch and bound takes its cells in groups small enough
+that even the circulant uplink's samples of a group fit; the zero-forcing
+ring, up to about 5e5 cells next to alpha = 1/2, is summed in blocks of
+frequencies.
 """
 
 import math
@@ -76,34 +77,47 @@ _QUARTER_CUTS = np.array([[0.0], [0.25], [0.5], [0.75]])
 _RING_DEPTH = 21.0
 
 
-def circulant_uplink_rate(alpha, p_u, sigma_u_sq, n: int = DEFAULT_CELLS):
+def circulant_uplink_rate(alpha, p_u, sigma_u_sq, n: int | None = None):
     """Per-cell uplink rate of a finite ring of n cells.
 
     Evaluates (1/n) log2 det(I + p_u/(1 + sigma_u_sq) H H^T) through the
     circulant eigenvalues 1 + 2 alpha cos(2 pi j / n), over _half_ring's
     n // 2 + 1 weighted samples, in _ring_rate's form, which holds up to the
     top of the float range; as n grows this converges to the unit-interval
-    spectral integral, within _aliasing's bound.  alpha, p_u and sigma_u_sq
-    broadcast against each other: floats give a float, arrays an array of
-    their broadcast shape.  The elements are evaluated in groups of
-    max(1, _BLOCK_ELEMENTS // (n // 2 + 1)), so the samples of a group fit
-    one temporary however many elements there are.
+    spectral integral, within _aliasing's bound.  n defaults to the larger
+    of DEFAULT_CELLS and _depth of the call's largest alpha: DEFAULT_CELLS up
+    to alpha = 0.4995, about 3.2e5 cells at the zero-forcing limit.  alpha,
+    p_u and sigma_u_sq broadcast against each other: floats give a float,
+    arrays an array of their broadcast shape.  The frequencies are taken in
+    blocks of at most _BLOCK_ELEMENTS and the elements in groups of
+    _BLOCK_ELEMENTS // block, so the samples of a group fit one temporary.
     """
-    if n < _MIN_CELLS:
-        raise ValueError(f"need at least {_MIN_CELLS} cells, got {n}")
     alpha, p_u, sigma_u_sq = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (alpha, p_u, sigma_u_sq))
     )
+    if n is None:
+        n = max(DEFAULT_CELLS, _depth(float(alpha.max(initial=0.0))))
+    if n < _MIN_CELLS:
+        raise ValueError(f"need at least {_MIN_CELLS} cells, got {n}")
     if (p_u < 0).any() or (sigma_u_sq < 0).any():
         raise ValueError("p_u and sigma_u_sq must be >= 0")
-    half, weights = _half_ring(n)
     two_alpha, s = (2.0 * alpha).ravel(), (p_u / (1.0 + sigma_u_sq)).ravel()
-    rate = np.empty(s.size)
-    step = max(1, _BLOCK_ELEMENTS // half.size)
-    for at in range(0, s.size, step):
-        lam = _eigenvalues(two_alpha[at : at + step, None], half)
-        rate[at : at + step] = _ring_rate(s[at : at + step], lam * lam, weights)
+    rate = np.zeros(s.size)
+    count = n // 2 + 1  # frequencies of the half ring
+    width = min(count, _BLOCK_ELEMENTS)
+    step = _BLOCK_ELEMENTS // width
+    for j in range(0, count, width):
+        half, weights = _half_ring(n, np.arange(j, min(j + width, count)))
+        for at in range(0, s.size, step):
+            lam = _eigenvalues(two_alpha[at : at + step, None], half)
+            rate[at : at + step] += _ring_rate(s[at : at + step], lam * lam, weights)
     return float(rate[0]) if alpha.ndim == 0 else rate.reshape(alpha.shape)
+
+
+def _depth(alpha: float) -> int:
+    """Cells that bring the ring's error at alpha to about e**-_RING_DEPTH,
+    ceil(_RING_DEPTH / acosh(1/(2 alpha))); 0 unless 0 < alpha < 1/2."""
+    return math.ceil(_RING_DEPTH / math.acosh(0.5 / alpha)) if 0.0 < alpha < 0.5 else 0
 
 
 def _half_ring(n: int, j=None):
@@ -301,23 +315,21 @@ def _ring(family: str, points, k):
     processing, which decodes each cell alone, the ring of one cell.
 
     For C-RAN an n-cell ring samples the infinite array's rate integrand at
-    n points, n = _RING_DEPTH / acosh(1/(2 alpha)) for the largest alpha of
-    the points, at least _MIN_CELLS and at most DEFAULT_CELLS.  A point the
-    ring covers to that depth gets error 0, its error being about
-    e**-_RING_DEPTH; one whose alpha is so close to 1/2 that the cap binds
-    gets _aliasing's bound at its worst SINR scale, p_u / (1 + sigma_u^2) at
-    (P_u, 0), as the bound rises with the scale.
+    n points, n = _depth(alpha) for the largest alpha of the points, at
+    least _MIN_CELLS and at most DEFAULT_CELLS.  A point the ring covers to
+    that depth gets error 0, its error being about e**-_RING_DEPTH; one
+    whose alpha is so close to 1/2 that the cap binds gets _aliasing's bound
+    at its worst SINR scale, p_u / (1 + sigma_u^2) at (P_u, 0), as the bound
+    rises with the scale.
     """
     if family == "scp":
         return _half_ring(1), [0.0] * len(points)
-    decay = [math.acosh(0.5 / p.alpha) if p.alpha > 0.0 else math.inf for p in points]
-    n = min(DEFAULT_CELLS, max(_MIN_CELLS, math.ceil(_RING_DEPTH / min(decay))))
+    n = min(DEFAULT_CELLS, max(_MIN_CELLS, _depth(max(p.alpha for p in points))))
     u_max = np.array([p.p_u_max for p in points]) * k.unit
     with np.errstate(over="ignore"):  # sigma_u^2 past the float range: no uplink
         worst = (u_max / (k.unit + _sigma(k, u_max, 0.0))).tolist()
     errors = [
-        _aliasing(n, p.alpha, s) if n * x < _RING_DEPTH else 0.0
-        for p, x, s in zip(points, decay, worst)
+        _aliasing(n, p.alpha, s) if _depth(p.alpha) > n else 0.0 for p, s in zip(points, worst)
     ]
     return _half_ring(n), errors
 

@@ -5,10 +5,11 @@ rate integral in real arithmetic (Jensen's formula, the larger root's
 modulus taken from the distances of one point to +-1), and zf_constants,
 the exact zero-forcing h~_0^2 and R_g(2).
 The rest samples the unit frequency interval at an even panel count,
-deterministically for a given count: the channel response H(f),
-composite-Simpson quadrature, the sampled zero-forcing precoder, the filter
-autocorrelation R_g(tau) and the effective channel taps h~_k.  It is the
-reference the closed forms are tested against.
+deterministically for a given count: the channel response H(f), the
+trapezoid rule (_quad), the sampled zero-forcing precoder and the effective
+channel taps h~_k, which the tests check zf_constants against.  On the
+periodic integrands of the ring the trapezoid rule is the ring's own mean,
+which converges exponentially (Trefethen and Weideman, SIAM Review 2014).
 """
 
 import math
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import NumericDomainError, ZfSingularError
+from .model import ZfSingularError
 
 __all__ = [
     "DEFAULT_PANELS",
@@ -25,9 +26,6 @@ __all__ = [
     "channel_response",
     "h_tilde",
     "rate_closed_form",
-    "rate_integral",
-    "rg",
-    "simpson_weights",
     "unit_grid",
     "zf_constants",
     "zf_precoder",
@@ -43,7 +41,7 @@ _HUGE_SNR = 2.0**1020
 _TWO_OVER_LN2 = 2.0 / math.log(2.0)
 
 
-def _check_panels(panels: int) -> None:
+def _check_panels(panels: int) -> None:  # an even count keeps f = 1/2 on the grid
     if not isinstance(panels, int) or panels < 2 or panels % 2 != 0:
         raise ValueError(f"panels must be an even integer >= 2, got {panels!r}")
 
@@ -57,22 +55,11 @@ def unit_grid(panels: int) -> np.ndarray:
     return grid
 
 
-@lru_cache(maxsize=None)
-def simpson_weights(panels: int) -> np.ndarray:
-    """Composite-Simpson weights for the unit interval (read-only array)."""
-    _check_panels(panels)
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w /= 3.0 * panels
-    w.setflags(write=False)
-    return w
-
-
 def _quad(samples: np.ndarray, panels: int) -> float:
-    # single summation path for every integral, so folded/unfolded variants
-    # of the same integrand reduce with the same pairwise tree
-    return float(np.sum(samples * simpson_weights(panels), axis=-1))
+    """Trapezoid rule over the unit grid, the one quadrature path: for a
+    periodic integrand, whose ends agree, it is the mean of the panels
+    samples f = i/panels, i < panels."""
+    return float(np.sum(samples[1:] + samples[:-1]) / (2 * panels))
 
 
 def channel_response(alpha: float, f):
@@ -96,10 +83,6 @@ class Precoder:
     g_of_f: np.ndarray
     alpha: float  # the channel gain it was built for
     panels: int
-
-    def energy(self) -> float:
-        """Integral of G(f)^2 over the unit interval."""
-        return _quad(self.g_of_f**2, self.panels)
 
 
 def _check_zf_alpha(alpha) -> None:  # zero forcing needs 0 <= alpha < 0.5
@@ -138,16 +121,6 @@ def zf_precoder(alpha: float, panels: int = DEFAULT_PANELS) -> Precoder:
     return Precoder(g_of_f=g, alpha=float(alpha), panels=panels)
 
 
-def rg(precoder: Precoder, tau: int) -> float:
-    """Filter autocorrelation sum_k g_k g_(k-tau), as a frequency integral.
-
-    For a real symmetric filter this is the integral of G(f)^2 cos(2*pi*f*tau);
-    rg(precoder, 0) is 1 by the unit-energy invariant.
-    """
-    y = precoder.g_of_f**2 * np.cos(2.0 * np.pi * tau * unit_grid(precoder.panels))
-    return _quad(y, precoder.panels)
-
-
 def h_tilde(precoder: Precoder, alpha: float, k: int) -> float:
     """Effective channel tap h~_k = (h * g)_k: integral of H(f) G(f) cos(2*pi*f*k).
 
@@ -159,25 +132,9 @@ def h_tilde(precoder: Precoder, alpha: float, k: int) -> float:
     return _quad(y, precoder.panels)
 
 
-def rate_integral(snr_scale, alpha: float, panels: int = DEFAULT_PANELS):
-    """log2(1 + s * H(f)^2) integrated over the unit frequency interval.
-
-    Vectorized over s: scalar in, float out; array in, array out (any shape).
-    The composite-Simpson reference that rate_closed_form is tested against.
-    """
-    s = np.asarray(snr_scale, dtype=float)
-    if not np.isfinite(s).all() or (s < 0).any():
-        raise NumericDomainError("SNR scale must be finite and >= 0")
-    h2 = channel_response(alpha, unit_grid(panels)) ** 2
-    vals = np.sum(np.log2(1.0 + s[..., None] * h2) * simpson_weights(panels), axis=-1)
-    if s.ndim == 0:
-        return float(vals)
-    return vals
-
-
 def rate_closed_form(snr_scale, alpha: float):
-    """Exact value of rate_integral (Somekh & Shamai, IEEE T-IT 2000), in
-    real arithmetic.
+    """Exact integral of log2(1 + s H(f)^2) over the unit frequency interval
+    (Somekh & Shamai, IEEE T-IT 2000), in real arithmetic.
 
     With u = sqrt(s), 1 + s H(f)^2 = |a + b cos 2 pi f|^2 for a = 1 + i u and
     b = 2 i alpha u, and Jensen's formula makes its log-mean log|b/2| plus
@@ -198,9 +155,9 @@ def rate_closed_form(snr_scale, alpha: float):
     an intermediate could pass the float range, z is taken as sqrt(s) times
     the z of 1/s + H(f)^2, as oracle._uplink takes its huge SINRs.
     The integral depends on alpha only through alpha^2, so |alpha| stands in
-    for alpha throughout.  Vectorized like rate_integral, without its input
-    check (a NaN s gives NaN); alpha is a float or an array that broadcasts
-    against s.
+    for alpha throughout.  Vectorized over s, scalar in, float out, array in,
+    array out, with no input check (a NaN s gives NaN); alpha is a float or
+    an array that broadcasts against s.
     """
     s = np.asarray(snr_scale, dtype=float)
     x = s.reshape(1) if s.ndim == 0 else s  # arrays, for the in-place steps

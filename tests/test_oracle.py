@@ -23,7 +23,7 @@ from fdcran.oracle import (
 )
 from fdcran.model import PowerAllocation
 from fdcran.rates import SCHEMES, SicMode, compute_batch, fd_cran_uplink, fd_scp
-from fdcran.spectral import rate_closed_form, rate_integral, zf_constants, zf_precoder
+from fdcran.spectral import rate_closed_form, zf_constants, zf_precoder
 from fdcran.sweep import SweepBase, SweepSpec, preset_spec, run_sweep, verification_failures
 
 from conftest import make_params
@@ -60,7 +60,7 @@ def test_dense_logdet_size_cap():
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
 def test_finite_ring_converges_to_spectral_integral(alpha):
     sigma = 0.13
-    limit = float(rate_integral(100.0 / (1.0 + sigma), alpha, 4096))
+    limit = rate_closed_form(100.0 / (1.0 + sigma), alpha)
     gap_64 = abs(circulant_uplink_rate(alpha, 100.0, sigma, 64) - limit)
     gap_512 = abs(circulant_uplink_rate(alpha, 100.0, sigma, 512) - limit)
     assert gap_512 < 1e-3
@@ -70,7 +70,7 @@ def test_finite_ring_converges_to_spectral_integral(alpha):
 
 
 def test_finite_ring_convergence_direction_is_measurable_at_small_n():
-    limit = float(rate_integral(100.0, 0.4, 4096))
+    limit = rate_closed_form(100.0, 0.4)
     gap_8 = abs(circulant_uplink_rate(0.4, 100.0, 0.0, 8) - limit)
     gap_512 = abs(circulant_uplink_rate(0.4, 100.0, 0.0, 512) - limit)
     assert gap_8 > 1e-6 > gap_512
@@ -262,6 +262,48 @@ def test_a_full_blocks_ring_call_keeps_its_temporaries_to_the_block_size(monkeyp
         for a, u, s in zip(alpha.tolist(), p_u.tolist(), sigma.tolist())
     ]
     assert found.shape == (192,) and found.tolist() == alone
+
+
+def test_a_default_ring_next_to_one_half_keeps_its_temporaries_to_the_block_size(monkeypatch):
+    # at alpha = 0.5 - 2e-9 the default ring takes about 2.3e5 cells, so its
+    # frequencies come in blocks: each element is its own group
+    alpha = np.array([0.4, 0.4999, 0.5 - 2e-9])
+    monkeypatch.setattr(fdcran.oracle, "np", _SizeProbe())
+    found = circulant_uplink_rate(alpha, 1e300, 0.0)
+    assert 0 < fdcran.oracle.np.largest <= fdcran.oracle._BLOCK_ELEMENTS
+    monkeypatch.undo()
+    assert fdcran.oracle._depth(0.5 - 2e-9) > 20 * fdcran.oracle._BLOCK_ELEMENTS
+    assert np.abs(found - rate_closed_form(np.full(3, 1e300), alpha)).max() <= 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [0.4999, 0.4999999, 0.4999999989])
+def test_the_default_ring_reaches_the_integral_next_to_one_half(alpha):
+    # DEFAULT_CELLS alone misses it by up to 0.03 here (_aliasing(512,
+    # 0.4999999, 1e300) = 0.0295); the default takes the cells _depth asks for
+    s = np.concatenate([[0.0], np.logspace(-8.0, 300.0, 78)])
+    assert np.abs(circulant_uplink_rate(alpha, s, 0.0) - rate_closed_form(s, alpha)).max() <= 1e-9
+    assert fdcran.oracle._aliasing(DEFAULT_CELLS, 0.4999999, 1e300) > 0.029
+
+
+def test_the_default_ring_is_the_512_cell_ring_up_to_alpha_0_4995():
+    alpha = np.linspace(0.0, 0.4995, 64)
+    found = circulant_uplink_rate(alpha, 100.0, 0.3)
+    assert found.tolist() == circulant_uplink_rate(alpha, 100.0, 0.3, DEFAULT_CELLS).tolist()
+    assert fdcran.oracle._depth(0.4995) <= DEFAULT_CELLS < fdcran.oracle._depth(0.4996)
+
+
+def test_a_verify_sweep_next_to_the_zero_forcing_limit_has_no_false_alarm():
+    # every reported r_u is the exact closed form; the 512-cell ring's own
+    # error once failed all 9 rows with |delta| = 0.0145
+    spec = SweepSpec(
+        base=SweepBase(alpha=0.4999999, p_u_db=3000.0, p_d_db=3000.0, c_u=2000.0, c_d=2000.0),
+        sweep_var="gamma_ud", start=0.0, stop=1.0, step=0.5,
+        schemes=(SchemeId.HD_CRAN, SchemeId.FD_CRAN, SchemeId.FD_CRAN_SIC), oracle=True,
+    )
+    rows = run_sweep(spec)
+    assert len(rows) == 9 and all(row.oracle_r_u is not None for row in rows)
+    assert verification_failures(rows) == []
 
 
 @pytest.mark.parametrize("resolution", [64, 513, 1000])

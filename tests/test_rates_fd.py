@@ -21,7 +21,7 @@ from fdcran.rates import (
     hd_scp,
 )
 from fdcran.model import SchemeId
-from fdcran.spectral import rg, zf_precoder
+from fdcran.spectral import zf_precoder
 
 from conftest import make_params
 
@@ -128,7 +128,6 @@ def test_fd_cran_uplink_impulse_precoder_sigma():
     # alpha = 0 makes the ZF filter a unit impulse: R_g(2) = 0 and the
     # quantization noise reduces to (1 + p_u + 2 beta_du^2 p_d) / (2^c_u - 1)
     pre = zf_precoder(0.0)
-    assert abs(rg(pre, 2)) < 1e-12
     params = make_params(alpha=0.0, beta_du=0.5, c_u=3.0)
     _, sigma = fd_cran_uplink(params, PowerAllocation(40.0, 60.0), pre)
     assert sigma == pytest.approx((1.0 + 40.0 + 2.0 * 0.25 * 60.0) / 7.0, rel=1e-12)

@@ -13,9 +13,14 @@ from hypothesis import strategies as st
 
 import fdcran.rates as rates
 from fdcran.model import NumericDomainError, SchemeId, SystemParams, db_to_linear
-from fdcran.oracle import certified_max_min, exhaustive_power_opt
+from fdcran.oracle import (
+    _zero_forcing,
+    certified_max_min,
+    circulant_uplink_rate,
+    exhaustive_power_opt,
+)
 from fdcran.rates import SicMode, compute_batch, fd_cran, fd_scp
-from fdcran.spectral import h_tilde, rate_closed_form, rate_integral, rg, zf_precoder
+from fdcran.spectral import h_tilde, rate_closed_form, zf_precoder
 from fdcran.sweep import preset_spec
 from test_domain_properties import EXAMPLES, domain, huge_db
 
@@ -24,7 +29,7 @@ SIC = SicMode.SIC
 POINTS = 20
 SCP_GRID = 512  # exhaustive_power_opt resolution
 CRAN_GRID = 256
-CRAN_PANELS = 128  # quadrature converges to ~1e-14 here for alpha < 0.45
+CRAN_PANELS = 128  # ring cells: the ring converges to ~1e-14 here for alpha < 0.45
 
 
 def _domain_points():
@@ -54,15 +59,16 @@ DOMAIN = _domain_points()
 
 def _fd_cran_grid_max(params, precoder) -> tuple[float, float]:
     """(treat-as-noise, SIC) max-min of FD-C-RAN on a dense power grid, with
-    the uplink integral by quadrature and the model's formulas written out."""
-    a2 = params.alpha**2
+    the uplink integral and R_g(2) from rings of cells and the model's
+    formulas written out."""
+    a2, rg2 = params.alpha**2, _zero_forcing(params.alpha)[1]
     pu = np.linspace(0.0, params.p_u_max, CRAN_GRID)[:, None]
     pd = np.linspace(0.0, params.p_d_max, CRAN_GRID)[None, :]
     sigma_u = (
-        1.0 + (1.0 + 2.0 * a2) * pu + 2.0 * params.beta_du**2 * (1.0 + rg(precoder, 2)) * pd
+        1.0 + (1.0 + 2.0 * a2) * pu + 2.0 * params.beta_du**2 * (1.0 + rg2) * pd
     ) / (2.0**params.c_u - 1.0)
     snr = np.broadcast_to(pu / (1.0 + sigma_u), (CRAN_GRID, CRAN_GRID))
-    r_u = rate_integral(snr, params.alpha, CRAN_PANELS)
+    r_u = circulant_uplink_rate(params.alpha, snr, 0.0, CRAN_PANELS)
     signal = pd * (1.0 - 2.0**-params.c_d) * h_tilde(precoder, params.alpha, 0) ** 2
     den = 1.0 + pd * 2.0**-params.c_d * (1.0 + 2.0 * a2) + 2.0 * params.beta_ud**2 * pu
     g2pu = params.gamma_ud**2 * pu
@@ -110,11 +116,13 @@ def test_fd_cran_sic_optimum_at_fig3_lies_on_a_budget_edge():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.4, 0.45, 0.49, 0.49999])
 def test_rate_closed_form_matches_quadrature(alpha):
+    # the 4096-cell ring's mean is the trapezoid rule on the periodic integrand
     s = np.concatenate([[0.0], np.logspace(-8.0, 8.0, 161)])
-    assert np.abs(rate_closed_form(s, alpha) - rate_integral(s, alpha, 4096)).max() <= 1e-12
+    ring = circulant_uplink_rate(alpha, s, 0.0, 4096)
+    assert np.abs(rate_closed_form(s, alpha) - ring).max() <= 1e-12
     scalar = rate_closed_form(7.0, alpha)
     assert isinstance(scalar, float)
-    assert scalar == pytest.approx(rate_integral(7.0, alpha, 4096), abs=1e-12)
+    assert scalar == pytest.approx(circulant_uplink_rate(alpha, 7.0, 0.0, 4096), abs=1e-12)
 
 
 # ----------------------------------------------------------------------------

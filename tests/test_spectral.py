@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fdcran.model import NumericDomainError, ZfSingularError
+from fdcran.model import ZfSingularError
+from fdcran.oracle import _zero_forcing
 from fdcran.spectral import (
     DEFAULT_PANELS,
     _quad,
     channel_response,
     h_tilde,
     rate_closed_form,
-    rate_integral,
-    rg,
-    simpson_weights,
     unit_grid,
     zf_constants,
     zf_precoder,
@@ -97,12 +95,13 @@ def test_zf_closed_form_grid(alpha):
 
 
 def test_zf_constants_match_the_sampled_precoder():
-    # up to the edge of the zero-forcing domain, where r -> 1 and d -> 0
+    # up to the edge of the zero-forcing domain, where r -> 1 and d -> 0:
+    # h~_0^2 from the sampled precoder, R_g(2) from the oracle's ring
     for alpha in np.linspace(0.0, 0.4999, 1001).tolist():
         pre = zf_precoder(alpha, 4096)
         h0sq, rg2 = zf_constants(alpha)
         assert h0sq == pytest.approx(h_tilde(pre, alpha, 0) ** 2, rel=1e-12, abs=0.0), alpha
-        assert rg2 == pytest.approx(rg(pre, 2), rel=0.0, abs=1e-14), alpha
+        assert rg2 == pytest.approx(_zero_forcing(alpha)[1], rel=0.0, abs=1e-14), alpha
     assert zf_constants(0.0) == (1.0, 0.0)
 
 
@@ -115,14 +114,8 @@ def test_zf_nulls_off_center_taps(alpha):
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
 def test_unit_energy(alpha):
-    assert abs(zf_precoder(alpha).energy() - 1.0) < 1e-10
-
-
-def test_rg_trivial_cases():
-    impulse = zf_precoder(0.0)
-    assert abs(rg(impulse, 2)) < 1e-12
-    assert rg(impulse, 0) == pytest.approx(1.0, abs=1e-10)
-    assert rg(zf_precoder(0.4), 0) == pytest.approx(1.0, abs=1e-10)
+    pre = zf_precoder(alpha)
+    assert abs(integrate_unit(lambda f: pre.g_of_f**2, pre.panels) - 1.0) < 1e-10
 
 
 def test_rg_matches_time_domain_taps():
@@ -135,7 +128,7 @@ def test_rg_matches_time_domain_taps():
     taps = np.fft.ifft(g_freq).real
     window = np.concatenate([taps[-64:], taps[: 64 + 1]])  # k = -64 .. 64
     acf2 = float(sum(window[i] * window[i - 2] for i in range(2, window.size)))
-    assert abs(rg(pre, 2) - acf2) < 1e-6
+    assert abs(zf_constants(alpha)[1] - acf2) < 1e-6
 
 
 def test_symmetry_fold_is_exact():
@@ -152,22 +145,6 @@ def test_symmetry_fold_is_exact():
         lambda f: channel_response(0.4, f) * np.cos(2 * np.pi * 2 * f),
     ):
         assert abs(integrate_unit(fn, 4096) - fold(fn)) < 1e-12
-
-
-def test_rate_integral_flat_channel():
-    # alpha = 0 collapses the integral to log2(1 + s)
-    for s in (0.0, 1.0, 42.0):
-        assert rate_integral(s, 0.0, 4096) == pytest.approx(math.log2(1 + s), abs=1e-12)
-
-
-def test_rate_integral_rejects_negative():
-    with pytest.raises(NumericDomainError):
-        rate_integral(-1.0, 0.4)
-
-
-def test_simpson_weights_sum_to_one():
-    for panels in (2, 64, 4096):
-        assert abs(float(np.sum(simpson_weights(panels))) - 1.0) < 1e-12
 
 
 # ----------------------------------------------------------------------------

@@ -331,13 +331,12 @@ def test_verification_flags_disagreement():
 
 def test_sweeps_reach_no_sampled_precoder_or_quadrature(monkeypatch):
     # every row computed from the parameters alone is exact: no precoder is
-    # sampled, and no tap, R_g(2) or rate is integrated by quadrature
+    # sampled, and nothing is integrated by _quad, the one quadrature path
     def sampled(*args, **kwargs):
         raise AssertionError("a sweep row reached the sampled path")
 
-    for module in (fdcran.spectral, fdcran.rates):
-        for name in ("zf_precoder", "rate_integral", "h_tilde", "rg"):
-            monkeypatch.setattr(module, name, sampled, raising=False)
+    for name in ("_quad", "zf_precoder", "h_tilde"):
+        monkeypatch.setattr(fdcran.spectral, name, sampled)
     assert len(run_sweep(preset_spec("fig2"))) == 25 * 6
     alpha = SweepSpec(sweep_var="alpha", start=0.0, stop=0.45, step=0.05)
     assert len(run_sweep(alpha)) == 10 * 6
