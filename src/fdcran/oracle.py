@@ -28,13 +28,11 @@ through the same single-cell form (_Form), in its unit of power.
 
 Each oracle keeps formulas of its own rather than calling the rate kernels it
 checks, so a fault in a kernel cannot hide in its own gate.  All three hold
-every temporary to at most _BLOCK_ELEMENTS (8,192) values, 64 KiB: the ring
-takes its frequencies in blocks and its elements in groups whose samples
-fit, the grid is evaluated in blocks of rows, keeping only each row's
-maximum, and the branch and bound takes its cells in groups small enough
-that even the circulant uplink's samples of a group fit; the zero-forcing
-ring, up to about 5e5 cells next to alpha = 1/2, is summed in blocks of
-frequencies.
+every temporary to at most _BLOCK_ELEMENTS (8,192) values, 64 KiB: every
+ring, up to about 5e5 cells next to alpha = 1/2, comes from _half_ring in
+blocks of at most that many frequencies, and one evaluator, _ring_rate,
+rates points on it in groups whose samples of a block fit; the grid is
+evaluated in blocks of rows, keeping only each row's maximum.
 """
 
 import math
@@ -88,9 +86,8 @@ def circulant_uplink_rate(alpha, p_u, sigma_u_sq, n: int | None = None):
     of DEFAULT_CELLS and _depth of the call's largest alpha: DEFAULT_CELLS up
     to alpha = 0.4995, about 3.2e5 cells at the zero-forcing limit.  alpha,
     p_u and sigma_u_sq broadcast against each other: floats give a float,
-    arrays an array of their broadcast shape.  The frequencies are taken in
-    blocks of at most _BLOCK_ELEMENTS and the elements in groups of
-    _BLOCK_ELEMENTS // block, so the samples of a group fit one temporary.
+    arrays an array of their broadcast shape.  One _ring_rate call rates
+    every element, no temporary holding more than _BLOCK_ELEMENTS values.
     """
     alpha, p_u, sigma_u_sq = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (alpha, p_u, sigma_u_sq))
@@ -101,16 +98,7 @@ def circulant_uplink_rate(alpha, p_u, sigma_u_sq, n: int | None = None):
         raise ValueError(f"need at least {_MIN_CELLS} cells, got {n}")
     if (p_u < 0).any() or (sigma_u_sq < 0).any():
         raise ValueError("p_u and sigma_u_sq must be >= 0")
-    two_alpha, s = (2.0 * alpha).ravel(), (p_u / (1.0 + sigma_u_sq)).ravel()
-    rate = np.zeros(s.size)
-    count = n // 2 + 1  # frequencies of the half ring
-    width = min(count, _BLOCK_ELEMENTS)
-    step = _BLOCK_ELEMENTS // width
-    for j in range(0, count, width):
-        half, weights = _half_ring(n, np.arange(j, min(j + width, count)))
-        for at in range(0, s.size, step):
-            lam = _eigenvalues(two_alpha[at : at + step, None], half)
-            rate[at : at + step] += _ring_rate(s[at : at + step], lam * lam, weights)
+    rate = _ring_rate((2.0 * alpha).ravel(), (p_u / (1.0 + sigma_u_sq)).ravel(), _half_ring(n))
     return float(rate[0]) if alpha.ndim == 0 else rate.reshape(alpha.shape)
 
 
@@ -120,16 +108,18 @@ def _depth(alpha: float) -> int:
     return math.ceil(_RING_DEPTH / math.acosh(0.5 / alpha)) if 0.0 < alpha < 0.5 else 0
 
 
-def _half_ring(n: int, j=None):
-    """(cos^2(pi j / n), weights) at the frequencies j of an n-cell ring, an
-    index array, by default every j <= n/2: the one place the ring is
-    sampled.  The eigenvalues 1 + 2 alpha cos(2 pi j / n) (_eigenvalues)
-    come in pairs j, n - j, so only j <= n/2 are kept, weighted by their
-    count / n; one cell (n = 1) is single-cell processing's lone eigenvalue."""
-    j = np.arange(n // 2 + 1) if j is None else j
-    weights = np.where((j == 0) | (2 * j == n), 1.0, 2.0) / n
-    half = np.cos(np.pi * j / n)
-    return half * half, weights
+def _half_ring(n: int):
+    """(cos^2(pi j / n), weights) in blocks of at most _BLOCK_ELEMENTS
+    frequencies j <= n/2 of an n-cell ring: the one place a ring is sampled.
+    The eigenvalues 1 + 2 alpha cos(2 pi j / n) (_eigenvalues) come in pairs
+    j, n - j, so only j <= n/2 are kept, weighted by their count / n; one
+    cell (n = 1) is single-cell processing's lone eigenvalue."""
+    count = n // 2 + 1
+    for at in range(0, count, _BLOCK_ELEMENTS):
+        j = np.arange(at, min(at + _BLOCK_ELEMENTS, count))
+        weights = np.where((j == 0) | (2 * j == n), 1.0, 2.0) / n
+        half = np.cos(np.pi * j / n)
+        yield half * half, weights
 
 
 def _eigenvalues(two_alpha, half):
@@ -156,19 +146,40 @@ def _aliasing(n: int, alpha: float, s: float) -> float:
     return 4.0 * math.exp(-n * y) / (n * math.log(2.0) * -math.expm1(-n * y))
 
 
-def _ring_rate(s, lam2, weights):
-    """sum_j weights_j log2(1 + s lam2_j) for SINR scales s >= 0, the ring's
-    squared eigenvalues lam2 and weights on a last axis of their own; where
-    s lam2 passes the float range, the log is log2 s + log2(1/s + lam2)."""
-    s = s[..., None]
-    with np.errstate(over="ignore"):
-        x = s * lam2
-    samples = np.log2(1.0 + x)
-    big = np.isinf(x)
-    if big.any():
-        s_big, lam2_big = (y[big] for y in np.broadcast_arrays(s, lam2))
-        samples[big] = np.log2(s_big) + np.log2(1.0 / s_big + lam2_big)
-    return (samples * weights).sum(axis=-1)
+def _ring_rate(two_alpha, s, ring):
+    """sum_j w_j log2(1 + s lam_j^2) over ring, _half_ring's blocks of
+    (cos^2, weights), for SINR scales s >= 0 whose last axis runs over
+    points whose lam_j come from two_alpha (_eigenvalues), one 2 alpha per
+    point or one for all; log2 s + log2(1/s + lam^2) where s lam^2 passes
+    the float range.  The points go in groups whose samples of a block fit
+    _BLOCK_ELEMENTS values, their eigenvalues shared across s's leading
+    axes, or, where even one point's would not fit, one row of s at a time.
+    An array of s's shape, at least 1-d."""
+    s = np.atleast_1d(s)
+    count, per_point = s.shape[-1], np.ndim(two_alpha) > 0
+    lead = max(1, s.size // max(count, 1))  # points of s's leading axes
+    rate = None
+    for half, weights in ring:
+        size = _BLOCK_ELEMENTS // (lead * half.size)  # points per group
+        if size == 0:  # not even one point's samples fit: one row of s at a time
+            rows = s.reshape(lead, count)
+            block = np.reshape([_ring_rate(two_alpha, r, [(half, weights)]) for r in rows], s.shape)
+        else:
+            sums = []
+            for at in range(0, count or 1, size):  # an empty s: one empty group
+                lam = _eigenvalues(two_alpha[at : at + size, None] if per_point else two_alpha, half)
+                lam2, s_at = lam * lam, s[..., at : at + size, None]
+                with np.errstate(over="ignore"):
+                    x = s_at * lam2
+                samples = np.log2(1.0 + x)
+                big = np.isinf(x)
+                if big.any():
+                    s_big, lam2_big = (y[big] for y in np.broadcast_arrays(s_at, lam2))
+                    samples[big] = np.log2(s_big) + np.log2(1.0 / s_big + lam2_big)
+                sums.append((samples * weights).sum(axis=-1))
+            block = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=-1)
+        rate = block if rate is None else rate + block
+    return rate
 
 
 def circulant_uplink_rate_dense(
@@ -208,11 +219,11 @@ def exhaustive_power_opt(
     """
     if resolution < 64:
         raise ValueError(f"resolution must be >= 64, got {resolution}")
-    cols, ring, _ = _constants("scp", [params])
-    k, samples = _terms(cols, ring, np.zeros(1, dtype=int))
+    k = _form("scp", params)
+    ring = tuple(_half_ring(1))
 
     def value(pu, pd):  # powers as the budgets give them, scored in _form's unit
-        return _value(sic, k, samples, pu * k.unit, pd * k.unit)
+        return _value(sic, k, ring, pu * k.unit, pd * k.unit)
 
     pu_grid = np.linspace(0.0, params.p_u_max, resolution)
     pd_grid = np.linspace(0.0, params.p_d_max, resolution)
@@ -295,13 +306,12 @@ def _zero_forcing(alpha: float) -> tuple[float, float]:
     lam_j^-2) / mean_j lam_j^-2.  Their aliasing falls as e**(-(n - 4) x), x =
     acosh(1/(2 alpha)) (lam_j^-2's coefficient at lag 2 + m n, scaled by the
     one at lag 2), so n = 45 / x + 4 cells leave it below 2**-53.  The ring
-    is taken in blocks of _BLOCK_ELEMENTS frequencies, each summed by fsum."""
+    is taken in _half_ring's blocks, each summed by fsum."""
     if alpha == 0.0:
         return 1.0, 0.0  # lam = 1: c = 1, and the ring's cos(4 pi j / n) sum to 0
     n = max(_MIN_CELLS, math.ceil(45.0 / math.acosh(0.5 / alpha)) + 4)
     sums = []
-    for at in range(0, n // 2 + 1, _BLOCK_ELEMENTS):
-        half, weights = _half_ring(n, np.arange(at, min(at + _BLOCK_ELEMENTS, n // 2 + 1)))
+    for half, weights in _half_ring(n):
         w = weights / _eigenvalues(2.0 * alpha, half) ** 2
         # cos(4 pi j / n) = 1 - 2 sin^2(2 pi j / n) = 1 - 8 half (1 - half)
         sums.append((math.fsum(w), math.fsum(w * (1.0 - 8.0 * half * (1.0 - half)))))
@@ -311,7 +321,7 @@ def _zero_forcing(alpha: float) -> tuple[float, float]:
 
 def _ring(family: str, points, k):
     """(ring, error per point) of the uplink at the points, k their _Form
-    columns, ring being _half_ring's (cos^2, weights): for single-cell
+    columns, ring being the tuple of _half_ring's blocks: for single-cell
     processing, which decodes each cell alone, the ring of one cell.
 
     For C-RAN an n-cell ring samples the infinite array's rate integrand at
@@ -323,7 +333,7 @@ def _ring(family: str, points, k):
     rises with the scale.
     """
     if family == "scp":
-        return _half_ring(1), [0.0] * len(points)
+        return tuple(_half_ring(1)), [0.0] * len(points)
     n = min(DEFAULT_CELLS, max(_MIN_CELLS, _depth(max(p.alpha for p in points))))
     u_max = np.array([p.p_u_max for p in points]) * k.unit
     with np.errstate(over="ignore"):  # sigma_u^2 past the float range: no uplink
@@ -331,27 +341,12 @@ def _ring(family: str, points, k):
     errors = [
         _aliasing(n, p.alpha, s) if _depth(p.alpha) > n else 0.0 for p, s in zip(points, worst)
     ]
-    return _half_ring(n), errors
+    return tuple(_half_ring(n)), errors
 
 
 def _columns(family: str, points) -> _Form:
     """Each _Form constant of the points as an array over them."""
     return _Form(*map(np.array, zip(*(_form(family, p) for p in points))))
-
-
-def _constants(family: str, points):
-    """(columns, ring, ring error per point): the points' _columns, and the
-    ring as _ring gives it."""
-    cols = _columns(family, points)
-    return (cols, *_ring(family, points, cols))
-
-
-def _terms(cols, ring, row):
-    """(k, samples) at the points row, an index array: their _Form
-    constants, and their ring's (lam_j^2, weights)."""
-    k = _Form(*(col[row] for col in cols))
-    lam = _eigenvalues(k.two_alpha[:, None], ring[0])
-    return k, (lam * lam, ring[1])
 
 
 def _sigma(k, pu, pd):
@@ -372,10 +367,10 @@ def sigma_u_sq(points, p_u, p_d):
 
 
 def _uplink(k, ring, pu, pd):
-    """r_u at powers whose last axis runs over k's points, ring their samples
-    from _terms."""
+    """r_u at powers whose last axis runs over k's points, on their ring
+    (_ring)."""
     s = pu / (k.unit + _sigma(k, pu, pd))
-    return np.minimum(_ring_rate(s, *ring), k.cap_u)
+    return np.minimum(_ring_rate(k.two_alpha, s, ring), k.cap_u)
 
 
 def _t2(k, pu, pd):
@@ -461,16 +456,18 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
     the ring's error (_ring), or, for a point whose next round would take it
     past _MAX_CELLS cells, the largest bound of its cells left, which ends
     its search.  The edges are scanned in the point's unit of power (_form),
-    so no budget overflows a form.  Cells are cut in groups small enough that
-    no temporary, the ring's samples included, holds more than
-    _BLOCK_ELEMENTS values.  Returns one Certified(r_eq, eps, cells) per
-    point, cells counting the bounds evaluated.
+    so no budget overflows a form.  Cells are cut in groups of
+    _BLOCK_ELEMENTS // 8, whose four quarters are each scored at two points,
+    and _ring_rate groups the points it rates by the ring, so no temporary
+    holds more than _BLOCK_ELEMENTS values.  Returns one Certified(r_eq,
+    eps, cells) per point, cells counting the bounds evaluated.
     """
     n = len(points)
-    cols, ring, ring_error = _constants(family, points)
+    cols = _columns(family, points)
+    ring, ring_error = _ring(family, points, cols)
     eps = CERTIFIED_EPS + np.array(ring_error)
     # a group of cells is scored at four times as many quarters, at two points each
-    size = max(1, _BLOCK_ELEMENTS // (8 * ring[0].size))
+    size = _BLOCK_ELEMENTS // 8
     unit = cols.unit  # the scan runs in each point's unit of power (_form)
     u_max = np.array([p.p_u_max for p in points]) * unit
     d_max = np.array([p.p_d_max for p in points]) * unit
@@ -481,12 +478,13 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
     bounded = []  # (cells, their bounds), each cell to be kept or discarded
     for at in range(0, n, size):
         row = np.arange(at, min(n, at + size))
-        k, samples = _terms(cols, ring, row)
+        k = _Form(*(c[row] for c in cols))
         u, d, zero = u_max[row], d_max[row], np.zeros(row.size)
-        for pu, pd in ((u, zero), (zero, d), (u, d), (arg_u[row], arg_d[row])):
-            np.fmax.at(best, row, _value(sic, k, samples, pu, pd))
+        # its three upper budget corners and its argmax: (4, points) points
+        pu, pd = np.stack([u, zero, u, arg_u[row]]), np.stack([zero, d, d, arg_d[row]])
+        np.fmax.at(best, row, _value(sic, k, ring, pu, pd).max(axis=0))
         for edge in ((u, u, zero, d), (zero, u, d, d)):
-            bounded.append(((row, *edge), _bound(sic, k, samples, *edge)))
+            bounded.append(((row, *edge), _bound(sic, k, ring, *edge)))
     while bounded:
         kept, quarters = [], np.zeros(n, dtype=np.int64)
         for cell, bound in bounded:
@@ -511,13 +509,13 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
         for cell in _packed(live, size):
             quarter = _quarters(*cell)
             row, u0, u1, d0, d1 = quarter
-            k, samples = _terms(cols, ring, row)
+            k = _Form(*(c[row] for c in cols))
             # each quarter's centre and top end: (2, quarters) points
             centre_and_top = _value(
-                sic, k, samples, np.stack([u0 + 0.5 * (u1 - u0), u1]),
+                sic, k, ring, np.stack([u0 + 0.5 * (u1 - u0), u1]),
                 np.stack([d0 + 0.5 * (d1 - d0), d1]),
             )
             np.fmax.at(scored, row, centre_and_top.max(axis=0))
-            bounded.append((quarter, _bound(sic, k, samples, u0, u1, d0, d1)))
+            bounded.append((quarter, _bound(sic, k, ring, u0, u1, d0, d1)))
         best = scored
     return [Certified(float(b), float(e), int(c)) for b, e, c in zip(best, eps, cells)]

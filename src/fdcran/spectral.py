@@ -155,9 +155,9 @@ def rate_closed_form(snr_scale, alpha: float):
     an intermediate could pass the float range, z is taken as sqrt(s) times
     the z of 1/s + H(f)^2, as oracle._uplink takes its huge SINRs.
     The integral depends on alpha only through alpha^2, so |alpha| stands in
-    for alpha throughout.  Vectorized over s, scalar in, float out, array in,
-    array out, with no input check (a NaN s gives NaN); alpha is a float or
-    an array that broadcasts against s.
+    for alpha throughout.  s and alpha broadcast against each other: a float
+    when both are scalars, else an array of their broadcast shape, with no
+    input check (a NaN s gives NaN).
     """
     s = np.asarray(snr_scale, dtype=float)
     x = s.reshape(1) if s.ndim == 0 else s  # arrays, for the in-place steps
@@ -186,7 +186,7 @@ def rate_closed_form(snr_scale, alpha: float):
     vals *= _TWO_OVER_LN2
     if huge is not None:
         vals = np.where(huge, _huge_rate(np.where(huge, s, 1.0), a), vals)
-    return float(vals[0]) if s.ndim == 0 else vals
+    return float(vals[0]) if s.ndim == 0 and np.ndim(alpha) == 0 else vals
 
 
 def _sqrt1pm1(x):

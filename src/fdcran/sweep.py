@@ -424,8 +424,8 @@ def _attach_oracles(scheme: SchemeId, rows: list[SweepRow], points) -> None:
         checked = noise < math.inf  # inf at c_u = 0, where no uplink is carried
         alpha = np.array([p.alpha for p in points])[checked]
         found = circulant_uplink_rate(alpha, np.array(p_u)[checked], noise[checked])
-        for row, rate in zip(compress(rows, checked), np.broadcast_to(found, alpha.shape).flat):
-            row.oracle_r_u = float(rate)
+        for row, rate in zip(compress(rows, checked), found.tolist()):
+            row.oracle_r_u = rate
     if receiver is not None:
         argmaxes = [(r.p_u_star, r.p_d_star) for r in rows]
         for row, found in zip(rows, certified_max_min(family, receiver, points, argmaxes)):

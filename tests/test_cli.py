@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -440,9 +441,10 @@ def test_fig2_verify_issues_no_runtime_warning(tmp_path):
 
 
 def test_sweep_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
-    # force a disagreement to exercise the failure path end to end
+    # force a disagreement to exercise the failure path end to end: 99 for
+    # each element, an array of alpha's shape as the oracle returns
     monkeypatch.setattr(
-        fdcran.sweep, "circulant_uplink_rate", lambda *a, **k: 99.0
+        fdcran.sweep, "circulant_uplink_rate", lambda alpha, *a, **k: np.full(alpha.shape, 99.0)
     )
     config = tmp_path / "sweep.cfg"
     config.write_text(TINY_CONFIG, encoding="utf-8")

@@ -92,6 +92,8 @@ def test_the_ring_rate_of_arrays_is_that_of_each_element_alone():
     for (i, j), rate in np.ndenumerate(rates):
         alone = circulant_uplink_rate(float(alpha[j]), float(p_u[i, 0]), sigma)
         assert isinstance(alone, float) and rate == alone
+    # no element, as where every row of a --verify block has c_u = 0
+    assert circulant_uplink_rate(np.zeros(0), np.zeros(0), 0.0).shape == (0,)
 
 
 def test_circulant_rate_input_validation():
@@ -276,6 +278,23 @@ def test_a_default_ring_next_to_one_half_keeps_its_temporaries_to_the_block_size
     assert np.abs(found - rate_closed_form(np.full(3, 1e300), alpha)).max() <= 1e-9
 
 
+def test_a_two_block_ring_rates_each_point_alone_and_keeps_its_temporaries_to_the_block_size(
+    monkeypatch,
+):
+    # a 20,000-cell ring has 10,001 frequencies, two blocks; at s of shape
+    # (2, q) even one point's samples of the first block, across both rows,
+    # pass 8,192 values, so the rows are split too
+    alpha = np.array([0.0, 0.3, 0.45, 0.499])
+    s = np.array([[0.0, 5.0, 1e8, 1.7e308], [3.0, 1e-6, 1e300, 40.0]])
+    monkeypatch.setattr(fdcran.oracle, "np", _SizeProbe())
+    found = fdcran.oracle._ring_rate(2.0 * alpha, s, fdcran.oracle._half_ring(20000))
+    assert 0 < fdcran.oracle.np.largest <= fdcran.oracle._BLOCK_ELEMENTS
+    monkeypatch.undo()
+    assert [block[0].size for block in fdcran.oracle._half_ring(20000)] == [8192, 1809]
+    for (i, j), rate in np.ndenumerate(found):
+        assert rate == circulant_uplink_rate(float(alpha[j]), float(s[i, j]), 0.0, 20000)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("alpha", [0.4999, 0.4999999, 0.4999999989])
 def test_the_default_ring_reaches_the_integral_next_to_one_half(alpha):
@@ -347,18 +366,19 @@ def test_a_cells_bound_is_at_least_the_objective_inside_it(params, p_u, p_d, cut
     d0, d1 = np.concatenate([on_d, ds[:-1]]), np.concatenate([on_d, ds[1:]])
     row = np.zeros(u0.size, dtype=int)
     # the program rejects a quantization noise that overflows at the budgets
-    cols, _, _ = fdcran.oracle._constants("cran", [params])
+    cols = fdcran.oracle._columns("cran", [params])
     quant, base, f, h = (float(cols[n][0]) for n in (1, 2, 3, 4))
     quantized = params.c_u == 0.0 or math.isfinite(quant * (base + f * p_u + h * p_d))
     for family, sic in FAMILIES if quantized else FAMILIES[:2]:
-        cols, ring, _ = fdcran.oracle._constants(family, [params])
-        k, samples = fdcran.oracle._terms(cols, ring, row)
-        bound = fdcran.oracle._bound(sic, k, samples, u0, u1, d0, d1)
+        cols = fdcran.oracle._columns(family, [params])
+        ring, _ = fdcran.oracle._ring(family, [params], cols)
+        k = fdcran.oracle._Form(*(c[row] for c in cols))
+        bound = fdcran.oracle._bound(sic, k, ring, u0, u1, d0, d1)
         assert np.isfinite(bound).all()
         for t in INSIDE:
             pu = np.minimum(u1, u0 + t * (u1 - u0))
             pd = np.minimum(d1, d0 + t * (d1 - d0))
-            value = fdcran.oracle._value(sic, k, samples, pu, pd)
+            value = fdcran.oracle._value(sic, k, ring, pu, pd)
             assert (value <= bound + 1e-12 * np.maximum(1.0, bound)).all(), (family, sic, t)
 
 
@@ -410,15 +430,15 @@ def test_the_ring_error_widens_eps_only_where_the_cells_are_capped():
     # 512, its eps widens by the aliasing bound at its worst SINR scale, at
     # (P_u, 0), which lies far below the old e**(-512 acosh(1 / 0.9994))
     near = [make_params(alpha=0.4), make_params(alpha=0.4997, p_u_max=1e8, c_u=40.0)]
-    _, ring, errors = fdcran.oracle._constants("cran", near)
-    assert ring[0].size == DEFAULT_CELLS // 2 + 1
+    ring, errors = fdcran.oracle._ring("cran", near, fdcran.oracle._columns("cran", near))
+    assert sum(half.size for half, _ in ring) == DEFAULT_CELLS // 2 + 1
     [sigma] = fdcran.oracle.sigma_u_sq(near[1:], [1e8], [0.0])
     assert errors == [0.0, fdcran.oracle._aliasing(DEFAULT_CELLS, 0.4997, 1e8 / (1.0 + sigma))]
     assert 1e-11 < errors[1] < 0.1 * math.exp(-DEFAULT_CELLS * math.acosh(1.0 / 0.9994))
     found = certified_max_min("cran", TAN, near, [(1.0, 1.0)] * 2)
     assert [f.eps for f in found] == [CERTIFIED_EPS, CERTIFIED_EPS + errors[1]]
-    _, ring, errors = fdcran.oracle._constants("cran", near[:1])
-    assert ring[0].size == 31 // 2 + 1 and errors == [0.0]  # 21 / acosh(1.25) = 30.3 cells
+    ring, errors = fdcran.oracle._ring("cran", near[:1], fdcran.oracle._columns("cran", near[:1]))
+    assert sum(half.size for half, _ in ring) == 31 // 2 + 1 and errors == [0.0]  # 21 / acosh(1.25) = 30.3 cells
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -519,15 +539,15 @@ def _does_not_fall_as_both_powers_scale_up(sic, params, u_db, d_db, u, d, scale)
     box, is no lower than at scale <= 1 times those powers."""
     point = replace(params, p_u_max=db_to_linear(u_db), p_d_max=db_to_linear(d_db))
     for family in ("scp", "cran"):
-        cols, ring, _ = fdcran.oracle._constants(family, [point])
-        k, samples = fdcran.oracle._terms(cols, ring, np.zeros(1, dtype=int))
+        k = fdcran.oracle._columns(family, [point])
+        ring, _ = fdcran.oracle._ring(family, [point], k)
         p_u, p_d = u * point.p_u_max * k.unit, d * point.p_d_max * k.unit
         with np.errstate(over="ignore"):
             noise = k.quant * (k.base + k.f * p_u + k.h * p_d)
         if point.c_u > 0.0 and not np.isfinite(noise).all():
             continue  # sigma_u^2 past the float range: the program gives no rates
-        high = fdcran.oracle._value(sic, k, samples, p_u, p_d)
-        low = fdcran.oracle._value(sic, k, samples, scale * p_u, scale * p_d)
+        high = fdcran.oracle._value(sic, k, ring, p_u, p_d)
+        low = fdcran.oracle._value(sic, k, ring, scale * p_u, scale * p_d)
         assert (high >= low - 1e-12 * abs(low)).all(), family
 
 

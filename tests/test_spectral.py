@@ -194,6 +194,20 @@ def test_rate_closed_form_matches_the_complex_form(alpha):
     assert 1022.0 <= got[-1] <= 1024.0
 
 
+@pytest.mark.parametrize("s", [0.0, 7.0, 1e300])
+def test_rate_closed_form_of_a_scalar_s_and_an_array_alpha_is_an_array(s):
+    # a scalar s broadcasts against an array alpha as np.full would; only a
+    # scalar alpha with it gives a float (a scalar s once gave alpha[0]'s rate)
+    alpha = np.array([0.4, 0.4999, 0.5 - 2e-9])
+    for a in (alpha, alpha[:, None]):
+        got = rate_closed_form(s, a)
+        assert got.shape == a.shape
+        assert got.tolist() == rate_closed_form(np.full(a.shape, s), a).tolist()
+    assert rate_closed_form(1e300, alpha)[1] != rate_closed_form(1e300, alpha)[0]
+    scalar = rate_closed_form(s, 0.4)
+    assert isinstance(scalar, float) and scalar == rate_closed_form(np.full(1, s), 0.4)[0]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("alpha", [0.5000001, 0.6, 1.0, 3.0, -0.6, -1.0, -3.0])
 def test_rate_closed_form_matches_the_complex_form_above_one_half(alpha):
