@@ -98,22 +98,29 @@ class SystemParams:
     def __post_init__(self):
         for name in _PARAM_FIELDS:
             v = getattr(self, name)
-            if type(v) is not float:  # an exact float is stored as it is
-                if not isinstance(v, (int, float)):
-                    raise ValueError(f"{name} must be numeric, got {v!r}")
-                v = float(v)
-                object.__setattr__(self, name, v)
-            if not 0.0 <= v < math.inf:  # false for NaN too
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-            if name in _GAIN_FIELDS and math.isinf(2.0 * v * v):
-                raise NumericDomainError(
-                    f"float overflow: {name}={v:g} has a power gain beyond the float range"
-                )
+            if (checked := _check_field(name, v)) is not v:  # an exact float is kept as it is
+                object.__setattr__(self, name, checked)
         if self.gamma_du > 0:
             _warn_inert_gamma_du(self.gamma_du)
 
 
 _PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))  # in validation order
+
+
+def _check_field(name: str, v) -> float:
+    """v as a float, if it is a valid value of the SystemParams field name
+    (ValueError or NumericDomainError otherwise, as SystemParams raises)."""
+    if type(v) is not float:
+        if not isinstance(v, (int, float)):
+            raise ValueError(f"{name} must be numeric, got {v!r}")
+        v = float(v)
+    if not 0.0 <= v < math.inf:  # false for NaN too
+        raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+    if name in _GAIN_FIELDS and math.isinf(2.0 * v * v):
+        raise NumericDomainError(
+            f"float overflow: {name}={v:g} has a power gain beyond the float range"
+        )
+    return v
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,13 @@ exactly on the budget edges (_max_min_search).  A SIC mobile faces the
 co-located uplink codeword, which may be sent at any rate up to the uplink
 capacity r_u; the search maximizes over that carried rate too, and the
 reported r_d is the downlink's at the best carried rate (_receive), so
-r_eq = min(r_u, r_d) is the rate the uplink carries.  _batch builds every
-result, of one scheme at a batch of operating points at once: half duplex
-as the kernels at (P_u, 0) and (0, P_d) for every point, full duplex as one
-power search and both kernels at its argmax, or at the budgets under
-full_power (compute_batch is _batch; compute_scheme, hd_scp, hd_cran, fd_scp
-and fd_cran are its batch of one).  Every point of a batch gets bit-for-bit
-the result it gets alone.  The search calls the kernels (_rates) for all
+r_eq = min(r_u, r_d) is the rate the uplink carries.  _solve forms every
+result, of one scheme at a batch of operating points at once, as columns:
+half duplex as the kernels at (P_u, 0) and (0, P_d) for every point, full
+duplex as one power search and both kernels at its argmax, or at the budgets
+under full_power (compute_batch is _batch, its RateResults; compute_scheme,
+hd_scp, hd_cran, fd_scp and fd_cran are its batch of one).  Every point of a
+batch gets bit-for-bit the result it gets alone.  The search calls the kernels (_rates) for all
 points at once (see compute_batch on memory).
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
@@ -488,17 +488,18 @@ def _consts(family: str, sic, p) -> _Form:
     return k
 
 
-def _batch(family: str, sic, points, full_power: bool = False) -> list:
-    """Each point's result for the scheme of family and receiver sic (None:
-    half duplex), the one place rows are built, all points at once.  Half
-    duplex evaluates the uplink kernel at (P_u, 0) and the downlink kernel at
-    (0, P_d), and balances each point's pair by the time split
-    (equal_rate_split).  Full duplex evaluates both kernels at the power
-    search's argmax, or at the budgets if full_power, and reports their min.
-    The first point with a rate not finite raises, r_u checked before r_d."""
-    p = _columns(points)
+def _solve(family: str, sic, p: _Columns, n: int, full_power: bool = False):
+    """Columns (r_u, r_d, r_eq, diagnostics by name) of the scheme of family
+    and receiver sic (None: half duplex) at n points whose parameters are the
+    _columns p, all at once.  Half duplex evaluates the uplink kernel at
+    (P_u, 0) and the downlink kernel at (0, P_d), and balances each point's
+    pair by equal_rate_split (f_star None where there is no split).  Full
+    duplex evaluates both at the power search's argmax, or at the budgets if
+    full_power, and reports their min.  The first point with a rate not
+    finite raises, r_u checked before r_d.  It builds no SystemParams,
+    RateResult or per-point dict: _batch and run_sweep build their own."""
     k = _consts(family, sic, p)
-    shape, unit = (len(points), 1, 1), k.unit
+    shape, unit = (n, 1, 1), k.unit
     p_u, p_d = (np.broadcast_to(x, shape) for x in (p.p_u_max, p.p_d_max))
     if sic is not None and not full_power:
         _, u, d = _max_min_search(k, (p_u * unit).ravel(), (p_d * unit).ravel(), sic)
@@ -515,17 +516,22 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
         up = (p_u, p_d * (sic is not None))  # the uplink's powers
         diag["sigma_u_sq"] = _checked_sigma_u_sq(k, p.c_u, *up, budgets=False)
         diag.update(sigma_d_sq=sigma_d, p_s=p_s)
-    results = []
-    for u, d, *values in zip(*(x.ravel().tolist() for x in (r_u, r_d, *diag.values()))):
-        diagnostics = dict(zip(diag, values))
-        if sic is None:
-            eq, f_star = equal_rate_split(u, d)
-            if f_star is not None:  # else rate 0 and no time split
-                diagnostics["f_star"] = f_star
-        else:
-            eq = min(u, d)
-        results.append(RateResult(u, d, eq, diagnostics))
-    return results
+    diag = {name: x.ravel().tolist() for name, x in diag.items()}
+    r_u, r_d = r_u.tolist(), r_d.tolist()
+    if sic is None:
+        r_eq, diag["f_star"] = zip(*map(equal_rate_split, r_u, r_d))
+    else:
+        r_eq = list(map(min, r_u, r_d))
+    return r_u, r_d, r_eq, diag
+
+
+def _batch(family: str, sic, points, full_power: bool = False) -> list:
+    """Each point's RateResult of _solve at the points' _columns, f_star left out where None."""
+    r_u, r_d, r_eq, diag = _solve(family, sic, _columns(points), len(points), full_power)
+    return [
+        RateResult(u, d, eq, {name: v for name, v in zip(diag, values) if v is not None})
+        for u, d, eq, *values in zip(r_u, r_d, r_eq, *diag.values())
+    ]
 
 
 # ----------------------------------------------------------------------------
@@ -647,7 +653,8 @@ def compute_batch(scheme: SchemeId, points) -> list[RateResult]:
 
     Every result equals that of the point alone.  The search's kernel calls
     grow with the batch, 2 x len(_WINDOW) = 34 powers a point, so a caller
-    bounds its memory by the batches it passes, as run_sweep does (64).
+    bounds its memory by the batches it passes, as run_sweep does (64) where
+    a scheme searches.
     """
     return _batch(*SCHEMES[scheme], points)
 

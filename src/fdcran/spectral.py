@@ -98,10 +98,12 @@ def zf_constants(alpha: float) -> tuple[float, float]:
     With d = sqrt(1 - 4 alpha^2) and r = (1 - d) / (2 alpha) = 2 alpha / (1 + d),
     1/H(f) has taps (-r)^|k| / d, so unit energy gives h~_0^2 = d^3 and
     R_g(2) = r^2 (1 + 2d): the values of zf_precoder's sampled filter, to
-    quadrature rounding.  alpha is checked as by zf_precoder.
+    quadrature rounding.  d is formed as sqrt((1 - 2 alpha)(1 + 2 alpha)),
+    which does not cancel next to alpha = 1/2, where 1 - 2 alpha is exact
+    (alpha >= 1/4).  alpha is checked as by zf_precoder.
     """
     _check_zf_alpha(alpha)
-    d = math.sqrt(1.0 - 4.0 * alpha * alpha)
+    d = math.sqrt((1.0 - 2.0 * alpha) * (1.0 + 2.0 * alpha))
     r = 2.0 * alpha / (1.0 + d)
     return d * d * d, r * r * (1.0 + 2.0 * d)
 

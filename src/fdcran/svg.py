@@ -8,6 +8,8 @@ fixed size and title; the x axis is labeled with the swept variable.
 
 import math
 
+import numpy as np
+
 from .model import SchemeId
 from .sweep import SweepRow
 
@@ -49,8 +51,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
-def _num(x: float) -> str:
-    return f"{x:.2f}"
+_num = "{:.2f}".format  # a coordinate: two decimals, a C-level call per number
 
 
 def _label(x: float) -> str:
@@ -134,15 +135,15 @@ def emit_svg(rows: list[SweepRow], path) -> None:
     scheme_index = {scheme: i for i, scheme in enumerate(SchemeId)}
     for scheme, points in series:
         color = _PALETTE[scheme_index[scheme] % len(_PALETTE)]
-        coords = [(_num(to_x(x)), _num(to_y(y))) for x, y in points]
-        if len(coords) >= 2:
-            joined = " ".join(f"{px},{py}" for px, py in coords)
+        xs, ys = (np.array(column, dtype=float) for column in zip(*points))
+        px, py = (list(map(_num, c.tolist())) for c in (to_x(xs), to_y(ys)))  # formatted once
+        if len(points) >= 2:
+            joined = " ".join(map(",".join, zip(px, py)))
             parts.append(
                 f'<polyline points="{joined}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"/>'
             )
-        for px, py in coords:
-            parts.append(f'<circle cx="{px}" cy="{py}" r="2.5" fill="{color}"/>')
+        parts += [f'<circle cx="{x}" cy="{y}" r="2.5" fill="{color}"/>' for x, y in zip(px, py)]
 
     # legend, top-left inside the plot area
     for i, (scheme, _) in enumerate(series):

@@ -27,16 +27,16 @@ verification is not a config key: ``fdcran sweep --verify`` is its one switch.
 
 Rows come out one per (sweep value, scheme), sweep value major and scheme in
 enum order minor, so identical configs produce byte-identical CSV output.
-A sweep is solved in blocks of up to 64 values, each scheme's rows of a
-block by one call of rates.compute_batch: the half-duplex kernels at every
+Each scheme's rows of a block of values are solved by one rates._solve
+call on the block's parameter columns: the half-duplex kernels at every
 value's budgets, or one full-duplex max-min power search for the whole
 block, exact on the budget edges.  Nothing splits the search's kernel calls,
-so the block size bounds the solver's memory whatever the sweep length (a
-block's edge search takes 64 x 2 x 17 powers), and MAX_SWEEP_VALUES bounds
-the sweep.  C-RAN rows are exact (closed forms, see rates), and the search
-has no grid, so a sweep has no quadrature or resolution setting.  A sweep
-runs in this one process: with the search this cheap, worker processes
-would cost more than they save.
+so blocks of up to 64 values bound its memory (a block's edge search takes
+64 x 2 x 17 powers), and each oracle call's under --verify; other sweeps
+are one block, which MAX_SWEEP_VALUES bounds.  C-RAN rows are exact (closed
+forms, see rates), and the search has no grid, so a sweep has no quadrature
+or resolution setting.  A sweep runs in this one process: with the search
+this cheap, worker processes would cost more than they save.
 
 A row's r_u is the uplink capacity at its powers (p_u*, p_d*).  A SIC
 mobile faces the co-located uplink codeword at any carried rate up to that
@@ -58,13 +58,13 @@ block nor with the budgets.
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
-from .model import SchemeId, SystemParams, db_to_linear
+from .model import SchemeId, SystemParams, _check_field, db_to_linear
 from .oracle import certified_max_min, circulant_uplink_rate, sigma_u_sq
-from .rates import SCHEMES, compute_batch, compute_scheme
+from .rates import SCHEMES, _Columns, _solve, compute_scheme
 
 __all__ = [
     "CSV_COLUMNS",
@@ -369,41 +369,58 @@ class SweepRow:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Compute one row per (sweep value, scheme) in deterministic order.
 
-    Sweep values are taken in blocks of _BLOCK, which bounds the solver's
-    memory.  Within a block each scheme is solved for all values at once
-    (compute_batch).  A block's points are built inside that replayed solve:
-    after it raises, compute_scheme replays the block's rows in (value,
-    scheme) order, so the error is that of the first failing row.
-    Under spec.oracle each block's rows get their oracle values.
+    Sweep values are taken in blocks of _BLOCK where a scheme searches its
+    powers, which bounds the search's memory, and under spec.oracle, where
+    each block's rows get their oracle values (the circulant ring is sized
+    by the largest alpha of each call); else the sweep is one block.  Each
+    scheme is solved for all values of a block at once (rates._solve), on
+    parameters built inside that replayed solve: after it raises,
+    compute_scheme replays the block's rows in (value, scheme) order, so the
+    error is that of the first failing row.
     """
     values = spec.values()
-    rows = []
-    for start in range(0, len(values), _BLOCK):
-        rows += _run_block(spec, values[start : start + _BLOCK])
-    return rows
+    searched = any(SCHEMES[s][1] is not None for s in spec.schemes)
+    size = _BLOCK if searched or spec.oracle else len(values)
+    blocks = (values[at : at + size] for at in range(0, len(values), size))
+    return [row for block in blocks for row in _run_block(spec, block)]
+
+
+# the SystemParams fields of a joint sweep variable; any other is one field
+_JOINT_FIELDS = {"c_u_c_d_joint": ("c_u", "c_d"), "p_db_joint": ("p_u_max", "p_d_max")}
+
+
+def _block_columns(spec: SweepSpec, block) -> _Columns:
+    """A block's rates._Columns, with no SystemParams per value: the fields
+    of params_at(block[0]), but for the swept field, or both joint fields, an
+    (n, 1, 1) column of the values, each checked as SystemParams checks the
+    field (the joint fields share their rules)."""
+    first = spec.params_at(block[0])
+    names = _JOINT_FIELDS.get(spec.sweep_var, (spec.sweep_var,))
+    values = map(db_to_linear, block) if spec.sweep_var == "p_db_joint" else block
+    column = np.array([_check_field(names[0], v) for v in values])[:, None, None]
+    return _Columns._make(column if f in names else getattr(first, f) for f in _Columns._fields)
 
 
 def _run_block(spec: SweepSpec, block) -> list[SweepRow]:
-    """Rows of one block, each scheme's points solved by compute_batch, and
+    """Rows of one block, each scheme's columns solved by rates._solve, and
     under spec.oracle with their oracle values: the circulant check of each
     C-RAN row and the certified optima."""
     try:
-        points = [spec.params_at(value) for value in block]
-        solved = [compute_batch(s, points) for s in spec.schemes]
+        columns = _block_columns(spec, block)
+        solved = [_solve(*SCHEMES[s], columns, len(block)) for s in spec.schemes]
     except ValueError:
         for value in block:  # the first failing row in (value, scheme) order raises
             for scheme in spec.schemes:
                 compute_scheme(scheme, spec.params_at(value))
         raise
-    rows = [
-        SweepRow(
-            spec.sweep_var, value, scheme, result.r_u, result.r_d, result.r_eq,
-            *map(result.diagnostics.get, _DIAGNOSTICS),
-        )
-        for value, *results in zip(block, *solved)
-        for scheme, result in zip(spec.schemes, results)
+    by_scheme = [
+        map(SweepRow, repeat(spec.sweep_var), block, repeat(scheme), r_u, r_d, r_eq,
+            *(diag.get(name, repeat(None)) for name in _DIAGNOSTICS))
+        for scheme, (r_u, r_d, r_eq, diag) in zip(spec.schemes, solved)
     ]
+    rows = [row for at_value in zip(*by_scheme) for row in at_value]
     if spec.oracle:  # each scheme's rows are one stride of the block, one per point
+        points = [spec.params_at(value) for value in block]
         for at, scheme in enumerate(spec.schemes):
             _attach_oracles(scheme, rows[at :: len(spec.schemes)], points)
     return rows

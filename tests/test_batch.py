@@ -2,8 +2,10 @@
 gets exactly the result it gets alone, a sweep's rows are those results, the
 replay of a failing block reports its first failing row, and no kernel call
 outgrows a block's edge search.  Nothing splits a kernel call: the sweep's
-block size is what bounds it."""
+block size is what bounds it, and a half-duplex sweep, which has no search,
+is one block."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 import fdcran.rates as rates
 import fdcran.sweep as sweep
-from fdcran.model import NumericDomainError, PowerAllocation, SchemeId
+from fdcran.model import NumericDomainError, PowerAllocation, SchemeId, ZfSingularError
 from fdcran.rates import compute_batch, compute_scheme, fd_cran_uplink, hd_cran_uplink
 from fdcran.spectral import zf_precoder
 from fdcran.sweep import SWEEP_VARS, SweepSpec, preset_spec, run_sweep
@@ -153,3 +155,73 @@ def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
     assert one_point[1] == 2 * rates._WINDOW.size
     assert max(sizes) == len(DOMAIN) * one_point[1]
     assert len(sizes) < len(DOMAIN) * one_point[0] / 4  # the batch shares its calls
+
+
+# (start, stop, step) of a half-duplex sweep of each variable, each longer than
+# a block of the full-duplex search; the joint fronthaul sweep starts at 0,
+# where f_star has no split and hd_cran's sigma_u^2 is inf
+_HD_SWEEPS = {
+    "c_u_c_d_joint": (0.0, 12.0, 0.1),
+    "gamma_ud": (0.0, 8.0, 0.1),
+    "alpha": (0.0, 0.495, 0.005),
+    "beta_du": (0.0, 1.0, 0.01),
+    "beta_ud": (0.0, 1.0, 0.01),
+    "p_db_joint": (-10.0, 90.0, 1.0),
+}
+
+
+def _bits(*numbers) -> list:
+    return [x if x is None else float(x).hex() for x in numbers]
+
+
+@pytest.mark.parametrize("sweep_var", SWEEP_VARS)
+def test_a_half_duplex_sweep_in_one_block_gives_each_row_its_lone_result(sweep_var):
+    start, stop, step = _HD_SWEEPS[sweep_var]
+    spec = SweepSpec(
+        sweep_var=sweep_var, start=start, stop=stop, step=step,
+        schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN),
+    )
+    assert len(spec.values()) > sweep._BLOCK
+    rows = run_sweep(spec)
+    assert [(r.value, r.scheme) for r in rows] == [
+        (v, s) for v in spec.values() for s in spec.schemes
+    ]
+    for row in rows:
+        want = compute_scheme(row.scheme, spec.params_at(row.value))
+        diag = want.diagnostics
+        assert _bits(row.r_u, row.r_d, row.r_eq, row.sigma_u_sq, row.sigma_d_sq, row.f_star) == (
+            _bits(
+                want.r_u, want.r_d, want.r_eq, diag.get("sigma_u_sq"), diag.get("sigma_d_sq"),
+                diag.get("f_star"),
+            )
+        )
+        assert row.p_u_star is None and row.p_d_star is None
+    if sweep_var == "c_u_c_d_joint":
+        scp, cran = rows[:2]
+        assert scp.f_star is None and cran.f_star is None
+        assert cran.sigma_u_sq == math.inf
+
+
+def test_a_long_half_duplex_sweep_calls_each_kernel_once_per_scheme(monkeypatch):
+    # hd_domain's sweep length: 834 values, one block, one uplink kernel call
+    # per scheme (blocks of 64 made 14)
+    sizes = _recording(monkeypatch)
+    spec = SweepSpec(
+        sweep_var="alpha", start=0.0, stop=0.4995, step=0.4995 / 833,
+        schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN),
+    )
+    assert len(spec.values()) == 834
+    assert len(run_sweep(spec)) == 2 * 834
+    assert sizes == [834, 834]
+
+
+def test_a_half_duplex_block_reports_its_first_singular_alpha():
+    # 101 values in one block: alpha = 0.501 is the first at or above 1/2
+    spec = SweepSpec(
+        sweep_var="alpha", start=0.3, stop=0.6, step=0.003, schemes=(SchemeId.HD_CRAN,)
+    )
+    values = spec.values()
+    assert len(values) == 101 and values[67] == 0.501 and max(values[:67]) < 0.5
+    with pytest.raises(ZfSingularError) as err:
+        run_sweep(spec)
+    assert err.value.alpha == 0.501

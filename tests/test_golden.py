@@ -9,7 +9,9 @@ by row, and the fig2 chart byte for byte.
   base point, which covers the zero-forcing constants up to the singularity;
 - p_db_joint.csv and .svg: all six schemes over joint budgets of -10, 144,
   ..., 3070 dB at c_u = c_d = 2000, whose top budgets scale each point's unit
-  of power (rates._unit).
+  of power (rates._unit);
+- hd_cucd.csv and .svg: hd_scp and hd_cran over c_u = c_d = 0, 0.1, ..., 12,
+  a half-duplex sweep in one block, whose rows at 0 have no time split.
 
 The CSVs keep nine significant digits, so each value is exact to 5e-9 of
 itself, and to 5e-9 absolute below 10, where every rate of the other CSVs is.
@@ -79,3 +81,15 @@ def test_p_db_joint_sweep_matches_the_golden_csv_and_svg(tmp_path):
     out = tmp_path / "p_db_joint.svg"
     emit_svg(rows, out)
     assert out.read_bytes() == (DATA / "p_db_joint.svg").read_bytes()
+
+
+def test_hd_cucd_sweep_matches_the_golden_csv_and_svg(tmp_path):
+    spec = SweepSpec(
+        sweep_var="c_u_c_d_joint", start=0.0, stop=12.0, step=0.1,
+        schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN),
+    )
+    rows = run_sweep(spec)
+    _assert_rows_match(rows, "hd_cucd.csv", RATES + ("f_star",))
+    out = tmp_path / "hd_cucd.svg"
+    emit_svg(rows, out)
+    assert out.read_bytes() == (DATA / "hd_cucd.svg").read_bytes()

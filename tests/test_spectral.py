@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -103,6 +105,29 @@ def test_zf_constants_match_the_sampled_precoder():
         assert h0sq == pytest.approx(h_tilde(pre, alpha, 0) ** 2, rel=1e-12, abs=0.0), alpha
         assert rg2 == pytest.approx(_zero_forcing(alpha)[1], rel=0.0, abs=1e-14), alpha
     assert zf_constants(0.0) == (1.0, 0.0)
+
+
+def _zf_constants_60_digits(alpha: float) -> tuple[Decimal, Decimal]:
+    # (d^3, r^2 (1 + 2d)) of the float alpha, exactly as given, to 60 digits
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a = Decimal(alpha)
+        d = (1 - 4 * a * a).sqrt()
+        r = 2 * a / (1 + d)
+        return d * d * d, r * r * (1 + 2 * d)
+
+
+def test_zf_constants_keep_their_digits_next_to_one_half():
+    # d = sqrt((1 - 2 alpha)(1 + 2 alpha)) does not cancel as 4 alpha^2 nears
+    # 1; sqrt(1 - 4 alpha^2) lost up to 5.6e-9 relative in d^3 here
+    rng = random.Random(20141)
+    limit = 0.5 - 1e-9  # the least alpha zero forcing rejects
+    near = [0.5 - 10.0**-k for k in range(1, 9)] + [math.nextafter(limit, 0.0), 0.4999999963]
+    spread = [rng.uniform(0.0, limit) for _ in range(2000)]
+    edge = [0.5 - rng.uniform(2e-9, 1e-3) for _ in range(2000)]
+    for alpha in near + spread + edge:
+        for got, want in zip(zf_constants(alpha), _zf_constants_60_digits(alpha)):
+            assert abs(Decimal(got) - want) <= Decimal("1e-15") * want, alpha
 
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)

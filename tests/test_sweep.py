@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fdcran.cli
 import fdcran.oracle
 import fdcran.rates
 import fdcran.spectral
@@ -461,3 +463,62 @@ def test_a_receiver_verified_alone_gets_the_rows_of_the_full_run(fig3_verify_row
     assert all(r.oracle_r_eq is not None for r in alone)
     # rows compare field by field, oracle_r_eq included
     assert alone == [r for r in fig3_verify_rows if r.scheme is scheme]
+
+
+def test_a_swept_value_is_checked_as_its_systemparams_field():
+    # half-duplex rates do not read gamma_ud, so only the check of each swept
+    # value catches a negative one; the replay names the first
+    spec = small_spec(
+        sweep_var="gamma_ud", start=-0.5, stop=0.5, step=0.25,
+        schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN),
+    )
+    with pytest.raises(ValueError, match=r"gamma_ud must be finite and >= 0, got -0\.5$"):
+        run_sweep(spec)
+    # a gain whose power gain overflows, past 9.5e153, in the middle of a
+    # block: the check raises before the kernels' gamma_ud**2 would overflow
+    spec = replace(spec, start=0.0, stop=2e154, step=1e152)
+    first = next(v for v in spec.values() if math.isinf(2.0 * v * v))
+    message = re.escape(f"gamma_ud={first:g} has a power gain")
+    with pytest.raises(NumericDomainError, match=message):
+        run_sweep(spec)
+
+
+def test_a_half_duplex_block_reports_its_first_overflowing_row(tmp_path, capsys):
+    # 101 joint budgets in one block: sigma_u^2 first overflows at 3050.4 dB,
+    # where hd_cran checks it at (P_u, 0)
+    config = tmp_path / "over.cfg"
+    config.write_text(
+        "schemes = hd_scp, hd_cran\nbase.c_u = 0.001\nsweep.var = p_db_joint\n"
+        "sweep.start = 3000\nsweep.stop = 3090\nsweep.step = 0.9\n"
+    )
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "over.csv")]
+    assert fdcran.cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        "numeric error: sigma_u_sq overflows a float at the budgets "
+        "p_u_max=1.0964781961432367e+305, p_d_max=0.0\n"
+    )
+
+
+def test_a_long_half_duplex_verify_sweep_keeps_the_oracle_temporaries_bounded(monkeypatch):
+    # 834 values: the oracles run per block of 64, the circulant ring of each
+    # sized by that block's largest alpha, no temporary above _BLOCK_ELEMENTS
+    spec = SweepSpec(
+        sweep_var="alpha", start=0.0, stop=0.4995, step=0.4995 / 833,
+        schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN), oracle=True,
+    )
+    plain = run_sweep(replace(spec, oracle=False))
+    calls = []
+    circulant = fdcran.sweep.circulant_uplink_rate
+
+    def counted(alpha, *args):
+        calls.append(alpha.size)
+        return circulant(alpha, *args)
+
+    monkeypatch.setattr(fdcran.sweep, "circulant_uplink_rate", counted)
+    probe = _SizeProbe()
+    monkeypatch.setattr(fdcran.oracle, "np", probe)
+    rows = run_sweep(spec)
+    assert 0 < probe.largest <= fdcran.oracle._BLOCK_ELEMENTS
+    assert calls == [64] * 13 + [834 - 13 * 64]
+    assert verification_failures(rows) == []
+    assert [replace(r, oracle_r_u=None) for r in rows] == plain
