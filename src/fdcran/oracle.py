@@ -6,10 +6,11 @@ log-determinant over a circulant channel matrix; building that matrix for a
 finite ring of cells and evaluating the log-det directly checks the limit
 without sharing any code with the closed form.  Cells wrap around (a ring
 rather than a truncated line) so no border effects pollute the comparison
-with the infinite-array formulas.  One sampler, _half_ring, gives every
-ring: the circulant uplink check's, the certified oracle's uplink ring, and
-the ring on which the oracle takes zero forcing's h~_0^2 and R_g(2)
-(_zero_forcing) instead of the closed forms the rate kernels use.
+with the infinite-array formulas; _alias_term takes off the ring's exact
+aliasing where DEFAULT_CELLS cells fall short.  One sampler, _half_ring,
+gives every ring: the circulant uplink check's, the certified oracle's
+uplink ring, and the ring on which the oracle takes zero forcing's h~_0^2
+and R_g(2) (_zero_forcing) instead of the closed forms the rate kernels use.
 
 The full-duplex max-min power optimum is certified by branch and bound
 (certified_max_min; monotonic optimization, H. Tuy, SIAM J. Optim. 2000, and
@@ -81,24 +82,22 @@ def circulant_uplink_rate(alpha, p_u, sigma_u_sq, n: int | None = None):
     Evaluates (1/n) log2 det(I + p_u/(1 + sigma_u_sq) H H^T) through the
     circulant eigenvalues 1 + 2 alpha cos(2 pi j / n), over _half_ring's
     n // 2 + 1 weighted samples, in _ring_rate's form, which holds up to the
-    top of the float range; as n grows this converges to the unit-interval
-    spectral integral, within _aliasing's bound.  n defaults to the larger
-    of DEFAULT_CELLS and _depth of the call's largest alpha: DEFAULT_CELLS up
-    to alpha = 0.4995, about 3.2e5 cells at the zero-forcing limit.  alpha,
+    top of the float range.  n None gives the spectral integral: the
+    DEFAULT_CELLS-cell ring less its exact aliasing (_alias_term).  alpha,
     p_u and sigma_u_sq broadcast against each other: floats give a float,
     arrays an array of their broadcast shape.  One _ring_rate call rates
-    every element, no temporary holding more than _BLOCK_ELEMENTS values.
+    every element, no temporary of samples holding more than _BLOCK_ELEMENTS.
     """
     alpha, p_u, sigma_u_sq = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (alpha, p_u, sigma_u_sq))
     )
-    if n is None:
-        n = max(DEFAULT_CELLS, _depth(float(alpha.max(initial=0.0))))
-    if n < _MIN_CELLS:
-        raise ValueError(f"need at least {_MIN_CELLS} cells, got {n}")
+    cells, alias = (DEFAULT_CELLS, DEFAULT_CELLS) if n is None else (n, 0)
+    if cells < _MIN_CELLS:
+        raise ValueError(f"need at least {_MIN_CELLS} cells, got {cells}")
     if (p_u < 0).any() or (sigma_u_sq < 0).any():
         raise ValueError("p_u and sigma_u_sq must be >= 0")
-    rate = _ring_rate((2.0 * alpha).ravel(), (p_u / (1.0 + sigma_u_sq)).ravel(), _half_ring(n))
+    two_alpha, s = (2.0 * alpha).ravel(), (p_u / (1.0 + sigma_u_sq)).ravel()
+    rate = _ring_rate(two_alpha, s, _half_ring(cells)) - _alias_term(alias, two_alpha, s)
     return float(rate[0]) if alpha.ndim == 0 else rate.reshape(alpha.shape)
 
 
@@ -128,22 +127,30 @@ def _eigenvalues(two_alpha, half):
     return (1.0 - two_alpha) + 2.0 * two_alpha * half
 
 
-def _aliasing(n: int, alpha: float, s: float) -> float:
-    """Bound on how far the n-cell ring's mean of log2(1 + s lam^2) lies from
-    the infinite array's integral, for 0 <= alpha < 1/2 and s >= 0.  As a
-    function of theta = 2 pi f, 1 + s lam^2 = (alpha^2 s / |q|^2)
-    |1 - q e^(i theta)|^2 |1 - q e^(-i theta)|^2, where |q| = e^-y < 1 and
-    cosh y is the mean distance of (-1 + i / sqrt(s)) / (2 alpha), the
-    root of 1 + i sqrt(s) lam, from +-1.  So the log's Fourier coefficients
-    at +-m are at most 2 |q|^m / (m ln 2), and the ring's mean aliases only
-    those at multiples of n: at most 4 rho / (n ln 2 (1 - rho)), rho =
-    e^(-n y) (Trefethen and Weideman, "The exponentially convergent
-    trapezoidal rule", SIAM Review 2014)."""
-    if alpha == 0.0 or s == 0.0:
-        return 0.0  # lam = 1, or a zero integrand: the ring is exact
-    distances = (math.sqrt(1.0 / s + (1.0 + e) ** 2) for e in (2.0 * alpha, -2.0 * alpha))
-    y = math.acosh(sum(distances) / (4.0 * alpha))
-    return 4.0 * math.exp(-n * y) / (n * math.log(2.0) * -math.expm1(-n * y))
+def _alias_term(n, two_alpha, s):
+    """How far the n-cell ring's mean of log2(1 + s lam^2) lies above the
+    integral, exactly: (4/n) log2|1 - w**-n|, the Fourier coefficients of
+    log2(1 + s lam^2) = log2(alpha^2 s |z - w|^2 |z - 1/w|^2) on |z| = 1 that
+    the ring aliases (Trefethen and Weideman, SIAM Review 2014); w + 1/w =
+    2c, |w| > 1, for c = (-1 + i/sqrt(s)) / (2 alpha), the root of
+    1 + i sqrt(s) lam.  c -+ 1 are formed as (-(1 +- 2 alpha) + i/sqrt(s)) /
+    (2 alpha), which do not cancel next to alpha = 1/2, log|w| by log1p, and
+    |1 - w**-n|^2 as expm1(-n log|w|)^2 + 4 |w|**-n sin^2(n arg(w) / 2).
+    n, two_alpha and s broadcast; 0 where n, alpha or s is 0."""
+    if not np.any(n):
+        return 0.0
+    # alpha or s below 1e-300 gives w**-n = 0, a zero term; n = 0 is left out last
+    m, a, tt = np.maximum(n, 1), np.maximum(two_alpha, 1e-300), 1.0 / np.maximum(s, 1e-300)
+    t = np.sqrt(tt)
+    # 2 alpha sqrt(c -+ 1) = sqrt(-x + i t) = t / (2q) + i q, 2 q^2 = g = |x + i t| + x,
+    # x = 1 +- 2 alpha; 2 alpha w = u - 1, u = 2 alpha sqrt(c - 1) sqrt(c + 1) + i t
+    g1, g2 = (np.sqrt(x * x + tt) + x for x in (1.0 + a, 1.0 - a))
+    r = np.sqrt(g1 * g2)
+    re, im = 0.5 * (tt / r - r), t * (0.5 * (g1 + g2) / r + 1.0)
+    decay = m * (np.log(a) - 0.5 * np.log1p(re * (re - 2.0) + im * im))  # -n log|w|
+    turn = 0.5 * m * np.arctan2(im, re - 1.0)
+    gap = np.expm1(decay) ** 2 + 4.0 * np.exp(decay) * np.sin(turn) ** 2
+    return np.where(n > 0, (2.0 / m) * np.log2(gap), 0.0)
 
 
 def _ring_rate(two_alpha, s, ring):
@@ -153,7 +160,7 @@ def _ring_rate(two_alpha, s, ring):
     point or one for all; log2 s + log2(1/s + lam^2) where s lam^2 passes
     the float range.  The points go in groups whose samples of a block fit
     _BLOCK_ELEMENTS values, their eigenvalues shared across s's leading
-    axes, or, where even one point's would not fit, one row of s at a time.
+    axes, which must hold at most _BLOCK_ELEMENTS / (block size) rows.
     An array of s's shape, at least 1-d."""
     s = np.atleast_1d(s)
     count, per_point = s.shape[-1], np.ndim(two_alpha) > 0
@@ -161,23 +168,19 @@ def _ring_rate(two_alpha, s, ring):
     rate = None
     for half, weights in ring:
         size = _BLOCK_ELEMENTS // (lead * half.size)  # points per group
-        if size == 0:  # not even one point's samples fit: one row of s at a time
-            rows = s.reshape(lead, count)
-            block = np.reshape([_ring_rate(two_alpha, r, [(half, weights)]) for r in rows], s.shape)
-        else:
-            sums = []
-            for at in range(0, count or 1, size):  # an empty s: one empty group
-                lam = _eigenvalues(two_alpha[at : at + size, None] if per_point else two_alpha, half)
-                lam2, s_at = lam * lam, s[..., at : at + size, None]
-                with np.errstate(over="ignore"):
-                    x = s_at * lam2
-                samples = np.log2(1.0 + x)
-                big = np.isinf(x)
-                if big.any():
-                    s_big, lam2_big = (y[big] for y in np.broadcast_arrays(s_at, lam2))
-                    samples[big] = np.log2(s_big) + np.log2(1.0 / s_big + lam2_big)
-                sums.append((samples * weights).sum(axis=-1))
-            block = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=-1)
+        sums = []
+        for at in range(0, count or 1, size):  # an empty s: one empty group
+            lam = _eigenvalues(two_alpha[at : at + size, None] if per_point else two_alpha, half)
+            lam2, s_at = lam * lam, s[..., at : at + size, None]
+            with np.errstate(over="ignore"):
+                x = s_at * lam2
+            samples = np.log2(1.0 + x)
+            big = np.isinf(x)
+            if big.any():
+                s_big, lam2_big = (y[big] for y in np.broadcast_arrays(s_at, lam2))
+                samples[big] = np.log2(s_big) + np.log2(1.0 / s_big + lam2_big)
+            sums.append((samples * weights).sum(axis=-1))
+        block = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=-1)
         rate = block if rate is None else rate + block
     return rate
 
@@ -248,7 +251,7 @@ def exhaustive_power_opt(
 #
 # Both processing families share one form of the objective, with per-point
 # constants (_Form):
-#   r_u = min(sum_j weight_j log2(1 + s lam_j^2), cap_u),
+#   r_u = min(sum_j weight_j log2(1 + s lam_j^2) - aliasing, cap_u),
 #         s = p_u / (unit + quant 2**-shift (base + f p_u + h p_d)),
 #   t1 = C(a p_d / den), t2 = C((a p_d + g p_u) / den), t3 = C(a p_d / (den + g p_u)),
 #         den = unit + b p_d + c p_u,
@@ -261,13 +264,15 @@ def exhaustive_power_opt(
 # (1 + (1 + 2 alpha^2) p_u + 2 beta_du^2 (1 + R_g(2)) p_d) / (2**c_u - 1)
 # (base = unit, quant 2**-shift = 1 / (2**c_u - 1)), and precodes with zero
 # forcing (h~_0^2 and R_g(2) from _zero_forcing's ring) at stream power
-# p_d (1 - 2**-c_d) and quantization noise p_d 2**-c_d.  A SIC mobile facing
+# p_d (1 - 2**-c_d) and quantization noise p_d 2**-c_d.  aliasing is that of
+# an alias-cell ring (_alias_term), alias = DEFAULT_CELLS where the point's
+# _depth passes the ring's cap (_ring), else 0.  A SIC mobile facing
 # the uplink codeword at a carried rate R <= r_u gets max(t3, min(t1, t2 -
 # R)) (treating it as noise, or decoding jointly without having to decode
 # it), and min(R, that) is largest at max(min(r_u, t3), min(r_u, t1, t2/2)):
 # the SIC r_d above, in min(r_u, r_d).
 
-_Form = namedtuple("_Form", "two_alpha quant base f h cap_u a b c g cap_d unit shift")
+_Form = namedtuple("_Form", "two_alpha quant base f h cap_u a b c g cap_d unit shift alias")
 
 # a point's certificate: its maximum lies in [r_eq, r_eq + eps], found after
 # bounding the objective over that many cells
@@ -281,7 +286,7 @@ def _form(family: str, p) -> _Form:
     the form overflows a float, while every SINR stays as it is."""
     a2, du, ud, g2 = p.alpha**2, 2.0 * p.beta_du**2, 2.0 * p.beta_ud**2, p.gamma_ud**2
     if family == "scp":
-        k = _Form(0.0, 1.0, 0.0, 2.0 * a2, du, p.c_u, 1.0, 2.0 * a2, ud, g2, p.c_d, 1.0, 0)
+        k = _Form(0.0, 1.0, 0.0, 2.0 * a2, du, p.c_u, 1.0, 2.0 * a2, ud, g2, p.c_d, 1.0, 0, 0)
     else:
         h0sq, rg2 = _zero_forcing(p.alpha)
         # 1 / (2**c_u - 1) = quant 2**-shift, inf at c_u = 0, where the
@@ -292,6 +297,7 @@ def _form(family: str, p) -> _Form:
         k = _Form(
             2.0 * p.alpha, quant, 1.0, 1.0 + 2.0 * a2, du * (1.0 + rg2), math.inf,
             (1.0 - q_d) * h0sq, q_d * (1.0 + 2.0 * a2), ud, g2, math.inf, 1.0, shift,
+            DEFAULT_CELLS if _depth(p.alpha) > DEFAULT_CELLS else 0,
         )
     gain = max(1.0, k.f, k.h, k.a, k.b, k.c, k.g)
     e = math.frexp(gain)[1] + math.frexp(max(p.p_u_max, p.p_d_max))[1] - 1016
@@ -319,29 +325,18 @@ def _zero_forcing(alpha: float) -> tuple[float, float]:
     return 1.0 / mean, lag2 / mean
 
 
-def _ring(family: str, points, k):
-    """(ring, error per point) of the uplink at the points, k their _Form
-    columns, ring being the tuple of _half_ring's blocks: for single-cell
-    processing, which decodes each cell alone, the ring of one cell.
-
-    For C-RAN an n-cell ring samples the infinite array's rate integrand at
-    n points, n = _depth(alpha) for the largest alpha of the points, at
-    least _MIN_CELLS and at most DEFAULT_CELLS.  A point the ring covers to
-    that depth gets error 0, its error being about e**-_RING_DEPTH; one
-    whose alpha is so close to 1/2 that the cap binds gets _aliasing's bound
-    at its worst SINR scale, p_u / (1 + sigma_u^2) at (P_u, 0), as the bound
-    rises with the scale.
+def _ring(family: str, points):
+    """The uplink ring of the points, the tuple of _half_ring's blocks: for
+    single-cell processing, which decodes each cell alone, the ring of one
+    cell.  For C-RAN an n-cell ring samples the rate integrand at n points,
+    n = _depth of the points' largest alpha, at least _MIN_CELLS and at most
+    DEFAULT_CELLS: a point whose _depth passes that takes off the ring's
+    exact aliasing (_Form's alias), any other misses by about e**-_RING_DEPTH.
     """
     if family == "scp":
-        return tuple(_half_ring(1)), [0.0] * len(points)
+        return tuple(_half_ring(1))
     n = min(DEFAULT_CELLS, max(_MIN_CELLS, _depth(max(p.alpha for p in points))))
-    u_max = np.array([p.p_u_max for p in points]) * k.unit
-    with np.errstate(over="ignore"):  # sigma_u^2 past the float range: no uplink
-        worst = (u_max / (k.unit + _sigma(k, u_max, 0.0))).tolist()
-    errors = [
-        _aliasing(n, p.alpha, s) if _depth(p.alpha) > n else 0.0 for p, s in zip(points, worst)
-    ]
-    return tuple(_half_ring(n)), errors
+    return tuple(_half_ring(n))
 
 
 def _columns(family: str, points) -> _Form:
@@ -351,8 +346,10 @@ def _columns(family: str, points) -> _Form:
 
 def _sigma(k, pu, pd):
     """The uplink quantization noise quant 2**-shift (base + f p_u + h p_d),
-    powers and noise in the points' unit of power (_form)."""
-    return np.ldexp(k.quant * (k.base + k.f * pu + k.h * pd), -k.shift)
+    powers and noise in the points' unit of power (_form); h p_d is 0 where
+    p_d is, though h overflows to inf past beta_du = 7.6e153."""
+    load = k.base + k.f * pu + (k.h * pd if np.any(pd) else 0.0 * pd)
+    return np.ldexp(k.quant * load, -k.shift)
 
 
 def sigma_u_sq(points, p_u, p_d):
@@ -368,9 +365,10 @@ def sigma_u_sq(points, p_u, p_d):
 
 def _uplink(k, ring, pu, pd):
     """r_u at powers whose last axis runs over k's points, on their ring
-    (_ring)."""
+    (_ring), less its aliasing where k.alias asks for it."""
     s = pu / (k.unit + _sigma(k, pu, pd))
-    return np.minimum(_ring_rate(k.two_alpha, s, ring), k.cap_u)
+    rate = _ring_rate(k.two_alpha, s, ring) - _alias_term(k.alias, k.two_alpha, s)
+    return np.minimum(rate, k.cap_u)
 
 
 def _t2(k, pu, pd):
@@ -451,21 +449,20 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
     more than eps is cut in four (_quarters), and each new cell's top end and
     centre are scored.  A round's scores prune cells from the next round on,
     so a point gets the same result in any batch.  When no cell is left, the
-    point's maximum lies in [r_eq, r_eq + eps]: eps is CERTIFIED_EPS plus,
-    for C-RAN at an alpha so close to 1/2 that the ring reaches DEFAULT_CELLS,
-    the ring's error (_ring), or, for a point whose next round would take it
-    past _MAX_CELLS cells, the largest bound of its cells left, which ends
-    its search.  The edges are scanned in the point's unit of power (_form),
-    so no budget overflows a form.  Cells are cut in groups of
-    _BLOCK_ELEMENTS // 8, whose four quarters are each scored at two points,
-    and _ring_rate groups the points it rates by the ring, so no temporary
-    holds more than _BLOCK_ELEMENTS values.  Returns one Certified(r_eq,
-    eps, cells) per point, cells counting the bounds evaluated.
+    point's maximum lies in [r_eq, r_eq + eps]: eps is CERTIFIED_EPS, or,
+    for a point whose next round would take it past _MAX_CELLS cells, the
+    largest bound of its cells left, which ends its search.  The edges are
+    scanned in the point's unit of power (_form), so no budget overflows a
+    form.  Cells are cut in groups of _BLOCK_ELEMENTS // 8, whose four
+    quarters are each scored at two points, and _ring_rate groups the points
+    it rates by the ring, so no temporary holds more than _BLOCK_ELEMENTS
+    values.  Returns one Certified(r_eq, eps, cells) per point, cells
+    counting the bounds evaluated.
     """
     n = len(points)
     cols = _columns(family, points)
-    ring, ring_error = _ring(family, points, cols)
-    eps = CERTIFIED_EPS + np.array(ring_error)
+    ring = _ring(family, points)
+    eps = np.full(n, CERTIFIED_EPS)
     # a group of cells is scored at four times as many quarters, at two points each
     size = _BLOCK_ELEMENTS // 8
     unit = cols.unit  # the scan runs in each point's unit of power (_form)

@@ -231,8 +231,10 @@ def _per_unit_quantization(c: float) -> tuple[float, int]:
 def _sigma_u_sq(k, p_u, p_d):
     # C-RAN's sigma_u^2, and SCP's whole uplink denominator (quant = 1,
     # shift = 0); the neighboring radio units' downlink signals are correlated
-    # at lag 2 through the shared precoder, hence (1 + R_g(2)) in C-RAN's h
-    return np.ldexp((k.unit + k.f * p_u + k.h * p_d) * k.quant, -k.shift)
+    # at lag 2 through the shared precoder, hence (1 + R_g(2)) in C-RAN's h;
+    # h p_d is 0 where p_d is, though h overflows to inf past beta_du = 7.6e153
+    load = k.unit + k.f * p_u + (k.h * p_d if np.any(p_d) else 0.0 * p_d)
+    return np.ldexp(load * k.quant, -k.shift)
 
 
 def _checked_sigma_u_sq(k, c_u, p_u, p_d, budgets: bool = True):

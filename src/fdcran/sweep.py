@@ -50,8 +50,8 @@ forms itself, and oracle.certified_max_min
 certifies the optimum of a full-duplex scheme's rows, one branch-and-bound
 search over the two upper budget edges, where the optimum of either
 receiver lies.  It proves that the true max-min lies at most eps
-(CERTIFIED_EPS, more for C-RAN near alpha = 1/2 and for points whose search
-reaches oracle._MAX_CELLS cells) above its best point.  Both oracles hold
+(CERTIFIED_EPS, more only for points whose search reaches
+oracle._MAX_CELLS cells) above its best point.  Both oracles hold
 every temporary to 8,192 values, so their memory grows neither with the
 block nor with the budgets.
 """
@@ -371,8 +371,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     Sweep values are taken in blocks of _BLOCK where a scheme searches its
     powers, which bounds the search's memory, and under spec.oracle, where
-    each block's rows get their oracle values (the circulant ring is sized
-    by the largest alpha of each call); else the sweep is one block.  Each
+    each block's rows get their oracle values, which bounds each oracle
+    call's arrays; else the sweep is one block.  Each
     scheme is solved for all values of a block at once (rates._solve), on
     parameters built inside that replayed solve: after it raises,
     compute_scheme replays the block's rows in (value, scheme) order, so the

@@ -256,6 +256,29 @@ def test_a_subnormal_fronthaul_is_a_numeric_error(capsys, scheme):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_downlink_gain_past_the_float_range_leaves_half_duplex_as_it_is(tmp_path, capsys):
+    # at beta_du = 9.4e153 C-RAN's h = 2 beta_du^2 (1 + R_g(2)) overflows to
+    # inf, but the half-duplex uplink carries no downlink (p_d = 0), so
+    # hd_cran's rates are those of beta_du = 0, with or without --verify
+    def rates(beta_du):
+        assert main(["compute", "--scheme=hd_cran", f"--beta-du={beta_du}"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        return [payload[r] for r in ("r_u", "r_d", "r_eq")]
+
+    want = rates("0")
+    assert rates("9.4e153") == pytest.approx(want, rel=1e-12, abs=0)
+    config = _point_config(tmp_path, {"beta-du": "9.4e153"}, "hd_cran")
+    out = tmp_path / "point.csv"
+    assert main(["sweep", "--config", config, "--verify", "--out", str(out)]) == 0
+    [row] = load_csv(out)
+    assert [row.r_u, row.r_d, row.r_eq] == pytest.approx(want, rel=1e-8, abs=0)
+    assert row.oracle_r_u == pytest.approx(want[0], rel=1e-8, abs=0)
+    # full duplex does interfere with the uplink: its sigma_u^2 overflows
+    assert main(["compute", "--scheme=fd_cran", "--beta-du=9.4e153"]) == 3
+    assert "numeric error: sigma_u_sq overflows" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_checks_the_uplink_past_c_u_1074(tmp_path, capsys):
     # 2**-1100 underflows, but sigma_u^2 = (received power) / (2**1100 - 1)
     # is about 2.28e177 here: the reported rates carry that noise, so the

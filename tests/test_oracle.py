@@ -267,42 +267,39 @@ def test_a_full_blocks_ring_call_keeps_its_temporaries_to_the_block_size(monkeyp
 
 
 def test_a_default_ring_next_to_one_half_keeps_its_temporaries_to_the_block_size(monkeypatch):
-    # at alpha = 0.5 - 2e-9 the default ring takes about 2.3e5 cells, so its
-    # frequencies come in blocks: each element is its own group
+    # next to alpha = 1/2 the default ring, 512 cells less its exact
+    # aliasing, reaches the integral with no temporary past the block size
     alpha = np.array([0.4, 0.4999, 0.5 - 2e-9])
     monkeypatch.setattr(fdcran.oracle, "np", _SizeProbe())
     found = circulant_uplink_rate(alpha, 1e300, 0.0)
     assert 0 < fdcran.oracle.np.largest <= fdcran.oracle._BLOCK_ELEMENTS
     monkeypatch.undo()
-    assert fdcran.oracle._depth(0.5 - 2e-9) > 20 * fdcran.oracle._BLOCK_ELEMENTS
     assert np.abs(found - rate_closed_form(np.full(3, 1e300), alpha)).max() <= 1e-9
 
 
 def test_a_two_block_ring_rates_each_point_alone_and_keeps_its_temporaries_to_the_block_size(
     monkeypatch,
 ):
-    # a 20,000-cell ring has 10,001 frequencies, two blocks; at s of shape
-    # (2, q) even one point's samples of the first block, across both rows,
-    # pass 8,192 values, so the rows are split too
-    alpha = np.array([0.0, 0.3, 0.45, 0.499])
-    s = np.array([[0.0, 5.0, 1e8, 1.7e308], [3.0, 1e-6, 1e300, 40.0]])
+    # a 20,000-cell ring has 10,001 frequencies, two blocks: one point's
+    # samples of the first fill a group, and the second takes four points
+    alpha = np.array([0.0, 0.3, 0.45, 0.499, 0.0, 0.3, 0.45, 0.499])
+    s = np.array([0.0, 5.0, 1e8, 1.7e308, 3.0, 1e-6, 1e300, 40.0])
     monkeypatch.setattr(fdcran.oracle, "np", _SizeProbe())
-    found = fdcran.oracle._ring_rate(2.0 * alpha, s, fdcran.oracle._half_ring(20000))
+    found = circulant_uplink_rate(alpha, s, 0.0, 20000)
     assert 0 < fdcran.oracle.np.largest <= fdcran.oracle._BLOCK_ELEMENTS
     monkeypatch.undo()
     assert [block[0].size for block in fdcran.oracle._half_ring(20000)] == [8192, 1809]
-    for (i, j), rate in np.ndenumerate(found):
-        assert rate == circulant_uplink_rate(float(alpha[j]), float(s[i, j]), 0.0, 20000)
+    for a, x, rate in zip(alpha.tolist(), s.tolist(), found.tolist()):
+        assert rate == circulant_uplink_rate(a, x, 0.0, 20000)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("alpha", [0.4999, 0.4999999, 0.4999999989])
 def test_the_default_ring_reaches_the_integral_next_to_one_half(alpha):
-    # DEFAULT_CELLS alone misses it by up to 0.03 here (_aliasing(512,
-    # 0.4999999, 1e300) = 0.0295); the default takes the cells _depth asks for
+    # the 512-cell ring alone misses it here, by 0.03 at 0.4999999 and
+    # s = 1e300; less its exact aliasing, the default ring does not
     s = np.concatenate([[0.0], np.logspace(-8.0, 300.0, 78)])
     assert np.abs(circulant_uplink_rate(alpha, s, 0.0) - rate_closed_form(s, alpha)).max() <= 1e-9
-    assert fdcran.oracle._aliasing(DEFAULT_CELLS, 0.4999999, 1e300) > 0.029
 
 
 def test_the_default_ring_is_the_512_cell_ring_up_to_alpha_0_4995():
@@ -371,7 +368,7 @@ def test_a_cells_bound_is_at_least_the_objective_inside_it(params, p_u, p_d, cut
     quantized = params.c_u == 0.0 or math.isfinite(quant * (base + f * p_u + h * p_d))
     for family, sic in FAMILIES if quantized else FAMILIES[:2]:
         cols = fdcran.oracle._columns(family, [params])
-        ring, _ = fdcran.oracle._ring(family, [params], cols)
+        ring = fdcran.oracle._ring(family, [params])
         k = fdcran.oracle._Form(*(c[row] for c in cols))
         bound = fdcran.oracle._bound(sic, k, ring, u0, u1, d0, d1)
         assert np.isfinite(bound).all()
@@ -425,33 +422,63 @@ def test_a_point_is_certified_alike_alone_and_in_a_batch(family, sic):
     assert all(found.cells > 0 for found in batch)
 
 
-def test_the_ring_error_widens_eps_only_where_the_cells_are_capped():
+def test_a_capped_point_next_to_one_half_certifies_to_certified_eps():
     # alpha = 0.4997 asks for 21 / acosh(1 / 0.9994) = 606 cells: capped at
-    # 512, its eps widens by the aliasing bound at its worst SINR scale, at
-    # (P_u, 0), which lies far below the old e**(-512 acosh(1 / 0.9994))
+    # 512, its uplink takes off the ring's exact aliasing, and it certifies
+    # to CERTIFIED_EPS itself, as alpha = 0.4 does on the same ring
     near = [make_params(alpha=0.4), make_params(alpha=0.4997, p_u_max=1e8, c_u=40.0)]
-    ring, errors = fdcran.oracle._ring("cran", near, fdcran.oracle._columns("cran", near))
+    ring = fdcran.oracle._ring("cran", near)
     assert sum(half.size for half, _ in ring) == DEFAULT_CELLS // 2 + 1
-    [sigma] = fdcran.oracle.sigma_u_sq(near[1:], [1e8], [0.0])
-    assert errors == [0.0, fdcran.oracle._aliasing(DEFAULT_CELLS, 0.4997, 1e8 / (1.0 + sigma))]
-    assert 1e-11 < errors[1] < 0.1 * math.exp(-DEFAULT_CELLS * math.acosh(1.0 / 0.9994))
+    assert fdcran.oracle._columns("cran", near).alias.tolist() == [0, DEFAULT_CELLS]
     found = certified_max_min("cran", TAN, near, [(1.0, 1.0)] * 2)
-    assert [f.eps for f in found] == [CERTIFIED_EPS, CERTIFIED_EPS + errors[1]]
-    ring, errors = fdcran.oracle._ring("cran", near[:1], fdcran.oracle._columns("cran", near[:1]))
-    assert sum(half.size for half, _ in ring) == 31 // 2 + 1 and errors == [0.0]  # 21 / acosh(1.25) = 30.3 cells
+    assert [f.eps for f in found] == [CERTIFIED_EPS, CERTIFIED_EPS]
+    ring = fdcran.oracle._ring("cran", near[:1])
+    assert sum(half.size for half, _ in ring) == 31 // 2 + 1  # 21 / acosh(1.25) = 30.3 cells
+    # at alpha = 0.4999999 and 3000 dB budgets the 512-cell ring alone misses
+    # the uplink by 0.0145 bits; less its aliasing, the certificate holds the
+    # solver's optimum to the ring's 1e-9
+    huge = db_to_linear(3000.0)
+    edge = make_params(alpha=0.4999999, p_u_max=huge, p_d_max=huge, c_u=2000.0, c_d=2000.0)
+    [result] = compute_batch(SchemeId.FD_CRAN, [edge])
+    argmax = (result.diagnostics["p_u_star"], result.diagnostics["p_d_star"])
+    [found] = certified_max_min("cran", TAN, [edge], [argmax])
+    assert found.eps == CERTIFIED_EPS
+    assert found.r_eq - 1e-9 <= result.r_eq <= found.r_eq + found.eps
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(st.floats(0.0, 0.5, exclude_max=True), st.floats(0.0, 1e300), st.integers(8, 512))
-@example(0.49, 1e8, 128)  # the bound is tight here: 2.77e-13 against an error of 2.77e-13
+@example(0.49, 1e8, 128)
 @example(0.49999, 1e8, 512)
-def test_the_rings_aliasing_bound_holds(alpha, s, n):
-    # the n-cell ring's mean of log2(1 + s lam^2) lies within _aliasing's
-    # bound of the integral, up to rounding: 16 ulp of the rate, or of 1
-    # below 1, as the ring rounds 1 + s lam^2 before its log
+@example(0.5 - 2**-54, 1e300, 8)  # the largest alpha below 1/2, the ring at its worst
+def test_the_ring_less_its_aliasing_is_the_integral(alpha, s, n):
+    # the n-cell ring's mean of log2(1 + s lam^2) less its exact aliasing is
+    # the integral, to 1e-10 of the rate, or to 1e-15 below a rate of 1e-5,
+    # where the ring rounds 1 + s lam^2 before its log
     rate = rate_closed_form(s, alpha)
-    gap = abs(circulant_uplink_rate(alpha, s, 0.0, n) - rate)
-    assert gap <= fdcran.oracle._aliasing(n, alpha, s) + 16.0 * np.spacing(max(rate, 1.0))
+    ring = circulant_uplink_rate(alpha, s, 0.0, n)
+    found = ring - float(fdcran.oracle._alias_term(n, np.array([2.0 * alpha]), np.array([s]))[0])
+    assert abs(found - rate) <= max(1e-10 * rate, 1e-15)
+
+
+def test_a_points_circulant_rate_does_not_depend_on_the_other_rows_of_its_call(monkeypatch):
+    # the default ring is 512 cells whatever the call's largest alpha: a row
+    # next to 1/2 neither changes a row at 0.4 nor deepens its ring
+    s, sigma = 1e300, 0.3
+    found = circulant_uplink_rate(np.array([0.4, 0.5 - 2e-9]), s, sigma)
+    assert found[0] == circulant_uplink_rate(0.4, s, sigma)
+    want = float(rate_closed_form(s / (1.0 + sigma), 0.5 - 2e-9))
+    assert abs(found[1] - want) <= 1e-10 * want
+    half_ring, sampled = fdcran.oracle._half_ring, []
+
+    def recorded(n):
+        for block in half_ring(n):
+            sampled.append(block[0].size)
+            yield block
+
+    monkeypatch.setattr(fdcran.oracle, "_half_ring", recorded)
+    circulant_uplink_rate(0.5 - 2e-9, s, sigma)
+    assert sum(sampled) == DEFAULT_CELLS // 2 + 1
 
 
 def _closed_form(alpha: float) -> tuple[float, float]:
@@ -540,7 +567,7 @@ def _does_not_fall_as_both_powers_scale_up(sic, params, u_db, d_db, u, d, scale)
     point = replace(params, p_u_max=db_to_linear(u_db), p_d_max=db_to_linear(d_db))
     for family in ("scp", "cran"):
         k = fdcran.oracle._columns(family, [point])
-        ring, _ = fdcran.oracle._ring(family, [point], k)
+        ring = fdcran.oracle._ring(family, [point])
         p_u, p_d = u * point.p_u_max * k.unit, d * point.p_d_max * k.unit
         with np.errstate(over="ignore"):
             noise = k.quant * (k.base + k.f * p_u + k.h * p_d)
