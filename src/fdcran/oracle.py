@@ -400,15 +400,12 @@ def _value(sic, k, ring, pu, pd):
     return _max_min(sic, k, _uplink(k, ring, pu, pd), pu, pd, t2)
 
 
-def _bound(sic, k, ring, u0, u1, d0, d1):
+def _bound(sic, k, r_u, t2, u0, d1):
     """An upper bound of the objective over each cell [u0, u1] x [d0, d1], a
-    segment of a budget edge: r_u rises in p_u and falls in p_d, t1 and t3
-    the other way round, and t2, of a linear-fractional SINR, peaks at an
-    end, (u0, d0) or (u1, d1)."""
-    t2 = None
-    if sic is SicMode.SIC:
-        t2 = np.maximum(_t2(k, u0, d0), _t2(k, u1, d1))
-    return _max_min(sic, k, _uplink(k, ring, u1, d0), u0, d1, t2)
+    segment of a budget edge, from r_u at its corner (u1, d0) and t2 at its
+    two ends, stacked: r_u rises in p_u and falls in p_d, t1 and t3 the other
+    way round, and t2, of a linear-fractional SINR, peaks at an end."""
+    return _max_min(sic, k, r_u, u0, d1, t2.max(axis=0))
 
 
 def _quarters(row, u0, u1, d0, d1):
@@ -444,30 +441,30 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
     powers up lowers neither receiver's objective (each SINR is a standard
     interference function, Yates, IEEE JSAC 1995), so its maximum over the
     box lies on them.  Each point's three upper budget corners and its
-    argmax from argmaxes, a (p_u, p_d) such as a solver's, are scored.  Every
-    round, each cell whose bound (_bound) exceeds its point's best score by
-    more than eps is cut in four (_quarters), and each new cell's top end and
-    centre are scored.  A round's scores prune cells from the next round on,
-    so a point gets the same result in any batch.  When no cell is left, the
-    point's maximum lies in [r_eq, r_eq + eps]: eps is CERTIFIED_EPS, or,
-    for a point whose next round would take it past _MAX_CELLS cells, the
-    largest bound of its cells left, which ends its search.  The edges are
-    scanned in the point's unit of power (_form), so no budget overflows a
-    form.  Cells are cut in groups of _BLOCK_ELEMENTS // 8, whose four
-    quarters are each scored at two points, and _ring_rate groups the points
-    it rates by the ring, so no temporary holds more than _BLOCK_ELEMENTS
-    values.  Returns one Certified(r_eq, eps, cells) per point, cells
-    counting the bounds evaluated.
+    argmax from argmaxes, a (p_u, p_d) such as a solver's, are scored, and
+    the corners bound the two edges (_bound).  Every round, each cell whose
+    bound exceeds its point's best score by more than eps is cut in four
+    (_quarters), each rated once at three points, r_u at its centre, its top
+    end and its corner (u1, d0) and t2 at its centre and both ends, which
+    score its centre and top end and bound it.  A round's scores prune cells
+    from the next round on, so a point gets the same result in any batch.
+    When no cell is left, the point's maximum lies in [r_eq, r_eq + eps]:
+    eps is CERTIFIED_EPS, or, for a point whose next round would take it past
+    _MAX_CELLS cells, the largest bound of its cells left, which ends its
+    search.  The edges are scanned in the point's unit of power (_form), so
+    no budget overflows a form.  Cells are cut in groups of
+    _BLOCK_ELEMENTS // 12, and _ring_rate groups the points it rates by the
+    ring, so no temporary holds more than _BLOCK_ELEMENTS values.
+    Returns one Certified(r_eq, eps, cells) per point, cells counting the
+    bounds evaluated.
     """
     n = len(points)
     cols = _columns(family, points)
     ring = _ring(family, points)
     eps = np.full(n, CERTIFIED_EPS)
-    # a group of cells is scored at four times as many quarters, at two points each
-    size = _BLOCK_ELEMENTS // 8
+    size = _BLOCK_ELEMENTS // 12  # a group of cells: four quarters a cell, three points each
     unit = cols.unit  # the scan runs in each point's unit of power (_form)
-    u_max = np.array([p.p_u_max for p in points]) * unit
-    d_max = np.array([p.p_d_max for p in points]) * unit
+    u_max, d_max = (np.array(x) * unit for x in zip(*((p.p_u_max, p.p_d_max) for p in points)))
     arg_u, arg_d = (np.array(x, dtype=float) * unit for x in zip(*argmaxes))
 
     best = np.full(n, -np.inf)
@@ -479,9 +476,11 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
         u, d, zero = u_max[row], d_max[row], np.zeros(row.size)
         # its three upper budget corners and its argmax: (4, points) points
         pu, pd = np.stack([u, zero, u, arg_u[row]]), np.stack([zero, d, d, arg_d[row]])
-        np.fmax.at(best, row, _value(sic, k, ring, pu, pd).max(axis=0))
-        for edge in ((u, u, zero, d), (zero, u, d, d)):
-            bounded.append(((row, *edge), _bound(sic, k, ring, *edge)))
+        r_u = _uplink(k, ring, pu, pd)
+        t2 = _t2(k, pu, pd) if sic is SicMode.SIC else r_u  # read by SIC alone
+        np.fmax.at(best, row, _max_min(sic, k, r_u, pu, pd, t2).max(axis=0))
+        for edge, corner, ends in (((u, u, zero, d), 0, [0, 2]), ((zero, u, d, d), 2, [1, 2])):
+            bounded.append(((row, *edge), _bound(sic, k, r_u[corner], t2[ends], edge[0], d)))
     while bounded:
         kept, quarters = [], np.zeros(n, dtype=np.int64)
         for cell, bound in bounded:
@@ -507,12 +506,11 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
             quarter = _quarters(*cell)
             row, u0, u1, d0, d1 = quarter
             k = _Form(*(c[row] for c in cols))
-            # each quarter's centre and top end: (2, quarters) points
-            centre_and_top = _value(
-                sic, k, ring, np.stack([u0 + 0.5 * (u1 - u0), u1]),
-                np.stack([d0 + 0.5 * (d1 - d0), d1]),
-            )
+            uc, pd = u0 + 0.5 * (u1 - u0), np.stack([d0 + 0.5 * (d1 - d0), d1, d0])
+            r_u = _uplink(k, ring, np.stack([uc, u1, u1]), pd)
+            t2 = _t2(k, np.stack([uc, u1, u0]), pd) if sic is SicMode.SIC else r_u
+            centre_and_top = _max_min(sic, k, r_u[:2], np.stack([uc, u1]), pd[:2], t2[:2])
             np.fmax.at(scored, row, centre_and_top.max(axis=0))
-            bounded.append((quarter, _bound(sic, k, ring, u0, u1, d0, d1)))
+            bounded.append((quarter, _bound(sic, k, r_u[2], t2[1:], u0, d1)))
         best = scored
     return [Certified(float(b), float(e), int(c)) for b, e, c in zip(best, eps, cells)]

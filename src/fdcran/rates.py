@@ -550,16 +550,17 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
     objective.  Along p_u = p_u_max, up falls and down rises with p_d, as
     r_u and the treat-as-noise r_d do; along p_d = p_d_max the roles swap
     (fronthaul caps only flatten them).  A free term is monotone along each
-    edge in the direction its two ends show, and joins the terms it moves with
-    there.  Each pass samples both brackets at len(_WINDOW) points and keeps
-    the step where the falling terms drop below the rising ones, until every
-    bracket is within float eps of its upper end (at most _EDGE_CUTS passes:
-    subnormal brackets never are), so an optimum at any fraction of the budget
-    is found.  The better bracket end wins, exact ties going to smaller
-    powers.  A common power scaling lowers no term (every SINR is a standard
-    interference function), so the winner keeps its value at a smaller scale
-    only where a cap binds or the value is 0; it is scaled down to the
-    smallest such scale (to within 2**-_SHRINK_STEPS).  Returns (value, p_u, p_d).
+    edge in the direction its two ends show in the first pass, and joins the
+    terms it moves with there.  Each pass samples both brackets at
+    len(_WINDOW) points and keeps the step where the falling terms drop below
+    the rising ones, until every bracket is within float eps of its upper end
+    (at most _EDGE_CUTS passes: subnormal brackets never are), so an optimum
+    at any fraction of the budget is found.  The better bracket end, as the
+    last pass rated it, wins, exact ties going to smaller powers.  A common
+    power scaling lowers no term (every SINR is a standard interference
+    function), so the winner keeps its value at a smaller scale only where a
+    cap binds or the value is 0; it is scaled down to the smallest such scale
+    (to within 2**-_SHRINK_STEPS).  Returns (value, p_u, p_d).
     """
     first = np.array([[True], [False]])  # row 0: p_u = p_u_max; row 1: p_d = p_d_max
     u_max, d_max = p_u_max[:, None, None], p_d_max[:, None, None]
@@ -567,10 +568,7 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
     def edges(t):  # t places p_d on the first edge and p_u on the second
         return np.where(first, u_max, t * u_max), np.where(first, t * d_max, d_max)
 
-    falls = [f[..., 1:] < f[..., :1] for f in evaluate(*edges(np.array([0.0, 1.0])))[2:]]
-
-    def grouped(pu, pd):  # the least falling and the least rising term along each edge
-        up, down, *free = evaluate(pu, pd)
+    def grouped(up, down, *free):  # the least falling and the least rising term along each edge
         falling, rising = np.where(first, up, down), np.where(first, down, up)
         for term, down_edge in zip(free, falls):
             falling = np.where(down_edge, np.minimum(falling, term), falling)
@@ -578,19 +576,22 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
         return falling, rising
 
     n = p_u_max.size
-    lo, hi = np.zeros((n, 2, 1)), np.ones((n, 2, 1))
-    last = _WINDOW.size - 1
+    bracket = np.broadcast_to([0.0, 1.0], (n, 2, 2))  # each edge's (lo, hi) in t
+    last, falls = _WINDOW.size - 1, None
     for _ in range(_EDGE_CUTS):
+        lo, hi = bracket[..., :1], bracket[..., 1:]
         if (hi - lo <= _EPS * hi).all():
             break
         t = lo + (hi - lo) * _WINDOW
-        falling, rising = grouped(*edges(t))
+        terms = evaluate(*edges(t))
+        if falls is None:  # the first window runs from t = 0 to t = 1
+            falls = [f[..., last:] < f[..., :1] for f in terms[2:]]
+        falling, rising = grouped(*terms)
         behind = falling - rising < 0.0  # monotone along each row
         k = np.where(behind.any(axis=2), behind.argmax(axis=2), last + 1)[..., None]
-        lo = np.take_along_axis(t, np.maximum(k - 1, 0), axis=2)
-        hi = np.take_along_axis(t, np.minimum(k, last), axis=2)
-    pu, pd = edges(np.concatenate([lo, hi], axis=2))
-    ends = np.minimum(*grouped(pu, pd))
+        at = np.concatenate([np.maximum(k - 1, 0), np.minimum(k, last)], axis=2)
+        bracket, ends = (np.take_along_axis(x, at, 2) for x in (t, np.minimum(falling, rising)))
+    pu, pd = edges(bracket)
     value, p_u, p_d = np.array(
         [
             max(zip(v.ravel(), u.ravel(), d.ravel()), key=lambda e: (e[0], -e[1], -e[2]))
@@ -599,7 +600,7 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
     ).T
 
     def holds(t):  # either edge's grouping holds every term
-        falling, rising = grouped((t * p_u)[:, None, None], (t * p_d)[:, None, None])
+        falling, rising = grouped(*evaluate((t * p_u)[:, None, None], (t * p_d)[:, None, None]))
         return np.minimum(falling, rising)[:, 0, 0] >= value
 
     lo, hi = np.zeros(n), np.ones(n)

@@ -370,7 +370,10 @@ def test_a_cells_bound_is_at_least_the_objective_inside_it(params, p_u, p_d, cut
         cols = fdcran.oracle._columns(family, [params])
         ring = fdcran.oracle._ring(family, [params])
         k = fdcran.oracle._Form(*(c[row] for c in cols))
-        bound = fdcran.oracle._bound(sic, k, ring, u0, u1, d0, d1)
+        # as the search bounds a cell: r_u at its corner (u1, d0), t2 at its ends
+        r_u = fdcran.oracle._uplink(k, ring, u1, d0)
+        t2 = np.stack([fdcran.oracle._t2(k, u0, d0), fdcran.oracle._t2(k, u1, d1)])
+        bound = fdcran.oracle._bound(sic, k, r_u, t2, u0, d1)
         assert np.isfinite(bound).all()
         for t in INSIDE:
             pu = np.minimum(u1, u0 + t * (u1 - u0))
