@@ -21,11 +21,13 @@ t2/2).  Neither falls as both powers scale up, so every search covers only
 the two upper budget edges, in cells of one nonzero side.  Each rate term is
 monotone in each power, and the SIC term t2 is linear-fractional, so its
 maximum over such a cell lies at one of its two ends; that bounds the
-objective over any cell.  A cell is discarded once its bound is at most
-CERTIFIED_EPS above the best point scored, so when none is left the true
-maximum lies in [best, best + CERTIFIED_EPS].  exhaustive_power_opt scores a
-single dense grid, with no refinement, for full-duplex single-cell processing
-through the same single-cell form (_Form), in its unit of power.
+objective over any cell.  Each new cell is rated once, at three points, on
+the ring its point's own alpha sizes, and those ratings both score it and
+bound it.  A cell is discarded once its bound is at most CERTIFIED_EPS
+above the best point scored, so when none is left the true maximum lies in
+[best, best + CERTIFIED_EPS].  exhaustive_power_opt scores a single dense
+grid, with no refinement, for full-duplex single-cell processing through
+the same single-cell form (_Form), in its unit of power.
 
 Each oracle keeps formulas of its own rather than calling the rate kernels it
 checks, so a fault in a kernel cannot hide in its own gate.  All three hold
@@ -223,10 +225,10 @@ def exhaustive_power_opt(
     if resolution < 64:
         raise ValueError(f"resolution must be >= 64, got {resolution}")
     k = _form("scp", params)
-    ring = tuple(_half_ring(1))
+    rings = {1: tuple(_half_ring(1))}
 
     def value(pu, pd):  # powers as the budgets give them, scored in _form's unit
-        return _value(sic, k, ring, pu * k.unit, pd * k.unit)
+        return _value(sic, k, rings, pu * k.unit, pd * k.unit)
 
     pu_grid = np.linspace(0.0, params.p_u_max, resolution)
     pd_grid = np.linspace(0.0, params.p_d_max, resolution)
@@ -252,27 +254,32 @@ def exhaustive_power_opt(
 # Both processing families share one form of the objective, with per-point
 # constants (_Form):
 #   r_u = min(sum_j weight_j log2(1 + s lam_j^2) - aliasing, cap_u),
-#         s = p_u / (unit + quant 2**-shift (base + f p_u + h p_d)),
+#         s = p_u / (unit + quant 2**-shift (base + f p_u + 2 h p_d)),
 #   t1 = C(a p_d / den), t2 = C((a p_d + g p_u) / den), t3 = C(a p_d / (den + g p_u)),
 #         den = unit + b p_d + c p_u,
 #   r_d = t3 (treat as noise) or max(t3, min(t1, t2/2)) (SIC), capped at cap_d,
 # and the objective min(r_u, r_d), every power in the point's unit of power
 # (_form), in which the noise power is unit.  Single-cell processing decodes
-# each cell alone (one eigenvalue, lam = 1, base = 0, quant = 1, shift = 0)
-# under the fronthaul caps c_u and c_d.  C-RAN decodes the ring jointly
-# (lam_j = 1 + 2 alpha cos(2 pi j / n)) after quantization at sigma_u^2 =
-# (1 + (1 + 2 alpha^2) p_u + 2 beta_du^2 (1 + R_g(2)) p_d) / (2**c_u - 1)
-# (base = unit, quant 2**-shift = 1 / (2**c_u - 1)), and precodes with zero
-# forcing (h~_0^2 and R_g(2) from _zero_forcing's ring) at stream power
-# p_d (1 - 2**-c_d) and quantization noise p_d 2**-c_d.  aliasing is that of
-# an alias-cell ring (_alias_term), alias = DEFAULT_CELLS where the point's
-# _depth passes the ring's cap (_ring), else 0.  A SIC mobile facing
+# each cell alone (one eigenvalue, lam = 1, base = 0, quant = 1, shift = 0,
+# h = beta_du^2) under the fronthaul caps c_u and c_d.  C-RAN decodes the
+# ring jointly (lam_j = 1 + 2 alpha cos(2 pi j / n)) after quantization at
+# sigma_u^2 = (1 + (1 + 2 alpha^2) p_u + 2 beta_du^2 (1 + R_g(2)) p_d) /
+# (2**c_u - 1) (base = unit, h = beta_du^2 (1 + R_g(2)), half the gain and so
+# finite for any beta_du, quant 2**-shift = 1 / (2**c_u - 1)), and precodes
+# with zero forcing (h~_0^2 and R_g(2) from _zero_forcing's ring) at stream
+# power p_d (1 - 2**-c_d) and quantization noise p_d 2**-c_d.  aliasing is
+# that of an alias-cell ring (_alias_term), alias = DEFAULT_CELLS where the
+# point's _depth passes the ring's cap, else 0.  The uplink ring has cells
+# cells: one for single-cell processing; for C-RAN, whose ring samples the
+# rate integrand at one point a cell, _depth of the point's alpha, at least
+# _MIN_CELLS and at most DEFAULT_CELLS, so that a point without aliasing
+# misses by about e**-_RING_DEPTH.  A SIC mobile facing
 # the uplink codeword at a carried rate R <= r_u gets max(t3, min(t1, t2 -
 # R)) (treating it as noise, or decoding jointly without having to decode
 # it), and min(R, that) is largest at max(min(r_u, t3), min(r_u, t1, t2/2)):
 # the SIC r_d above, in min(r_u, r_d).
 
-_Form = namedtuple("_Form", "two_alpha quant base f h cap_u a b c g cap_d unit shift alias")
+_Form = namedtuple("_Form", "two_alpha quant base f h cap_u a b c g cap_d unit shift cells alias")
 
 # a point's certificate: its maximum lies in [r_eq, r_eq + eps], found after
 # bounding the objective over that many cells
@@ -284,20 +291,21 @@ def _form(family: str, p) -> _Form:
     unless the form's largest gain times the larger budget passes 2**1016;
     then k brings that product down to 2**1016, so that no product or sum of
     the form overflows a float, while every SINR stays as it is."""
-    a2, du, ud, g2 = p.alpha**2, 2.0 * p.beta_du**2, 2.0 * p.beta_ud**2, p.gamma_ud**2
+    a2, bdu2, ud, g2 = p.alpha**2, p.beta_du**2, 2.0 * p.beta_ud**2, p.gamma_ud**2
     if family == "scp":
-        k = _Form(0.0, 1.0, 0.0, 2.0 * a2, du, p.c_u, 1.0, 2.0 * a2, ud, g2, p.c_d, 1.0, 0, 0)
+        k = _Form(0.0, 1.0, 0.0, 2.0 * a2, bdu2, p.c_u, 1.0, 2.0 * a2, ud, g2, p.c_d, 1.0, 0, 1, 0)
     else:
         h0sq, rg2 = _zero_forcing(p.alpha)
         # 1 / (2**c_u - 1) = quant 2**-shift, inf at c_u = 0, where the
         # quantizer passes nothing; shift keeps quant from underflowing
         shift, c = min(max(math.floor(p.c_u) - 1000, 0), 1100), p.c_u
         quant = math.inf if c <= 0.0 else 2.0 ** (shift - c) / -math.expm1(-c * math.log(2.0))
-        q_d = 2.0**-p.c_d
+        q_d, depth = 2.0**-p.c_d, _depth(p.alpha)
         k = _Form(
-            2.0 * p.alpha, quant, 1.0, 1.0 + 2.0 * a2, du * (1.0 + rg2), math.inf,
+            2.0 * p.alpha, quant, 1.0, 1.0 + 2.0 * a2, bdu2 * (1.0 + rg2), math.inf,
             (1.0 - q_d) * h0sq, q_d * (1.0 + 2.0 * a2), ud, g2, math.inf, 1.0, shift,
-            DEFAULT_CELLS if _depth(p.alpha) > DEFAULT_CELLS else 0,
+            min(DEFAULT_CELLS, max(_MIN_CELLS, depth)),
+            DEFAULT_CELLS if depth > DEFAULT_CELLS else 0,
         )
     gain = max(1.0, k.f, k.h, k.a, k.b, k.c, k.g)
     e = math.frexp(gain)[1] + math.frexp(max(p.p_u_max, p.p_d_max))[1] - 1016
@@ -325,30 +333,15 @@ def _zero_forcing(alpha: float) -> tuple[float, float]:
     return 1.0 / mean, lag2 / mean
 
 
-def _ring(family: str, points):
-    """The uplink ring of the points, the tuple of _half_ring's blocks: for
-    single-cell processing, which decodes each cell alone, the ring of one
-    cell.  For C-RAN an n-cell ring samples the rate integrand at n points,
-    n = _depth of the points' largest alpha, at least _MIN_CELLS and at most
-    DEFAULT_CELLS: a point whose _depth passes that takes off the ring's
-    exact aliasing (_Form's alias), any other misses by about e**-_RING_DEPTH.
-    """
-    if family == "scp":
-        return tuple(_half_ring(1))
-    n = min(DEFAULT_CELLS, max(_MIN_CELLS, _depth(max(p.alpha for p in points))))
-    return tuple(_half_ring(n))
-
-
 def _columns(family: str, points) -> _Form:
     """Each _Form constant of the points as an array over them."""
     return _Form(*map(np.array, zip(*(_form(family, p) for p in points))))
 
 
 def _sigma(k, pu, pd):
-    """The uplink quantization noise quant 2**-shift (base + f p_u + h p_d),
-    powers and noise in the points' unit of power (_form); h p_d is 0 where
-    p_d is, though h overflows to inf past beta_du = 7.6e153."""
-    load = k.base + k.f * pu + (k.h * pd if np.any(pd) else 0.0 * pd)
+    """The uplink quantization noise quant 2**-shift (base + f p_u + 2 h p_d),
+    powers and noise in the points' unit of power (_form)."""
+    load = k.base + k.f * pu + 2.0 * (k.h * pd)
     return np.ldexp(k.quant * load, -k.shift)
 
 
@@ -363,12 +356,20 @@ def sigma_u_sq(points, p_u, p_d):
         return _sigma(k, pu, pd) / k.unit
 
 
-def _uplink(k, ring, pu, pd):
-    """r_u at powers whose last axis runs over k's points, on their ring
-    (_ring), less its aliasing where k.alias asks for it."""
+def _uplink(k, rings, pu, pd):
+    """r_u at powers whose last axis runs over k's points, each on its own
+    ring, rings[k.cells], less its aliasing where k.alias asks for it; one
+    point's k (floats) takes the one ring in rings."""
     s = pu / (k.unit + _sigma(k, pu, pd))
-    rate = _ring_rate(k.two_alpha, s, ring) - _alias_term(k.alias, k.two_alpha, s)
-    return np.minimum(rate, k.cap_u)
+    if len(rings) == 1:
+        rate = _ring_rate(k.two_alpha, s, *rings.values())
+    else:
+        rate = np.empty(s.shape)
+        for n, ring in rings.items():
+            at = k.cells == n
+            if at.any():
+                rate[..., at] = _ring_rate(k.two_alpha[at], s[..., at], ring)
+    return np.minimum(rate - _alias_term(k.alias, k.two_alpha, s), k.cap_u)
 
 
 def _t2(k, pu, pd):
@@ -394,10 +395,10 @@ def _max_min(sic, k, r_hi, pu, pd, t2):
     return np.minimum(r_hi, np.minimum(r_d, k.cap_d))
 
 
-def _value(sic, k, ring, pu, pd):
+def _value(sic, k, rings, pu, pd):
     """The objective at the points (pu, pd)."""
     t2 = _t2(k, pu, pd) if sic is SicMode.SIC else None
-    return _max_min(sic, k, _uplink(k, ring, pu, pd), pu, pd, t2)
+    return _max_min(sic, k, _uplink(k, rings, pu, pd), pu, pd, t2)
 
 
 def _bound(sic, k, r_u, t2, u0, d1):
@@ -434,7 +435,8 @@ def _packed(parts, size: int):
 def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certified]:
     """Certified max over the power box of min(r_u, r_d) for full-duplex
     processing family ('scp' or 'cran', zero forcing) and receiver sic, at
-    each of a sequence of operating points, all searched at once.
+    each of a sequence of operating points, all searched at once, each
+    point's uplink on the ring its own alpha sizes (_Form's cells).
 
     Each point starts from its two upper budget edges, the zero-width cells
     {p_u_max} x [0, p_d_max] and [0, p_u_max] x {p_d_max}: scaling both
@@ -460,7 +462,7 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
     """
     n = len(points)
     cols = _columns(family, points)
-    ring = _ring(family, points)
+    rings = {m: tuple(_half_ring(m)) for m in set(cols.cells.tolist())}
     eps = np.full(n, CERTIFIED_EPS)
     size = _BLOCK_ELEMENTS // 12  # a group of cells: four quarters a cell, three points each
     unit = cols.unit  # the scan runs in each point's unit of power (_form)
@@ -476,7 +478,7 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
         u, d, zero = u_max[row], d_max[row], np.zeros(row.size)
         # its three upper budget corners and its argmax: (4, points) points
         pu, pd = np.stack([u, zero, u, arg_u[row]]), np.stack([zero, d, d, arg_d[row]])
-        r_u = _uplink(k, ring, pu, pd)
+        r_u = _uplink(k, rings, pu, pd)
         t2 = _t2(k, pu, pd) if sic is SicMode.SIC else r_u  # read by SIC alone
         np.fmax.at(best, row, _max_min(sic, k, r_u, pu, pd, t2).max(axis=0))
         for edge, corner, ends in (((u, u, zero, d), 0, [0, 2]), ((zero, u, d, d), 2, [1, 2])):
@@ -507,7 +509,7 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
             row, u0, u1, d0, d1 = quarter
             k = _Form(*(c[row] for c in cols))
             uc, pd = u0 + 0.5 * (u1 - u0), np.stack([d0 + 0.5 * (d1 - d0), d1, d0])
-            r_u = _uplink(k, ring, np.stack([uc, u1, u1]), pd)
+            r_u = _uplink(k, rings, np.stack([uc, u1, u1]), pd)
             t2 = _t2(k, np.stack([uc, u1, u0]), pd) if sic is SicMode.SIC else r_u
             centre_and_top = _max_min(sic, k, r_u[:2], np.stack([uc, u1]), pd[:2], t2[:2])
             np.fmax.at(scored, row, centre_and_top.max(axis=0))

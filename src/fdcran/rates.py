@@ -183,14 +183,14 @@ def _unit(p, *gains):
 
 
 # The kernels' constants, every power in the point's _unit:
-#   r_u = min(C(p_u / ((unit + f p_u + h p_d) quant 2**-shift + noise_u)), cap_u),
+#   r_u = min(C(p_u / ((unit + f p_u + 2 h p_d) quant 2**-shift + noise_u)), cap_u),
 #   r_d = min(_receive(a p_d, unit + b p_d + c p_u, g p_u, ...), cap_d),
 # C being log2(1 + s) where alpha is None (SCP decodes each cell alone) and
 # rate_closed_form(s, alpha) otherwise (C-RAN decodes the ring jointly).
-# SCP has f = b = 2 alpha^2, h = 2 beta_du^2, quant = 1, shift = 0,
+# SCP has f = b = 2 alpha^2, h = beta_du^2, quant = 1, shift = 0,
 # noise_u = 0, a = 1 and the fronthaul caps c_u and c_d.  C-RAN quantizes
-# the uplink at sigma_u^2 = (unit + f p_u + h p_d) quant 2**-shift before
-# the noise (noise_u = unit), with f = 1 + 2 alpha^2, h = 2 beta_du^2
+# the uplink at sigma_u^2 = (unit + f p_u + 2 h p_d) quant 2**-shift before
+# the noise (noise_u = unit), with f = 1 + 2 alpha^2, h = beta_du^2
 # (1 + R_g(2)) and (quant, shift) = _per_unit_quantization(c_u), and
 # precodes at a = (1 - q_d) h~_0^2 and b = q_d (1 + 2 alpha^2), q_d = 2**-c_d,
 # under no cap.  Both have c = 2 beta_ud^2 and g = gamma_ud^2.  (h~_0^2,
@@ -204,13 +204,13 @@ def _form(family: str, p, terms=(0.0, 0.0)) -> _Form:
     a2, du, ud = 2.0 * a2, 2.0 * bdu2, 2.0 * bud2
     if family == "scp":
         unit = _unit(p, a2, du, ud, g2)
-        return _Form(None, a2, du, 1.0, 0, 0.0, p.c_u, 1.0, a2, ud, g2, p.c_d, unit)
+        return _Form(None, a2, bdu2, 1.0, 0, 0.0, p.c_u, 1.0, a2, ud, g2, p.c_d, unit)
     (h0sq, rg2), f, q_d = terms, 1.0 + a2, _each(pow, 2.0, -p.c_d)
-    unit = _unit(p, f, du, ud, g2)  # h = du (1 + R_g(2)) <= 2 du
+    unit = _unit(p, f, du, ud, g2)  # h = bdu2 (1 + R_g(2)) <= du
     quant, shift = _each(_per_unit_quantization, p.c_u)
     shift = np.asarray(shift, dtype=np.intc)  # ldexp's exponent: _each gives a column as floats
     return _Form(
-        p.alpha, f, du * (1.0 + rg2), quant, shift, unit, math.inf, (1.0 - q_d) * h0sq, q_d * f,
+        p.alpha, f, bdu2 * (1.0 + rg2), quant, shift, unit, math.inf, (1.0 - q_d) * h0sq, q_d * f,
         ud, g2, math.inf, unit,
     )
 
@@ -231,9 +231,9 @@ def _per_unit_quantization(c: float) -> tuple[float, int]:
 def _sigma_u_sq(k, p_u, p_d):
     # C-RAN's sigma_u^2, and SCP's whole uplink denominator (quant = 1,
     # shift = 0); the neighboring radio units' downlink signals are correlated
-    # at lag 2 through the shared precoder, hence (1 + R_g(2)) in C-RAN's h;
-    # h p_d is 0 where p_d is, though h overflows to inf past beta_du = 7.6e153
-    load = k.unit + k.f * p_u + (k.h * p_d if np.any(p_d) else 0.0 * p_d)
+    # at lag 2 through the shared precoder, hence (1 + R_g(2)) in C-RAN's h,
+    # half the gain, which is finite for every beta_du that SystemParams takes
+    load = k.unit + k.f * p_u + 2.0 * (k.h * p_d)
     return np.ldexp(load * k.quant, -k.shift)
 
 

@@ -13,6 +13,7 @@ import fdcran.oracle
 import fdcran.sweep
 from fdcran.cli import _build_parser, main
 from fdcran.model import SchemeId
+from fdcran.spectral import zf_constants
 from fdcran.sweep import ORACLE_RATE_TOL, SweepBase, load_csv, parse_config
 
 TINY_CONFIG = """
@@ -257,8 +258,8 @@ def test_a_subnormal_fronthaul_is_a_numeric_error(capsys, scheme):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_downlink_gain_past_the_float_range_leaves_half_duplex_as_it_is(tmp_path, capsys):
-    # at beta_du = 9.4e153 C-RAN's h = 2 beta_du^2 (1 + R_g(2)) overflows to
-    # inf, but the half-duplex uplink carries no downlink (p_d = 0), so
+    # at beta_du = 9.4e153 C-RAN's 2 beta_du^2 (1 + R_g(2)) passes the float
+    # range, but the half-duplex uplink carries no downlink (p_d = 0), so
     # hd_cran's rates are those of beta_du = 0, with or without --verify
     def rates(beta_du):
         assert main(["compute", "--scheme=hd_cran", f"--beta-du={beta_du}"]) == 0
@@ -273,9 +274,16 @@ def test_a_downlink_gain_past_the_float_range_leaves_half_duplex_as_it_is(tmp_pa
     [row] = load_csv(out)
     assert [row.r_u, row.r_d, row.r_eq] == pytest.approx(want, rel=1e-8, abs=0)
     assert row.oracle_r_u == pytest.approx(want[0], rel=1e-8, abs=0)
-    # full duplex does interfere with the uplink: its sigma_u^2 overflows
-    assert main(["compute", "--scheme=fd_cran", "--beta-du=9.4e153"]) == 3
-    assert "numeric error: sigma_u_sq overflows" in capsys.readouterr().err
+    # full duplex does interfere with the uplink, and its sigma_u^2 =
+    # (1 + (1 + 2 alpha^2) p_u + 2 beta_du^2 (1 + R_g(2)) p_d) / (2**2000 - 1)
+    # is about 2.39e-292 at c_u = 2000: a float, though the gain is not
+    fronthaul = ["--c-u=2000", "--c-d=2000"]
+    assert main(["compute", "--scheme=fd_cran", "--beta-du=9.4e153", *fronthaul]) == 0
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    rg2 = zf_constants(SweepBase().alpha)[1]
+    want = 2.0 * (9.4e153 * 2.0**-1000) * (9.4e153 * 2.0**-1000) * (1.0 + rg2) * diag["p_d_star"]
+    assert diag["sigma_u_sq"] == pytest.approx(want, rel=1e-12, abs=0)
+    assert diag["sigma_u_sq"] == pytest.approx(2.39e-292, rel=0.01)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

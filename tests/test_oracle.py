@@ -333,6 +333,14 @@ def test_blocked_grid_memory_bound(monkeypatch, resolution):
 # the certified max-min
 
 FAMILIES = [("scp", TAN), ("scp", SIC), ("cran", TAN), ("cran", SIC)]
+
+
+def _rings(family: str, params):
+    """The certified oracle's uplink ring of the point params, by its cells."""
+    n = fdcran.oracle._form(family, params).cells
+    return {n: tuple(fdcran.oracle._half_ring(n))}
+
+
 # the domain's budgets, or any up to 3000 dB, near the top of the float range
 any_budgets = st.one_of(st.floats(0.0, 30.0), st.floats(0.0, 3000.0)).map(db_to_linear)
 cuts = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7)
@@ -365,20 +373,20 @@ def test_a_cells_bound_is_at_least_the_objective_inside_it(params, p_u, p_d, cut
     # the program rejects a quantization noise that overflows at the budgets
     cols = fdcran.oracle._columns("cran", [params])
     quant, base, f, h = (float(cols[n][0]) for n in (1, 2, 3, 4))
-    quantized = params.c_u == 0.0 or math.isfinite(quant * (base + f * p_u + h * p_d))
+    quantized = params.c_u == 0.0 or math.isfinite(quant * (base + f * p_u + 2.0 * h * p_d))
     for family, sic in FAMILIES if quantized else FAMILIES[:2]:
         cols = fdcran.oracle._columns(family, [params])
-        ring = fdcran.oracle._ring(family, [params])
+        rings = _rings(family, params)
         k = fdcran.oracle._Form(*(c[row] for c in cols))
         # as the search bounds a cell: r_u at its corner (u1, d0), t2 at its ends
-        r_u = fdcran.oracle._uplink(k, ring, u1, d0)
+        r_u = fdcran.oracle._uplink(k, rings, u1, d0)
         t2 = np.stack([fdcran.oracle._t2(k, u0, d0), fdcran.oracle._t2(k, u1, d1)])
         bound = fdcran.oracle._bound(sic, k, r_u, t2, u0, d1)
         assert np.isfinite(bound).all()
         for t in INSIDE:
             pu = np.minimum(u1, u0 + t * (u1 - u0))
             pd = np.minimum(d1, d0 + t * (d1 - d0))
-            value = fdcran.oracle._value(sic, k, ring, pu, pd)
+            value = fdcran.oracle._value(sic, k, rings, pu, pd)
             assert (value <= bound + 1e-12 * np.maximum(1.0, bound)).all(), (family, sic, t)
 
 
@@ -425,18 +433,71 @@ def test_a_point_is_certified_alike_alone_and_in_a_batch(family, sic):
     assert all(found.cells > 0 for found in batch)
 
 
+@pytest.mark.parametrize("sic", [TAN, SIC])
+def test_a_point_is_certified_on_its_own_ring_whatever_shares_its_call(sic):
+    # fig2's base point at c = 10: alpha = 0.1 takes a 10-cell ring and
+    # alpha = 0.45 a 45-cell one, and a mixed call rates each on its own,
+    # bit for bit as alone, in any order
+    base = preset_spec("fig2").params_at(10.0)
+    points = [replace(base, alpha=a) for a in (0.1, 0.45, 0.3, 0.1)]
+    argmaxes = [(p.p_u_max, p.p_d_max) for p in points]
+    mixed = certified_max_min("cran", sic, points, argmaxes)
+    alone = [certified_max_min("cran", sic, [p], [a])[0] for p, a in zip(points, argmaxes)]
+    assert mixed == alone and mixed[0] == mixed[3]
+    assert fdcran.oracle._columns("cran", points).cells.tolist() == [10, 45, 20, 10]
+
+
+@pytest.mark.parametrize(
+    "scheme, uplink_and_t2, cells",
+    [
+        (SchemeId.FD_SCP, (25, 0), 1362),
+        (SchemeId.FD_SCP_SIC, (23, 35), 1262),
+        (SchemeId.FD_CRAN, (29, 0), 1666),
+        (SchemeId.FD_CRAN_SIC, (25, 38), 1166),
+    ],
+    ids=["fd_scp", "fd_scp_sic", "fd_cran", "fd_cran_sic"],
+)
+def test_a_certified_search_rates_each_group_once_a_round(
+    monkeypatch, scheme, uplink_and_t2, cells
+):
+    # fig3's 33 points take one group to start and one _quarters call per
+    # group and round; each group's _uplink and (for SIC) _t2 ratings score
+    # its points and bound its cells at once, in at most half the calls
+    # (uplink_and_t2) of a search that rates each cell's bound apart from its
+    # scores, and the two initial edges take no ratings of their own
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    for name in ("_uplink", "_t2", "_quarters"):
+        monkeypatch.setattr(fdcran.oracle, name, counted(name, getattr(fdcran.oracle, name)))
+    spec = preset_spec("fig3")
+    points = [spec.params_at(v) for v in spec.values()]
+    results = compute_batch(scheme, points)
+    argmaxes = [(r.diagnostics["p_u_star"], r.diagnostics["p_d_star"]) for r in results]
+    found = certified_max_min(*SCHEMES[scheme], points, argmaxes)
+    groups = calls["_quarters"] + 1
+    sic = SCHEMES[scheme][1] is SIC
+    assert (calls["_uplink"], calls["_t2"]) == (groups, groups if sic else 0)
+    assert 2 * calls["_uplink"] <= uplink_and_t2[0] and 2 * calls["_t2"] <= uplink_and_t2[1]
+    assert sum(f.cells for f in found) == cells
+
+
 def test_a_capped_point_next_to_one_half_certifies_to_certified_eps():
     # alpha = 0.4997 asks for 21 / acosh(1 / 0.9994) = 606 cells: capped at
     # 512, its uplink takes off the ring's exact aliasing, and it certifies
-    # to CERTIFIED_EPS itself, as alpha = 0.4 does on the same ring
+    # to CERTIFIED_EPS itself, as alpha = 0.4 does on its own ring of
+    # 21 / acosh(1.25) = 30.3 cells, in the same call
     near = [make_params(alpha=0.4), make_params(alpha=0.4997, p_u_max=1e8, c_u=40.0)]
-    ring = fdcran.oracle._ring("cran", near)
-    assert sum(half.size for half, _ in ring) == DEFAULT_CELLS // 2 + 1
-    assert fdcran.oracle._columns("cran", near).alias.tolist() == [0, DEFAULT_CELLS]
+    cols = fdcran.oracle._columns("cran", near)
+    assert cols.cells.tolist() == [31, DEFAULT_CELLS] and cols.alias.tolist() == [0, DEFAULT_CELLS]
     found = certified_max_min("cran", TAN, near, [(1.0, 1.0)] * 2)
     assert [f.eps for f in found] == [CERTIFIED_EPS, CERTIFIED_EPS]
-    ring = fdcran.oracle._ring("cran", near[:1])
-    assert sum(half.size for half, _ in ring) == 31 // 2 + 1  # 21 / acosh(1.25) = 30.3 cells
     # at alpha = 0.4999999 and 3000 dB budgets the 512-cell ring alone misses
     # the uplink by 0.0145 bits; less its aliasing, the certificate holds the
     # solver's optimum to the ring's 1e-9
@@ -570,14 +631,14 @@ def _does_not_fall_as_both_powers_scale_up(sic, params, u_db, d_db, u, d, scale)
     point = replace(params, p_u_max=db_to_linear(u_db), p_d_max=db_to_linear(d_db))
     for family in ("scp", "cran"):
         k = fdcran.oracle._columns(family, [point])
-        ring = fdcran.oracle._ring(family, [point])
+        rings = _rings(family, point)
         p_u, p_d = u * point.p_u_max * k.unit, d * point.p_d_max * k.unit
         with np.errstate(over="ignore"):
-            noise = k.quant * (k.base + k.f * p_u + k.h * p_d)
+            noise = k.quant * (k.base + k.f * p_u + 2.0 * (k.h * p_d))
         if point.c_u > 0.0 and not np.isfinite(noise).all():
             continue  # sigma_u^2 past the float range: the program gives no rates
-        high = fdcran.oracle._value(sic, k, ring, p_u, p_d)
-        low = fdcran.oracle._value(sic, k, ring, scale * p_u, scale * p_d)
+        high = fdcran.oracle._value(sic, k, rings, p_u, p_d)
+        low = fdcran.oracle._value(sic, k, rings, scale * p_u, scale * p_d)
         assert (high >= low - 1e-12 * abs(low)).all(), family
 
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fdcran.rates as rates
 from fdcran.model import PowerAllocation, SystemParams, db_to_linear
 from fdcran.oracle import circulant_uplink_rate, exhaustive_power_opt
 from fdcran.rates import (
@@ -22,6 +23,7 @@ from fdcran.rates import (
 )
 from fdcran.model import SchemeId
 from fdcran.spectral import zf_precoder
+from fdcran.sweep import preset_spec, run_sweep
 
 from conftest import make_params
 
@@ -303,3 +305,15 @@ def test_duplex_gain_cran():
     pre = zf_precoder(0.0)
     ratio = fd_cran(params, pre, TAN).r_eq / hd_cran(params, pre).r_eq
     assert 1.99 <= ratio <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("preset, calls", [("fig2", 118), ("fig3", 100)])
+def test_a_sweep_rates_each_search_point_once(monkeypatch, preset, calls):
+    # the edge search takes each free term's direction from its first pass
+    # and its bracket ends' values from its last: a separate probe of each
+    # edge's ends and a second rating of the final bracket ends would make
+    # two more kernel calls in each of the sweep's six edge searches
+    kernel, counted = rates._rates, []
+    monkeypatch.setattr(rates, "_rates", lambda *args: counted.append(1) or kernel(*args))
+    run_sweep(preset_spec(preset))
+    assert len(counted) == calls
