@@ -458,9 +458,11 @@ def certified_max_min(family: str, sic: SicMode, points, argmaxes) -> list[Certi
     _BLOCK_ELEMENTS // 12, and _ring_rate groups the points it rates by the
     ring, so no temporary holds more than _BLOCK_ELEMENTS values.
     Returns one Certified(r_eq, eps, cells) per point, cells counting the
-    bounds evaluated.
+    bounds evaluated, and [] for no points.
     """
     n = len(points)
+    if n == 0:
+        return []
     cols = _columns(family, points)
     rings = {m: tuple(_half_ring(m)) for m in set(cols.cells.tolist())}
     eps = np.full(n, CERTIFIED_EPS)

@@ -657,9 +657,9 @@ def compute_batch(scheme: SchemeId, points) -> list[RateResult]:
     Every result equals that of the point alone.  The search's kernel calls
     grow with the batch, 2 x len(_WINDOW) = 34 powers a point, so a caller
     bounds its memory by the batches it passes, as run_sweep does (64) where
-    a scheme searches.
+    a scheme searches.  No points give no results.
     """
-    return _batch(*SCHEMES[scheme], points)
+    return _batch(*SCHEMES[scheme], points) if points else []
 
 
 def compute_scheme(

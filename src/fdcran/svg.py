@@ -39,8 +39,6 @@ def _nice_step(span: float, target: int = 6) -> float:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step - 1e-9) * step
     ticks = []
@@ -54,8 +52,24 @@ def _ticks(lo: float, hi: float) -> list[float]:
 _num = "{:.2f}".format  # a coordinate: two decimals, a C-level call per number
 
 
-def _label(x: float) -> str:
-    return f"{x:g}"
+def _coord(v) -> str:
+    """A coordinate of a line or text: an int as it is, a float to two decimals."""
+    return str(v) if isinstance(v, int) else _num(v)
+
+
+def _line(x1, y1, x2, y2, stroke: str, width: int) -> str:
+    return (
+        f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}" y2="{_coord(y2)}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
+def _text(x, y, size: int, body: str, anchor: str | None = None, extra: str = "") -> str:
+    align = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{_coord(x)}" y="{_coord(y)}" font-family="sans-serif" '
+        f'font-size="{size}"{align}{extra}>{body}</text>'
+    )
 
 
 def emit_svg(rows: list[SweepRow], path) -> None:
@@ -66,16 +80,14 @@ def emit_svg(rows: list[SweepRow], path) -> None:
     by_scheme = {}
     for row in rows:
         by_scheme.setdefault(row.scheme, []).append((row.value, row.r_eq))
-    # (scheme, [(x, y), ...]) in enum order
-    series = [(scheme, by_scheme[scheme]) for scheme in SchemeId if scheme in by_scheme]
+    # (color, scheme, [(x, y), ...]) in enum order, the color keyed by that order
+    series = [(_PALETTE[i], s, by_scheme[s]) for i, s in enumerate(SchemeId) if s in by_scheme]
 
     xs = [row.value for row in rows]
-    ys = [row.r_eq for row in rows]
     x_lo, x_hi = min(xs), max(xs)
     if x_hi <= x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    y_lo = 0.0
-    y_hi = max(max(ys), 1e-9) * 1.05
+    y_hi = max(max(row.r_eq for row in rows), 1e-9) * 1.05
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -84,57 +96,34 @@ def emit_svg(rows: list[SweepRow], path) -> None:
         return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
 
     def to_y(v: float) -> float:
-        return _MARGIN_TOP + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
+        return _MARGIN_TOP + plot_h - v / y_hi * plot_h
 
+    # the plot area runs from (x0, y0) at bottom left to (x1, y1) at top right
+    x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h
+    x1, y1 = _MARGIN_LEFT + plot_w, _MARGIN_TOP
+    y_mid = y1 + plot_h / 2
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{_num(_WIDTH / 2)}" y="18" font-family="sans-serif" '
-        f'font-size="14" text-anchor="middle">{_TITLE}</text>',
+        _text(_WIDTH / 2, 18, 14, _TITLE, "middle"),
     ]
-
-    # axes, grid and ticks
-    x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h
-    x1, y1 = _MARGIN_LEFT + plot_w, _MARGIN_TOP
+    # grid and tick labels
     for t in _ticks(x_lo, x_hi):
         px = to_x(t)
-        parts.append(
-            f'<line x1="{_num(px)}" y1="{_num(y0)}" x2="{_num(px)}" y2="{_num(y1)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_num(px)}" y="{_num(y0 + 16)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{_label(t)}</text>'
-        )
-    for t in _ticks(y_lo, y_hi):
+        parts += [_line(px, y0, px, y1, "#dddddd", 1), _text(px, y0 + 16, 11, f"{t:g}", "middle")]
+    for t in _ticks(0.0, y_hi):
         py = to_y(t)
-        parts.append(
-            f'<line x1="{_num(x0)}" y1="{_num(py)}" x2="{_num(x1)}" y2="{_num(py)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_num(x0 - 6)}" y="{_num(py + 4)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{_label(t)}</text>'
-        )
-    parts.append(
+        parts += [_line(x0, py, x1, py, "#dddddd", 1), _text(x0 - 6, py + 4, 11, f"{t:g}", "end")]
+    parts += [
         f'<rect x="{_num(x0)}" y="{_num(y1)}" width="{_num(plot_w)}" '
-        f'height="{_num(plot_h)}" fill="none" stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{_num(x0 + plot_w / 2)}" y="{_num(_HEIGHT - 10)}" '
-        f'font-family="sans-serif" font-size="12" text-anchor="middle">{rows[0].sweep_var}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_num(y1 + plot_h / 2)}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_num(y1 + plot_h / 2)})">{_Y_LABEL}</text>'
-    )
+        f'height="{_num(plot_h)}" fill="none" stroke="#333333" stroke-width="1"/>',
+        _text(x0 + plot_w / 2, _HEIGHT - 10.0, 12, rows[0].sweep_var, "middle"),
+        _text(16, y_mid, 12, _Y_LABEL, "middle", f' transform="rotate(-90 16 {_num(y_mid)})"'),
+    ]
 
     # data series
-    scheme_index = {scheme: i for i, scheme in enumerate(SchemeId)}
-    for scheme, points in series:
-        color = _PALETTE[scheme_index[scheme] % len(_PALETTE)]
+    for color, _, points in series:
         xs, ys = (np.array(column, dtype=float) for column in zip(*points))
         px, py = (list(map(_num, c.tolist())) for c in (to_x(xs), to_y(ys)))  # formatted once
         if len(points) >= 2:
@@ -146,17 +135,9 @@ def emit_svg(rows: list[SweepRow], path) -> None:
         parts += [f'<circle cx="{x}" cy="{y}" r="2.5" fill="{color}"/>' for x, y in zip(px, py)]
 
     # legend, top-left inside the plot area
-    for i, (scheme, _) in enumerate(series):
-        color = _PALETTE[scheme_index[scheme] % len(_PALETTE)]
+    for i, (color, s, _) in enumerate(series):
         ly = y1 + 14 + 16 * i
-        parts.append(
-            f'<line x1="{_num(x0 + 10)}" y1="{_num(ly)}" x2="{_num(x0 + 34)}" '
-            f'y2="{_num(ly)}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_num(x0 + 40)}" y="{_num(ly + 4)}" font-family="sans-serif" '
-            f'font-size="11">{scheme.value}</text>'
-        )
+        parts += [_line(x0 + 10, ly, x0 + 34, ly, color, 2), _text(x0 + 40, ly + 4, 11, s.value)]
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

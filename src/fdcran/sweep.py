@@ -32,10 +32,10 @@ call on the block's parameter columns: the half-duplex kernels at every
 value's budgets, or one full-duplex max-min power search for the whole
 block, exact on the budget edges.  Nothing splits the search's kernel calls,
 so blocks of up to 64 values bound its memory (a block's edge search takes
-64 x 2 x 17 powers), and each oracle call's under --verify; other sweeps
-are one block, which MAX_SWEEP_VALUES bounds.  C-RAN rows are exact (closed
-forms, see rates), and the search has no grid, so a sweep has no quadrature
-or resolution setting.  A sweep runs in this one process: with the search
+64 x 2 x 17 powers) and the certified search's under --verify; half-duplex
+sweeps are one block, which MAX_SWEEP_VALUES bounds.  C-RAN rows are exact
+(closed forms, see rates), and the search has no grid, so a sweep has no
+quadrature or resolution setting.  A sweep runs in this one process: with the search
 this cheap, worker processes would cost more than they save.
 
 A row's r_u is the uplink capacity at its powers (p_u*, p_d*).  A SIC
@@ -370,17 +370,17 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Compute one row per (sweep value, scheme) in deterministic order.
 
     Sweep values are taken in blocks of _BLOCK where a scheme searches its
-    powers, which bounds the search's memory, and under spec.oracle, where
-    each block's rows get their oracle values, which bounds each oracle
-    call's arrays; else the sweep is one block.  Each
-    scheme is solved for all values of a block at once (rates._solve), on
-    parameters built inside that replayed solve: after it raises,
-    compute_scheme replays the block's rows in (value, scheme) order, so the
-    error is that of the first failing row.
+    powers, which bounds the memory of the search and of its certificates
+    under spec.oracle; else the sweep is one block, whose circulant check
+    holds its own temporaries to 8,192 values.  Each scheme is solved for
+    all values of a block at once (rates._solve), on parameters built inside
+    that replayed solve: after it raises, compute_scheme replays the block's
+    rows in (value, scheme) order, so the error is that of the first failing
+    row.
     """
     values = spec.values()
     searched = any(SCHEMES[s][1] is not None for s in spec.schemes)
-    size = _BLOCK if searched or spec.oracle else len(values)
+    size = _BLOCK if searched else len(values)
     blocks = (values[at : at + size] for at in range(0, len(values), size))
     return [row for block in blocks for row in _run_block(spec, block)]
 

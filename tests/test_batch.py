@@ -225,3 +225,8 @@ def test_a_half_duplex_block_reports_its_first_singular_alpha():
     with pytest.raises(ZfSingularError) as err:
         run_sweep(spec)
     assert err.value.alpha == 0.501
+
+
+@pytest.mark.parametrize("scheme", SchemeId, ids=lambda s: s.value)
+def test_an_empty_batch_gives_no_results(scheme):
+    assert compute_batch(scheme, []) == []

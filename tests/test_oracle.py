@@ -433,6 +433,11 @@ def test_a_point_is_certified_alike_alone_and_in_a_batch(family, sic):
     assert all(found.cells > 0 for found in batch)
 
 
+@pytest.mark.parametrize("family, sic", FAMILIES)
+def test_no_points_are_certified_to_no_results(family, sic):
+    assert certified_max_min(family, sic, [], []) == []
+
+
 @pytest.mark.parametrize("sic", [TAN, SIC])
 def test_a_point_is_certified_on_its_own_ring_whatever_shares_its_call(sic):
     # fig2's base point at c = 10: alpha = 0.1 takes a 10-cell ring and

@@ -1,7 +1,7 @@
 import pytest
 
 from fdcran.model import SchemeId
-from fdcran.svg import emit_svg
+from fdcran.svg import _PALETTE, emit_svg
 from fdcran.sweep import SweepRow
 
 
@@ -59,3 +59,8 @@ def test_byte_determinism(tmp_path):
     emit_svg(rows, a)
     emit_svg(rows, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_palette_has_one_color_per_scheme():
+    # emit_svg takes each series' color by its scheme's place in SchemeId
+    assert len(_PALETTE) == len(set(_PALETTE)) == len(SchemeId)

@@ -500,8 +500,8 @@ def test_a_half_duplex_block_reports_its_first_overflowing_row(tmp_path, capsys)
 
 
 def test_a_long_half_duplex_verify_sweep_keeps_the_oracle_temporaries_bounded(monkeypatch):
-    # 834 values: the oracles run per block of 64, the circulant ring of each
-    # sized by that block's largest alpha, no temporary above _BLOCK_ELEMENTS
+    # 834 values, one block: the circulant check rates all 834 hd_cran rows
+    # in one call (blocks of 64 made 14), no temporary above _BLOCK_ELEMENTS
     spec = SweepSpec(
         sweep_var="alpha", start=0.0, stop=0.4995, step=0.4995 / 833,
         schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN), oracle=True,
@@ -519,6 +519,6 @@ def test_a_long_half_duplex_verify_sweep_keeps_the_oracle_temporaries_bounded(mo
     monkeypatch.setattr(fdcran.oracle, "np", probe)
     rows = run_sweep(spec)
     assert 0 < probe.largest <= fdcran.oracle._BLOCK_ELEMENTS
-    assert calls == [64] * 13 + [834 - 13 * 64]
+    assert calls == [834]
     assert verification_failures(rows) == []
     assert [replace(r, oracle_r_u=None) for r in rows] == plain
