@@ -13,22 +13,11 @@ import math
 import sys
 from dataclasses import fields, replace
 
+from .config import ConfigError, SweepBase, SweepSpec, base_params, parse_config, preset_spec
 from .model import NumericDomainError, SchemeId
 from .rates import compute_scheme
 from .svg import emit_svg
-from .sweep import (
-    ConfigError,
-    SweepBase,
-    SweepSpec,
-    VerificationError,
-    base_params,
-    emit_csv,
-    oracle_gaps,
-    parse_config,
-    preset_spec,
-    run_sweep,
-    verification_failures,
-)
+from .sweep import VerificationError, emit_csv, oracle_gaps, run_sweep, verification_failures
 
 __all__ = ["main", "run"]
 

@@ -13,10 +13,11 @@ import pytest
 
 import fdcran.rates as rates
 import fdcran.sweep as sweep
+from fdcran.config import SWEEP_VARS, SweepSpec, preset_spec
 from fdcran.model import NumericDomainError, PowerAllocation, SchemeId, ZfSingularError
 from fdcran.rates import compute_batch, compute_scheme, fd_cran_uplink, hd_cran_uplink
 from fdcran.spectral import zf_precoder
-from fdcran.sweep import SWEEP_VARS, SweepSpec, preset_spec, run_sweep
+from fdcran.sweep import run_sweep
 from test_solver_properties import DOMAIN
 
 # the domain points, the budget and fronthaul edges of SystemParams, and

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 import fdcran.oracle
 import fdcran.sweep
 from fdcran.cli import _build_parser, main
+from fdcran.config import ConfigError, SweepBase, parse_config
 from fdcran.model import SchemeId
 from fdcran.spectral import zf_constants
-from fdcran.sweep import ORACLE_RATE_TOL, SweepBase, load_csv, parse_config
+from fdcran.sweep import ORACLE_RATE_TOL
+
+from sweep_io import load_csv
 
 TINY_CONFIG = """
 base.alpha = 0.4
@@ -121,7 +124,7 @@ def test_each_base_field_is_a_compute_flag_and_a_config_key(field, tmp_path, cap
     config = _point_config(tmp_path, {flag: value}, "fd_cran_sic")
     out = tmp_path / "point.csv"
     assert main(["sweep", "--config", config, "--out", str(out)]) == 0
-    (row,) = fdcran.sweep.load_csv(out)
+    (row,) = load_csv(out)
     for name in ("r_u", "r_d", "r_eq"):
         assert float(f"{payload[name]:.9g}") == getattr(row, name)
 
@@ -143,7 +146,7 @@ def test_a_negative_db_budget_in_a_config_gives_the_compute_rates(tmp_path, caps
         for name in ("r_u", "r_d", "r_eq"):
             assert float(f"{payload[name]:.9g}") == getattr(row, name)
     for key in ("base.c_u", "base.beta_ud"):
-        with pytest.raises(fdcran.sweep.ConfigError, match="must be >= 0"):
+        with pytest.raises(ConfigError, match="must be >= 0"):
             parse_config(f"{key} = -1\n")
 
 
@@ -160,7 +163,7 @@ def test_an_overflowing_stream_power_still_gives_finite_rates(tmp_path, capsys):
     config = _point_config(tmp_path, flags, "fd_cran, fd_cran_sic")
     out = tmp_path / "huge.csv"
     assert main(["sweep", "--config", config, "--out", str(out)]) == 0
-    rows = fdcran.sweep.load_csv(out)
+    rows = load_csv(out)
     assert len(rows) == 2
     for row in rows:
         assert math.isfinite(row.r_d) and row.r_eq == min(row.r_u, row.r_d)
@@ -185,7 +188,7 @@ def test_an_intra_cell_power_past_the_float_range_issues_no_warning(tmp_path):
     config.write_text(INTRA_CELL_OVERFLOW_CONFIG, encoding="utf-8")
     out = tmp_path / "intra.csv"
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
-    rows = fdcran.sweep.load_csv(out)
+    rows = load_csv(out)
     assert len(rows) == 8 and all(math.isfinite(r.r_eq) for r in rows)
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdcran.cli import main
-from fdcran.sweep import MAX_SWEEP_VALUES, ConfigError, SweepSpec, parse_config, preset_spec
+from fdcran.config import MAX_SWEEP_VALUES, ConfigError, SweepSpec, parse_config, preset_spec
 
 NUMERIC_KEYS = [
     "base.alpha",

@@ -28,9 +28,12 @@ from pathlib import Path
 
 import pytest
 
+from fdcran.config import SweepBase, SweepSpec, preset_spec
 from fdcran.model import SchemeId
 from fdcran.svg import emit_svg
-from fdcran.sweep import SweepBase, SweepSpec, load_csv, preset_spec, run_sweep
+from fdcran.sweep import run_sweep
+
+from sweep_io import load_csv
 
 DATA = Path(__file__).parent / "data"
 RATES = ("r_u", "r_d", "r_eq")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import fdcran.oracle
 import fdcran.rates as rates
 import fdcran.spectral
+from fdcran.config import SweepBase, SweepSpec, preset_spec
 from fdcran.model import SchemeId, SystemParams, db_to_linear
 from fdcran.oracle import (
     CERTIFIED_EPS,
@@ -24,7 +25,7 @@ from fdcran.oracle import (
 from fdcran.model import PowerAllocation
 from fdcran.rates import SCHEMES, SicMode, compute_batch, fd_cran_uplink, fd_scp
 from fdcran.spectral import rate_closed_form, zf_constants, zf_precoder
-from fdcran.sweep import SweepBase, SweepSpec, preset_spec, run_sweep, verification_failures
+from fdcran.sweep import run_sweep, verification_failures
 
 from conftest import make_params
 from test_batch import MIXED

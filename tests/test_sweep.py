@@ -12,27 +12,28 @@ import fdcran.oracle
 import fdcran.rates
 import fdcran.spectral
 import fdcran.sweep
+from fdcran.config import (
+    MAX_SWEEP_VALUES,
+    ConfigError,
+    SweepBase,
+    SweepSpec,
+    parse_config,
+    preset_spec,
+)
 from fdcran.model import NumericDomainError, SchemeId, ZfSingularError
 from fdcran.oracle import circulant_uplink_rate, exhaustive_power_opt
 from fdcran.rates import SCHEMES, SicMode
 from fdcran.sweep import (
     CSV_COLUMNS,
-    MAX_SWEEP_VALUES,
     ORACLE_COLUMNS,
     ORACLE_RATE_TOL,
-    ConfigError,
-    SweepBase,
     SweepRow,
-    SweepSpec,
     emit_csv,
-    load_csv,
-    parse_config,
-    preset_spec,
     run_sweep,
-    serialize_spec,
     verification_failures,
 )
 
+from sweep_io import load_csv, serialize_spec
 from test_oracle import _SizeProbe
 
 
