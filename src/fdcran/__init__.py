@@ -21,7 +21,7 @@ _NAMES = {
         "db_to_linear",
     ),
     "config": ("ConfigError", "SweepBase", "SweepSpec", "parse_config", "preset_spec"),
-    "oracle": ("circulant_uplink_rate", "circulant_uplink_rate_dense", "exhaustive_power_opt"),
+    "oracle": ("circulant_uplink_rate", "exhaustive_power_opt"),
     "rates": (
         "DEFAULT_GRID",
         "SicMode",

@@ -2,8 +2,8 @@
 full-duplex power optimum.
 
 The C-RAN uplink spectral integrals are the large-system limit of a per-cell
-log-determinant over a circulant channel matrix; building that matrix for a
-finite ring of cells and evaluating the log-det directly checks the limit
+log-determinant over a circulant channel matrix; the log-det of a finite
+ring of cells, through the circulant's eigenvalues, checks the limit
 without sharing any code with the closed form.  Cells wrap around (a ring
 rather than a truncated line) so no border effects pollute the comparison
 with the infinite-array formulas; _alias_term takes off the ring's exact
@@ -52,14 +52,12 @@ __all__ = [
     "Certified",
     "certified_max_min",
     "circulant_uplink_rate",
-    "circulant_uplink_rate_dense",
     "exhaustive_power_opt",
     "sigma_u_sq",
 ]
 
 DEFAULT_CELLS = 512
 _MIN_CELLS = 8
-_DENSE_CELL_CAP = 64  # O(n^3) second-layer check stays small
 _TIE_TOL = 1e-9
 # elements per oracle temporary: 64 KiB, below glibc's 128 KiB mmap threshold
 # and within a core's L2 cache
@@ -185,24 +183,6 @@ def _ring_rate(two_alpha, s, ring):
         block = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=-1)
         rate = block if rate is None else rate + block
     return rate
-
-
-def circulant_uplink_rate_dense(
-    alpha: float, p_u: float, sigma_u_sq: float, n: int
-) -> float:
-    """Same rate from an explicit dense log-det (second-layer check, 8 <= n <= 64)."""
-    if n < _MIN_CELLS:
-        raise ValueError(f"need at least {_MIN_CELLS} cells, got {n}")
-    if n > _DENSE_CELL_CAP:
-        raise ValueError(f"dense check limited to n <= {_DENSE_CELL_CAP}, got {n}")
-    # the Wyner ring: 1 on the diagonal, alpha to each neighbor, wrapping around
-    eye = np.eye(n)
-    h = eye + alpha * (np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1))
-    b = eye + (p_u / (1.0 + sigma_u_sq)) * (h @ h.T)
-    sign, logdet = np.linalg.slogdet(b)
-    if sign <= 0:
-        raise ValueError("log-det argument is not positive definite")
-    return float(logdet / (n * math.log(2.0)))
 
 
 def exhaustive_power_opt(

@@ -194,18 +194,18 @@ def _unit(p, *gains):
 # (1 + R_g(2)) and (quant, shift) = _per_unit_quantization(c_u), and
 # precodes at a = (1 - q_d) h~_0^2 and b = q_d (1 + 2 alpha^2), q_d = 2**-c_d,
 # under no cap.  Both have c = 2 beta_ud^2 and g = gamma_ud^2.  (h~_0^2,
-# R_g(2)) come from zf_constants, which an uplink alone does not need
-# (terms, zero by default).
+# R_g(2)) come from zf_constants, which rejects an alpha without a
+# zero-forcing precoder (ZfSingularError).
 _Form = namedtuple("_Form", "alpha f h quant shift noise_u cap_u a b c g cap_d unit")
 
 
-def _form(family: str, p, terms=(0.0, 0.0)) -> _Form:
+def _form(family: str, p) -> _Form:
     a2, bdu2, bud2, g2 = _power_gains(p)
     a2, du, ud = 2.0 * a2, 2.0 * bdu2, 2.0 * bud2
     if family == "scp":
         unit = _unit(p, a2, du, ud, g2)
         return _Form(None, a2, bdu2, 1.0, 0, 0.0, p.c_u, 1.0, a2, ud, g2, p.c_d, unit)
-    (h0sq, rg2), f, q_d = terms, 1.0 + a2, _each(pow, 2.0, -p.c_d)
+    (h0sq, rg2), f, q_d = _each(zf_constants, p.alpha), 1.0 + a2, _each(pow, 2.0, -p.c_d)
     unit = _unit(p, f, du, ud, g2)  # h = bdu2 (1 + R_g(2)) <= du
     quant, shift = _each(_per_unit_quantization, p.c_u)
     shift = np.asarray(shift, dtype=np.intc)  # ldexp's exponent: _each gives a column as floats
@@ -347,6 +347,7 @@ def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
     a valid panel count but changes nothing.  Returns (rate, sigma_u_sq);
     c_u = 0 gives sigma_u_sq = inf and rate 0 (the quantizer passes nothing);
     a sigma_u_sq that overflows a float at c_u > 0 raises NumericDomainError.
+    As every C-RAN rate, it raises ZfSingularError at alpha >= 1/2 - 1e-9.
     """
     _check_panel_count(panels)
     k = _form("cran", params)
@@ -423,7 +424,7 @@ def fd_cran_uplink(params, powers: PowerAllocation, precoder: Precoder) -> tuple
     """
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
     _check_precoder(params, precoder)
-    k = _form("cran", params, zf_constants(params.alpha))
+    k = _form("cran", params)
     sigma = _checked_sigma_u_sq(k, params.c_u, powers.p_u, powers.p_d, budgets=False)
     return _finite("r_u", _at(_uplink, k, powers.p_u, powers.p_d)), float(sigma)
 
@@ -447,7 +448,7 @@ def fd_cran_downlink(
     _check_powers(params, powers.p_u, powers.p_d, budgets=True)
     _check_precoder(params, precoder)
     r_u = _uplink_capacity(sic, r_u)
-    k = _form("cran", params, zf_constants(params.alpha))
+    k = _form("cran", params)
     return float(_at(_downlink, k, powers.p_u, powers.p_d, r_u, sic))
 
 
@@ -483,10 +484,9 @@ def _consts(family: str, sic, p) -> _Form:
     """The kernels' constants of p, a point or a batch's _columns, C-RAN with
     the exact zero-forcing terms and sigma_u^2 checked at the most power the
     scheme spends (P_u alone in half duplex, sic None, else both budgets)."""
-    if family == "scp":
-        return _form("scp", p)
-    k = _form("cran", p, _each(zf_constants, p.alpha))
-    _checked_sigma_u_sq(k, p.c_u, p.p_u_max, p.p_d_max * (sic is not None))
+    k = _form(family, p)
+    if family == "cran":
+        _checked_sigma_u_sq(k, p.c_u, p.p_u_max, p.p_d_max * (sic is not None))
     return k
 
 

@@ -3,7 +3,8 @@
 Every rate comes from two closed forms: rate_closed_form, the exact uplink
 rate integral in real arithmetic (Jensen's formula, the larger root's
 modulus taken from the distances of one point to +-1), and zf_constants,
-the exact zero-forcing h~_0^2 and R_g(2).
+the exact zero-forcing h~_0^2 and R_g(2), both for |alpha| <= 1/2: every
+C-RAN rate needs the precoder, whose domain _check_zf_alpha alone decides.
 The rest samples the unit frequency interval at an even panel count,
 deterministically for a given count: the channel response H(f), the
 trapezoid rule (_quad), the sampled zero-forcing precoder and the effective
@@ -36,7 +37,7 @@ DEFAULT_PANELS = 4096
 # 1/H(f)^2 stops being integrable at alpha = 0.5; reject just below.
 _ZF_ALPHA_LIMIT = 0.5 - 1e-9
 # rate_closed_form's scaled branch starts here, below where any of its
-# intermediates can pass the float range
+# intermediates can pass the float range (|alpha| <= 1/2)
 _HUGE_SNR = 2.0**1020
 _TWO_OVER_LN2 = 2.0 / math.log(2.0)
 
@@ -136,7 +137,7 @@ def h_tilde(precoder: Precoder, alpha: float, k: int) -> float:
 
 def rate_closed_form(snr_scale, alpha: float):
     """Exact integral of log2(1 + s H(f)^2) over the unit frequency interval
-    (Somekh & Shamai, IEEE T-IT 2000), in real arithmetic.
+    (Somekh & Shamai, IEEE T-IT 2000), in real arithmetic, for |alpha| <= 1/2.
 
     With u = sqrt(s), 1 + s H(f)^2 = |a + b cos 2 pi f|^2 for a = 1 + i u and
     b = 2 i alpha u, and Jensen's formula makes its log-mean log|b/2| plus
@@ -151,10 +152,8 @@ def rate_closed_form(snr_scale, alpha: float):
     (1 + 2 alpha)^2 s/(P + 1), Q - 1 likewise, m - 1 = ((P - 1) + (Q - 1))/2
     and D = m^2 - 4 alpha^2 s - 1 =
     ((1 - 4 alpha^2) s + (P - 1)(Q - 1) + (P - 1) + (Q - 1))/2, whence
-    z - 1 = (m - 1 + D/(1 + sqrt(1 + D)))/2.  For alpha > 1/2, where
-    (1 - 4 alpha^2) s < 0, the same D is 2s/(PQ + 1 + (4 alpha^2 - 1) s).
-    From (1 + 2 alpha)^2 s = 2**1022 on (s = 2**1020 for alpha <= 1/2), where
-    an intermediate could pass the float range, z is taken as sqrt(s) times
+    z - 1 = (m - 1 + D/(1 + sqrt(1 + D)))/2.  From s = 2**1020, where an
+    intermediate could pass the float range, z is taken as sqrt(s) times
     the z of 1/s + H(f)^2, as oracle._uplink takes its huge SINRs.
     The integral depends on alpha only through alpha^2, so |alpha| stands in
     for alpha throughout.  s and alpha broadcast against each other: a float
@@ -164,22 +163,15 @@ def rate_closed_form(snr_scale, alpha: float):
     s = np.asarray(snr_scale, dtype=float)
     x = s.reshape(1) if s.ndim == 0 else s  # arrays, for the in-place steps
     a = 2.0 * abs(alpha)
-    above = np.any(a > 1.0)  # some |alpha| > 1/2
-    limit = _HUGE_SNR * 4.0 / np.max(np.maximum((1.0 + a) ** 2, 4.0)) if above else _HUGE_SNR
-    huge = x >= limit if x.size and x.max() >= limit else None
+    huge = x >= _HUGE_SNR if x.size and x.max() >= _HUGE_SNR else None
     if huge is not None:
         x = np.where(huge, 0.0, x)
     p = _sqrt1pm1((1.0 + a) ** 2 * x)  # P - 1
     q = _sqrt1pm1((1.0 - a) ** 2 * x)  # Q - 1
     w = p + q  # 2 (m - 1)
-    b = np.minimum(a, 1.0) if above else a
-    d = (1.0 - b) * (1.0 + b) * x
+    d = (1.0 - a) * (1.0 + a) * x
     d += p * q
     d += w
-    if above:  # 2D = 4s/(PQ + 1 + (4 alpha^2 - 1) s) where |alpha| > 1/2
-        b = np.maximum(a, 1.0)
-        twice = 4.0 * x / ((p + 1.0) * (q + 1.0) + 1.0 + (b - 1.0) * (b + 1.0) * x)
-        d = np.where(a > 1.0, twice, d)
     d *= 0.5  # D
     z = _sqrt1pm1(d)
     z += 0.5 * w
@@ -200,13 +192,13 @@ def _sqrt1pm1(x):
 
 
 def _huge_rate(s, a):
-    """rate_closed_form at huge s, a = 2 alpha: log2 s + 2 log2 z' for z' the
-    z of 1/s + H(f)^2, formed from P' = sqrt(1/s + (1 + a)^2),
+    """rate_closed_form at huge s, a = 2 alpha <= 1: log2 s + 2 log2 z' for z'
+    the z of 1/s + H(f)^2, formed from P' = sqrt(1/s + (1 + a)^2),
     Q' = sqrt(1/s + (1 - a)^2), m' = (P' + Q')/2 and the non-negative
-    m' - a = max(1 - a, 0) + (P' - (1 + a) + Q' - |1 - a|)/2, each difference
-    taken as (1/s)/(sum), so m'^2 - a^2 = (m' - a)(m' + a) does not cancel."""
+    m' - a = 1 - a + (P' - (1 + a) + Q' - (1 - a))/2, each difference taken
+    as (1/s)/(sum), so m'^2 - a^2 = (m' - a)(m' + a) does not cancel."""
     c = 1.0 / s
     p, q = np.sqrt(c + (1.0 + a) ** 2), np.sqrt(c + (1.0 - a) ** 2)
     m = 0.5 * (p + q)
-    low = np.maximum(1.0 - a, 0.0) + 0.5 * (c / (p + (1.0 + a)) + c / (q + np.abs(1.0 - a)))
+    low = (1.0 - a) + 0.5 * (c / (p + (1.0 + a)) + c / (q + (1.0 - a)))
     return np.log2(s) + 2.0 * np.log2(0.5 * (m + np.sqrt(low * (m + a))))

@@ -19,7 +19,6 @@ from fdcran.oracle import (
     DEFAULT_CELLS,
     certified_max_min,
     circulant_uplink_rate,
-    circulant_uplink_rate_dense,
     exhaustive_power_opt,
 )
 from fdcran.model import PowerAllocation
@@ -28,6 +27,7 @@ from fdcran.spectral import rate_closed_form, zf_constants, zf_precoder
 from fdcran.sweep import run_sweep, verification_failures
 
 from conftest import make_params
+from dense_ring import circulant_uplink_rate_dense
 from test_batch import MIXED
 from test_domain_properties import EXAMPLES, domain, huge_db
 from test_solver_properties import DOMAIN
@@ -49,13 +49,6 @@ def test_eigenvalue_and_dense_logdet_agree(alpha, n):
     fast = circulant_uplink_rate(alpha, 50.0, 0.3, n)
     dense = circulant_uplink_rate_dense(alpha, 50.0, 0.3, n)
     assert abs(fast - dense) < 1e-10
-
-
-def test_dense_logdet_size_cap():
-    # the ring needs at least 8 cells, as circulant_uplink_rate's does
-    for n in (4, 128):
-        with pytest.raises(ValueError):
-            circulant_uplink_rate_dense(0.4, 1.0, 0.0, n)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])

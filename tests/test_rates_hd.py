@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from fdcran.model import SchemeId, ZfSingularError
 from fdcran.oracle import circulant_uplink_rate
 from fdcran.rates import (
+    compute_scheme,
     equal_rate_split,
     fd_cran,
     fd_cran_downlink,
@@ -103,6 +105,20 @@ def test_hd_cran_uplink_zero_fronthaul():
     rate, sigma = hd_cran_uplink(make_params(c_u=0.0))
     assert rate == 0.0
     assert math.isinf(sigma)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4, 0.5 - 1.5e-9, 0.5 - 5e-10, 0.5, 0.6, 1.0])
+def test_hd_cran_uplink_takes_the_alphas_of_hd_cran(alpha):
+    # one alpha domain for every C-RAN rate: the uplink alone gives hd_cran's
+    # r_u and sigma_u^2, or both reject alpha past the zero-forcing limit
+    params = make_params(alpha=alpha)
+    try:
+        result = compute_scheme(SchemeId.HD_CRAN, params)
+    except ZfSingularError:
+        with pytest.raises(ZfSingularError):
+            hd_cran_uplink(params)
+        return
+    assert hd_cran_uplink(params) == (result.r_u, result.diagnostics["sigma_u_sq"])
 
 
 def test_hd_cran_downlink_flat_channel():
