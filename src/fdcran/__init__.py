@@ -1,9 +1,10 @@
 """Per-cell rate analysis for half/full-duplex cellular systems with
 single-cell processing or C-RAN operation on the extended Wyner model.
 
-Each public name loads on first use (PEP 562), with its module.  ``import
-fdcran`` and the names of model and config import no numpy; it loads with the
-first name from rates, spectral, oracle, sweep or svg."""
+Each public name loads on first use (PEP 562), with its module.  numpy loads
+only with the oracles, a full-duplex power search and the sampled spectral
+functions (zf_precoder, h_tilde, channel_response, rate_closed_form): every
+half-duplex rate, sweep, CSV and chart runs without it."""
 
 from importlib import import_module
 

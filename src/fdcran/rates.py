@@ -3,20 +3,21 @@
 The schemes are two processing families, single-cell processing (SCP) and
 C-RAN, each with three receivers: half duplex, and full duplex treating the
 co-located uplink signal as noise or cancelling it first (SIC).  Both
-families share one uplink and one downlink kernel, (k, p_u, p_d[, r_u,
-receiver]) -> rate, with k the constants of a point or of a batch's
-parameter columns (_columns: a field its points share stays a float, and so
-does every constant made of such fields alone) and powers in its _unit,
-which keeps the float range.  The constants (_Form) write SCP as a C-RAN
-link with one eigenvalue and no fronthaul quantizer, in the oracle's form
-and under its names, and hold the products the kernels would otherwise form
-on every call.  The power search, the reported rates at its argmax, the
-public scalar rate functions and half duplex (the other direction's power
-at 0) all call them.  C-RAN rates are exact: the uplink integral is
-rate_closed_form and the zero-forcing precoder of the point's alpha enters
-through zf_constants.  A precoder passed to a public function must be that
-one, at any sampling (_check_precoder).  The oracles keep formulas of their
-own.
+families share one uplink and one downlink kernel, (xp, k, p_u, p_d[, r_u,
+receiver]) -> rate, with powers in the point's _unit, which keeps the float
+range.  Each kernel is written once against a namespace xp: the power
+search passes numpy, with k the constants of a batch's points (_stacked),
+and every reported number (the half-duplex rates, the rates and sigma_u^2 at
+a search's argmax or at full power, and the public scalar functions) is a
+float of the math shim _MATH, with k one point's constants.  So numpy loads
+only where a full-duplex scheme searches its powers.  The constants (_Form)
+write SCP as a C-RAN link with one eigenvalue and no fronthaul quantizer,
+in the oracle's form and under its names, and hold the products the kernels
+would otherwise form on every call.  C-RAN rates are exact: the uplink
+integral is rate_closed_form and the zero-forcing precoder of the point's
+alpha enters through zf_constants.  A precoder passed to a public function
+must be that one, at any sampling (_check_precoder).  The oracles keep
+formulas of their own.
 
 Half-duplex schemes split the band between directions at full power; the
 equal rate follows from balancing f*R_u against (1-f)*R_d.  Full-duplex
@@ -26,13 +27,14 @@ co-located uplink codeword, which may be sent at any rate up to the uplink
 capacity r_u; the search maximizes over that carried rate too, and the
 reported r_d is the downlink's at the best carried rate (_receive), so
 r_eq = min(r_u, r_d) is the rate the uplink carries.  _solve forms every
-result, of one scheme at a batch of operating points at once, as columns:
-half duplex as the kernels at (P_u, 0) and (0, P_d) for every point, full
-duplex as one power search and both kernels at its argmax, or at the budgets
-under full_power (compute_batch is _batch, its RateResults; compute_scheme,
-hd_scp, hd_cran, fd_scp and fd_cran are its batch of one).  Every point of a
-batch gets bit-for-bit the result it gets alone.  The search calls the kernels (_rates) for all
-points at once (see compute_batch on memory).
+result, of one scheme at a batch of operating points, each point's in
+floats: half duplex as the kernels at (P_u, 0) and (0, P_d), full duplex as
+both kernels at the argmax of one power search for the whole batch, or at
+the budgets under full_power (compute_batch is _batch, its RateResults;
+compute_scheme, hd_scp, hd_cran, fd_scp and fd_cran are its batch of one).
+Every point of a batch gets bit-for-bit the result it gets alone.  The
+search calls the kernels (_rates) for all points at once (see compute_batch
+on memory).
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
@@ -42,19 +44,17 @@ p_d * 2**-c_d, so the radio unit transmits exactly p_d.
 
 import math
 from collections import namedtuple
+from contextlib import nullcontext
 from enum import Enum
-from functools import reduce
 from itertools import repeat
-from operator import attrgetter
-
-import numpy as np
+from types import SimpleNamespace
 
 from .model import NumericDomainError, PowerAllocation, RateResult, SchemeId
 from .spectral import (
     DEFAULT_PANELS,
     Precoder,
     _check_panels as _check_panel_count,
-    rate_closed_form,
+    _closed_form,
     zf_constants,
 )
 
@@ -82,9 +82,9 @@ __all__ = [
 DEFAULT_GRID = 64
 
 _EDGE_CUTS = 269  # most 16-fold cuts of a bracket: 16**-269 < 2**-1074, the least subnormal
-_EPS = np.finfo(float).eps
+_EPS = 2.0**-52  # float eps
 _SHRINK_STEPS = 20  # halvings of the tie-breaking power scale
-_WINDOW = np.linspace(0.0, 1.0, 17)  # samples across a search window
+_WINDOW = tuple(i / 16 for i in range(17))  # samples across a search window
 _TIE_TOL = 1e-9  # objective values this close count as tied
 
 
@@ -123,11 +123,35 @@ def equal_rate_split(r_u: float, r_d: float) -> tuple[float, float | None]:
 
 
 # ----------------------------------------------------------------------------
-# rate kernels: powers are floats or arrays, and k is the constants of one
-# point or of a batch's columns, unpacked by position either way
+# rate kernels: xp is numpy, for power arrays and k the constants of a
+# batch's points (_stacked), or _MATH, for floats and k one point's _form;
+# numpy's vector loops and the C library may round log2 and log1p apart
 
 
-def _receive(signal, den, g2pu, r_u, receiver):
+def _ldexp(x, n):  # math.ldexp, inf as numpy gives it where the result overflows
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+# The kernels' namespace for floats: what the kernels call of numpy, with
+# numpy's results where math raises (-inf at 0, NaN below a domain), and
+# numpy's minimum and maximum, which return a NaN argument where Python's min
+# and max drop it by position.  The kernels' own float arithmetic overflows
+# to inf, as numpy's does, and divides by no zero.
+_MATH = SimpleNamespace(
+    log2=lambda x: math.log2(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan,
+    log1p=lambda x: math.log1p(x) if x > -1.0 else -math.inf if x == -1.0 else math.nan,
+    sqrt=lambda x: math.sqrt(x) if x >= 0.0 else math.nan,
+    minimum=lambda a, b: a if a < b or a != a else b,
+    maximum=lambda a, b: a if a > b or a != a else b,
+    where=lambda cond, x, y: x if cond else y,
+    any=bool, isinf=math.isinf, ldexp=_ldexp, errstate=lambda **_: nullcontext(),
+)
+
+
+def _receive(xp, signal, den, g2pu, r_u, receiver):
     """Downlink rate from the signal power, the denominator without the
     intra-cell uplink power g2pu, and the receiver.  With t1 = C(signal/den),
     t2 = C((signal + g2pu)/den) and t3 = C(signal/(den + g2pu)): treat-as-noise
@@ -136,37 +160,21 @@ def _receive(signal, den, g2pu, r_u, receiver):
     noise, or decoding jointly without having to decode it (Bandemer, El Gamal
     and Kim, IEEE T-IT 2015).  As t3 <= t1, min(R, that rate) peaks at the
     carried rate R* = max(min(r_u, t3), min(r_u, t1, t2/2)); SIC returns the
-    rate at R*, so that min(r_u, r_d) = R*.  The bound receiver returns t1 and
-    t2/2 stacked along a new first axis."""
+    rate at R*, so that min(r_u, r_d) = R*.  The bound receiver, the search's
+    alone, returns t1 and t2/2 stacked along a new first axis."""
     if receiver is not _TAN:
-        with np.errstate(over="ignore"):  # past 1024 bits t2 is taken as a difference
-            t2 = np.log2(1.0 + (signal + g2pu) / den)
-        if np.isinf(t2).any():
-            t2 = np.where(np.isinf(t2), np.log2(den + signal + g2pu) - np.log2(den), t2)
-        t1 = np.log2(1.0 + signal / den)
+        with xp.errstate(over="ignore"):  # past 1024 bits t2 is taken as a difference
+            t2 = xp.log2(1.0 + (signal + g2pu) / den)
+        if xp.any(xp.isinf(t2)):
+            t2 = xp.where(xp.isinf(t2), xp.log2(den + signal + g2pu) - xp.log2(den), t2)
+        t1 = xp.log2(1.0 + signal / den)
         if receiver is _BOUND:
-            return np.stack((t1, t2 / 2.0))
-    t3 = np.log2(1.0 + signal / (den + g2pu))
+            return xp.stack((t1, t2 / 2.0))
+    t3 = xp.log2(1.0 + signal / (den + g2pu))
     if receiver is _TAN:
         return t3
-    carried = np.maximum(np.minimum(r_u, t3), np.minimum(np.minimum(r_u, t1), t2 / 2.0))
-    return np.maximum(t3, np.minimum(t1, t2 - carried))
-
-
-def _each(f, *args):
-    """f(*args) of floats; where some args are columns (_columns), f of each
-    point's values, as one column per value f returns.  A varying column so
-    keeps CPython's rounding: numpy's vector loops may round x**2, 2.0**-x
-    and expm1 otherwise, and a point must get the bits it gets alone."""
-    if not any(isinstance(a, np.ndarray) for a in args):
-        return f(*args)
-    values = (a.ravel().tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args)
-    out = np.array(list(map(f, *values)))
-    return out.T.reshape(*out.shape[1:], -1, 1, 1)
-
-
-def _power_gains(p) -> tuple:  # alpha^2, beta_du^2, beta_ud^2 and gamma_ud^2
-    return tuple(_each(pow, x, 2) for x in (p.alpha, p.beta_du, p.beta_ud, p.gamma_ud))
+    carried = xp.maximum(xp.minimum(r_u, t3), xp.minimum(xp.minimum(r_u, t1), t2 / 2.0))
+    return xp.maximum(t3, xp.minimum(t1, t2 - carried))
 
 
 def _unit(p, *gains):
@@ -175,11 +183,9 @@ def _unit(p, *gains):
     these units, which leave each SINR as it is.  k = 0 unless the largest
     power gain (at least 1) times the larger budget passes 2**1016; then k
     brings that product down to 2**1016, so no product or sum of the kernels
-    overflows a float even where gamma_ud^2 P_u does.  Of columns, a column:
-    frexp, ldexp and max round nothing, in numpy as in CPython."""
-    gain, budget = reduce(np.maximum, gains, 1.0), np.maximum(p.p_u_max, p.p_d_max)
-    unit = np.ldexp(1.0, -np.maximum(np.frexp(gain)[1] + np.frexp(budget)[1] - 1016, 0))
-    return unit if unit.ndim else float(unit)
+    overflows a float even where gamma_ud^2 P_u does."""
+    k = math.frexp(max(1.0, *gains))[1] + math.frexp(max(p.p_u_max, p.p_d_max))[1] - 1016
+    return math.ldexp(1.0, -max(k, 0))
 
 
 # The kernels' constants, every power in the point's _unit:
@@ -200,18 +206,31 @@ _Form = namedtuple("_Form", "alpha f h quant shift noise_u cap_u a b c g cap_d u
 
 
 def _form(family: str, p) -> _Form:
-    a2, bdu2, bud2, g2 = _power_gains(p)
+    """One point's constants, as floats: a batch's search stacks them
+    (_stacked), so each point keeps CPython's x**2 and 2.0**-x, which numpy's
+    vector loops may round otherwise, and the bits it gets alone."""
+    a2, bdu2, bud2, g2 = (pow(x, 2) for x in (p.alpha, p.beta_du, p.beta_ud, p.gamma_ud))
     a2, du, ud = 2.0 * a2, 2.0 * bdu2, 2.0 * bud2
     if family == "scp":
         unit = _unit(p, a2, du, ud, g2)
         return _Form(None, a2, bdu2, 1.0, 0, 0.0, p.c_u, 1.0, a2, ud, g2, p.c_d, unit)
-    (h0sq, rg2), f, q_d = _each(zf_constants, p.alpha), 1.0 + a2, _each(pow, 2.0, -p.c_d)
+    (h0sq, rg2), f, q_d = zf_constants(p.alpha), 1.0 + a2, 2.0**-p.c_d
     unit = _unit(p, f, du, ud, g2)  # h = bdu2 (1 + R_g(2)) <= du
-    quant, shift = _each(_per_unit_quantization, p.c_u)
-    shift = np.asarray(shift, dtype=np.intc)  # ldexp's exponent: _each gives a column as floats
+    quant, shift = _per_unit_quantization(p.c_u)
     return _Form(
         p.alpha, f, bdu2 * (1.0 + rg2), quant, shift, unit, math.inf, (1.0 - q_d) * h0sq, q_d * f,
         ud, g2, math.inf, unit,
+    )
+
+
+def _stacked(forms) -> _Form:
+    """The constants of a batch from its points' _forms: a constant every
+    point shares stays its float, and one that varies is an (n, 1, 1) array,
+    which broadcasts against the power arrays (n, ...) of the search."""
+    import numpy as np
+
+    return _Form._make(
+        c[0] if c.count(c[0]) == len(c) else np.array(c)[:, None, None] for c in zip(*forms)
     )
 
 
@@ -228,63 +247,60 @@ def _per_unit_quantization(c: float) -> tuple[float, int]:
     return 2.0 ** (shift - c) / -math.expm1(-c * math.log(2.0)), shift
 
 
-def _sigma_u_sq(k, p_u, p_d):
+def _sigma_u_sq(xp, k, p_u, p_d):
     # C-RAN's sigma_u^2, and SCP's whole uplink denominator (quant = 1,
     # shift = 0); the neighboring radio units' downlink signals are correlated
     # at lag 2 through the shared precoder, hence (1 + R_g(2)) in C-RAN's h,
     # half the gain, which is finite for every beta_du that SystemParams takes
     load = k.unit + k.f * p_u + 2.0 * (k.h * p_d)
-    return np.ldexp(load * k.quant, -k.shift)
+    return xp.ldexp(load * k.quant, -k.shift)
 
 
-def _checked_sigma_u_sq(k, c_u, p_u, p_d, budgets: bool = True):
-    """sigma_u^2 (_sigma_u_sq) at the powers (p_u, p_d), the budgets unless
-    budgets=False, of one point or, given arrays, of each point of a batch.
-    It is inf at c_u = 0, where the quantizer passes nothing; inf at c_u > 0
-    is an overflow, which would report a zero uplink rate where the model has
-    a positive one, so the first point with one raises NumericDomainError."""
-    with np.errstate(over="ignore"):  # formed in the _unit; an overflow is inf
-        sigma = _sigma_u_sq(k, p_u * k.unit, p_d * k.unit) / k.unit
-    overflow = (sigma == math.inf) & (c_u > 0.0)
-    if overflow.any():
-        i = int(overflow.argmax())
-        quant, c, *powers = (
-            float(np.broadcast_to(x, overflow.shape).flat[i]) for x in (k.quant, c_u, p_u, p_d)
-        )
+def _checked_sigma_u_sq(k, c_u, p_u, p_d, budgets: bool = True) -> float:
+    """sigma_u^2 (_sigma_u_sq) of one point at the powers (p_u, p_d), the
+    budgets unless budgets=False.  It is inf at c_u = 0, where the quantizer
+    passes nothing; inf at c_u > 0 is an overflow, which would report a zero
+    uplink rate where the model has a positive one, so it raises
+    NumericDomainError."""
+    sigma = _sigma_u_sq(_MATH, k, p_u * k.unit, p_d * k.unit) / k.unit  # formed in the _unit
+    if sigma == math.inf and c_u > 0.0:
         at = "the budgets p_u_max={!r}, p_d_max={!r}" if budgets else "p_u={!r}, p_d={!r}"
-        if quant == math.inf:  # below c_u = 8.9e-309 1 / (2**c_u - 1) itself overflows
-            at, powers = "c_u={!r}, where 1 / (2**c_u - 1) does", [c]
+        powers = (p_u, p_d)
+        if k.quant == math.inf:  # below c_u = 8.9e-309 1 / (2**c_u - 1) itself overflows
+            at, powers = "c_u={!r}, where 1 / (2**c_u - 1) does", [c_u]
         raise NumericDomainError("sigma_u_sq overflows a float at " + at.format(*powers))
     return sigma
 
 
-def _uplink(k, p_u, p_d):
-    s = p_u / (_sigma_u_sq(k, p_u, p_d) + k.noise_u)
-    return np.minimum(np.log2(1.0 + s) if k.alpha is None else rate_closed_form(s, k.alpha), k.cap_u)
+def _uplink(xp, k, p_u, p_d):
+    s = p_u / (_sigma_u_sq(xp, k, p_u, p_d) + k.noise_u)
+    rate = xp.log2(1.0 + s) if k.alpha is None else _closed_form(xp, s, k.alpha)
+    return xp.minimum(rate, k.cap_u)
 
 
 def _downlink_powers(p_d, q_d):  # (stream power p_s, quantization noise sigma_d^2)
     return p_d * (1.0 - q_d), p_d * q_d
 
 
-def _downlink(k, p_u, p_d, r_u, receiver):
+def _downlink(xp, k, p_u, p_d, r_u, receiver):
     den = k.unit + k.b * p_d + k.c * p_u
-    return np.minimum(_receive(k.a * p_d, den, k.g * p_u, r_u, receiver), k.cap_d)
+    return xp.minimum(_receive(xp, k.a * p_d, den, k.g * p_u, r_u, receiver), k.cap_d)
 
 
-def _rates(k, pu, pd, receiver):
+def _rates(xp, k, pu, pd, receiver):
     """(r_u, r_d) at constants k and powers pu, pd, r_d that of the receiver
     (_receive); half duplex, receiver None, takes the uplink at (pu, 0) and
     the downlink at (0, pd)."""
     if receiver is None:
-        return _uplink(k, pu, 0.0), _downlink(k, 0.0, pd, 0.0, _TAN)
-    r_u = _uplink(k, pu, pd)
-    return r_u, _downlink(k, pu, pd, r_u, receiver)
+        return _uplink(xp, k, pu, 0.0), _downlink(xp, k, 0.0, pd, 0.0, _TAN)
+    r_u = _uplink(xp, k, pu, pd)
+    return r_u, _downlink(xp, k, pu, pd, r_u, receiver)
 
 
 def _at(kernel, k, p_u, p_d, *args):
-    """kernel at the powers (p_u, p_d), passed in the point's _unit."""
-    return kernel(k, p_u * k.unit, p_d * k.unit, *args)
+    """kernel of one point, in floats, at the powers (p_u, p_d), passed in
+    the point's _unit."""
+    return kernel(_MATH, k, p_u * k.unit, p_d * k.unit, *args)
 
 
 def _check_powers(params, p_u, p_d, budgets: bool = False) -> None:
@@ -352,7 +368,7 @@ def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
     _check_panel_count(panels)
     k = _form("cran", params)
     sigma = _checked_sigma_u_sq(k, params.c_u, params.p_u_max, 0.0)
-    return _finite("r_u", _at(_uplink, k, params.p_u_max, 0.0)), float(sigma)
+    return _finite("r_u", _at(_uplink, k, params.p_u_max, 0.0)), sigma
 
 
 def hd_cran_downlink(params, precoder: Precoder) -> tuple[float, float, float]:
@@ -426,7 +442,7 @@ def fd_cran_uplink(params, powers: PowerAllocation, precoder: Precoder) -> tuple
     _check_precoder(params, precoder)
     k = _form("cran", params)
     sigma = _checked_sigma_u_sq(k, params.c_u, powers.p_u, powers.p_d, budgets=False)
-    return _finite("r_u", _at(_uplink, k, powers.p_u, powers.p_d)), float(sigma)
+    return _finite("r_u", _at(_uplink, k, powers.p_u, powers.p_d)), sigma
 
 
 def fd_cran_downlink(
@@ -464,75 +480,74 @@ def fd_cran(params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE) -
 # batches
 
 
-_Columns = namedtuple("_Columns", "alpha beta_du beta_ud gamma_ud p_u_max p_d_max c_u c_d")
-
-
-def _columns(points) -> _Columns:
-    """A batch's parameters, the SystemParams fields the constants read, as
-    columns: a field every point shares stays its plain float, and one that
-    varies is an (n, 1, 1) array, which broadcasts against the power arrays
-    (n, ...) of the search.  A constant made of shared fields alone is then a
-    float, and a single point's constants are plain floats: numpy combines a
-    float with arrays at less cost than a column, and to the same values."""
-    return _Columns._make(
-        c[0] if c.count(c[0]) == len(c) else np.array(c)[:, None, None]
-        for c in zip(*map(attrgetter(*_Columns._fields), points))
-    )
+# the SystemParams fields the constants read: a sweep builds one per value,
+# and _solve takes either
+_Point = namedtuple("_Point", "alpha beta_du beta_ud gamma_ud p_u_max p_d_max c_u c_d")
 
 
 def _consts(family: str, sic, p) -> _Form:
-    """The kernels' constants of p, a point or a batch's _columns, C-RAN with
-    the exact zero-forcing terms and sigma_u^2 checked at the most power the
-    scheme spends (P_u alone in half duplex, sic None, else both budgets)."""
+    """The kernels' constants of the point p, C-RAN with the exact
+    zero-forcing terms and sigma_u^2 checked at the most power the scheme
+    spends (P_u alone in half duplex, sic None, else both budgets)."""
     k = _form(family, p)
     if family == "cran":
         _checked_sigma_u_sq(k, p.c_u, p.p_u_max, p.p_d_max * (sic is not None))
     return k
 
 
-def _solve(family: str, sic, p: _Columns, n: int, full_power: bool = False):
-    """Columns (r_u, r_d, r_eq, diagnostics by name) of the scheme of family
-    and receiver sic (None: half duplex) at n points whose parameters are the
-    _columns p, all at once.  Half duplex evaluates the uplink kernel at
-    (P_u, 0) and the downlink kernel at (0, P_d), and balances each point's
-    pair by equal_rate_split (f_star None where there is no split).  Full
-    duplex evaluates both at the power search's argmax, or at the budgets if
-    full_power, and reports their min.  The first point with a rate not
-    finite raises, r_u checked before r_d.  It builds no SystemParams,
-    RateResult or per-point dict: _batch and run_sweep build their own."""
-    k = _consts(family, sic, p)
-    shape, unit = (n, 1, 1), k.unit
-    p_u, p_d = (np.broadcast_to(x, shape) for x in (p.p_u_max, p.p_d_max))
+def _solve(family: str, sic, points, full_power: bool = False) -> list:
+    """(r_u, r_d, r_eq, diagnostics) of the scheme of family and receiver sic
+    (None: half duplex) at each of the points (SystemParams or _Point).
+    Half duplex evaluates the uplink kernel at (P_u, 0) and the downlink
+    kernel at (0, P_d), and balances the pair by equal_rate_split (f_star
+    None where there is no split).  Full duplex evaluates both at the power
+    search's argmax, one search for all the points, or at the budgets if
+    full_power, and reports their min.  Every reported number is a float
+    formed from the point alone (_MATH).  Every point's sigma_u^2 is checked
+    first, then the first point with a rate not finite raises, r_u checked
+    before r_d."""
+    forms = [_consts(family, sic, p) for p in points]
+    powers = [(p.p_u_max, p.p_d_max) for p in points]
     if sic is not None and not full_power:
-        _, u, d = _max_min_search(k, (p_u * unit).ravel(), (p_d * unit).ravel(), sic)
-        p_u, p_d = u.reshape(shape) / unit, d.reshape(shape) / unit
-    r_u, r_d = (r.ravel() for r in _rates(k, p_u * unit, p_d * unit, sic))  # in each _unit
-    finite = np.isfinite(r_u) & np.isfinite(r_d)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        _finite("r_u", r_u[i])
-        _finite("r_d", r_d[i])
+        powers = _searched(forms, powers, sic)
+    return list(map(_reported, repeat(family), repeat(sic), points, forms, powers))
+
+
+def _searched(forms, budgets, sic) -> list:
+    """Each point's argmax (p_u*, p_d*) of _max_min_search, one search for
+    the points of the forms and budgets, run in each point's _unit."""
+    import numpy as np
+
+    unit = np.array([k.unit for k in forms])
+    p_u, p_d = (np.array(b) * unit for b in zip(*budgets))
+    _, u, d = _max_min_search(_stacked(forms), p_u, p_d, sic)
+    return list(zip((u / unit).tolist(), (d / unit).tolist()))
+
+
+def _reported(family: str, sic, p, k: _Form, powers) -> tuple:
+    """_solve's result of the point p, constants k, at its powers."""
+    p_u, p_d = powers
+    r_u, r_d = _rates(_MATH, k, p_u * k.unit, p_d * k.unit, sic)
+    _finite("r_u", r_u)
+    _finite("r_d", r_d)
     diag = {} if sic is None else {"p_u_star": p_u, "p_d_star": p_d}
     if family == "cran":
-        p_s, sigma_d = _downlink_powers(p_d, _each(pow, 2.0, -p.c_d))
+        p_s, sigma_d = _downlink_powers(p_d, 2.0**-p.c_d)
         up = (p_u, p_d * (sic is not None))  # the uplink's powers
         diag["sigma_u_sq"] = _checked_sigma_u_sq(k, p.c_u, *up, budgets=False)
         diag.update(sigma_d_sq=sigma_d, p_s=p_s)
-    diag = {name: x.ravel().tolist() for name, x in diag.items()}
-    r_u, r_d = r_u.tolist(), r_d.tolist()
     if sic is None:
-        r_eq, diag["f_star"] = zip(*map(equal_rate_split, r_u, r_d))
+        r_eq, diag["f_star"] = equal_rate_split(r_u, r_d)
     else:
-        r_eq = list(map(min, r_u, r_d))
+        r_eq = min(r_u, r_d)
     return r_u, r_d, r_eq, diag
 
 
 def _batch(family: str, sic, points, full_power: bool = False) -> list:
-    """Each point's RateResult of _solve at the points' _columns, f_star left out where None."""
-    r_u, r_d, r_eq, diag = _solve(family, sic, _columns(points), len(points), full_power)
+    """Each point's RateResult of _solve, f_star left out where None."""
     return [
-        RateResult(u, d, eq, {name: v for name, v in zip(diag, values) if v is not None})
-        for u, d, eq, *values in zip(r_u, r_d, r_eq, *diag.values())
+        RateResult(u, d, eq, {name: v for name, v in diag.items() if v is not None})
+        for u, d, eq, diag in _solve(family, sic, points, full_power)
     ]
 
 
@@ -543,7 +558,7 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
 # (n,) arrays, and so is each returned value and power.
 
 
-def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
+def _edge_optimum(evaluate, p_u_max, p_d_max):
     """Exact max-min of monotone terms, searched on both budget edges at once.
 
     evaluate(pu, pd) returns (up, down, *free), the terms whose min is the
@@ -562,6 +577,8 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
     cap binds or the value is 0; it is scaled down to the smallest such scale
     (to within 2**-_SHRINK_STEPS).  Returns (value, p_u, p_d).
     """
+    import numpy as np
+
     first = np.array([[True], [False]])  # row 0: p_u = p_u_max; row 1: p_d = p_d_max
     u_max, d_max = p_u_max[:, None, None], p_d_max[:, None, None]
 
@@ -577,12 +594,13 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
 
     n = p_u_max.size
     bracket = np.broadcast_to([0.0, 1.0], (n, 2, 2))  # each edge's (lo, hi) in t
-    last, falls = _WINDOW.size - 1, None
+    window, falls = np.array(_WINDOW), None
+    last = window.size - 1
     for _ in range(_EDGE_CUTS):
         lo, hi = bracket[..., :1], bracket[..., 1:]
         if (hi - lo <= _EPS * hi).all():
             break
-        t = lo + (hi - lo) * _WINDOW
+        t = lo + (hi - lo) * window
         terms = evaluate(*edges(t))
         if falls is None:  # the first window runs from t = 0 to t = 1
             falls = [f[..., last:] < f[..., :1] for f in terms[2:]]
@@ -616,8 +634,8 @@ def _edge_optimum(evaluate, p_u_max: np.ndarray, p_d_max: np.ndarray):
 
 def _max_min_search(k, p_u_max, p_d_max, sic: SicMode):
     """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max],
-    k being the batch's constants (_consts), for _rates at power arrays whose
-    leading axis runs over its points.
+    k being the batch's constants (_stacked), for _rates in numpy at power
+    arrays whose leading axis runs over its points.
 
     Treat-as-noise: both SINRs are standard interference functions (Yates,
     IEEE JSAC 1995), so scaling (p_u, p_d) up raises both rates and the
@@ -632,12 +650,14 @@ def _max_min_search(k, p_u_max, p_d_max, sic: SicMode):
     treat-as-noise one by more than _TIE_TOL.  Returns (value, p_u, p_d),
     each an (n,) array.
     """
-    best = _edge_optimum(lambda pu, pd: _rates(k, pu, pd, _TAN), p_u_max, p_d_max)
+    import numpy as np
+
+    best = _edge_optimum(lambda pu, pd: _rates(np, k, pu, pd, _TAN), p_u_max, p_d_max)
     if sic is _TAN:
         return best
 
     def bound(pu, pd):  # M's terms: r_u, t1 and the free t2/2
-        r_u, (t1, half) = _rates(k, pu, pd, _BOUND)
+        r_u, (t1, half) = _rates(np, k, pu, pd, _BOUND)
         return r_u, t1, half
 
     found = _edge_optimum(bound, p_u_max, p_d_max)
@@ -651,8 +671,8 @@ def _max_min_search(k, p_u_max, p_d_max, sic: SicMode):
 
 def compute_batch(scheme: SchemeId, points) -> list[RateResult]:
     """compute_scheme for one scheme at each of a sequence of operating
-    points, all evaluated at once: half duplex as the kernels at every
-    point's budgets, full duplex as one power search for the whole batch.
+    points: each point's rates in floats, at its budgets in half duplex, and
+    at the argmax of one power search for the whole batch in full duplex.
 
     Every result equals that of the point alone.  The search's kernel calls
     grow with the batch, 2 x len(_WINDOW) = 34 powers a point, so a caller

@@ -5,19 +5,21 @@ rate integral in real arithmetic (Jensen's formula, the larger root's
 modulus taken from the distances of one point to +-1), and zf_constants,
 the exact zero-forcing h~_0^2 and R_g(2), both for |alpha| <= 1/2: every
 C-RAN rate needs the precoder, whose domain _check_zf_alpha alone decides.
-The rest samples the unit frequency interval at an even panel count,
-deterministically for a given count: the channel response H(f), the
+The rate kernel, _closed_form, is written once against a namespace: numpy
+for arrays, or the rates module's math shim for the floats every reported
+rate is.  The rest samples the unit frequency interval at an even panel
+count, deterministically for a given count: the channel response H(f), the
 trapezoid rule (_quad), the sampled zero-forcing precoder and the effective
 channel taps h~_k, which the tests check zf_constants against.  On the
 periodic integrands of the ring the trapezoid rule is the ring's own mean,
 which converges exponentially (Trefethen and Weideman, SIAM Review 2014).
+Only those samples and the public rate_closed_form import numpy, on first
+use.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .model import ZfSingularError
 
@@ -48,19 +50,21 @@ def _check_panels(panels: int) -> None:  # an even count keeps f = 1/2 on the gr
 
 
 @lru_cache(maxsize=None)
-def unit_grid(panels: int) -> np.ndarray:
+def unit_grid(panels: int):
     """Quadrature nodes f_i = i/panels, i = 0..panels (read-only array)."""
+    import numpy as np
+
     _check_panels(panels)
     grid = np.linspace(0.0, 1.0, panels + 1)
     grid.setflags(write=False)
     return grid
 
 
-def _quad(samples: np.ndarray, panels: int) -> float:
+def _quad(samples, panels: int) -> float:
     """Trapezoid rule over the unit grid, the one quadrature path: for a
     periodic integrand, whose ends agree, it is the mean of the panels
     samples f = i/panels, i < panels."""
-    return float(np.sum(samples[1:] + samples[:-1]) / (2 * panels))
+    return float((samples[1:] + samples[:-1]).sum() / (2 * panels))
 
 
 def channel_response(alpha: float, f):
@@ -69,6 +73,8 @@ def channel_response(alpha: float, f):
     Accepts scalar or array f in [0, 1); may be negative or zero once
     alpha >= 0.5.
     """
+    import numpy as np
+
     return 1.0 + 2.0 * alpha * np.cos(2.0 * np.pi * np.asarray(f, dtype=float))
 
 
@@ -81,7 +87,7 @@ class Precoder:
     G(f) = G(1 - f).
     """
 
-    g_of_f: np.ndarray
+    g_of_f: "np.ndarray"
     alpha: float  # the channel gain it was built for
     panels: int
 
@@ -130,6 +136,8 @@ def h_tilde(precoder: Precoder, alpha: float, k: int) -> float:
     Real by symmetry.  For a zero-forcing precoder built at the same alpha the
     result is the normalization constant at k = 0 and ~0 otherwise.
     """
+    import numpy as np
+
     grid = unit_grid(precoder.panels)
     y = channel_response(alpha, grid) * precoder.g_of_f * np.cos(2.0 * np.pi * k * grid)
     return _quad(y, precoder.panels)
@@ -158,47 +166,53 @@ def rate_closed_form(snr_scale, alpha: float):
     The integral depends on alpha only through alpha^2, so |alpha| stands in
     for alpha throughout.  s and alpha broadcast against each other: a float
     when both are scalars, else an array of their broadcast shape, with no
-    input check (a NaN s gives NaN).
+    input check (a NaN s gives NaN).  A float s takes numpy's path too, so it
+    gets the bits of the matching array element.
     """
+    import numpy as np
+
     s = np.asarray(snr_scale, dtype=float)
-    x = s.reshape(1) if s.ndim == 0 else s  # arrays, for the in-place steps
-    a = 2.0 * abs(alpha)
-    huge = x >= _HUGE_SNR if x.size and x.max() >= _HUGE_SNR else None
-    if huge is not None:
-        x = np.where(huge, 0.0, x)
-    p = _sqrt1pm1((1.0 + a) ** 2 * x)  # P - 1
-    q = _sqrt1pm1((1.0 - a) ** 2 * x)  # Q - 1
+    vals = _closed_form(np, s.reshape(1) if s.ndim == 0 else s, alpha)
+    return float(vals[0]) if s.ndim == 0 and np.ndim(alpha) == 0 else vals
+
+
+def _closed_form(xp, s, alpha):
+    """rate_closed_form's kernel in the namespace xp: numpy for arrays s and
+    alpha (s at least one-dimensional), or the math shim for floats."""
+    a, huge = 2.0 * abs(alpha), s >= _HUGE_SNR
+    some = xp.any(huge)
+    x = xp.where(huge, 0.0, s) if some else s
+    p = _sqrt1pm1(xp, (1.0 + a) ** 2 * x)  # P - 1
+    q = _sqrt1pm1(xp, (1.0 - a) ** 2 * x)  # Q - 1
     w = p + q  # 2 (m - 1)
     d = (1.0 - a) * (1.0 + a) * x
     d += p * q
     d += w
     d *= 0.5  # D
-    z = _sqrt1pm1(d)
+    z = _sqrt1pm1(xp, d)
     z += 0.5 * w
     z *= 0.5  # z - 1
-    vals = np.log1p(z, out=z)
+    vals = xp.log1p(z)
     vals *= _TWO_OVER_LN2
-    if huge is not None:
-        vals = np.where(huge, _huge_rate(np.where(huge, s, 1.0), a), vals)
-    return float(vals[0]) if s.ndim == 0 and np.ndim(alpha) == 0 else vals
+    return xp.where(huge, _huge_rate(xp, xp.where(huge, s, 1.0), a), vals) if some else vals
 
 
-def _sqrt1pm1(x):
+def _sqrt1pm1(xp, x):
     """sqrt(1 + x) - 1 for x >= 0, as x / (1 + sqrt(1 + x)), which does not
-    cancel; x is a temporary, and the result takes a buffer of its own."""
-    r = np.sqrt(x + 1.0)
+    cancel."""
+    r = xp.sqrt(x + 1.0)
     r += 1.0
-    return np.divide(x, r, out=r)
+    return x / r
 
 
-def _huge_rate(s, a):
+def _huge_rate(xp, s, a):
     """rate_closed_form at huge s, a = 2 alpha <= 1: log2 s + 2 log2 z' for z'
     the z of 1/s + H(f)^2, formed from P' = sqrt(1/s + (1 + a)^2),
     Q' = sqrt(1/s + (1 - a)^2), m' = (P' + Q')/2 and the non-negative
     m' - a = 1 - a + (P' - (1 + a) + Q' - (1 - a))/2, each difference taken
     as (1/s)/(sum), so m'^2 - a^2 = (m' - a)(m' + a) does not cancel."""
     c = 1.0 / s
-    p, q = np.sqrt(c + (1.0 + a) ** 2), np.sqrt(c + (1.0 - a) ** 2)
+    p, q = xp.sqrt(c + (1.0 + a) ** 2), xp.sqrt(c + (1.0 - a) ** 2)
     m = 0.5 * (p + q)
     low = (1.0 - a) + 0.5 * (c / (p + (1.0 + a)) + c / (q + (1.0 - a)))
-    return np.log2(s) + 2.0 * np.log2(0.5 * (m + np.sqrt(low * (m + a))))
+    return xp.log2(s) + 2.0 * xp.log2(0.5 * (m + xp.sqrt(low * (m + a))))

@@ -4,11 +4,11 @@ Hand-rolled on purpose: the output for a given table must be reproducible to
 the byte, so no plotting library (with its ids and timestamps) is involved.
 One polyline per scheme, circle markers at the data points, fixed palette,
 fixed size and title; the x axis is labeled with the swept variable.
+Coordinates are mapped as plain floats, whose arithmetic gives numpy's
+elementwise bits, so a chart imports no numpy.
 """
 
 import math
-
-import numpy as np
 
 from .model import SchemeId
 from .sweep import SweepRow
@@ -85,8 +85,10 @@ def emit_svg(rows: list[SweepRow], path) -> None:
 
     xs = [row.value for row in rows]
     x_lo, x_hi = min(xs), max(xs)
-    if x_hi <= x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    ulp = math.ulp(max(abs(x_lo), abs(x_hi)))
+    if not (x_hi - x_lo) / 6 > ulp:  # one value, or a span too fine for a tick step
+        pad = max(0.5, 16 * ulp)  # keeps the tick step above every tick's ulp
+        x_lo, x_hi = x_lo - pad, x_hi + pad
     y_hi = max(max(row.r_eq for row in rows), 1e-9) * 1.05
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
@@ -124,8 +126,8 @@ def emit_svg(rows: list[SweepRow], path) -> None:
 
     # data series
     for color, _, points in series:
-        xs, ys = (np.array(column, dtype=float) for column in zip(*points))
-        px, py = (list(map(_num, c.tolist())) for c in (to_x(xs), to_y(ys)))  # formatted once
+        xs, ys = zip(*points)
+        px, py = ([_num(to(v)) for v in c] for to, c in ((to_x, xs), (to_y, ys)))  # formatted once
         if len(points) >= 2:
             joined = " ".join(map(",".join, zip(px, py)))
             parts.append(

@@ -1,19 +1,22 @@
 """Declarative parameter sweeps, CSV emission and the oracle verification
 pass behind the command line.  Sweep specs and the config grammar live in
-config, which imports no numpy.
+config.  Like rates, this module loads numpy only where a full-duplex
+scheme searches its powers or the oracles run (--verify): a half-duplex
+sweep, its CSV and its chart run without numpy.
 
 Rows come out one per (sweep value, scheme), sweep value major and scheme in
 enum order minor, so identical configs produce byte-identical CSV output.
-Each scheme's rows of a block of values are solved by one rates._solve
-call on the block's parameter columns: the half-duplex kernels at every
-value's budgets, or one full-duplex max-min power search for the whole
+A half-duplex sweep is one block whose rows are solved one at a time in that
+order, each by rates._solve at the value's budgets.  Where a scheme
+searches, each scheme's rows of a block of values are solved by one
+rates._solve call, one full-duplex max-min power search for the whole
 block, exact on the budget edges.  Nothing splits the search's kernel calls,
 so blocks of up to 64 values bound its memory (a block's edge search takes
-64 x 2 x 17 powers) and the certified search's under --verify; half-duplex
-sweeps are one block, which config.MAX_SWEEP_VALUES bounds.  C-RAN rows are exact
-(closed forms, see rates), and the search has no grid, so a sweep has no
-quadrature or resolution setting.  A sweep runs in this one process: with the search
-this cheap, worker processes would cost more than they save.
+64 x 2 x 17 powers) and the certified search's under --verify.  C-RAN rows
+are exact (closed forms, see rates), and the search has no grid, so a sweep
+has no quadrature or resolution setting.  A sweep runs in this one process:
+with the search this cheap, worker processes would cost more than they
+save.
 
 A row's r_u is the uplink capacity at its powers (p_u*, p_d*).  A SIC
 mobile faces the co-located uplink codeword at any carried rate up to that
@@ -35,14 +38,11 @@ block nor with the budgets.
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
-
-import numpy as np
+from itertools import compress
 
 from .config import SweepSpec, preset_spec  # preset_spec stays importable from here
 from .model import SchemeId, _check_field, db_to_linear
-from .oracle import certified_max_min, circulant_uplink_rate, sigma_u_sq
-from .rates import SCHEMES, _Columns, _solve, compute_scheme
+from .rates import SCHEMES, _Point, _solve, compute_scheme
 
 __all__ = [
     "CSV_COLUMNS",
@@ -122,11 +122,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     Sweep values are taken in blocks of _BLOCK where a scheme searches its
     powers, which bounds the memory of the search and of its certificates
     under spec.oracle; else the sweep is one block, whose circulant check
-    holds its own temporaries to 8,192 values.  Each scheme is solved for
-    all values of a block at once (rates._solve), on parameters built inside
-    that replayed solve: after it raises, compute_scheme replays the block's
-    rows in (value, scheme) order, so the error is that of the first failing
-    row.
+    holds its own temporaries to 8,192 values.  Either way the error of a
+    failing sweep is that of its first failing row in (value, scheme) order
+    (_run_block).
     """
     values = spec.values()
     searched = any(SCHEMES[s][1] is not None for s in spec.schemes)
@@ -139,41 +137,56 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 _JOINT_FIELDS = {"c_u_c_d_joint": ("c_u", "c_d"), "p_db_joint": ("p_u_max", "p_d_max")}
 
 
-def _block_columns(spec: SweepSpec, block) -> _Columns:
-    """A block's rates._Columns, with no SystemParams per value: the fields
-    of params_at(block[0]), but for the swept field, or both joint fields, an
-    (n, 1, 1) column of the values, each checked as SystemParams checks the
-    field (the joint fields share their rules)."""
-    first = spec.params_at(block[0])
+def _block_points(spec: SweepSpec, block):
+    """Each value's rates._Point, lazily, with no SystemParams per value: the
+    fields of params_at(block[0]), but for the swept field, or both joint
+    fields, set to the value, checked as SystemParams checks the field (the
+    joint fields share their rules)."""
+    first = _Point._make(getattr(spec.params_at(block[0]), f) for f in _Point._fields)
     names = _JOINT_FIELDS.get(spec.sweep_var, (spec.sweep_var,))
-    values = map(db_to_linear, block) if spec.sweep_var == "p_db_joint" else block
-    column = np.array([_check_field(names[0], v) for v in values])[:, None, None]
-    return _Columns._make(column if f in names else getattr(first, f) for f in _Columns._fields)
+    for v in map(db_to_linear, block) if spec.sweep_var == "p_db_joint" else block:
+        yield first._replace(**dict.fromkeys(names, _check_field(names[0], v)))
 
 
 def _run_block(spec: SweepSpec, block) -> list[SweepRow]:
-    """Rows of one block, each scheme's columns solved by rates._solve, and
-    under spec.oracle with their oracle values: the circulant check of each
-    C-RAN row and the certified optima."""
-    try:
-        columns = _block_columns(spec, block)
-        solved = [_solve(*SCHEMES[s], columns, len(block)) for s in spec.schemes]
-    except ValueError:
-        for value in block:  # the first failing row in (value, scheme) order raises
-            for scheme in spec.schemes:
-                compute_scheme(scheme, spec.params_at(value))
-        raise
-    by_scheme = [
-        map(SweepRow, repeat(spec.sweep_var), block, repeat(scheme), r_u, r_d, r_eq,
-            *(diag.get(name, repeat(None)) for name in _DIAGNOSTICS))
-        for scheme, (r_u, r_d, r_eq, diag) in zip(spec.schemes, solved)
+    """Rows of one block, and under spec.oracle with their oracle values:
+    the circulant check of each C-RAN row and the certified optima.  Half
+    duplex solves each row alone, in (value, scheme) order, so the first
+    failing row raises.  Where a scheme searches, each scheme's rows are
+    solved at once (rates._solve), on points built inside that replayed
+    solve: after it raises, compute_scheme replays the block's rows in
+    (value, scheme) order, so the error is again the first failing row's."""
+    kinds = [SCHEMES[s] for s in spec.schemes]
+    points = _block_points(spec, block)
+    if all(sic is None for _, sic in kinds):
+        solved = ([_solve(*kind, [p])[0] for kind in kinds] for p in points)
+    else:
+        try:
+            points = list(points)
+            solved = zip(*[_solve(*kind, points) for kind in kinds])
+        except ValueError:
+            for value in block:  # the first failing row in (value, scheme) order raises
+                for scheme in spec.schemes:
+                    compute_scheme(scheme, spec.params_at(value))
+            raise
+    rows = [
+        SweepRow(spec.sweep_var, value, scheme, r_u, r_d, r_eq, *map(diag.get, _DIAGNOSTICS))
+        for value, at_value in zip(block, solved)
+        for scheme, (r_u, r_d, r_eq, diag) in zip(spec.schemes, at_value)
     ]
-    rows = [row for at_value in zip(*by_scheme) for row in at_value]
     if spec.oracle:  # each scheme's rows are one stride of the block, one per point
         points = [spec.params_at(value) for value in block]
         for at, scheme in enumerate(spec.schemes):
             _attach_oracles(scheme, rows[at :: len(spec.schemes)], points)
     return rows
+
+
+def circulant_uplink_rate(alpha, p_u, sigma_u_sq):
+    """oracle.circulant_uplink_rate, which loads numpy, imported on first
+    use; it stays a name of this module, where perfbench's tracer rebinds it."""
+    from .oracle import circulant_uplink_rate as rate
+
+    return rate(alpha, p_u, sigma_u_sq)
 
 
 def _attach_oracles(scheme: SchemeId, rows: list[SweepRow], points) -> None:
@@ -183,6 +196,10 @@ def _attach_oracles(scheme: SchemeId, rows: list[SweepRow], points) -> None:
     uplink rate at the row's uplink powers and that sigma_u^2, all in one
     call; for full duplex, oracle_r_eq, oracle_eps and oracle_cells from one
     certified_max_min search over the points, each scoring its row's argmax."""
+    import numpy as np
+
+    from .oracle import certified_max_min, sigma_u_sq
+
     family, receiver = SCHEMES[scheme]
     if family == "cran":
         # the uplink runs at (P_u, 0) in half duplex, at the argmax in full duplex

@@ -1,11 +1,12 @@
 """compute_batch, the one row path of every scheme: every point of a batch
-gets exactly the result it gets alone, a sweep's rows are those results, the
-replay of a failing block reports its first failing row, and no kernel call
-outgrows a block's edge search.  Nothing splits a kernel call: the sweep's
-block size is what bounds it, and a half-duplex sweep, which has no search,
-is one block."""
+gets exactly the result it gets alone, a sweep's rows are those results, a
+failing block reports its first failing row, and no kernel call of the
+search outgrows a block's edge search.  Nothing splits a kernel call: the
+sweep's block size is what bounds it, and a half-duplex sweep, which has no
+search and needs no numpy, is one block."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -112,14 +113,15 @@ def test_sweeps_longer_than_a_block_keep_every_row():
 
 
 def _recording(monkeypatch):
-    # record the size of every call of the uplink kernel, which serves both
-    # families; every objective evaluation of the search calls it once
+    # record the size of every numpy call of the uplink kernel, which serves
+    # both families; every objective evaluation of the search calls it once
     kernel = rates._uplink
     sizes = []
 
-    def recording(k, p_u, p_d):
-        sizes.append(np.broadcast(p_u, p_d).size)
-        return kernel(k, p_u, p_d)
+    def recording(xp, k, p_u, p_d):
+        if xp is not rates._MATH:
+            sizes.append(np.broadcast(p_u, p_d).size)
+        return kernel(xp, k, p_u, p_d)
 
     monkeypatch.setattr(rates, "_uplink", recording)
     return sizes
@@ -139,7 +141,7 @@ def test_a_full_block_calls_no_kernel_above_a_one_point_scan(scheme, monkeypatch
     block_max = max(sizes)
     sizes.clear()
     compute_scheme(scheme, fig3.params_at(stop))
-    assert max(sizes) == 2 * rates._WINDOW.size
+    assert max(sizes) == 2 * len(rates._WINDOW)
     assert block_max == sweep._BLOCK * max(sizes)
 
 
@@ -153,7 +155,7 @@ def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
     one_point = (len(sizes), max(sizes))
     sizes.clear()
     compute_batch(SchemeId.FD_SCP_SIC, DOMAIN)
-    assert one_point[1] == 2 * rates._WINDOW.size
+    assert one_point[1] == 2 * len(rates._WINDOW)
     assert max(sizes) == len(DOMAIN) * one_point[1]
     assert len(sizes) < len(DOMAIN) * one_point[0] / 4  # the batch shares its calls
 
@@ -203,17 +205,21 @@ def test_a_half_duplex_sweep_in_one_block_gives_each_row_its_lone_result(sweep_v
         assert cran.sigma_u_sq == math.inf
 
 
-def test_a_long_half_duplex_sweep_calls_each_kernel_once_per_scheme(monkeypatch):
-    # hd_domain's sweep length: 834 values, one block, one uplink kernel call
-    # per scheme (blocks of 64 made 14)
-    sizes = _recording(monkeypatch)
+def test_a_long_half_duplex_sweep_runs_without_numpy(monkeypatch):
+    # hd_domain's sweep length: 834 values, one block, every row in floats;
+    # with numpy's import blocked, no row reaches for it
     spec = SweepSpec(
         sweep_var="alpha", start=0.0, stop=0.4995, step=0.4995 / 833,
         schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN),
     )
     assert len(spec.values()) == 834
-    assert len(run_sweep(spec)) == 2 * 834
-    assert sizes == [834, 834]
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError):
+        import numpy  # noqa: F401
+    rows = run_sweep(spec)
+    assert [(r.value, r.scheme) for r in rows] == [
+        (v, s) for v in spec.values() for s in spec.schemes
+    ]
 
 
 def test_a_half_duplex_block_reports_its_first_singular_alpha():

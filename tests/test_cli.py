@@ -569,3 +569,19 @@ def test_compute_exits_with_a_documented_code(scheme, in_domain, extreme):
     # flag=value keeps argparse from reading a negative number as an option
     argv = ["compute", f"--scheme={scheme}"] + [f"{k}={v!r}" for k, v in flags.items()]
     assert main(argv) in (0, 2, 3)
+
+
+def test_a_sweep_whose_x_span_underflows_a_tick_step_still_gets_its_chart(tmp_path):
+    # the span 5e-324 divided by six ticks underflows to 0, where the chart
+    # took log10(0) and the run exited 2 ("config error: math domain error")
+    # after the CSV was written
+    config = tmp_path / "tiny.cfg"
+    config.write_text(
+        "sweep.var = c_u_c_d_joint\nsweep.start = 0\nsweep.stop = 5e-324\n"
+        "sweep.step = 5e-324\nschemes = hd_scp\n"
+    )
+    out, chart = tmp_path / "tiny.csv", tmp_path / "tiny.svg"
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--svg", str(chart)]) == 0
+    assert [row.value for row in load_csv(out)] == [0.0, 5e-324]
+    text = chart.read_text(encoding="utf-8")
+    assert text.count("<circle") == 2 and text.count("<polyline") == 1

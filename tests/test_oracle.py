@@ -409,7 +409,7 @@ def test_the_solvers_constants_are_the_oracles_form(family):
     # names: each unit-free constant of a batch's columns (MIXED holds
     # DOMAIN) is that point's _form constant, built by the oracle's own
     # formulas, to rounding
-    k = rates._consts(family, None, rates._columns(MIXED))
+    k = rates._stacked([rates._consts(family, None, p) for p in MIXED])
     for i, params in enumerate(MIXED):
         want = fdcran.oracle._form(family, params)
         for name in ("f", "h", "a", "b", "c", "g", "quant", "shift", "cap_u", "cap_d"):

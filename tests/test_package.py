@@ -1,5 +1,7 @@
 """The package namespace: every public name resolves on first use, and
-importing fdcran and building sweep specs import no numpy."""
+importing fdcran, building sweep specs, and running a half-duplex sweep or
+computation with its outputs import no numpy: only a power search or an
+oracle loads it."""
 
 import os
 import subprocess
@@ -30,8 +32,9 @@ sweep.step = 0.5
 schemes = hd_scp, hd_cran
 """
 
-# the numpy-free steps, then a sweep, which loads numpy; a submodule that the
-# sweep did not import resolves after it
+# the numpy-free steps, a half-duplex sweep with its CSV and chart among
+# them, then a --verify sweep of fig3, which searches and loads numpy and the
+# oracles
 CHILD = """
 import dataclasses
 import sys
@@ -45,22 +48,50 @@ fdcran.SystemParams(alpha=0.4, beta_du=0.4, beta_ud=0.04, gamma_du=0.0, gamma_ud
 fdcran.SchemeId.HD_SCP
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("fdcran"))
 rows = fdcran.run_sweep(hd)
-assert "numpy" in sys.modules
-assert "fdcran.svg" not in sys.modules and fdcran.svg.emit_svg is fdcran.emit_svg
+fdcran.emit_csv(rows, sys.argv[2])
+fdcran.emit_svg(rows, sys.argv[3])
+assert "numpy" not in sys.modules and "fdcran.oracle" not in sys.modules
 print(len(rows), len(fdcran.run_sweep(spec)))
+assert "numpy" in sys.modules and "fdcran.oracle" in sys.modules
 """
 
 
-def test_import_and_config_load_no_numpy_until_a_sweep_runs():
-    # the child imports this fdcran, wherever the test run found it
+def _child(args, tmp_path) -> subprocess.CompletedProcess:
+    # a python child that imports this fdcran, wherever the test run found it
     src = str(Path(fdcran.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, HD_CONFIG], capture_output=True, text=True, env=env
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=tmp_path
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_import_and_config_load_no_numpy_until_a_sweep_runs(tmp_path):
+    proc = _child(["-c", CHILD, HD_CONFIG, "hd.csv", "hd.svg"], tmp_path)
     assert proc.stdout.split() == ["120", "198"]
+    assert (tmp_path / "hd.csv").read_text().count("\n") == 121
+
+
+def _imported(importtime: str) -> set:  # the modules -X importtime lists
+    return {line.rsplit("|", 1)[1].strip() for line in importtime.splitlines() if "|" in line}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", "--config", "hd.cfg", "--out", "hd.csv", "--svg", "hd.svg"],
+        ["compute", "--scheme", "hd_cran"],
+    ],
+    ids=["sweep", "compute"],
+)
+def test_a_half_duplex_command_imports_no_numpy(command, tmp_path):
+    (tmp_path / "hd.cfg").write_text(HD_CONFIG)
+    proc = _child(["-X", "importtime", "-m", "fdcran", *command], tmp_path)
+    imported = _imported(proc.stderr)
+    assert "fdcran.cli" in imported and "fdcran.rates" in imported
+    assert not {m for m in imported if m.split(".")[0] == "numpy"}
 
 
 def test_every_public_name_resolves():

@@ -130,10 +130,12 @@ def test_rate_closed_form_matches_quadrature(alpha):
 
 
 def _bound(family: str, params, p_u: float, p_d: float) -> float:
-    """M at the powers (p_u, p_d), from the family's kernels in the point's unit."""
+    """M at the powers (p_u, p_d), from the family's kernels in the point's
+    unit, in numpy, where the search forms it."""
     k = rates._consts(family, SIC, params)  # the point's constants in plain floats
-    r_u = rates._at(rates._uplink, k, p_u, p_d)
-    return float(min(r_u, *rates._at(rates._downlink, k, p_u, p_d, r_u, rates._BOUND)))
+    u, d = p_u * k.unit, p_d * k.unit
+    r_u = rates._uplink(np, k, u, d)
+    return float(min(r_u, *rates._downlink(np, k, u, d, r_u, rates._BOUND)))
 
 
 @settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
@@ -159,7 +161,7 @@ def _row_scans(family: str, params) -> float:
     u_max, d_max = params.p_u_max * k.unit, params.p_d_max * k.unit  # kernel powers
     rows = np.linspace(0.0, u_max, 33)[:, None], np.linspace(0.0, d_max, 2049)
     edge = np.linspace(0.0, u_max, 2049), d_max
-    return max(float(np.minimum(*rates._rates(k, *at, SIC)).max()) for at in (rows, edge))
+    return max(float(np.minimum(*rates._rates(np, k, *at, SIC)).max()) for at in (rows, edge))
 
 
 SIC_SCHEMES = (SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC)

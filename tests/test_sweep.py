@@ -414,13 +414,13 @@ def test_fig3_verify_builds_no_grid_and_certifies_once_per_block_and_scheme(
     fig3_verify_rows, monkeypatch
 ):
     calls = []
-    certify = fdcran.sweep.certified_max_min
+    certify = fdcran.oracle.certified_max_min
 
     def counted(family, sic, points, argmaxes):
         calls.append((family, sic, len(points)))
         return certify(family, sic, points, argmaxes)
 
-    monkeypatch.setattr(fdcran.sweep, "certified_max_min", counted)
+    monkeypatch.setattr(fdcran.oracle, "certified_max_min", counted)
     probe = _SizeProbe()
     monkeypatch.setattr(fdcran.oracle, "np", probe)
     assert run_sweep(replace(preset_spec("fig3"), oracle=True)) == fig3_verify_rows
