@@ -676,8 +676,8 @@ def compute_batch(scheme: SchemeId, points) -> list[RateResult]:
 
     Every result equals that of the point alone.  The search's kernel calls
     grow with the batch, 2 x len(_WINDOW) = 34 powers a point, so a caller
-    bounds its memory by the batches it passes, as run_sweep does (64) where
-    a scheme searches.  No points give no results.
+    bounds its memory by the batches it passes, as run_sweep does (64).  No
+    points give no results.
     """
     return _batch(*SCHEMES[scheme], points) if points else []
 

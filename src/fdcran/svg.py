@@ -38,7 +38,10 @@ def _nice_step(span: float, target: int = 6) -> float:
     return 10.0 * magnitude
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    """(tick, label) at each nice step in [lo, hi], labeled to the fewest
+    significant digits, six or more, that tell every tick apart (17 tell
+    any two floats apart)."""
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step - 1e-9) * step
     ticks = []
@@ -46,7 +49,11 @@ def _ticks(lo: float, hi: float) -> list[float]:
     while t <= hi + step * 1e-9:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
         t += step
-    return ticks
+    for digits in range(6, 18):
+        labels = [f"{t:.{digits}g}" for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return list(zip(ticks, labels))
 
 
 _num = "{:.2f}".format  # a coordinate: two decimals, a C-level call per number
@@ -111,12 +118,12 @@ def emit_svg(rows: list[SweepRow], path) -> None:
         _text(_WIDTH / 2, 18, 14, _TITLE, "middle"),
     ]
     # grid and tick labels
-    for t in _ticks(x_lo, x_hi):
+    for t, label in _ticks(x_lo, x_hi):
         px = to_x(t)
-        parts += [_line(px, y0, px, y1, "#dddddd", 1), _text(px, y0 + 16, 11, f"{t:g}", "middle")]
-    for t in _ticks(0.0, y_hi):
+        parts += [_line(px, y0, px, y1, "#dddddd", 1), _text(px, y0 + 16, 11, label, "middle")]
+    for t, label in _ticks(0.0, y_hi):
         py = to_y(t)
-        parts += [_line(x0, py, x1, py, "#dddddd", 1), _text(x0 - 6, py + 4, 11, f"{t:g}", "end")]
+        parts += [_line(x0, py, x1, py, "#dddddd", 1), _text(x0 - 6, py + 4, 11, label, "end")]
     parts += [
         f'<rect x="{_num(x0)}" y="{_num(y1)}" width="{_num(plot_w)}" '
         f'height="{_num(plot_h)}" fill="none" stroke="#333333" stroke-width="1"/>',

@@ -6,17 +6,16 @@ sweep, its CSV and its chart run without numpy.
 
 Rows come out one per (sweep value, scheme), sweep value major and scheme in
 enum order minor, so identical configs produce byte-identical CSV output.
-A half-duplex sweep is one block whose rows are solved one at a time in that
-order, each by rates._solve at the value's budgets.  Where a scheme
-searches, each scheme's rows of a block of values are solved by one
-rates._solve call, one full-duplex max-min power search for the whole
-block, exact on the budget edges.  Nothing splits the search's kernel calls,
-so blocks of up to 64 values bound its memory (a block's edge search takes
-64 x 2 x 17 powers) and the certified search's under --verify.  C-RAN rows
-are exact (closed forms, see rates), and the search has no grid, so a sweep
-has no quadrature or resolution setting.  A sweep runs in this one process:
-with the search this cheap, worker processes would cost more than they
-save.
+Values are taken in blocks of 64, and each scheme's rows of a block are
+solved by one rates._solve call: half duplex at each value's budgets,
+full duplex by one max-min power search for the whole block, exact on the
+budget edges.  Nothing splits the search's kernel calls, so the block
+bounds its memory (a block's edge search takes 64 x 2 x 17 powers), the
+certified search's under --verify, and the points and constants a solve
+holds at once.  C-RAN rows are exact (closed forms, see rates), and the
+search has no grid, so a sweep has no quadrature or resolution setting.  A
+sweep runs in this one process: with the search this cheap, worker
+processes would cost more than they save.
 
 A row's r_u is the uplink capacity at its powers (p_u*, p_d*).  A SIC
 mobile faces the co-located uplink codeword at any carried rate up to that
@@ -42,7 +41,7 @@ from itertools import compress
 
 from .config import SweepSpec, preset_spec  # preset_spec stays importable from here
 from .model import SchemeId, _check_field, db_to_linear
-from .rates import SCHEMES, _Point, _solve, compute_scheme
+from .rates import SCHEMES, _Point, _solve
 
 __all__ = [
     "CSV_COLUMNS",
@@ -119,17 +118,13 @@ class SweepRow:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Compute one row per (sweep value, scheme) in deterministic order.
 
-    Sweep values are taken in blocks of _BLOCK where a scheme searches its
-    powers, which bounds the memory of the search and of its certificates
-    under spec.oracle; else the sweep is one block, whose circulant check
-    holds its own temporaries to 8,192 values.  Either way the error of a
-    failing sweep is that of its first failing row in (value, scheme) order
-    (_run_block).
+    Sweep values are taken in blocks of _BLOCK, which bounds the memory of
+    the search, of its certificates under spec.oracle and of the points and
+    constants a solve holds.  The error of a failing sweep is that of its
+    first failing row in (value, scheme) order (_run_block).
     """
     values = spec.values()
-    searched = any(SCHEMES[s][1] is not None for s in spec.schemes)
-    size = _BLOCK if searched else len(values)
-    blocks = (values[at : at + size] for at in range(0, len(values), size))
+    blocks = (values[at : at + _BLOCK] for at in range(0, len(values), _BLOCK))
     return [row for block in blocks for row in _run_block(spec, block)]
 
 
@@ -150,32 +145,26 @@ def _block_points(spec: SweepSpec, block):
 
 def _run_block(spec: SweepSpec, block) -> list[SweepRow]:
     """Rows of one block, and under spec.oracle with their oracle values:
-    the circulant check of each C-RAN row and the certified optima.  Half
-    duplex solves each row alone, in (value, scheme) order, so the first
-    failing row raises.  Where a scheme searches, each scheme's rows are
-    solved at once (rates._solve), on points built inside that replayed
-    solve: after it raises, compute_scheme replays the block's rows in
-    (value, scheme) order, so the error is again the first failing row's."""
+    the circulant check of each C-RAN row and the certified optima.  Each
+    scheme's rows are solved at once (rates._solve) on the block's points,
+    built inside the replayed solve: after it raises, the points are built
+    again one at a time and each row solved alone in (value, scheme) order,
+    so the error is that of the first failing row."""
     kinds = [SCHEMES[s] for s in spec.schemes]
-    points = _block_points(spec, block)
-    if all(sic is None for _, sic in kinds):
-        solved = ([_solve(*kind, [p])[0] for kind in kinds] for p in points)
-    else:
-        try:
-            points = list(points)
-            solved = zip(*[_solve(*kind, points) for kind in kinds])
-        except ValueError:
-            for value in block:  # the first failing row in (value, scheme) order raises
-                for scheme in spec.schemes:
-                    compute_scheme(scheme, spec.params_at(value))
-            raise
+    try:
+        points = list(_block_points(spec, block))
+        solved = zip(*[_solve(*kind, points) for kind in kinds])
+    except ValueError:
+        for p in _block_points(spec, block):  # the first failing row raises
+            for kind in kinds:
+                _solve(*kind, [p])
+        raise
     rows = [
         SweepRow(spec.sweep_var, value, scheme, r_u, r_d, r_eq, *map(diag.get, _DIAGNOSTICS))
         for value, at_value in zip(block, solved)
         for scheme, (r_u, r_d, r_eq, diag) in zip(spec.schemes, at_value)
     ]
     if spec.oracle:  # each scheme's rows are one stride of the block, one per point
-        points = [spec.params_at(value) for value in block]
         for at, scheme in enumerate(spec.schemes):
             _attach_oracles(scheme, rows[at :: len(spec.schemes)], points)
     return rows

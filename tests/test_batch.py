@@ -2,8 +2,8 @@
 gets exactly the result it gets alone, a sweep's rows are those results, a
 failing block reports its first failing row, and no kernel call of the
 search outgrows a block's edge search.  Nothing splits a kernel call: the
-sweep's block size is what bounds it, and a half-duplex sweep, which has no
-search and needs no numpy, is one block."""
+sweep's block size is what bounds it, for every sweep alike, and a
+half-duplex sweep's blocks need no numpy."""
 
 import math
 import sys
@@ -161,7 +161,7 @@ def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
 
 
 # (start, stop, step) of a half-duplex sweep of each variable, each longer than
-# a block of the full-duplex search; the joint fronthaul sweep starts at 0,
+# a block, so its rows span blocks; the joint fronthaul sweep starts at 0,
 # where f_star has no split and hd_cran's sigma_u^2 is inf
 _HD_SWEEPS = {
     "c_u_c_d_joint": (0.0, 12.0, 0.1),
@@ -206,13 +206,22 @@ def test_a_half_duplex_sweep_in_one_block_gives_each_row_its_lone_result(sweep_v
 
 
 def test_a_long_half_duplex_sweep_runs_without_numpy(monkeypatch):
-    # hd_domain's sweep length: 834 values, one block, every row in floats;
-    # with numpy's import blocked, no row reaches for it
+    # hd_domain's sweep length: 834 values in 14 blocks, each scheme's rows
+    # of a block from one solve, every row in floats; with numpy's import
+    # blocked, no row reaches for it
     spec = SweepSpec(
         sweep_var="alpha", start=0.0, stop=0.4995, step=0.4995 / 833,
         schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN),
     )
     assert len(spec.values()) == 834
+    sizes = {}
+    solve = sweep._solve
+
+    def counted(family, sic, points):
+        sizes.setdefault(family, []).append(len(points))
+        return solve(family, sic, points)
+
+    monkeypatch.setattr(sweep, "_solve", counted)
     monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(ImportError):
         import numpy  # noqa: F401
@@ -220,10 +229,12 @@ def test_a_long_half_duplex_sweep_runs_without_numpy(monkeypatch):
     assert [(r.value, r.scheme) for r in rows] == [
         (v, s) for v in spec.values() for s in spec.schemes
     ]
+    assert sizes == {"scp": [64] * 13 + [2], "cran": [64] * 13 + [2]}
 
 
 def test_a_half_duplex_block_reports_its_first_singular_alpha():
-    # 101 values in one block: alpha = 0.501 is the first at or above 1/2
+    # 101 values in two blocks: alpha = 0.501, row 67 and in the second, is
+    # the first at or above 1/2
     spec = SweepSpec(
         sweep_var="alpha", start=0.3, stop=0.6, step=0.003, schemes=(SchemeId.HD_CRAN,)
     )

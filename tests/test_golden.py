@@ -13,7 +13,7 @@ by row, and the charts byte for byte.
   ..., 3070 dB at c_u = c_d = 2000, whose top budgets scale each point's unit
   of power (rates._unit);
 - hd_cucd.csv and .svg: hd_scp and hd_cran over c_u = c_d = 0, 0.1, ..., 12,
-  a half-duplex sweep in one block, whose rows at 0 have no time split;
+  a half-duplex sweep of two blocks, whose rows at 0 have no time split;
 - one_value.svg: all six schemes at c_u = c_d = 0 alone, every rate 0, so the
   chart widens its x axis by 0.5 each side, runs its y axis to 1.05e-9 and
   draws six markers and no polyline.

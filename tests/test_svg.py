@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import fdcran
+from fdcran.config import SweepSpec
 from fdcran.model import SchemeId
 from fdcran.svg import _PALETTE, emit_svg
-from fdcran.sweep import SweepRow
+from fdcran.sweep import SweepRow, run_sweep
 
 
 def rows_for(schemes, values):
@@ -72,6 +74,25 @@ def test_palette_has_one_color_per_scheme():
     assert len(_PALETTE) == len(set(_PALETTE)) == len(SchemeId)
 
 
+def _x_labels(text: str) -> list[str]:
+    """The x tick labels of a chart: its middle-anchored texts but the title
+    and the x axis label."""
+    return re.findall(r'text-anchor="middle">([^<]*)<', text)[1:-1]
+
+
+def test_tick_labels_take_the_digits_that_tell_them_apart(tmp_path):
+    # alpha from 0.499999 to 0.4999999: six digits label three ticks
+    # 0.499999 and two 0.5, outside the domain; seven tell all five apart
+    spec = SweepSpec(
+        sweep_var="alpha", start=0.499999, stop=0.4999999, step=1e-7,
+        schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN),
+    )
+    out = tmp_path / "fine.svg"
+    emit_svg(run_sweep(spec), out)
+    text = out.read_text(encoding="utf-8")
+    assert _x_labels(text) == ["0.499999", "0.4999992", "0.4999994", "0.4999996", "0.4999998"]
+
+
 # x values whose span the tick step cannot resolve: two values one ulp apart,
 # one value whose +-0.5 widening rounds away, and a span of the least
 # subnormal; the first looped forever placing ticks, the second took log10(0)
@@ -100,5 +121,7 @@ def test_an_x_span_too_fine_for_a_tick_step_is_widened_and_ends(tmp_path):
     for i, points in enumerate((2, 1, 2, 2)):
         text = (tmp_path / f"{i}.svg").read_text(encoding="utf-8")
         assert text.count("<circle") == points and "nan" not in text and "inf" not in text
-        # the x tick labels, besides the title and the x axis label
-        assert 2 <= text.count('text-anchor="middle">') - 2 <= 12
+        # the x tick labels, besides the title and the x axis label, and
+        # each tells its tick apart (at 1e17 and 1e300 six digits do not)
+        labels = _x_labels(text)
+        assert 2 <= len(labels) <= 12 and len(set(labels)) == len(labels)

@@ -485,24 +485,28 @@ def test_a_swept_value_is_checked_as_its_systemparams_field():
 
 
 def test_a_half_duplex_block_reports_its_first_overflowing_row(tmp_path, capsys):
-    # 101 joint budgets in one block: sigma_u^2 first overflows at 3050.4 dB,
-    # where hd_cran checks it at (P_u, 0)
+    # 101 joint budgets: sigma_u^2 first overflows at 3050.4 dB (row 56),
+    # where hd_cran checks it at (P_u, 0), and the budget leaves the float
+    # range in the second block; then 56 values, one block, where it
+    # overflows at row 12 and the budget leaves the float range at row 48,
+    # whose point the replay must not build before row 12 raises
     config = tmp_path / "over.cfg"
-    config.write_text(
-        "schemes = hd_scp, hd_cran\nbase.c_u = 0.001\nsweep.var = p_db_joint\n"
-        "sweep.start = 3000\nsweep.stop = 3090\nsweep.step = 0.9\n"
-    )
     argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "over.csv")]
-    assert fdcran.cli.main(argv) == 3
-    assert capsys.readouterr().err == (
-        "numeric error: sigma_u_sq overflows a float at the budgets "
-        "p_u_max=1.0964781961432367e+305, p_d_max=0.0\n"
-    )
+    for start, p_u_max in ((3000, "1.0964781961432367e+305"), (3040, "9.772372209558311e+304")):
+        config.write_text(
+            "schemes = hd_scp, hd_cran\nbase.c_u = 0.001\nsweep.var = p_db_joint\n"
+            f"sweep.start = {start}\nsweep.stop = 3090\nsweep.step = 0.9\n"
+        )
+        assert fdcran.cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"numeric error: sigma_u_sq overflows a float at the budgets "
+            f"p_u_max={p_u_max}, p_d_max=0.0\n"
+        )
 
 
 def test_a_long_half_duplex_verify_sweep_keeps_the_oracle_temporaries_bounded(monkeypatch):
-    # 834 values, one block: the circulant check rates all 834 hd_cran rows
-    # in one call (blocks of 64 made 14), no temporary above _BLOCK_ELEMENTS
+    # 834 values in 14 blocks of at most 64: the circulant check rates each
+    # block's hd_cran rows in one call, no temporary above _BLOCK_ELEMENTS
     spec = SweepSpec(
         sweep_var="alpha", start=0.0, stop=0.4995, step=0.4995 / 833,
         schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN), oracle=True,
@@ -520,6 +524,6 @@ def test_a_long_half_duplex_verify_sweep_keeps_the_oracle_temporaries_bounded(mo
     monkeypatch.setattr(fdcran.oracle, "np", probe)
     rows = run_sweep(spec)
     assert 0 < probe.largest <= fdcran.oracle._BLOCK_ELEMENTS
-    assert calls == [834]
+    assert calls == [64] * 13 + [2]
     assert verification_failures(rows) == []
     assert [replace(r, oracle_r_u=None) for r in rows] == plain
