@@ -24,14 +24,15 @@ downlink receiver is part of the scheme: the ``*_sic`` ids cancel the
 co-located uplink signal first, the others treat it as noise.  Oracle
 verification is not a config key: ``fdcran sweep --verify`` is its one switch.
 
-This module imports only the standard library and model, so a spec is built
-without importing numpy; sweep runs it.
+_SWEPT decides which SystemParams fields a sweep value sets, for params_at
+and SweepSpec.points alike.  This module imports only the standard library
+and model, so a spec is built without importing numpy; sweep runs it.
 """
 
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .model import SchemeId, SystemParams, db_to_linear
+from .model import SchemeId, SystemParams, _check_field, _Point, db_to_linear
 
 __all__ = [
     "MAX_SWEEP_VALUES",
@@ -44,14 +45,17 @@ __all__ = [
     "preset_spec",
 ]
 
-SWEEP_VARS = (
-    "c_u_c_d_joint",
-    "gamma_ud",
-    "alpha",
-    "beta_du",
-    "beta_ud",
-    "p_db_joint",
-)
+# the SystemParams fields a value of each sweep variable sets, and the map
+# from the value to theirs (None: the value itself)
+_SWEPT = {
+    "c_u_c_d_joint": (("c_u", "c_d"), None),
+    "gamma_ud": (("gamma_ud",), None),
+    "alpha": (("alpha",), None),
+    "beta_du": (("beta_du",), None),
+    "beta_ud": (("beta_ud",), None),
+    "p_db_joint": (("p_u_max", "p_d_max"), db_to_linear),
+}
+SWEEP_VARS = tuple(_SWEPT)
 
 # most values a sweep may have: a million rows per scheme, ~1e6 * 64 B of
 # CSV each, is already far beyond any figure's resolution
@@ -89,10 +93,13 @@ class SweepBase:
     c_d: float = 10.0
 
 
-def base_params(p_u_db: float, p_d_db: float, **gains) -> SystemParams:
+def base_params(p_u_db: float, p_d_db: float, **given) -> SystemParams:
     """SystemParams at a point given by SweepBase's fields: the budgets in dB
-    become linear, every other field passes through."""
-    return SystemParams(p_u_max=db_to_linear(p_u_db), p_d_max=db_to_linear(p_d_db), **gains)
+    become linear unless a linear budget (p_u_max, p_d_max) is given, which
+    passes through in place of its dB one; every other field passes through."""
+    given.setdefault("p_u_max", db_to_linear(p_u_db))
+    given.setdefault("p_d_max", db_to_linear(p_d_db))
+    return SystemParams(**given)
 
 
 @dataclass(frozen=True)
@@ -144,15 +151,20 @@ class SweepSpec:
         return [self.start + i * self.step for i in range(count)]
 
     def params_at(self, value: float) -> SystemParams:
-        """Materialize SystemParams with the swept variable set to value."""
-        surface = dict(vars(self.base))
-        if self.sweep_var == "c_u_c_d_joint":
-            surface["c_u"] = surface["c_d"] = value
-        elif self.sweep_var == "p_db_joint":
-            surface["p_u_db"] = surface["p_d_db"] = value
-        else:
-            surface[self.sweep_var] = value
-        return base_params(**surface)
+        """Materialize SystemParams with the swept fields set by value."""
+        names, to_field = _SWEPT[self.sweep_var]
+        swept = dict.fromkeys(names, value if to_field is None else to_field(value))
+        return base_params(**{**vars(self.base), **swept})
+
+    def points(self, values):
+        """Each value's model._Point, lazily, with no SystemParams per value:
+        the fields of params_at(values[0]), but for the swept fields set by
+        the value, checked as SystemParams checks them (the joint fields
+        share their rules)."""
+        names, to_field = _SWEPT[self.sweep_var]
+        first = _Point._make(getattr(self.params_at(values[0]), f) for f in _Point._fields)
+        for v in values if to_field is None else map(to_field, values):
+            yield first._replace(**dict.fromkeys(names, _check_field(names[0], v)))
 
 
 _PRESETS = {

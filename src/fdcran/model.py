@@ -1,4 +1,5 @@
-"""Domain types and the dB conversion shared by every duplex/processing scheme.
+"""Domain types and the dB conversion shared by every duplex/processing scheme,
+and _Point, the fields of SystemParams that a sweep builds for each value.
 
 Unit conventions: channel coefficients are amplitude gains (the power gain is
 the square), transmit powers are linear on a unit-noise-power scale, and
@@ -9,6 +10,7 @@ large finite capacity (e.g. 1000) so that 2**c stays finite.
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -105,6 +107,10 @@ class SystemParams:
 
 
 _PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))  # in validation order
+
+# the SystemParams fields the rate constants read: a sweep builds one per
+# value (config.SweepSpec.points), and rates._solve takes either
+_Point = namedtuple("_Point", "alpha beta_du beta_ud gamma_ud p_u_max p_d_max c_u c_d")
 
 
 def _check_field(name: str, v) -> float:

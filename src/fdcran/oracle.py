@@ -63,7 +63,7 @@ _TIE_TOL = 1e-9
 # and within a core's L2 cache
 _BLOCK_ELEMENTS = 8192
 # the certificate: the true maximum lies within this of the best point found
-CERTIFIED_EPS = 1e-6
+CERTIFIED_EPS = 1e-9
 # most cells bounded for one point, 20 times fig2's and fig3's most.  Far
 # above the noise the objective depends on the power ratio alone, so its
 # near-optimal set runs along a ray, which cells of the box cover only by

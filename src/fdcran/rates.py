@@ -480,11 +480,6 @@ def fd_cran(params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE) -
 # batches
 
 
-# the SystemParams fields the constants read: a sweep builds one per value,
-# and _solve takes either
-_Point = namedtuple("_Point", "alpha beta_du beta_ud gamma_ud p_u_max p_d_max c_u c_d")
-
-
 def _consts(family: str, sic, p) -> _Form:
     """The kernels' constants of the point p, C-RAN with the exact
     zero-forcing terms and sigma_u^2 checked at the most power the scheme
@@ -497,7 +492,7 @@ def _consts(family: str, sic, p) -> _Form:
 
 def _solve(family: str, sic, points, full_power: bool = False) -> list:
     """(r_u, r_d, r_eq, diagnostics) of the scheme of family and receiver sic
-    (None: half duplex) at each of the points (SystemParams or _Point).
+    (None: half duplex) at each of the points (SystemParams or model._Point).
     Half duplex evaluates the uplink kernel at (P_u, 0) and the downlink
     kernel at (0, P_d), and balances the pair by equal_rate_split (f_star
     None where there is no split).  Full duplex evaluates both at the power

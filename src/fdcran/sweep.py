@@ -1,8 +1,9 @@
 """Declarative parameter sweeps, CSV emission and the oracle verification
-pass behind the command line.  Sweep specs and the config grammar live in
-config.  Like rates, this module loads numpy only where a full-duplex
-scheme searches its powers or the oracles run (--verify): a half-duplex
-sweep, its CSV and its chart run without numpy.
+pass behind the command line.  Sweep specs, the points of their values
+(SweepSpec.points) and the config grammar live in config.  Like rates,
+this module loads numpy only where a full-duplex scheme searches its
+powers or the oracles run (--verify): a half-duplex sweep, its CSV and its
+chart run without numpy.
 
 Rows come out one per (sweep value, scheme), sweep value major and scheme in
 enum order minor, so identical configs produce byte-identical CSV output.
@@ -40,8 +41,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .config import SweepSpec, preset_spec  # preset_spec stays importable from here
-from .model import SchemeId, _check_field, db_to_linear
-from .rates import SCHEMES, _Point, _solve
+from .model import SchemeId
+from .rates import SCHEMES, _solve
 
 __all__ = [
     "CSV_COLUMNS",
@@ -72,7 +73,7 @@ CSV_COLUMNS = (
 ORACLE_COLUMNS = ("oracle_r_u", "oracle_r_eq")
 
 # agreement demanded between analytical rates and their brute-force oracles
-ORACLE_RATE_TOL = 1e-3
+ORACLE_RATE_TOL = 1e-9
 
 
 class VerificationError(RuntimeError):
@@ -128,34 +129,19 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return [row for block in blocks for row in _run_block(spec, block)]
 
 
-# the SystemParams fields of a joint sweep variable; any other is one field
-_JOINT_FIELDS = {"c_u_c_d_joint": ("c_u", "c_d"), "p_db_joint": ("p_u_max", "p_d_max")}
-
-
-def _block_points(spec: SweepSpec, block):
-    """Each value's rates._Point, lazily, with no SystemParams per value: the
-    fields of params_at(block[0]), but for the swept field, or both joint
-    fields, set to the value, checked as SystemParams checks the field (the
-    joint fields share their rules)."""
-    first = _Point._make(getattr(spec.params_at(block[0]), f) for f in _Point._fields)
-    names = _JOINT_FIELDS.get(spec.sweep_var, (spec.sweep_var,))
-    for v in map(db_to_linear, block) if spec.sweep_var == "p_db_joint" else block:
-        yield first._replace(**dict.fromkeys(names, _check_field(names[0], v)))
-
-
 def _run_block(spec: SweepSpec, block) -> list[SweepRow]:
     """Rows of one block, and under spec.oracle with their oracle values:
     the circulant check of each C-RAN row and the certified optima.  Each
-    scheme's rows are solved at once (rates._solve) on the block's points,
-    built inside the replayed solve: after it raises, the points are built
-    again one at a time and each row solved alone in (value, scheme) order,
-    so the error is that of the first failing row."""
+    scheme's rows are solved at once (rates._solve) on the block's points
+    (SweepSpec.points), built inside the replayed solve: after it raises,
+    the points are built again one at a time and each row solved alone in
+    (value, scheme) order, so the error is that of the first failing row."""
     kinds = [SCHEMES[s] for s in spec.schemes]
     try:
-        points = list(_block_points(spec, block))
+        points = list(spec.points(block))
         solved = zip(*[_solve(*kind, points) for kind in kinds])
     except ValueError:
-        for p in _block_points(spec, block):  # the first failing row raises
+        for p in spec.points(block):  # the first failing row raises
             for kind in kinds:
                 _solve(*kind, [p])
         raise
@@ -223,7 +209,7 @@ def _oracle_checks(rows: list[SweepRow]):
 def verification_failures(rows: list[SweepRow]) -> list[str]:
     """Oracle disagreements beyond tolerance, as human-readable strings."""
     return [
-        f"{row.scheme.value} at {row.sweep_var}={row.value:g}: {quantity} "
+        f"{row.scheme.value} at {row.sweep_var}={_fmt(row.value)}: {quantity} "
         f"{reported:.6g} vs {name} oracle {oracle:.6g} (|delta|={gap:.3g})"
         for row, quantity, reported, name, oracle, gap in _oracle_checks(rows)
         if gap > ORACLE_RATE_TOL
@@ -249,7 +235,7 @@ def oracle_gaps(rows: list[SweepRow]) -> list[str]:
             gap, quantity, row = worst[scheme]
             line = (
                 f"verified {scheme.value}: worst |oracle - reported| {quantity} "
-                f"gap {gap:.3g} at {row.sweep_var}={row.value:g}"
+                f"gap {gap:.3g} at {row.sweep_var}={_fmt(row.value)}"
             )
             if scheme in certified:
                 line += "; certified to eps {:.3g} over {:,} cells".format(*certified[scheme])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdcran.oracle
+import fdcran.rates
 import fdcran.sweep
 from fdcran.cli import _build_parser, main
 from fdcran.config import ConfigError, SweepBase, parse_config
@@ -432,7 +433,7 @@ def test_fig3_verify_passes(tmp_path, capsys):
         assert " at gamma_ud=" in line
     # all four full-duplex schemes are certified: each names its eps and the
     # cells its oracle bounded
-    certified = [line for line in lines if "; certified to eps 1e-06 over " in line]
+    certified = [line for line in lines if "; certified to eps 1e-09 over " in line]
     assert [line.split(":")[0] for line in certified] == [
         f"verified {s}" for s in ("fd_scp", "fd_scp_sic", "fd_cran", "fd_cran_sic")
     ]
@@ -487,6 +488,34 @@ def test_sweep_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert "verification failed" in capsys.readouterr().err
     assert out.exists()  # data still written for inspection
+
+
+ALPHA_CONFIG = (
+    "sweep.var = alpha\nsweep.start = 0\nsweep.stop = 0.4995\nsweep.step = 0.0045\nschemes = all\n"
+)
+
+
+@pytest.mark.parametrize("config", [None, ALPHA_CONFIG], ids=["fig3", "alpha"])
+def test_verify_catches_a_quantizer_that_divides_by_2_to_the_c_u(
+    config, tmp_path, capsys, monkeypatch
+):
+    # the uplink quantization noise per unit of power is 1 / (2**c_u - 1);
+    # this fault's 1 / 2**c_u moves fig3's and the 112-value alpha sweep's
+    # rates by at most 2e-4, which --verify must still catch
+    def faulty(c):
+        if c <= 0.0:
+            return math.inf, 0
+        shift = min(max(math.floor(c) - 1000, 0), 1100)
+        return 2.0 ** (shift - c), shift
+
+    monkeypatch.setattr(fdcran.rates, "_per_unit_quantization", faulty)
+    source = ["--preset", "fig3"]
+    if config is not None:
+        (tmp_path / "sweep.cfg").write_text(config, encoding="utf-8")
+        source = ["--config", str(tmp_path / "sweep.cfg")]
+    out = tmp_path / "rates.csv"
+    assert main(["sweep", *source, "--out", str(out), "--verify"]) == 4
+    assert "verification failed" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path, capsys):

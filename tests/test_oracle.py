@@ -449,10 +449,10 @@ def test_a_point_is_certified_on_its_own_ring_whatever_shares_its_call(sic):
 @pytest.mark.parametrize(
     "scheme, uplink_and_t2, cells",
     [
-        (SchemeId.FD_SCP, (25, 0), 1362),
-        (SchemeId.FD_SCP_SIC, (23, 35), 1262),
-        (SchemeId.FD_CRAN, (29, 0), 1666),
-        (SchemeId.FD_CRAN_SIC, (25, 38), 1166),
+        (SchemeId.FD_SCP, (35, 0), 2002),
+        (SchemeId.FD_SCP_SIC, (33, 50), 1918),
+        (SchemeId.FD_CRAN, (39, 0), 2318),
+        (SchemeId.FD_CRAN_SIC, (35, 53), 1778),
     ],
     ids=["fd_scp", "fd_scp_sic", "fd_cran", "fd_cran_sic"],
 )

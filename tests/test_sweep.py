@@ -14,13 +14,14 @@ import fdcran.spectral
 import fdcran.sweep
 from fdcran.config import (
     MAX_SWEEP_VALUES,
+    SWEEP_VARS,
     ConfigError,
     SweepBase,
     SweepSpec,
     parse_config,
     preset_spec,
 )
-from fdcran.model import NumericDomainError, SchemeId, ZfSingularError
+from fdcran.model import NumericDomainError, SchemeId, ZfSingularError, _Point
 from fdcran.oracle import circulant_uplink_rate, exhaustive_power_opt
 from fdcran.rates import SCHEMES, SicMode
 from fdcran.sweep import (
@@ -86,6 +87,27 @@ def test_params_at_each_sweep_variable():
     spec = small_spec(sweep_var="c_u_c_d_joint")
     p = spec.params_at(7.0)
     assert p.c_u == 7.0 and p.c_d == 7.0
+
+
+@pytest.mark.parametrize("var", SWEEP_VARS)
+def test_a_specs_points_set_the_fields_params_at_sets(var):
+    # a value in range gives each field bit for bit; one out of range, after
+    # a first value in range, raises params_at's error.  A p_db_joint sweep
+    # sets both budgets, so its base's, here past the float range, go unread
+    base = SweepBase(p_u_db=3090.0) if var == "p_db_joint" else SweepBase()
+    spec = small_spec(sweep_var=var, base=base)
+    good = [-10.0, 0.0, 25.0, 3000.0] if var == "p_db_joint" else [0.0, 0.25, 0.4999, 7.0]
+    params = [spec.params_at(v) for v in good]
+    fields = [_Point._make(getattr(p, f) for f in _Point._fields) for p in params]
+    assert list(spec.points(good)) == fields
+    bad = {"p_db_joint": [3090.0, math.nan], "c_u_c_d_joint": [-1.0, math.nan]}
+    for value in bad.get(var, [-1.0, math.nan, 1e155]):
+        with pytest.raises(ValueError) as direct:
+            spec.params_at(value)
+        with pytest.raises(ValueError) as lazily:
+            list(spec.points([good[0], value]))
+        assert type(lazily.value) is type(direct.value)
+        assert str(lazily.value) == str(direct.value)
 
 
 def test_spec_validation():
@@ -408,6 +430,20 @@ def test_a_doctored_fd_cran_row_is_flagged():
     doctored = replace(row, r_eq=row.r_eq + 0.01)
     (failure,) = verification_failures([doctored])
     assert failure.startswith("fd_cran at gamma_ud=3.5: equal rate")
+
+
+def test_a_failure_names_its_row_as_the_csv_does():
+    # six significant digits would print alpha = 0.4999999 as 0.5, a value
+    # outside the zero-forcing domain
+    spec = SweepSpec(
+        sweep_var="alpha", start=0.4999999, stop=0.4999999, schemes=(SchemeId.FD_CRAN,),
+        oracle=True,
+    )
+    row = run_sweep(spec)[0]
+    assert verification_failures([row]) == []
+    (failure,) = verification_failures([replace(row, r_eq=row.r_eq + 0.01)])
+    assert failure.startswith("fd_cran at alpha=0.4999999: equal rate")
+    assert " at alpha=0.4999999; certified " in fdcran.sweep.oracle_gaps([row])[0]
 
 
 def test_fig3_verify_builds_no_grid_and_certifies_once_per_block_and_scheme(
