@@ -64,10 +64,10 @@ _TIE_TOL = 1e-9
 _BLOCK_ELEMENTS = 8192
 # the certificate: the true maximum lies within this of the best point found
 CERTIFIED_EPS = 1e-9
-# most cells bounded for one point, 20 times fig2's and fig3's most.  Far
-# above the noise the objective depends on the power ratio alone, so its
-# near-optimal set runs along a ray, which cells of the box cover only by
-# the billion at budgets of thousands of dB; eps widens there instead
+# most cells bounded for one point, about 885 times the 74 of fig2's and
+# fig3's costliest point.  Far above the noise the objective depends on the
+# power ratio alone, so its near-optimal set runs along a ray that box cells
+# cover only by the billion at budgets of thousands of dB; eps widens there
 _MAX_CELLS = 1 << 16
 # where _quarters cuts a cell, as fractions of its nonzero side from its lower end
 _QUARTER_CUTS = np.array([[0.0], [0.25], [0.5], [0.75]])

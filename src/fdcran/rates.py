@@ -27,14 +27,13 @@ co-located uplink codeword, which may be sent at any rate up to the uplink
 capacity r_u; the search maximizes over that carried rate too, and the
 reported r_d is the downlink's at the best carried rate (_receive), so
 r_eq = min(r_u, r_d) is the rate the uplink carries.  _solve forms every
-result, of one scheme at a batch of operating points, each point's in
-floats: half duplex as the kernels at (P_u, 0) and (0, P_d), full duplex as
-both kernels at the argmax of one power search for the whole batch, or at
-the budgets under full_power (compute_batch is _batch, its RateResults;
-compute_scheme, hd_scp, hd_cran, fd_scp and fd_cran are its batch of one).
-Every point of a batch gets bit-for-bit the result it gets alone.  The
-search calls the kernels (_rates) for all points at once (see compute_batch
-on memory).
+result, of one family's receivers at a batch of points, in floats from
+each point's constants, built once: half duplex as the kernels at (P_u, 0)
+and (0, P_d), full duplex as both kernels at the receiver's argmax of one
+power search for the batch and its receivers, or at the budgets under
+full_power (compute_batch is _batch, one receiver's RateResults;
+compute_scheme, hd_scp, hd_cran, fd_scp and fd_cran are its batch of
+one).  Every point of a batch gets bit-for-bit the result it gets alone.
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
@@ -480,43 +479,39 @@ def fd_cran(params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE) -
 # batches
 
 
-def _consts(family: str, sic, p) -> _Form:
-    """The kernels' constants of the point p, C-RAN with the exact
-    zero-forcing terms and sigma_u^2 checked at the most power the scheme
-    spends (P_u alone in half duplex, sic None, else both budgets)."""
-    k = _form(family, p)
-    if family == "cran":
-        _checked_sigma_u_sq(k, p.c_u, p.p_u_max, p.p_d_max * (sic is not None))
-    return k
+def _solve(family: str, receivers, points, full_power: bool = False) -> dict:
+    """{receiver: each point's (r_u, r_d, r_eq, diagnostics)} of the family's
+    schemes with the receivers (None: half duplex) at the points
+    (SystemParams or model._Point), each point's constants built once and
+    C-RAN's sigma_u^2 checked at the most power a receiver spends (P_u alone
+    in half duplex, else both budgets).  Half duplex evaluates the uplink
+    kernel at (P_u, 0) and the downlink kernel at (0, P_d), and balances the
+    pair by equal_rate_split (f_star None where there is no split).  Full
+    duplex evaluates both at the receiver's argmax of one power search for
+    all the points and receivers (_max_min_search), in each point's _unit,
+    or at the budgets if full_power, and reports their min.  Every reported
+    number is a float formed from the point alone (_MATH).  Every point's
+    sigma_u^2 is checked first, then the first point with a rate not finite
+    raises, r_u checked before r_d."""
+    duplex = any(r is not None for r in receivers)
+    forms = []
+    for p in points:
+        forms.append(_form(family, p))
+        if family == "cran":
+            _checked_sigma_u_sq(forms[-1], p.c_u, p.p_u_max, p.p_d_max * duplex)
+    budgets = [(p.p_u_max, p.p_d_max) for p in points]
+    powers = dict.fromkeys(receivers, budgets)
+    if duplex and not full_power:
+        import numpy as np
 
-
-def _solve(family: str, sic, points, full_power: bool = False) -> list:
-    """(r_u, r_d, r_eq, diagnostics) of the scheme of family and receiver sic
-    (None: half duplex) at each of the points (SystemParams or model._Point).
-    Half duplex evaluates the uplink kernel at (P_u, 0) and the downlink
-    kernel at (0, P_d), and balances the pair by equal_rate_split (f_star
-    None where there is no split).  Full duplex evaluates both at the power
-    search's argmax, one search for all the points, or at the budgets if
-    full_power, and reports their min.  Every reported number is a float
-    formed from the point alone (_MATH).  Every point's sigma_u^2 is checked
-    first, then the first point with a rate not finite raises, r_u checked
-    before r_d."""
-    forms = [_consts(family, sic, p) for p in points]
-    powers = [(p.p_u_max, p.p_d_max) for p in points]
-    if sic is not None and not full_power:
-        powers = _searched(forms, powers, sic)
-    return list(map(_reported, repeat(family), repeat(sic), points, forms, powers))
-
-
-def _searched(forms, budgets, sic) -> list:
-    """Each point's argmax (p_u*, p_d*) of _max_min_search, one search for
-    the points of the forms and budgets, run in each point's _unit."""
-    import numpy as np
-
-    unit = np.array([k.unit for k in forms])
-    p_u, p_d = (np.array(b) * unit for b in zip(*budgets))
-    _, u, d = _max_min_search(_stacked(forms), p_u, p_d, sic)
-    return list(zip((u / unit).tolist(), (d / unit).tolist()))
+        unit = np.array([k.unit for k in forms])
+        p_u, p_d = (np.array(b) * unit for b in zip(*budgets))
+        for r, (_, u, d) in _max_min_search(_stacked(forms), p_u, p_d, receivers).items():
+            powers[r] = list(zip((u / unit).tolist(), (d / unit).tolist()))
+    return {
+        r: list(map(_reported, repeat(family), repeat(r), points, forms, powers[r]))
+        for r in receivers
+    }
 
 
 def _reported(family: str, sic, p, k: _Form, powers) -> tuple:
@@ -539,10 +534,10 @@ def _reported(family: str, sic, p, k: _Form, powers) -> tuple:
 
 
 def _batch(family: str, sic, points, full_power: bool = False) -> list:
-    """Each point's RateResult of _solve, f_star left out where None."""
+    """Each point's RateResult of _solve for sic alone, f_star left out where None."""
     return [
         RateResult(u, d, eq, {name: v for name, v in diag.items() if v is not None})
-        for u, d, eq, diag in _solve(family, sic, points, full_power)
+        for u, d, eq, diag in _solve(family, (sic,), points, full_power)[sic]
     ]
 
 
@@ -627,10 +622,11 @@ def _edge_optimum(evaluate, p_u_max, p_d_max):
     return value, scale * p_u, scale * p_d
 
 
-def _max_min_search(k, p_u_max, p_d_max, sic: SicMode):
-    """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max],
-    k being the batch's constants (_stacked), for _rates in numpy at power
-    arrays whose leading axis runs over its points.
+def _max_min_search(k, p_u_max, p_d_max, receivers):
+    """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max]
+    for the full-duplex receivers, k being the batch's constants (_stacked),
+    for _rates in numpy at power arrays whose leading axis runs over its
+    points.
 
     Treat-as-noise: both SINRs are standard interference functions (Yates,
     IEEE JSAC 1995), so scaling (p_u, p_d) up raises both rates and the
@@ -642,14 +638,16 @@ def _max_min_search(k, p_u_max, p_d_max, sic: SicMode):
     peaks on a budget edge, and t2/2 is monotone along each edge, its SINR
     being linear-fractional in the free power: _edge_optimum finds M's
     maximum M* exactly, and a point takes M's optimum where M* beats the
-    treat-as-noise one by more than _TIE_TOL.  Returns (value, p_u, p_d),
-    each an (n,) array.
+    treat-as-noise one by more than _TIE_TOL: one treat-as-noise search
+    serves both receivers, and M's runs only where receivers hold SIC.
+    Returns {receiver: (value, p_u, p_d)}, each an (n,) array, for
+    treat-as-noise and, where searched, SIC.
     """
     import numpy as np
 
     best = _edge_optimum(lambda pu, pd: _rates(np, k, pu, pd, _TAN), p_u_max, p_d_max)
-    if sic is _TAN:
-        return best
+    if SicMode.SIC not in receivers:
+        return {_TAN: best}
 
     def bound(pu, pd):  # M's terms: r_u, t1 and the free t2/2
         r_u, (t1, half) = _rates(np, k, pu, pd, _BOUND)
@@ -657,7 +655,7 @@ def _max_min_search(k, p_u_max, p_d_max, sic: SicMode):
 
     found = _edge_optimum(bound, p_u_max, p_d_max)
     better = found[0] > best[0] + _TIE_TOL
-    return tuple(np.where(better, f, b) for f, b in zip(found, best))
+    return {_TAN: best, SicMode.SIC: tuple(np.where(better, f, b) for f, b in zip(found, best))}
 
 
 # ----------------------------------------------------------------------------

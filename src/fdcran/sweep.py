@@ -7,16 +7,16 @@ chart run without numpy.
 
 Rows come out one per (sweep value, scheme), sweep value major and scheme in
 enum order minor, so identical configs produce byte-identical CSV output.
-Values are taken in blocks of 64, and each scheme's rows of a block are
-solved by one rates._solve call: half duplex at each value's budgets,
-full duplex by one max-min power search for the whole block, exact on the
-budget edges.  Nothing splits the search's kernel calls, so the block
-bounds its memory (a block's edge search takes 64 x 2 x 17 powers), the
-certified search's under --verify, and the points and constants a solve
-holds at once.  C-RAN rows are exact (closed forms, see rates), and the
-search has no grid, so a sweep has no quadrature or resolution setting.  A
-sweep runs in this one process: with the search this cheap, worker
-processes would cost more than they save.
+Values are taken in blocks of 64, and the rows of a block's schemes of one
+processing family are solved by one rates._solve call: half duplex at each
+value's budgets, full duplex by one max-min power search for the whole block
+and its receivers, exact on the budget edges.  Nothing splits the search's
+kernel calls, so the block bounds its memory (a block's edge search takes
+64 x 2 x 17 powers), the certified search's under --verify, and the points
+and constants a solve holds at once.  C-RAN rows are exact (closed forms,
+see rates), and the search has no grid, so a sweep has no quadrature or
+resolution setting.  A sweep runs in this one process: with the search this
+cheap, worker processes would cost more than they save.
 
 A row's r_u is the uplink capacity at its powers (p_u*, p_d*).  A SIC
 mobile faces the co-located uplink codeword at any carried rate up to that
@@ -132,22 +132,24 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 def _run_block(spec: SweepSpec, block) -> list[SweepRow]:
     """Rows of one block, and under spec.oracle with their oracle values:
     the circulant check of each C-RAN row and the certified optima.  Each
-    scheme's rows are solved at once (rates._solve) on the block's points
-    (SweepSpec.points), built inside the replayed solve: after it raises,
-    the points are built again one at a time and each row solved alone in
-    (value, scheme) order, so the error is that of the first failing row."""
+    family's rows are solved at once (rates._solve, for all its receivers)
+    on the block's points (SweepSpec.points), built inside the replayed
+    solve: after it raises, the points are built again one at a time and
+    each row solved alone in (value, scheme) order, so the error is that of
+    the first failing row."""
     kinds = [SCHEMES[s] for s in spec.schemes]
+    families = {f: [r for g, r in kinds if g == f] for f, _ in kinds}
     try:
         points = list(spec.points(block))
-        solved = zip(*[_solve(*kind, points) for kind in kinds])
+        solved = {f: _solve(f, receivers, points) for f, receivers in families.items()}
     except ValueError:
         for p in spec.points(block):  # the first failing row raises
-            for kind in kinds:
-                _solve(*kind, [p])
+            for family, receiver in kinds:
+                _solve(family, (receiver,), [p])
         raise
     rows = [
         SweepRow(spec.sweep_var, value, scheme, r_u, r_d, r_eq, *map(diag.get, _DIAGNOSTICS))
-        for value, at_value in zip(block, solved)
+        for value, at_value in zip(block, zip(*(solved[f][r] for f, r in kinds)))
         for scheme, (r_u, r_d, r_eq, diag) in zip(spec.schemes, at_value)
     ]
     if spec.oracle:  # each scheme's rows are one stride of the block, one per point

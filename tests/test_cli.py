@@ -15,6 +15,7 @@ import fdcran.sweep
 from fdcran.cli import _build_parser, main
 from fdcran.config import ConfigError, SweepBase, parse_config
 from fdcran.model import SchemeId
+from fdcran.rates import SCHEMES, SicMode
 from fdcran.spectral import zf_constants
 from fdcran.sweep import ORACLE_RATE_TOL
 
@@ -516,6 +517,29 @@ def test_verify_catches_a_quantizer_that_divides_by_2_to_the_c_u(
     out = tmp_path / "rates.csv"
     assert main(["sweep", *source, "--out", str(out), "--verify"]) == 4
     assert "verification failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("taken", list(SicMode), ids=lambda r: r.value)
+def test_verify_catches_a_receiver_mix_up_in_the_family_search(
+    taken, tmp_path, capsys, monkeypatch
+):
+    # one search serves both full-duplex receivers of a family: handing
+    # every full-duplex row the treat-as-noise argmax, which loses the SIC
+    # rows M's optimum, or the SIC argmax, off the treat-as-noise optimum,
+    # fails fig3's --verify, and only on the other receiver's rows
+    search = fdcran.rates._max_min_search
+
+    def mixed_up(k, p_u_max, p_d_max, receivers):
+        found = search(k, p_u_max, p_d_max, tuple(SicMode))
+        return {r: found[taken] for r in receivers if r is not None}
+
+    monkeypatch.setattr(fdcran.rates, "_max_min_search", mixed_up)
+    out = tmp_path / "rates.csv"
+    assert main(["sweep", "--preset", "fig3", "--out", str(out), "--verify"]) == 4
+    header, *failures = capsys.readouterr().err.splitlines()
+    assert header == "verification failed:" and failures
+    wronged = {s.value for s, (_, r) in SCHEMES.items() if r not in (None, taken)}
+    assert {line.split()[0] for line in failures} == wronged
 
 
 def test_module_entry_point(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,12 +308,12 @@ def test_duplex_gain_cran():
     assert 1.99 <= ratio <= 2.0 + 1e-9
 
 
-@pytest.mark.parametrize("preset, calls", [("fig2", 112), ("fig3", 94)])
+@pytest.mark.parametrize("preset, calls", [("fig2", 81), ("fig3", 63)])
 def test_a_sweep_rates_each_search_point_once(monkeypatch, preset, calls):
     # the edge search takes each free term's direction from its first pass
     # and its bracket ends' values from its last: a separate probe of each
     # edge's ends and a second rating of the final bracket ends would make
-    # two more kernel calls in each of the sweep's six edge searches; the
+    # two more kernel calls in each of the sweep's four edge searches; the
     # reported rates, one float call a row, are not the search's
     kernel, counted = rates._rates, []
 
@@ -323,3 +324,31 @@ def test_a_sweep_rates_each_search_point_once(monkeypatch, preset, calls):
     monkeypatch.setattr(rates, "_rates", counting)
     run_sweep(preset_spec(preset))
     assert sum(counted) == calls
+
+
+@pytest.mark.parametrize(
+    "preset, schemes, searches, builds",
+    [
+        ("fig2", tuple(SchemeId), 4, 50),
+        ("fig3", tuple(SchemeId), 4, 66),
+        ("fig3", (SchemeId.FD_SCP_SIC,), 2, 33),
+    ],
+)
+def test_a_family_builds_its_constants_and_searches_treat_as_noise_once(
+    monkeypatch, preset, schemes, searches, builds
+):
+    # each family's schemes of a block share one solve: each point's
+    # constants once, one treat-as-noise edge search for both full-duplex
+    # receivers, and SIC's bound search where a SIC receiver is swept;
+    # fig2's 25 values and fig3's 33 make one block each
+    counted = {"_edge_optimum": 0, "_form": 0}
+    for name in counted:
+        original = getattr(rates, name)
+
+        def counting(*args, name=name, original=original):
+            counted[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(rates, name, counting)
+    run_sweep(replace(preset_spec(preset), schemes=schemes))
+    assert counted == {"_edge_optimum": searches, "_form": builds}

@@ -132,7 +132,9 @@ def test_rate_closed_form_matches_quadrature(alpha):
 def _bound(family: str, params, p_u: float, p_d: float) -> float:
     """M at the powers (p_u, p_d), from the family's kernels in the point's
     unit, in numpy, where the search forms it."""
-    k = rates._consts(family, SIC, params)  # the point's constants in plain floats
+    k = rates._form(family, params)  # the point's constants in plain floats
+    if family == "cran":  # sigma_u^2 past the float range raises, as in the solver
+        rates._checked_sigma_u_sq(k, params.c_u, params.p_u_max, params.p_d_max)
     u, d = p_u * k.unit, p_d * k.unit
     r_u = rates._uplink(np, k, u, d)
     return float(min(r_u, *rates._downlink(np, k, u, d, r_u, rates._BOUND)))
@@ -157,7 +159,7 @@ def test_the_bound_does_not_fall_as_both_powers_scale_up(params, u_db, d_db, u, 
 def _row_scans(family: str, params) -> float:
     """The SIC objective's max over 33 rows p_u = i P_u / 32 of the power box
     and the edge p_d = P_d, each scanned at 2,049 powers, from the kernels."""
-    k = rates._consts(family, SIC, params)  # the point's constants in plain floats
+    k = rates._form(family, params)  # the point's constants in plain floats
     u_max, d_max = params.p_u_max * k.unit, params.p_d_max * k.unit  # kernel powers
     rows = np.linspace(0.0, u_max, 33)[:, None], np.linspace(0.0, d_max, 2049)
     edge = np.linspace(0.0, u_max, 2049), d_max
