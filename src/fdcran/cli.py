@@ -142,7 +142,8 @@ def main(argv=None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:
-        # a finite input whose square or power exceeds a float, e.g. a gain of 1e200
+        # a CPython float ** or math call past the float range, which raises where
+        # numpy gives inf; no accepted input is known to reach one
         print(f"numeric error: float overflow ({exc.args[-1]})", file=sys.stderr)
         return 3
     except VerificationError as exc:

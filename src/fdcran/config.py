@@ -63,7 +63,7 @@ MAX_SWEEP_VALUES = 1_000_000
 
 
 class ConfigError(ValueError):
-    """A config file failed to parse or validate; carries line and field."""
+    """A config file failed to parse or validate; carries line, field and bare message."""
 
     def __init__(self, message: str, line: int | None = None, field_name: str | None = None):
         prefix = []
@@ -72,6 +72,7 @@ class ConfigError(ValueError):
         if field_name is not None:
             prefix.append(f"field {field_name!r}")
         super().__init__((": ".join([", ".join(prefix), message]) if prefix else message))
+        self.message = message
         self.line = line
         self.field = field_name
 
@@ -184,6 +185,7 @@ def preset_spec(name: str) -> SweepSpec:
 # config text parsing
 
 _BASE_KEYS = {f"base.{f.name}": f.name for f in fields(SweepBase)}
+_GRID_KEYS = ("sweep.start", "sweep.stop", "sweep.step")
 
 
 def _parse_float(raw: str, line: int, key: str) -> float:
@@ -198,8 +200,6 @@ def _parse_float(raw: str, line: int, key: str) -> float:
 
 def _parse_schemes(raw: str, line: int) -> tuple[SchemeId, ...]:
     names = [part.strip() for part in raw.split(",") if part.strip()]
-    if not names:
-        raise ConfigError("scheme list must not be empty", line, "schemes")
     out = []
     valid = {s.value: s for s in SchemeId}
     for name in names:
@@ -219,13 +219,15 @@ def _parse_schemes(raw: str, line: int) -> tuple[SchemeId, ...]:
 def parse_config(text: str, defaults: SweepSpec | None = None) -> SweepSpec:
     """Parse key = value config text into a SweepSpec.
 
-    Unknown keys, malformed lines and out-of-range values raise ConfigError
-    with the offending line number and field.  When defaults is given (a
-    preset), config keys override it.
+    Errors are ConfigErrors with the offending line number and field: bad
+    lines, keys and values in line order, then SweepSpec's sweep rules at the
+    line of the key they name, else (a grid rule) of the last grid key set.
+    When defaults is given (a preset), config keys override it.
     """
     spec = defaults if defaults is not None else SweepSpec()
     base_kw = {}
     spec_kw = {}
+    lines = {}  # each key's last line
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -243,19 +245,16 @@ def parse_config(text: str, defaults: SweepSpec | None = None) -> SweepSpec:
                 raise ConfigError(f"must be >= 0, got {value}", lineno, key)
             base_kw[_BASE_KEYS[key]] = value
         elif key == "sweep.var":
-            if raw not in SWEEP_VARS:
-                raise ConfigError(
-                    f"unknown sweep variable {raw!r}; expected one of {SWEEP_VARS}",
-                    lineno,
-                    key,
-                )
             spec_kw["sweep_var"] = raw
-        elif key in ("sweep.start", "sweep.stop", "sweep.step"):
+        elif key in _GRID_KEYS:
             spec_kw[key.split(".", 1)[1]] = _parse_float(raw, lineno, key)
         elif key == "schemes":
             spec_kw["schemes"] = _parse_schemes(raw, lineno)
         else:
             raise ConfigError(f"unknown key {key!r}", lineno, key)
-    if base_kw:
-        spec_kw["base"] = replace(spec.base, **base_kw)
-    return replace(spec, **spec_kw) if spec_kw else spec
+        lines[key] = lineno
+    try:
+        return replace(spec, base=replace(spec.base, **base_kw), **spec_kw)
+    except ConfigError as err:  # a rule of SweepSpec, which defaults met
+        at = lines.get(err.field) or max(lines[k] for k in _GRID_KEYS if k in lines)
+        raise ConfigError(err.message, at, err.field) from None

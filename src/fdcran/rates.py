@@ -25,7 +25,7 @@ schemes choose the operating powers (p_u, p_d) that maximize min(R_u, R_d),
 exactly on the budget edges (_max_min_search).  A SIC mobile faces the
 co-located uplink codeword, which may be sent at any rate up to the uplink
 capacity r_u; the search maximizes over that carried rate too, and the
-reported r_d is the downlink's at the best carried rate (_receive), so
+reported r_d is the downlink's at the best carried rate (_downlink), so
 r_eq = min(r_u, r_d) is the rate the uplink carries.  _solve forms every
 result, of one family's receivers at a batch of points, in floats from
 each point's constants, built once: half duplex as the kernels at (P_u, 0)
@@ -150,32 +150,6 @@ _MATH = SimpleNamespace(
 )
 
 
-def _receive(xp, signal, den, g2pu, r_u, receiver):
-    """Downlink rate from the signal power, the denominator without the
-    intra-cell uplink power g2pu, and the receiver.  With t1 = C(signal/den),
-    t2 = C((signal + g2pu)/den) and t3 = C(signal/(den + g2pu)): treat-as-noise
-    gives t3.  SIC faces the uplink codeword at a carried rate R up to the
-    uplink capacity r_u and gets max(t3, min(t1, t2 - R)): treating it as
-    noise, or decoding jointly without having to decode it (Bandemer, El Gamal
-    and Kim, IEEE T-IT 2015).  As t3 <= t1, min(R, that rate) peaks at the
-    carried rate R* = max(min(r_u, t3), min(r_u, t1, t2/2)); SIC returns the
-    rate at R*, so that min(r_u, r_d) = R*.  The bound receiver, the search's
-    alone, returns t1 and t2/2 stacked along a new first axis."""
-    if receiver is not _TAN:
-        with xp.errstate(over="ignore"):  # past 1024 bits t2 is taken as a difference
-            t2 = xp.log2(1.0 + (signal + g2pu) / den)
-        if xp.any(xp.isinf(t2)):
-            t2 = xp.where(xp.isinf(t2), xp.log2(den + signal + g2pu) - xp.log2(den), t2)
-        t1 = xp.log2(1.0 + signal / den)
-        if receiver is _BOUND:
-            return xp.stack((t1, t2 / 2.0))
-    t3 = xp.log2(1.0 + signal / (den + g2pu))
-    if receiver is _TAN:
-        return t3
-    carried = xp.maximum(xp.minimum(r_u, t3), xp.minimum(xp.minimum(r_u, t1), t2 / 2.0))
-    return xp.maximum(t3, xp.minimum(t1, t2 - carried))
-
-
 def _unit(p, *gains):
     """2**-k, a point's unit of power: its kernels take every power, the noise
     power included, as a multiple of 2**-k, and the power search runs in
@@ -189,7 +163,7 @@ def _unit(p, *gains):
 
 # The kernels' constants, every power in the point's _unit:
 #   r_u = min(C(p_u / ((unit + f p_u + 2 h p_d) quant 2**-shift + noise_u)), cap_u),
-#   r_d = min(_receive(a p_d, unit + b p_d + c p_u, g p_u, ...), cap_d),
+#   r_d = min(R(a p_d, unit + b p_d + c p_u, g p_u), cap_d), R the receiver's (_downlink),
 # C being log2(1 + s) where alpha is None (SCP decodes each cell alone) and
 # rate_closed_form(s, alpha) otherwise (C-RAN decodes the ring jointly).
 # SCP has f = b = 2 alpha^2, h = beta_du^2, quant = 1, shift = 0,
@@ -282,13 +256,36 @@ def _downlink_powers(p_d, q_d):  # (stream power p_s, quantization noise sigma_d
 
 
 def _downlink(xp, k, p_u, p_d, r_u, receiver):
-    den = k.unit + k.b * p_d + k.c * p_u
-    return xp.minimum(_receive(xp, k.a * p_d, den, k.g * p_u, r_u, receiver), k.cap_d)
+    """Downlink rate, at most cap_d, from the signal power signal = a p_d, the
+    denominator den = unit + b p_d + c p_u without the intra-cell uplink power
+    g2pu = g p_u, and the receiver.  With t1 = C(signal/den), t2 = C((signal +
+    g2pu)/den) and t3 = C(signal/(den + g2pu)): treat-as-noise gives t3.  SIC
+    faces the uplink codeword at a carried rate R up to the uplink capacity
+    r_u and gets max(t3, min(t1, t2 - R)): treating it as noise, or decoding
+    jointly without having to decode it (Bandemer, El Gamal and Kim, IEEE T-IT
+    2015).  As t3 <= t1, min(R, that rate) peaks at the carried rate R* =
+    max(min(r_u, t3), min(r_u, t1, t2/2)); SIC returns the rate at R*, so that
+    min(r_u, r_d) = R*.  The bound receiver, the search's alone, returns t1
+    and t2/2 stacked along a new first axis."""
+    den, signal, g2pu = k.unit + k.b * p_d + k.c * p_u, k.a * p_d, k.g * p_u
+    if receiver is not _TAN:
+        with xp.errstate(over="ignore"):  # past 1024 bits t2 is taken as a difference
+            t2 = xp.log2(1.0 + (signal + g2pu) / den)
+        if xp.any(xp.isinf(t2)):
+            t2 = xp.where(xp.isinf(t2), xp.log2(den + signal + g2pu) - xp.log2(den), t2)
+        t1 = xp.log2(1.0 + signal / den)
+        if receiver is _BOUND:
+            return xp.minimum(xp.stack((t1, t2 / 2.0)), k.cap_d)
+    t3 = xp.log2(1.0 + signal / (den + g2pu))
+    if receiver is _TAN:
+        return xp.minimum(t3, k.cap_d)
+    carried = xp.maximum(xp.minimum(r_u, t3), xp.minimum(xp.minimum(r_u, t1), t2 / 2.0))
+    return xp.minimum(xp.maximum(t3, xp.minimum(t1, t2 - carried)), k.cap_d)
 
 
 def _rates(xp, k, pu, pd, receiver):
     """(r_u, r_d) at constants k and powers pu, pd, r_d that of the receiver
-    (_receive); half duplex, receiver None, takes the uplink at (pu, 0) and
+    (_downlink); half duplex, receiver None, takes the uplink at (pu, 0) and
     the downlink at (0, pd)."""
     if receiver is None:
         return _uplink(xp, k, pu, 0.0), _downlink(xp, k, 0.0, pd, 0.0, _TAN)
@@ -314,7 +311,7 @@ def _check_powers(params, p_u, p_d, budgets: bool = False) -> None:
 
 def _uplink_capacity(sic: SicMode, r_u) -> float:
     """The uplink capacity r_u a SIC receiver carries the uplink within
-    (_receive; unused otherwise)."""
+    (_downlink; unused otherwise)."""
     if sic is _TAN:
         return 0.0
     if r_u is None:
@@ -408,7 +405,7 @@ def fd_scp_downlink_rate(
     (2 beta_ud^2 + gamma_ud^2) p_u into the noise.  With SIC, r_u (required
     then) is the uplink capacity at (p_u, p_d): the uplink carries the rate
     R* = max(min(r_u, t3), min(r_u, t1, t2/2)) and the mobile gets
-    max(t3, min(t1, t2 - R*)) (_receive), so min(r_u, r_d) is the carried
+    max(t3, min(t1, t2 - R*)) (_downlink), so min(r_u, r_d) is the carried
     rate.  Both variants cap at c_d.
     """
     r_u = _uplink_capacity(sic, r_u)
@@ -454,7 +451,7 @@ def fd_cran_downlink(
     (2 beta_ud^2 + gamma_ud^2) p_u to the quantized-downlink denominator.
     With SIC, r_u (required then) is the uplink capacity at the powers: the
     uplink carries R* = max(min(r_u, t3), min(r_u, t1, t2/2)) and the mobile
-    gets max(t3, min(t1, t2 - R*)) (_receive), t1 and t2 moving the
+    gets max(t3, min(t1, t2 - R*)) (_downlink), t1 and t2 moving the
     gamma_ud^2 p_u term out of the denominator and into the numerator.  No
     fronthaul cap applies here -- the fronthaul already enters through the
     quantization noise.  The precoder must be the zero-forcing one of
@@ -632,7 +629,7 @@ def _max_min_search(k, p_u_max, p_d_max, receivers):
     IEEE JSAC 1995), so scaling (p_u, p_d) up raises both rates and the
     optimum lies on a budget edge, where _edge_optimum finds it exactly.
 
-    SIC: maximized over the carried rate as well (_receive), the objective is
+    SIC: maximized over the carried rate as well (_downlink), the objective is
     the larger of the treat-as-noise one and M = min(r_u, t1, t2/2), with the
     same caps.  Each SINR of M is a standard interference function too, so M
     peaks on a budget edge, and t2/2 is monotone along each edge, its SINR

@@ -21,7 +21,7 @@ cheap, worker processes would cost more than they save.
 A row's r_u is the uplink capacity at its powers (p_u*, p_d*).  A SIC
 mobile faces the co-located uplink codeword at any carried rate up to that
 capacity, and its row's r_d is the downlink rate at the best carried rate,
-so r_eq = min(r_u, r_d) is the rate the uplink carries (rates._receive).
+so r_eq = min(r_u, r_d) is the rate the uplink carries (rates._downlink).
 
 Under --verify the oracles run in this process after each block's solve,
 one pass per scheme over its rows of the block: the circulant ring checks

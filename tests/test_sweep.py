@@ -165,6 +165,11 @@ def test_parse_config_scheme_shorthand_all():
         ("numerics.grid = 16", "unknown key"),
         ("numerics.oracle = on", "unknown key"),
         ("base.alpha =", "missing value"),
+        ("sweep.step = 0", "step must be > 0"),
+        ("sweep.start = 20", "exceeds stop"),
+        ("sweep.stop = -1", "exceeds stop"),
+        ("sweep.stop = 1e308", "at most 1000000 sweep values"),
+        ("schemes = ,", "must not be empty"),
     ],
 )
 def test_parse_config_errors_carry_line(line, fragment):
