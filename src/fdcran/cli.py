@@ -82,8 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compute(args) -> int:
     import json  # only compute prints JSON; a sweep process skips the import
 
-    base = SweepBase(**{f.name: getattr(args, f.name) for f in fields(SweepBase)})
-    params = base_params(**vars(base))
+    params = base_params(**{f.name: getattr(args, f.name) for f in fields(SweepBase)})
     result = compute_scheme(SchemeId(args.scheme), params, full_power=args.full_power)
 
     def clean(x: float):

@@ -243,6 +243,8 @@ def parse_config(text: str, defaults: SweepSpec | None = None) -> SweepSpec:
             value = _parse_float(raw, lineno, key)
             if value < 0 and not key.endswith("_db"):  # a budget in dB may be negative
                 raise ConfigError(f"must be >= 0, got {value}", lineno, key)
+            if key.endswith("_db") and db_to_linear(value) == math.inf:
+                raise ConfigError(f"must be finite in linear units, got {value} dB", lineno, key)
             base_kw[_BASE_KEYS[key]] = value
         elif key == "sweep.var":
             spec_kw["sweep_var"] = raw

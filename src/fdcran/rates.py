@@ -479,23 +479,23 @@ def fd_cran(params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE) -
 def _solve(family: str, receivers, points, full_power: bool = False) -> dict:
     """{receiver: each point's (r_u, r_d, r_eq, diagnostics)} of the family's
     schemes with the receivers (None: half duplex) at the points
-    (SystemParams or model._Point), each point's constants built once and
-    C-RAN's sigma_u^2 checked at the most power a receiver spends (P_u alone
-    in half duplex, else both budgets).  Half duplex evaluates the uplink
-    kernel at (P_u, 0) and the downlink kernel at (0, P_d), and balances the
-    pair by equal_rate_split (f_star None where there is no split).  Full
-    duplex evaluates both at the receiver's argmax of one power search for
-    all the points and receivers (_max_min_search), in each point's _unit,
-    or at the budgets if full_power, and reports their min.  Every reported
-    number is a float formed from the point alone (_MATH).  Every point's
-    sigma_u^2 is checked first, then the first point with a rate not finite
-    raises, r_u checked before r_d."""
+    (SystemParams or model._Point), each point's constants built once.  Half
+    duplex evaluates the uplink kernel at (P_u, 0) and the downlink kernel
+    at (0, P_d), and balances the pair by equal_rate_split (f_star None
+    where there is no split).  Full duplex evaluates both at the receiver's
+    argmax of one power search for all the points and receivers
+    (_max_min_search), in each point's _unit, or at the budgets if
+    full_power, and reports their min.  Every reported number is a float
+    formed from the point alone (_MATH).  If a full-duplex receiver is
+    solved, which spends both budgets, every C-RAN point's sigma_u^2 is
+    checked at them first; then the first point to fail raises, its r_u
+    checked before its r_d and its C-RAN sigma_u^2 (_reported) last."""
     duplex = any(r is not None for r in receivers)
     forms = []
     for p in points:
         forms.append(_form(family, p))
-        if family == "cran":
-            _checked_sigma_u_sq(forms[-1], p.c_u, p.p_u_max, p.p_d_max * duplex)
+        if family == "cran" and duplex:
+            _checked_sigma_u_sq(forms[-1], p.c_u, p.p_u_max, p.p_d_max)
     budgets = [(p.p_u_max, p.p_d_max) for p in points]
     powers = dict.fromkeys(receivers, budgets)
     if duplex and not full_power:
@@ -521,7 +521,7 @@ def _reported(family: str, sic, p, k: _Form, powers) -> tuple:
     if family == "cran":
         p_s, sigma_d = _downlink_powers(p_d, 2.0**-p.c_d)
         up = (p_u, p_d * (sic is not None))  # the uplink's powers
-        diag["sigma_u_sq"] = _checked_sigma_u_sq(k, p.c_u, *up, budgets=False)
+        diag["sigma_u_sq"] = _checked_sigma_u_sq(k, p.c_u, *up, budgets=sic is None)
         diag.update(sigma_d_sq=sigma_d, p_s=p_s)
     if sic is None:
         r_eq, diag["f_star"] = equal_rate_split(r_u, r_d)

@@ -29,10 +29,10 @@ _MARGIN_TOP = 28.0
 _MARGIN_BOTTOM = 46.0
 
 
-def _nice_step(span: float, target: int = 6) -> float:
-    raw = span / max(target, 1)
+def _nice_step(span: float) -> float:  # about six steps
+    raw = span / 6
     magnitude = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
+    for mult in (1.0, 2.0, 2.5, 5.0):
         if raw <= mult * magnitude:
             return mult * magnitude
     return 10.0 * magnitude

@@ -569,13 +569,20 @@ def test_module_entry_point(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["--p-u-db", "--p-d-db"])
 def test_huge_db_budget_is_config_error(tmp_path, capsys, flag):
-    # 10**(4000/10) overflows a float; the budget reads as inf and is rejected
+    # 10**(4000/10) overflows a float; the budget reads as inf and is rejected,
+    # in a config at its line, also on a sweep that sets the linear budgets
     assert main(["compute", "--scheme=hd_scp", f"{flag}=4000"]) == 2
-    config = tmp_path / "huge.cfg"
-    config.write_text(TINY_CONFIG + f"base.{flag[2:].replace('-', '_')} = 4000\n", encoding="utf-8")
-    out = tmp_path / "rates.csv"
-    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
     assert "must be finite" in capsys.readouterr().err
+    key = f"base.{flag[2:].replace('-', '_')}"
+    config = tmp_path / "huge.cfg"
+    out = tmp_path / "rates.csv"
+    for var in ("c_u_c_d_joint", "p_db_joint"):
+        text = TINY_CONFIG + f"sweep.var = {var}\n{key} = 4000\n"
+        config.write_text(text, encoding="utf-8")
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {text.count(chr(10))}, field {key!r}: must be finite" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--beta-du", "--beta-ud", "--gamma-ud"])

@@ -419,12 +419,25 @@ def test_the_solvers_constants_are_the_oracles_form(family):
 
 
 @pytest.mark.parametrize("family, sic", FAMILIES)
-def test_a_point_is_certified_alike_alone_and_in_a_batch(family, sic):
+def test_a_point_is_certified_alike_alone_and_in_a_batch(monkeypatch, family, sic):
     points = [preset_spec("fig3").params_at(g) for g in (0.5, 2.0, 6.0)]
     argmaxes = [(p.p_u_max, p.p_d_max) for p in points]
-    batch = certified_max_min(family, sic, points, argmaxes)
-    assert batch == [certified_max_min(family, sic, [p], [a])[0] for p, a in zip(points, argmaxes)]
-    assert all(found.cells > 0 for found in batch)
+    alone = [certified_max_min(family, sic, [p], [a])[0] for p, a in zip(points, argmaxes)]
+    assert certified_max_min(family, sic, points, argmaxes) == alone
+    assert all(found.cells > 0 for found in alone)
+    # 693 points keep more live cells than a group of _BLOCK_ELEMENTS // 12 =
+    # 682 holds, so _packed passes a full group on and starts the next
+    groups = []
+    packed = fdcran.oracle._packed
+
+    def counted(parts, size):
+        out = list(packed(parts, size))
+        groups.append(len(out))
+        return out
+
+    monkeypatch.setattr(fdcran.oracle, "_packed", counted)
+    assert certified_max_min(family, sic, points * 231, argmaxes * 231) == alone * 231
+    assert max(groups) > 1
 
 
 @pytest.mark.parametrize("family, sic", FAMILIES)
