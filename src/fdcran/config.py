@@ -94,12 +94,22 @@ class SweepBase:
     c_d: float = 10.0
 
 
+def _db_budget(key: str, db: float, line: int | None = None) -> float:
+    """The budget db of a config key or compute flag in linear units, where it
+    must be a float (db_to_linear is inf above about 3,082.5 dB)."""
+    if (linear := db_to_linear(db)) == math.inf:
+        raise ConfigError(f"must be finite in linear units, got {db} dB", line, key)
+    return linear
+
+
 def base_params(p_u_db: float, p_d_db: float, **given) -> SystemParams:
     """SystemParams at a point given by SweepBase's fields: the budgets in dB
-    become linear unless a linear budget (p_u_max, p_d_max) is given, which
-    passes through in place of its dB one; every other field passes through."""
-    given.setdefault("p_u_max", db_to_linear(p_u_db))
-    given.setdefault("p_d_max", db_to_linear(p_d_db))
+    become linear (_db_budget) unless a linear budget (p_u_max, p_d_max) is
+    given, which passes through in place of its dB one; every other field
+    passes through."""
+    for key, db in (("p_u", p_u_db), ("p_d", p_d_db)):
+        if f"{key}_max" not in given:
+            given[f"{key}_max"] = _db_budget(f"{key}_db", db)
     return SystemParams(**given)
 
 
@@ -243,8 +253,8 @@ def parse_config(text: str, defaults: SweepSpec | None = None) -> SweepSpec:
             value = _parse_float(raw, lineno, key)
             if value < 0 and not key.endswith("_db"):  # a budget in dB may be negative
                 raise ConfigError(f"must be >= 0, got {value}", lineno, key)
-            if key.endswith("_db") and db_to_linear(value) == math.inf:
-                raise ConfigError(f"must be finite in linear units, got {value} dB", lineno, key)
+            if key.endswith("_db"):
+                _db_budget(key, value, lineno)
             base_kw[_BASE_KEYS[key]] = value
         elif key == "sweep.var":
             spec_kw["sweep_var"] = raw

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -95,12 +96,6 @@ def test_compute_vanishing_fronthaul_gives_the_model_rate(scheme, capsys):
     assert payload["r_eq"] <= payload["r_u"]
 
 
-# these drive intermediate powers past the float range on purpose
-_OVERFLOW_WARNINGS = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
-)
-
-
 def _point_config(tmp_path, flags: dict, schemes: str):
     """A one-row sweep config at the operating point of the compute flags."""
     config = tmp_path / "point.cfg"
@@ -152,10 +147,11 @@ def test_a_negative_db_budget_in_a_config_gives_the_compute_rates(tmp_path, caps
             parse_config(f"{key} = -1\n")
 
 
-@_OVERFLOW_WARNINGS
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_overflowing_stream_power_still_gives_finite_rates(tmp_path, capsys):
-    # 2 p_s = 2e308 overflows; times the zero tap tail of zero forcing it must
-    # stay 0, as a NaN r_d would leave Python's min(r_u, nan) reporting r_u
+    # a 3080 dB downlink budget is 1e308 in linear units, where 2 p_d alone
+    # would overflow: each point's unit of power keeps r_d finite, with no
+    # RuntimeWarning, as a NaN r_d would leave Python's min(r_u, nan) reporting r_u
     flags = {"p-u-db": "3000", "p-d-db": "3080", "c-u": "2000"}
     argv = ["compute", "--scheme=fd_cran"] + [f"--{k}={v}" for k, v in flags.items()]
     assert main(argv) == 0
@@ -418,6 +414,7 @@ def test_sweep_verify_passes(tmp_path):
     assert header.endswith(",oracle_r_u,oracle_r_eq")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fig3_verify_passes(tmp_path, capsys):
     # the certified oracle bounds each full-duplex optimum by branch and bound
     # and also scores the reported argmax, so the honest rows pass
@@ -471,6 +468,8 @@ def test_fig2_verify_issues_no_runtime_warning(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 5 and all(line.startswith("verified ") for line in lines), lines
     rows = load_csv(out)
     zero = [r for r in rows if r.value == 0.0 and r.scheme is SchemeId.FD_CRAN]
     assert [(r.r_eq, r.oracle_r_eq) for r in zero] == [(0.0, 0.0)]
@@ -494,6 +493,63 @@ def test_sweep_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
 ALPHA_CONFIG = (
     "sweep.var = alpha\nsweep.start = 0\nsweep.stop = 0.4995\nsweep.step = 0.0045\nschemes = all\n"
 )
+
+# --verify configs at the edges of the domain, each run in process
+VERIFY_CONFIGS = {
+    # 112 values over two blocks, up to alpha = 0.4995
+    "alpha": ALPHA_CONFIG,
+    # alpha next to 1/2, where the zero-forcing constants grow
+    "alpha_near_half": (
+        "base.alpha = 0.49999\nsweep.var = alpha\nsweep.start = 0.4999\nsweep.stop = 0.49999\n"
+        "sweep.step = 0.00003\nschemes = hd_cran, fd_cran, fd_cran_sic\n"
+    ),
+    # gamma_ud sweeps at 3000 dB next to the zero-forcing limit
+    "zf_edge_a": (
+        "base.alpha = 0.4999999\nbase.p_u_db = 3000\nbase.p_d_db = 3000\nbase.c_u = 2000\n"
+        "base.c_d = 2000\nsweep.var = gamma_ud\nsweep.start = 0\nsweep.stop = 1\n"
+        "sweep.step = 0.5\nschemes = hd_cran, fd_cran, fd_cran_sic\n"
+    ),
+    "zf_edge_b": (
+        "base.alpha = 0.4999999989\nbase.p_u_db = 3000\nbase.p_d_db = 3000\nbase.c_u = 2000\n"
+        "base.c_d = 2000\nsweep.var = gamma_ud\nsweep.start = 0\nsweep.stop = 1\n"
+        "sweep.step = 1\nschemes = all\n"
+    ),
+    # the C-RAN schemes at 3080/3000 dB, s near 1e308 included
+    "huge_cran": (
+        "base.p_u_db = 3080\nbase.p_d_db = 3000\nbase.c_u = 2000\nsweep.var = gamma_ud\n"
+        "sweep.start = 0\nsweep.stop = 3\nsweep.step = 1\nschemes = hd_cran, fd_cran, fd_cran_sic\n"
+    ),
+    # a t2 SINR past the float range
+    "t2": (
+        "base.alpha = 0\nbase.beta_ud = 0\nbase.gamma_ud = 1e100\nbase.p_u_db = 3000\n"
+        "base.p_d_db = 3000\nbase.c_u = 2000\nbase.c_d = 2000\nsweep.var = beta_du\n"
+        "sweep.start = 0\nsweep.stop = 0.4\nsweep.step = 0.2\n"
+        "schemes = fd_scp, fd_scp_sic, fd_cran, fd_cran_sic\n"
+    ),
+    # 2 beta_du^2 (1 + R_g(2)) past the float range
+    "beta_du_big": (
+        "base.beta_du = 9.4e153\nbase.c_u = 2000\nbase.c_d = 2000\nsweep.var = gamma_ud\n"
+        "sweep.start = 0\nsweep.stop = 4\nsweep.step = 1\nschemes = all\n"
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text", VERIFY_CONFIGS.values(), ids=VERIFY_CONFIGS)
+def test_a_verify_config_at_the_domain_edge_certifies_finite_rates(text, tmp_path, capsys):
+    # one line per scheme with an oracle (all but hd_scp), in enum order and
+    # nothing else; each full-duplex scheme certified; every rate finite
+    config, out = tmp_path / "edge.cfg", tmp_path / "edge.csv"
+    config.write_text(text, encoding="utf-8")
+    assert main(["sweep", "--config", str(config), "--verify", "--out", str(out)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    checked = [s.value for s in parse_config(text).schemes if s is not SchemeId.HD_SCP]
+    assert [line.split(":")[0] for line in lines] == [f"verified {s}" for s in checked]
+    for scheme, line in zip(checked, lines):
+        if scheme.startswith("fd_"):
+            assert re.search(r"; certified to eps 1e-09 over [0-9,]+ cells$", line), line
+    rows = load_csv(out)
+    assert all(v is not None and math.isfinite(v) for r in rows for v in (r.r_u, r.r_d, r.r_eq))
 
 
 @pytest.mark.parametrize("config", [None, ALPHA_CONFIG], ids=["fig3", "alpha"])
@@ -570,10 +626,14 @@ def test_module_entry_point(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--p-u-db", "--p-d-db"])
 def test_huge_db_budget_is_config_error(tmp_path, capsys, flag):
     # 10**(4000/10) overflows a float; the budget reads as inf and is rejected,
-    # in a config at its line, also on a sweep that sets the linear budgets
+    # by compute naming its dB field, in a config at its line, also on a sweep
+    # that sets the linear budgets
+    field = flag[2:].replace("-", "_")
     assert main(["compute", "--scheme=hd_scp", f"{flag}=4000"]) == 2
-    assert "must be finite" in capsys.readouterr().err
-    key = f"base.{flag[2:].replace('-', '_')}"
+    assert capsys.readouterr().err == (
+        f"config error: field {field!r}: must be finite in linear units, got 4000.0 dB\n"
+    )
+    key = f"base.{field}"
     config = tmp_path / "huge.cfg"
     out = tmp_path / "rates.csv"
     for var in ("c_u_c_d_joint", "p_db_joint"):

@@ -28,6 +28,8 @@ def test_system_params_rejects_negative(field):
 def test_system_params_rejects_non_finite():
     with pytest.raises(ValueError):
         make_params(p_u_max=math.inf)
+    with pytest.raises(ValueError, match="alpha must be numeric, got 'x'"):
+        make_params(alpha="x")
 
 
 def test_power_allocation_validation():

@@ -107,6 +107,17 @@ def test_every_public_name_resolves():
     assert fdcran.parse_config is fdcran.cli.parse_config
 
 
+def test_a_submodule_loads_on_first_use(tmp_path):
+    # in this process the import system has set each submodule attribute
+    # already, so only a fresh one reaches __getattr__'s submodule branch
+    child = (
+        "import sys, fdcran\n"
+        "assert 'fdcran.oracle' not in sys.modules\n"
+        "print(fdcran.oracle is sys.modules['fdcran.oracle'])\n"
+    )
+    assert _child(["-c", child], tmp_path).stdout == "True\n"
+
+
 def test_an_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         fdcran.no_such_name
