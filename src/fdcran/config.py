@@ -96,8 +96,9 @@ class SweepBase:
 
 def _db_budget(key: str, db: float, line: int | None = None) -> float:
     """The budget db of a config key or compute flag in linear units, where it
-    must be a float (db_to_linear is inf above about 3,082.5 dB)."""
-    if (linear := db_to_linear(db)) == math.inf:
+    must be a finite float (db_to_linear is inf above about 3,082.5 dB, and
+    NaN at NaN)."""
+    if not math.isfinite(linear := db_to_linear(db)):
         raise ConfigError(f"must be finite in linear units, got {db} dB", line, key)
     return linear
 

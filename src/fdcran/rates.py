@@ -3,14 +3,14 @@
 The schemes are two processing families, single-cell processing (SCP) and
 C-RAN, each with three receivers: half duplex, and full duplex treating the
 co-located uplink signal as noise or cancelling it first (SIC).  Both
-families share one uplink and one downlink kernel, (xp, k, p_u, p_d[, r_u,
-receiver]) -> rate, with powers in the point's _unit, which keeps the float
-range.  Each kernel is written once against a namespace xp: the power
-search passes numpy, with k the constants of a batch's points (_stacked),
-and every reported number (the half-duplex rates, the rates and sigma_u^2 at
-a search's argmax or at full power, and the public scalar functions) is a
-float of the math shim _MATH, with k one point's constants.  So numpy loads
-only where a full-duplex scheme searches its powers.  The constants (_Form)
+families share one uplink and one downlink kernel, (k, p_u, p_d[, r_u,
+receiver]) -> rate, with k one point's constants and powers in the point's
+_unit, which keeps the float range.  The kernels work in floats, through
+the math shim _MATH where math would raise: the power search, one point at
+a time, and every reported number (the half-duplex rates, the rates and
+sigma_u^2 at a search's argmax or at full power, and the public scalar
+functions) share them.  So no rate needs numpy: only --verify's oracles,
+zf_precoder and the public rate_closed_form load it.  The constants (_Form)
 write SCP as a C-RAN link with one eigenvalue and no fronthaul quantizer,
 in the oracle's form and under its names, and hold the products the kernels
 would otherwise form on every call.  C-RAN rates are exact: the uplink
@@ -30,7 +30,7 @@ r_eq = min(r_u, r_d) is the rate the uplink carries.  _solve forms every
 result, of one family's receivers at a batch of points, in floats from
 each point's constants, built once: half duplex as the kernels at (P_u, 0)
 and (0, P_d), full duplex as both kernels at the receiver's argmax of one
-power search for the batch and its receivers, or at the budgets under
+power search per point for all its receivers, or at the budgets under
 full_power (compute_batch is _batch, one receiver's RateResults;
 compute_scheme, hd_scp, hd_cran, fd_scp and fd_cran are its batch of
 one).  Every point of a batch gets bit-for-bit the result it gets alone.
@@ -43,7 +43,6 @@ p_d * 2**-c_d, so the radio unit transmits exactly p_d.
 
 import math
 from collections import namedtuple
-from contextlib import nullcontext
 from enum import Enum
 from itertools import repeat
 from types import SimpleNamespace
@@ -80,10 +79,9 @@ __all__ = [
 # the budget edges, has no grid
 DEFAULT_GRID = 64
 
-_EDGE_CUTS = 269  # most 16-fold cuts of a bracket: 16**-269 < 2**-1074, the least subnormal
+_CHECK = 3  # Illinois steps that must halve an edge's bracket, or a halving follows
 _EPS = 2.0**-52  # float eps
 _SHRINK_STEPS = 20  # halvings of the tie-breaking power scale
-_WINDOW = tuple(i / 16 for i in range(17))  # samples across a search window
 _TIE_TOL = 1e-9  # objective values this close count as tied
 
 
@@ -122,9 +120,7 @@ def equal_rate_split(r_u: float, r_d: float) -> tuple[float, float | None]:
 
 
 # ----------------------------------------------------------------------------
-# rate kernels: xp is numpy, for power arrays and k the constants of a
-# batch's points (_stacked), or _MATH, for floats and k one point's _form;
-# numpy's vector loops and the C library may round log2 and log1p apart
+# rate kernels: floats, k one point's _form
 
 
 def _ldexp(x, n):  # math.ldexp, inf as numpy gives it where the result overflows
@@ -134,11 +130,11 @@ def _ldexp(x, n):  # math.ldexp, inf as numpy gives it where the result overflow
         return math.copysign(math.inf, x)
 
 
-# The kernels' namespace for floats: what the kernels call of numpy, with
-# numpy's results where math raises (-inf at 0, NaN below a domain), and
-# numpy's minimum and maximum, which return a NaN argument where Python's min
-# and max drop it by position.  The kernels' own float arithmetic overflows
-# to inf, as numpy's does, and divides by no zero.
+# The kernels' math shim, also spectral._closed_form's namespace for floats:
+# what they call of numpy, with numpy's results where math raises (-inf at 0,
+# NaN below a domain), and numpy's minimum and maximum, which return a NaN
+# argument where Python's min and max drop it by position.  The kernels' own
+# float arithmetic overflows to inf, as numpy's does, and divides by no zero.
 _MATH = SimpleNamespace(
     log2=lambda x: math.log2(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan,
     log1p=lambda x: math.log1p(x) if x > -1.0 else -math.inf if x == -1.0 else math.nan,
@@ -146,7 +142,7 @@ _MATH = SimpleNamespace(
     minimum=lambda a, b: a if a < b or a != a else b,
     maximum=lambda a, b: a if a > b or a != a else b,
     where=lambda cond, x, y: x if cond else y,
-    any=bool, isinf=math.isinf, ldexp=_ldexp, errstate=lambda **_: nullcontext(),
+    any=bool, ldexp=_ldexp,
 )
 
 
@@ -179,9 +175,7 @@ _Form = namedtuple("_Form", "alpha f h quant shift noise_u cap_u a b c g cap_d u
 
 
 def _form(family: str, p) -> _Form:
-    """One point's constants, as floats: a batch's search stacks them
-    (_stacked), so each point keeps CPython's x**2 and 2.0**-x, which numpy's
-    vector loops may round otherwise, and the bits it gets alone."""
+    """One point's constants, as floats."""
     a2, bdu2, bud2, g2 = (pow(x, 2) for x in (p.alpha, p.beta_du, p.beta_ud, p.gamma_ud))
     a2, du, ud = 2.0 * a2, 2.0 * bdu2, 2.0 * bud2
     if family == "scp":
@@ -193,17 +187,6 @@ def _form(family: str, p) -> _Form:
     return _Form(
         p.alpha, f, bdu2 * (1.0 + rg2), quant, shift, unit, math.inf, (1.0 - q_d) * h0sq, q_d * f,
         ud, g2, math.inf, unit,
-    )
-
-
-def _stacked(forms) -> _Form:
-    """The constants of a batch from its points' _forms: a constant every
-    point shares stays its float, and one that varies is an (n, 1, 1) array,
-    which broadcasts against the power arrays (n, ...) of the search."""
-    import numpy as np
-
-    return _Form._make(
-        c[0] if c.count(c[0]) == len(c) else np.array(c)[:, None, None] for c in zip(*forms)
     )
 
 
@@ -220,13 +203,13 @@ def _per_unit_quantization(c: float) -> tuple[float, int]:
     return 2.0 ** (shift - c) / -math.expm1(-c * math.log(2.0)), shift
 
 
-def _sigma_u_sq(xp, k, p_u, p_d):
+def _sigma_u_sq(k, p_u, p_d):
     # C-RAN's sigma_u^2, and SCP's whole uplink denominator (quant = 1,
     # shift = 0); the neighboring radio units' downlink signals are correlated
     # at lag 2 through the shared precoder, hence (1 + R_g(2)) in C-RAN's h,
     # half the gain, which is finite for every beta_du that SystemParams takes
-    load = k.unit + k.f * p_u + 2.0 * (k.h * p_d)
-    return xp.ldexp(load * k.quant, -k.shift)
+    load = (k.unit + k.f * p_u + 2.0 * (k.h * p_d)) * k.quant
+    return _MATH.ldexp(load, -k.shift) if k.shift else load
 
 
 def _checked_sigma_u_sq(k, c_u, p_u, p_d, budgets: bool = True) -> float:
@@ -235,7 +218,7 @@ def _checked_sigma_u_sq(k, c_u, p_u, p_d, budgets: bool = True) -> float:
     passes nothing; inf at c_u > 0 is an overflow, which would report a zero
     uplink rate where the model has a positive one, so it raises
     NumericDomainError."""
-    sigma = _sigma_u_sq(_MATH, k, p_u * k.unit, p_d * k.unit) / k.unit  # formed in the _unit
+    sigma = _sigma_u_sq(k, p_u * k.unit, p_d * k.unit) / k.unit  # formed in the _unit
     if sigma == math.inf and c_u > 0.0:
         at = "the budgets p_u_max={!r}, p_d_max={!r}" if budgets else "p_u={!r}, p_d={!r}"
         powers = (p_u, p_d)
@@ -245,17 +228,17 @@ def _checked_sigma_u_sq(k, c_u, p_u, p_d, budgets: bool = True) -> float:
     return sigma
 
 
-def _uplink(xp, k, p_u, p_d):
-    s = p_u / (_sigma_u_sq(xp, k, p_u, p_d) + k.noise_u)
-    rate = xp.log2(1.0 + s) if k.alpha is None else _closed_form(xp, s, k.alpha)
-    return xp.minimum(rate, k.cap_u)
+def _uplink(k, p_u, p_d):
+    s = p_u / (_sigma_u_sq(k, p_u, p_d) + k.noise_u)
+    rate = _MATH.log2(1.0 + s) if k.alpha is None else _closed_form(_MATH, s, k.alpha)
+    return _MATH.minimum(rate, k.cap_u)
 
 
 def _downlink_powers(p_d, q_d):  # (stream power p_s, quantization noise sigma_d^2)
     return p_d * (1.0 - q_d), p_d * q_d
 
 
-def _downlink(xp, k, p_u, p_d, r_u, receiver):
+def _downlink(k, p_u, p_d, r_u, receiver):
     """Downlink rate, at most cap_d, from the signal power signal = a p_d, the
     denominator den = unit + b p_d + c p_u without the intra-cell uplink power
     g2pu = g p_u, and the receiver.  With t1 = C(signal/den), t2 = C((signal +
@@ -265,38 +248,38 @@ def _downlink(xp, k, p_u, p_d, r_u, receiver):
     jointly without having to decode it (Bandemer, El Gamal and Kim, IEEE T-IT
     2015).  As t3 <= t1, min(R, that rate) peaks at the carried rate R* =
     max(min(r_u, t3), min(r_u, t1, t2/2)); SIC returns the rate at R*, so that
-    min(r_u, r_d) = R*.  The bound receiver, the search's alone, returns t1
-    and t2/2 stacked along a new first axis."""
+    min(r_u, r_d) = R*.  The bound receiver, the search's alone, returns the
+    pair (t1, t2/2)."""
     den, signal, g2pu = k.unit + k.b * p_d + k.c * p_u, k.a * p_d, k.g * p_u
     if receiver is not _TAN:
-        with xp.errstate(over="ignore"):  # past 1024 bits t2 is taken as a difference
-            t2 = xp.log2(1.0 + (signal + g2pu) / den)
-        if xp.any(xp.isinf(t2)):
-            t2 = xp.where(xp.isinf(t2), xp.log2(den + signal + g2pu) - xp.log2(den), t2)
-        t1 = xp.log2(1.0 + signal / den)
+        t2 = _MATH.log2(1.0 + (signal + g2pu) / den)
+        if math.isinf(t2):  # past 1024 bits t2 is taken as a difference
+            t2 = _MATH.log2(den + signal + g2pu) - _MATH.log2(den)
+        t1 = _MATH.log2(1.0 + signal / den)
         if receiver is _BOUND:
-            return xp.minimum(xp.stack((t1, t2 / 2.0)), k.cap_d)
-    t3 = xp.log2(1.0 + signal / (den + g2pu))
+            return _MATH.minimum(t1, k.cap_d), _MATH.minimum(t2 / 2.0, k.cap_d)
+    t3 = _MATH.log2(1.0 + signal / (den + g2pu))
     if receiver is _TAN:
-        return xp.minimum(t3, k.cap_d)
-    carried = xp.maximum(xp.minimum(r_u, t3), xp.minimum(xp.minimum(r_u, t1), t2 / 2.0))
-    return xp.minimum(xp.maximum(t3, xp.minimum(t1, t2 - carried)), k.cap_d)
+        return _MATH.minimum(t3, k.cap_d)
+    least, most = _MATH.minimum, _MATH.maximum
+    carried = most(least(r_u, t3), least(least(r_u, t1), t2 / 2.0))
+    return least(most(t3, least(t1, t2 - carried)), k.cap_d)
 
 
-def _rates(xp, k, pu, pd, receiver):
+def _rates(k, pu, pd, receiver):
     """(r_u, r_d) at constants k and powers pu, pd, r_d that of the receiver
     (_downlink); half duplex, receiver None, takes the uplink at (pu, 0) and
     the downlink at (0, pd)."""
     if receiver is None:
-        return _uplink(xp, k, pu, 0.0), _downlink(xp, k, 0.0, pd, 0.0, _TAN)
-    r_u = _uplink(xp, k, pu, pd)
-    return r_u, _downlink(xp, k, pu, pd, r_u, receiver)
+        return _uplink(k, pu, 0.0), _downlink(k, 0.0, pd, 0.0, _TAN)
+    r_u = _uplink(k, pu, pd)
+    return r_u, _downlink(k, pu, pd, r_u, receiver)
 
 
 def _at(kernel, k, p_u, p_d, *args):
-    """kernel of one point, in floats, at the powers (p_u, p_d), passed in
-    the point's _unit."""
-    return kernel(_MATH, k, p_u * k.unit, p_d * k.unit, *args)
+    """kernel of one point at the powers (p_u, p_d), passed in the point's
+    _unit."""
+    return kernel(k, p_u * k.unit, p_d * k.unit, *args)
 
 
 def _check_powers(params, p_u, p_d, budgets: bool = False) -> None:
@@ -483,13 +466,13 @@ def _solve(family: str, receivers, points, full_power: bool = False) -> dict:
     duplex evaluates the uplink kernel at (P_u, 0) and the downlink kernel
     at (0, P_d), and balances the pair by equal_rate_split (f_star None
     where there is no split).  Full duplex evaluates both at the receiver's
-    argmax of one power search for all the points and receivers
-    (_max_min_search), in each point's _unit, or at the budgets if
-    full_power, and reports their min.  Every reported number is a float
-    formed from the point alone (_MATH).  If a full-duplex receiver is
-    solved, which spends both budgets, every C-RAN point's sigma_u^2 is
-    checked at them first; then the first point to fail raises, its r_u
-    checked before its r_d and its C-RAN sigma_u^2 (_reported) last."""
+    argmax of one power search per point for all the receivers
+    (_max_min_search), in the point's _unit, or at the budgets if
+    full_power, and reports their min.  Every number is a float formed from
+    the point alone.  If a full-duplex receiver is solved, which spends both
+    budgets, every C-RAN point's sigma_u^2 is checked at them first; then
+    the first point to fail raises, its r_u checked before its r_d and its
+    C-RAN sigma_u^2 (_reported) last."""
     duplex = any(r is not None for r in receivers)
     forms = []
     for p in points:
@@ -499,12 +482,12 @@ def _solve(family: str, receivers, points, full_power: bool = False) -> dict:
     budgets = [(p.p_u_max, p.p_d_max) for p in points]
     powers = dict.fromkeys(receivers, budgets)
     if duplex and not full_power:
-        import numpy as np
-
-        unit = np.array([k.unit for k in forms])
-        p_u, p_d = (np.array(b) * unit for b in zip(*budgets))
-        for r, (_, u, d) in _max_min_search(_stacked(forms), p_u, p_d, receivers).items():
-            powers[r] = list(zip((u / unit).tolist(), (d / unit).tolist()))
+        found = [
+            _max_min_search(k, u * k.unit, d * k.unit, receivers)
+            for k, (u, d) in zip(forms, budgets)
+        ]
+        for r in (r for r in receivers if r is not None):
+            powers[r] = [(f[r][1] / k.unit, f[r][2] / k.unit) for f, k in zip(found, forms)]
     return {
         r: list(map(_reported, repeat(family), repeat(r), points, forms, powers[r]))
         for r in receivers
@@ -514,7 +497,7 @@ def _solve(family: str, receivers, points, full_power: bool = False) -> dict:
 def _reported(family: str, sic, p, k: _Form, powers) -> tuple:
     """_solve's result of the point p, constants k, at its powers."""
     p_u, p_d = powers
-    r_u, r_d = _rates(_MATH, k, p_u * k.unit, p_d * k.unit, sic)
+    r_u, r_d = _rates(k, p_u * k.unit, p_d * k.unit, sic)
     _finite("r_u", r_u)
     _finite("r_d", r_d)
     diag = {} if sic is None else {"p_u_star": p_u, "p_d_star": p_d}
@@ -539,91 +522,105 @@ def _batch(family: str, sic, points, full_power: bool = False) -> list:
 
 
 # ----------------------------------------------------------------------------
-# power search
-#
-# Every function below works on a batch of n operating points: budgets are
-# (n,) arrays, and so is each returned value and power.
+# power search, one operating point at a time, in the point's _unit
 
 
-def _edge_optimum(evaluate, p_u_max, p_d_max):
-    """Exact max-min of monotone terms, searched on both budget edges at once.
+def _edge_optimum(evaluate, p_u_max, p_d_max, caps):
+    """Exact max-min of monotone terms, searched on both budget edges.
 
     evaluate(pu, pd) returns (up, down, *free), the terms whose min is the
     objective.  Along p_u = p_u_max, up falls and down rises with p_d, as
     r_u and the treat-as-noise r_d do; along p_d = p_d_max the roles swap
     (fronthaul caps only flatten them).  A free term is monotone along each
-    edge in the direction its two ends show in the first pass, and joins the
-    terms it moves with there.  Each pass samples both brackets at
-    len(_WINDOW) points and keeps the step where the falling terms drop below
-    the rising ones, until every bracket is within float eps of its upper end
-    (at most _EDGE_CUTS passes: subnormal brackets never are), so an optimum
-    at any fraction of the budget is found.  The better bracket end, as the
-    last pass rated it, wins, exact ties going to smaller powers.  A common
-    power scaling lowers no term (every SINR is a standard interference
-    function), so the winner keeps its value at a smaller scale only where a
-    cap binds or the value is 0; it is scaled down to the smallest such scale
-    (to within 2**-_SHRINK_STEPS).  Returns (value, p_u, p_d).
+    edge in the direction its two ends show, and joins the terms it moves
+    with there.  Each edge's crossing of the falling and the rising terms is
+    bracketed in its free power (_crossing).  The better bracket end wins,
+    exact ties going to smaller powers.
+
+    A common power scaling lowers no term (every SINR is a standard
+    interference function), so a smaller scale keeps the winner's value
+    where a cap binds, and elsewhere only by rounding.  So the winner is
+    scaled down only where its value is 0, to 0, or equals one of caps:
+    there to the smallest scale at which every term still reaches it (to
+    within 2**-_SHRINK_STEPS), a test of a rising rate against its cap,
+    which no last ulp tips.  Returns (value, p_u, p_d).
     """
-    import numpy as np
+    top = evaluate(p_u_max, p_d_max)
+    best = []
+    for first, low in ((True, evaluate(p_u_max, 0.0)), (False, evaluate(0.0, p_d_max))):
+        falls = [high < start for start, high in zip(low[2:], top[2:])]
 
-    first = np.array([[True], [False]])  # row 0: p_u = p_u_max; row 1: p_d = p_d_max
-    u_max, d_max = p_u_max[:, None, None], p_d_max[:, None, None]
+        def rated(x, terms=None, first=first, falls=falls):  # x the edge's free power
+            pu, pd = (p_u_max, x) if first else (x, p_d_max)
+            up, down, *free = terms or evaluate(pu, pd)
+            falling, rising = (up, down) if first else (down, up)
+            for term, down_edge in zip(free, falls):
+                if down_edge:
+                    falling = _MATH.minimum(falling, term)
+                else:
+                    rising = _MATH.minimum(rising, term)
+            return x, falling - rising, _MATH.minimum(falling, rising), pu, pd
 
-    def edges(t):  # t places p_d on the first edge and p_u on the second
-        return np.where(first, u_max, t * u_max), np.where(first, t * d_max, d_max)
+        best += _crossing(rated, rated(0.0, low), rated(p_d_max if first else p_u_max, top))
+    value, p_u, p_d = max(((v, u, d) for *_, v, u, d in best), key=lambda e: (e[0], -e[1], -e[2]))
+    if value <= 0.0:
+        return value, 0.0, 0.0
+    if value not in caps:
+        return value, p_u, p_d
 
-    def grouped(up, down, *free):  # the least falling and the least rising term along each edge
-        falling, rising = np.where(first, up, down), np.where(first, down, up)
-        for term, down_edge in zip(free, falls):
-            falling = np.where(down_edge, np.minimum(falling, term), falling)
-            rising = np.where(down_edge, rising, np.minimum(rising, term))
-        return falling, rising
+    def holds(t):  # every term reaches the value at the scale t
+        return all(term >= value for term in evaluate(t * p_u, t * p_d))
 
-    n = p_u_max.size
-    bracket = np.broadcast_to([0.0, 1.0], (n, 2, 2))  # each edge's (lo, hi) in t
-    window, falls = np.array(_WINDOW), None
-    last = window.size - 1
-    for _ in range(_EDGE_CUTS):
-        lo, hi = bracket[..., :1], bracket[..., 1:]
-        if (hi - lo <= _EPS * hi).all():
-            break
-        t = lo + (hi - lo) * window
-        terms = evaluate(*edges(t))
-        if falls is None:  # the first window runs from t = 0 to t = 1
-            falls = [f[..., last:] < f[..., :1] for f in terms[2:]]
-        falling, rising = grouped(*terms)
-        behind = falling - rising < 0.0  # monotone along each row
-        k = np.where(behind.any(axis=2), behind.argmax(axis=2), last + 1)[..., None]
-        at = np.concatenate([np.maximum(k - 1, 0), np.minimum(k, last)], axis=2)
-        bracket, ends = (np.take_along_axis(x, at, 2) for x in (t, np.minimum(falling, rising)))
-    pu, pd = edges(bracket)
-    value, p_u, p_d = np.array(
-        [
-            max(zip(v.ravel(), u.ravel(), d.ravel()), key=lambda e: (e[0], -e[1], -e[2]))
-            for v, u, d in zip(ends, pu, pd)
-        ]
-    ).T
-
-    def holds(t):  # either edge's grouping holds every term
-        falling, rising = grouped(*evaluate((t * p_u)[:, None, None], (t * p_d)[:, None, None]))
-        return np.minimum(falling, rising)[:, 0, 0] >= value
-
-    lo, hi = np.zeros(n), np.ones(n)
-    shrink = (value > 0.0) & holds(np.full(n, 1.0 - 2.0**-_SHRINK_STEPS))
-    if shrink.any():
+    lo, hi = 0.0, 1.0
+    if holds(1.0 - 2.0**-_SHRINK_STEPS):
         for _ in range(_SHRINK_STEPS):
             mid = 0.5 * (lo + hi)
-            ok = holds(mid)
-            lo, hi = np.where(shrink & ~ok, mid, lo), np.where(shrink & ok, mid, hi)
-    scale = np.where(value <= 0.0, 0.0, hi)
-    return value, scale * p_u, scale * p_d
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return value, hi * p_u, hi * p_d
+
+
+def _crossing(rated, lo, hi):
+    """The ends of one edge's bracket [lo, hi] of its free power x, each
+    rated(x) = (x, gap, value, p_u, p_d) with gap = falling - rising, behind
+    where gap < 0; lo and hi come rated at x = 0 and at the budget.  An edge
+    behind at 0, or never behind, keeps that end alone.  Otherwise lo stays
+    not behind and hi behind, so that a flat stretch resolves to its upper
+    end, and Illinois steps on the gap shrink the bracket (false position,
+    the gap at an end kept twice running halved: M. Dowell and P. Jarratt,
+    BIT 11, 1971), each at least a relative eps inside it, until hi - lo <=
+    eps hi or no float lies between its ends (subnormal brackets).  A
+    halving stands in where the last _CHECK steps have not halved the
+    bracket, and on a flat stretch, once two points not behind show a gap
+    of 0, until a point behind ends it."""
+    if lo[1] < 0.0:
+        return [lo]
+    if not hi[1] < 0.0:
+        return [hi]
+    (a, f_a), (b, f_b), moved, flat = lo[:2], hi[:2], 0, False
+    widths = [b - a]
+    while b - a > _EPS * b:
+        step = f_a / (f_a - f_b) if f_a > f_b else math.nan  # a halved f_b may underflow to -0.0
+        x = min(max(a + (b - a) * step, a + _EPS * a), b - _EPS * b)
+        if flat or not a < x < b or len(widths) > _CHECK and b - a > 0.5 * widths[-1 - _CHECK]:
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        at = rated(x)
+        if at[1] < 0.0:
+            hi, b, f_b, f_a = at, x, at[1], f_a * (0.5 if moved < 0 else 1.0)
+            moved, flat = -1, False
+        else:
+            flat = at[1] == 0.0 == f_a
+            lo, a, f_a, f_b = at, x, at[1], f_b * (0.5 if moved > 0 else 1.0)
+            moved = 1
+        widths.append(b - a)
+    return [lo, hi]
 
 
 def _max_min_search(k, p_u_max, p_d_max, receivers):
     """Maximize min(r_u, r_d) over the power box [0, p_u_max] x [0, p_d_max]
-    for the full-duplex receivers, k being the batch's constants (_stacked),
-    for _rates in numpy at power arrays whose leading axis runs over its
-    points.
+    of one point, constants k and powers in its _unit, for the full-duplex
+    receivers.
 
     Treat-as-noise: both SINRs are standard interference functions (Yates,
     IEEE JSAC 1995), so scaling (p_u, p_d) up raises both rates and the
@@ -634,25 +631,24 @@ def _max_min_search(k, p_u_max, p_d_max, receivers):
     same caps.  Each SINR of M is a standard interference function too, so M
     peaks on a budget edge, and t2/2 is monotone along each edge, its SINR
     being linear-fractional in the free power: _edge_optimum finds M's
-    maximum M* exactly, and a point takes M's optimum where M* beats the
+    maximum M* exactly, and the point takes M's optimum where M* beats the
     treat-as-noise one by more than _TIE_TOL: one treat-as-noise search
     serves both receivers, and M's runs only where receivers hold SIC.
-    Returns {receiver: (value, p_u, p_d)}, each an (n,) array, for
-    treat-as-noise and, where searched, SIC.
+    Returns {receiver: (value, p_u, p_d)}, floats, for treat-as-noise and,
+    where searched, SIC.
     """
-    import numpy as np
-
-    best = _edge_optimum(lambda pu, pd: _rates(np, k, pu, pd, _TAN), p_u_max, p_d_max)
+    caps = (k.cap_u, k.cap_d)
+    best = _edge_optimum(lambda pu, pd: _rates(k, pu, pd, _TAN), p_u_max, p_d_max, caps)
     if SicMode.SIC not in receivers:
         return {_TAN: best}
 
     def bound(pu, pd):  # M's terms: r_u, t1 and the free t2/2
-        r_u, (t1, half) = _rates(np, k, pu, pd, _BOUND)
-        return r_u, t1, half
+        r_u = _uplink(k, pu, pd)
+        return (r_u, *_downlink(k, pu, pd, r_u, _BOUND))
 
-    found = _edge_optimum(bound, p_u_max, p_d_max)
+    found = _edge_optimum(bound, p_u_max, p_d_max, caps)
     better = found[0] > best[0] + _TIE_TOL
-    return {_TAN: best, SicMode.SIC: tuple(np.where(better, f, b) for f, b in zip(found, best))}
+    return {_TAN: best, SicMode.SIC: found if better else best}
 
 
 # ----------------------------------------------------------------------------
@@ -662,12 +658,8 @@ def _max_min_search(k, p_u_max, p_d_max, receivers):
 def compute_batch(scheme: SchemeId, points) -> list[RateResult]:
     """compute_scheme for one scheme at each of a sequence of operating
     points: each point's rates in floats, at its budgets in half duplex, and
-    at the argmax of one power search for the whole batch in full duplex.
-
-    Every result equals that of the point alone.  The search's kernel calls
-    grow with the batch, 2 x len(_WINDOW) = 34 powers a point, so a caller
-    bounds its memory by the batches it passes, as run_sweep does (64).  No
-    points give no results.
+    at the argmax of its own power search in full duplex.  Every result
+    equals that of the point alone; no points give no results.
     """
     return _batch(*SCHEMES[scheme], points) if points else []
 

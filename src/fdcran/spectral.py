@@ -6,11 +6,12 @@ modulus taken from the distances of one point to +-1), and zf_constants,
 the exact zero-forcing h~_0^2 and R_g(2), both for |alpha| <= 1/2: every
 C-RAN rate needs the precoder, whose domain _check_zf_alpha alone decides.
 The rate kernel, _closed_form, is written once against a namespace: numpy
-for arrays, or the rates module's math shim for the floats every reported
-rate is.  The rest samples the unit frequency interval at an even panel
-count, deterministically for a given count: the channel response H(f), the
-trapezoid rule (_quad), the sampled zero-forcing precoder and the effective
-channel taps h~_k, which the tests check zf_constants against.  On the
+for arrays, or the rates module's math shim for the floats of every rate
+the power search forms or reports.  The rest samples the unit frequency
+interval at an even panel count, deterministically for a given count: the
+channel response H(f), the trapezoid rule (_quad), the sampled zero-forcing
+precoder and the effective channel taps h~_k, which the tests check
+zf_constants against.  On the
 periodic integrands of the ring the trapezoid rule is the ring's own mean,
 which converges exponentially (Trefethen and Weideman, SIAM Review 2014).
 Only those samples and the public rate_closed_form import numpy, on first

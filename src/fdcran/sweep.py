@@ -1,22 +1,21 @@
 """Declarative parameter sweeps, CSV emission and the oracle verification
 pass behind the command line.  Sweep specs, the points of their values
 (SweepSpec.points) and the config grammar live in config.  Like rates,
-this module loads numpy only where a full-duplex scheme searches its
-powers or the oracles run (--verify): a half-duplex sweep, its CSV and its
-chart run without numpy.
+this module loads numpy only where the oracles run (--verify): a sweep
+without them, its CSV and its chart run without numpy, the full-duplex
+power search included.
 
 Rows come out one per (sweep value, scheme), sweep value major and scheme in
 enum order minor, so identical configs produce byte-identical CSV output.
 Values are taken in blocks of 64, and the rows of a block's schemes of one
 processing family are solved by one rates._solve call: half duplex at each
-value's budgets, full duplex by one max-min power search for the whole block
-and its receivers, exact on the budget edges.  Nothing splits the search's
-kernel calls, so the block bounds its memory (a block's edge search takes
-64 x 2 x 17 powers), the certified search's under --verify, and the points
-and constants a solve holds at once.  C-RAN rows are exact (closed forms,
-see rates), and the search has no grid, so a sweep has no quadrature or
-resolution setting.  A sweep runs in this one process: with the search this
-cheap, worker processes would cost more than they save.
+value's budgets, full duplex by one max-min power search per value for its
+receivers, in floats and exact on the budget edges.  The block bounds the
+memory of the certified search under --verify and the points and constants
+a solve holds at once.  C-RAN rows are exact (closed forms, see rates), and
+the search has no grid, so a sweep has no quadrature or resolution setting.
+A sweep runs in this one process: with the search this cheap, worker
+processes would cost more than they save.
 
 A row's r_u is the uplink capacity at its powers (p_u*, p_d*).  A SIC
 mobile faces the co-located uplink codeword at any carried rate up to that
@@ -88,7 +87,7 @@ class VerificationError(RuntimeError):
 # running sweeps
 
 # sweep values solved together, fig2's and fig3's in one block, which bounds
-# the search's largest kernel call, the edge search (module docstring)
+# the oracles' arrays and the points a solve holds (module docstring)
 _BLOCK = 64
 _DIAGNOSTICS = CSV_COLUMNS[6:]  # the RateResult.diagnostics a row carries, in SweepRow's order
 
@@ -120,8 +119,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Compute one row per (sweep value, scheme) in deterministic order.
 
     Sweep values are taken in blocks of _BLOCK, which bounds the memory of
-    the search, of its certificates under spec.oracle and of the points and
-    constants a solve holds.  The error of a failing sweep is that of its
+    the certificates under spec.oracle and of the points and constants a
+    solve holds.  The error of a failing sweep is that of its
     first failing row in (value, scheme) order (_run_block).
     """
     values = spec.values()

@@ -1,15 +1,14 @@
 """compute_batch, the one row path of every scheme: every point of a batch
 gets exactly the result it gets alone, a sweep's rows are those results, a
-failing block reports its first failing row, and no kernel call of the
-search outgrows a block's edge search.  Nothing splits a kernel call: the
-sweep's block size is what bounds it, for every sweep alike, and a
-half-duplex sweep's blocks need no numpy."""
+failing block reports its first failing row, and a sweep without --verify
+needs no numpy: every kernel call, the power search's included, takes one
+point's floats."""
 
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import fdcran.rates as rates
@@ -112,52 +111,35 @@ def test_sweeps_longer_than_a_block_keep_every_row():
         assert row.r_eq == compute_scheme(row.scheme, spec.params_at(row.value)).r_eq
 
 
-def _recording(monkeypatch):
-    # record the size of every numpy call of the uplink kernel, which serves
-    # both families; every objective evaluation of the search calls it once
-    kernel = rates._uplink
-    sizes = []
-
-    def recording(xp, k, p_u, p_d):
-        if xp is not rates._MATH:
-            sizes.append(np.broadcast(p_u, p_d).size)
-        return kernel(xp, k, p_u, p_d)
-
-    monkeypatch.setattr(rates, "_uplink", recording)
-    return sizes
-
-
-@pytest.mark.parametrize(
-    "scheme", [SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC], ids=lambda s: s.value
-)
-def test_a_full_block_calls_no_kernel_above_a_one_point_scan(scheme, monkeypatch):
-    # a sweep of one full block: its largest call is its edge search, which
-    # stacks the block's one-point edge scans (both edges of every point at
-    # len(_WINDOW) samples), and no call outgrows that stack
-    sizes = _recording(monkeypatch)
-    fig3 = preset_spec("fig3")
-    stop = fig3.start + (sweep._BLOCK - 1) * fig3.step
-    run_sweep(replace(fig3, stop=stop, schemes=(scheme,)))
-    block_max = max(sizes)
-    sizes.clear()
-    compute_scheme(scheme, fig3.params_at(stop))
-    assert max(sizes) == 2 * len(rates._WINDOW)
-    assert block_max == sweep._BLOCK * max(sizes)
-
-
 def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
-    # a batch makes the calls of one point's search, each stacked over its
-    # points: no call outgrows len(points) times the one-point search's
-    # largest, and the batch makes fewer than a quarter of the calls of
-    # separate solves
-    sizes = _recording(monkeypatch)
-    compute_scheme(SchemeId.FD_SCP_SIC, DOMAIN[5])
-    one_point = (len(sizes), max(sizes))
-    sizes.clear()
-    compute_batch(SchemeId.FD_SCP_SIC, DOMAIN)
-    assert one_point[1] == 2 * len(rates._WINDOW)
-    assert max(sizes) == len(DOMAIN) * one_point[1]
-    assert len(sizes) < len(DOMAIN) * one_point[0] / 4  # the batch shares its calls
+    # fig3 without --verify, numpy's import blocked: every kernel call, the
+    # searches' and the reported rates', gets one point's constants and
+    # powers as floats, and an edge search rates its three corners and then
+    # each crossing edge in Illinois steps: on fig3 about 17 points a search
+    # of both edges, where halvings alone would take about 55 a crossing
+    kinds, calls, rated = set(), Counter(), []
+    search = rates._edge_optimum
+    for name in ("_uplink", "_downlink"):
+        kernel = getattr(rates, name)
+
+        def recording(k, *args, kernel=kernel, name=name):
+            kinds.update(map(type, (*k, *args[:3])))
+            calls[name] += 1
+            return kernel(k, *args)
+
+        monkeypatch.setattr(rates, name, recording)
+
+    def counting(evaluate, *args):  # each point rated calls the uplink kernel once
+        before = calls["_uplink"]
+        found = search(evaluate, *args)
+        rated.append(calls["_uplink"] - before)
+        return found
+
+    monkeypatch.setattr(rates, "_edge_optimum", counting)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    rows = run_sweep(preset_spec("fig3"))
+    assert len(rows) == 6 * 33 and kinds == {float, int, type(None)}
+    assert len(rated) == 4 * 33 and sum(rated) / len(rated) < 20
 
 
 # (start, stop, step) of a half-duplex sweep of each variable, each longer than

@@ -627,12 +627,13 @@ def test_module_entry_point(tmp_path, capsys):
 def test_huge_db_budget_is_config_error(tmp_path, capsys, flag):
     # 10**(4000/10) overflows a float; the budget reads as inf and is rejected,
     # by compute naming its dB field, in a config at its line, also on a sweep
-    # that sets the linear budgets
+    # that sets the linear budgets; a NaN budget is rejected alike
     field = flag[2:].replace("-", "_")
-    assert main(["compute", "--scheme=hd_scp", f"{flag}=4000"]) == 2
-    assert capsys.readouterr().err == (
-        f"config error: field {field!r}: must be finite in linear units, got 4000.0 dB\n"
-    )
+    for db in ("4000", "nan"):
+        assert main(["compute", "--scheme=hd_scp", f"{flag}={db}"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: field {field!r}: must be finite in linear units, got {float(db)} dB\n"
+        )
     key = f"base.{field}"
     config = tmp_path / "huge.cfg"
     out = tmp_path / "rates.csv"

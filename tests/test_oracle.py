@@ -406,15 +406,13 @@ def test_the_exhaustive_grid_never_beats_the_certified_maximum(sic):
 @pytest.mark.parametrize("family", ["scp", "cran"])
 def test_the_solvers_constants_are_the_oracles_form(family):
     # the solver writes both families in the oracle's one form, under its
-    # names: each unit-free constant of a batch's columns (MIXED holds
-    # DOMAIN) is that point's _form constant, built by the oracle's own
-    # formulas, to rounding
-    k = rates._stacked([rates._form(family, p) for p in MIXED])
+    # names: each unit-free constant of a point's _form (MIXED holds DOMAIN)
+    # is the oracle's _form constant, built by the oracle's own formulas, to
+    # rounding
     for i, params in enumerate(MIXED):
-        want = fdcran.oracle._form(family, params)
+        k, want = rates._form(family, params), fdcran.oracle._form(family, params)
         for name in ("f", "h", "a", "b", "c", "g", "quant", "shift", "cap_u", "cap_d"):
-            got = float(np.broadcast_to(getattr(k, name), (len(MIXED), 1, 1))[i, 0, 0])
-            expected = getattr(want, name)
+            got, expected = getattr(k, name), getattr(want, name)
             assert got == expected or abs(got - expected) <= 1e-15 * abs(expected), (i, name)
 
 

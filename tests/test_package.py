@@ -1,7 +1,7 @@
 """The package namespace: every public name resolves on first use, and
-importing fdcran, building sweep specs, and running a half-duplex sweep or
-computation with its outputs import no numpy: only a power search or an
-oracle loads it."""
+importing fdcran, building sweep specs, and running a sweep or computation
+without --verify with its outputs import no numpy, the full-duplex power
+search included: only the oracles load it."""
 
 import os
 import subprocess
@@ -32,9 +32,9 @@ sweep.step = 0.5
 schemes = hd_scp, hd_cran
 """
 
-# the numpy-free steps, a half-duplex sweep with its CSV and chart among
-# them, then a --verify sweep of fig3, which searches and loads numpy and the
-# oracles
+# the numpy-free steps, a half-duplex sweep with its CSV and chart and fig2's
+# full-duplex sweep with its chart among them, then a --verify sweep of fig3,
+# which loads numpy and the oracles
 CHILD = """
 import dataclasses
 import sys
@@ -50,8 +50,10 @@ assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
 rows = fdcran.run_sweep(hd)
 fdcran.emit_csv(rows, sys.argv[2])
 fdcran.emit_svg(rows, sys.argv[3])
+fig2 = fdcran.run_sweep(fdcran.preset_spec("fig2"))
+fdcran.emit_svg(fig2, sys.argv[4])
 assert "numpy" not in sys.modules and "fdcran.oracle" not in sys.modules
-print(len(rows), len(fdcran.run_sweep(spec)))
+print(len(rows), len(fig2), len(fdcran.run_sweep(spec)))
 assert "numpy" in sys.modules and "fdcran.oracle" in sys.modules
 """
 
@@ -69,8 +71,8 @@ def _child(args, tmp_path) -> subprocess.CompletedProcess:
 
 
 def test_import_and_config_load_no_numpy_until_a_sweep_runs(tmp_path):
-    proc = _child(["-c", CHILD, HD_CONFIG, "hd.csv", "hd.svg"], tmp_path)
-    assert proc.stdout.split() == ["120", "198"]
+    proc = _child(["-c", CHILD, HD_CONFIG, "hd.csv", "hd.svg", "fig2.svg"], tmp_path)
+    assert proc.stdout.split() == ["120", "150", "198"]
     assert (tmp_path / "hd.csv").read_text().count("\n") == 121
 
 
@@ -83,10 +85,12 @@ def _imported(importtime: str) -> set:  # the modules -X importtime lists
     [
         ["sweep", "--config", "hd.cfg", "--out", "hd.csv", "--svg", "hd.svg"],
         ["compute", "--scheme", "hd_cran"],
+        ["sweep", "--preset", "fig2", "--out", "fig2.csv", "--svg", "fig2.svg"],
+        ["compute", "--scheme", "fd_cran_sic"],
     ],
-    ids=["sweep", "compute"],
+    ids=["sweep", "compute", "fig2_sweep", "fd_compute"],
 )
-def test_a_half_duplex_command_imports_no_numpy(command, tmp_path):
+def test_a_command_without_verify_imports_no_numpy(command, tmp_path):
     (tmp_path / "hd.cfg").write_text(HD_CONFIG)
     proc = _child(["-X", "importtime", "-m", "fdcran", *command], tmp_path)
     imported = _imported(proc.stderr)

@@ -308,39 +308,45 @@ def test_duplex_gain_cran():
     assert 1.99 <= ratio <= 2.0 + 1e-9
 
 
-@pytest.mark.parametrize("preset, calls", [("fig2", 81), ("fig3", 63)])
-def test_a_sweep_rates_each_search_point_once(monkeypatch, preset, calls):
-    # the edge search takes each free term's direction from its first pass
-    # and its bracket ends' values from its last: a separate probe of each
-    # edge's ends and a second rating of the final bracket ends would make
-    # two more kernel calls in each of the sweep's four edge searches; the
-    # reported rates, one float call a row, are not the search's
-    kernel, counted = rates._rates, []
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+def test_a_sweep_rates_each_search_point_once(monkeypatch, preset):
+    # an edge search takes each free term's direction and its brackets'
+    # first ends from the three corners it rates first, and keeps the
+    # ratings of its bracket ends: a separate probe of each edge's ends or
+    # a second rating of the final bracket ends would rate a point twice
+    search, repeats = rates._edge_optimum, []
 
-    def counting(xp, *args):
-        counted.append(xp is not rates._MATH)
-        return kernel(xp, *args)
+    def recording(evaluate, *args):
+        points = []
 
-    monkeypatch.setattr(rates, "_rates", counting)
+        def recorded(pu, pd):
+            points.append((pu, pd))
+            return evaluate(pu, pd)
+
+        found = search(recorded, *args)
+        repeats.append(len(points) - len(set(points)))
+        return found
+
+    monkeypatch.setattr(rates, "_edge_optimum", recording)
     run_sweep(preset_spec(preset))
-    assert sum(counted) == calls
+    assert len(repeats) == 4 * len(preset_spec(preset).values()) and not any(repeats)
 
 
 @pytest.mark.parametrize(
     "preset, schemes, searches, builds",
     [
-        ("fig2", tuple(SchemeId), 4, 50),
-        ("fig3", tuple(SchemeId), 4, 66),
-        ("fig3", (SchemeId.FD_SCP_SIC,), 2, 33),
+        ("fig2", tuple(SchemeId), 100, 50),
+        ("fig3", tuple(SchemeId), 132, 66),
+        ("fig3", (SchemeId.FD_SCP_SIC,), 66, 33),
     ],
 )
 def test_a_family_builds_its_constants_and_searches_treat_as_noise_once(
     monkeypatch, preset, schemes, searches, builds
 ):
     # each family's schemes of a block share one solve: each point's
-    # constants once, one treat-as-noise edge search for both full-duplex
-    # receivers, and SIC's bound search where a SIC receiver is swept;
-    # fig2's 25 values and fig3's 33 make one block each
+    # constants once, and at each point one treat-as-noise edge search for
+    # both full-duplex receivers, and SIC's bound search where a SIC
+    # receiver is swept; fig2's 25 values and fig3's 33 make one block each
     counted = {"_edge_optimum": 0, "_form": 0}
     for name in counted:
         original = getattr(rates, name)

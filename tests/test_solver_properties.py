@@ -2,8 +2,10 @@
 parameter domain, each checked against a dense grid that shares no code with
 the solver's search objective, and of the bound M = min(r_u, t1, t2/2) that
 the SIC search solves on the budget edges: it does not fall as both powers
-scale up, and solving it loses nothing against scans of the whole box."""
+scale up, and solving it loses nothing against scans of the whole box.  The
+reported powers do not hang on a budget's last ulp."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from fdcran.oracle import (
 )
 from fdcran.rates import SicMode, compute_batch, fd_cran, fd_scp
 from fdcran.spectral import h_tilde, rate_closed_form, zf_precoder
+from fdcran.config import SweepBase, SweepSpec
 from fdcran.sweep import preset_spec
 from test_domain_properties import EXAMPLES, domain, huge_db
 
@@ -131,13 +134,13 @@ def test_rate_closed_form_matches_quadrature(alpha):
 
 def _bound(family: str, params, p_u: float, p_d: float) -> float:
     """M at the powers (p_u, p_d), from the family's kernels in the point's
-    unit, in numpy, where the search forms it."""
+    unit, as the search forms it."""
     k = rates._form(family, params)  # the point's constants in plain floats
     if family == "cran":  # sigma_u^2 past the float range raises, as in the solver
         rates._checked_sigma_u_sq(k, params.c_u, params.p_u_max, params.p_d_max)
     u, d = p_u * k.unit, p_d * k.unit
-    r_u = rates._uplink(np, k, u, d)
-    return float(min(r_u, *rates._downlink(np, k, u, d, r_u, rates._BOUND)))
+    r_u = rates._uplink(k, u, d)
+    return min(r_u, *rates._downlink(k, u, d, r_u, rates._BOUND))
 
 
 @settings(derandomize=True, max_examples=EXAMPLES, deadline=None, database=None)
@@ -156,14 +159,29 @@ def test_the_bound_does_not_fall_as_both_powers_scale_up(params, u_db, d_db, u, 
         assert high >= low - 1e-12 * abs(low), family
 
 
+def _sic_objective(k, pu, pd):
+    """min(r_u, r_d) of SIC at the best carried rate, min(r_u, max(t3,
+    min(t1, t2/2))) under the caps (rates._downlink), at power arrays in the
+    point's unit: the kernels' formulas written out in numpy, on the point's
+    constants k."""
+    sigma = np.ldexp((k.unit + k.f * pu + 2.0 * (k.h * pd)) * k.quant, -k.shift)
+    s = pu / (sigma + k.noise_u)
+    r_u = np.log2(1.0 + s) if k.alpha is None else rate_closed_form(s, k.alpha)
+    den, signal, g2pu = k.unit + k.b * pd + k.c * pu, k.a * pd, k.g * pu
+    t1, t3 = np.log2(1.0 + signal / den), np.log2(1.0 + signal / (den + g2pu))
+    t2 = np.log2(1.0 + (signal + g2pu) / den)
+    r_d = np.minimum(np.maximum(t3, np.minimum(t1, t2 / 2.0)), k.cap_d)
+    return np.minimum(np.minimum(r_u, k.cap_u), r_d)
+
+
 def _row_scans(family: str, params) -> float:
     """The SIC objective's max over 33 rows p_u = i P_u / 32 of the power box
-    and the edge p_d = P_d, each scanned at 2,049 powers, from the kernels."""
+    and the edge p_d = P_d, each scanned at 2,049 powers (_sic_objective)."""
     k = rates._form(family, params)  # the point's constants in plain floats
     u_max, d_max = params.p_u_max * k.unit, params.p_d_max * k.unit  # kernel powers
     rows = np.linspace(0.0, u_max, 33)[:, None], np.linspace(0.0, d_max, 2049)
     edge = np.linspace(0.0, u_max, 2049), d_max
-    return max(float(np.minimum(*rates._rates(np, k, *at, SIC)).max()) for at in (rows, edge))
+    return max(float(_sic_objective(k, *at).max()) for at in (rows, edge))
 
 
 SIC_SCHEMES = (SchemeId.FD_SCP_SIC, SchemeId.FD_CRAN_SIC)
@@ -180,3 +198,40 @@ def test_the_bound_loses_nothing_against_the_row_scans_alone(scheme, raise_db):
     solved = [r.r_eq for r in compute_batch(scheme, points)]
     scanned = [_row_scans(family, p) for p in points]
     assert all(a >= b - 1e-12 for a, b in zip(solved, scanned)), list(zip(solved, scanned))
+
+
+# ----------------------------------------------------------------------------
+# the reported powers
+
+FD_SCHEMES = tuple(s for s, (_, receiver) in rates.SCHEMES.items() if receiver is not None)
+# the p_db_joint golden's sweep, whose points reach the high-SNR ray
+P_DB_JOINT = SweepSpec(
+    base=SweepBase(c_u=2000.0, c_d=2000.0), sweep_var="p_db_joint",
+    start=-10.0, stop=3070.0, step=154.0,
+)
+
+
+def _printed_fractions(scheme, params) -> tuple[str, str]:
+    """p_u*/P_u and p_d*/P_d of the scheme at params, to the nine digits a
+    CSV prints."""
+    found = rates.compute_scheme(scheme, params).diagnostics
+    return tuple(
+        f"{found[star] / budget:.9g}"
+        for star, budget in (("p_u_star", params.p_u_max), ("p_d_star", params.p_d_max))
+    )
+
+
+@pytest.mark.parametrize("scheme", FD_SCHEMES, ids=lambda s: s.value)
+def test_the_reported_powers_do_not_hang_on_a_budgets_last_ulp(scheme):
+    # the search scales its argmax down only where a cap binds (or the value
+    # is 0), which no ulp of a budget tips; on the high-SNR ray a smaller
+    # scale loses less than an ulp of the objective, so a shrink wherever
+    # the value held would move p*/P by up to 2**-20 with the last ulp
+    points = [P_DB_JOINT.params_at(v) for v in P_DB_JOINT.values()] + DOMAIN
+    for params in points:
+        want = _printed_fractions(scheme, params)
+        for name in ("p_u_max", "p_d_max"):
+            budget = getattr(params, name)
+            for moved in (math.nextafter(budget, 0.0), math.nextafter(budget, math.inf)):
+                got = _printed_fractions(scheme, replace(params, **{name: moved}))
+                assert got == want, (params, name, moved, got, want)
