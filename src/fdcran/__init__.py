@@ -2,9 +2,10 @@
 single-cell processing or C-RAN operation on the extended Wyner model.
 
 Each public name loads on first use (PEP 562), with its module.  numpy loads
-only with the oracles, a full-duplex power search and the sampled spectral
-functions (zf_precoder, h_tilde, channel_response, rate_closed_form): every
-half-duplex rate, sweep, CSV and chart runs without it."""
+only with the oracles and the sampled spectral functions (zf_precoder,
+h_tilde, channel_response, rate_closed_form): every rate, the full-duplex
+power search's included, and every sweep, CSV and chart without --verify
+run without it."""
 
 from importlib import import_module
 

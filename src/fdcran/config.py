@@ -24,15 +24,16 @@ downlink receiver is part of the scheme: the ``*_sic`` ids cancel the
 co-located uplink signal first, the others treat it as noise.  Oracle
 verification is not a config key: ``fdcran sweep --verify`` is its one switch.
 
-_SWEPT decides which SystemParams fields a sweep value sets, for params_at
-and SweepSpec.points alike.  This module imports only the standard library
-and model, so a spec is built without importing numpy; sweep runs it.
+_SWEPT decides which SystemParams fields a sweep value sets, for params_at,
+SweepSpec.points and the check of a range's ends alike.  This module imports
+only the standard library and model, so a spec is built without importing
+numpy; sweep runs it.
 """
 
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .model import SchemeId, SystemParams, _check_field, _Point, db_to_linear
+from .model import NumericDomainError, SchemeId, SystemParams, _check_field, _Point, db_to_linear
 
 __all__ = [
     "MAX_SWEEP_VALUES",
@@ -148,6 +149,17 @@ class SweepSpec:
                 f"at most {MAX_SWEEP_VALUES} sweep values",
                 field_name="sweep.step",
             )
+        # each end of the range in the swept field's domain, which holds every
+        # value between; a gain whose power gain overflows fails where the
+        # sweep reaches it, as a base gain does (NumericDomainError)
+        names, to_field = _SWEPT[self.sweep_var]
+        for key, end in (("sweep.start", self.start), ("sweep.stop", self.stop)):
+            try:
+                _check_field(names[0], end if to_field is None else to_field(end))
+            except NumericDomainError:
+                pass
+            except ValueError as err:
+                raise ConfigError(str(err), field_name=key) from None
         # canonical order: dedupe and sort schemes by enum definition order
         listed = set(self.schemes)
         object.__setattr__(
@@ -232,7 +244,8 @@ def parse_config(text: str, defaults: SweepSpec | None = None) -> SweepSpec:
 
     Errors are ConfigErrors with the offending line number and field: bad
     lines, keys and values in line order, then SweepSpec's sweep rules at the
-    line of the key they name, else (a grid rule) of the last grid key set.
+    line of the key they name, else (a grid rule) of the last grid key set,
+    else (an end outside the domain of the sweep.var set) of sweep.var.
     When defaults is given (a preset), config keys override it.
     """
     spec = defaults if defaults is not None else SweepSpec()
@@ -269,5 +282,7 @@ def parse_config(text: str, defaults: SweepSpec | None = None) -> SweepSpec:
     try:
         return replace(spec, base=replace(spec.base, **base_kw), **spec_kw)
     except ConfigError as err:  # a rule of SweepSpec, which defaults met
-        at = lines.get(err.field) or max(lines[k] for k in _GRID_KEYS if k in lines)
+        at = lines.get(err.field) or max(
+            (lines[k] for k in _GRID_KEYS if k in lines), default=lines.get("sweep.var")
+        )
         raise ConfigError(err.message, at, err.field) from None

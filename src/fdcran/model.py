@@ -109,7 +109,8 @@ class SystemParams:
 _PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))  # in validation order
 
 # the SystemParams fields the rate constants read: a sweep builds one per
-# value (config.SweepSpec.points), and rates._solve takes either
+# value (config.SweepSpec.points) and solves it alone (rates._solve, which
+# takes a SystemParams alike)
 _Point = namedtuple("_Point", "alpha beta_du beta_ud gamma_ud p_u_max p_d_max c_u c_d")
 
 

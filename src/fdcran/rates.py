@@ -6,18 +6,20 @@ co-located uplink signal as noise or cancelling it first (SIC).  Both
 families share one uplink and one downlink kernel, (k, p_u, p_d[, r_u,
 receiver]) -> rate, with k one point's constants and powers in the point's
 _unit, which keeps the float range.  The kernels work in floats, through
-the math shim _MATH where math would raise: the power search, one point at
-a time, and every reported number (the half-duplex rates, the rates and
-sigma_u^2 at a search's argmax or at full power, and the public scalar
-functions) share them.  So no rate needs numpy: only --verify's oracles,
-zf_precoder and the public rate_closed_form load it.  The constants (_Form)
-write SCP as a C-RAN link with one eigenvalue and no fronthaul quantizer,
-in the oracle's form and under its names, and hold the products the kernels
-would otherwise form on every call.  C-RAN rates are exact: the uplink
-integral is rate_closed_form and the zero-forcing precoder of the point's
-alpha enters through zf_constants.  A precoder passed to a public function
-must be that one, at any sampling (_check_precoder).  The oracles keep
-formulas of their own.
+the math shim spectral._MATH where math would raise: the power search, one
+point at a time, and every reported number (the half-duplex rates, the
+rates and sigma_u^2 at a search's argmax or at full power, and the public
+scalar functions) share them.  So no rate needs numpy: only --verify's
+oracles, zf_precoder and the public rate_closed_form load it.  Each
+log2(1 + x) is taken as log1p(x)/ln 2, which keeps its digits where x is
+below the float eps.  The constants (_Form) write SCP as a C-RAN link with
+one eigenvalue and no fronthaul quantizer, in the oracle's form and under
+its names, and hold the products the kernels would otherwise form on every
+call.  C-RAN rates are exact: the uplink integral is rate_closed_form's
+float kernel and the zero-forcing precoder of the point's alpha enters
+through zf_constants.  A precoder passed to a public function must be that
+one, at any sampling (_check_precoder).  The oracles keep formulas of their
+own.
 
 Half-duplex schemes split the band between directions at full power; the
 equal rate follows from balancing f*R_u against (1-f)*R_d.  Full-duplex
@@ -26,14 +28,13 @@ exactly on the budget edges (_max_min_search).  A SIC mobile faces the
 co-located uplink codeword, which may be sent at any rate up to the uplink
 capacity r_u; the search maximizes over that carried rate too, and the
 reported r_d is the downlink's at the best carried rate (_downlink), so
-r_eq = min(r_u, r_d) is the rate the uplink carries.  _solve forms every
-result, of one family's receivers at a batch of points, in floats from
-each point's constants, built once: half duplex as the kernels at (P_u, 0)
+r_eq = min(r_u, r_d) is the rate the uplink carries.  _solve forms the
+results of one point, scheme by scheme, in floats from the point's
+constants, built once per family: half duplex as the kernels at (P_u, 0)
 and (0, P_d), full duplex as both kernels at the receiver's argmax of one
-power search per point for all its receivers, or at the budgets under
-full_power (compute_batch is _batch, one receiver's RateResults;
-compute_scheme, hd_scp, hd_cran, fd_scp and fd_cran are its batch of
-one).  Every point of a batch gets bit-for-bit the result it gets alone.
+power search for all the family's receivers, or at the budgets under
+full_power.  compute_scheme, hd_scp, hd_cran, fd_scp and fd_cran take its
+one result, and a sweep each value's rows.
 
 C-RAN schemes model the fronthaul by quantization noise: uplink compression
 at sigma_u^2 = (signal power at the radio unit) / (2**c_u - 1), downlink
@@ -44,12 +45,11 @@ p_d * 2**-c_d, so the radio unit transmits exactly p_d.
 import math
 from collections import namedtuple
 from enum import Enum
-from itertools import repeat
-from types import SimpleNamespace
 
 from .model import NumericDomainError, PowerAllocation, RateResult, SchemeId
 from .spectral import (
     DEFAULT_PANELS,
+    _MATH,
     Precoder,
     _check_panels as _check_panel_count,
     _closed_form,
@@ -60,7 +60,6 @@ __all__ = [
     "DEFAULT_GRID",
     "SCHEMES",
     "SicMode",
-    "compute_batch",
     "compute_scheme",
     "equal_rate_split",
     "fd_cran",
@@ -81,6 +80,7 @@ DEFAULT_GRID = 64
 
 _CHECK = 3  # Illinois steps that must halve an edge's bracket, or a halving follows
 _EPS = 2.0**-52  # float eps
+_LN2 = math.log(2.0)  # log2(1 + x) is taken as log1p(x) / _LN2
 _SHRINK_STEPS = 20  # halvings of the tie-breaking power scale
 _TIE_TOL = 1e-9  # objective values this close count as tied
 
@@ -121,29 +121,6 @@ def equal_rate_split(r_u: float, r_d: float) -> tuple[float, float | None]:
 
 # ----------------------------------------------------------------------------
 # rate kernels: floats, k one point's _form
-
-
-def _ldexp(x, n):  # math.ldexp, inf as numpy gives it where the result overflows
-    try:
-        return math.ldexp(x, n)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
-# The kernels' math shim, also spectral._closed_form's namespace for floats:
-# what they call of numpy, with numpy's results where math raises (-inf at 0,
-# NaN below a domain), and numpy's minimum and maximum, which return a NaN
-# argument where Python's min and max drop it by position.  The kernels' own
-# float arithmetic overflows to inf, as numpy's does, and divides by no zero.
-_MATH = SimpleNamespace(
-    log2=lambda x: math.log2(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan,
-    log1p=lambda x: math.log1p(x) if x > -1.0 else -math.inf if x == -1.0 else math.nan,
-    sqrt=lambda x: math.sqrt(x) if x >= 0.0 else math.nan,
-    minimum=lambda a, b: a if a < b or a != a else b,
-    maximum=lambda a, b: a if a > b or a != a else b,
-    where=lambda cond, x, y: x if cond else y,
-    any=bool, ldexp=_ldexp,
-)
 
 
 def _unit(p, *gains):
@@ -230,7 +207,7 @@ def _checked_sigma_u_sq(k, c_u, p_u, p_d, budgets: bool = True) -> float:
 
 def _uplink(k, p_u, p_d):
     s = p_u / (_sigma_u_sq(k, p_u, p_d) + k.noise_u)
-    rate = _MATH.log2(1.0 + s) if k.alpha is None else _closed_form(_MATH, s, k.alpha)
+    rate = _MATH.log1p(s) / _LN2 if k.alpha is None else _closed_form(s, k.alpha)
     return _MATH.minimum(rate, k.cap_u)
 
 
@@ -252,13 +229,13 @@ def _downlink(k, p_u, p_d, r_u, receiver):
     pair (t1, t2/2)."""
     den, signal, g2pu = k.unit + k.b * p_d + k.c * p_u, k.a * p_d, k.g * p_u
     if receiver is not _TAN:
-        t2 = _MATH.log2(1.0 + (signal + g2pu) / den)
+        t2 = _MATH.log1p((signal + g2pu) / den) / _LN2
         if math.isinf(t2):  # past 1024 bits t2 is taken as a difference
             t2 = _MATH.log2(den + signal + g2pu) - _MATH.log2(den)
-        t1 = _MATH.log2(1.0 + signal / den)
+        t1 = _MATH.log1p(signal / den) / _LN2
         if receiver is _BOUND:
             return _MATH.minimum(t1, k.cap_d), _MATH.minimum(t2 / 2.0, k.cap_d)
-    t3 = _MATH.log2(1.0 + signal / (den + g2pu))
+    t3 = _MATH.log1p(signal / (den + g2pu)) / _LN2
     if receiver is _TAN:
         return _MATH.minimum(t3, k.cap_d)
     least, most = _MATH.minimum, _MATH.maximum
@@ -330,7 +307,7 @@ def hd_scp(params) -> RateResult:
     its fronthaul: R = min{C(P / (1 + 2 alpha^2 P)), c}.  Full power loses
     nothing here, and the time split gives r_eq = r_u*r_d/(r_u + r_d).
     """
-    return _batch("scp", None, [params])[0]
+    return _result("scp", None, params)
 
 
 def hd_cran_uplink(params, panels: int = DEFAULT_PANELS) -> tuple[float, float]:
@@ -369,7 +346,7 @@ def hd_cran(params, precoder: Precoder) -> RateResult:
     """Half-duplex C-RAN: both directions combined through the time split.
     The precoder must be the zero-forcing one of params.alpha."""
     _check_precoder(params, precoder)
-    return _batch("cran", None, [params])[0]
+    return _result("cran", None, params)
 
 
 def fd_scp_uplink_rate(params, p_u: float, p_d: float) -> float:
@@ -403,7 +380,7 @@ def fd_scp(params, sic: SicMode = SicMode.TREAT_AS_NOISE) -> RateResult:
     directions interfere), so the equal rate is the max over (p_u, p_d) of
     min{R_u, R_d}, found by _max_min_search.
     """
-    return _batch("scp", sic, [params])[0]
+    return _result("scp", sic, params)
 
 
 def fd_cran_uplink(params, powers: PowerAllocation, precoder: Precoder) -> tuple[float, float]:
@@ -452,46 +429,44 @@ def fd_cran(params, precoder: Precoder, sic: SicMode = SicMode.TREAT_AS_NOISE) -
     _max_min_search.  The precoder must be the zero-forcing one of
     params.alpha."""
     _check_precoder(params, precoder)
-    return _batch("cran", sic, [params])[0]
+    return _result("cran", sic, params)
 
 
 # ----------------------------------------------------------------------------
-# batches
+# one point's results
 
 
-def _solve(family: str, receivers, points, full_power: bool = False) -> dict:
-    """{receiver: each point's (r_u, r_d, r_eq, diagnostics)} of the family's
-    schemes with the receivers (None: half duplex) at the points
-    (SystemParams or model._Point), each point's constants built once.  Half
-    duplex evaluates the uplink kernel at (P_u, 0) and the downlink kernel
-    at (0, P_d), and balances the pair by equal_rate_split (f_star None
-    where there is no split).  Full duplex evaluates both at the receiver's
-    argmax of one power search per point for all the receivers
-    (_max_min_search), in the point's _unit, or at the budgets if
-    full_power, and reports their min.  Every number is a float formed from
-    the point alone.  If a full-duplex receiver is solved, which spends both
-    budgets, every C-RAN point's sigma_u^2 is checked at them first; then
-    the first point to fail raises, its r_u checked before its r_d and its
-    C-RAN sigma_u^2 (_reported) last."""
-    duplex = any(r is not None for r in receivers)
-    forms = []
-    for p in points:
-        forms.append(_form(family, p))
-        if family == "cran" and duplex:
-            _checked_sigma_u_sq(forms[-1], p.c_u, p.p_u_max, p.p_d_max)
-    budgets = [(p.p_u_max, p.p_d_max) for p in points]
-    powers = dict.fromkeys(receivers, budgets)
-    if duplex and not full_power:
-        found = [
-            _max_min_search(k, u * k.unit, d * k.unit, receivers)
-            for k, (u, d) in zip(forms, budgets)
-        ]
-        for r in (r for r in receivers if r is not None):
-            powers[r] = [(f[r][1] / k.unit, f[r][2] / k.unit) for f, k in zip(found, forms)]
-    return {
-        r: list(map(_reported, repeat(family), repeat(r), points, forms, powers[r]))
-        for r in receivers
-    }
+def _solve(p, kinds, full_power: bool = False):
+    """(r_u, r_d, r_eq, diagnostics) of each (family, receiver) of kinds,
+    receiver None for half duplex, at the point p (SystemParams or
+    model._Point), lazily and in the order of kinds, each family's constants
+    built at its first scheme.  Half duplex evaluates the uplink kernel at
+    (P_u, 0) and the downlink kernel at (0, P_d), and balances the pair by
+    equal_rate_split (f_star None where there is no split).  Full duplex
+    evaluates both at the receiver's argmax of one power search for all the
+    family's receivers in kinds (_max_min_search), in the point's _unit, or
+    at the budgets if full_power, and reports their min.  At a family's
+    first full-duplex scheme a C-RAN sigma_u^2 is checked at both budgets,
+    which the search spends.  Every number is a float formed from the point
+    alone, so a scheme gets the same result whatever kinds list beside it,
+    and a failing scheme raises before a later one is solved, its r_u
+    checked before its r_d and its C-RAN sigma_u^2 (_reported) last."""
+    forms, found = {}, {}
+    for family, receiver in kinds:
+        if family not in forms:
+            forms[family] = _form(family, p)
+        k, powers = forms[family], (p.p_u_max, p.p_d_max)
+        if receiver is not None:
+            if family not in found:
+                if family == "cran":
+                    _checked_sigma_u_sq(k, p.c_u, *powers)
+                receivers = {r for f, r in kinds if f == family}
+                budgets = (p.p_u_max * k.unit, p.p_d_max * k.unit)
+                found[family] = {} if full_power else _max_min_search(k, *budgets, receivers)
+            if receiver in found[family]:
+                _, p_u, p_d = found[family][receiver]
+                powers = (p_u / k.unit, p_d / k.unit)
+        yield _reported(family, receiver, p, k, powers)
 
 
 def _reported(family: str, sic, p, k: _Form, powers) -> tuple:
@@ -513,12 +488,10 @@ def _reported(family: str, sic, p, k: _Form, powers) -> tuple:
     return r_u, r_d, r_eq, diag
 
 
-def _batch(family: str, sic, points, full_power: bool = False) -> list:
-    """Each point's RateResult of _solve for sic alone, f_star left out where None."""
-    return [
-        RateResult(u, d, eq, {name: v for name, v in diag.items() if v is not None})
-        for u, d, eq, diag in _solve(family, (sic,), points, full_power)[sic]
-    ]
+def _result(family: str, sic, params, full_power: bool = False) -> RateResult:
+    """The RateResult of one scheme at params (_solve), f_star left out where None."""
+    [(r_u, r_d, r_eq, diag)] = _solve(params, [(family, sic)], full_power)
+    return RateResult(r_u, r_d, r_eq, {name: v for name, v in diag.items() if v is not None})
 
 
 # ----------------------------------------------------------------------------
@@ -655,24 +628,15 @@ def _max_min_search(k, p_u_max, p_d_max, receivers):
 # dispatch
 
 
-def compute_batch(scheme: SchemeId, points) -> list[RateResult]:
-    """compute_scheme for one scheme at each of a sequence of operating
-    points: each point's rates in floats, at its budgets in half duplex, and
-    at the argmax of its own power search in full duplex.  Every result
-    equals that of the point alone; no points give no results.
-    """
-    return _batch(*SCHEMES[scheme], points) if points else []
-
-
 def compute_scheme(
     scheme: SchemeId, params, panels: int = DEFAULT_PANELS, grid: int = DEFAULT_GRID,
     full_power: bool = False,
 ) -> RateResult:
-    """Evaluate one scheme end to end: _batch for one point.  C-RAN
-    schemes take the zero-forcing precoder through its exact constants
-    (zf_constants) and the uplink integral in closed form, so panels, still
-    checked to be a valid panel count, changes no result.  Nor does grid,
-    checked to be an integer >= 2: the search has no grid (DEFAULT_GRID).
+    """Evaluate one scheme end to end (_solve).  C-RAN schemes take the
+    zero-forcing precoder through its exact constants (zf_constants) and the
+    uplink integral in closed form, so panels, still checked to be a valid
+    panel count, changes no result.  Nor does grid, checked to be an integer
+    >= 2: the search has no grid (DEFAULT_GRID).
 
     full_power=True evaluates a full-duplex scheme at its budgets
     (P_u, P_d) instead of searching; half-duplex schemes always spend them.
@@ -680,4 +644,4 @@ def compute_scheme(
     _check_panel_count(panels)
     if not isinstance(grid, int) or grid < 2:
         raise ValueError(f"grid resolution must be an integer >= 2, got {grid!r}")
-    return _batch(*SCHEMES[scheme], [params], full_power)[0]
+    return _result(*SCHEMES[scheme], params, full_power)

@@ -5,13 +5,12 @@ rate integral in real arithmetic (Jensen's formula, the larger root's
 modulus taken from the distances of one point to +-1), and zf_constants,
 the exact zero-forcing h~_0^2 and R_g(2), both for |alpha| <= 1/2: every
 C-RAN rate needs the precoder, whose domain _check_zf_alpha alone decides.
-The rate kernel, _closed_form, is written once against a namespace: numpy
-for arrays, or the rates module's math shim for the floats of every rate
-the power search forms or reports.  The rest samples the unit frequency
-interval at an even panel count, deterministically for a given count: the
-channel response H(f), the trapezoid rule (_quad), the sampled zero-forcing
-precoder and the effective channel taps h~_k, which the tests check
-zf_constants against.  On the
+The rate kernel, _closed_form, takes floats through the math shim _MATH,
+which the rate kernels of rates share, and rate_closed_form maps it over
+arrays.  The rest samples the unit frequency interval at an even panel
+count, deterministically for a given count: the channel response H(f), the
+trapezoid rule (_quad), the sampled zero-forcing precoder and the effective
+channel taps h~_k, which the tests check zf_constants against.  On the
 periodic integrands of the ring the trapezoid rule is the ring's own mean,
 which converges exponentially (Trefethen and Weideman, SIAM Review 2014).
 Only those samples and the public rate_closed_form import numpy, on first
@@ -21,6 +20,7 @@ use.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 from .model import ZfSingularError
 
@@ -43,6 +43,29 @@ _ZF_ALPHA_LIMIT = 0.5 - 1e-9
 # intermediates can pass the float range (|alpha| <= 1/2)
 _HUGE_SNR = 2.0**1020
 _TWO_OVER_LN2 = 2.0 / math.log(2.0)
+
+
+def _ldexp(x, n):  # math.ldexp, inf as numpy gives it where the result overflows
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+# The float kernels' math shim, for the closed form here and the rate kernels
+# of rates: what they call of math, with numpy's results where math raises
+# (-inf at 0, NaN below a domain), and numpy's minimum and maximum, which
+# return a NaN argument where Python's min and max drop it by position.  The
+# kernels' own float arithmetic overflows to inf, as numpy's does, and
+# divides by no zero.
+_MATH = SimpleNamespace(
+    log2=lambda x: math.log2(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan,
+    log1p=lambda x: math.log1p(x) if x > -1.0 else -math.inf if x == -1.0 else math.nan,
+    sqrt=lambda x: math.sqrt(x) if x >= 0.0 else math.nan,
+    minimum=lambda a, b: a if a < b or a != a else b,
+    maximum=lambda a, b: a if a > b or a != a else b,
+    ldexp=_ldexp,
+)
 
 
 def _check_panels(panels: int) -> None:  # an even count keeps f = 1/2 on the grid
@@ -166,54 +189,45 @@ def rate_closed_form(snr_scale, alpha: float):
     the z of 1/s + H(f)^2, as oracle._uplink takes its huge SINRs.
     The integral depends on alpha only through alpha^2, so |alpha| stands in
     for alpha throughout.  s and alpha broadcast against each other: a float
-    when both are scalars, else an array of their broadcast shape, with no
-    input check (a NaN s gives NaN).  A float s takes numpy's path too, so it
-    gets the bits of the matching array element.
+    when both are scalars, else an array of their broadcast shape, each
+    element the float kernel's (_closed_form) at its pair, which the rate
+    kernels call, with no input check (a NaN s gives NaN, with no warning for
+    the invalid comparisons it takes).
     """
     import numpy as np
 
-    s = np.asarray(snr_scale, dtype=float)
-    vals = _closed_form(np, s.reshape(1) if s.ndim == 0 else s, alpha)
-    return float(vals[0]) if s.ndim == 0 and np.ndim(alpha) == 0 else vals
+    with np.errstate(invalid="ignore"):
+        vals = np.vectorize(_closed_form, otypes=[float])(np.asarray(snr_scale, dtype=float), alpha)
+    return float(vals) if vals.ndim == 0 else vals
 
 
-def _closed_form(xp, s, alpha):
-    """rate_closed_form's kernel in the namespace xp: numpy for arrays s and
-    alpha (s at least one-dimensional), or the math shim for floats."""
-    a, huge = 2.0 * abs(alpha), s >= _HUGE_SNR
-    some = xp.any(huge)
-    x = xp.where(huge, 0.0, s) if some else s
-    p = _sqrt1pm1(xp, (1.0 + a) ** 2 * x)  # P - 1
-    q = _sqrt1pm1(xp, (1.0 - a) ** 2 * x)  # Q - 1
+def _closed_form(s: float, alpha: float) -> float:
+    """rate_closed_form's kernel, of floats s and alpha."""
+    a = 2.0 * abs(alpha)
+    if s >= _HUGE_SNR:
+        return _huge_rate(s, a)
+    p = _sqrt1pm1((1.0 + a) ** 2 * s)  # P - 1
+    q = _sqrt1pm1((1.0 - a) ** 2 * s)  # Q - 1
     w = p + q  # 2 (m - 1)
-    d = (1.0 - a) * (1.0 + a) * x
-    d += p * q
-    d += w
-    d *= 0.5  # D
-    z = _sqrt1pm1(xp, d)
-    z += 0.5 * w
-    z *= 0.5  # z - 1
-    vals = xp.log1p(z)
-    vals *= _TWO_OVER_LN2
-    return xp.where(huge, _huge_rate(xp, xp.where(huge, s, 1.0), a), vals) if some else vals
+    d = 0.5 * ((1.0 - a) * (1.0 + a) * s + p * q + w)  # D
+    z = 0.5 * (_sqrt1pm1(d) + 0.5 * w)  # z - 1
+    return _MATH.log1p(z) * _TWO_OVER_LN2
 
 
-def _sqrt1pm1(xp, x):
+def _sqrt1pm1(x: float) -> float:
     """sqrt(1 + x) - 1 for x >= 0, as x / (1 + sqrt(1 + x)), which does not
     cancel."""
-    r = xp.sqrt(x + 1.0)
-    r += 1.0
-    return x / r
+    return x / (_MATH.sqrt(x + 1.0) + 1.0)
 
 
-def _huge_rate(xp, s, a):
+def _huge_rate(s: float, a: float) -> float:
     """rate_closed_form at huge s, a = 2 alpha <= 1: log2 s + 2 log2 z' for z'
     the z of 1/s + H(f)^2, formed from P' = sqrt(1/s + (1 + a)^2),
     Q' = sqrt(1/s + (1 - a)^2), m' = (P' + Q')/2 and the non-negative
     m' - a = 1 - a + (P' - (1 + a) + Q' - (1 - a))/2, each difference taken
     as (1/s)/(sum), so m'^2 - a^2 = (m' - a)(m' + a) does not cancel."""
     c = 1.0 / s
-    p, q = xp.sqrt(c + (1.0 + a) ** 2), xp.sqrt(c + (1.0 - a) ** 2)
+    p, q = _MATH.sqrt(c + (1.0 + a) ** 2), _MATH.sqrt(c + (1.0 - a) ** 2)
     m = 0.5 * (p + q)
     low = (1.0 - a) + 0.5 * (c / (p + (1.0 + a)) + c / (q + (1.0 - a)))
-    return xp.log2(s) + 2.0 * xp.log2(0.5 * (m + xp.sqrt(low * (m + a))))
+    return _MATH.log2(s) + 2.0 * _MATH.log2(0.5 * (m + _MATH.sqrt(low * (m + a))))

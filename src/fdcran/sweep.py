@@ -7,13 +7,12 @@ power search included.
 
 Rows come out one per (sweep value, scheme), sweep value major and scheme in
 enum order minor, so identical configs produce byte-identical CSV output.
-Values are taken in blocks of 64, and the rows of a block's schemes of one
-processing family are solved by one rates._solve call: half duplex at each
-value's budgets, full duplex by one max-min power search per value for its
-receivers, in floats and exact on the budget edges.  The block bounds the
-memory of the certified search under --verify and the points and constants
-a solve holds at once.  C-RAN rows are exact (closed forms, see rates), and
-the search has no grid, so a sweep has no quadrature or resolution setting.
+Each value's rows come from one rates._solve of its point, in that order:
+half duplex at the value's budgets, full duplex by one max-min power search
+per processing family for its receivers, in floats and exact on the budget
+edges.  So a failing sweep raises at its first failing row, before a later
+point is built.  C-RAN rows are exact (closed forms, see rates), and the
+search has no grid, so a sweep has no quadrature or resolution setting.
 A sweep runs in this one process: with the search this cheap, worker
 processes would cost more than they save.
 
@@ -22,17 +21,16 @@ mobile faces the co-located uplink codeword at any carried rate up to that
 capacity, and its row's r_d is the downlink rate at the best carried rate,
 so r_eq = min(r_u, r_d) is the rate the uplink carries (rates._downlink).
 
-Under --verify the oracles run in this process after each block's solve,
-one pass per scheme over its rows of the block: the circulant ring checks
-a C-RAN scheme's uplink rates in one call, at the sigma_u^2 the oracle
-forms itself, and oracle.certified_max_min
-certifies the optimum of a full-duplex scheme's rows, one branch-and-bound
-search over the two upper budget edges, where the optimum of either
-receiver lies.  It proves that the true max-min lies at most eps
-(CERTIFIED_EPS, more only for points whose search reaches
-oracle._MAX_CELLS cells) above its best point.  Both oracles hold
-every temporary to 8,192 values, so their memory grows neither with the
-block nor with the budgets.
+Under --verify the oracles run in this process once every row is solved,
+in blocks of 64 values, one pass per scheme over its rows of a block: the
+circulant ring checks a C-RAN scheme's uplink rates in one call, at the
+sigma_u^2 the oracle forms itself, and oracle.certified_max_min certifies
+the optimum of a full-duplex scheme's rows, one branch-and-bound search over
+the two upper budget edges, where the optimum of either receiver lies.  It
+proves that the true max-min lies at most eps (CERTIFIED_EPS, more only for
+points whose search reaches oracle._MAX_CELLS cells) above its best point.
+Both oracles hold every temporary to 8,192 values, so their memory grows
+neither with the block nor with the budgets.
 """
 
 import math
@@ -86,8 +84,8 @@ class VerificationError(RuntimeError):
 # ----------------------------------------------------------------------------
 # running sweeps
 
-# sweep values solved together, fig2's and fig3's in one block, which bounds
-# the oracles' arrays and the points a solve holds (module docstring)
+# sweep values whose rows an oracle takes in one batch, fig2's and fig3's in
+# one block (module docstring)
 _BLOCK = 64
 _DIAGNOSTICS = CSV_COLUMNS[6:]  # the RateResult.diagnostics a row carries, in SweepRow's order
 
@@ -118,42 +116,24 @@ class SweepRow:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Compute one row per (sweep value, scheme) in deterministic order.
 
-    Sweep values are taken in blocks of _BLOCK, which bounds the memory of
-    the certificates under spec.oracle and of the points and constants a
-    solve holds.  The error of a failing sweep is that of its
-    first failing row in (value, scheme) order (_run_block).
+    Each value's rows come from rates._solve of its point (SweepSpec.points),
+    lazily, so the error of a failing sweep is that of its first failing row
+    in (value, scheme) order, and no later point is built.  Under spec.oracle
+    the rows then get their oracle values (_attach_oracles) in blocks of
+    _BLOCK values, which bounds the oracles' batches.
     """
-    values = spec.values()
-    blocks = (values[at : at + _BLOCK] for at in range(0, len(values), _BLOCK))
-    return [row for block in blocks for row in _run_block(spec, block)]
-
-
-def _run_block(spec: SweepSpec, block) -> list[SweepRow]:
-    """Rows of one block, and under spec.oracle with their oracle values:
-    the circulant check of each C-RAN row and the certified optima.  Each
-    family's rows are solved at once (rates._solve, for all its receivers)
-    on the block's points (SweepSpec.points), built inside the replayed
-    solve: after it raises, the points are built again one at a time and
-    each row solved alone in (value, scheme) order, so the error is that of
-    the first failing row."""
-    kinds = [SCHEMES[s] for s in spec.schemes]
-    families = {f: [r for g, r in kinds if g == f] for f, _ in kinds}
-    try:
-        points = list(spec.points(block))
-        solved = {f: _solve(f, receivers, points) for f, receivers in families.items()}
-    except ValueError:
-        for p in spec.points(block):  # the first failing row raises
-            for family, receiver in kinds:
-                _solve(family, (receiver,), [p])
-        raise
+    values, kinds = spec.values(), [SCHEMES[s] for s in spec.schemes]
     rows = [
         SweepRow(spec.sweep_var, value, scheme, r_u, r_d, r_eq, *map(diag.get, _DIAGNOSTICS))
-        for value, at_value in zip(block, zip(*(solved[f][r] for f, r in kinds)))
-        for scheme, (r_u, r_d, r_eq, diag) in zip(spec.schemes, at_value)
+        for value, p in zip(values, spec.points(values))
+        for scheme, (r_u, r_d, r_eq, diag) in zip(spec.schemes, _solve(p, kinds))
     ]
-    if spec.oracle:  # each scheme's rows are one stride of the block, one per point
-        for at, scheme in enumerate(spec.schemes):
-            _attach_oracles(scheme, rows[at :: len(spec.schemes)], points)
+    if spec.oracle:  # each scheme's rows of a block are one stride of it, one per point
+        n = len(spec.schemes)
+        for at in range(0, len(values), _BLOCK):
+            points = list(spec.points(values[at : at + _BLOCK]))
+            for i, scheme in enumerate(spec.schemes):
+                _attach_oracles(scheme, rows[at * n + i : (at + _BLOCK) * n : n], points)
     return rows
 
 

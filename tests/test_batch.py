@@ -1,8 +1,9 @@
-"""compute_batch, the one row path of every scheme: every point of a batch
-gets exactly the result it gets alone, a sweep's rows are those results, a
-failing block reports its first failing row, and a sweep without --verify
-needs no numpy: every kernel call, the power search's included, takes one
-point's floats."""
+"""rates._solve, the one row path of every scheme: a point's schemes solved
+together get exactly the results each gets alone, a sweep's rows are those
+results in (value, scheme) order, a failing sweep reports its first failing
+row and builds no point after it, and a sweep without --verify needs no
+numpy: every kernel call, the power search's included, takes one point's
+floats."""
 
 import math
 import sys
@@ -15,7 +16,7 @@ import fdcran.rates as rates
 import fdcran.sweep as sweep
 from fdcran.config import SWEEP_VARS, SweepSpec, preset_spec
 from fdcran.model import NumericDomainError, PowerAllocation, SchemeId, ZfSingularError
-from fdcran.rates import compute_batch, compute_scheme, fd_cran_uplink, hd_cran_uplink
+from fdcran.rates import SCHEMES, compute_scheme, fd_cran_uplink, hd_cran_uplink
 from fdcran.spectral import zf_precoder
 from fdcran.sweep import run_sweep
 from test_solver_properties import DOMAIN
@@ -23,7 +24,8 @@ from test_solver_properties import DOMAIN
 # the domain points, the budget and fronthaul edges of SystemParams, and
 # rounding traps: numpy's vector loops can round alpha**2 at these alphas, and
 # 2.0**-c or expm1(-c ln 2) at these capacities, otherwise than CPython does,
-# and sigma_u^2's 2.0**(n - c_u) past c_u = 1001 otherwise than numpy's scalars
+# and sigma_u^2's 2.0**(n - c_u) past c_u = 1001 otherwise than numpy's scalars,
+# which the oracles take
 MIXED = DOMAIN + [
     replace(DOMAIN[0], p_u_max=0.0, c_u=0.0),
     replace(DOMAIN[1], p_d_max=0.0, c_u=2000.0, c_d=1e-300),
@@ -38,27 +40,34 @@ MIXED = DOMAIN + [
 ]
 
 
-@pytest.mark.parametrize("scheme", SchemeId, ids=lambda s: s.value)
-def test_batch_equals_each_point_alone(scheme):
-    batch = compute_batch(scheme, MIXED)
-    alone = [compute_scheme(scheme, p) for p in MIXED]
-    for got, want in zip(batch, alone):
-        assert (got.r_u, got.r_d, got.r_eq) == (want.r_u, want.r_d, want.r_eq)
-        assert got.diagnostics == want.diagnostics
+def test_a_points_schemes_solved_together_get_each_schemes_result_alone():
+    # a family's schemes share its constants and its power search, and every
+    # result is formed from the point alone
+    kinds = list(SCHEMES.values())
+    for params in MIXED:
+        together = list(rates._solve(params, kinds))
+        alone = [next(rates._solve(params, [kind])) for kind in kinds]
+        assert together == alone
+        for scheme, (r_u, r_d, r_eq, diag) in zip(SCHEMES, together):
+            want = compute_scheme(scheme, params)
+            assert (r_u, r_d, r_eq) == (want.r_u, want.r_d, want.r_eq)
+            assert {k: v for k, v in diag.items() if v is not None} == want.diagnostics
 
 
 def test_hd_cran_sigma_d_sq_keeps_cpython_rounding():
     # 2.0**-c_d of each point as CPython rounds it, where numpy's power or
     # exp2 loops round 0.3, 0.65 or 1.1 otherwise
-    points = [replace(DOMAIN[0], c_d=c) for c in (0.3, 0.65, 1.1)]
-    for params, result in zip(points, compute_batch(SchemeId.HD_CRAN, points)):
+    for c in (0.3, 0.65, 1.1):
+        params = replace(DOMAIN[0], c_d=c)
+        result = compute_scheme(SchemeId.HD_CRAN, params)
         assert result.diagnostics["sigma_d_sq"] == params.p_d_max * 2.0**-params.c_d
 
 
 def test_the_public_cran_uplinks_report_the_rows_sigma_u_sq():
     # sigma_u^2's 2.0**(n - c_u) is taken per point past c_u = 1001, in the
-    # public uplink functions as in a batch
-    for params, result in zip(MIXED, compute_batch(SchemeId.HD_CRAN, MIXED)):
+    # public uplink functions as in a scheme's result
+    for params in MIXED:
+        result = compute_scheme(SchemeId.HD_CRAN, params)
         assert hd_cran_uplink(params) == (result.r_u, result.diagnostics["sigma_u_sq"])
     for params in MIXED:
         result = compute_scheme(SchemeId.FD_CRAN, params, full_power=True)
@@ -69,8 +78,8 @@ def test_the_public_cran_uplinks_report_the_rows_sigma_u_sq():
 
 @pytest.mark.parametrize("sweep_var", SWEEP_VARS)
 def test_sweep_rows_equal_compute_scheme(sweep_var):
-    # the swept field is the block's one varying column, and every other
-    # field a float the block's points share
+    # the swept field is the one field that varies, and every other field a
+    # float the sweep's points share
     spec = SweepSpec(sweep_var=sweep_var, start=0.0, stop=0.45, step=0.15)
     rows = run_sweep(spec)
     assert len({r.value for r in rows}) == 4
@@ -87,7 +96,7 @@ def test_sweep_rows_equal_compute_scheme(sweep_var):
         )
 
 
-def test_the_replay_reports_a_half_duplex_row_that_fails_first():
+def test_a_sweep_reports_a_half_duplex_row_that_fails_first():
     # at 3082 dB sigma_u^2 overflows for every C-RAN row; hd_cran, first in
     # (value, scheme) order, checks it at (P_u, 0), where the full-duplex
     # C-RAN rows check both budgets
@@ -97,7 +106,7 @@ def test_the_replay_reports_a_half_duplex_row_that_fails_first():
         run_sweep(spec)
 
 
-def test_sweeps_longer_than_a_block_keep_every_row():
+def test_a_sweep_of_many_values_keeps_every_row_in_order():
     spec = SweepSpec(
         sweep_var="gamma_ud", start=0.0, stop=8.0, step=0.1,
         schemes=(SchemeId.HD_SCP, SchemeId.FD_SCP),
@@ -143,8 +152,8 @@ def test_kernel_calls_stay_within_a_one_point_search(monkeypatch):
 
 
 # (start, stop, step) of a half-duplex sweep of each variable, each longer than
-# a block, so its rows span blocks; the joint fronthaul sweep starts at 0,
-# where f_star has no split and hd_cran's sigma_u^2 is inf
+# an oracle block; the joint fronthaul sweep starts at 0, where f_star has no
+# split and hd_cran's sigma_u^2 is inf
 _HD_SWEEPS = {
     "c_u_c_d_joint": (0.0, 12.0, 0.1),
     "gamma_ud": (0.0, 8.0, 0.1),
@@ -160,7 +169,7 @@ def _bits(*numbers) -> list:
 
 
 @pytest.mark.parametrize("sweep_var", SWEEP_VARS)
-def test_a_half_duplex_sweep_in_one_block_gives_each_row_its_lone_result(sweep_var):
+def test_a_long_half_duplex_sweep_gives_each_row_its_lone_result(sweep_var):
     start, stop, step = _HD_SWEEPS[sweep_var]
     spec = SweepSpec(
         sweep_var=sweep_var, start=start, stop=stop, step=step,
@@ -188,22 +197,13 @@ def test_a_half_duplex_sweep_in_one_block_gives_each_row_its_lone_result(sweep_v
 
 
 def test_a_long_half_duplex_sweep_runs_without_numpy(monkeypatch):
-    # hd_domain's sweep length: 834 values in 14 blocks, each scheme's rows
-    # of a block from one solve, every row in floats; with numpy's import
-    # blocked, no row reaches for it
+    # hd_domain's sweep length: 834 values, each value's rows from one solve,
+    # every row in floats; with numpy's import blocked, no row reaches for it
     spec = SweepSpec(
         sweep_var="alpha", start=0.0, stop=0.4995, step=0.4995 / 833,
         schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN),
     )
     assert len(spec.values()) == 834
-    sizes = {}
-    solve = sweep._solve
-
-    def counted(family, sic, points):
-        sizes.setdefault(family, []).append(len(points))
-        return solve(family, sic, points)
-
-    monkeypatch.setattr(sweep, "_solve", counted)
     monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(ImportError):
         import numpy  # noqa: F401
@@ -211,22 +211,25 @@ def test_a_long_half_duplex_sweep_runs_without_numpy(monkeypatch):
     assert [(r.value, r.scheme) for r in rows] == [
         (v, s) for v in spec.values() for s in spec.schemes
     ]
-    assert sizes == {"scp": [64] * 13 + [2], "cran": [64] * 13 + [2]}
 
 
-def test_a_half_duplex_block_reports_its_first_singular_alpha():
-    # 101 values in two blocks: alpha = 0.501, row 67 and in the second, is
-    # the first at or above 1/2
+def test_a_half_duplex_sweep_reports_its_first_singular_alpha(monkeypatch):
+    # of 101 values alpha = 0.501, row 67, is the first at or above 1/2; its
+    # row raises before a later point is built
     spec = SweepSpec(
         sweep_var="alpha", start=0.3, stop=0.6, step=0.003, schemes=(SchemeId.HD_CRAN,)
     )
     values = spec.values()
     assert len(values) == 101 and values[67] == 0.501 and max(values[:67]) < 0.5
+    built, points = [], SweepSpec.points
+
+    def counted(self, values):
+        for p in points(self, values):
+            built.append(p.alpha)
+            yield p
+
+    monkeypatch.setattr(SweepSpec, "points", counted)
     with pytest.raises(ZfSingularError) as err:
         run_sweep(spec)
     assert err.value.alpha == 0.501
-
-
-@pytest.mark.parametrize("scheme", SchemeId, ids=lambda s: s.value)
-def test_an_empty_batch_gives_no_results(scheme):
-    assert compute_batch(scheme, []) == []
+    assert built == values[:68]

@@ -50,6 +50,14 @@ def test_compute_prints_json(capsys):
     assert payload["diagnostics"]["f_star"] == pytest.approx(0.5, rel=1e-9)
 
 
+def test_compute_keeps_the_digits_of_a_rate_far_below_the_float_eps(capsys):
+    # at -140 dB the SINR is 1e-14 / (1 + 2 alpha^2 1e-14): log2(1 + x)
+    # rounded 1 + x and gave 1.44154e-14, log1p(x)/ln 2 gives x/ln 2
+    assert main(["compute", "--scheme", "hd_scp", "--p-u-db=-140", "--p-d-db=-140"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["r_u"] == pytest.approx(1.4426950408889517e-14, rel=1e-12, abs=0)
+
+
 def test_compute_full_power(capsys):
     for scheme in ("fd_scp", "fd_cran_sic"):
         common = ["compute", "--scheme", scheme]

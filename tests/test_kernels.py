@@ -14,7 +14,6 @@ from fdcran.model import NumericDomainError, PowerAllocation, SchemeId, db_to_li
 from fdcran.rates import (
     SCHEMES,
     SicMode,
-    compute_batch,
     compute_scheme,
     fd_cran,
     fd_cran_downlink,
@@ -38,7 +37,8 @@ PRECODER = zf_precoder(PARAMS.alpha, PANELS)
 @pytest.mark.parametrize("scheme", FD_SCHEMES, ids=lambda s: s.value)
 def test_scalar_functions_reproduce_the_reported_rates(scheme):
     family, sic = SCHEMES[scheme]
-    for params, result in zip(DOMAIN, compute_batch(scheme, DOMAIN)):
+    for params in DOMAIN:
+        result = compute_scheme(scheme, params)
         p_u, p_d = result.diagnostics["p_u_star"], result.diagnostics["p_d_star"]
         if family == "scp":
             r_u = fd_scp_uplink_rate(params, p_u, p_d)

@@ -1,53 +1,40 @@
-"""One kernel in two namespaces: rate_closed_form's kernel, run through the
-rates module's math shim on floats (every rate the solver forms) and through
-numpy on arrays (the public rate_closed_form), gives the same numbers.  They
-agree within 4 ulp, where numpy's vector loops round log2 and log1p
-otherwise than the C library, bit for bit with numpy's SIMD loops off
-(NPY_DISABLE_CPU_FEATURES), and with the same inf and NaN everywhere; the
-shim itself never raises."""
+"""One closed form, in floats: rate_closed_form maps the float kernel
+spectral._closed_form, which every C-RAN rate of the solver calls, over its
+broadcast inputs, so each of its elements is the kernel's float bit for bit.
+The math shim that the float kernels call (spectral._MATH) never raises: it
+gives numpy's inf and NaN where math would raise."""
 
 import math
 
 import numpy as np
 import pytest
 
-import fdcran.rates as rates
-from fdcran.spectral import _closed_form
+from fdcran.spectral import _MATH, _closed_form, rate_closed_form
+
+SNR = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 7.0, 1e10, 1e300, 2.0**1020, 1.7e308, math.inf,
+       math.nan]
+ALPHA = [0.0, 0.1, 0.4, 0.45, 0.4999999, 0.4999999989, -0.3]
 
 
-def _simd_off() -> bool:
-    """Whether numpy runs none of its dispatched SIMD loops, whose log2 and
-    log1p may round otherwise than the C library's."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    dispatch = getattr(umath, "__cpu_dispatch__", None)
-    if dispatch is None:
-        return False
-    return not any(umath.__cpu_features__.get(feature) for feature in dispatch)
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
 
 
-ULPS = 0 if _simd_off() else 4
+@pytest.mark.parametrize("alpha", ALPHA)
+def test_rate_closed_form_is_the_float_kernel_bit_for_bit(alpha):
+    want = _hex(_closed_form(s, alpha) for s in SNR)
+    assert _hex(rate_closed_form(np.array(SNR), alpha).tolist()) == want
+    grid = rate_closed_form(np.array(SNR[:12]).reshape(3, 4), alpha)
+    assert grid.shape == (3, 4) and _hex(grid.ravel().tolist()) == want[:12]
+    scalars = [rate_closed_form(s, alpha) for s in SNR]
+    assert all(type(x) is float for x in scalars) and _hex(scalars) == want
 
 
-def _agree(got: float, want: float) -> bool:
-    """got (the shim's) equals want (numpy's) to within ULPS ulp, inf and
-    NaN alike."""
-    if math.isnan(want) or math.isinf(want) or want == 0.0:
-        return got == want or (math.isnan(got) and math.isnan(want))
-    return abs(got - want) <= ULPS * math.ulp(want)
-
-
-SNR = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 7.0, 1e10, 1e300, 2.0**1020, 1.7e308, math.inf]
-
-
-@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.4, 0.45, 0.4999999, 0.4999999989])
-def test_the_closed_form_gives_numpys_numbers_through_the_math_shim(alpha):
-    want = _closed_form(np, np.array(SNR), alpha).tolist()
-    for s, expected in zip(SNR, want):
-        assert _agree(_closed_form(rates._MATH, s, alpha), expected), (s, expected)
-    assert math.isnan(_closed_form(rates._MATH, math.nan, alpha))
+def test_a_scalar_s_against_an_array_alpha_is_the_float_kernel_bit_for_bit():
+    for s in SNR:
+        got = rate_closed_form(s, np.array(ALPHA))
+        assert got.shape == (len(ALPHA),)
+        assert _hex(got.tolist()) == _hex(_closed_form(s, a) for a in ALPHA)
 
 
 SPECIAL = [-math.inf, -1.5, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 0.75, 1.0, 2.0, 1e308,
@@ -56,12 +43,17 @@ SPECIAL = [-math.inf, -1.5, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 0.75, 1.0,
 
 @pytest.mark.parametrize("name", ["log2", "log1p", "sqrt"])
 def test_the_shim_gives_numpys_inf_and_nan_where_math_raises(name):
+    # math's float where math gives one, numpy's where math raises
     with np.errstate(all="ignore"):
-        want = getattr(np, name)(np.array(SPECIAL)).tolist()
-    for x, expected in zip(SPECIAL, want):
-        got = getattr(rates._MATH, name)(x)
-        assert _agree(got, expected), (x, got, expected)
-        assert math.copysign(1.0, got) == math.copysign(1.0, expected) or math.isnan(got)
+        numpys = getattr(np, name)(np.array(SPECIAL)).tolist()
+    for x, fallback in zip(SPECIAL, numpys):
+        try:
+            want = getattr(math, name)(x)
+        except ValueError:
+            want = fallback
+        got = getattr(_MATH, name)(x)
+        assert got == want or math.isnan(got) and math.isnan(want), (x, got, want)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want) or math.isnan(got)
 
 
 def test_the_shims_minimum_maximum_and_ldexp_are_numpys():
@@ -69,12 +61,12 @@ def test_the_shims_minimum_maximum_and_ldexp_are_numpys():
     for name in ("minimum", "maximum"):
         want = getattr(np, name)(*map(np.array, zip(*pairs))).tolist()
         for (a, b), expected in zip(pairs, want):
-            got = getattr(rates._MATH, name)(a, b)
+            got = getattr(_MATH, name)(a, b)
             assert got == expected or math.isnan(got) and math.isnan(expected), (name, a, b)
             assert math.copysign(1.0, got) == math.copysign(1.0, expected) or math.isnan(got)
     for x in SPECIAL:
         for n in (-1100, -5, 0, 3, 1100, 5000):
             with np.errstate(all="ignore"):
                 expected = float(np.ldexp(x, n))
-            got = rates._MATH.ldexp(x, n)
+            got = _MATH.ldexp(x, n)
             assert got == expected or math.isnan(got) and math.isnan(expected), (x, n)

@@ -22,7 +22,7 @@ from fdcran.oracle import (
     exhaustive_power_opt,
 )
 from fdcran.model import PowerAllocation
-from fdcran.rates import SCHEMES, SicMode, compute_batch, fd_cran_uplink, fd_scp
+from fdcran.rates import SCHEMES, SicMode, compute_scheme, fd_cran_uplink, fd_scp
 from fdcran.spectral import rate_closed_form, zf_constants, zf_precoder
 from fdcran.sweep import run_sweep, verification_failures
 
@@ -488,7 +488,7 @@ def test_a_certified_search_rates_each_group_once_a_round(
         monkeypatch.setattr(fdcran.oracle, name, counted(name, getattr(fdcran.oracle, name)))
     spec = preset_spec("fig3")
     points = [spec.params_at(v) for v in spec.values()]
-    results = compute_batch(scheme, points)
+    results = [compute_scheme(scheme, p) for p in points]
     argmaxes = [(r.diagnostics["p_u_star"], r.diagnostics["p_d_star"]) for r in results]
     found = certified_max_min(*SCHEMES[scheme], points, argmaxes)
     groups = calls["_quarters"] + 1
@@ -513,7 +513,7 @@ def test_a_capped_point_next_to_one_half_certifies_to_certified_eps():
     # solver's optimum to the ring's 1e-9
     huge = db_to_linear(3000.0)
     edge = make_params(alpha=0.4999999, p_u_max=huge, p_d_max=huge, c_u=2000.0, c_d=2000.0)
-    [result] = compute_batch(SchemeId.FD_CRAN, [edge])
+    result = compute_scheme(SchemeId.FD_CRAN, edge)
     argmax = (result.diagnostics["p_u_star"], result.diagnostics["p_d_star"])
     [found] = certified_max_min("cran", TAN, [edge], [argmax])
     assert found.eps == CERTIFIED_EPS
@@ -585,7 +585,7 @@ def test_the_oracles_zero_forcing_ring_gives_the_closed_forms(alpha):
 def test_the_oracles_sigma_u_sq_is_the_solvers():
     # the circulant check takes sigma_u^2 from the oracle's own form: over
     # MIXED it is the reported sigma_u^2 to rounding, and inf where c_u = 0
-    results = compute_batch(SchemeId.HD_CRAN, MIXED)
+    results = [compute_scheme(SchemeId.HD_CRAN, p) for p in MIXED]
     found = fdcran.oracle.sigma_u_sq(MIXED, [p.p_u_max for p in MIXED], [0.0] * len(MIXED))
     for params, result, sigma in zip(MIXED, results, found.tolist()):
         reported = result.diagnostics["sigma_u_sq"]
@@ -611,7 +611,7 @@ def _certifies_on_the_budget_edges(scheme, raise_db) -> None:
     each solved r_eq in its interval to within the ring's 1e-9 (_RING_DEPTH)."""
     gain = db_to_linear(raise_db)
     points = [replace(p, p_u_max=p.p_u_max * gain, p_d_max=p.p_d_max * gain) for p in DOMAIN]
-    results = compute_batch(scheme, points)
+    results = [compute_scheme(scheme, p) for p in points]
     argmaxes = [(r.diagnostics["p_u_star"], r.diagnostics["p_d_star"]) for r in results]
     for result, found in zip(results, certified_max_min(*SCHEMES[scheme], points, argmaxes)):
         assert found.eps == CERTIFIED_EPS and found.cells < fdcran.oracle._MAX_CELLS, found
@@ -722,7 +722,7 @@ T2_PAST_THE_FLOAT_RANGE = make_params(
 def test_sic_is_certified_where_t2s_sinr_passes_the_float_range(scheme):
     # r_u = t1 = log2(1 + 1e300) > t2 / 2 = log2(1e500) / 2 = 250 log2 10:
     # t2 bounds the equal rate, for the solver and the certificate alike
-    [result] = compute_batch(scheme, [T2_PAST_THE_FLOAT_RANGE])
+    result = compute_scheme(scheme, T2_PAST_THE_FLOAT_RANGE)
     assert result.r_eq == pytest.approx(250.0 * math.log2(10.0), rel=1e-12, abs=0)
     argmax = (result.diagnostics["p_u_star"], result.diagnostics["p_d_star"])
     [found] = certified_max_min(*SCHEMES[scheme], [T2_PAST_THE_FLOAT_RANGE], [argmax])
@@ -745,7 +745,8 @@ def test_a_point_stopped_at_max_cells_widens_its_eps_to_its_largest_bound_left(
     monkeypatch.setattr(fdcran.oracle, "_MAX_CELLS", 16)
     capped = certified_max_min(*SCHEMES[scheme], points, argmaxes)
     assert any(f.cells > 16 for f in full)
-    for result, whole, found in zip(compute_batch(scheme, points), full, capped):
+    for params, whole, found in zip(points, full, capped):
+        result = compute_scheme(scheme, params)
         assert found.cells <= 16, found
         if whole.cells > 16:
             assert found.eps > CERTIFIED_EPS, found

@@ -22,6 +22,7 @@ from fdcran.rates import (
     hd_cran_uplink,
     hd_scp,
 )
+from fdcran.config import SweepSpec
 from fdcran.model import SchemeId
 from fdcran.spectral import zf_precoder
 from fdcran.sweep import preset_spec, run_sweep
@@ -332,6 +333,30 @@ def test_a_sweep_rates_each_search_point_once(monkeypatch, preset):
     assert len(repeats) == 4 * len(preset_spec(preset).values()) and not any(repeats)
 
 
+def test_a_low_snr_sweep_rates_few_points_per_edge_search(monkeypatch):
+    # from -200 dB every log2(1 + x) is taken as log1p(x)/ln 2, so no rate
+    # rounds to 0 at one end of an edge while it is behind above it, which
+    # halved that edge's bracket down to the least subnormal: 1,026 points in
+    # one search, where each now rates at most 37
+    search, rated = rates._edge_optimum, []
+
+    def counting(evaluate, *args):
+        points = []
+
+        def counted(pu, pd):
+            points.append((pu, pd))
+            return evaluate(pu, pd)
+
+        found = search(counted, *args)
+        rated.append(len(points))
+        return found
+
+    monkeypatch.setattr(rates, "_edge_optimum", counting)
+    spec = SweepSpec(sweep_var="p_db_joint", start=-200.0, stop=100.0, step=2.0)
+    run_sweep(spec)
+    assert len(rated) == 4 * len(spec.values()) and max(rated) <= 64
+
+
 @pytest.mark.parametrize(
     "preset, schemes, searches, builds",
     [
@@ -343,10 +368,9 @@ def test_a_sweep_rates_each_search_point_once(monkeypatch, preset):
 def test_a_family_builds_its_constants_and_searches_treat_as_noise_once(
     monkeypatch, preset, schemes, searches, builds
 ):
-    # each family's schemes of a block share one solve: each point's
-    # constants once, and at each point one treat-as-noise edge search for
-    # both full-duplex receivers, and SIC's bound search where a SIC
-    # receiver is swept; fig2's 25 values and fig3's 33 make one block each
+    # each family's schemes at a point share one solve: the family's
+    # constants once, one treat-as-noise edge search for both full-duplex
+    # receivers, and SIC's bound search where a SIC receiver is swept
     counted = {"_edge_optimum": 0, "_form": 0}
     for name in counted:
         original = getattr(rates, name)

@@ -21,7 +21,7 @@ from fdcran.oracle import (
     circulant_uplink_rate,
     exhaustive_power_opt,
 )
-from fdcran.rates import SicMode, compute_batch, fd_cran, fd_scp
+from fdcran.rates import SicMode, compute_scheme, fd_cran, fd_scp
 from fdcran.spectral import h_tilde, rate_closed_form, zf_precoder
 from fdcran.config import SweepBase, SweepSpec
 from fdcran.sweep import preset_spec
@@ -195,7 +195,7 @@ def test_the_bound_loses_nothing_against_the_row_scans_alone(scheme, raise_db):
     gain = db_to_linear(raise_db)
     points = [replace(p, p_u_max=p.p_u_max * gain, p_d_max=p.p_d_max * gain) for p in DOMAIN]
     family = rates.SCHEMES[scheme][0]
-    solved = [r.r_eq for r in compute_batch(scheme, points)]
+    solved = [compute_scheme(scheme, p).r_eq for p in points]
     scanned = [_row_scans(family, p) for p in points]
     assert all(a >= b - 1e-12 for a, b in zip(solved, scanned)), list(zip(solved, scanned))
 

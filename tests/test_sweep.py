@@ -400,15 +400,17 @@ def test_first_failing_row_decides_the_error(monkeypatch):
     # at 0.6 alone, the hd_cran row fails before the full-duplex ones
     with pytest.raises(ZfSingularError):
         run_sweep(replace(spec, start=0.6))
-    # the 3070 dB row's sigma_u^2 overflows before the block's 3090 dB budget
-    # is found past the float range
+    # the 3070 dB row's sigma_u^2 overflows, the first of two; a stop whose
+    # budget leaves the float range, 3090 dB, is a config error of the spec
     base = replace(SweepBase(), c_u=0.001)
     spec = small_spec(
-        base=base, sweep_var="p_db_joint", start=3070.0, stop=3090.0, step=10.0,
+        base=base, sweep_var="p_db_joint", start=3070.0, stop=3080.0, step=10.0,
         schemes=(SchemeId.HD_CRAN,),
     )
     with pytest.raises(NumericDomainError, match="sigma_u_sq overflows"):
         run_sweep(spec)
+    with pytest.raises(ConfigError, match="p_u_max must be finite and >= 0, got inf$"):
+        replace(spec, stop=3090.0)
 
 
 def test_oracle_scores_the_reported_argmax():
@@ -516,18 +518,51 @@ def test_a_receiver_verified_alone_gets_the_rows_of_the_full_run(fig3_verify_row
     assert alone == [r for r in fig3_verify_rows if r.scheme in schemes]
 
 
+@pytest.mark.parametrize(
+    "var, key, end, message",
+    [
+        ("gamma_ud", "sweep.start", -0.5, "gamma_ud must be finite and >= 0, got -0.5"),
+        ("c_u_c_d_joint", "sweep.start", -1.0, "c_u must be finite and >= 0, got -1.0"),
+        ("alpha", "sweep.start", -0.5, "alpha must be finite and >= 0, got -0.5"),
+        ("p_db_joint", "sweep.stop", 4000.0, "p_u_max must be finite and >= 0, got inf"),
+    ],
+)
+def test_an_end_outside_the_swept_fields_domain_is_a_config_error_at_its_line(
+    tmp_path, capsys, var, key, end, message
+):
+    # both ends are checked as the swept SystemParams field, which holds every
+    # value between; half-duplex rates do not read gamma_ud, so only that
+    # check catches a negative one
+    spec = dict(sweep_var=var, start=0.0, stop=0.5, step=0.25, schemes=(SchemeId.HD_SCP,))
+    spec[key.split(".")[1]] = end
+    with pytest.raises(ConfigError) as err:
+        small_spec(**spec)
+    assert (err.value.field, err.value.message) == (key, message)
+    config = tmp_path / "end.cfg"
+    config.write_text(f"schemes = hd_scp\nsweep.var = {var}\n{key} = {end}\nsweep.step = 0.25\n")
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv")]
+    assert fdcran.cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: line 3, field {key!r}: {message}\n"
+
+
+def test_an_end_the_config_did_not_set_names_the_line_of_its_sweep_var():
+    # a start that p_db_joint takes (a budget in dB) but alpha does not
+    defaults = SweepSpec(sweep_var="p_db_joint", start=-10.0, stop=20.0)
+    with pytest.raises(ConfigError) as err:
+        parse_config("schemes = hd_scp\nsweep.var = alpha\n", defaults=defaults)
+    assert (err.value.line, err.value.field) == (2, "sweep.start")
+
+
 def test_a_swept_value_is_checked_as_its_systemparams_field():
-    # half-duplex rates do not read gamma_ud, so only the check of each swept
-    # value catches a negative one; the replay names the first
-    spec = small_spec(
-        sweep_var="gamma_ud", start=-0.5, stop=0.5, step=0.25,
-        schemes=(SchemeId.HD_SCP, SchemeId.HD_CRAN),
-    )
+    # the ends of a range are checked with the spec (above), each value as the
+    # sweep reaches it: the points of values outside the domain raise
+    spec = small_spec(sweep_var="gamma_ud", start=0.0, stop=0.5, step=0.25)
     with pytest.raises(ValueError, match=r"gamma_ud must be finite and >= 0, got -0\.5$"):
-        run_sweep(spec)
-    # a gain whose power gain overflows, past 9.5e153, in the middle of a
-    # block: the check raises before the kernels' gamma_ud**2 would overflow
-    spec = replace(spec, start=0.0, stop=2e154, step=1e152)
+        list(spec.points([0.0, -0.5]))
+    # a gain whose power gain overflows, past 9.5e153, in the middle of the
+    # sweep: the end check lets it pass, as a base gain (exit 3), and the check
+    # of each value raises before the kernels' gamma_ud**2 would overflow
+    spec = replace(spec, start=0.0, stop=2e154, step=1e152, schemes=(SchemeId.HD_SCP,))
     first = next(v for v in spec.values() if math.isinf(2.0 * v * v))
     message = re.escape(f"gamma_ud={first:g} has a power gain")
     with pytest.raises(NumericDomainError, match=message):
@@ -535,17 +570,16 @@ def test_a_swept_value_is_checked_as_its_systemparams_field():
 
 
 def test_a_half_duplex_block_reports_its_first_overflowing_row(tmp_path, capsys):
-    # 101 joint budgets: sigma_u^2 first overflows at 3050.4 dB (row 56),
-    # where hd_cran checks it at (P_u, 0), and the budget leaves the float
-    # range in the second block; then 56 values, one block, where it
-    # overflows at row 12 and the budget leaves the float range at row 48,
-    # whose point the replay must not build before row 12 raises
+    # joint budgets up to 3082 dB, the float range's edge: sigma_u^2 first
+    # overflows at 3050.4 dB (row 57 of 92), where hd_cran checks it at
+    # (P_u, 0); then from 3040 dB, where it overflows at row 12 of 47.  A stop
+    # whose budget leaves the float range is a config error (above)
     config = tmp_path / "over.cfg"
     argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "over.csv")]
     for start, p_u_max in ((3000, "1.0964781961432367e+305"), (3040, "9.772372209558311e+304")):
         config.write_text(
             "schemes = hd_scp, hd_cran\nbase.c_u = 0.001\nsweep.var = p_db_joint\n"
-            f"sweep.start = {start}\nsweep.stop = 3090\nsweep.step = 0.9\n"
+            f"sweep.start = {start}\nsweep.stop = 3082\nsweep.step = 0.9\n"
         )
         assert fdcran.cli.main(argv) == 3
         assert capsys.readouterr().err == (
